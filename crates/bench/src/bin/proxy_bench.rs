@@ -4,9 +4,9 @@
 //! that isolates the serving tier from the codec), the full upload
 //! (split + seal + PUT), and the full download (forward + fetch +
 //! rebuild) — then runs the `connection_scaling` cells: 1k/10k
-//! mostly-idle keep-alive populations driven open-loop against both io
-//! models, in a two-process split so the fd ceiling can hold both ends
-//! (see [`p3_bench::scaling`]). Writes `BENCH_proxy.json` — the
+//! mostly-idle keep-alive populations driven open-loop, in a
+//! two-process split so the fd ceiling can hold both ends (see
+//! [`p3_bench::scaling`]). Writes `BENCH_proxy.json` — the
 //! committed serving baseline next to `BENCH_codec.json`. Every later
 //! proxy PR reruns this binary and compares.
 //!
@@ -17,21 +17,24 @@
 //! cargo run --release -p p3-bench --bin proxy_bench -- --out path.json
 //! ```
 //!
-//! (`--serve-scaling --io-model X` is the internal child mode of the
-//! scaling split — it hosts the trio and exits on stdin EOF.)
+//! (`--serve-scaling` is the internal child mode of the scaling split
+//! — it hosts the trio and exits on stdin EOF.)
 //!
 //! Schema: `{ "<phase>": { "requests_per_s": f64, "p50_ms": f64,
 //! "p99_ms": f64[, "cache_hit_rate": f64] } }` plus one
-//! `scaling_{model}_{tier}` section per cell. The binary re-reads and
+//! `scaling_epoll_{tier}` section per cell. The binary re-reads and
 //! validates what it wrote ([`p3_bench::util::parse_metric_json`]) and
 //! exits nonzero on any mismatch, so CI catches a rotten harness.
 
 use p3_bench::scaling;
-use p3_bench::util::{bench_out_path, check_metric_schema, flag_value, parse_metric_json};
+use p3_bench::util::{
+    bench_out_path, check_metric_schema, flag_value, parse_metric_json, percentile,
+};
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
-use p3_psp::{PspProfile, PspService, StorageService};
+use p3_psp::{PspProfile, PspService};
+use p3_storage::StorageService;
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -44,15 +47,6 @@ struct PhaseResult {
     p99_ms: f64,
     /// Download-only: secret-cache hit rate in `[0, 1]`.
     cache_hit_rate: Option<f64>,
-}
-
-/// Percentile by nearest-rank on a sorted slice.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 /// Run `clients` threads of `per_client` slots each; `op(client, slot)`
@@ -98,9 +92,7 @@ fn expected_schema() -> Vec<(&'static str, Vec<&'static str>)> {
         ("proxy_upload", vec!["requests_per_s", "p50_ms", "p99_ms"]),
         ("proxy_download", vec!["requests_per_s", "p50_ms", "p99_ms", "cache_hit_rate"]),
     ];
-    for cell in
-        ["scaling_threads_1k", "scaling_epoll_1k", "scaling_threads_10k", "scaling_epoll_10k"]
-    {
+    for cell in ["scaling_epoll_1k", "scaling_epoll_10k"] {
         schema.push((cell, scaling::section_fields()));
     }
     schema
@@ -114,16 +106,11 @@ fn validate(path: &str, expected_sections: &[&str]) -> Result<(), String> {
             .iter()
             .find(|(name, _)| name == want)
             .ok_or_else(|| format!("section {want:?} missing"))?;
-        // A threaded scaling cell can honestly serve zero requests —
-        // its worker pool is the thing being saturated — so the
-        // nonzero-throughput rule only binds everywhere else (the
-        // epoll cells get their own gates in `scaling::validate_cells`).
-        let may_starve = want.starts_with("scaling_threads_");
         for (field, value) in metrics {
             if !value.is_finite() || *value < 0.0 {
                 return Err(format!("{want}.{field} = {value} is not a sane metric"));
             }
-            if field == "requests_per_s" && *value == 0.0 && !may_starve {
+            if field == "requests_per_s" && *value == 0.0 {
                 return Err(format!("{want}.requests_per_s is zero"));
             }
             if field == "cache_hit_rate" && *value > 1.0 {
@@ -139,10 +126,7 @@ fn main() {
     // Internal child mode of the connection-scaling split: host the
     // trio, print the proxy address, park until stdin closes.
     if args.iter().any(|a| a == "--serve-scaling") {
-        let model = flag_value(&args, "--io-model").unwrap_or_else(|| "epoll".to_string());
-        let io_model = p3_net::IoModel::parse(&model)
-            .unwrap_or_else(|| panic!("--io-model {model:?} (threads|epoll)"));
-        scaling::serve_child(io_model);
+        scaling::serve_child();
     }
     let quick = args.iter().any(|a| a == "--quick");
     let out_path =

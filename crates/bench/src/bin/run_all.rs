@@ -1,17 +1,55 @@
 //! Regenerate every table and figure, then rewrite `EXPERIMENTS.md` with
-//! paper-vs-measured values.
+//! paper-vs-measured values — or, given experiment names, regenerate
+//! just those (their tables print; `EXPERIMENTS.md` is left alone).
 //!
 //! ```text
 //! cargo run --release -p p3-bench --bin run_all            # quick scale
 //! P3_SCALE=full cargo run --release -p p3-bench --bin run_all
+//! cargo run --release -p p3-bench --bin run_all -- fig5_threshold_size tbl_ablations
 //! ```
 
 use p3_bench::experiments as ex;
 use p3_bench::Scale;
 use std::fmt::Write as _;
 
+/// An experiment `run_all <name>…` can regenerate on its own.
+type Experiment = (&'static str, fn(Scale));
+
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig5_threshold_size", |s| _ = ex::fig5_size::run(s)),
+    ("fig6_psnr", |s| _ = ex::fig6_psnr::run(s)),
+    ("fig7_visuals", |s| _ = ex::fig7_visuals::run(s)),
+    ("fig8a_edges", |s| _ = ex::fig8a_edges::run(s)),
+    ("fig8b_face_detection", |s| _ = ex::fig8b_faces::run(s)),
+    ("fig8c_sift", |s| _ = ex::fig8c_sift::run(s)),
+    ("fig8d_face_recognition", |s| _ = ex::fig8d_recognition::run(s)),
+    ("fig9_edge_visuals", |s| _ = ex::fig9_edge_visuals::run(s)),
+    ("fig10_bandwidth", |s| _ = ex::fig10_bandwidth::run(s)),
+    ("tbl_reconstruction", |s| _ = ex::tbl_reconstruction::run(s)),
+    ("tbl_guessing_attack", |s| _ = ex::tbl_attack::run(s)),
+    ("tbl_ablations", |s| _ = ex::ablations::run(s)),
+];
+
 fn main() {
     let scale = Scale::from_env();
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if !wanted.is_empty() {
+        let mut chosen = Vec::with_capacity(wanted.len());
+        for name in &wanted {
+            match EXPERIMENTS.iter().find(|(known, _)| known == name) {
+                Some((_, run)) => chosen.push(run),
+                None => {
+                    let valid: Vec<&str> = EXPERIMENTS.iter().map(|(known, _)| *known).collect();
+                    eprintln!("error: unknown experiment {name:?}; valid: {}", valid.join(" "));
+                    std::process::exit(2);
+                }
+            }
+        }
+        for run in chosen {
+            run(scale);
+        }
+        return;
+    }
     eprintln!("running all experiments at {scale:?} scale…");
 
     let fig5 = ex::fig5_size::run(scale);

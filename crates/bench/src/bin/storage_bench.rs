@@ -1,6 +1,6 @@
 //! Storage-tier benchmark: put/get throughput for every backend in
-//! `p3-storage` — in-memory, durable disk, and a live 3-node cluster
-//! (R=2) over loopback HTTP — plus a kill-one-node availability run
+//! `p3-storage` — in-memory, the packed needle log, and a live 3-node
+//! cluster (R=2) over loopback HTTP — plus a kill-one-node availability run
 //! that asserts every blob stays readable with a node down and that
 //! read-repair restores the node's replicas when it returns, and an
 //! *elasticity* run: a 4th node joins live (the rebalancer must stream
@@ -21,8 +21,8 @@
 //! cargo run --release -p p3-bench --bin storage_bench -- --check-schema
 //!     # drift guard: committed BENCH_storage.json key sets vs this binary
 //! cargo run --release -p p3-bench --bin storage_bench -- --quick --check-regress
-//!     # perf gate: fresh throughput ratios vs the committed baseline,
-//!     # 3x noise band (see REGRESS_RATIOS)
+//!     # perf gate: fresh scale-invariant ratios vs the committed
+//!     # baseline, 3x noise band (see REGRESS_RATIOS)
 //! ```
 //!
 //! Schema: `{ "<section>": { "<metric>": f64, ... } }` — the shared
@@ -30,10 +30,12 @@
 //! re-reads and validates what it wrote and exits nonzero on any
 //! mismatch or on a failed availability invariant.
 
-use p3_bench::util::{bench_out_path, check_metric_schema, flag_value, parse_metric_json};
+use p3_bench::util::{
+    bench_out_path, check_metric_schema, flag_value, parse_metric_json, percentile,
+};
 use p3_storage::{
-    compact_once, ClusterBackend, ClusterConfig, DiskBackend, MemBackend, PackedBackend,
-    PackedConfig, StorageBackend, StorageCore, StorageService,
+    compact_once, ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig,
+    StorageBackend, StorageCore, StorageService,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -42,15 +44,6 @@ use std::time::{Duration, Instant};
 struct Section {
     name: &'static str,
     metrics: Vec<(&'static str, f64)>,
-}
-
-/// Percentile by nearest-rank on a sorted slice.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 /// Deterministic pseudo-random blob corpus (SplitMix64 stream).
@@ -118,20 +111,17 @@ fn median(samples: &[f64]) -> f64 {
     sorted[sorted.len() / 2]
 }
 
-/// The packed needle-log A/B plus its durability e2es, one section:
+/// The packed needle log under concurrent writers plus its durability
+/// e2es, one section:
 ///
-/// * **group-commit speedup** — `threads` writers hammer small-blob
-///   puts at the packed store and at the legacy per-file store, same
-///   thread count, same filesystem, in the same run. Blobs are small
-///   (512 B) on purpose: large blobs turn both stores bandwidth-bound
-///   and hide the commit cost this A/B exists to measure. The packed
-///   store answers each put after one *shared* fsync; the per-file
-///   store pays a file fsync + rename + directory fsync per blob. Each
-///   store runs `trials` times, alternating, and the headline ratio is
-///   median-vs-median (ext4's journal sporadically merges the
-///   per-file fsyncs of concurrent writers, so single trials of the
-///   per-file store swing ~3x run to run). Self-validates >= 10x, with
-///   one full retry absorbing a pathological journal-merge session.
+/// * **group commit** — `threads` writers hammer small-blob puts at the
+///   packed store, which answers each put after one *shared* fsync.
+///   Blobs are small (512 B) on purpose: large blobs turn the store
+///   bandwidth-bound and hide the commit cost this measures. The store
+///   runs `trials` times and `puts_per_s` is the median; the last
+///   trial's `group_commits` against its puts (`torn_recovered_blobs`
+///   re-counts every one of them) is the batching factor the
+///   `--check-regress` gate holds.
 /// * **torn-needle recovery** — a partial frame is appended to the live
 ///   segment (the bytes a crash mid-write leaves), the store reopens,
 ///   and every acked blob must be back while the torn tail is truncated.
@@ -142,59 +132,36 @@ fn bench_packed(blobs: &[Vec<u8>], threads: usize, quick: bool) -> Vec<(&'static
     let base = std::env::temp_dir().join(format!("p3-packed-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    // ---- multithreaded put A/B: packed vs per-file -------------------
+    // ---- multithreaded group-commit puts -----------------------------
     let per_thread = if quick { 48 } else { 128 };
     let trials = if quick { 3 } else { 5 };
     let corpus = make_blobs(threads, 512);
     let total_puts = (threads * per_thread) as f64;
-    let put_wall = |do_put: &(dyn Fn(String, &[u8]) + Sync)| -> f64 {
+    let mut rates = Vec::with_capacity(trials);
+    let mut last: Option<(PackedBackend, std::path::PathBuf)> = None;
+    for trial in 0..trials {
+        let dir = base.join(format!("packed-{trial}"));
+        let packed = PackedBackend::open(&dir).expect("open packed bench dir");
         let start = Instant::now();
         std::thread::scope(|s| {
             for (t, blob) in corpus.iter().enumerate() {
-                let do_put = &do_put;
+                let packed = &packed;
                 s.spawn(move || {
                     for i in 0..per_thread {
-                        do_put(format!("t{t}-b{i}"), blob);
+                        packed.put(&format!("t{t}-b{i}"), blob).expect("packed put");
                     }
                 });
             }
         });
-        start.elapsed().as_secs_f64()
-    };
-
-    let mut attempt = 0usize;
-    let (packed, packed_puts_per_s, perfile_puts_per_s, group_commits) = loop {
-        let mut packed_rates = Vec::with_capacity(trials);
-        let mut perfile_rates = Vec::with_capacity(trials);
-        let mut last_packed = None;
-        for trial in 0..trials {
-            let dir = base.join(format!("packed-{attempt}-{trial}"));
-            let packed = Arc::new(PackedBackend::open(&dir).expect("open packed bench dir"));
-            let wall = put_wall(&|id, blob| packed.put(&id, blob).expect("packed put"));
-            packed_rates.push(total_puts / wall);
-            if let Some((old, old_dir)) = last_packed.replace((packed, dir)) {
-                drop(old);
-                let _ = std::fs::remove_dir_all(&old_dir);
-            }
-
-            let dir = base.join(format!("perfile-{attempt}-{trial}"));
-            let perfile = DiskBackend::open(&dir).expect("open perfile bench dir");
-            let wall = put_wall(&|id, blob| perfile.put(&id, blob).expect("perfile put"));
-            perfile_rates.push(total_puts / wall);
-            drop(perfile);
-            let _ = std::fs::remove_dir_all(&dir);
+        rates.push(total_puts / start.elapsed().as_secs_f64());
+        if let Some((old, old_dir)) = last.replace((packed, dir)) {
+            drop(old);
+            let _ = std::fs::remove_dir_all(&old_dir);
         }
-        let (packed, _dir) = last_packed.expect("at least one trial");
-        let commits = packed.group_commits();
-        let (pk, pf) = (median(&packed_rates), median(&perfile_rates));
-        if pk / pf >= 10.0 || attempt >= 1 {
-            break (packed, pk, pf, commits);
-        }
-        // One retry: a journal-merge-lucky per-file session or a cold
-        // first packed trial can squeeze the ratio; a fresh session
-        // settles it. A real regression fails both attempts.
-        attempt += 1;
-    };
+    }
+    let (packed, packed_dir) = last.expect("at least one trial");
+    let packed_puts_per_s = median(&rates);
+    let group_commits = packed.group_commits();
 
     // ---- read pass over the packed corpus ----------------------------
     let get_start = Instant::now();
@@ -209,7 +176,6 @@ fn bench_packed(blobs: &[Vec<u8>], threads: usize, quick: bool) -> Vec<(&'static
     // ---- torn-needle recovery e2e ------------------------------------
     // Reopen the same log with a half-written frame appended to the
     // live segment — exactly what power loss mid-append leaves behind.
-    let packed_dir = base.join(format!("packed-{attempt}-{}", trials - 1));
     drop(packed);
     let torn_frame = {
         // A frame that would be valid if complete; only half of it hits
@@ -300,8 +266,6 @@ fn bench_packed(blobs: &[Vec<u8>], threads: usize, quick: bool) -> Vec<(&'static
     vec![
         ("put_threads", threads as f64),
         ("puts_per_s", packed_puts_per_s),
-        ("perfile_puts_per_s", perfile_puts_per_s),
-        ("put_speedup", packed_puts_per_s / perfile_puts_per_s),
         ("gets_per_s", gets_per_s),
         ("group_commits", group_commits as f64),
         ("torn_recovered_blobs", recovered as f64),
@@ -316,12 +280,6 @@ fn spawn_node() -> StorageService {
     StorageService::spawn().expect("spawn storage node")
 }
 
-/// Respawn a storage service on a specific (just-freed) address.
-fn respawn_on(addr: std::net::SocketAddr, core: Arc<StorageCore>) -> StorageService {
-    StorageService::respawn_on(addr, core)
-        .unwrap_or_else(|e| panic!("could not rebind {addr}: {e}"))
-}
-
 /// Section → field names this binary emits, in emission order — the
 /// single source of truth for the post-run validation and the
 /// `--check-schema` drift guard against the committed
@@ -330,14 +288,11 @@ fn expected_schema(quick: bool) -> Vec<(&'static str, Vec<&'static str>)> {
     let backend = vec!["puts_per_s", "gets_per_s", "put_p50_ms", "get_p50_ms", "blob_kb"];
     let mut out = vec![
         ("storage_mem", backend.clone()),
-        ("storage_disk", backend.clone()),
         (
             "packed_store",
             vec![
                 "put_threads",
                 "puts_per_s",
-                "perfile_puts_per_s",
-                "put_speedup",
                 "gets_per_s",
                 "group_commits",
                 "torn_recovered_blobs",
@@ -466,10 +421,10 @@ fn validate(path: &str, expected_sections: &[&str]) -> Result<(), String> {
             .map(|(_, v)| *v)
             .ok_or_else(|| format!("packed_store.{name} missing"))
     };
-    if field("put_speedup")? < 10.0 {
+    let (puts, commits) = (field("torn_recovered_blobs")?, field("group_commits")?);
+    if !(1.0..puts).contains(&commits) {
         return Err(format!(
-            "packed put throughput is only {:.1}x the per-file store (need >= 10x)",
-            field("put_speedup")?
+            "{puts} concurrent puts took {commits} fsync batches: group commit batched nothing"
         ));
     }
     if field("torn_recovered_blobs")? < 1.0 {
@@ -487,25 +442,22 @@ fn validate(path: &str, expected_sections: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// Scale-invariant throughput ratios for the `--check-regress` gate:
+/// Scale-invariant ratios for the `--check-regress` gate:
 /// `(numerator section, field, denominator section, field)`. Ratios —
 /// not absolute numbers — so a quick-scale CI run is comparable to the
 /// committed full-scale baseline and machine speed divides out. Pairs
-/// are chosen so numerator and denominator move together when the blob
-/// size changes between quick and full scale: fsync-bound puts compare
-/// against fsync-bound puts, size-bound gets against gets (mem gets
-/// are O(1) Arc clones, so they make a stable get denominator — but a
-/// useless put denominator, since mem puts are memcpy-bound and swing
-/// ~8x with blob size). Put-side ratios of the legacy paths are *not*
-/// gated: one-fsync-per-put throughput swings ~3x run to run on ext4
-/// (jbd2 sporadically merges concurrent per-file fsyncs), so any ratio
-/// with a lone-fsync term on one side is noise at the band this gate
-/// uses — the packed A/B below sidesteps that with a same-run
-/// median-of-N over both stores.
+/// are chosen so numerator and denominator move together when the
+/// scale changes between quick and full: size-bound gets compare
+/// against gets (mem gets are O(1) Arc clones, so they make a stable
+/// get denominator — but a useless put denominator, since mem puts are
+/// memcpy-bound and swing ~8x with blob size), and the put side is held
+/// by a count, not a rate: puts per group commit (every put of the
+/// counted trial is re-read as a `torn_recovered_blobs`) is the
+/// batching factor of 64 concurrent writers at either scale, and an
+/// accidental fsync-per-put drops it to 1.
 const REGRESS_RATIOS: &[(&str, &str, &str, &str)] = &[
-    ("packed_store", "puts_per_s", "packed_store", "perfile_puts_per_s"),
+    ("packed_store", "torn_recovered_blobs", "packed_store", "group_commits"),
     ("packed_store", "gets_per_s", "storage_mem", "gets_per_s"),
-    ("storage_disk", "gets_per_s", "storage_mem", "gets_per_s"),
     ("storage_cluster", "gets_per_s", "storage_mem", "gets_per_s"),
 ];
 
@@ -600,15 +552,7 @@ fn main() {
     let mem = MemBackend::new();
     sections.push(Section { name: "storage_mem", metrics: bench_backend(&mem, &blobs) });
 
-    // ---- disk --------------------------------------------------------
-    let dir = std::env::temp_dir().join(format!("p3-storage-bench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let disk = DiskBackend::open(&dir).expect("open bench data dir");
-    sections.push(Section { name: "storage_disk", metrics: bench_backend(&disk, &blobs) });
-    drop(disk);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // ---- packed needle log: group-commit A/B + durability e2es -------
+    // ---- packed needle log: group commit + durability e2es -----------
     let put_threads = 64;
     sections
         .push(Section { name: "packed_store", metrics: bench_packed(&blobs, put_threads, quick) });
@@ -643,7 +587,8 @@ fn main() {
     // read pass repairs every replica it should hold.
     let repairs_before = cluster.stats().read_repairs;
     let reborn_core = Arc::new(StorageCore::new());
-    let _reborn = respawn_on(killed_addr, Arc::clone(&reborn_core));
+    let _reborn = StorageService::respawn_on(killed_addr, Arc::clone(&reborn_core))
+        .expect("rebind killed node");
     std::thread::sleep(Duration::from_millis(150));
     for i in 0..blob_count {
         let _ = cluster.get(&format!("bench-{i}")).expect("get after node return");
@@ -717,7 +662,8 @@ fn main() {
     assert!(victim_owned > 0, "victim node must own replicas");
     el_nodes[0].shutdown();
     let reborn = Arc::new(StorageCore::new());
-    let _reborn_svc = respawn_on(victim_addr, Arc::clone(&reborn));
+    let _reborn_svc =
+        StorageService::respawn_on(victim_addr, Arc::clone(&reborn)).expect("rebind victim node");
     let gets_before = el_cluster.stats().gets;
     let sweep_start = Instant::now();
     let swept = el_cluster.sweep_once();
@@ -797,13 +743,13 @@ fn main() {
     println!("wrote {out_path} (self-validated)");
 
     // Perf-regression gate: compare this run against the committed
-    // baseline on scale-invariant throughput ratios.
+    // baseline on scale-invariant ratios.
     if args.iter().any(|a| a == "--check-regress") {
         let committed =
             flag_value(&args, "--baseline").unwrap_or_else(|| "BENCH_storage.json".to_string());
         match check_regress(&out_path, &committed) {
             Ok(()) => println!(
-                "{out_path} vs {committed}: no throughput ratio fell below its \
+                "{out_path} vs {committed}: no ratio fell below its \
                  {REGRESS_NOISE_BAND}x noise band"
             ),
             Err(e) => {

@@ -2,8 +2,8 @@
 
 //! # p3-bench — the experiment harness
 //!
-//! One module per table/figure of the paper's evaluation (§5), each with
-//! a thin binary wrapper in `src/bin/`. Every experiment:
+//! One module per table/figure of the paper's evaluation (§5), each
+//! runnable by name through the `run_all` binary. Every experiment:
 //!
 //! * is deterministic (fixed seeds via `p3-datasets`),
 //! * prints the same rows/series the paper plots,

@@ -1,11 +1,11 @@
 //! Connection-scaling harness for `proxy_bench`: how many mostly-idle
-//! keep-alive connections can each serving architecture hold, and what
-//! happens to tail latency and shedding when thousands of them are
-//! open at once?
+//! keep-alive connections can the serving tier hold, and what happens
+//! to tail latency and shedding when thousands of them are open at
+//! once?
 //!
 //! The container's fd ceiling (20 000, unraisable) cannot hold both
 //! sides of 10 000 sockets in one process, so each cell runs **two
-//! processes**: `proxy_bench --serve-scaling --io-model X` re-executed
+//! processes**: `proxy_bench --serve-scaling` re-executed
 //! from [`std::env::current_exe`] hosts the PSP + storage + proxy trio
 //! and prints the proxy address on stdout; the parent holds the client
 //! sockets and exits the child by closing its stdin.
@@ -16,14 +16,13 @@
 //! stalls a driver thread is charged for the stall instead of quietly
 //! thinning the arrival process.
 //!
-//! Four cells: `{threads, epoll} × {lo, hi}` population tiers. The
-//! section names are fixed (`scaling_epoll_10k`, …) so the
-//! `--check-schema` drift guard works across scales; the `connections`
-//! field records the actual population (`--quick` shrinks it).
+//! Two cells, one per population tier. The section names are fixed
+//! (`scaling_epoll_1k`, `scaling_epoll_10k`) so the `--check-schema`
+//! drift guard works across scales; the `connections` field records the
+//! actual population (`--quick` shrinks it).
 
-use crate::util::parse_metric_json;
+use crate::util::{parse_metric_json, percentile};
 use p3_net::http::{Method, Request, Response};
-use p3_net::IoModel;
 use parking_lot::Mutex;
 use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
@@ -39,22 +38,19 @@ const CELL_IDLE_MS: u64 = 120_000;
 /// Marker line the `--serve-scaling` child prints once the trio is up.
 pub const ADDR_MARKER: &str = "SCALING_ADDR";
 
-/// Per-request read timeout on the parent's sockets: a connection the
-/// threaded server parked in its accept queue must cost one bounded
-/// timeout, not a wedged driver.
+/// Per-request read timeout on the parent's sockets: a stalled
+/// exchange must cost one bounded timeout, not a wedged driver.
 const EXCHANGE_TIMEOUT: Duration = Duration::from_millis(1500);
 
 /// Driver threads pumping the open-loop schedule. Also the upper bound
 /// on in-flight requests, comfortably under the proxy's dispatch queue
-/// so an epoll cell is never shed by our own burstiness.
+/// so a cell is never shed by our own burstiness.
 const DRIVERS: usize = 32;
 
-/// One `{io_model} × {population}` measurement.
+/// One population-tier measurement.
 pub struct CellSpec {
     /// Fixed JSON section name (`scaling_epoll_10k`, …).
     pub name: &'static str,
-    /// Serving architecture under test.
-    pub io_model: IoModel,
     /// Keep-alive connections to open and hold.
     pub connections: usize,
     /// Requests in the open-loop schedule.
@@ -74,7 +70,7 @@ pub struct CellResult {
     pub open_connections: u64,
     /// Requests answered with the expected status (the 404 forward).
     pub ok: u64,
-    /// Requests answered 503 (accept- or dispatch-time shedding).
+    /// Requests answered 503 (dispatch-time shedding).
     pub shed: u64,
     /// Connect failures, io errors, timeouts, unexpected statuses.
     pub errors: u64,
@@ -87,7 +83,7 @@ pub struct CellResult {
     pub p99_ms: f64,
 }
 
-/// The four cells at either scale. `--quick` shrinks populations to
+/// The two cells at either scale. `--quick` shrinks populations to
 /// smoke size; section names stay fixed for the schema guard.
 pub fn cells(quick: bool) -> Vec<CellSpec> {
     let (lo, hi) = if quick { (50, 150) } else { (1000, 10_000) };
@@ -98,34 +94,8 @@ pub fn cells(quick: bool) -> Vec<CellSpec> {
         (Duration::from_secs(6), Duration::from_secs(10))
     };
     vec![
-        CellSpec {
-            name: "scaling_threads_1k",
-            io_model: IoModel::Threads,
-            connections: lo,
-            requests: lo_req,
-            window: lo_win,
-        },
-        CellSpec {
-            name: "scaling_epoll_1k",
-            io_model: IoModel::Epoll,
-            connections: lo,
-            requests: lo_req,
-            window: lo_win,
-        },
-        CellSpec {
-            name: "scaling_threads_10k",
-            io_model: IoModel::Threads,
-            connections: hi,
-            requests: hi_req,
-            window: hi_win,
-        },
-        CellSpec {
-            name: "scaling_epoll_10k",
-            io_model: IoModel::Epoll,
-            connections: hi,
-            requests: hi_req,
-            window: hi_win,
-        },
+        CellSpec { name: "scaling_epoll_1k", connections: lo, requests: lo_req, window: lo_win },
+        CellSpec { name: "scaling_epoll_10k", connections: hi, requests: hi_req, window: hi_win },
     ]
 }
 
@@ -152,10 +122,10 @@ pub fn section_fields() -> Vec<&'static str> {
 
 /// Child side of the two-process split: host the trio, print the proxy
 /// address, hold until the parent closes stdin. Never returns.
-pub fn serve_child(io_model: IoModel) -> ! {
+pub fn serve_child() -> ! {
     let _ = p3_net::raise_nofile_limit();
     let psp = p3_psp::PspService::spawn(p3_psp::PspProfile::facebook()).expect("spawn psp");
-    let storage = p3_psp::StorageService::spawn().expect("spawn storage");
+    let storage = p3_storage::StorageService::spawn().expect("spawn storage");
     let proxy = p3_net::proxy::P3Proxy::spawn(p3_net::proxy::ProxyConfig {
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
@@ -169,8 +139,7 @@ pub fn serve_child(io_model: IoModel) -> ! {
         secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,
         cache_shards: p3_net::proxy::DEFAULT_CACHE_SHARDS,
         server: p3_net::ServerConfig {
-            io_model,
-            idle_timeout: Some(Duration::from_millis(CELL_IDLE_MS)),
+            idle_timeout: Duration::from_millis(CELL_IDLE_MS),
             ..Default::default()
         },
     })
@@ -186,11 +155,11 @@ pub fn serve_child(io_model: IoModel) -> ! {
     std::process::exit(0);
 }
 
-/// Spawn the serving child for `spec` and wait for its address line.
-fn spawn_child(spec: &CellSpec) -> Result<(Child, SocketAddr), String> {
+/// Spawn the serving child and wait for its address line.
+fn spawn_child() -> Result<(Child, SocketAddr), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let mut child = Command::new(exe)
-        .args(["--serve-scaling", "--io-model", spec.io_model.as_str()])
+        .arg("--serve-scaling")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -220,10 +189,9 @@ fn exchange(stream: &mut TcpStream) -> Result<(Response, bool), String> {
 }
 
 /// `server.open_connections` from the proxy's `/stats` (`None` when the
-/// server is too saturated to answer — expected for overloaded threaded
-/// cells, where the gauge honestly reads "unobservable"). Raw short-
-/// timeout exchange rather than [`http_get`], whose 20 s read deadline
-/// would stall the whole cell against a wedged worker pool.
+/// server is too saturated to answer). Raw short-timeout exchange
+/// rather than `http_get`, whose 20 s read deadline would stall the
+/// whole cell against a wedged server.
 fn poll_open_connections(addr: SocketAddr) -> Option<u64> {
     for _ in 0..3 {
         let attempt = (|| {
@@ -251,19 +219,10 @@ fn poll_open_connections(addr: SocketAddr) -> Option<u64> {
     None
 }
 
-/// Percentile by nearest-rank on a sorted slice.
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 /// Run one cell end to end: child up, population ramped, open-loop
 /// drive, gauge poll, teardown.
 pub fn run_cell(spec: &CellSpec) -> Result<CellResult, String> {
-    let (mut child, addr) = spawn_child(spec)?;
+    let (mut child, addr) = spawn_child()?;
     let result = drive_cell(spec, addr);
     // Closing stdin is the shutdown signal; reap the child either way.
     drop(child.stdin.take());
@@ -392,18 +351,14 @@ fn drive_cell(spec: &CellSpec, addr: SocketAddr) -> Result<CellResult, String> {
     })
 }
 
-/// The scaling acceptance gates: every epoll cell must hold its whole
-/// population without shedding, and at each population tier the epoll
-/// model must push at least the threaded model's successful throughput.
+/// The scaling acceptance gates: every cell must hold its whole
+/// population without shedding.
 pub fn validate_cells(results: &[CellResult]) -> Result<(), String> {
-    let get = |name: &str| {
-        results
+    for name in ["scaling_epoll_1k", "scaling_epoll_10k"] {
+        let r = results
             .iter()
             .find(|r| r.name == name)
-            .ok_or_else(|| format!("scaling cell {name} missing"))
-    };
-    for name in ["scaling_epoll_1k", "scaling_epoll_10k"] {
-        let r = get(name)?;
+            .ok_or_else(|| format!("scaling cell {name} missing"))?;
         if r.shed != 0 {
             return Err(format!("{name}: {} requests shed at idle-heavy load", r.shed));
         }
@@ -414,17 +369,6 @@ pub fn validate_cells(results: &[CellResult]) -> Result<(), String> {
             return Err(format!(
                 "{name}: open_connections gauge read {} mid-window, want >= {}",
                 r.open_connections, r.connections
-            ));
-        }
-    }
-    for (threads, epoll) in
-        [("scaling_threads_1k", "scaling_epoll_1k"), ("scaling_threads_10k", "scaling_epoll_10k")]
-    {
-        let (t, e) = (get(threads)?, get(epoll)?);
-        if e.requests_per_s < t.requests_per_s {
-            return Err(format!(
-                "{epoll} throughput {:.1} req/s fell below {threads} {:.1} req/s",
-                e.requests_per_s, t.requests_per_s
             ));
         }
     }

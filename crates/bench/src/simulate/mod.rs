@@ -75,9 +75,6 @@ pub struct SimulateOpts {
     /// request count is derived from `target_rps × soak_secs` and a
     /// membership-churn loop runs alongside the chaos controller.
     pub soak_secs: u64,
-    /// Serving architecture for the proxy's listener (`--io-model
-    /// threads|epoll`; epoll by default).
-    pub io_model: p3_net::IoModel,
     /// Where to write `BENCH_simulate.json`.
     pub out_path: String,
 }
@@ -96,7 +93,6 @@ impl SimulateOpts {
             workers: 8,
             chaos: true,
             soak_secs: 0,
-            io_model: p3_net::IoModel::default(),
             out_path: "target/BENCH_simulate_quick.json".into(),
         }
     }

@@ -5,8 +5,9 @@
 
 use super::chaos::{self, ChaosReport};
 use super::topology::SimCluster;
-use super::workload::{self, percentile};
+use super::workload;
 use super::SimulateOpts;
+use crate::util::percentile;
 use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
@@ -26,18 +27,17 @@ pub fn run_simulation(opts: &SimulateOpts) -> Result<String, String> {
     if !(0.0..=1.0).contains(&opts.read_mix) {
         return Err("--read-mix must be in [0, 1]".into());
     }
-    let mut cluster = SimCluster::spawn_with_io_model(&format!("s{}", opts.seed), opts.io_model)?;
+    let mut cluster = SimCluster::spawn(&format!("s{}", opts.seed))?;
     let proxy = cluster.proxy_addr();
     let router_addr = cluster.router_addr();
     let router_backend = Arc::clone(&cluster.router_backend);
 
     println!(
-        "simulate: {} users, {} pinned photos, {} requests @ {:.0} rps (proxy {}, chaos {}{})",
+        "simulate: {} users, {} pinned photos, {} requests @ {:.0} rps (chaos {}{})",
         opts.users,
         opts.photos,
         opts.requests,
         opts.target_rps,
-        opts.io_model.as_str(),
         if opts.chaos { "on" } else { "off" },
         if opts.soak_secs > 0 { ", soak + churn" } else { "" }
     );
@@ -109,6 +109,9 @@ pub fn run_simulation(opts: &SimulateOpts) -> Result<String, String> {
     }
 
     let answered = result.ok_reads + result.ok_writes + result.explicit_errors + result.wrong_data;
+    result.read_lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    result.write_lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let (reads, writes) = (&result.read_lat_ms, &result.write_lat_ms);
     let sections: Vec<(&str, Vec<(&str, f64)>)> = vec![
         (
             "workload",
@@ -127,14 +130,14 @@ pub fn run_simulation(opts: &SimulateOpts) -> Result<String, String> {
         (
             "latency",
             vec![
-                ("read_p50_ms", percentile(&mut result.read_lat_ms, 50.0)),
-                ("read_p95_ms", percentile(&mut result.read_lat_ms, 95.0)),
-                ("read_p99_ms", percentile(&mut result.read_lat_ms, 99.0)),
-                ("read_max_ms", percentile(&mut result.read_lat_ms, 100.0)),
-                ("write_p50_ms", percentile(&mut result.write_lat_ms, 50.0)),
-                ("write_p95_ms", percentile(&mut result.write_lat_ms, 95.0)),
-                ("write_p99_ms", percentile(&mut result.write_lat_ms, 99.0)),
-                ("write_max_ms", percentile(&mut result.write_lat_ms, 100.0)),
+                ("read_p50_ms", percentile(reads, 50.0)),
+                ("read_p95_ms", percentile(reads, 95.0)),
+                ("read_p99_ms", percentile(reads, 99.0)),
+                ("read_max_ms", percentile(reads, 100.0)),
+                ("write_p50_ms", percentile(writes, 50.0)),
+                ("write_p95_ms", percentile(writes, 95.0)),
+                ("write_p99_ms", percentile(writes, 99.0)),
+                ("write_max_ms", percentile(writes, 100.0)),
             ],
         ),
         (

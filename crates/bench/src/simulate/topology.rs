@@ -74,14 +74,6 @@ impl SimCluster {
     /// is disabled so every read exercises the storage tier the chaos
     /// layer is attacking.
     pub fn spawn(tag: &str) -> Result<SimCluster, String> {
-        Self::spawn_with_io_model(tag, p3_net::IoModel::default())
-    }
-
-    /// Like [`SimCluster::spawn`] but with an explicit serving
-    /// architecture for the proxy's listener (`p3 simulate
-    /// --io-model`), so the chaos harness can exercise both the epoll
-    /// reactor tier and the threaded baseline end to end.
-    pub fn spawn_with_io_model(tag: &str, io_model: p3_net::IoModel) -> Result<SimCluster, String> {
         let base_dir =
             std::env::temp_dir().join(format!("p3-simulate-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base_dir);
@@ -136,7 +128,7 @@ impl SimCluster {
             reencode_quality: 90,
             secret_cache_capacity: 0,
             cache_shards: 1,
-            server: p3_net::ServerConfig { io_model, ..p3_net::ServerConfig::default() },
+            server: p3_net::ServerConfig::default(),
         })
         .map_err(|e| format!("proxy: {e}"))?;
         Ok(SimCluster { psp, nodes, router_backend, fault_plan, router, proxy, base_dir })

@@ -210,13 +210,3 @@ enum Outcome {
     ExplicitError,
     WrongData,
 }
-
-/// Percentile by nearest-rank over an unsorted latency vector.
-pub fn percentile(lat_ms: &mut [f64], p: f64) -> f64 {
-    if lat_ms.is_empty() {
-        return 0.0;
-    }
-    lat_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let idx = ((p / 100.0) * (lat_ms.len() - 1) as f64).round() as usize;
-    lat_ms[idx.min(lat_ms.len() - 1)]
-}

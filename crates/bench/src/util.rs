@@ -86,6 +86,15 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
+/// Percentile by nearest-rank on a sorted slice (0 for an empty one).
+pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
+    if sorted_ms.is_empty() {
+        return 0.0;
+    }
+    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
+    sorted_ms[idx.min(sorted_ms.len() - 1)]
+}
+
 /// A simple fixed-width text table.
 #[derive(Debug, Clone)]
 pub struct Table {

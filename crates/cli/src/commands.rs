@@ -22,18 +22,15 @@ fn stem(path: &str) -> String {
 }
 
 /// Parse the serving-tier flags every `p3` server command shares:
-/// `--io-model threads|epoll` (epoll default), `--idle-timeout-ms N`
-/// (model default when absent), `--reactors N` (epoll only; 0 = auto).
+/// `--idle-timeout-ms N` (default 60 000) and `--reactors N` (0 = auto).
 fn server_config_flags(args: &Args) -> Result<p3_net::ServerConfig, String> {
-    let model = args.opt("io-model", p3_net::IoModel::default().as_str());
-    let io_model = p3_net::IoModel::parse(model)
-        .ok_or_else(|| format!("unknown --io-model {model:?} (threads|epoll)"))?;
-    let idle_timeout = match args.flags.get("idle-timeout-ms") {
-        None => None,
-        Some(_) => Some(std::time::Duration::from_millis(args.opt_u64("idle-timeout-ms", 0)?)),
-    };
-    let reactors = args.opt_usize("reactors", 0)?;
-    Ok(p3_net::ServerConfig { io_model, idle_timeout, reactors, ..Default::default() })
+    let defaults = p3_net::ServerConfig::default();
+    let idle_ms = args.opt_u64("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?;
+    Ok(p3_net::ServerConfig {
+        idle_timeout: std::time::Duration::from_millis(idle_ms),
+        reactors: args.opt_usize("reactors", defaults.reactors)?,
+        ..defaults
+    })
 }
 
 /// `p3 split` — photo → public JPEG + encrypted secret blob.
@@ -184,12 +181,7 @@ pub fn serve_psp(argv: &[String]) -> Result<(), String> {
         std::sync::Arc::new(move |req| p3_psp::service::handle_http(&c, req)),
     )
     .map_err(|e| e.to_string())?;
-    println!(
-        "PSP ({}) listening on {} ({})",
-        core.profile().name,
-        server.addr(),
-        server.io_model().as_str()
-    );
+    println!("PSP ({}) listening on {}", core.profile().name, server.addr());
     println!("POST /photos (image/jpeg) -> id; GET /photos/{{id}}?size=big|small|thumb|full&fit=WxH&crop=x,y,w,h");
     park_forever()
 }
@@ -206,9 +198,6 @@ pub fn serve_psp(argv: &[String]) -> Result<(), String> {
 ///   compactor rewrites sealed segments whose dead-byte ratio crosses
 ///   `--compact-threshold` (default 0.5) every `--compact-interval-s`
 ///   seconds (default 60, 0 disables);
-/// * `--backend disk-perfile --data-dir DIR` — the legacy durable
-///   one-file-per-blob store (atomic fsynced writes, directory-scan
-///   recovery), kept as the packed store's A/B baseline;
 /// * `--backend cluster --nodes a:p1,b:p2,… --replicas R` — the
 ///   consistent-hash router over other storage nodes (themselves
 ///   `p3 storage` instances), with quorum writes, read-repair, dynamic
@@ -219,8 +208,7 @@ pub fn serve_psp(argv: &[String]) -> Result<(), String> {
 ///   for ejected nodes, `--op-retries` the in-place retries per op.
 pub fn storage(argv: &[String]) -> Result<(), String> {
     use p3_storage::{
-        ClusterBackend, ClusterConfig, DiskBackend, MemBackend, PackedBackend, PackedConfig,
-        StorageBackend,
+        ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig, StorageBackend,
     };
     let args = Args::parse(argv)?;
     let addr = args.opt("addr", "127.0.0.1:0").to_string();
@@ -271,12 +259,6 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
                 },
             );
             (backend, describe)
-        }
-        "disk-perfile" => {
-            let dir = args.opt("data-dir", "p3-storage-data");
-            let backend = DiskBackend::open(std::path::Path::new(dir))
-                .map_err(|e| format!("opening --data-dir {dir}: {e}"))?;
-            (std::sync::Arc::new(backend), format!("per-file disk (legacy), data under {dir:?}"))
         }
         "cluster" => {
             // `ToSocketAddrs` so hostnames work (`db1:7001`), not just
@@ -342,24 +324,18 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
             }
             (backend, describe)
         }
-        other => {
-            return Err(format!("unknown --backend {other:?} (mem|disk|disk-perfile|cluster)"))
-        }
+        other => return Err(format!("unknown --backend {other:?} (mem|disk|cluster)")),
     };
     let config = server_config_flags(&args)?;
-    let core = std::sync::Arc::new(p3_psp::StorageCore::with_backend(backend));
+    let core = std::sync::Arc::new(p3_storage::StorageCore::with_backend(backend));
     let c = std::sync::Arc::clone(&core);
     let server = p3_net::Server::spawn_with(
         &addr,
         config,
-        std::sync::Arc::new(move |req| p3_psp::storage::handle_http(&c, req)),
+        std::sync::Arc::new(move |req| p3_storage::handle_http(&c, req)),
     )
     .map_err(|e| e.to_string())?;
-    println!(
-        "storage provider ({describe}) listening on {} ({})",
-        server.addr(),
-        server.io_model().as_str()
-    );
+    println!("storage provider ({describe}) listening on {}", server.addr());
     // Advertise only the routes this backend actually serves: /index
     // lists local blobs (mem/disk), /admin/membership drives the
     // cluster router's topology.
@@ -443,7 +419,7 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     let codec_threads = args.opt_usize("codec-threads", 0)?;
     p3_par::set_global_threads(codec_threads);
     let server = p3_net::ServerConfig { workers, queue_depth, ..server_config_flags(&args)? };
-    let idle_ms = server.resolved_idle_timeout().as_millis();
+    let idle_ms = server.idle_timeout.as_millis();
     let proxy = p3_net::proxy::P3Proxy::spawn_on(
         addr,
         p3_net::proxy::ProxyConfig {
@@ -460,11 +436,10 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     println!(
-        "trusted proxy listening on {} ({}, psp {psp}, storage {storage}, {workers} workers, \
+        "trusted proxy listening on {} (psp {psp}, storage {storage}, {workers} workers, \
          queue {queue_depth}, idle {idle_ms}ms, cache {cache_capacity}x{cache_shards} shards, \
          {} codec threads)",
         proxy.addr(),
-        proxy.io_model().as_str(),
         p3_par::global().threads()
     );
     park_forever()
@@ -506,7 +481,6 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
         workers: args.opt_usize("workers", base.workers)?,
         chaos: !no_chaos,
         soak_secs: args.opt_u64("soak", base.soak_secs)?,
-        io_model: server_config_flags(&args)?.io_model,
         out_path: args.opt("out", &base.out_path).to_string(),
     };
     p3_bench::simulate::run(&opts)

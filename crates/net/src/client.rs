@@ -105,10 +105,11 @@ struct PooledConn {
 }
 
 /// Idle age beyond which a pooled socket is discarded at checkout
-/// instead of tried. The servers in this stack close idle keep-alive
-/// connections after their 500 ms idle window, so an older pooled
-/// socket is a guaranteed-stale failed exchange plus reconnect — skip
-/// straight to the reconnect.
+/// instead of tried: past an upstream's idle window a pooled socket is
+/// a guaranteed-stale failed exchange plus reconnect, so skip straight
+/// to the reconnect. Sized for upstreams that closed idle connections
+/// after 500 ms; the servers in this stack now keep them 60 s, so this
+/// only errs toward reconnecting.
 const MAX_IDLE_AGE: Duration = Duration::from_millis(400);
 
 /// Keep-alive connection pool keyed by upstream address.
@@ -142,11 +143,8 @@ impl std::fmt::Debug for ClientPool {
     }
 }
 
-/// Idle sockets kept per upstream by default. Every idle keep-alive
-/// socket parks one of the *upstream's* blocking workers for its idle
-/// window, so this must stay comfortably below the upstream's worker
-/// pool (minimum 8, see [`crate::server::default_workers`]) or the
-/// pool's own idle connections starve the server they're pooled for.
+/// Idle sockets kept per upstream by default (each costs the upstream
+/// one fd and a timer-wheel entry for its idle window).
 pub const DEFAULT_MAX_IDLE_PER_HOST: usize = 4;
 
 impl Default for ClientPool {

@@ -1,5 +1,4 @@
-//! The epoll serving model: N reactor event loops multiplexing
-//! nonblocking connections, with handlers on a bounded offload pool.
+//! The connection state machines behind [`crate::server::Server`].
 //!
 //! Each accepted connection becomes a `Conn` source registered with one
 //! reactor. The connection's whole lifecycle is an explicit state
@@ -18,8 +17,8 @@
 //!   inside a handler; the reactor neither reads (pipelined bytes stay
 //!   buffered) nor times the connection out. When the queue is full the
 //!   reactor answers `503 + retry-after` itself — the request is already
-//!   fully parsed, so unlike the threads model there are no unread
-//!   request bytes whose RST could outrun the response.
+//!   fully parsed, so there are no unread request bytes whose RST could
+//!   outrun the response.
 //! * **Writing**: write interest on; the serialized response drains as
 //!   the socket accepts it, under the I/O timeout.
 //!
@@ -28,12 +27,12 @@
 //! which hand the serialized response back via [`Handle::wake_source`].
 
 use crate::http::{HttpError, Request, RequestParser, Response, StatusCode};
-use crate::server::{default_reactors, Handler, ServerConfig, ServerStats, IO_TIMEOUT};
+use crate::server::{Handler, ServerStats, IO_TIMEOUT};
 use p3_reactor::{Handle, Reactor, Source, Token};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -42,27 +41,29 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// State shared by the reactors, the offload workers, and shutdown.
-struct EpollShared {
-    stop: AtomicBool,
-    stats: Arc<ServerStats>,
+pub(crate) struct Shared {
+    pub(crate) stop: AtomicBool,
+    pub(crate) stats: Arc<ServerStats>,
     /// Requests parsed and dispatched but not yet fully written back.
-    in_flight: AtomicUsize,
-    injected_accept_errors: AtomicUsize,
-    idle_timeout: Duration,
-    handler: Handler,
+    pub(crate) in_flight: AtomicUsize,
+    /// Test hook: pending simulated `accept()` failures (see
+    /// [`crate::server::Server::inject_accept_errors`]).
+    pub(crate) injected_accept_errors: AtomicUsize,
+    pub(crate) idle_timeout: Duration,
+    pub(crate) handler: Handler,
 }
 
 /// A parsed request in transit to the offload pool. The worker runs the
 /// handler, serializes the response, parks the bytes in `slot`, and
 /// kicks the owning reactor so the connection starts writing.
-struct OffloadJob {
+pub(crate) struct OffloadJob {
     request: Request,
     reactor: Handle,
     token: Token,
     slot: Arc<Mutex<Option<Vec<u8>>>>,
 }
 
-fn offload_loop(rx: &Mutex<Receiver<OffloadJob>>, shared: &EpollShared) {
+pub(crate) fn offload_loop(rx: &Mutex<Receiver<OffloadJob>>, shared: &Shared) {
     loop {
         let job = {
             let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
@@ -89,197 +90,12 @@ fn offload_loop(rx: &Mutex<Receiver<OffloadJob>>, shared: &EpollShared) {
     }
 }
 
-pub(crate) struct EpollServer {
-    addr: SocketAddr,
-    shared: Arc<EpollShared>,
-    handles: Vec<Handle>,
-    acceptor_tokens: Vec<Token>,
-    reactor_joins: Vec<std::thread::JoinHandle<()>>,
-    worker_joins: Vec<std::thread::JoinHandle<()>>,
-    drain_timeout: Duration,
-}
-
-impl EpollServer {
-    pub(crate) fn spawn(addr: &str, cfg: &ServerConfig, handler: Handler) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        let reactors = if cfg.reactors == 0 { default_reactors() } else { cfg.reactors };
-        let workers = cfg.workers.max(1);
-        let queue_depth = cfg.queue_depth.max(1);
-
-        let stats = Arc::new(ServerStats::default());
-        stats.reactor_threads.store(reactors as u64, Ordering::Relaxed);
-        let shared = Arc::new(EpollShared {
-            stop: AtomicBool::new(false),
-            stats,
-            in_flight: AtomicUsize::new(0),
-            injected_accept_errors: AtomicUsize::new(0),
-            idle_timeout: cfg.resolved_idle_timeout(),
-            handler,
-        });
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<OffloadJob>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_joins = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = Arc::clone(&rx);
-            let shared2 = Arc::clone(&shared);
-            worker_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("http-offload-{i}"))
-                    .spawn(move || offload_loop(&rx, &shared2))?,
-            );
-        }
-
-        // Every reactor gets a dup of the same listener fd, registered
-        // in its own epoll set: accept is level-triggered across all of
-        // them and losers of a race simply see WouldBlock.
-        let mut listeners = Vec::with_capacity(reactors);
-        for _ in 1..reactors {
-            listeners.push(listener.try_clone()?);
-        }
-        listeners.push(listener);
-
-        let mut handles = Vec::with_capacity(reactors);
-        let mut acceptor_tokens = Vec::with_capacity(reactors);
-        let mut reactor_joins = Vec::with_capacity(reactors);
-        let mut spawn_err: Option<std::io::Error> = None;
-        for (i, lst) in listeners.into_iter().enumerate() {
-            let (htx, hrx) = std::sync::mpsc::channel();
-            let shared2 = Arc::clone(&shared);
-            let tx2 = tx.clone();
-            let join =
-                std::thread::Builder::new().name(format!("http-reactor-{i}")).spawn(move || {
-                    let mut reactor = match Reactor::new() {
-                        Ok(r) => r,
-                        Err(err) => {
-                            let _ = htx.send(Err(err));
-                            return;
-                        }
-                    };
-                    let fd = lst.as_raw_fd();
-                    let acceptor =
-                        Rc::new(RefCell::new(Acceptor { listener: lst, shared: shared2, tx: tx2 }));
-                    let dyn_src: Rc<RefCell<dyn Source>> = acceptor;
-                    let token = match reactor.register(fd, dyn_src, true, false) {
-                        Ok(t) => t,
-                        Err(err) => {
-                            let _ = htx.send(Err(err));
-                            return;
-                        }
-                    };
-                    let _ = htx.send(Ok((reactor.handle(), token)));
-                    reactor.run();
-                })?;
-            reactor_joins.push(join);
-            match hrx.recv() {
-                Ok(Ok((handle, token))) => {
-                    handles.push(handle);
-                    acceptor_tokens.push(token);
-                }
-                Ok(Err(err)) => {
-                    spawn_err = Some(err);
-                    break;
-                }
-                Err(_) => {
-                    spawn_err = Some(std::io::Error::other("reactor thread died during spawn"));
-                    break;
-                }
-            }
-        }
-        drop(tx);
-        if let Some(err) = spawn_err {
-            shared.stop.store(true, Ordering::SeqCst);
-            for h in &handles {
-                h.shutdown();
-            }
-            for j in reactor_joins {
-                let _ = j.join();
-            }
-            for j in worker_joins {
-                let _ = j.join();
-            }
-            return Err(err);
-        }
-
-        Ok(EpollServer {
-            addr,
-            shared,
-            handles,
-            acceptor_tokens,
-            reactor_joins,
-            worker_joins,
-            drain_timeout: cfg.drain_timeout,
-        })
-    }
-
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub(crate) fn stats(&self) -> &ServerStats {
-        &self.shared.stats
-    }
-
-    pub(crate) fn stats_arc(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
-    pub(crate) fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn reactor_handles(&self) -> &[Handle] {
-        &self.handles
-    }
-
-    pub(crate) fn inject_accept_errors(&self, n: usize) {
-        self.shared.injected_accept_errors.fetch_add(n, Ordering::SeqCst);
-    }
-
-    pub(crate) fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Stop accepting (closes the listener dups), then let in-flight
-        // requests finish writing, bounded by the drain timeout. The
-        // reactors keep running through the drain so responses flush.
-        for (h, &token) in self.handles.iter().zip(&self.acceptor_tokens) {
-            h.spawn(move |r| r.close(token));
-        }
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.shared.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for h in &self.handles {
-            h.shutdown();
-        }
-        for j in self.reactor_joins.drain(..) {
-            let _ = j.join();
-        }
-        // Reactor exit dropped every Conn and Acceptor, and with them
-        // every offload sender; workers drain the queue and see the
-        // channel close.
-        for j in self.worker_joins.drain(..) {
-            let _ = j.join();
-        }
-    }
-}
-
-impl Drop for EpollServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 /// Listener source: accepts until `WouldBlock`, registering each new
 /// connection as a [`Conn`] on this reactor.
-struct Acceptor {
-    listener: TcpListener,
-    shared: Arc<EpollShared>,
-    tx: SyncSender<OffloadJob>,
+pub(crate) struct Acceptor {
+    pub(crate) listener: TcpListener,
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) tx: SyncSender<OffloadJob>,
 }
 
 impl Source for Acceptor {
@@ -293,7 +109,7 @@ impl Source for Acceptor {
                 Ok(conn) => {
                     // Injected-failure hook: treat the accept as a
                     // transient error so the resilience path is
-                    // exercised end to end (see the threads model).
+                    // exercised end to end.
                     if self
                         .shared
                         .injected_accept_errors
@@ -358,7 +174,7 @@ enum ConnState {
 /// readiness callbacks, timer expiries, and offload-completion wakes.
 struct Conn {
     stream: TcpStream,
-    shared: Arc<EpollShared>,
+    shared: Arc<Shared>,
     tx: SyncSender<OffloadJob>,
     token: Token,
     parser: RequestParser,
@@ -377,7 +193,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shared: Arc<EpollShared>, tx: SyncSender<OffloadJob>) -> Conn {
+    fn new(stream: TcpStream, shared: Arc<Shared>, tx: SyncSender<OffloadJob>) -> Conn {
         shared.stats.open_connections.fetch_add(1, Ordering::SeqCst);
         Conn {
             stream,
@@ -432,7 +248,7 @@ impl Conn {
                 r.set_timer(self.token, Instant::now() + window);
             }
             // No deadline while the handler runs: the offload pool is
-            // bounded, not timed (parity with the threads model).
+            // bounded, not timed.
             ConnState::Dispatched => r.clear_timer(self.token),
             ConnState::Writing => r.set_timer(self.token, Instant::now() + IO_TIMEOUT),
         }

@@ -10,16 +10,12 @@
 //!
 //! * [`http`] — request/response types, a strict incremental parser, and
 //!   serialization (HTTP/1.0 and 1.1, `Content-Length` framing);
-//! * [`server`] — the serving facade over two io models: epoll reactor
-//!   event loops multiplexing nonblocking connections (default, built on
-//!   the vendored `p3-reactor` runtime) and the original bounded
-//!   worker-pool of blocking threads, selectable via
-//!   [`server::IoModel`]. Both shed load with `503 + retry-after`, close
-//!   idle keep-alive connections after a configurable window, and drain
-//!   gracefully on shutdown;
-//! * [`server_epoll`] — the reactor model's internals: per-connection
-//!   incremental parse state machines, a bounded offload pool for
-//!   blocking handler work, dispatch-time backpressure;
+//! * [`server`] — the serving tier: epoll reactor event loops (the
+//!   vendored `p3-reactor` runtime) multiplexing nonblocking connections
+//!   with per-connection incremental parse state machines, a bounded
+//!   offload pool for blocking handler work, dispatch-time backpressure
+//!   (`503 + retry-after`), an idle-connection window, and graceful
+//!   drain on shutdown;
 //! * [`client`] — a small blocking HTTP client with timeouts, plus a
 //!   keep-alive [`client::ClientPool`] that reuses upstream sockets;
 //! * [`transport`] — the pluggable connection layer under the pool:
@@ -36,15 +32,13 @@
 //! callback/poll-state epoll loop with explicit connection state
 //! machines — no `async`/`await`, no hidden executor state. Handler code
 //! stays synchronous and blocking; it runs on a bounded offload pool
-//! while reactor threads only parse, dispatch, and shuffle bytes. The
-//! pre-reactor thread-per-connection-at-a-time model is kept behind
-//! [`server::IoModel::Threads`] as the A/B baseline.
+//! while reactor threads only parse, dispatch, and shuffle bytes.
 
 pub mod client;
+mod conn;
 pub mod http;
 pub mod proxy;
 pub mod server;
-pub mod server_epoll;
 pub mod stats;
 pub mod transport;
 mod video;
@@ -56,7 +50,7 @@ pub use http::{
 };
 pub use p3_reactor::raise_nofile_limit;
 pub use proxy::{P3Proxy, ProxyConfig, ProxyStats, TransformEstimator};
-pub use server::{IoModel, Server, ServerConfig, ServerStats};
+pub use server::{Server, ServerConfig, ServerStats};
 pub use transport::{
     Connection, Deadlines, FaultPlan, FaultRule, FaultTransport, ReactorTransport, TcpTransport,
     Transport,

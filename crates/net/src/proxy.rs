@@ -24,18 +24,16 @@
 //!   upstream-pool, and upload/download counters as JSON).
 //!
 //! Serving architecture: requests arrive on [`crate::server`] (epoll
-//! reactors by default — connection I/O on event loops, handlers on the
-//! offload pool — or the bounded blocking worker pool under
-//! `--io-model threads`). Under the epoll model, upstream traffic to the
-//! PSP and storage rides the *same* reactor threads via
-//! [`ReactorTransport`], so a pooled upstream socket costs an fd rather
-//! than a blocked thread; the [`ClientPool`] reuses those keep-alive
-//! connections either way. The secret-part LRU is sharded by photo-ID
-//! hash so concurrent downloads contend on independent locks.
+//! reactors — connection I/O on event loops, handlers on the offload
+//! pool). Upstream traffic to the PSP and storage rides the *same*
+//! reactor threads via [`ReactorTransport`], so a pooled upstream socket
+//! costs an fd rather than a blocked thread; the [`ClientPool`] reuses
+//! those keep-alive connections. The secret-part LRU is sharded by
+//! photo-ID hash so concurrent downloads contend on independent locks.
 
 use crate::client::ClientPool;
 use crate::http::{Method, Request, Response, StatusCode};
-use crate::server::{IoModel, Server, ServerConfig, ServerStats};
+use crate::server::{Server, ServerConfig, ServerStats};
 use crate::transport::{Deadlines, ReactorTransport};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
@@ -331,7 +329,6 @@ pub(crate) struct ProxyCtx {
     /// Serving-tier counters, shared with the listening server so
     /// `/stats` can report them without a back-reference.
     server_stats: Arc<ServerStats>,
-    io_model: IoModel,
 }
 
 impl ProxyCtx {
@@ -360,11 +357,10 @@ impl P3Proxy {
 
     /// Start the proxy on an explicit listen address.
     pub fn spawn_on(addr: &str, cfg: ProxyConfig) -> std::io::Result<P3Proxy> {
-        // The upstream pool should ride the server's own reactor threads
-        // (epoll model), which exist only once the server is up — so the
-        // server starts first with a handler that answers `503 +
-        // retry-after` for the microseconds until the context lands in
-        // the `OnceLock`.
+        // The upstream pool rides the server's own reactor threads,
+        // which exist only once the server is up — so the server starts
+        // first with a handler that answers `503 + retry-after` for the
+        // microseconds until the context lands in the `OnceLock`.
         let server_cfg = cfg.server.clone();
         let ctx_slot: Arc<std::sync::OnceLock<Arc<ProxyCtx>>> =
             Arc::new(std::sync::OnceLock::new());
@@ -378,34 +374,25 @@ impl P3Proxy {
             }
         };
         let server = Server::spawn_with(addr, server_cfg, Arc::new(handler))?;
-        let pool = match server.io_model() {
-            // Upstream sockets as reactor-pumped nonblocking fds: one
-            // set of event loops carries both directions of the proxy.
-            // Handlers run on the offload pool, so their blocking reads
-            // never wait on a loop they occupy.
-            IoModel::Epoll => ClientPool::with_transport(
-                crate::client::DEFAULT_MAX_IDLE_PER_HOST,
-                Arc::new(ReactorTransport::new(server.reactor_handles().to_vec())),
-                Deadlines::default(),
-            ),
-            IoModel::Threads => ClientPool::default(),
-        };
+        // Upstream sockets as reactor-pumped nonblocking fds: one set of
+        // event loops carries both directions of the proxy. Handlers run
+        // on the offload pool, so their blocking reads never wait on a
+        // loop they occupy.
+        let pool = ClientPool::with_transport(
+            crate::client::DEFAULT_MAX_IDLE_PER_HOST,
+            Arc::new(ReactorTransport::new(server.reactor_handles().to_vec())),
+            Deadlines::default(),
+        );
         let ctx = Arc::new(ProxyCtx {
             stats: Arc::new(ProxyStats::default()),
             cache: ShardedCache::new(cfg.secret_cache_capacity, cfg.cache_shards),
             flights: SingleFlight::default(),
             pool,
             server_stats: server.stats_arc(),
-            io_model: server.io_model(),
             cfg,
         });
         let _ = ctx_slot.set(Arc::clone(&ctx));
         Ok(P3Proxy { server, ctx })
-    }
-
-    /// Which serving architecture the proxy's listener runs.
-    pub fn io_model(&self) -> IoModel {
-        self.server.io_model()
     }
 
     /// Proxy listen address — point the client app here.
@@ -529,7 +516,6 @@ fn stats_json(ctx: &ProxyCtx) -> String {
                 ("idle_closed", ld(&sv.idle_closed)),
                 ("rejected_503", ld(&sv.rejected_503)),
                 ("requests_served", ld(&sv.requests_served)),
-                ("io_model_epoll", f64::from(u8::from(ctx.io_model == IoModel::Epoll))),
             ],
         ),
     ])

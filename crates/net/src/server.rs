@@ -1,35 +1,27 @@
-//! HTTP serving tier: an epoll reactor model (default) and the original
-//! bounded worker-pool model, behind one [`Server`] facade.
+//! HTTP serving tier: epoll reactor event loops multiplexing
+//! nonblocking connections, with handlers on a bounded offload pool.
 //!
-//! **Epoll model** (see [`crate::server_epoll`]): N single-threaded
-//! reactors each multiplex thousands of nonblocking connections with
-//! per-connection incremental parse state; handlers run on a small
+//! N single-threaded reactors each multiplex thousands of nonblocking
+//! connections with per-connection incremental parse state (the state
+//! machine lives in the private `conn` module); handlers run on a small
 //! offload pool so blocking work (codec, disk fsync) never stalls
 //! connection I/O. Backpressure acts at dispatch time: when the offload
-//! queue is full a fully-parsed request is answered `503` directly from
-//! the reactor.
+//! queue is full a fully-parsed request is answered `503 + retry-after`
+//! directly from the reactor.
 //!
-//! **Threads model**: the accept thread pushes connections into a bounded
-//! queue; a fixed pool of workers drains it, each owning one connection
-//! at a time. When the queue is full the server answers `503` with
-//! `retry-after` instead of spawning without limit. Kept behind
-//! [`IoModel::Threads`] as the A/B baseline — a handful of idle
-//! keep-alive connections is enough to park the whole pool, which is
-//! exactly what the `connection_scaling` bench demonstrates.
-//!
-//! Both models survive transient `accept()` failures, shed load with
-//! `503 + retry-after`, close idle keep-alive connections after a
-//! configurable [`ServerConfig::idle_timeout`], answer `400` to
-//! malformed requests and `500` to panicking handlers, export the same
-//! [`ServerStats`] gauges, and drain gracefully on shutdown.
+//! The server survives transient `accept()` failures, closes idle
+//! keep-alive connections after [`ServerConfig::idle_timeout`], answers
+//! `400` to malformed requests and `500` to panicking handlers, exports
+//! [`ServerStats`] gauges, and drains gracefully on shutdown.
 
-use crate::http::{HttpError, Request, Response, StatusCode};
-use crate::server_epoll::EpollServer;
-use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use crate::conn::{offload_loop, Acceptor, OffloadJob, Shared};
+use crate::http::{Request, Response};
+use p3_reactor::{Handle, Reactor, Source, Token};
+use std::cell::RefCell;
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::io::AsRawFd;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,70 +32,25 @@ pub type Handler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 pub(crate) const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Threads-model default idle window: short, because an idle keep-alive
-/// connection holds a blocked worker hostage.
-const DEFAULT_THREADS_IDLE: Duration = Duration::from_millis(500);
-/// Epoll-model default idle window: generous, because an idle connection
-/// costs one fd and a few hundred bytes of state, not a thread.
-const DEFAULT_EPOLL_IDLE: Duration = Duration::from_secs(60);
-
-/// Which serving architecture a [`Server`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Reactor event loops multiplexing nonblocking connections, with
-    /// handlers on an offload pool. The default.
-    #[default]
-    Epoll,
-    /// Bounded worker pool of blocking threads, one connection at a
-    /// time per worker. The pre-reactor baseline.
-    Threads,
-}
-
-impl IoModel {
-    /// Parse a `--io-model` flag value.
-    pub fn parse(s: &str) -> Option<IoModel> {
-        match s {
-            "epoll" => Some(IoModel::Epoll),
-            "threads" => Some(IoModel::Threads),
-            _ => None,
-        }
-    }
-
-    /// Flag-value name.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        }
-    }
-}
-
 /// Serving-tier sizing and shutdown knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Serving architecture (epoll reactors vs blocking worker pool).
-    pub io_model: IoModel,
-    /// Threads model: worker threads serving connections (blocked on
-    /// socket I/O, so the default oversubscribes the CPUs). Epoll model:
-    /// offload-pool workers running handlers (blocking codec/disk work).
+    /// Offload-pool workers running handlers (blocking codec/disk work,
+    /// so the default oversubscribes the CPUs).
     pub workers: usize,
-    /// Threads model: accepted connections allowed to wait for a free
-    /// worker. Epoll model: parsed requests allowed to wait for a free
-    /// offload worker. Beyond this the server sheds load with an
-    /// immediate `503` + `retry-after`.
+    /// Parsed requests allowed to wait for a free offload worker.
+    /// Beyond this the server sheds load with an immediate `503` +
+    /// `retry-after`.
     pub queue_depth: usize,
-    /// How long shutdown waits for queued connections and in-flight
-    /// requests to finish before tearing down sockets.
+    /// How long shutdown waits for in-flight requests to finish before
+    /// tearing down sockets.
     pub drain_timeout: Duration,
-    /// How long a keep-alive connection may sit with no request in
-    /// progress before the server closes it. `None` picks the model
-    /// default: 500 ms under threads (an idle connection pins a blocked
-    /// worker), 60 s under epoll (an idle connection is just an fd on
-    /// the timer wheel).
-    pub idle_timeout: Option<Duration>,
-    /// Epoll model: number of reactor event-loop threads. `0` picks
-    /// `available_parallelism` clamped to `[1, 8]`. Ignored by the
-    /// threads model.
+    /// How long a connection may sit with no request in progress before
+    /// the server closes it. Generous by default: an idle connection
+    /// costs one fd and an entry on the timer wheel, not a thread.
+    pub idle_timeout: Duration,
+    /// Number of reactor event-loop threads. `0` picks
+    /// `available_parallelism` clamped to `[1, 8]`.
     pub reactors: usize,
 }
 
@@ -124,97 +71,48 @@ impl Default for ServerConfig {
     fn default() -> Self {
         let workers = default_workers();
         ServerConfig {
-            io_model: IoModel::default(),
             workers,
             queue_depth: workers * 8,
             drain_timeout: Duration::from_secs(5),
-            idle_timeout: None,
+            idle_timeout: Duration::from_secs(60),
             reactors: 0,
         }
     }
 }
 
-impl ServerConfig {
-    /// The effective idle window for this config's model: the explicit
-    /// `idle_timeout` if set, otherwise the model's default (500 ms for
-    /// threads, whose parked workers are the scarce resource; 60 s for
-    /// epoll, where an idle connection costs only an fd + wheel entry).
-    pub fn resolved_idle_timeout(&self) -> Duration {
-        self.idle_timeout.unwrap_or(match self.io_model {
-            IoModel::Threads => DEFAULT_THREADS_IDLE,
-            IoModel::Epoll => DEFAULT_EPOLL_IDLE,
-        })
-    }
-}
-
-/// Serving counters and gauges, readable while the server runs. Shared
-/// by both io models so callers (and the scaling bench) can assert them
-/// without caring which architecture is underneath.
+/// Serving counters and gauges, readable while the server runs.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted off the listener.
     pub accepted: AtomicU64,
-    /// Connections shed with `503` because the queue was full.
+    /// Requests shed with `503` because the offload queue was full.
     pub rejected_503: AtomicU64,
     /// Transient `accept()` failures survived.
     pub accept_errors: AtomicU64,
     /// Requests answered (any status).
     pub requests_served: AtomicU64,
-    /// Keep-alive connections closed for exceeding the idle window.
+    /// Connections closed for exceeding the idle window.
     pub idle_closed: AtomicU64,
     /// Gauge: connections currently held open by the serving tier.
     pub open_connections: AtomicU64,
-    /// Gauge: reactor event-loop threads (0 under the threads model).
+    /// Gauge: reactor event-loop threads.
     pub reactor_threads: AtomicU64,
 }
 
-/// State shared between the accept thread, the workers, and shutdown
-/// (threads model).
-struct Shared {
-    stop: AtomicBool,
-    /// Requests currently inside a handler or response write.
-    in_flight: AtomicUsize,
-    /// Connections accepted but not yet picked up by a worker.
-    queued: AtomicUsize,
-    /// Test hook: pending simulated `accept()` failures (see
-    /// [`Server::inject_accept_errors`]).
-    injected_accept_errors: AtomicUsize,
-    /// Keep-alive idle window (see [`ServerConfig::idle_timeout`]).
-    idle_timeout: Duration,
-    /// Sockets currently held by workers, so shutdown can unblock
-    /// workers parked in keep-alive reads.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
-    stats: Arc<ServerStats>,
-}
-
-impl Shared {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let clone = stream.try_clone().ok()?;
-        self.conns.lock().unwrap_or_else(|e| e.into_inner()).insert(id, clone);
-        Some(id)
-    }
-
-    fn unregister(&self, id: u64) {
-        self.conns.lock().unwrap_or_else(|e| e.into_inner()).remove(&id);
-    }
-}
-
-/// A running HTTP server (either io model). Dropping it shuts the server
-/// down.
+/// A running HTTP server. Dropping it shuts the server down.
 pub struct Server {
-    imp: ServerImpl,
-}
-
-enum ServerImpl {
-    Threads(ThreadedServer),
-    Epoll(EpollServer),
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    handles: Vec<Handle>,
+    acceptor_tokens: Vec<Token>,
+    reactor_joins: Vec<std::thread::JoinHandle<()>>,
+    worker_joins: Vec<std::thread::JoinHandle<()>>,
+    drain_timeout: Duration,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Server {{ addr: {}, io_model: {} }}", self.addr(), self.io_model().as_str())
+        write!(f, "Server {{ addr: {} }}", self.addr)
     }
 }
 
@@ -232,61 +130,144 @@ impl Server {
 
     /// Bind to an explicit address with explicit configuration.
     pub fn spawn_with(addr: &str, cfg: ServerConfig, handler: Handler) -> std::io::Result<Server> {
-        let imp = match cfg.io_model {
-            IoModel::Threads => ServerImpl::Threads(ThreadedServer::spawn(addr, &cfg, handler)?),
-            IoModel::Epoll => ServerImpl::Epoll(EpollServer::spawn(addr, &cfg, handler)?),
-        };
-        Ok(Server { imp })
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+
+        let reactors = if cfg.reactors == 0 { default_reactors() } else { cfg.reactors };
+        let workers = cfg.workers.max(1);
+        let queue_depth = cfg.queue_depth.max(1);
+
+        let stats = Arc::new(ServerStats::default());
+        stats.reactor_threads.store(reactors as u64, Ordering::Relaxed);
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            stats,
+            in_flight: AtomicUsize::new(0),
+            injected_accept_errors: AtomicUsize::new(0),
+            idle_timeout: cfg.idle_timeout,
+            handler,
+        });
+
+        let (tx, rx) = std::sync::mpsc::sync_channel::<OffloadJob>(queue_depth);
+        let rx = Arc::new(Mutex::new(rx));
+        let mut worker_joins = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let rx = Arc::clone(&rx);
+            let shared2 = Arc::clone(&shared);
+            worker_joins.push(
+                std::thread::Builder::new()
+                    .name(format!("http-offload-{i}"))
+                    .spawn(move || offload_loop(&rx, &shared2))?,
+            );
+        }
+
+        // Every reactor gets a dup of the same listener fd, registered
+        // in its own epoll set: accept is level-triggered across all of
+        // them and losers of a race simply see WouldBlock.
+        let mut listeners = Vec::with_capacity(reactors);
+        for _ in 1..reactors {
+            listeners.push(listener.try_clone()?);
+        }
+        listeners.push(listener);
+
+        let mut handles = Vec::with_capacity(reactors);
+        let mut acceptor_tokens = Vec::with_capacity(reactors);
+        let mut reactor_joins = Vec::with_capacity(reactors);
+        let mut spawn_err: Option<std::io::Error> = None;
+        for (i, lst) in listeners.into_iter().enumerate() {
+            let (htx, hrx) = std::sync::mpsc::channel();
+            let shared2 = Arc::clone(&shared);
+            let tx2 = tx.clone();
+            let join =
+                std::thread::Builder::new().name(format!("http-reactor-{i}")).spawn(move || {
+                    let mut reactor = match Reactor::new() {
+                        Ok(r) => r,
+                        Err(err) => {
+                            let _ = htx.send(Err(err));
+                            return;
+                        }
+                    };
+                    let fd = lst.as_raw_fd();
+                    let acceptor =
+                        Rc::new(RefCell::new(Acceptor { listener: lst, shared: shared2, tx: tx2 }));
+                    let dyn_src: Rc<RefCell<dyn Source>> = acceptor;
+                    let token = match reactor.register(fd, dyn_src, true, false) {
+                        Ok(t) => t,
+                        Err(err) => {
+                            let _ = htx.send(Err(err));
+                            return;
+                        }
+                    };
+                    let _ = htx.send(Ok((reactor.handle(), token)));
+                    reactor.run();
+                })?;
+            reactor_joins.push(join);
+            match hrx.recv() {
+                Ok(Ok((handle, token))) => {
+                    handles.push(handle);
+                    acceptor_tokens.push(token);
+                }
+                Ok(Err(err)) => {
+                    spawn_err = Some(err);
+                    break;
+                }
+                Err(_) => {
+                    spawn_err = Some(std::io::Error::other("reactor thread died during spawn"));
+                    break;
+                }
+            }
+        }
+        drop(tx);
+        if let Some(err) = spawn_err {
+            shared.stop.store(true, Ordering::SeqCst);
+            for h in &handles {
+                h.shutdown();
+            }
+            for j in reactor_joins {
+                let _ = j.join();
+            }
+            for j in worker_joins {
+                let _ = j.join();
+            }
+            return Err(err);
+        }
+
+        Ok(Server {
+            addr,
+            shared,
+            handles,
+            acceptor_tokens,
+            reactor_joins,
+            worker_joins,
+            drain_timeout: cfg.drain_timeout,
+        })
     }
 
     /// The bound address (useful with ephemeral ports).
     pub fn addr(&self) -> SocketAddr {
-        match &self.imp {
-            ServerImpl::Threads(s) => s.addr,
-            ServerImpl::Epoll(s) => s.addr(),
-        }
-    }
-
-    /// Which serving architecture this server runs.
-    pub fn io_model(&self) -> IoModel {
-        match &self.imp {
-            ServerImpl::Threads(_) => IoModel::Threads,
-            ServerImpl::Epoll(_) => IoModel::Epoll,
-        }
+        self.addr
     }
 
     /// Serving counters.
     pub fn stats(&self) -> &ServerStats {
-        match &self.imp {
-            ServerImpl::Threads(s) => &s.shared.stats,
-            ServerImpl::Epoll(s) => s.stats(),
-        }
+        &self.shared.stats
     }
 
     /// Shareable handle to the serving counters (outlives the server).
     pub fn stats_arc(&self) -> Arc<ServerStats> {
-        match &self.imp {
-            ServerImpl::Threads(s) => Arc::clone(&s.shared.stats),
-            ServerImpl::Epoll(s) => s.stats_arc(),
-        }
+        Arc::clone(&self.shared.stats)
     }
 
-    /// Requests currently inside a handler or response write.
+    /// Requests parsed and dispatched but not yet fully written back.
     pub fn in_flight(&self) -> usize {
-        match &self.imp {
-            ServerImpl::Threads(s) => s.shared.in_flight.load(Ordering::SeqCst),
-            ServerImpl::Epoll(s) => s.in_flight(),
-        }
+        self.shared.in_flight.load(Ordering::SeqCst)
     }
 
-    /// Handles to the epoll model's reactor threads, so upstream client
-    /// connections can ride the same event loops. Empty under the
-    /// threads model.
-    pub fn reactor_handles(&self) -> &[p3_reactor::Handle] {
-        match &self.imp {
-            ServerImpl::Threads(_) => &[],
-            ServerImpl::Epoll(s) => s.reactor_handles(),
-        }
+    /// Handles to the reactor threads, so upstream client connections
+    /// can ride the same event loops.
+    pub fn reactor_handles(&self) -> &[Handle] {
+        &self.handles
     }
 
     /// Make the next `n` accepted connections behave as transient
@@ -295,384 +276,44 @@ impl Server {
     /// accept errors (EMFILE, ECONNABORTED) are hard to provoke
     /// portably.
     pub fn inject_accept_errors(&self, n: usize) {
-        match &self.imp {
-            ServerImpl::Threads(s) => {
-                s.shared.injected_accept_errors.fetch_add(n, Ordering::SeqCst);
-            }
-            ServerImpl::Epoll(s) => s.inject_accept_errors(n),
-        }
+        self.shared.injected_accept_errors.fetch_add(n, Ordering::SeqCst);
     }
 
-    /// Graceful shutdown: stop accepting, let queued connections and
-    /// in-flight requests finish (bounded by the drain timeout), then
-    /// tear down idle keep-alive sockets and join all threads.
+    /// Graceful shutdown: stop accepting, let in-flight requests finish
+    /// (bounded by the drain timeout), then tear down idle keep-alive
+    /// sockets and join all threads.
     pub fn shutdown(&mut self) {
-        match &mut self.imp {
-            ServerImpl::Threads(s) => s.shutdown(),
-            ServerImpl::Epoll(s) => s.shutdown(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Threads model
-// ---------------------------------------------------------------------
-
-struct ThreadedServer {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    drain_timeout: Duration,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    rejector_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl ThreadedServer {
-    fn spawn(addr: &str, cfg: &ServerConfig, handler: Handler) -> std::io::Result<ThreadedServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let workers = cfg.workers.max(1);
-        let queue_depth = cfg.queue_depth.max(1);
-        let shared = Arc::new(Shared {
-            stop: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            injected_accept_errors: AtomicUsize::new(0),
-            idle_timeout: cfg.resolved_idle_timeout(),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
-            stats: Arc::new(ServerStats::default()),
-        });
-
-        let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_handles = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = Arc::clone(&rx);
-            let shared2 = Arc::clone(&shared);
-            let h = Arc::clone(&handler);
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("http-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared2, &h))?,
-            );
-        }
-
-        // Shedding must never block the accept loop (writing a 503 and
-        // draining the shed client's request bytes takes client
-        // round-trips), so rejections run on their own thread behind a
-        // small bounded queue; when even that overflows, the connection
-        // is simply dropped — under that much flood a fast close beats a
-        // slow 503.
-        let (reject_tx, reject_rx) = std::sync::mpsc::sync_channel::<TcpStream>(64);
-        let rejector_thread =
-            std::thread::Builder::new().name("http-rejector".into()).spawn(move || {
-                while let Ok(stream) = reject_rx.recv() {
-                    reject_overloaded(stream);
-                }
-            })?;
-
-        let shared2 = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("http-accept-{addr}"))
-            .spawn(move || accept_loop(&listener, &tx, &reject_tx, &shared2))?;
-
-        Ok(ThreadedServer {
-            addr,
-            shared,
-            drain_timeout: cfg.drain_timeout,
-            accept_thread: Some(accept_thread),
-            rejector_thread: Some(rejector_thread),
-            workers: worker_handles,
-        })
-    }
-
-    fn shutdown(&mut self) {
         if self.shared.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Unblock accept() with a dummy connection; joining the accept
-        // thread drops the queue and rejector senders, so both worker
-        // pool and rejector exit once drained.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // Stop accepting (closes the listener dups), then let in-flight
+        // requests finish writing, bounded by the drain timeout. The
+        // reactors keep running through the drain so responses flush.
+        for (h, &token) in self.handles.iter().zip(&self.acceptor_tokens) {
+            h.spawn(move |r| r.close(token));
         }
-        if let Some(t) = self.rejector_thread.take() {
-            let _ = t.join();
-        }
-        // Drain wait. `queued` must be checked before `in_flight`: a
-        // worker releases its queued token only after entering the
-        // in-flight section, so reading in this order can never miss a
-        // connection that is between the two states.
         let deadline = Instant::now() + self.drain_timeout;
-        while (self.shared.queued.load(Ordering::SeqCst) > 0
-            || self.shared.in_flight.load(Ordering::SeqCst) > 0)
-            && Instant::now() < deadline
-        {
+        while self.shared.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Whoever is left is parked in a keep-alive read (or blew the
-        // drain deadline): close their sockets out from under them so
-        // workers unblock promptly.
-        let remaining: Vec<TcpStream> = {
-            let mut conns = self.shared.conns.lock().unwrap_or_else(|e| e.into_inner());
-            conns.drain().map(|(_, s)| s).collect()
-        };
-        for s in remaining {
-            let _ = s.shutdown(Shutdown::Both);
+        for h in &self.handles {
+            h.shutdown();
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for j in self.reactor_joins.drain(..) {
+            let _ = j.join();
+        }
+        // Reactor exit dropped every Conn and Acceptor, and with them
+        // every offload sender; workers drain the queue and see the
+        // channel close.
+        for j in self.worker_joins.drain(..) {
+            let _ = j.join();
         }
     }
 }
 
-impl Drop for ThreadedServer {
+impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    tx: &SyncSender<TcpStream>,
-    reject_tx: &SyncSender<TcpStream>,
-    shared: &Shared,
-) {
-    loop {
-        let conn = listener.accept();
-        // Injected-failure hook: convert the accept into an error so the
-        // transient-error arm below is exercised end to end.
-        let conn = match conn {
-            Ok(ok)
-                if shared
-                    .injected_accept_errors
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
-                    .is_ok() =>
-            {
-                drop(ok);
-                Err(std::io::Error::other("injected accept failure"))
-            }
-            other => other,
-        };
-        match conn {
-            Ok((stream, _)) => {
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.queued.fetch_add(1, Ordering::SeqCst);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        shared.stats.rejected_503.fetch_add(1, Ordering::Relaxed);
-                        // Hand the 503 off; if the rejector is swamped
-                        // too, drop the connection outright.
-                        let _ = reject_tx.try_send(stream);
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        shared.queued.fetch_sub(1, Ordering::SeqCst);
-                        break;
-                    }
-                }
-            }
-            Err(_) if shared.stop.load(Ordering::SeqCst) => break,
-            Err(_) => {
-                // Transient accept failure (EMFILE / ECONNABORTED under
-                // load). The seed broke out of the loop here, permanently
-                // killing the listener on the first hiccup; count it,
-                // back off briefly, and keep accepting.
-                shared.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        }
-    }
-}
-
-/// Backpressure reply for connections the queue has no room for. Shared
-/// by both io models (the epoll acceptor never calls it — epoll sheds at
-/// dispatch time with the request already parsed, so there are no unread
-/// request bytes to RST-drain).
-pub(crate) fn reject_overloaded(mut stream: TcpStream) {
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    let mut resp = Response::text(StatusCode::SERVICE_UNAVAILABLE, "server at capacity");
-    resp.headers.set("retry-after", "1");
-    resp.headers.set("connection", "close");
-    if resp.write_to(&mut stream).is_ok() {
-        // The shed client has usually already written its request — for
-        // this system's primary traffic, a multi-megabyte JPEG POST. If
-        // we close with those bytes unread, the kernel may answer with
-        // an RST that discards the queued 503 before the client reads
-        // it — so signal end-of-response and drain until the client
-        // closes its side, bounded by a wall-clock deadline rather than
-        // a byte cap a photo upload would blow through.
-        use std::io::Read;
-        let _ = stream.shutdown(Shutdown::Write);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut sink = [0u8; 65536];
-        while Instant::now() < deadline {
-            match stream.read(&mut sink) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-        }
-    }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, shared: &Shared, handler: &Handler) {
-    loop {
-        // Holding the lock only for the recv wakeup is fine: sync_channel
-        // recv returns Err only when the sender is dropped AND the queue
-        // is empty, which is exactly the drain-then-exit we want.
-        let stream = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        // The connection keeps its "queued" token until its first
-        // request is inside the in-flight section (or the connection
-        // dies without one) — otherwise shutdown's drain wait could
-        // observe a moment where a dequeued connection with a fully
-        // sent request counts as neither queued nor in flight, and
-        // force-close it mid-parse.
-        let conn_id = shared.register(&stream);
-        shared.stats.open_connections.fetch_add(1, Ordering::SeqCst);
-        let token = QueuedToken { counter: &shared.queued, released: false };
-        serve_connection(stream, handler, shared, token);
-        shared.stats.open_connections.fetch_sub(1, Ordering::SeqCst);
-        if let Some(id) = conn_id {
-            shared.unregister(id);
-        }
-    }
-}
-
-/// The "accepted but not yet provably in flight" marker a connection
-/// carries from the accept loop into its first request; released after
-/// the first [`InFlight::enter`] (overlapping the two states) or on
-/// connection teardown, whichever comes first.
-struct QueuedToken<'a> {
-    counter: &'a AtomicUsize,
-    released: bool,
-}
-
-impl QueuedToken<'_> {
-    fn release(&mut self) {
-        if !self.released {
-            self.released = true;
-            self.counter.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-impl Drop for QueuedToken<'_> {
-    fn drop(&mut self) {
-        self.release();
-    }
-}
-
-/// RAII in-flight marker so the drain wait stays correct even if a
-/// response write fails mid-way.
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(counter: &'a AtomicUsize) -> Self {
-        counter.fetch_add(1, Ordering::SeqCst);
-        InFlight(counter)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-fn serve_connection(stream: TcpStream, handler: &Handler, shared: &Shared, mut token: QueuedToken) {
-    // During shutdown, connections drained from the queue get only the
-    // short idle window to produce their first request: a client that
-    // already sent one is served normally, but a silent socket must not
-    // pin a worker for the full IO_TIMEOUT after the drain deadline —
-    // the force-close sweep cannot reach sockets that were still in the
-    // queue when it ran.
-    let first_read_timeout =
-        if shared.stop.load(Ordering::SeqCst) { shared.idle_timeout } else { IO_TIMEOUT };
-    let _ = stream.set_read_timeout(Some(first_read_timeout));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    // Request/response exchanges are latency-bound; Nagle's algorithm
-    // only adds delayed-ACK stalls on keep-alive connections.
-    let _ = stream.set_nodelay(true);
-    let mut write_stream = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut first_request = true;
-    loop {
-        // The first request gets the full I/O timeout (the client just
-        // connected to say something). Waiting for a *subsequent*
-        // request on a persistent connection is an idle worker, and idle
-        // workers must come back quickly or a handful of keep-alive
-        // clients starves the pool — so peek for the next request's
-        // first bytes under the idle window, then parse the request
-        // itself under the generous per-read timeout again.
-        if !first_request {
-            use std::io::BufRead;
-            let _ = reader.get_ref().set_read_timeout(Some(shared.idle_timeout));
-            match reader.fill_buf() {
-                Ok([]) => return, // clean close
-                Ok(_) => {}       // next request has begun
-                Err(e) => {
-                    // Idle window elapsed (or socket error). The timeout
-                    // kinds differ by platform: WouldBlock from
-                    // SO_RCVTIMEO on Linux, TimedOut elsewhere.
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) {
-                        shared.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
-            }
-            let _ = reader.get_ref().set_read_timeout(Some(IO_TIMEOUT));
-        }
-        first_request = false;
-        let request = match Request::read_from(&mut reader) {
-            Ok(r) => r,
-            Err(HttpError::Closed) => return,
-            Err(HttpError::Io(_)) => return,
-            Err(e) => {
-                let resp = Response::text(StatusCode::BAD_REQUEST, &e.to_string());
-                let _ = resp.write_to(&mut write_stream);
-                return;
-            }
-        };
-        let keep_alive = request.wants_keep_alive();
-        let _guard = InFlight::enter(&shared.in_flight);
-        // First request is now provably in flight; only here may the
-        // queued token go (see the drain wait's read ordering).
-        token.release();
-        // A panicking handler must cost one response, not one worker.
-        let response =
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handler(&request))) {
-                Ok(resp) => resp,
-                Err(_) => Response::text(StatusCode::INTERNAL, "handler panicked"),
-            };
-        // Count before the write flushes: a client that has read its
-        // full response must already be visible in the counter.
-        shared.stats.requests_served.fetch_add(1, Ordering::SeqCst);
-        let write_ok = response.write_to(&mut write_stream).is_ok();
-        drop(_guard);
-        if !write_ok || !keep_alive || shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
     }
 }
 
@@ -680,9 +321,9 @@ fn serve_connection(stream: TcpStream, handler: &Handler, shared: &Shared, mut t
 mod tests {
     use super::*;
     use crate::client::{http_get, http_post};
-    use crate::http::Method;
-
-    const BOTH_MODELS: [IoModel; 2] = [IoModel::Threads, IoModel::Epoll];
+    use crate::http::{Method, StatusCode};
+    use std::io::BufReader;
+    use std::net::TcpStream;
 
     fn echo_handler() -> Handler {
         Arc::new(|req: &Request| {
@@ -693,302 +334,261 @@ mod tests {
         })
     }
 
-    fn echo_server(io_model: IoModel) -> Server {
-        Server::spawn_with(
-            "127.0.0.1:0",
-            ServerConfig { io_model, ..Default::default() },
-            echo_handler(),
-        )
-        .unwrap()
+    fn echo_server() -> Server {
+        Server::spawn(echo_handler()).unwrap()
     }
 
     #[test]
     fn serves_get() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let resp = http_get(server.addr(), "/hello?a=1").unwrap();
-            assert_eq!(resp.status, StatusCode::OK, "{model:?}");
-            assert_eq!(resp.body, b"GET /hello?a=1 | ");
-        }
+        let server = echo_server();
+        let resp = http_get(server.addr(), "/hello?a=1").unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
+        assert_eq!(resp.body, b"GET /hello?a=1 | ");
     }
 
     #[test]
     fn serves_post_with_body() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let resp =
-                http_post(server.addr(), "/up", "application/octet-stream", vec![b'x'; 100_000])
-                    .unwrap();
-            assert!(resp.status.is_success(), "{model:?}");
-            assert_eq!(resp.body.len(), "POST /up | ".len() + 100_000);
-        }
+        let server = echo_server();
+        let resp = http_post(server.addr(), "/up", "application/octet-stream", vec![b'x'; 100_000])
+            .unwrap();
+        assert!(resp.status.is_success());
+        assert_eq!(resp.body.len(), "POST /up | ".len() + 100_000);
     }
 
     #[test]
     fn concurrent_requests() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let addr = server.addr();
-            let threads: Vec<_> = (0..8)
-                .map(|i| {
-                    std::thread::spawn(move || {
-                        for j in 0..20 {
-                            let resp = http_get(addr, &format!("/t{i}/{j}")).unwrap();
-                            assert!(resp.status.is_success());
-                        }
-                    })
+        let server = echo_server();
+        let addr = server.addr();
+        let threads: Vec<_> = (0..8)
+            .map(|i| {
+                std::thread::spawn(move || {
+                    for j in 0..20 {
+                        let resp = http_get(addr, &format!("/t{i}/{j}")).unwrap();
+                        assert!(resp.status.is_success());
+                    }
                 })
-                .collect();
-            for t in threads {
-                t.join().unwrap();
-            }
-            assert_eq!(server.stats().requests_served.load(Ordering::Relaxed), 160, "{model:?}");
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
         }
+        assert_eq!(server.stats().requests_served.load(Ordering::Relaxed), 160);
     }
 
     #[test]
     fn keep_alive_reuses_connection() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            // Issue two requests on one socket manually.
-            let stream = TcpStream::connect(server.addr()).unwrap();
-            let mut ws = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            for i in 0..2 {
-                let req = Request::new(Method::Get, &format!("/ka/{i}"), Vec::new());
-                req.write_to(&mut ws).unwrap();
-                let resp = Response::read_from(&mut reader).unwrap();
-                assert_eq!(resp.body, format!("GET /ka/{i} | ").as_bytes(), "{model:?}");
-            }
+        let server = echo_server();
+        // Issue two requests on one socket manually.
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut ws = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for i in 0..2 {
+            let req = Request::new(Method::Get, &format!("/ka/{i}"), Vec::new());
+            req.write_to(&mut ws).unwrap();
+            let resp = Response::read_from(&mut reader).unwrap();
+            assert_eq!(resp.body, format!("GET /ka/{i} | ").as_bytes());
         }
     }
 
     #[test]
     fn http10_connection_closes_after_response() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let stream = TcpStream::connect(server.addr()).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-            let mut ws = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            let mut req = Request::new(Method::Get, "/old", Vec::new());
-            req.version = crate::http::Version::Http10;
-            req.write_to(&mut ws).unwrap();
-            let resp = Response::read_from(&mut reader).unwrap();
-            assert!(resp.status.is_success());
-            // The seed kept HTTP/1.0 connections alive; now the server must
-            // close after one exchange: the next read sees EOF (a timeout
-            // error here means the connection was wrongly kept open).
-            use std::io::Read;
-            let mut probe = [0u8; 1];
-            let n = reader
-                .get_mut()
-                .read(&mut probe)
-                .expect("HTTP/1.0 connection must be closed (EOF), not kept alive");
-            assert_eq!(n, 0, "{model:?}: HTTP/1.0 connection must close after the response");
-        }
+        let server = echo_server();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut ws = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut req = Request::new(Method::Get, "/old", Vec::new());
+        req.version = crate::http::Version::Http10;
+        req.write_to(&mut ws).unwrap();
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert!(resp.status.is_success());
+        // The seed kept HTTP/1.0 connections alive; now the server must
+        // close after one exchange: the next read sees EOF (a timeout
+        // error here means the connection was wrongly kept open).
+        use std::io::Read;
+        let mut probe = [0u8; 1];
+        let n = reader
+            .get_mut()
+            .read(&mut probe)
+            .expect("HTTP/1.0 connection must be closed (EOF), not kept alive");
+        assert_eq!(n, 0, "HTTP/1.0 connection must close after the response");
     }
 
     #[test]
     fn shutdown_stops_serving() {
-        for model in BOTH_MODELS {
-            let mut server = echo_server(model);
-            let addr = server.addr();
-            server.shutdown();
-            // After shutdown new requests must fail (connection refused or
-            // immediate close).
-            let res = http_get(addr, "/");
-            assert!(res.is_err(), "{model:?}");
-        }
+        let mut server = echo_server();
+        let addr = server.addr();
+        server.shutdown();
+        // After shutdown new requests must fail (connection refused or
+        // immediate close).
+        let res = http_get(addr, "/");
+        assert!(res.is_err());
     }
 
     #[test]
     fn malformed_request_gets_400() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let mut stream = TcpStream::connect(server.addr()).unwrap();
-            use std::io::Write;
-            stream.write_all(b"NOTAMETHOD / HTTP/1.1\r\n\r\n").unwrap();
-            let mut reader = BufReader::new(stream);
-            let resp = Response::read_from(&mut reader).unwrap();
-            assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{model:?}");
-        }
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        use std::io::Write;
+        stream.write_all(b"NOTAMETHOD / HTTP/1.1\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(stream);
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert_eq!(resp.status, StatusCode::BAD_REQUEST);
     }
 
     #[test]
     fn handler_panic_answers_500_and_worker_survives() {
-        for model in BOTH_MODELS {
-            let server = Server::spawn_with(
-                "127.0.0.1:0",
-                ServerConfig { io_model: model, workers: 1, ..Default::default() },
-                Arc::new(|req: &Request| {
-                    if req.path == "/boom" {
-                        panic!("handler bug");
-                    }
-                    Response::ok("text/plain", b"fine".to_vec())
-                }),
-            )
-            .unwrap();
-            let resp = http_get(server.addr(), "/boom").unwrap();
-            assert_eq!(resp.status, StatusCode::INTERNAL, "{model:?}");
-            // The single worker must still be alive to answer this.
-            let resp = http_get(server.addr(), "/ok").unwrap();
-            assert_eq!(resp.status, StatusCode::OK, "{model:?}");
-        }
+        let server = Server::spawn_with(
+            "127.0.0.1:0",
+            ServerConfig { workers: 1, ..Default::default() },
+            Arc::new(|req: &Request| {
+                if req.path == "/boom" {
+                    panic!("handler bug");
+                }
+                Response::ok("text/plain", b"fine".to_vec())
+            }),
+        )
+        .unwrap();
+        let resp = http_get(server.addr(), "/boom").unwrap();
+        assert_eq!(resp.status, StatusCode::INTERNAL);
+        // The single worker must still be alive to answer this.
+        let resp = http_get(server.addr(), "/ok").unwrap();
+        assert_eq!(resp.status, StatusCode::OK);
     }
 
     #[test]
     fn queue_overflow_sheds_load_with_503_retry_after() {
-        for model in BOTH_MODELS {
-            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-            let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-            let release_rx = Mutex::new(release_rx);
-            let entered_tx = Mutex::new(entered_tx);
-            let server = Server::spawn_with(
-                "127.0.0.1:0",
-                ServerConfig { io_model: model, workers: 1, queue_depth: 1, ..Default::default() },
-                Arc::new(move |_req: &Request| {
-                    let _ = entered_tx.lock().unwrap().send(());
-                    let _ = release_rx.lock().unwrap().recv();
-                    Response::ok("text/plain", b"slow".to_vec())
-                }),
-            )
-            .unwrap();
-            let addr = server.addr();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let entered_tx = Mutex::new(entered_tx);
+        let server = Server::spawn_with(
+            "127.0.0.1:0",
+            ServerConfig { workers: 1, queue_depth: 1, ..Default::default() },
+            Arc::new(move |_req: &Request| {
+                let _ = entered_tx.lock().unwrap().send(());
+                let _ = release_rx.lock().unwrap().recv();
+                Response::ok("text/plain", b"slow".to_vec())
+            }),
+        )
+        .unwrap();
+        let addr = server.addr();
 
-            // Occupy the only worker.
-            let first = std::thread::spawn(move || http_get(addr, "/a").unwrap());
-            entered_rx.recv().unwrap();
-            // Fill the one queue slot with a second slow request. (Under
-            // threads, backpressure acts at accept time, so the connection
-            // alone would do; under epoll it acts at dispatch time, so the
-            // request must actually be sent. Send one either way.)
-            let second = std::thread::spawn(move || http_get(addr, "/b").unwrap());
-            std::thread::sleep(Duration::from_millis(100));
+        // Occupy the only worker.
+        let first = std::thread::spawn(move || http_get(addr, "/a").unwrap());
+        entered_rx.recv().unwrap();
+        // Fill the one queue slot with a second slow request
+        // (backpressure acts at dispatch time, so the request must
+        // actually be sent).
+        let second = std::thread::spawn(move || http_get(addr, "/b").unwrap());
+        std::thread::sleep(Duration::from_millis(100));
 
-            // The third connection must be shed with 503 + retry-after —
-            // even though it has already written its request bytes (closing
-            // with them unread must not RST away the response).
-            let mut over = TcpStream::connect(addr).unwrap();
-            Request::new(Method::Get, "/shed", Vec::new()).write_to(&mut over).unwrap();
-            let mut reader = BufReader::new(over);
-            let resp = Response::read_from(&mut reader).unwrap();
-            assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE, "{model:?}");
-            assert_eq!(resp.headers.get("retry-after"), Some("1"));
-            assert!(server.stats().rejected_503.load(Ordering::Relaxed) >= 1);
+        // The third connection must be shed with 503 + retry-after —
+        // even though it has already written its request bytes (closing
+        // with them unread must not RST away the response).
+        let mut over = TcpStream::connect(addr).unwrap();
+        Request::new(Method::Get, "/shed", Vec::new()).write_to(&mut over).unwrap();
+        let mut reader = BufReader::new(over);
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE);
+        assert_eq!(resp.headers.get("retry-after"), Some("1"));
+        assert!(server.stats().rejected_503.load(Ordering::Relaxed) >= 1);
 
-            release_tx.send(()).unwrap();
-            release_tx.send(()).unwrap();
-            let resp = first.join().unwrap();
-            assert!(resp.status.is_success());
-            let resp = second.join().unwrap();
-            assert!(resp.status.is_success());
-        }
+        release_tx.send(()).unwrap();
+        release_tx.send(()).unwrap();
+        let resp = first.join().unwrap();
+        assert!(resp.status.is_success());
+        let resp = second.join().unwrap();
+        assert!(resp.status.is_success());
     }
 
     #[test]
     fn listener_survives_transient_accept_errors() {
-        for model in BOTH_MODELS {
-            let server = echo_server(model);
-            let addr = server.addr();
-            // The seed's accept loop did `Err(_) => break`: one transient
-            // accept failure permanently killed the listener. Simulate three
-            // failures and verify later connections still get served.
-            server.inject_accept_errors(3);
-            for _ in 0..3 {
-                // These connections are consumed by the injected failures
-                // (closed without a response) — ignore the client error.
-                let _ = http_get(addr, "/dropped");
-            }
-            let resp = http_get(addr, "/alive").expect("listener must survive accept errors");
-            assert!(resp.status.is_success(), "{model:?}");
-            assert_eq!(server.stats().accept_errors.load(Ordering::Relaxed), 3, "{model:?}");
+        let server = echo_server();
+        let addr = server.addr();
+        // The seed's accept loop did `Err(_) => break`: one transient
+        // accept failure permanently killed the listener. Simulate three
+        // failures and verify later connections still get served.
+        server.inject_accept_errors(3);
+        for _ in 0..3 {
+            // These connections are consumed by the injected failures
+            // (closed without a response) — ignore the client error.
+            let _ = http_get(addr, "/dropped");
         }
+        let resp = http_get(addr, "/alive").expect("listener must survive accept errors");
+        assert!(resp.status.is_success());
+        assert_eq!(server.stats().accept_errors.load(Ordering::Relaxed), 3);
     }
 
     #[test]
     fn graceful_shutdown_drains_in_flight_request() {
-        for model in BOTH_MODELS {
-            let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
-            let entered_tx = Mutex::new(entered_tx);
-            let mut server = Server::spawn_with(
-                "127.0.0.1:0",
-                ServerConfig { io_model: model, workers: 2, ..Default::default() },
-                Arc::new(move |_req: &Request| {
-                    let _ = entered_tx.lock().unwrap().send(());
-                    std::thread::sleep(Duration::from_millis(300));
-                    Response::ok("text/plain", b"drained".to_vec())
-                }),
-            )
-            .unwrap();
-            let addr = server.addr();
-            let client = std::thread::spawn(move || http_get(addr, "/slow"));
-            // Only start shutting down once the request is inside the handler.
-            entered_rx.recv().unwrap();
-            server.shutdown();
-            let resp = client.join().unwrap().expect("in-flight request was dropped by shutdown");
-            assert_eq!(resp.body, b"drained", "{model:?}");
-        }
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let entered_tx = Mutex::new(entered_tx);
+        let mut server = Server::spawn_with(
+            "127.0.0.1:0",
+            ServerConfig { workers: 2, ..Default::default() },
+            Arc::new(move |_req: &Request| {
+                let _ = entered_tx.lock().unwrap().send(());
+                std::thread::sleep(Duration::from_millis(300));
+                Response::ok("text/plain", b"drained".to_vec())
+            }),
+        )
+        .unwrap();
+        let addr = server.addr();
+        let client = std::thread::spawn(move || http_get(addr, "/slow"));
+        // Only start shutting down once the request is inside the handler.
+        entered_rx.recv().unwrap();
+        server.shutdown();
+        let resp = client.join().unwrap().expect("in-flight request was dropped by shutdown");
+        assert_eq!(resp.body, b"drained");
     }
 
     #[test]
     fn idle_timeout_closes_connection_and_counts_it() {
-        for model in BOTH_MODELS {
-            let server = Server::spawn_with(
-                "127.0.0.1:0",
-                ServerConfig {
-                    io_model: model,
-                    idle_timeout: Some(Duration::from_millis(100)),
-                    ..Default::default()
-                },
-                echo_handler(),
-            )
-            .unwrap();
-            let stream = TcpStream::connect(server.addr()).unwrap();
-            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut ws = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            Request::new(Method::Get, "/once", Vec::new()).write_to(&mut ws).unwrap();
-            let resp = Response::read_from(&mut reader).unwrap();
-            assert!(resp.status.is_success());
-            // Sit idle past the window: the server must close the
-            // connection and count it.
-            use std::io::Read;
-            let mut probe = [0u8; 1];
-            let n = reader
-                .get_mut()
-                .read(&mut probe)
-                .unwrap_or_else(|e| panic!("{model:?}: expected idle close (EOF), got error {e}"));
-            assert_eq!(n, 0, "{model:?}: idle connection must be closed");
-            // The counter and gauge must reflect it (allow a beat for
-            // the server side to finish its teardown).
-            for _ in 0..100 {
-                if server.stats().idle_closed.load(Ordering::Relaxed) >= 1
-                    && server.stats().open_connections.load(Ordering::SeqCst) == 0
-                {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
+        let server = Server::spawn_with(
+            "127.0.0.1:0",
+            ServerConfig { idle_timeout: Duration::from_millis(100), ..Default::default() },
+            echo_handler(),
+        )
+        .unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut ws = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        Request::new(Method::Get, "/once", Vec::new()).write_to(&mut ws).unwrap();
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert!(resp.status.is_success());
+        // Sit idle past the window: the server must close the
+        // connection and count it.
+        use std::io::Read;
+        let mut probe = [0u8; 1];
+        let n = reader
+            .get_mut()
+            .read(&mut probe)
+            .unwrap_or_else(|e| panic!("expected idle close (EOF), got error {e}"));
+        assert_eq!(n, 0, "idle connection must be closed");
+        // The counter and gauge must reflect it (allow a beat for
+        // the server side to finish its teardown).
+        for _ in 0..100 {
+            if server.stats().idle_closed.load(Ordering::Relaxed) >= 1
+                && server.stats().open_connections.load(Ordering::SeqCst) == 0
+            {
+                break;
             }
-            assert!(server.stats().idle_closed.load(Ordering::Relaxed) >= 1, "{model:?}");
-            assert_eq!(server.stats().open_connections.load(Ordering::SeqCst), 0, "{model:?}");
+            std::thread::sleep(Duration::from_millis(10));
         }
+        assert!(server.stats().idle_closed.load(Ordering::Relaxed) >= 1);
+        assert_eq!(server.stats().open_connections.load(Ordering::SeqCst), 0);
     }
 
     #[test]
-    fn epoll_multiplexes_idle_connections_beyond_worker_count() {
+    fn multiplexes_idle_connections_beyond_worker_count() {
         // 150 concurrent keep-alive connections against 2 offload
-        // workers: the threads model at this worker count would park
-        // after 2, the reactor must serve all of them and keep every
+        // workers: the reactor must serve all of them and keep every
         // connection open.
         let server = Server::spawn_with(
             "127.0.0.1:0",
-            ServerConfig {
-                io_model: IoModel::Epoll,
-                workers: 2,
-                queue_depth: 16,
-                ..Default::default()
-            },
+            ServerConfig { workers: 2, queue_depth: 16, ..Default::default() },
             echo_handler(),
         )
         .unwrap();
@@ -1014,8 +614,8 @@ mod tests {
     }
 
     #[test]
-    fn epoll_serves_pipelined_requests() {
-        let server = echo_server(IoModel::Epoll);
+    fn serves_pipelined_requests() {
+        let server = echo_server();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         // Two requests in one write: both must be answered, in order.

@@ -120,7 +120,7 @@ impl Transport for TcpTransport {
 ///
 /// Handler code that uses this transport must run on the offload pool,
 /// never on a reactor thread: a blocking read would be waiting on the
-/// very loop it is blocking (the epoll server model guarantees this).
+/// very loop it is blocking (the server guarantees this).
 ///
 /// [`ClientPool`]: crate::client::ClientPool
 pub struct ReactorTransport {
@@ -492,7 +492,7 @@ mod tests {
     fn fault_transport_composes_over_reactor_transport() {
         // PR 7's chaos layer must keep working when the pool rides the
         // serving tier's reactors instead of plain TCP.
-        let a = echo_server(); // epoll by default → has reactor handles
+        let a = echo_server();
         assert!(!a.reactor_handles().is_empty());
         let plan = FaultPlan::new();
         let inner = Arc::new(ReactorTransport::new(a.reactor_handles().to_vec()));

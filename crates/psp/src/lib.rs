@@ -23,17 +23,14 @@
 //! filtering, sharpening, enhancing, and gamma corrections, and then
 //! compare the output of these with that produced by the PSP").
 //!
-//! [`storage`] re-exports the untrusted blob store (the paper used
-//! Dropbox) that holds encrypted secret parts, addressed by PSP photo
-//! ID — see the `p3-storage` crate for the backends (in-memory,
-//! durable disk, sharded cluster).
+//! The untrusted blob store (the paper used Dropbox) that holds the
+//! encrypted secret parts, addressed by PSP photo ID, is the
+//! `p3-storage` crate.
 
 pub mod profile;
 pub mod reverse;
 pub mod service;
-pub mod storage;
 
 pub use profile::{PspProfile, SizeRequest};
 pub use reverse::{reverse_engineer, ReverseReport};
 pub use service::{PspCore, PspService, UploadError};
-pub use storage::{StorageCore, StorageService};

@@ -109,8 +109,8 @@
 //! membership churn (a DELETE to a node that never held the blob still
 //! writes a tombstone there).
 
-use crate::disk::{crc32, hex_decode};
 use crate::ring::{id_fingerprint, HashRing};
+use crate::{crc32, hex_decode};
 use crate::{
     BackendStats, MembershipChange, MembershipView, StatCounters, StorageBackend, StorageError,
     StorageResult,

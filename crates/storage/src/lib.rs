@@ -13,18 +13,14 @@
 //! * [`MemBackend`] — sharded in-memory store holding [`Arc<[u8]>`]
 //!   blobs, so a get hands back a refcount bump instead of cloning a
 //!   megabyte blob under the shard mutex;
-//! * [`DiskBackend`] — durable one-file-per-blob store with
-//!   temp-file + atomic-rename + fsync writes, a length/CRC header that
-//!   turns truncated or bit-rotted blobs into detected misses, and full
-//!   index recovery by directory scan on startup (kept as the packed
-//!   store's A/B baseline);
-//! * [`PackedBackend`] — the Haystack-style packed needle log that
-//!   replaced the per-file store as the durable default: blobs append
-//!   to rolling CRC-framed segments, a group-commit writer batches
-//!   concurrent puts into one shared fsync, recovery is a sequential
-//!   segment scan that truncates a torn final needle, tombstone
-//!   needles make deletes durable facts, and a background
-//!   [`Compactor`] rewrites mostly-dead segments to reclaim space;
+//! * [`PackedBackend`] — the durable store, a Haystack-style packed
+//!   needle log: blobs append to rolling CRC-framed segments, a
+//!   group-commit writer batches concurrent puts into one shared fsync,
+//!   recovery is a sequential segment scan that truncates a torn final
+//!   needle, a truncated or bit-rotted needle reads as a detected
+//!   corrupt error (never garbage, never a miss), tombstone needles
+//!   make deletes durable facts, and a background [`Compactor`]
+//!   rewrites mostly-dead segments to reclaim space;
 //! * [`ClusterBackend`] — a client-side router over N storage nodes:
 //!   consistent hashing with virtual nodes, replication factor R,
 //!   quorum writes, first-healthy-replica reads with read-repair,
@@ -47,7 +43,6 @@
 
 pub mod cluster;
 pub mod compact;
-pub mod disk;
 pub mod log;
 pub mod mem;
 pub mod needle;
@@ -55,9 +50,9 @@ pub mod ring;
 
 pub use cluster::{ClusterBackend, ClusterConfig, Sweeper};
 pub use compact::{compact_once, CompactReport, Compactor};
-pub use disk::{crc32, DiskBackend};
 pub use log::{PackedBackend, PackedConfig};
 pub use mem::MemBackend;
+pub use needle::crc32;
 pub use ring::HashRing;
 
 use p3_net::stats::render_metrics;
@@ -373,7 +368,7 @@ pub struct MembershipChange {
 /// callable concurrently; blobs are immutable once written (a re-`put`
 /// of the same ID replaces the blob wholesale).
 pub trait StorageBackend: Send + Sync + fmt::Debug {
-    /// Backend kind for logs and stats headers (`"mem"`, `"disk"`,
+    /// Backend kind for logs and stats headers (`"mem"`, `"packed"`,
     /// `"cluster"`).
     fn kind(&self) -> &'static str;
 
@@ -397,7 +392,7 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 
     /// One sorted page of blob IDs strictly after `after` (exclusive
     /// cursor; `None` starts from the beginning), at most `limit` long.
-    /// Backends that physically hold blobs (mem, disk) implement this;
+    /// Backends that physically hold blobs (mem, packed) implement this;
     /// it powers the `GET /index` route the cluster rebalancer and
     /// anti-entropy sweep walk. The default declines.
     fn list_ids(&self, _after: Option<&str>, _limit: usize) -> StorageResult<Vec<String>> {
@@ -408,8 +403,7 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Distinct from "never stored here": a tombstoned ID is a
     /// *definitive* 404 that read-repair and anti-entropy must honour,
     /// while a plain miss is merely "this replica doesn't have it".
-    /// Backends without tombstones (mem default, the per-file disk
-    /// store) report `false` for everything.
+    /// Backends without tombstones report `false` for everything.
     fn deleted(&self, _id: &str) -> StorageResult<bool> {
         Ok(false)
     }
@@ -617,7 +611,7 @@ impl StorageService {
     /// (lets crash-recovery tests restart a node where it used to live).
     pub fn spawn_on(addr: &str, core: Arc<StorageCore>) -> std::io::Result<StorageService> {
         let c = Arc::clone(&core);
-        let server = Server::spawn_on(addr, Arc::new(move |req: &Request| handle(&c, req)))?;
+        let server = Server::spawn_on(addr, Arc::new(move |req: &Request| handle_http(&c, req)))?;
         Ok(StorageService { server, core })
     }
 
@@ -661,10 +655,6 @@ impl StorageService {
 /// Route one HTTP request against a [`StorageCore`] — exposed for the
 /// CLI, which hosts the simulator on its own server instance.
 pub fn handle_http(core: &StorageCore, req: &Request) -> Response {
-    handle(core, req)
-}
-
-fn handle(core: &StorageCore, req: &Request) -> Response {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/stats") => {
             let mut resp = Response::ok("application/json", core.stats_json().into_bytes());
@@ -672,8 +662,10 @@ fn handle(core: &StorageCore, req: &Request) -> Response {
             resp
         }
         (Method::Get, "/len") => Response::text(StatusCode::OK, &core.len().to_string()),
-        (Method::Get, "/index") => handle_index(core, req),
-        (Method::Get, "/tombstones") => handle_tombstones(core, req),
+        (Method::Get, "/index") => handle_id_page(req, |after, limit| core.list_ids(after, limit)),
+        (Method::Get, "/tombstones") => {
+            handle_id_page(req, |after, limit| core.list_tombstones(after, limit))
+        }
         (Method::Get, "/admin/membership") => match core.backend().membership() {
             Some(view) => Response::ok("application/json", view.to_json(None).into_bytes()),
             None => Response::text(StatusCode::NOT_FOUND, "backend has no cluster membership"),
@@ -690,42 +682,44 @@ fn handle(core: &StorageCore, req: &Request) -> Response {
 const INDEX_DEFAULT_PAGE: usize = 512;
 const INDEX_MAX_PAGE: usize = 4096;
 
-fn handle_index(core: &StorageCore, req: &Request) -> Response {
-    let after = match req.query_param("after") {
-        None => None,
-        Some(hex) => match disk::hex_decode(hex) {
-            Some(id) => Some(id),
-            None => return Response::text(StatusCode::BAD_REQUEST, "after must be hex"),
-        },
-    };
-    let limit = req
-        .query_param("limit")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(INDEX_DEFAULT_PAGE)
-        .clamp(1, INDEX_MAX_PAGE);
-    match core.list_ids(after.as_deref(), limit) {
-        Ok(ids) => {
-            let mut body = String::new();
-            for id in &ids {
-                body.push_str(&disk::hex_encode(id));
-                body.push('\n');
-            }
-            let mut resp = Response::ok("text/plain", body.into_bytes());
-            resp.headers.set("x-p3-index-count", ids.len().to_string());
-            resp
-        }
-        Err(e) => unavailable(&e),
+/// Lowercase-hex encoding of an ID's bytes. Order-preserving
+/// (`hex(a) < hex(b)` iff `a < b` bytewise), which the paginated
+/// `/index` route relies on for its `after` cursor. Table-driven: this
+/// runs once per ID per index page, so it must not allocate per byte.
+fn hex_encode(id: &str) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(id.len() * 2);
+    for b in id.bytes() {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0x0F)] as char);
     }
+    out
 }
 
-/// `GET /tombstones`: the deleted-ID companion to `/index`, with the
-/// same hex line protocol and exclusive-cursor pagination. The
-/// anti-entropy sweep walks it on every member to learn about deletes
-/// it must propagate; backends without tombstones serve empty pages.
-fn handle_tombstones(core: &StorageCore, req: &Request) -> Response {
+pub(crate) fn hex_decode(hex: &str) -> Option<String> {
+    if !hex.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut bytes = Vec::with_capacity(hex.len() / 2);
+    for chunk in hex.as_bytes().chunks(2) {
+        let s = std::str::from_utf8(chunk).ok()?;
+        bytes.push(u8::from_str_radix(s, 16).ok()?);
+    }
+    String::from_utf8(bytes).ok()
+}
+
+/// One page of `GET /index` (blob IDs) or `GET /tombstones` (its
+/// deleted-ID companion, which the anti-entropy sweep walks on every
+/// member to learn about deletes it must propagate; backends without
+/// tombstones serve empty pages): hex IDs one per line, paged by an
+/// exclusive `after` cursor.
+fn handle_id_page(
+    req: &Request,
+    list: impl FnOnce(Option<&str>, usize) -> StorageResult<Vec<String>>,
+) -> Response {
     let after = match req.query_param("after") {
         None => None,
-        Some(hex) => match disk::hex_decode(hex) {
+        Some(hex) => match hex_decode(hex) {
             Some(id) => Some(id),
             None => return Response::text(StatusCode::BAD_REQUEST, "after must be hex"),
         },
@@ -735,11 +729,11 @@ fn handle_tombstones(core: &StorageCore, req: &Request) -> Response {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(INDEX_DEFAULT_PAGE)
         .clamp(1, INDEX_MAX_PAGE);
-    match core.list_tombstones(after.as_deref(), limit) {
+    match list(after.as_deref(), limit) {
         Ok(ids) => {
             let mut body = String::new();
             for id in &ids {
-                body.push_str(&disk::hex_encode(id));
+                body.push_str(&hex_encode(id));
                 body.push('\n');
             }
             let mut resp = Response::ok("text/plain", body.into_bytes());
@@ -808,7 +802,7 @@ fn handle_blob(core: &StorageCore, req: &Request) -> Response {
                 // detect an upload corrupted in flight (ack ≠ sent ⇒ the
                 // stored copy is rot, treat the write as failed).
                 let mut resp = Response::text(StatusCode::CREATED, "stored");
-                resp.headers.set("x-p3-crc32", format!("{:08x}", disk::crc32(&req.body)));
+                resp.headers.set("x-p3-crc32", format!("{:08x}", crc32(&req.body)));
                 resp
             }
             Err(e) => unavailable(&e),
@@ -822,7 +816,7 @@ fn handle_blob(core: &StorageCore, req: &Request) -> Response {
             // it directly; the cluster router reads unranged).
             Ok(Some(data)) => {
                 let mut resp = Response::ok("application/octet-stream", data.to_vec());
-                resp.headers.set("x-p3-crc32", format!("{:08x}", disk::crc32(&data)));
+                resp.headers.set("x-p3-crc32", format!("{:08x}", crc32(&data)));
                 p3_net::apply_range(req, resp)
             }
             // A tombstoned miss is marked so the cluster router can tell
@@ -895,7 +889,7 @@ mod tests {
     }
 
     /// The envelope MAC must catch a tampering provider no matter which
-    /// backend served the bytes — mem, disk, and a 2-node cluster.
+    /// backend served the bytes — mem, packed, and a 2-node cluster.
     #[test]
     fn tampered_blob_fails_envelope_auth_on_every_backend() {
         let dir = std::env::temp_dir().join(format!("p3-tamper-{}", std::process::id()));
@@ -910,7 +904,7 @@ mod tests {
         .unwrap();
         let backends: Vec<Arc<dyn StorageBackend>> = vec![
             Arc::new(MemBackend::new()),
-            Arc::new(DiskBackend::open(&dir).unwrap()),
+            Arc::new(PackedBackend::open(&dir).unwrap()),
             Arc::new(cluster),
         ];
         for backend in backends {
@@ -927,6 +921,15 @@ mod tests {
         node_a.shutdown();
         node_b.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hex_roundtrip() {
+        for id in ["42", "photo-9", "a/b\\c..", "ünïcode"] {
+            assert_eq!(hex_decode(&hex_encode(id)).as_deref(), Some(id));
+        }
+        assert!(hex_decode("zz").is_none());
+        assert!(hex_decode("abc").is_none(), "odd length");
     }
 
     #[test]
@@ -950,6 +953,33 @@ mod tests {
         assert!(body.contains("\"storage\""), "stats JSON missing storage section: {body}");
         assert!(body.contains("\"backend\""), "stats JSON missing backend section: {body}");
         svc.shutdown();
+    }
+
+    /// A rotted needle is a corrupt-marked `503` on the wire — whole or
+    /// ranged — never a `404` (a corrupt copy proves the blob exists)
+    /// and never bytes.
+    #[test]
+    fn corrupt_needle_is_a_marked_503_over_http_never_a_404() {
+        let dir = std::env::temp_dir().join(format!("p3-http-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let backend = Arc::new(PackedBackend::open(&dir).unwrap());
+        let core = Arc::new(StorageCore::with_backend(Arc::clone(&backend) as Arc<_>));
+        let mut svc = StorageService::spawn_with(core).unwrap();
+        svc.core().put("r", &[0u8; 1024]).unwrap();
+        assert_eq!(backend.corrupt_live_needles().unwrap(), 1);
+        for range in [None, Some("bytes=0-9")] {
+            let mut req = Request::new(Method::Get, "/blobs/r", Vec::new());
+            if let Some(range) = range {
+                req.headers.set("range", range);
+            }
+            let resp = p3_net::client::send(svc.addr(), req).unwrap();
+            assert_eq!(resp.status, StatusCode::SERVICE_UNAVAILABLE, "range {range:?}");
+            assert_eq!(resp.headers.get("x-p3-error"), Some("corrupt"));
+            assert_eq!(resp.headers.get("retry-after"), Some("1"));
+        }
+        assert_eq!(backend.stats().corrupt_reads, 2);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1031,7 +1061,7 @@ mod tests {
                 Some(lines.len().to_string().as_str())
             );
             for line in &lines {
-                got.push(disk::hex_decode(line).expect("wire ids are hex"));
+                got.push(hex_decode(line).expect("wire ids are hex"));
             }
             if lines.len() < 7 {
                 break;

@@ -1,11 +1,11 @@
 //! The packed needle-log store: Haystack-style append-only segments
 //! with an in-memory index and a group-commit writer.
 //!
-//! Why this exists: the per-file [`crate::DiskBackend`] pays two
-//! `fsync`s plus a create + rename per blob (~1.4k puts/s) and at
-//! millions of photos exhausts inodes, while its directory-scan
-//! recovery touches one dentry per blob. Here every blob is one
-//! [needle frame](crate::needle) appended to a rolling log segment
+//! Why this shape: a one-file-per-blob store pays two `fsync`s plus a
+//! create + rename per blob and at millions of photos exhausts inodes,
+//! while its directory-scan recovery touches one dentry per blob (the
+//! A/B is frozen in ARCHITECTURE.md § Decided A/Bs). Here every blob is
+//! one [needle frame](crate::needle) appended to a rolling log segment
 //! (`<n>.seg` files), so a put is a buffered append plus a *shared*
 //! `fdatasync`:
 //!
@@ -13,12 +13,11 @@
 //!   lock, then block until the flusher thread's next `sync_data`
 //!   covers their bytes. While one fsync is in flight, every
 //!   concurrent writer's frame accumulates behind it and the *next*
-//!   fsync commits them all — N concurrent puts cost ~1 fsync, which
-//!   is where the ≥10× put-throughput win over the per-file backend
-//!   comes from. The ack rule is strict: `put` returns only after the
-//!   covering flush completes, and the in-memory index publishes an
-//!   entry only *after* its frame is durable, so a reader can never
-//!   observe (or read-repair from) bytes a crash could unwrite.
+//!   fsync commits them all — N concurrent puts cost ~1 fsync. The ack
+//!   rule is strict: `put` returns only after the covering flush
+//!   completes, and the in-memory index publishes an entry only *after*
+//!   its frame is durable, so a reader can never observe (or
+//!   read-repair from) bytes a crash could unwrite.
 //!
 //! * **Recovery = sequential scan.** Opening the store scans each
 //!   segment's needle chain, verifying every CRC. A torn final needle
@@ -259,12 +258,8 @@ impl PackedBackend {
                 if e.seq <= cur {
                     continue;
                 }
-                if let Some(old) = index.remove(&e.id) {
-                    segs.get_mut(&old.seg).unwrap().dead += u64::from(old.frame_len);
-                }
-                if let Some(old) = tombs.remove(&e.id) {
-                    segs.get_mut(&old.seg).unwrap().dead += u64::from(old.frame_len);
-                }
+                index.remove(&e.id);
+                tombs.remove(&e.id);
                 if e.is_tombstone() {
                     tombs.insert(
                         e.id.clone(),
@@ -356,7 +351,7 @@ impl PackedBackend {
 
     /// Chaos hook: simulate a full (or freed) volume — writes
     /// (including tombstones) are rejected with an I/O error, reads
-    /// keep working. Mirrors [`crate::DiskBackend::set_disk_full`].
+    /// keep working — a full disk can still serve what it holds.
     pub fn set_disk_full(&self, full: bool) {
         self.inner.disk_full.store(full, Ordering::Relaxed);
     }
@@ -658,17 +653,7 @@ impl StorageBackend for PackedBackend {
     }
 
     fn list_ids(&self, after: Option<&str>, limit: usize) -> StorageResult<Vec<String>> {
-        use std::ops::Bound;
-        let lower = match after {
-            Some(cursor) => Bound::Excluded(cursor),
-            None => Bound::Unbounded,
-        };
-        let index = self.inner.index.lock();
-        Ok(index
-            .range::<str, _>((lower, Bound::Unbounded))
-            .take(limit)
-            .map(|(k, _)| k.clone())
-            .collect())
+        Ok(page_of_keys(&self.inner.index.lock(), after, limit))
     }
 
     fn deleted(&self, id: &str) -> StorageResult<bool> {
@@ -676,22 +661,19 @@ impl StorageBackend for PackedBackend {
     }
 
     fn list_tombstones(&self, after: Option<&str>, limit: usize) -> StorageResult<Vec<String>> {
-        use std::ops::Bound;
-        let lower = match after {
-            Some(cursor) => Bound::Excluded(cursor),
-            None => Bound::Unbounded,
-        };
-        let tombs = self.inner.tombs.lock();
-        Ok(tombs
-            .range::<str, _>((lower, Bound::Unbounded))
-            .take(limit)
-            .map(|(k, _)| k.clone())
-            .collect())
+        Ok(page_of_keys(&self.inner.tombs.lock(), after, limit))
     }
 
     fn stats(&self) -> BackendStats {
         self.inner.stats.snapshot()
     }
+}
+
+/// One sorted page of `map`'s keys strictly after `after`.
+fn page_of_keys<V>(map: &BTreeMap<String, V>, after: Option<&str>, limit: usize) -> Vec<String> {
+    use std::ops::Bound;
+    let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+    map.range::<str, _>((lower, Bound::Unbounded)).take(limit).map(|(k, _)| k.clone()).collect()
 }
 
 fn seg_path(dir: &Path, n: u32) -> PathBuf {
@@ -926,6 +908,38 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Replay must charge a superseded needle's bytes to its segment
+    /// exactly once: a reopened store carries the same per-segment dead
+    /// counts it closed with, so restarting never tips a segment over
+    /// the compaction threshold on its own.
+    #[test]
+    fn reopen_counts_superseded_needles_dead_once() {
+        let dir = tmpdir("dead-once");
+        let cfg = PackedConfig { compact_min_bytes: 0, ..small_cfg() };
+        let dead_by_seg = |store: &PackedBackend| -> Vec<(u32, u64)> {
+            store.inner.segs.lock().iter().map(|(&n, info)| (n, info.dead)).collect()
+        };
+        let before = {
+            let store = PackedBackend::open_with(&dir, cfg.clone()).unwrap();
+            for i in 0..60 {
+                store.put(&format!("blob-{i:03}"), &[i as u8; 300]).unwrap();
+            }
+            // Overwrite a third of the keys: every early segment ends up
+            // about one-third dead, well under the 0.5 threshold.
+            for i in (0..60).step_by(3) {
+                store.put(&format!("blob-{i:03}"), &[0xEE; 300]).unwrap();
+            }
+            assert!(store.segment_count() > 3, "small segments must have rolled");
+            dead_by_seg(&store)
+        };
+        assert!(before.iter().any(|&(_, dead)| dead > 0), "overwrites must leave dead bytes");
+        let store = PackedBackend::open_with(&dir, cfg).unwrap();
+        assert_eq!(dead_by_seg(&store), before, "reopen must not re-count dead bytes");
+        let report = crate::compact_once(&store).unwrap();
+        assert_eq!(report.segments_compacted, 0, "nothing crossed the threshold: {report:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn torn_final_needle_truncates_to_acked_prefix() {
         let dir = tmpdir("torn");
@@ -963,6 +977,22 @@ mod tests {
             Err(StorageError::Corrupt(_)) => {}
             other => panic!("want detected corruption, got {other:?}"),
         }
+        assert_eq!(store.stats().corrupt_reads, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_needle_reads_as_corrupt_not_miss() {
+        let dir = tmpdir("truncated");
+        let store = PackedBackend::open(&dir).unwrap();
+        store.put("t", &[5u8; 4096]).unwrap();
+        let path = seg_path(store.dir(), 0);
+        let len = fs::metadata(&path).unwrap().len();
+        OpenOptions::new().write(true).open(&path).unwrap().set_len(len / 2).unwrap();
+        assert!(
+            matches!(store.get("t"), Err(StorageError::Corrupt(_))),
+            "a needle cut short under the store must surface as corrupt, not as a miss or as bytes"
+        );
         assert_eq!(store.stats().corrupt_reads, 1);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -216,10 +216,17 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<Fill, Storage
     Ok(Fill::Full)
 }
 
-/// Incremental CRC32 (same IEEE polynomial as [`crate::crc32`]):
-/// `crc32(data) == crc32_fin(crc32_feed(crc32_init(), data))`. The
-/// streaming form lets the segment scan hash header and payload without
-/// concatenating them.
+/// CRC-32 (IEEE 802.3, the zlib polynomial) of `data` in one shot.
+/// Public because the same checksum travels end to end: stamped into
+/// every needle frame here, echoed over the wire as `x-p3-crc32`, and
+/// re-verified by the cluster router before any replica's answer is
+/// accepted.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_fin(crc32_feed(crc32_init(), data))
+}
+
+/// Incremental CRC32: the streaming form lets the segment scan hash
+/// header and payload without concatenating them.
 pub fn crc32_init() -> u32 {
     !0u32
 }
@@ -259,11 +266,16 @@ mod tests {
     use super::*;
 
     #[test]
+    fn crc32_known_vector() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
     fn streaming_crc_matches_one_shot() {
         let data = b"the quick brown fox jumps over the lazy dog";
-        assert_eq!(crc32_fin(crc32_feed(crc32_init(), data)), crate::crc32(data));
         let (a, b) = data.split_at(13);
-        assert_eq!(crc32_fin(crc32_feed(crc32_feed(crc32_init(), a), b)), crate::crc32(data));
+        assert_eq!(crc32_fin(crc32_feed(crc32_feed(crc32_init(), a), b)), crc32(data));
     }
 
     #[test]

@@ -19,7 +19,9 @@ use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
-use p3_storage::{ClusterBackend, ClusterConfig, StorageBackend, StorageCore, StorageService};
+use p3_storage::{
+    ClusterBackend, ClusterConfig, PackedBackend, StorageBackend, StorageCore, StorageService,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -427,25 +429,6 @@ fn proxy_and_storage_stats_endpoints_parse() {
     parse_metric_json(&String::from_utf8(resp.body).unwrap()).expect("node stats must parse");
 }
 
-/// Flip one payload byte in every `.blob` file under `dir` (the 16-byte
-/// header is left intact so only the CRC can catch the damage).
-fn corrupt_blob_files(dir: &std::path::Path) -> usize {
-    let mut corrupted = 0;
-    for entry in std::fs::read_dir(dir).expect("read node dir").flatten() {
-        let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("blob") {
-            continue;
-        }
-        let mut raw = std::fs::read(&path).expect("read blob file");
-        assert!(raw.len() > 16, "blob file too short to corrupt safely");
-        let last = raw.len() - 1;
-        raw[last] ^= 0x55;
-        std::fs::write(&path, &raw).expect("write corrupted blob");
-        corrupted += 1;
-    }
-    corrupted
-}
-
 /// ISSUE 6 chaos class (d) at the backend level: a blob whose on-disk
 /// bytes were flipped must surface as a *detected* corrupt error —
 /// through the StorageCore of the damaged node and through the
@@ -457,7 +440,6 @@ fn corrupt_blob_files(dir: &std::path::Path) -> usize {
 /// path this PR closes).
 #[test]
 fn corrupt_on_disk_blob_is_detected_never_served() {
-    use p3_storage::DiskBackend;
     let base = std::env::temp_dir().join(format!("p3-corrupt-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
@@ -465,7 +447,7 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
     let mut disks = Vec::new();
     let mut services = Vec::new();
     for i in 0..3 {
-        let disk = Arc::new(DiskBackend::open(&base.join(format!("node{i}"))).expect("open"));
+        let disk = Arc::new(PackedBackend::open(&base.join(format!("node{i}"))).expect("open"));
         let core =
             Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
         services.push(StorageService::spawn_with(Arc::clone(&core)).expect("node"));
@@ -490,7 +472,7 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
     // Corrupt the *first* replica in walk order, so the read path must
     // step over the damaged copy before it finds the healthy one.
     let first = node_idx(&replicas[0]);
-    assert!(corrupt_blob_files(&base.join(format!("node{first}"))) >= 1);
+    assert!(disks[first].0.corrupt_live_needles().expect("corrupt") >= 1);
 
     // StorageCore of the damaged node: a detected corrupt error, never
     // bytes and never a clean miss.
@@ -519,7 +501,7 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
     // false 404) and never invented bytes.
     for addr in &replicas {
         let i = node_idx(addr);
-        assert!(corrupt_blob_files(&base.join(format!("node{i}"))) >= 1);
+        assert!(disks[i].0.corrupt_live_needles().expect("corrupt") >= 1);
     }
     assert!(
         matches!(cluster.get("photo-x"), Err(p3_storage::StorageError::Corrupt(_))),
@@ -678,18 +660,19 @@ fn asymmetric_partition_degrades_to_503_and_heals_zero_wrong_data() {
 /// byte-identical data once the dead holder returns.
 #[test]
 fn corrupt_while_degraded_is_detected_503_never_false_404() {
-    use p3_storage::DiskBackend;
     let base =
         std::env::temp_dir().join(format!("p3-corrupt-degraded-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
+    let mut disks = Vec::new();
     let mut cores = Vec::new();
     let mut services: Vec<Option<StorageService>> = Vec::new();
     for i in 0..3 {
-        let disk = Arc::new(DiskBackend::open(&base.join(format!("node{i}"))).expect("open"));
+        let disk = Arc::new(PackedBackend::open(&base.join(format!("node{i}"))).expect("open"));
         let core =
             Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
         services.push(Some(StorageService::spawn_with(Arc::clone(&core)).expect("node")));
+        disks.push(disk);
         cores.push(core);
     }
     let addrs: Vec<SocketAddr> = services.iter().map(|s| s.as_ref().unwrap().addr()).collect();
@@ -718,7 +701,7 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
     let dead = node_idx(&replicas[1]);
     drop(services[dead].take());
     let corrupted = node_idx(&replicas[0]);
-    assert!(corrupt_blob_files(&base.join(format!("node{corrupted}"))) >= 1);
+    assert!(disks[corrupted].corrupt_live_needles().expect("corrupt") >= 1);
 
     let rejects_before = cluster.stats().integrity_rejects;
     match cluster.get("photo-d") {
@@ -740,7 +723,7 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
     // The dead holder returns with its durable dir intact; once its
     // backoff window expires the read serves the original bytes and
     // read-repair heals the corrupted replica.
-    let disk = Arc::new(DiskBackend::open(&base.join(format!("node{dead}"))).expect("reopen"));
+    let disk = Arc::new(PackedBackend::open(&base.join(format!("node{dead}"))).expect("reopen"));
     let core = Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
     services[dead] =
         Some(StorageService::respawn_on(addrs[dead], Arc::clone(&core)).expect("respawn"));

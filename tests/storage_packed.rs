@@ -1,5 +1,6 @@
 //! Crash-recovery and delete-durability e2es for the packed needle-log
-//! store, plus the cluster-level tombstone contract.
+//! store, plus the cluster-level tombstone contract and the
+//! restart-through-the-proxy / tamper-fails-closed system cases.
 //!
 //! The recovery tests form a seed-swept matrix: CI runs this file N
 //! times with distinct `P3_RECOVERY_SEED` values, and the seed chooses
@@ -8,12 +9,16 @@
 //! region of the frame (magic, header, id, payload, CRC, trailer), not
 //! just the offsets one hard-coded test happens to pick.
 
+use p3_core::pipeline::{P3Codec, P3Config};
+use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
+use p3_net::{http_get, http_post};
+use p3_psp::{PspProfile, PspService};
 use p3_storage::needle;
 use p3_storage::{
     compact_once, ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig,
     StorageBackend, StorageCore, StorageService,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -355,4 +360,133 @@ fn cluster_read_repair_never_undoes_a_delete() {
     for s in &mut services {
         s.shutdown();
     }
+}
+
+fn packed_core(dir: &Path) -> Arc<StorageCore> {
+    let backend = Arc::new(PackedBackend::open(dir).expect("open data dir"));
+    Arc::new(StorageCore::with_backend(backend))
+}
+
+fn photo_jpeg(seed: u64) -> Vec<u8> {
+    let img = p3_datasets::synth::scene(seed, 96, 72, &p3_datasets::synth::SceneParams::default());
+    p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).expect("encode")
+}
+
+/// A proxy with no secret cache, so every download hits storage.
+fn uncached_proxy(psp: &PspService, storage: &StorageService) -> P3Proxy {
+    P3Proxy::spawn(ProxyConfig {
+        psp_addr: psp.addr(),
+        storage_addr: storage.addr(),
+        master_key: b"packed test master key".to_vec(),
+        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        estimator: default_estimator(),
+        reencode_quality: 90,
+        secret_cache_capacity: 0,
+        cache_shards: 1,
+        server: p3_net::ServerConfig::default(),
+    })
+    .expect("proxy")
+}
+
+/// Blobs written through the full proxy path survive a storage-process
+/// restart (new `PackedBackend` over the same data dir, service rebound
+/// on the same address), and a needle truncated on disk reads as a
+/// detected corrupt error — never garbage bytes, never a clean 404.
+#[test]
+fn blobs_and_envelope_macs_survive_storage_restart() {
+    let dir = tmpdir("restart");
+    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
+    let mut storage = StorageService::spawn_with(packed_core(&dir)).expect("storage");
+    let storage_addr = storage.addr();
+    let proxy = uncached_proxy(&psp, &storage);
+
+    // Upload three photos through the proxy; their sealed secret parts
+    // land as needles under the data dir.
+    let ids: Vec<String> = (0..3u64)
+        .map(|seed| {
+            let resp =
+                http_post(proxy.addr(), "/photos", "image/jpeg", photo_jpeg(seed)).expect("upload");
+            assert!(resp.status.is_success(), "upload failed: {:?}", resp.status);
+            String::from_utf8_lossy(&resp.body).trim().to_string()
+        })
+        .collect();
+    assert_eq!(storage.core().len(), 3);
+
+    // "Crash": the storage process goes away entirely — service down,
+    // backend (and its index) dropped.
+    storage.shutdown();
+    drop(storage);
+
+    // Restart over the same directory on the same address. The index
+    // comes back purely from the segment scan.
+    let restarted = StorageService::respawn_on(storage_addr, packed_core(&dir)).expect("rebind");
+    assert_eq!(restarted.core().len(), 3, "segment scan must recover every blob");
+    assert_eq!(restarted.core().backend().stats().puts, 0);
+
+    // Every photo still downloads through the proxy — i.e. every
+    // recovered blob still opens under its envelope MAC and
+    // reconstructs (a flipped bit anywhere would 502, not 200).
+    for id in &ids {
+        let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("download");
+        assert!(resp.status.is_success(), "post-restart download of {id}: {:?}", resp.status);
+        assert!(p3_jpeg::decode_to_rgb(&resp.body).is_ok());
+    }
+    assert_eq!(proxy.stats().downloads_reconstructed.load(std::sync::atomic::Ordering::Relaxed), 3);
+
+    // Cut the segment file short mid-way through its last needle, under
+    // the running store: that photo's secret part must now read as a
+    // *detected* corrupt error (503 + `x-p3-error: corrupt`), never
+    // garbage bytes and never a clean 404 — a corrupt copy proves the
+    // blob exists, and a 404 here is what would let the cluster tier
+    // fabricate a false definitive miss. Other photos unaffected.
+    let seg_file = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .find(|p| p.extension().and_then(|e| e.to_str()) == Some("seg"))
+        .expect("a segment file");
+    let full_len = std::fs::metadata(&seg_file).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(&seg_file).unwrap();
+    f.set_len(full_len - 100).unwrap();
+    drop(f);
+    let mut corrupt = 0;
+    for id in &ids {
+        let direct = http_get(storage_addr, &format!("/blobs/{id}")).expect("direct get");
+        if direct.status.0 == 503 {
+            assert_eq!(
+                direct.headers.get("x-p3-error"),
+                Some("corrupt"),
+                "truncated needle's 503 must carry the corrupt marker"
+            );
+            corrupt += 1;
+            // Through the proxy the photo fails closed: an explicit
+            // error, never the degraded public part as a 200.
+            let via = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("get");
+            assert!(!via.status.is_success(), "corrupt secret served: {:?}", via.status);
+        } else {
+            // In particular never a 404: a corrupt copy must not read
+            // as a definitive miss.
+            assert!(direct.status.is_success());
+        }
+    }
+    assert_eq!(corrupt, 1, "exactly the truncated needle must surface as detected corruption");
+    assert_eq!(restarted.core().backend().stats().corrupt_reads, 2);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The tamper mode lives above the backend; a packed-store provider
+/// that flips bytes must still be caught by the envelope MAC.
+#[test]
+fn packed_service_tamper_mode_still_fails_closed() {
+    let dir = tmpdir("tamper");
+    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
+    let storage = StorageService::spawn_with(packed_core(&dir)).expect("storage");
+    let proxy = uncached_proxy(&psp, &storage);
+    let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo_jpeg(9)).expect("upload");
+    assert!(resp.status.is_success());
+    let id = String::from_utf8_lossy(&resp.body).trim().to_string();
+    storage.core().set_tamper(true);
+    let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("download");
+    assert!(!resp.status.is_success(), "tampered packed blob accepted: {:?}", resp.status);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,7 +10,8 @@ use p3_core::pipeline::{P3Codec, P3Config};
 use p3_core::pixel::rgb_to_luma;
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
-use p3_psp::{PspProfile, PspService, StorageService};
+use p3_psp::{PspProfile, PspService};
+use p3_storage::StorageService;
 use p3_vision::metrics::psnr;
 use std::sync::atomic::Ordering;
 

@@ -5,10 +5,11 @@
 //! whole round collapse into four 256-entry `u32` table lookups plus
 //! XORs per column, so the inner loop touches no per-byte S-box at all.
 //! Round keys are expanded once per cipher instance (i.e. once per
-//! envelope) into column words. Decryption keeps the byte-oriented
-//! reference implementation: it is off the hot path and doubles as an
-//! independent check on the table path in tests. Validated against the
-//! FIPS-197 appendix vectors and NIST SP 800-38A.
+//! envelope) into column words. There is no inverse cipher: CTR
+//! decryption is encryption of the same counter stream. The textbook
+//! byte-wise rounds survive as a `#[cfg(test)]` oracle for the table
+//! path (and, through it, for the AES-NI pipeline in `ctr`). Validated
+//! against the FIPS-197 appendix vectors and NIST SP 800-38A.
 
 /// Forward S-box.
 const SBOX: [u8; 256] = [
@@ -29,18 +30,6 @@ const SBOX: [u8; 256] = [
     0xe1, 0xf8, 0x98, 0x11, 0x69, 0xd9, 0x8e, 0x94, 0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
-
-/// Inverse S-box (needed only for decryption, which CTR mode never uses;
-/// kept for completeness and tested against the forward box).
-const INV_SBOX: [u8; 256] = {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-};
 
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36];
 
@@ -72,20 +61,6 @@ const fn build_te() -> [[u32; 256]; 4] {
         i += 1;
     }
     t
-}
-
-#[inline]
-fn gmul(a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    let mut a = a;
-    for _ in 0..8 {
-        if b & 1 != 0 {
-            p ^= a;
-        }
-        a = xtime(a);
-        b >>= 1;
-    }
-    p
 }
 
 /// AES cipher instance with an expanded key schedule.
@@ -221,23 +196,9 @@ impl Aes {
             block[c * 4..c * 4 + 4].copy_from_slice(&w.to_be_bytes());
         }
     }
-
-    /// Decrypt one 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; 16]) {
-        add_round_key(block, &self.round_keys[self.rounds]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for r in (1..self.rounds).rev() {
-            add_round_key(block, &self.round_keys[r]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
-        }
-        add_round_key(block, &self.round_keys[0]);
-    }
 }
 
-#[inline]
+#[cfg(test)]
 fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
     for i in 0..16 {
         state[i] ^= rk[i];
@@ -248,13 +209,6 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
 fn sub_bytes(state: &mut [u8; 16]) {
     for b in state.iter_mut() {
         *b = SBOX[*b as usize];
-    }
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = INV_SBOX[*b as usize];
     }
 }
 
@@ -269,16 +223,6 @@ fn shift_rows(state: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    let s = *state;
-    for r in 1..4 {
-        for c in 0..4 {
-            state[((c + r) % 4) * 4 + r] = s[c * 4 + r];
-        }
-    }
-}
-
 #[cfg(test)]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
@@ -287,21 +231,6 @@ fn mix_columns(state: &mut [u8; 16]) {
         state[c * 4 + 1] = col[0] ^ xtime(col[1]) ^ (xtime(col[2]) ^ col[2]) ^ col[3];
         state[c * 4 + 2] = col[0] ^ col[1] ^ xtime(col[2]) ^ (xtime(col[3]) ^ col[3]);
         state[c * 4 + 3] = (xtime(col[0]) ^ col[0]) ^ col[1] ^ col[2] ^ xtime(col[3]);
-    }
-}
-
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [state[c * 4], state[c * 4 + 1], state[c * 4 + 2], state[c * 4 + 3]];
-        state[c * 4] =
-            gmul(col[0], 0x0E) ^ gmul(col[1], 0x0B) ^ gmul(col[2], 0x0D) ^ gmul(col[3], 0x09);
-        state[c * 4 + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0E) ^ gmul(col[2], 0x0B) ^ gmul(col[3], 0x0D);
-        state[c * 4 + 2] =
-            gmul(col[0], 0x0D) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0E) ^ gmul(col[3], 0x0B);
-        state[c * 4 + 3] =
-            gmul(col[0], 0x0B) ^ gmul(col[1], 0x0D) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0E);
     }
 }
 
@@ -321,8 +250,6 @@ mod tests {
         let aes = Aes::new(&key);
         aes.encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("3925841d02dc09fbdc118597196a0b32"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("3243f6a8885a308d313198a2e0370734"));
     }
 
     #[test]
@@ -345,18 +272,8 @@ mod tests {
     fn fips197_appendix_c3_aes256() {
         let key = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
         let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        let aes = Aes::new(&key);
-        aes.encrypt_block(&mut block);
+        Aes::new(&key).encrypt_block(&mut block);
         assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
-    }
-
-    #[test]
-    fn inv_sbox_consistent() {
-        for i in 0..256usize {
-            assert_eq!(INV_SBOX[SBOX[i] as usize] as usize, i);
-        }
     }
 
     /// Byte-oriented FIPS-197 encryption built from the textbook round
@@ -389,22 +306,6 @@ mod tests {
                 encrypt_block_bytewise(&aes, &mut b);
                 assert_eq!(a, b, "key_len {key_len} seed {seed}");
             }
-        }
-    }
-
-    #[test]
-    fn encrypt_decrypt_roundtrip_many() {
-        let aes = Aes::new(&[7u8; 32]);
-        for seed in 0u8..32 {
-            let mut block = [0u8; 16];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = seed.wrapping_mul(31).wrapping_add(i as u8 * 17);
-            }
-            let orig = block;
-            aes.encrypt_block(&mut block);
-            assert_ne!(block, orig, "encryption must change the block");
-            aes.decrypt_block(&mut block);
-            assert_eq!(block, orig);
         }
     }
 

@@ -1,11 +1,13 @@
 //! Blocking HTTP client: one-shot helpers and a keep-alive
 //! [`ClientPool`] that reuses TCP connections per upstream address.
+//! Every outbound request in the system goes through one of the two and
+//! reads its reply with [`Response::read_from`].
 
 use crate::http::{HttpError, Method, Request, Response};
 use crate::transport::{Connection, Deadlines, TcpTransport, Transport};
 use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,29 +38,16 @@ impl From<HttpError> for ClientError {
     }
 }
 
-const TIMEOUT: Duration = Duration::from_secs(20);
-
 /// Send one request to `addr` on a fresh connection and read the
 /// response (`Connection: close`). For repeated traffic to the same
 /// upstream, prefer [`ClientPool`], which reuses sockets.
 pub fn send(addr: SocketAddr, mut request: Request) -> Result<Response, ClientError> {
-    let stream = connect(addr)?;
+    let stream = TcpTransport.connect(addr, Deadlines::default()).map_err(ClientError::Connect)?;
     request.headers.set("connection", "close");
     request.headers.set("host", addr.to_string());
-    let mut ws = stream.try_clone().map_err(ClientError::Connect)?;
-    request.write_to(&mut ws).map_err(HttpError::Io)?;
     let mut reader = BufReader::new(stream);
+    request.write_to(reader.get_mut()).map_err(HttpError::Io)?;
     Ok(Response::read_from(&mut reader)?)
-}
-
-fn connect(addr: SocketAddr) -> Result<TcpStream, ClientError> {
-    let stream = TcpStream::connect_timeout(&addr, TIMEOUT).map_err(ClientError::Connect)?;
-    stream.set_read_timeout(Some(TIMEOUT)).map_err(ClientError::Connect)?;
-    stream.set_write_timeout(Some(TIMEOUT)).map_err(ClientError::Connect)?;
-    // Exchanges are small and latency-bound; never trade latency for
-    // Nagle coalescing (delayed-ACK stalls dwarf the segment savings).
-    stream.set_nodelay(true).map_err(ClientError::Connect)?;
-    Ok(stream)
 }
 
 /// GET `path` from `addr`.
@@ -107,10 +96,11 @@ struct PooledConn {
 /// Idle age beyond which a pooled socket is discarded at checkout
 /// instead of tried: past an upstream's idle window a pooled socket is
 /// a guaranteed-stale failed exchange plus reconnect, so skip straight
-/// to the reconnect. Sized for upstreams that closed idle connections
-/// after 500 ms; the servers in this stack now keep them 60 s, so this
-/// only errs toward reconnecting.
-const MAX_IDLE_AGE: Duration = Duration::from_millis(400);
+/// to the reconnect. Half the servers' default idle window
+/// ([`crate::ServerConfig::idle_timeout`], 60 s): a socket this young
+/// is still open on any default-configured upstream, and one closed
+/// early anyway is caught by the stale-socket retry.
+const MAX_IDLE_AGE: Duration = Duration::from_secs(30);
 
 /// Keep-alive connection pool keyed by upstream address.
 ///
@@ -340,6 +330,19 @@ mod tests {
         }
         assert_eq!(pool.connects(), 1, "sequential requests must share one socket");
         assert_eq!(pool.reuses(), 9);
+    }
+
+    #[test]
+    fn pool_reuses_a_socket_after_a_sub_second_pause() {
+        let server = ok_server();
+        let pool = ClientPool::default();
+        assert!(pool.get(server.addr(), "/before").is_ok());
+        // Far inside the server's idle window: the socket is still open
+        // on the other end and must not be thrown away.
+        std::thread::sleep(Duration::from_millis(600));
+        assert!(pool.get(server.addr(), "/after").is_ok());
+        assert_eq!(pool.connects(), 1, "a 600 ms pause must not cost a reconnect");
+        assert_eq!(pool.reuses(), 1);
     }
 
     #[test]

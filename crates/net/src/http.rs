@@ -4,6 +4,13 @@
 //! (both PSP endpoints we simulate use it), case-insensitive headers,
 //! bounded message sizes. Chunked transfer encoding is intentionally not
 //! implemented — both ends of every connection in this system are ours.
+//!
+//! Two readers share the line parsers and size guards: the push
+//! [`RequestParser`] is the server side (reactors feed it whatever the
+//! socket produced), and the blocking [`Response::read_from`] is the
+//! one client-side parser — every outbound call in the system reads its
+//! reply through it. ([`Request::read_from`] is its mirror image, used
+//! by tests.)
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -400,9 +407,8 @@ impl Request {
     /// Parse one request from a buffered reader. Returns
     /// [`HttpError::Closed`] on clean EOF before the first byte.
     pub fn read_from<R: Read>(r: &mut BufReader<R>) -> Result<Request, HttpError> {
-        let mut line = String::new();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
+        let line = read_line_within(r, MAX_HEADER_BYTES)?;
+        if line.is_empty() {
             return Err(HttpError::Closed);
         }
         let (method, path, query, version) = parse_request_line(line.trim_end())?;
@@ -456,9 +462,8 @@ impl Response {
 
     /// Parse one response from a buffered reader.
     pub fn read_from<R: Read>(r: &mut BufReader<R>) -> Result<Response, HttpError> {
-        let mut line = String::new();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
+        let line = read_line_within(r, MAX_HEADER_BYTES)?;
+        if line.is_empty() {
             return Err(HttpError::Closed);
         }
         let status = parse_status_line(line.trim_end())?;
@@ -535,19 +540,28 @@ fn body_len(headers: &Headers) -> Result<usize, HttpError> {
     Ok(len)
 }
 
+/// Read one line (through its `\n`, or to EOF) of at most `budget`
+/// bytes. The peer is untrusted: a line that spends the budget without
+/// terminating is [`HttpError::TooLarge`] after `budget + 1` bytes, not
+/// a `String` grown until the stream ends. Empty means EOF.
+fn read_line_within<R: Read>(r: &mut BufReader<R>, budget: usize) -> Result<String, HttpError> {
+    let mut line = String::new();
+    let n = r.by_ref().take(budget as u64 + 1).read_line(&mut line)?;
+    if n > budget {
+        return Err(HttpError::TooLarge);
+    }
+    Ok(line)
+}
+
 fn read_headers<R: Read>(r: &mut BufReader<R>) -> Result<Headers, HttpError> {
     let mut headers = Headers::new();
     let mut total = 0usize;
     loop {
-        let mut line = String::new();
-        let n = r.read_line(&mut line)?;
-        if n == 0 {
+        let line = read_line_within(r, MAX_HEADER_BYTES - total)?;
+        if line.is_empty() {
             return Err(HttpError::Parse("eof in headers".into()));
         }
-        total += n;
-        if total > MAX_HEADER_BYTES {
-            return Err(HttpError::TooLarge);
-        }
+        total += line.len();
         let line = line.trim_end();
         if line.is_empty() {
             return Ok(headers);
@@ -567,84 +581,71 @@ fn read_body<R: Read>(r: &mut BufReader<R>, headers: &Headers) -> Result<Vec<u8>
 // Incremental (resumable) parsing for the epoll serving tier
 // ---------------------------------------------------------------------
 
-/// What the head of the message parsed to.
-enum Head {
-    None,
-    Request { method: Method, path: String, query: Vec<(String, String)>, version: Version },
-    Response { status: StatusCode },
-}
-
-enum Kind {
-    Request,
-    Response,
-}
-
 enum Phase {
     FirstLine,
     Headers,
     Body { need: usize },
 }
 
-enum Msg {
-    Request(Request),
-    Response(Response),
-}
-
-/// Resumable push parser: feed it whatever bytes the socket produced,
-/// get back a message once one is complete. Semantics match the one-shot
-/// [`Request::read_from`]/[`Response::read_from`] exactly on valid
-/// streams (the equivalence is property-tested); the push parser is
-/// additionally strict about unterminated lines, rejecting them with
-/// [`HttpError::TooLarge`] as soon as the size guard is exceeded rather
+/// Resumable push parser for requests (the epoll server's per-connection
+/// parse state). `feed` never blocks: hand it whatever bytes the socket
+/// produced and it returns how many it consumed plus a complete request
+/// once one is assembled, leaving any pipelined remainder unconsumed.
+/// It applies the same line parsers and size guards as the blocking
+/// [`Request::read_from`], and like it rejects an unterminated line with
+/// [`HttpError::TooLarge`] as soon as the header budget is spent rather
 /// than buffering without bound.
-struct MessageParser {
-    kind: Kind,
+pub struct RequestParser {
     phase: Phase,
     /// Bytes of the current, not-yet-terminated line (sans `\n`).
     line: Vec<u8>,
     header_bytes: usize,
-    head: Head,
+    /// The parsed request line, once [`Phase::FirstLine`] is past.
+    head: Option<RequestLine>,
     headers: Headers,
     body: Vec<u8>,
 }
 
-impl MessageParser {
-    fn new(kind: Kind) -> MessageParser {
-        MessageParser {
-            kind,
+impl Default for RequestParser {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl RequestParser {
+    /// A parser expecting the start of a request.
+    pub fn new() -> RequestParser {
+        RequestParser {
             phase: Phase::FirstLine,
             line: Vec::new(),
             header_bytes: 0,
-            head: Head::None,
+            head: None,
             headers: Headers::new(),
             body: Vec::new(),
         }
     }
 
-    fn is_idle(&self) -> bool {
+    /// True when no bytes of the next request have arrived yet —
+    /// i.e. the connection is between requests (idle-timeout eligible).
+    pub fn is_idle(&self) -> bool {
         matches!(self.phase, Phase::FirstLine) && self.line.is_empty()
     }
 
-    fn finish(&mut self) -> Msg {
+    fn finish(&mut self) -> Request {
         let headers = std::mem::take(&mut self.headers);
         let body = std::mem::take(&mut self.body);
-        let head = std::mem::replace(&mut self.head, Head::None);
+        let (method, path, query, version) =
+            self.head.take().expect("finish without a parsed request line");
         self.phase = Phase::FirstLine;
         self.header_bytes = 0;
         self.line.clear();
-        match head {
-            Head::Request { method, path, query, version } => {
-                Msg::Request(Request { method, path, query, version, headers, body })
-            }
-            Head::Response { status } => Msg::Response(Response { status, headers, body }),
-            Head::None => unreachable!("finish without a parsed head"),
-        }
+        Request { method, path, query, version, headers, body }
     }
 
-    /// Consume bytes from `input`, returning how many were used and a
-    /// message if one completed. On completion, unused input is left for
-    /// the caller (pipelining); the parser resets for the next message.
-    fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<Msg>), HttpError> {
+    /// Feed socket bytes; returns `(consumed, maybe-complete-request)`.
+    /// On completion, unused input is left for the caller (pipelining)
+    /// and the parser resets for the next request.
+    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<Request>), HttpError> {
         let mut consumed = 0;
         while consumed < input.len() {
             match self.phase {
@@ -667,36 +668,24 @@ impl MessageParser {
                     let text = String::from_utf8(owned)
                         .map_err(|_| HttpError::Parse("non-utf8 header line".into()))?;
                     let line = text.trim_end();
-                    match self.phase {
-                        Phase::FirstLine => {
-                            self.head = match self.kind {
-                                Kind::Request => {
-                                    let (method, path, query, version) = parse_request_line(line)?;
-                                    Head::Request { method, path, query, version }
-                                }
-                                Kind::Response => {
-                                    Head::Response { status: parse_status_line(line)? }
-                                }
-                            };
-                            self.phase = Phase::Headers;
+                    if matches!(self.phase, Phase::FirstLine) {
+                        self.head = Some(parse_request_line(line)?);
+                        self.phase = Phase::Headers;
+                        continue;
+                    }
+                    self.header_bytes += raw_len;
+                    if self.header_bytes > MAX_HEADER_BYTES {
+                        return Err(HttpError::TooLarge);
+                    }
+                    if line.is_empty() {
+                        let need = body_len(&self.headers)?;
+                        if need == 0 {
+                            return Ok((consumed, Some(self.finish())));
                         }
-                        Phase::Headers => {
-                            self.header_bytes += raw_len;
-                            if self.header_bytes > MAX_HEADER_BYTES {
-                                return Err(HttpError::TooLarge);
-                            }
-                            if line.is_empty() {
-                                let need = body_len(&self.headers)?;
-                                if need == 0 {
-                                    return Ok((consumed, Some(self.finish())));
-                                }
-                                self.body.reserve(need.min(1 << 20));
-                                self.phase = Phase::Body { need };
-                            } else {
-                                parse_header_line(line, &mut self.headers)?;
-                            }
-                        }
-                        Phase::Body { .. } => unreachable!(),
+                        self.body.reserve(need.min(1 << 20));
+                        self.phase = Phase::Body { need };
+                    } else {
+                        parse_header_line(line, &mut self.headers)?;
                     }
                 }
                 Phase::Body { need } => {
@@ -711,81 +700,6 @@ impl MessageParser {
             }
         }
         Ok((consumed, None))
-    }
-}
-
-/// Resumable push parser for requests (the epoll server's per-connection
-/// parse state). `feed` never blocks: hand it whatever bytes the socket
-/// produced and it returns how many it consumed plus a complete message
-/// once one is assembled, leaving any pipelined remainder unconsumed.
-pub struct RequestParser {
-    inner: MessageParser,
-}
-
-impl Default for RequestParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RequestParser {
-    /// A parser expecting the start of a request.
-    pub fn new() -> RequestParser {
-        RequestParser { inner: MessageParser::new(Kind::Request) }
-    }
-
-    /// True when no bytes of the next request have arrived yet —
-    /// i.e. the connection is between requests (idle-timeout eligible).
-    pub fn is_idle(&self) -> bool {
-        self.inner.is_idle()
-    }
-
-    /// Feed socket bytes; returns `(consumed, maybe-complete-message)`.
-    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<Request>), HttpError> {
-        let (n, msg) = self.inner.feed(input)?;
-        Ok((
-            n,
-            msg.map(|m| match m {
-                Msg::Request(r) => r,
-                Msg::Response(_) => unreachable!(),
-            }),
-        ))
-    }
-}
-
-/// Resumable push parser for responses (the nonblocking client path).
-/// Same `feed` contract as [`RequestParser`].
-pub struct ResponseParser {
-    inner: MessageParser,
-}
-
-impl Default for ResponseParser {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResponseParser {
-    /// A parser expecting the start of a response.
-    pub fn new() -> ResponseParser {
-        ResponseParser { inner: MessageParser::new(Kind::Response) }
-    }
-
-    /// True when no bytes of the next response have arrived yet.
-    pub fn is_idle(&self) -> bool {
-        self.inner.is_idle()
-    }
-
-    /// Feed socket bytes; returns `(consumed, maybe-complete-message)`.
-    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<Response>), HttpError> {
-        let (n, msg) = self.inner.feed(input)?;
-        Ok((
-            n,
-            msg.map(|m| match m {
-                Msg::Response(r) => r,
-                Msg::Request(_) => unreachable!(),
-            }),
-        ))
     }
 }
 
@@ -869,6 +783,40 @@ mod tests {
         let err =
             Request::read_from(&mut BufReader::new(Cursor::new(raw.into_bytes()))).unwrap_err();
         assert!(matches!(err, HttpError::TooLarge));
+    }
+
+    /// Counts what a parser pulls off the "socket" it wraps.
+    struct Counting<R> {
+        inner: R,
+        served: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.served += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn unterminated_header_line_is_too_large_within_the_header_budget() {
+        // A hostile upstream: a valid status line, then a megabyte of
+        // header line with no newline in it.
+        const STATUS: &[u8] = b"HTTP/1.1 200 OK\r\n";
+        let hostile = STATUS.chain(std::io::repeat(b'a').take(1 << 20));
+        let mut reader = BufReader::new(Counting { inner: hostile, served: 0 });
+        let err = Response::read_from(&mut reader).unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge), "got {err}");
+        let served = reader.get_ref().served;
+        assert!(
+            served <= STATUS.len() + MAX_HEADER_BYTES + reader.capacity(),
+            "read {served} bytes of a header line with no newline before giving up"
+        );
+        // The request line and the request side share the guard.
+        let flood = vec![b'G'; MAX_HEADER_BYTES + 2];
+        let err = Request::read_from(&mut BufReader::new(Cursor::new(flood))).unwrap_err();
+        assert!(matches!(err, HttpError::TooLarge), "got {err}");
     }
 
     #[test]
@@ -1094,23 +1042,5 @@ mod tests {
         let wire = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
         let mut p = RequestParser::new();
         assert!(matches!(p.feed(wire.as_bytes()), Err(HttpError::TooLarge)));
-    }
-
-    #[test]
-    fn push_response_parser_round_trips() {
-        let mut resp = Response::ok("application/octet-stream", vec![3u8; 512]);
-        resp.headers.set("x-p3-part", "public");
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire).unwrap();
-        let mut p = ResponseParser::new();
-        // Split at an awkward spot inside the header block.
-        let (n1, none) = p.feed(&wire[..17]).unwrap();
-        assert!(none.is_none());
-        let (n2, msg) = p.feed(&wire[17..]).unwrap();
-        assert_eq!(n1 + n2, wire.len());
-        let back = msg.unwrap();
-        assert_eq!(back.status, StatusCode::OK);
-        assert_eq!(back.headers.get("x-p3-part"), Some("public"));
-        assert_eq!(back.body.len(), 512);
     }
 }

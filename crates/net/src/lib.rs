@@ -8,8 +8,10 @@
 //! way in, with no modification to either the PSP or the client app.
 //! This crate provides that plumbing:
 //!
-//! * [`http`] — request/response types, a strict incremental parser, and
-//!   serialization (HTTP/1.0 and 1.1, `Content-Length` framing);
+//! * [`http`] — request/response types, serialization, a strict
+//!   incremental request parser for the serving side and a blocking
+//!   response reader for the calling side (HTTP/1.0 and 1.1,
+//!   `Content-Length` framing);
 //! * [`server`] — the serving tier: epoll reactor event loops (the
 //!   vendored `p3-reactor` runtime) multiplexing nonblocking connections
 //!   with per-connection incremental parse state machines, a bounded
@@ -17,12 +19,13 @@
 //!   (`503 + retry-after`), an idle-connection window, and graceful
 //!   drain on shutdown;
 //! * [`client`] — a small blocking HTTP client with timeouts, plus a
-//!   keep-alive [`client::ClientPool`] that reuses upstream sockets;
+//!   keep-alive [`client::ClientPool`] that reuses upstream sockets —
+//!   the one outbound path (proxy→PSP, proxy→storage, router→node,
+//!   CLI);
 //! * [`transport`] — the pluggable connection layer under the pool:
-//!   plain TCP in production, [`transport::ReactorTransport`] to ride
-//!   upstream connections on the server's own reactor threads, and a
-//!   per-peer-pair fault injector (partitions, black holes, latency,
-//!   in-flight bit flips) in tests;
+//!   plain blocking TCP in production, and a per-peer-pair fault
+//!   injector (partitions, black holes, latency, in-flight bit flips)
+//!   wrapped around that same TCP path in tests;
 //! * [`proxy`] — the P3 trusted proxy itself: sharded secret-part LRU,
 //!   singleflighted storage fetches, and the paper's concurrent
 //!   fetch-while-forwarding download path.
@@ -33,6 +36,10 @@
 //! machines — no `async`/`await`, no hidden executor state. Handler code
 //! stays synchronous and blocking; it runs on a bounded offload pool
 //! while reactor threads only parse, dispatch, and shuffle bytes.
+//! Reactors serve, blocking sockets call: an upstream request is made
+//! from the offload worker that needs the answer, so the number in
+//! flight is bounded by the pool size and no outbound socket is ever
+//! registered on an event loop.
 
 pub mod client;
 mod conn;
@@ -46,12 +53,11 @@ mod video;
 pub use client::{http_delete, http_get, http_post, http_put, ClientError, ClientPool};
 pub use http::{
     apply_range, parse_range_header, ByteRange, Headers, Method, RangeHeader, Request,
-    RequestParser, Response, ResponseParser, StatusCode, Version,
+    RequestParser, Response, StatusCode, Version,
 };
 pub use p3_reactor::raise_nofile_limit;
 pub use proxy::{P3Proxy, ProxyConfig, ProxyStats, TransformEstimator};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use transport::{
-    Connection, Deadlines, FaultPlan, FaultRule, FaultTransport, ReactorTransport, TcpTransport,
-    Transport,
+    Connection, Deadlines, FaultPlan, FaultRule, FaultTransport, TcpTransport, Transport,
 };

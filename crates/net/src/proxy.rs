@@ -25,16 +25,16 @@
 //!
 //! Serving architecture: requests arrive on [`crate::server`] (epoll
 //! reactors — connection I/O on event loops, handlers on the offload
-//! pool). Upstream traffic to the PSP and storage rides the *same*
-//! reactor threads via [`ReactorTransport`], so a pooled upstream socket
-//! costs an fd rather than a blocked thread; the [`ClientPool`] reuses
-//! those keep-alive connections. The secret-part LRU is sharded by
+//! pool). Upstream calls to the PSP and storage are made from the
+//! offload worker running the handler, over the [`ClientPool`]'s
+//! blocking keep-alive sockets — the same client path the cluster
+//! router and the CLI use — so in-flight upstream calls are bounded by
+//! [`ServerConfig::workers`]. The secret-part LRU is sharded by
 //! photo-ID hash so concurrent downloads contend on independent locks.
 
 use crate::client::ClientPool;
 use crate::http::{Method, Request, Response, StatusCode};
 use crate::server::{Server, ServerConfig, ServerStats};
-use crate::transport::{Deadlines, ReactorTransport};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
 use p3_core::transform::TransformSpec;
@@ -326,7 +326,7 @@ pub(crate) struct ProxyCtx {
     cache: ShardedCache,
     flights: SingleFlight,
     pub(crate) pool: ClientPool,
-    /// Serving-tier counters, shared with the listening server so
+    /// Serving-tier counters the listening server counts into, so
     /// `/stats` can report them without a back-reference.
     server_stats: Arc<ServerStats>,
 }
@@ -357,41 +357,21 @@ impl P3Proxy {
 
     /// Start the proxy on an explicit listen address.
     pub fn spawn_on(addr: &str, cfg: ProxyConfig) -> std::io::Result<P3Proxy> {
-        // The upstream pool rides the server's own reactor threads,
-        // which exist only once the server is up — so the server starts
-        // first with a handler that answers `503 + retry-after` for the
-        // microseconds until the context lands in the `OnceLock`.
-        let server_cfg = cfg.server.clone();
-        let ctx_slot: Arc<std::sync::OnceLock<Arc<ProxyCtx>>> =
-            Arc::new(std::sync::OnceLock::new());
-        let ctx_slot2 = Arc::clone(&ctx_slot);
-        let handler = move |req: &Request| match ctx_slot2.get() {
-            Some(ctx) => handle(req, ctx),
-            None => {
-                let mut resp = Response::text(StatusCode::SERVICE_UNAVAILABLE, "proxy starting");
-                resp.headers.set("retry-after", "1");
-                resp
-            }
-        };
-        let server = Server::spawn_with(addr, server_cfg, Arc::new(handler))?;
-        // Upstream sockets as reactor-pumped nonblocking fds: one set of
-        // event loops carries both directions of the proxy. Handlers run
-        // on the offload pool, so their blocking reads never wait on a
-        // loop they occupy.
-        let pool = ClientPool::with_transport(
-            crate::client::DEFAULT_MAX_IDLE_PER_HOST,
-            Arc::new(ReactorTransport::new(server.reactor_handles().to_vec())),
-            Deadlines::default(),
-        );
         let ctx = Arc::new(ProxyCtx {
             stats: Arc::new(ProxyStats::default()),
             cache: ShardedCache::new(cfg.secret_cache_capacity, cfg.cache_shards),
             flights: SingleFlight::default(),
-            pool,
-            server_stats: server.stats_arc(),
+            pool: ClientPool::default(),
+            server_stats: Arc::default(),
             cfg,
         });
-        let _ = ctx_slot.set(Arc::clone(&ctx));
+        let handler_ctx = Arc::clone(&ctx);
+        let server = Server::spawn_with_stats(
+            addr,
+            ctx.cfg.server.clone(),
+            Arc::clone(&ctx.server_stats),
+            Arc::new(move |req: &Request| handle(req, &handler_ctx)),
+        )?;
         Ok(P3Proxy { server, ctx })
     }
 

@@ -130,6 +130,18 @@ impl Server {
 
     /// Bind to an explicit address with explicit configuration.
     pub fn spawn_with(addr: &str, cfg: ServerConfig, handler: Handler) -> std::io::Result<Server> {
+        Self::spawn_with_stats(addr, cfg, Arc::default(), handler)
+    }
+
+    /// [`Server::spawn_with`] counting into caller-made `stats`, so a
+    /// handler that reports them (the proxy's `/stats`) can be built
+    /// before the server it runs on.
+    pub(crate) fn spawn_with_stats(
+        addr: &str,
+        cfg: ServerConfig,
+        stats: Arc<ServerStats>,
+        handler: Handler,
+    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -138,7 +150,6 @@ impl Server {
         let workers = cfg.workers.max(1);
         let queue_depth = cfg.queue_depth.max(1);
 
-        let stats = Arc::new(ServerStats::default());
         stats.reactor_threads.store(reactors as u64, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
@@ -254,20 +265,9 @@ impl Server {
         &self.shared.stats
     }
 
-    /// Shareable handle to the serving counters (outlives the server).
-    pub fn stats_arc(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.shared.stats)
-    }
-
     /// Requests parsed and dispatched but not yet fully written back.
     pub fn in_flight(&self) -> usize {
         self.shared.in_flight.load(Ordering::SeqCst)
-    }
-
-    /// Handles to the reactor threads, so upstream client connections
-    /// can ride the same event loops.
-    pub fn reactor_handles(&self) -> &[Handle] {
-        &self.handles
     }
 
     /// Make the next `n` accepted connections behave as transient

@@ -7,13 +7,14 @@
 //! faults the harness could inject were ones a node could inflict on
 //! itself (kill, slow core, full disk, disk rot). The [`Transport`]
 //! trait is the seam that fixes that: [`ClientPool`] routes every
-//! connection through it, production uses the unchanged
-//! [`TcpTransport`], and tests wrap it in a [`FaultTransport`] that
-//! can — per (source, destination) pair — refuse connections, black-
-//! hole them (timeout instead of RST, the expensive failure), inject
-//! latency, and flip response payload bytes in flight. Asymmetric
-//! partitions ("router reaches node A but not B") become one rule in a
-//! [`FaultPlan`].
+//! connection through it, production uses [`TcpTransport`] — a blocking
+//! socket with deadlines, the one outbound path for the proxy's two
+//! upstreams and the cluster router's nodes alike — and tests wrap
+//! that same path in a [`FaultTransport`] that can — per (source,
+//! destination) pair — refuse connections, black-hole them (timeout
+//! instead of RST, the expensive failure), inject latency, and flip
+//! response payload bytes in flight. Asymmetric partitions ("router
+//! reaches node A but not B") become one rule in a [`FaultPlan`].
 //!
 //! [`ClientPool`]: crate::client::ClientPool
 
@@ -110,54 +111,6 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Transport whose connections are nonblocking sockets pumped by the
-/// serving tier's own reactor threads ([`p3_reactor::DrivenStream`]
-/// under a blocking facade), distributed round-robin across the
-/// reactors. With this under the [`ClientPool`], one set of event loops
-/// carries both the downstream connections being served and the upstream
-/// connections the proxy opens on their behalf — thousands of pooled
-/// upstream sockets cost fds, not threads.
-///
-/// Handler code that uses this transport must run on the offload pool,
-/// never on a reactor thread: a blocking read would be waiting on the
-/// very loop it is blocking (the server guarantees this).
-///
-/// [`ClientPool`]: crate::client::ClientPool
-pub struct ReactorTransport {
-    handles: Vec<p3_reactor::Handle>,
-    next: AtomicU64,
-}
-
-impl std::fmt::Debug for ReactorTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ReactorTransport {{ reactors: {} }}", self.handles.len())
-    }
-}
-
-impl ReactorTransport {
-    /// Spread connections round-robin over `handles` (typically
-    /// [`Server::reactor_handles`]). Empty handles are rejected by
-    /// `connect`, not here, so construction is infallible.
-    ///
-    /// [`Server::reactor_handles`]: crate::server::Server::reactor_handles
-    pub fn new(handles: Vec<p3_reactor::Handle>) -> ReactorTransport {
-        ReactorTransport { handles, next: AtomicU64::new(0) }
-    }
-}
-
-impl Transport for ReactorTransport {
-    fn connect(&self, addr: SocketAddr, deadlines: Deadlines) -> io::Result<Box<dyn Connection>> {
-        if self.handles.is_empty() {
-            return Err(io::Error::other("ReactorTransport has no reactor handles"));
-        }
-        let i = self.next.fetch_add(1, Ordering::Relaxed) as usize % self.handles.len();
-        let mut stream =
-            p3_reactor::DrivenStream::connect(&self.handles[i], &addr, deadlines.connect)?;
-        stream.set_read_timeout(Some(deadlines.read));
-        Ok(Box::new(stream))
-    }
-}
-
 /// What the network does to one (source, destination) pair.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FaultRule {
@@ -250,26 +203,18 @@ impl FaultPlan {
 }
 
 /// A [`Transport`] that applies the [`FaultPlan`]'s rule for
-/// (its source label, destination) to every connection, delegating
-/// clean traffic to an inner transport (TCP by default).
+/// (its source label, destination) to every connection and hands clean
+/// traffic to [`TcpTransport`] — the path production runs.
 #[derive(Debug)]
 pub struct FaultTransport {
     source: String,
     plan: Arc<FaultPlan>,
-    inner: Arc<dyn Transport>,
 }
 
 impl FaultTransport {
     /// Fault-wrap plain TCP for the peer labeled `source`.
     pub fn new(source: &str, plan: Arc<FaultPlan>) -> FaultTransport {
-        FaultTransport::with_inner(source, plan, Arc::new(TcpTransport))
-    }
-
-    /// Fault-wrap an arbitrary transport — e.g. a [`ReactorTransport`],
-    /// so chaos harnesses can inject partitions under connections that
-    /// ride the serving tier's event loops.
-    pub fn with_inner(source: &str, plan: Arc<FaultPlan>, inner: Arc<dyn Transport>) -> Self {
-        FaultTransport { source: source.to_string(), plan, inner }
+        FaultTransport { source: source.to_string(), plan }
     }
 }
 
@@ -285,7 +230,7 @@ impl Transport for FaultTransport {
             std::thread::sleep(deadlines.connect);
             return Err(io::Error::new(io::ErrorKind::TimedOut, "fault: black hole"));
         }
-        let inner = self.inner.connect(addr, deadlines)?;
+        let inner = TcpTransport.connect(addr, deadlines)?;
         Ok(Box::new(FaultConn {
             inner,
             source: self.source.clone(),
@@ -486,29 +431,5 @@ mod tests {
         // Healed pair serves clean bytes again.
         plan.clear("test", a.addr());
         assert_eq!(pool.get(a.addr(), "/clean").unwrap().body, b"/clean");
-    }
-
-    #[test]
-    fn fault_transport_composes_over_reactor_transport() {
-        // PR 7's chaos layer must keep working when the pool rides the
-        // serving tier's reactors instead of plain TCP.
-        let a = echo_server();
-        assert!(!a.reactor_handles().is_empty());
-        let plan = FaultPlan::new();
-        let inner = Arc::new(ReactorTransport::new(a.reactor_handles().to_vec()));
-        let transport = Arc::new(FaultTransport::with_inner("test", Arc::clone(&plan), inner));
-        let pool = ClientPool::with_transport(
-            crate::client::DEFAULT_MAX_IDLE_PER_HOST,
-            transport,
-            short_deadlines(),
-        );
-        let resp = pool.get(a.addr(), "/via-reactor").unwrap();
-        assert_eq!(resp.body, b"/via-reactor");
-        // A black hole opening under the reactor-driven socket must
-        // still swallow the next exchange (rules are re-consulted per
-        // operation, not per connect).
-        plan.set("test", a.addr(), FaultRule::black_holed());
-        assert!(pool.get(a.addr(), "/x").is_err());
-        assert!(plan.black_holed() >= 1);
     }
 }

@@ -1,20 +1,20 @@
 //! Property tests for the HTTP layer: roundtrips, parser robustness,
-//! and split-invariance of the incremental (reactor-side) parsers.
+//! and split-invariance of the incremental (reactor-side) parser.
 
 use p3_net::http::{HttpError, Method, Request, Response, StatusCode, MAX_HEADER_BYTES};
-use p3_net::{RequestParser, ResponseParser};
+use p3_net::RequestParser;
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor};
 
-/// Drive `wire` through an incremental parser in `sizes`-shaped chunks
-/// exactly the way the epoll server does: append a chunk to the pending
-/// buffer, feed, drop what was consumed, repeat until a message (or an
-/// error) falls out.
-fn split_feed<T>(
+/// Drive `wire` through `parser` in `sizes`-shaped chunks exactly the
+/// way the epoll server does: append a chunk to the pending buffer,
+/// feed, drop what was consumed, repeat until a request (or an error)
+/// falls out.
+fn split_feed(
+    parser: &mut RequestParser,
     wire: &[u8],
     sizes: &[usize],
-    mut feed: impl FnMut(&[u8]) -> Result<(usize, Option<T>), HttpError>,
-) -> Result<Option<T>, HttpError> {
+) -> Result<Option<Request>, HttpError> {
     let mut pending: Vec<u8> = Vec::new();
     let mut offset = 0;
     let mut turn = 0;
@@ -24,7 +24,7 @@ fn split_feed<T>(
         pending.extend_from_slice(&wire[offset..offset + take]);
         offset += take;
         loop {
-            let (n, msg) = feed(&pending)?;
+            let (n, msg) = parser.feed(&pending)?;
             pending.drain(..n);
             if msg.is_some() {
                 return Ok(msg);
@@ -103,38 +103,13 @@ proptest! {
         let one_shot = one_shot.expect("one-shot parse must complete");
 
         let mut parser = RequestParser::new();
-        let split = split_feed(&wire, &sizes, |chunk| parser.feed(chunk))
+        let split = split_feed(&mut parser, &wire, &sizes)
             .unwrap()
             .expect("split parse must complete");
         prop_assert!(parser.is_idle());
         prop_assert_eq!(split.method, one_shot.method);
         prop_assert_eq!(&split.path, &one_shot.path);
         prop_assert_eq!(split.headers.get("x-prop"), one_shot.headers.get("x-prop"));
-        prop_assert_eq!(split.body, one_shot.body);
-    }
-
-    /// Same invariant for the response side (the nonblocking client
-    /// path reads upstream replies through [`ResponseParser`]).
-    #[test]
-    fn split_response_parses_like_one_shot(code in 100u16..600,
-                                           body in prop::collection::vec(any::<u8>(), 0..4096),
-                                           sizes in prop::collection::vec(1usize..97, 1..12)) {
-        let mut resp = Response::ok("application/octet-stream", body);
-        resp.status = StatusCode(code);
-        let mut wire = Vec::new();
-        resp.write_to(&mut wire).unwrap();
-
-        let (n, one_shot) = ResponseParser::new().feed(&wire).unwrap();
-        prop_assert_eq!(n, wire.len());
-        let one_shot = one_shot.expect("one-shot parse must complete");
-
-        let mut parser = ResponseParser::new();
-        let split = split_feed(&wire, &sizes, |chunk| parser.feed(chunk))
-            .unwrap()
-            .expect("split parse must complete");
-        prop_assert!(parser.is_idle());
-        prop_assert_eq!(split.status.0, one_shot.status.0);
-        prop_assert_eq!(split.headers.get("content-type"), one_shot.headers.get("content-type"));
         prop_assert_eq!(split.body, one_shot.body);
     }
 
@@ -148,18 +123,7 @@ proptest! {
         wire.extend(std::iter::repeat_n(b'a', MAX_HEADER_BYTES + extra));
         wire.extend_from_slice(b"\r\n\r\n");
         let mut parser = RequestParser::new();
-        let outcome = split_feed(&wire, &sizes, |chunk| parser.feed(chunk));
-        prop_assert!(matches!(outcome, Err(HttpError::TooLarge)));
-    }
-
-    #[test]
-    fn split_oversized_response_headers_rejected(extra in 1usize..4096,
-                                                 sizes in prop::collection::vec(1usize..8192, 1..12)) {
-        let mut wire = b"HTTP/1.1 200 OK\r\nx-pad: ".to_vec();
-        wire.extend(std::iter::repeat_n(b'a', MAX_HEADER_BYTES + extra));
-        wire.extend_from_slice(b"\r\n\r\n");
-        let mut parser = ResponseParser::new();
-        let outcome = split_feed(&wire, &sizes, |chunk| parser.feed(chunk));
+        let outcome = split_feed(&mut parser, &wire, &sizes);
         prop_assert!(matches!(outcome, Err(HttpError::TooLarge)));
     }
 }

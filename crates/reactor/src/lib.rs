@@ -18,11 +18,12 @@
 //! * [`wheel`] — a hashed timer wheel: O(1) set/cancel, timers drained as
 //!   the cursor sweeps past their slot;
 //! * [`reactor`] — the event loop itself: sources, tokens, interest
-//!   management, cross-thread job/wake injection via `eventfd`;
-//! * [`stream`] — [`DrivenStream`], a blocking `Read`/`Write` facade over a
-//!   nonblocking socket pumped by a reactor thread, so synchronous callers
-//!   (the upstream client pool) can ride the same event loops that serve
-//!   downstream connections.
+//!   management, cross-thread job/wake injection via `eventfd`.
+//!
+//! Reactors own *inbound* connections only: the sockets a server accepted.
+//! Outbound calls (the proxy's and the cluster router's upstream requests)
+//! are plain blocking sockets made from offload-pool threads and never
+//! touch an event loop.
 //!
 //! Threading model: a reactor runs on exactly one thread; sources are
 //! `Rc<RefCell<_>>` and never cross threads. Other threads talk to a
@@ -30,10 +31,8 @@
 //! loop via `eventfd`.
 
 pub mod reactor;
-pub mod stream;
 pub mod sys;
 pub mod wheel;
 
 pub use reactor::{spawn_loop, Handle, Reactor, Source, Token};
-pub use stream::DrivenStream;
 pub use sys::raise_nofile_limit;

@@ -115,7 +115,7 @@ use crate::{
     BackendStats, MembershipChange, MembershipView, StatCounters, StorageBackend, StorageError,
     StorageResult,
 };
-use p3_net::client::{ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
+use p3_net::client::{ClientError, ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
 use p3_net::{Deadlines, Response, StatusCode, TcpTransport, Transport};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -124,7 +124,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-/// Page size the rebalancer/sweeper request from `GET /index`.
+/// Page size the rebalancer/sweeper request from `GET /index` and
+/// `GET /tombstones`.
 const INDEX_FETCH_PAGE: usize = 512;
 
 /// Cluster topology and failure-handling knobs.
@@ -292,7 +293,8 @@ pub struct ClusterBackend {
     stats: StatCounters,
 }
 
-/// Outcome of one node request (after in-place retries).
+/// What one node said about one blob.
+#[derive(Debug, PartialEq)]
 enum NodeAnswer {
     /// A 2xx whose body survived the wire-CRC check.
     Found(Vec<u8>),
@@ -443,46 +445,60 @@ impl ClusterBackend {
         *ejected = Some(now + Duration::from_secs_f64(window.max(0.0)));
     }
 
+    /// What a node's `GET /blobs/{id}` result tells the router — the one
+    /// place a node's word is interpreted, for the read path and the
+    /// repair paths alike. Every `Corrupt` is counted in
+    /// `integrity_rejects`, whoever asked.
+    fn classify(&self, got: Result<Response, ClientError>) -> NodeAnswer {
+        let answer = match got {
+            Ok(r) if r.status.is_success() && wire_crc_ok(&r) => NodeAnswer::Found(r.body),
+            // Alive node, rotten payload (at rest past the node's own
+            // check, or flipped in flight).
+            Ok(r) if r.status.is_success() => NodeAnswer::Corrupt,
+            Ok(r) if r.status == StatusCode::NOT_FOUND => {
+                if r.headers.get("x-p3-tombstone") == Some("1") {
+                    NodeAnswer::Deleted
+                } else {
+                    NodeAnswer::Absent
+                }
+            }
+            // The node detected its own at-rest corruption: it is alive
+            // and *holds* the blob — it may neither be ejected nor vote
+            // the blob absent.
+            Ok(r) if r.headers.get("x-p3-error") == Some("corrupt") => NodeAnswer::Corrupt,
+            _ => NodeAnswer::Failed,
+        };
+        if matches!(answer, NodeAnswer::Corrupt) {
+            self.stats.integrity_reject();
+        }
+        answer
+    }
+
+    /// One GET straight to a node address, classified. Outside the
+    /// health bookkeeping: the repair paths use it bare, [`Self::node_get`]
+    /// adds retries and the circuit breaker.
+    fn ask(&self, addr: SocketAddr, id: &str) -> NodeAnswer {
+        self.classify(self.pool.get(addr, &format!("/blobs/{id}")))
+    }
+
     fn node_get(&self, m: &Membership, node: usize, id: &str) -> NodeAnswer {
         let mut attempt = 0u32;
         loop {
-            match self.pool.get(m.nodes[node], &format!("/blobs/{id}")) {
-                Ok(r) if r.status.is_success() => {
-                    if !wire_crc_ok(&r) {
-                        // Alive node, rotten payload (at rest past the
-                        // node's own check, or flipped in flight).
-                        self.stats.integrity_reject();
-                        self.mark_ok(m, node);
-                        return NodeAnswer::Corrupt;
-                    }
-                    self.mark_ok(m, node);
-                    return NodeAnswer::Found(r.body);
+            match self.ask(m.nodes[node], id) {
+                NodeAnswer::Failed if attempt < self.cfg.op_retries => {
+                    attempt += 1;
+                    self.stats.retry();
+                    std::thread::sleep(self.cfg.retry_pause);
                 }
-                Ok(r) if r.status == StatusCode::NOT_FOUND => {
-                    self.mark_ok(m, node);
-                    return if r.headers.get("x-p3-tombstone") == Some("1") {
-                        NodeAnswer::Deleted
-                    } else {
-                        NodeAnswer::Absent
-                    };
-                }
-                Ok(r) if r.headers.get("x-p3-error") == Some("corrupt") => {
-                    // The node detected its own at-rest corruption: it
-                    // is alive and *holds* the blob — don't eject it,
-                    // don't let it vote the blob absent.
-                    self.stats.integrity_reject();
-                    self.mark_ok(m, node);
-                    return NodeAnswer::Corrupt;
-                }
-                _ => {
-                    if attempt < self.cfg.op_retries {
-                        attempt += 1;
-                        self.stats.retry();
-                        std::thread::sleep(self.cfg.retry_pause);
-                        continue;
-                    }
+                NodeAnswer::Failed => {
                     self.mark_failure(m, node);
                     return NodeAnswer::Failed;
+                }
+                // Any interpretable answer — a corrupt copy included —
+                // came from a live node: don't eject it.
+                answer => {
+                    self.mark_ok(m, node);
+                    return answer;
                 }
             }
         }
@@ -554,17 +570,8 @@ impl ClusterBackend {
         };
         let mut unreachable = 0usize;
         for addr in prev.replica_addrs(id, self.r_eff(&prev)) {
-            match self.pool.get(addr, &format!("/blobs/{id}")) {
-                Ok(r) if r.status.is_success() => {
-                    if !wire_crc_ok(&r) {
-                        // A rotten old copy can't serve — but it proves
-                        // the blob exists, so it must not count toward
-                        // "every old replica said 404" either.
-                        self.stats.integrity_reject();
-                        unreachable += 1;
-                        continue;
-                    }
-                    let body = r.body;
+            match self.ask(addr, id) {
+                NodeAnswer::Found(body) => {
                     for &cur in current_replicas {
                         if self.direct_put(cur, id, &body) {
                             self.stats.read_repair();
@@ -572,8 +579,11 @@ impl ClusterBackend {
                     }
                     return Ok(Some(body));
                 }
-                Ok(r) if r.status == StatusCode::NOT_FOUND => {}
-                _ => unreachable += 1,
+                NodeAnswer::Absent | NodeAnswer::Deleted => {}
+                // A rotten old copy can't serve — but it proves the
+                // blob exists, so it must not count toward "every old
+                // replica said 404" either.
+                NodeAnswer::Corrupt | NodeAnswer::Failed => unreachable += 1,
             }
         }
         if unreachable > 0 {
@@ -610,63 +620,25 @@ impl ClusterBackend {
     /// *with a verified body* — a repair stream sourced from a rotten
     /// copy would replicate the rot.
     fn direct_get(&self, holders: &[SocketAddr], id: &str) -> Option<Vec<u8>> {
-        for &addr in holders {
-            if let Ok(r) = self.pool.get(addr, &format!("/blobs/{id}")) {
-                if r.status.is_success() {
-                    if wire_crc_ok(&r) {
-                        return Some(r.body);
-                    }
-                    self.stats.integrity_reject();
-                }
-            }
-        }
-        None
+        holders.iter().find_map(|&addr| match self.ask(addr, id) {
+            NodeAnswer::Found(body) => Some(body),
+            _ => None,
+        })
     }
 
-    /// Walk one node's full blob index via the paginated `GET /index`
-    /// route. `None` means the node could not be walked (down or not
-    /// answering) — callers must treat its contents as unknown, not
-    /// empty.
-    fn fetch_index(&self, addr: SocketAddr) -> Option<Vec<String>> {
+    /// Walk one node's full id listing at `route` — `/index` (blobs
+    /// held) or `/tombstones` (durable deletes; backends without
+    /// tombstones legitimately serve empty pages) — through the
+    /// paginated line protocol the two routes share. `None` means the
+    /// node could not be walked (down or not answering) — callers must
+    /// treat its contents as unknown, not empty.
+    fn fetch_ids(&self, addr: SocketAddr, route: &str) -> Option<Vec<String>> {
         let mut ids = Vec::new();
         let mut after: Option<String> = None;
         loop {
             let path = match &after {
-                None => format!("/index?limit={INDEX_FETCH_PAGE}"),
-                Some(cursor) => format!("/index?after={cursor}&limit={INDEX_FETCH_PAGE}"),
-            };
-            let resp = self.pool.get(addr, &path).ok()?;
-            if !resp.status.is_success() {
-                return None;
-            }
-            let body = String::from_utf8_lossy(&resp.body).into_owned();
-            let mut page = 0usize;
-            let mut last_line: Option<String> = None;
-            for line in body.lines().filter(|l| !l.is_empty()) {
-                page += 1;
-                last_line = Some(line.to_string());
-                if let Some(id) = hex_decode(line) {
-                    ids.push(id);
-                }
-            }
-            if page < INDEX_FETCH_PAGE {
-                return Some(ids);
-            }
-            after = last_line;
-        }
-    }
-
-    /// Walk one node's tombstone listing via the paginated
-    /// `GET /tombstones` route (same line protocol as `/index`). `None`
-    /// means the node could not be walked; backends without tombstones
-    /// legitimately serve empty pages.
-    fn fetch_tombstones(&self, addr: SocketAddr) -> Option<Vec<String>> {
-        let mut ids = Vec::new();
-        let mut after: Option<String> = None;
-        loop {
-            let path = match &after {
-                None => format!("/tombstones?limit={INDEX_FETCH_PAGE}"),
-                Some(cursor) => format!("/tombstones?after={cursor}&limit={INDEX_FETCH_PAGE}"),
+                None => format!("{route}?limit={INDEX_FETCH_PAGE}"),
+                Some(cursor) => format!("{route}?after={cursor}&limit={INDEX_FETCH_PAGE}"),
             };
             let resp = self.pool.get(addr, &path).ok()?;
             if !resp.status.is_success() {
@@ -788,7 +760,7 @@ impl ClusterBackend {
         // holder map: blob ID → nodes that hold a copy right now.
         let mut holders: BTreeMap<String, Vec<SocketAddr>> = BTreeMap::new();
         for &addr in &sources {
-            if let Some(ids) = self.fetch_index(addr) {
+            if let Some(ids) = self.fetch_ids(addr, "/index") {
                 for id in ids {
                     holders.entry(id).or_default().push(addr);
                 }
@@ -800,7 +772,7 @@ impl ClusterBackend {
         // a node that never held the blob).
         let mut tombstoned: HashSet<String> = HashSet::new();
         for &addr in &sources {
-            if let Some(ids) = self.fetch_tombstones(addr) {
+            if let Some(ids) = self.fetch_ids(addr, "/tombstones") {
                 tombstoned.extend(ids);
             }
         }
@@ -885,7 +857,7 @@ impl ClusterBackend {
         let indexes: Vec<Option<HashSet<String>>> = m
             .nodes
             .iter()
-            .map(|&addr| self.fetch_index(addr).map(|ids| ids.into_iter().collect()))
+            .map(|&addr| self.fetch_ids(addr, "/index").map(|ids| ids.into_iter().collect()))
             .collect();
         // While a fallback window is open, *ex-members* of the previous
         // epoch may still hold the only copy of a blob a partial
@@ -898,7 +870,9 @@ impl ClusterBackend {
             .unwrap_or_default();
         let ex_indexes: Vec<(SocketAddr, Option<HashSet<String>>)> = ex_nodes
             .iter()
-            .map(|&addr| (addr, self.fetch_index(addr).map(|ids| ids.into_iter().collect())))
+            .map(|&addr| {
+                (addr, self.fetch_ids(addr, "/index").map(|ids| ids.into_iter().collect()))
+            })
             .collect();
         // Tombstones outrank live copies: learn every member's (and
         // windowed ex-member's) deletes *before* diffing indexes, or
@@ -907,11 +881,11 @@ impl ClusterBackend {
         let tomb_sets: Vec<Option<HashSet<String>>> = m
             .nodes
             .iter()
-            .map(|&addr| self.fetch_tombstones(addr).map(|ids| ids.into_iter().collect()))
+            .map(|&addr| self.fetch_ids(addr, "/tombstones").map(|ids| ids.into_iter().collect()))
             .collect();
         let ex_tomb_sets: Vec<Option<HashSet<String>>> = ex_nodes
             .iter()
-            .map(|&addr| self.fetch_tombstones(addr).map(|ids| ids.into_iter().collect()))
+            .map(|&addr| self.fetch_ids(addr, "/tombstones").map(|ids| ids.into_iter().collect()))
             .collect();
         let mut tombstoned: HashSet<String> = HashSet::new();
         for set in tomb_sets.iter().chain(ex_tomb_sets.iter()).flatten() {
@@ -1152,11 +1126,19 @@ impl StorageBackend for ClusterBackend {
         let mut corrupt: Vec<usize> = Vec::new();
         let mut absent = 0usize;
         let mut found: Option<Vec<u8>> = None;
-        let mut deferred: Vec<usize> = Vec::new();
-        for &n in &replicas {
-            if !self.available(&m, n) {
-                deferred.push(n);
-                continue;
+        // Healthy replicas first, in ring order; ejected ones after.
+        let (available, deferred): (Vec<usize>, Vec<usize>) =
+            replicas.iter().partition(|&&n| self.available(&m, n));
+        for (i, &n) in available.iter().chain(&deferred).enumerate() {
+            // Ejected replicas are a last resort, probed only when the
+            // healthy ones could not answer definitively — rather than
+            // failing on suspicion alone. Skipped once the miss quorum
+            // is met: a definitive miss (the proxy's hot passthrough
+            // probe for every non-P3 photo) must not pay a dead node's
+            // connect timeout, or ejection would save nothing exactly
+            // when it matters.
+            if i == available.len() && absent >= Self::miss_quorum(r) {
+                break;
             }
             match self.node_get(&m, n, id) {
                 NodeAnswer::Found(body) => {
@@ -1179,34 +1161,6 @@ impl StorageBackend for ClusterBackend {
                 }
                 NodeAnswer::Corrupt => corrupt.push(n),
                 NodeAnswer::Failed => {}
-            }
-        }
-        if found.is_none() && absent < Self::miss_quorum(r) {
-            // Last resort: the healthy replicas could not answer
-            // definitively — probe ejected replicas rather than failing
-            // on suspicion alone. Skipped once the miss quorum is met:
-            // a definitive miss (the proxy's hot passthrough probe for
-            // every non-P3 photo) must not pay a dead node's connect
-            // timeout, or ejection would save nothing exactly when it
-            // matters.
-            for &n in &deferred {
-                match self.node_get(&m, n, id) {
-                    NodeAnswer::Found(body) => {
-                        found = Some(body);
-                        break;
-                    }
-                    NodeAnswer::Absent => {
-                        absent += 1;
-                        stale.push(n);
-                    }
-                    NodeAnswer::Deleted => {
-                        self.propagate_tombstone(&m, id, n, &replicas);
-                        self.stats.get_miss();
-                        return Ok(None);
-                    }
-                    NodeAnswer::Corrupt => corrupt.push(n),
-                    NodeAnswer::Failed => {}
-                }
             }
         }
         match found {
@@ -1375,6 +1329,48 @@ mod tests {
             ..ClusterConfig::default()
         };
         assert!(ClusterBackend::new(dup).is_err(), "duplicate node address");
+    }
+
+    #[test]
+    fn classify_maps_every_node_reply_to_one_answer() {
+        // `classify` never dials out, so a dead address will do.
+        let router = ClusterBackend::new(ClusterConfig {
+            nodes: vec!["127.0.0.1:1".parse().unwrap()],
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let blob = b"sealed secret part".to_vec();
+        let reply = |status: u16, header: Option<(&str, &str)>, body: &[u8]| {
+            let mut resp = Response::ok("application/octet-stream", body.to_vec());
+            resp.status = StatusCode(status);
+            if let Some((name, value)) = header {
+                resp.headers.set(name, value);
+            }
+            Ok(resp)
+        };
+        let good = format!("{:08x}", crc32(&blob));
+        let bad = format!("{:08x}", crc32(&blob) ^ 1);
+        let found = || NodeAnswer::Found(blob.clone());
+        // (reply, answer, integrity_rejects it must add)
+        let rows = [
+            (reply(200, Some(("x-p3-crc32", &good)), &blob), found(), 0),
+            (reply(200, Some(("x-p3-crc32", &bad)), &blob), NodeAnswer::Corrupt, 1),
+            (reply(200, None, &blob), found(), 0),
+            (reply(404, None, b"no such blob"), NodeAnswer::Absent, 0),
+            (reply(404, Some(("x-p3-tombstone", "1")), b"deleted"), NodeAnswer::Deleted, 0),
+            (reply(503, Some(("x-p3-error", "corrupt")), b"corrupt"), NodeAnswer::Corrupt, 1),
+            (reply(503, None, b"overloaded"), NodeAnswer::Failed, 0),
+            (
+                Err(ClientError::Connect(std::io::Error::other("connection refused"))),
+                NodeAnswer::Failed,
+                0,
+            ),
+        ];
+        for (i, (got, want, rejects)) in rows.into_iter().enumerate() {
+            let before = router.stats().integrity_rejects;
+            assert_eq!(router.classify(got), want, "row {i}");
+            assert_eq!(router.stats().integrity_rejects - before, rejects, "row {i}");
+        }
     }
 
     #[test]

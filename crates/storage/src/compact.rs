@@ -55,9 +55,13 @@ pub struct CompactReport {
     pub skipped_corrupt: usize,
 }
 
-/// Run one compaction pass over every qualifying sealed segment.
+/// Run one compaction pass over every qualifying sealed segment. One
+/// pass runs at a time per store; a concurrent caller (a manual pass
+/// beside a live [`Compactor`]) waits its turn and then picks victims
+/// from what the first pass left.
 pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
     let inner = store.inner();
+    let _claim = inner.compacting.lock();
     let mut report = CompactReport::default();
     let victims: Vec<u32> = {
         let segs = inner.segs.lock();
@@ -281,6 +285,56 @@ mod tests {
             got.as_ref().starts_with(b"fresh"),
             "fresh put must never be shadowed by a compaction copy"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_passes_never_retire_the_same_segment() {
+        let dir = tmpdir("claim");
+        let store = PackedBackend::open_with(&dir, churn_cfg()).unwrap();
+        // Eight segments of four 900-byte puts, a small put and its
+        // tombstone each (a fifth big frame would not fit in 4 KiB)...
+        for seg in 0..8 {
+            for slot in 0..4 {
+                store.put(&format!("k{seg}-{slot}"), &[seg as u8; 900]).unwrap();
+            }
+            store.put(&format!("t{seg}"), b"short-lived").unwrap();
+            store.delete(&format!("t{seg}")).unwrap();
+        }
+        // ...then three of the four overwritten: every one of the eight
+        // is sealed, ~75 % dead, and still holds a live put and a live
+        // tombstone to copy forward.
+        for seg in 0..8 {
+            for slot in 1..4 {
+                store.put(&format!("k{seg}-{slot}"), &[0xEE; 900]).unwrap();
+            }
+        }
+        let barrier = std::sync::Barrier::new(2);
+        let reports: Vec<StorageResult<CompactReport>> = std::thread::scope(|s| {
+            let passes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        compact_once(&store)
+                    })
+                })
+                .collect();
+            passes.into_iter().map(|p| p.join().unwrap()).collect()
+        });
+        let mut compacted = 0;
+        for report in reports {
+            compacted += report.expect("a pass lost a victim to its rival").segments_compacted;
+        }
+        assert_eq!(compacted, 8, "each victim is compacted by exactly one pass");
+        for seg in 0..8u8 {
+            for slot in 0..4 {
+                let want = if slot == 0 { [seg; 900] } else { [0xEE; 900] };
+                let got = store.get(&format!("k{seg}-{slot}")).unwrap().unwrap();
+                assert_eq!(got.as_ref(), want, "k{seg}-{slot}");
+            }
+            assert!(store.get(&format!("t{seg}")).unwrap().is_none());
+            assert!(store.deleted(&format!("t{seg}")).unwrap(), "tombstone t{seg} survives");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

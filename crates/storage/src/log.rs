@@ -167,6 +167,10 @@ pub(crate) struct PackedInner {
     pub(crate) tombs: PlMutex<BTreeMap<String, Tomb>>,
     pub(crate) segs: PlMutex<BTreeMap<u32, SegInfo>>,
     files: PlMutex<HashMap<u32, Arc<File>>>,
+    /// Held for the length of a compaction pass: two passes that
+    /// snapshot the same victims would both retire them, and the loser
+    /// would die on the already-unlinked file.
+    pub(crate) compacting: PlMutex<()>,
     pub(crate) stats: StatCounters,
     disk_full: AtomicBool,
     full_rejections: AtomicU64,
@@ -335,6 +339,7 @@ impl PackedBackend {
             tombs: PlMutex::new(tombs),
             segs: PlMutex::new(segs),
             files: PlMutex::new(files),
+            compacting: PlMutex::new(()),
             stats: StatCounters::default(),
             disk_full: AtomicBool::new(false),
             full_rejections: AtomicU64::new(0),

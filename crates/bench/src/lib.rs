@@ -15,7 +15,6 @@
 //! suite finishes in minutes on a laptop.
 
 pub mod experiments;
-pub mod scaling;
 pub mod simulate;
 pub mod util;
 

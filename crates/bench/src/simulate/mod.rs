@@ -48,7 +48,8 @@ pub mod report;
 pub mod topology;
 pub mod workload;
 
-use crate::util::{check_metric_schema, parse_metric_json};
+use crate::util::check_metric_schema;
+use p3_net::stats::parse_metric_json;
 
 /// Simulation parameters (CLI flags map 1:1 onto these).
 #[derive(Debug, Clone)]

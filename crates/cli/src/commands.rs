@@ -193,8 +193,7 @@ pub fn serve_psp(argv: &[String]) -> Result<(), String> {
 /// * `--backend disk --data-dir DIR` — the packed needle-log store:
 ///   blobs append to rolling segments (`--segment-mb`, default 64), a
 ///   group-commit writer batches concurrent puts into one shared fsync
-///   (`--flush-interval-us` adds an optional coalescing delay, default
-///   0 — the fsync itself is the batching window), and a background
+///   (the fsync itself is the batching window), and a background
 ///   compactor rewrites sealed segments whose dead-byte ratio crosses
 ///   `--compact-threshold` (default 0.5) every `--compact-interval-s`
 ///   seconds (default 60, 0 disables);
@@ -222,7 +221,6 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
         "disk" => {
             let dir = args.opt("data-dir", "p3-storage-data");
             let segment_mb = args.opt_u64("segment-mb", 64)?;
-            let flush_us = args.opt_u64("flush-interval-us", 0)?;
             let compact_threshold = args.opt_f64("compact-threshold", 0.5)?;
             let compact_secs = args.opt_u64("compact-interval-s", 60)?;
             if !(0.0..=1.0).contains(&compact_threshold) {
@@ -232,7 +230,6 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
             let defaults = PackedConfig::default();
             let cfg = PackedConfig {
                 segment_bytes,
-                flush_interval: std::time::Duration::from_micros(flush_us),
                 compact_threshold,
                 // Sealed segments are always shorter than segment_bytes,
                 // so a fixed candidate floor above segment_bytes/2 would
@@ -274,7 +271,6 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
                 })
                 .collect::<Result<Vec<std::net::SocketAddr>, String>>()?;
             let replicas = args.opt_usize("replicas", 2)?;
-            let vnodes = args.opt_usize("vnodes", 64)?;
             let sweep_secs = args.opt_usize("sweep-interval", 60)?;
             // Retry/backoff knobs (defaults mirror `ClusterConfig`):
             // ejected nodes are re-probed after a jittered exponential
@@ -309,7 +305,6 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
                 ClusterBackend::new(ClusterConfig {
                     nodes,
                     replicas,
-                    vnodes,
                     backoff_base,
                     backoff_max,
                     backoff_jitter,

@@ -8,7 +8,7 @@
 //! p3 audit <input.jpg> [--threshold 15]
 //! p3 serve-psp [--profile facebook|flickr|hostile] [--addr 127.0.0.1:0]
 //! p3 storage   [--addr 127.0.0.1:0] [--backend mem|disk|cluster]
-//!              [--data-dir DIR] [--nodes a:p,b:p,...] [--replicas 2] [--vnodes 64]
+//!              [--data-dir DIR] [--nodes a:p,b:p,...] [--replicas 2]
 //!              [--sweep-interval 60]
 //! p3 storage-admin show|add|remove [node-addr] --router <addr>
 //! p3 proxy --psp <addr> --storage <addr> --key <passphrase> [--addr 127.0.0.1:0] [--threshold 15]
@@ -83,7 +83,7 @@ USAGE:
   p3 serve-psp [--profile facebook|flickr|hostile] [--addr 127.0.0.1:0]
   p3 storage   [--addr 127.0.0.1:0] [--backend mem|disk|cluster]
                [--data-dir DIR]            (disk backend)
-               [--nodes a:p,b:p,...] [--replicas 2] [--vnodes 64]
+               [--nodes a:p,b:p,...] [--replicas 2]
                [--sweep-interval 60]       (cluster router over storage nodes;
                                             anti-entropy sweep period, 0 = off)
   p3 storage-admin show --router <addr>    (print membership epoch + nodes)

@@ -10,10 +10,11 @@
 //! *is* the system's throughput ceiling. The heavy lifting sits on the
 //! `p3-jpeg` fast paths (scaled integer AAN DCT, fixed-point color
 //! conversion, 64-bit bit I/O, single-walk optimized-table encoding)
-//! and `p3-crypto`'s T-table batched AES-CTR; `BENCH_codec.json` at the
-//! repo root tracks the measured baseline (see `ARCHITECTURE.md`
-//! § Performance), and the split/recombine stages here are plain linear
-//! passes over the coefficient arrays.
+//! and `p3-crypto`'s T-table batched AES-CTR; the benchmark's
+//! `core.split_ms` / `core.reconstruct_ms` / `jpeg.*` layer metrics
+//! track the measured cost (see `perfbench/README.md`), and the
+//! split/recombine stages here are plain linear passes over the
+//! coefficient arrays.
 
 use p3_crypto::EnvelopeKey;
 use p3_jpeg::encoder::{encode_coeffs, Mode};

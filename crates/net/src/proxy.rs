@@ -455,8 +455,8 @@ fn handle(req: &Request, ctx: &ProxyCtx) -> Response {
 }
 
 /// Render the proxy's counters as the two-level metric JSON shared with
-/// the storage tier's `/stats` (parseable by
-/// `p3_bench::util::parse_metric_json`).
+/// the storage tier's `/stats` (read back by
+/// [`crate::stats::parse_metric_json`]).
 fn stats_json(ctx: &ProxyCtx) -> String {
     let s = &ctx.stats;
     let sv = &ctx.server_stats;

@@ -605,6 +605,7 @@ mod tests {
             conns.push((ws, reader));
         }
         assert_eq!(server.stats().open_connections.load(Ordering::SeqCst), 150);
+        assert_eq!(server.stats().rejected_503.load(Ordering::Relaxed), 0, "nothing was shed");
         assert!(server.stats().reactor_threads.load(Ordering::Relaxed) >= 1);
         // Every connection is still serviceable after idling.
         let (ws, reader) = &mut conns[97];

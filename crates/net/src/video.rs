@@ -15,11 +15,11 @@
 //! Playback-before-download: `GET /videos/{id}?gop=k` fetches the tiny
 //! index, computes GOP *k*'s byte range, and issues a **ranged** GET
 //! (`Range: bytes=a-b` → `206`) against the public blob — so the first
-//! GOP is on screen after transferring only its slice of the video,
-//! which `BENCH_video.json` measures. The sealed secret stream rides
-//! the proxy's existing sharded LRU, so successive GOPs of one clip
-//! decrypt from cache. `GET /videos/{id}` (no query) reconstructs the
-//! whole clip.
+//! GOP is on screen after transferring only its slice of the video
+//! (`tests/system_e2e.rs` pins every GOP read as a partial fetch). The
+//! sealed secret stream rides the proxy's existing sharded LRU, so
+//! successive GOPs of one clip decrypt from cache. `GET /videos/{id}`
+//! (no query) reconstructs the whole clip.
 
 use crate::http::{Method, Request, Response, StatusCode};
 use crate::proxy::ProxyCtx;

@@ -6,9 +6,9 @@
 //! * the `P3_FORCE_SCALAR` environment variable (`1`/`true`/`yes`), read
 //!   once at first query, which pins everything to the scalar reference
 //!   paths in production builds; and
-//! * [`set_force_scalar`], the programmatic equivalent used by bench
-//!   `--no-simd` flags and tests (it takes precedence over the env var
-//!   and can be flipped at runtime).
+//! * [`set_force_scalar`], the programmatic equivalent used by tests
+//!   that need both paths in one process (it takes precedence over the
+//!   env var and can be flipped at runtime).
 //!
 //! The first capability query logs the selected implementation once to
 //! stderr, so every binary states which code path its numbers came from.
@@ -31,7 +31,7 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Stable lowercase name (logs, bench JSON, CLI).
+    /// Stable lowercase name (logs, CLI).
     pub fn as_str(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
@@ -47,8 +47,8 @@ static FORCE: AtomicU8 = AtomicU8::new(0);
 
 /// Override feature detection at runtime. `true` pins every kernel to
 /// its scalar reference implementation; `false` re-enables detection
-/// even if `P3_FORCE_SCALAR` is set. Used by `--no-simd` bench flags and
-/// by tests that need both paths in one process.
+/// even if `P3_FORCE_SCALAR` is set. Used by tests that need both paths
+/// in one process.
 pub fn set_force_scalar(force: bool) {
     FORCE.store(if force { 1 } else { 2 }, Ordering::Relaxed);
 }

@@ -71,8 +71,8 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 }
 
 /// Raise the soft `RLIMIT_NOFILE` to the hard limit, returning the new
-/// soft limit. The 10k-connection scaling bench needs more descriptors
-/// than the conventional 1024-soft default allows.
+/// soft limit. Holding a 10k-connection population needs more
+/// descriptors than the conventional 1024-soft default allows.
 pub fn raise_nofile_limit() -> io::Result<u64> {
     let mut lim = RLimit { rlim_cur: 0, rlim_max: 0 };
     cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;

@@ -9,12 +9,12 @@
 //!   file tail. A sealed segment qualifies once its dead-byte ratio
 //!   crosses [`crate::PackedConfig::compact_threshold`] (fully-dead
 //!   segments are simply deleted).
-//! * **Live records are copied forward through the normal writer**, so
-//!   the copies are group-committed and durable before the victim file
-//!   is unlinked — a crash at any instant leaves at least one intact
-//!   copy of every live needle on disk. Copies preserve the original
-//!   sequence number: on replay the copy and the original are the same
-//!   record, so recovery order stays irrelevant.
+//! * **Live records are copied forward through the normal writer**, a
+//!   whole victim under one group commit, so the copies are durable
+//!   before the victim file is unlinked — a crash at any instant leaves
+//!   at least one intact copy of every live needle on disk. Copies
+//!   preserve the original sequence number: on replay the copy and the
+//!   original are the same record, so recovery order stays irrelevant.
 //! * **Live tombstones are copied too, never dropped.** Dropping a
 //!   tombstone would let the anti-entropy sweep resurrect the blob
 //!   from a stale replica. (A tombstone whose garbage-collection
@@ -93,9 +93,12 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
             .map(|(id, t)| (id.clone(), t.clone()))
             .collect();
 
-        // Copy live puts forward. A CRC failure aborts this victim:
-        // unlinking it would downgrade detected corruption to a miss.
-        let mut copied_puts = 0usize;
+        // Queue every live record's copy, then pay one group commit
+        // for the whole victim. A CRC failure aborts this victim:
+        // unlinking it would downgrade detected corruption to a miss
+        // (copies already queued ride the next flush and install as
+        // usual; the victim just stays on disk).
+        let mut queued_through = None;
         for (id, loc) in &live_puts {
             let payload = match store.read_at(id, loc) {
                 Ok(p) => p,
@@ -104,13 +107,13 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
                     continue 'victims;
                 }
             };
-            store.append_rewrite(id, loc.seq, seg, false, &payload)?;
-            copied_puts += 1;
+            queued_through = Some(store.enqueue_rewrite(id, loc.seq, seg, false, &payload)?);
         }
-        let mut copied_tombs = 0usize;
         for (id, tomb) in &live_tombs {
-            store.append_rewrite(id, tomb.seq, seg, true, &[])?;
-            copied_tombs += 1;
+            queued_through = Some(store.enqueue_rewrite(id, tomb.seq, seg, true, &[])?);
+        }
+        if let Some(end) = queued_through {
+            store.commit_through(end)?;
         }
 
         // Every copy is durable and CAS-installed; the victim file can
@@ -118,8 +121,8 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
         let freed = store.retire_segment(seg)?;
         report.segments_compacted += 1;
         report.reclaimed_bytes += freed;
-        report.live_copied += copied_puts;
-        report.tombstones_copied += copied_tombs;
+        report.live_copied += live_puts.len();
+        report.tombstones_copied += live_tombs.len();
     }
     if report.segments_compacted > 0 {
         inner.stats.compaction(report.segments_compacted as u64, report.reclaimed_bytes);
@@ -192,12 +195,7 @@ mod tests {
     }
 
     fn churn_cfg() -> PackedConfig {
-        PackedConfig {
-            segment_bytes: 4096,
-            compact_threshold: 0.4,
-            compact_min_bytes: 0,
-            ..PackedConfig::default()
-        }
+        PackedConfig { segment_bytes: 4096, compact_threshold: 0.4, compact_min_bytes: 0 }
     }
 
     #[test]
@@ -227,6 +225,49 @@ mod tests {
         }
         assert!(store.get("k7").unwrap().is_none());
         assert!(store.deleted("k7").unwrap(), "tombstone survives compaction");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A victim's copies share one group commit: the pass waits for the
+    /// flusher once per victim, not once per copied needle.
+    #[test]
+    fn victim_is_copied_under_one_group_commit() {
+        let dir = tmpdir("batch");
+        let cfg = PackedConfig { segment_bytes: 16 << 10, ..churn_cfg() };
+        let store = PackedBackend::open_with(&dir, cfg).unwrap();
+        // Segment 0 opens with 40 live needles and two live tombstones;
+        // churning eight other keys then fills it (and the segments
+        // after it) with dead generations.
+        const LIVE: usize = 40;
+        for i in 0..LIVE {
+            store.put(&format!("live-{i:02}"), &[i as u8; 64]).unwrap();
+        }
+        for t in 0..2 {
+            store.put(&format!("gone-{t}"), b"short-lived").unwrap();
+            store.delete(&format!("gone-{t}")).unwrap();
+        }
+        for round in 0..24 {
+            for k in 0..8 {
+                store.put(&format!("churn-{k}"), &[round; 200]).unwrap();
+            }
+        }
+        assert!(store.segment_count() >= 3, "the churn must seal segment 0 and more");
+        let commits_before = store.group_commits();
+        let report = compact_once(&store).unwrap();
+        let commits = store.group_commits() - commits_before;
+        assert!(report.live_copied >= LIVE, "segment 0's live needles must move: {report:?}");
+        assert_eq!(report.tombstones_copied, 2);
+        assert!(
+            commits as usize <= report.segments_compacted,
+            "{commits} group commits for {} victims holding {} live needles",
+            report.segments_compacted,
+            report.live_copied
+        );
+        for i in 0..LIVE {
+            let got = store.get(&format!("live-{i:02}")).unwrap().unwrap();
+            assert_eq!(got.as_ref(), [i as u8; 64]);
+        }
+        assert!(store.deleted("gone-0").unwrap() && store.deleted("gone-1").unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 

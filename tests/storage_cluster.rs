@@ -14,9 +14,9 @@
 //!                       └── node 2 (mem)
 //! ```
 
-use p3_bench::util::parse_metric_json;
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
+use p3_net::stats::parse_metric_json;
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::{

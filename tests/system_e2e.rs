@@ -132,6 +132,11 @@ fn non_p3_photos_pass_through() {
     assert!(p3_jpeg::decode_to_rgb(&resp.body).is_ok());
     assert_eq!(sys.proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 1);
     assert_eq!(sys.proxy.stats().downloads_reconstructed.load(Ordering::Relaxed), 0);
+
+    // A photo the PSP never saw: its 404 is forwarded as it is.
+    let miss = http_get(sys.proxy.addr(), "/photos/999999999?size=small").expect("forward");
+    assert_eq!(miss.status.0, 404, "unknown photo must 404 through the proxy");
+    assert_eq!(sys.proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 1);
 }
 
 #[test]

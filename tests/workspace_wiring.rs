@@ -151,3 +151,79 @@ fn readme_quickstart_example_exists() {
     assert!(readme.contains("--example quickstart"), "README must show the quickstart invocation");
     assert!(root.join("examples/quickstart.rs").is_file(), "examples/quickstart.rs is missing");
 }
+
+/// The docs and workflows that tell a reader what to run.
+fn runnable_docs(root: &std::path::Path) -> Vec<PathBuf> {
+    let mut docs = vec![
+        root.join("README.md"),
+        root.join("ARCHITECTURE.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    for entry in fs::read_dir(root.join(".github/workflows")).expect("workflows dir exists") {
+        let path = entry.expect("readable dir entry").path();
+        if path.extension().and_then(|e| e.to_str()) == Some("yml") {
+            docs.push(path);
+        }
+    }
+    docs
+}
+
+/// Every binary target of the workspace: `src/bin/*.rs` stems plus
+/// `[[bin]]` names, over the root package and each crate.
+fn workspace_bin_targets(root: &std::path::Path) -> BTreeSet<String> {
+    let mut packages = vec![root.to_path_buf()];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        packages.push(entry.expect("readable dir entry").path());
+    }
+    let mut bins = BTreeSet::new();
+    for dir in packages {
+        if let Ok(rd) = fs::read_dir(dir.join("src/bin")) {
+            for entry in rd {
+                let path = entry.expect("readable dir entry").path();
+                if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+                    bins.insert(path.file_stem().unwrap().to_str().unwrap().to_string());
+                }
+            }
+        }
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).unwrap_or_default();
+        let mut in_bin_table = false;
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                in_bin_table = line == "[[bin]]";
+            } else if let Some(name) = line.strip_prefix("name = \"").filter(|_| in_bin_table) {
+                bins.insert(name.trim_end_matches('"').to_string());
+            }
+        }
+    }
+    bins
+}
+
+/// A `--bin <name>` or `BENCH_<name>.json` in the README, ARCHITECTURE,
+/// the verify skill or a workflow must name a binary target / a file at
+/// the repo root that exists: a deleted bench cannot live on as a recipe.
+/// (A `BENCH_` name behind a `/` is an output path somewhere else, and
+/// `BENCH_*.json` names no file; `--bin {a,b}` shorthand fails as no name.)
+#[test]
+fn docs_name_only_existing_bins_and_bench_files() {
+    let root = repo_root();
+    let bins = workspace_bin_targets(&root);
+    assert!(bins.contains("p3") && bins.contains("run_all"), "bin scan is broken: {bins:?}");
+    let is_name = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    for doc in runnable_docs(&root) {
+        let text = fs::read_to_string(&doc).unwrap_or_else(|e| panic!("read {doc:?}: {e}"));
+        for (at, marker) in text.match_indices("--bin ") {
+            let rest = &text[at + marker.len()..];
+            let name = &rest[..rest.find(|c| !is_name(c)).unwrap_or(rest.len())];
+            assert!(bins.contains(name), "{doc:?} says `--bin {name}`: no such binary target");
+        }
+        for (at, _) in text.match_indices("BENCH_") {
+            let rest = &text[at..];
+            let stem = &rest[..rest.find(|c| !is_name(c)).unwrap_or(rest.len())];
+            if text[..at].ends_with('/') || !rest[stem.len()..].starts_with(".json") {
+                continue;
+            }
+            let file = format!("{stem}.json");
+            assert!(root.join(&file).is_file(), "{doc:?} cites `{file}`: no such file at the root");
+        }
+    }
+}

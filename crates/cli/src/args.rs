@@ -1,4 +1,7 @@
-//! Tiny argument parser: positional arguments plus `--flag value` pairs.
+//! Tiny argument parser: positional arguments plus `--flag value` pairs,
+//! checked against the flags the subcommand declares — a typo'd
+//! `--treshold` is an error, never a privacy parameter silently left at
+//! its default.
 
 use std::collections::BTreeMap;
 
@@ -12,12 +15,16 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse, rejecting dangling flags.
-    pub fn parse(argv: &[String]) -> Result<Args, String> {
+    /// Parse the tail of `p3 <cmd>`, rejecting dangling flags and any
+    /// flag not in `known` (the value flags `cmd` reads).
+    pub fn parse(cmd: &str, known: &[&str], argv: &[String]) -> Result<Args, String> {
         let mut out = Args::default();
-        let mut it = argv.iter().peekable();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
             if let Some(name) = a.strip_prefix("--") {
+                if !known.contains(&name) {
+                    return Err(format!("unknown flag --{name} for 'p3 {cmd}'"));
+                }
                 let value = it.next().ok_or_else(|| format!("flag --{name} expects a value"))?;
                 out.flags.insert(name.to_string(), value.clone());
             } else {
@@ -83,8 +90,12 @@ mod tests {
 
     #[test]
     fn parses_mixed() {
-        let a = Args::parse(&sv(&["in.jpg", "--key", "secret", "out.jpg", "--threshold", "20"]))
-            .unwrap();
+        let a = Args::parse(
+            "split",
+            &["key", "threshold"],
+            &sv(&["in.jpg", "--key", "secret", "out.jpg", "--threshold", "20"]),
+        )
+        .unwrap();
         assert_eq!(a.positional, vec!["in.jpg", "out.jpg"]);
         assert_eq!(a.req("key").unwrap(), "secret");
         assert_eq!(a.opt_u16("threshold", 15).unwrap(), 20);
@@ -93,12 +104,26 @@ mod tests {
 
     #[test]
     fn dangling_flag_rejected() {
-        assert!(Args::parse(&sv(&["--key"])).is_err());
+        assert!(Args::parse("join", &["key"], &sv(&["--key"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_rejected_by_name() {
+        // The typo that used to split at the default threshold.
+        let err = Args::parse(
+            "split",
+            &["key", "threshold"],
+            &sv(&["in.jpg", "--key", "k", "--treshold", "5"]),
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown flag --treshold for 'p3 split'");
+        // Known to another subcommand is still unknown to this one.
+        assert!(Args::parse("info", &[], &sv(&["in.jpg", "--key", "k"])).is_err());
     }
 
     #[test]
     fn missing_required() {
-        let a = Args::parse(&sv(&["x"])).unwrap();
+        let a = Args::parse("join", &["key"], &sv(&["x"])).unwrap();
         assert!(a.req("key").is_err());
         assert!(a.pos(1, "other").is_err());
         assert_eq!(a.pos(0, "input").unwrap(), "x");
@@ -106,7 +131,7 @@ mod tests {
 
     #[test]
     fn bad_number() {
-        let a = Args::parse(&sv(&["--threshold", "abc"])).unwrap();
+        let a = Args::parse("audit", &["threshold"], &sv(&["--threshold", "abc"])).unwrap();
         assert!(a.opt_u16("threshold", 15).is_err());
     }
 }

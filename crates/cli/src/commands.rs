@@ -21,21 +21,17 @@ fn stem(path: &str) -> String {
         .unwrap_or_else(|| "photo".into())
 }
 
-/// Parse the serving-tier flags every `p3` server command shares:
-/// `--idle-timeout-ms N` (default 60 000) and `--reactors N` (0 = auto).
+/// Parse the one serving-tier flag every `p3` server command shares:
+/// `--idle-timeout-ms N` (default 60 000).
 fn server_config_flags(args: &Args) -> Result<p3_net::ServerConfig, String> {
     let defaults = p3_net::ServerConfig::default();
     let idle_ms = args.opt_u64("idle-timeout-ms", defaults.idle_timeout.as_millis() as u64)?;
-    Ok(p3_net::ServerConfig {
-        idle_timeout: std::time::Duration::from_millis(idle_ms),
-        reactors: args.opt_usize("reactors", defaults.reactors)?,
-        ..defaults
-    })
+    Ok(p3_net::ServerConfig { idle_timeout: std::time::Duration::from_millis(idle_ms), ..defaults })
 }
 
 /// `p3 split` — photo → public JPEG + encrypted secret blob.
 pub fn split(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("split", &["key", "threshold", "public", "secret"], argv)?;
     let input = args.pos(0, "input.jpg")?;
     let passphrase = args.req("key")?;
     let threshold = args.opt_u16("threshold", 15)?;
@@ -68,7 +64,7 @@ pub fn split(argv: &[String]) -> Result<(), String> {
 
 /// `p3 join` — public JPEG + secret blob → original JPEG.
 pub fn join(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("join", &["key", "out"], argv)?;
     let public_path = args.pos(0, "public.jpg")?;
     let secret_path = args.pos(1, "secret.p3s")?;
     let passphrase = args.req("key")?;
@@ -86,7 +82,7 @@ pub fn join(argv: &[String]) -> Result<(), String> {
 
 /// `p3 info` — structural summary + threshold-guess attack.
 pub fn info(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("info", &[], argv)?;
     let path = args.pos(0, "file.jpg")?;
     let data = read(path)?;
     let summary = p3_jpeg::marker::summarize(&data).map_err(|e| e.to_string())?;
@@ -117,7 +113,7 @@ pub fn info(argv: &[String]) -> Result<(), String> {
 
 /// `p3 audit` — split and measure the privacy metrics on one photo.
 pub fn audit(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("audit", &["threshold"], argv)?;
     let input = args.pos(0, "input.jpg")?;
     let threshold = args.opt_u16("threshold", 15)?;
     let jpeg = read(input)?;
@@ -164,7 +160,7 @@ pub fn audit(argv: &[String]) -> Result<(), String> {
 
 /// `p3 serve-psp` — run the PSP simulator until Ctrl-C.
 pub fn serve_psp(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("serve-psp", &["profile", "addr", "idle-timeout-ms"], argv)?;
     let profile = match args.opt("profile", "facebook") {
         "facebook" => p3_psp::PspProfile::facebook(),
         "flickr" => p3_psp::PspProfile::flickr(),
@@ -201,15 +197,27 @@ pub fn serve_psp(argv: &[String]) -> Result<(), String> {
 ///   consistent-hash router over other storage nodes (themselves
 ///   `p3 storage` instances), with quorum writes, read-repair, dynamic
 ///   membership (`p3 storage-admin`), and a background anti-entropy
-///   sweep every `--sweep-interval` seconds (0 disables). Node retry
-///   behavior is tunable: `--backoff-base-ms`/`--backoff-max-ms`/
-///   `--backoff-jitter` shape the jittered exponential re-probe window
-///   for ejected nodes, `--op-retries` the in-place retries per op.
+///   sweep every `--sweep-interval` seconds (0 disables).
 pub fn storage(argv: &[String]) -> Result<(), String> {
     use p3_storage::{
         ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig, StorageBackend,
     };
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        "storage",
+        &[
+            "addr",
+            "backend",
+            "data-dir",
+            "segment-mb",
+            "compact-threshold",
+            "compact-interval-s",
+            "nodes",
+            "replicas",
+            "sweep-interval",
+            "idle-timeout-ms",
+        ],
+        argv,
+    )?;
     let addr = args.opt("addr", "127.0.0.1:0").to_string();
     let kind = args.opt("backend", "mem");
     // Keep the cluster's anti-entropy thread / the packed store's
@@ -272,46 +280,17 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
                 .collect::<Result<Vec<std::net::SocketAddr>, String>>()?;
             let replicas = args.opt_usize("replicas", 2)?;
             let sweep_secs = args.opt_usize("sweep-interval", 60)?;
-            // Retry/backoff knobs (defaults mirror `ClusterConfig`):
-            // ejected nodes are re-probed after a jittered exponential
-            // window instead of a fixed cooldown.
-            let defaults = ClusterConfig::default();
-            let backoff_base = std::time::Duration::from_millis(
-                args.opt_u64("backoff-base-ms", defaults.backoff_base.as_millis() as u64)?,
-            );
-            let backoff_max = std::time::Duration::from_millis(
-                args.opt_u64("backoff-max-ms", defaults.backoff_max.as_millis() as u64)?,
-            );
-            let backoff_jitter = args.opt_f64("backoff-jitter", defaults.backoff_jitter)?;
-            let op_retries = args.opt_usize("op-retries", defaults.op_retries as usize)? as u32;
-            if !(0.0..1.0).contains(&backoff_jitter) {
-                return Err(format!("--backoff-jitter {backoff_jitter} must be in [0, 1)"));
-            }
             // Report the *effective* replication factor (the backend
             // clamps R to the node count), not what was asked for.
             let describe = format!(
-                "cluster router, {} nodes, R={}, sweep {}, backoff {}..{}ms (jitter {}), \
-                 {} retr{}",
+                "cluster router, {} nodes, R={}, sweep {}",
                 nodes.len(),
                 replicas.clamp(1, nodes.len().max(1)),
                 if sweep_secs == 0 { "off".to_string() } else { format!("every {sweep_secs}s") },
-                backoff_base.as_millis(),
-                backoff_max.as_millis(),
-                backoff_jitter,
-                op_retries,
-                if op_retries == 1 { "y" } else { "ies" },
             );
             let backend = std::sync::Arc::new(
-                ClusterBackend::new(ClusterConfig {
-                    nodes,
-                    replicas,
-                    backoff_base,
-                    backoff_max,
-                    backoff_jitter,
-                    op_retries,
-                    ..Default::default()
-                })
-                .map_err(|e| e.to_string())?,
+                ClusterBackend::new(ClusterConfig { nodes, replicas, ..Default::default() })
+                    .map_err(|e| e.to_string())?,
             );
             if sweep_secs > 0 {
                 sweeper =
@@ -363,7 +342,7 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
 /// server-side; confirm with `storage-admin show` (the epoch will have
 /// bumped) rather than retrying the add.
 pub fn storage_admin(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse("storage-admin", &["router"], argv)?;
     let verb = args.pos(0, "show|add|remove")?;
     // `ToSocketAddrs` like `--nodes`, so hostnames work here too.
     let router_arg = args.req("router")?;
@@ -396,7 +375,20 @@ pub fn storage_admin(argv: &[String]) -> Result<(), String> {
 
 /// `p3 proxy` — run the trusted proxy until Ctrl-C.
 pub fn proxy(argv: &[String]) -> Result<(), String> {
-    let args = Args::parse(argv)?;
+    let args = Args::parse(
+        "proxy",
+        &[
+            "psp",
+            "storage",
+            "key",
+            "threshold",
+            "addr",
+            "workers",
+            "cache-capacity",
+            "idle-timeout-ms",
+        ],
+        argv,
+    )?;
     let psp: std::net::SocketAddr = args.req("psp")?.parse().map_err(|e| format!("--psp: {e}"))?;
     let storage: std::net::SocketAddr =
         args.req("storage")?.parse().map_err(|e| format!("--storage: {e}"))?;
@@ -405,14 +397,10 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     let addr = args.opt("addr", "127.0.0.1:0");
     // Serving-tier knobs (see ARCHITECTURE.md § Serving architecture).
     let workers = args.opt_usize("workers", p3_net::server::default_workers())?;
-    let queue_depth = args.opt_usize("queue-depth", workers.max(1) * 8)?;
+    let queue_depth = workers.max(1) * 8;
     let cache_capacity =
         args.opt_usize("cache-capacity", p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY)?;
-    let cache_shards = args.opt_usize("cache-shards", p3_net::proxy::DEFAULT_CACHE_SHARDS)?;
-    // Codec pool size for the SIMD/parallel encode-decode stages (0 =
-    // one lane per core, capped); independent of the serving workers.
-    let codec_threads = args.opt_usize("codec-threads", 0)?;
-    p3_par::set_global_threads(codec_threads);
+    let cache_shards = p3_net::proxy::DEFAULT_CACHE_SHARDS;
     let server = p3_net::ServerConfig { workers, queue_depth, ..server_config_flags(&args)? };
     let idle_ms = server.idle_timeout.as_millis();
     let proxy = p3_net::proxy::P3Proxy::spawn_on(
@@ -456,7 +444,14 @@ pub fn simulate(argv: &[String]) -> Result<(), String> {
             _ => rest.push(a.clone()),
         }
     }
-    let args = Args::parse(&rest)?;
+    let args = Args::parse(
+        "simulate",
+        &[
+            "users", "photos", "requests", "rps", "read-mix", "zipf", "seed", "workers", "soak",
+            "out",
+        ],
+        &rest,
+    )?;
     use p3_bench::simulate::SimulateOpts;
     let base = if quick { SimulateOpts::quick() } else { SimulateOpts::full() };
     if check_schema {

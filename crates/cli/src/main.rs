@@ -8,16 +8,20 @@
 //! p3 audit <input.jpg> [--threshold 15]
 //! p3 serve-psp [--profile facebook|flickr|hostile] [--addr 127.0.0.1:0]
 //! p3 storage   [--addr 127.0.0.1:0] [--backend mem|disk|cluster]
-//!              [--data-dir DIR] [--nodes a:p,b:p,...] [--replicas 2]
-//!              [--sweep-interval 60]
+//!              [--data-dir DIR] [--segment-mb 64] [--compact-threshold 0.5]
+//!              [--compact-interval-s 60]
+//!              [--nodes a:p,b:p,...] [--replicas 2] [--sweep-interval 60]
 //! p3 storage-admin show|add|remove [node-addr] --router <addr>
 //! p3 proxy --psp <addr> --storage <addr> --key <passphrase> [--addr 127.0.0.1:0] [--threshold 15]
-//!          [--workers N] [--queue-depth N] [--cache-capacity N] [--cache-shards N]
-//!          [--codec-threads N]
+//!          [--workers N] [--cache-capacity N]
 //! p3 simulate [--quick] [--no-chaos] [--users N] [--photos N] [--requests N] [--rps R]
-//!             [--read-mix 0.9] [--zipf 1.1] [--seed N] [--workers N] [--out FILE]
+//!             [--read-mix 0.9] [--zipf 1.1] [--seed N] [--workers N] [--soak SECS]
+//!             [--out FILE]
 //! p3 simulate --check-schema [--out FILE]
 //! ```
+//!
+//! The three servers also take `--idle-timeout-ms N`. A flag a
+//! subcommand does not read is an error, never ignored.
 //!
 //! Keys: `--key` takes a passphrase; the actual AES/HMAC material is
 //! derived per photo via HKDF (see `p3-crypto`). Files produced by
@@ -82,23 +86,27 @@ USAGE:
   p3 audit <input.jpg> [--threshold 15]
   p3 serve-psp [--profile facebook|flickr|hostile] [--addr 127.0.0.1:0]
   p3 storage   [--addr 127.0.0.1:0] [--backend mem|disk|cluster]
-               [--data-dir DIR]            (disk backend)
+               [--data-dir DIR] [--segment-mb 64]
+               [--compact-threshold 0.5] [--compact-interval-s 60]
+                                           (disk backend: packed needle log)
                [--nodes a:p,b:p,...] [--replicas 2]
                [--sweep-interval 60]       (cluster router over storage nodes;
                                             anti-entropy sweep period, 0 = off)
   p3 storage-admin show --router <addr>    (print membership epoch + nodes)
   p3 storage-admin add <node-addr> --router <addr>
   p3 storage-admin remove <node-addr> --router <addr>
-                                           (epoch bump + live rebalance)
+                                           (epoch bump + live convergence pass)
   p3 proxy --psp <addr> --storage <addr> --key <passphrase>
            [--addr 127.0.0.1:0] [--threshold 15]
-           [--workers N] [--queue-depth N]
-           [--cache-capacity N] [--cache-shards N]
-           [--codec-threads N]  (0 = one per core)
+           [--workers N] [--cache-capacity N]
   p3 simulate [--quick] [--no-chaos] [--users N] [--photos N]
               [--requests N] [--rps R] [--read-mix 0.9] [--zipf 1.1]
-              [--seed N] [--workers N] [--out BENCH_simulate.json]
+              [--seed N] [--workers N] [--soak SECS]
+              [--out BENCH_simulate.json]
                                            (open-loop Zipfian workload +
                                             chaos harness over a spawned
                                             PSP/storage/proxy topology)
-  p3 simulate --check-schema [--out FILE]  (validate a committed result)";
+  p3 simulate --check-schema [--out FILE]  (validate a committed result)
+
+serve-psp, storage and proxy also take [--idle-timeout-ms 60000].
+A flag a subcommand does not read is an error, never ignored.";

@@ -5,12 +5,11 @@
 //! bounded message sizes. Chunked transfer encoding is intentionally not
 //! implemented — both ends of every connection in this system are ours.
 //!
-//! Two readers share the line parsers and size guards: the push
-//! [`RequestParser`] is the server side (reactors feed it whatever the
-//! socket produced), and the blocking [`Response::read_from`] is the
-//! one client-side parser — every outbound call in the system reads its
-//! reply through it. ([`Request::read_from`] is its mirror image, used
-//! by tests.)
+//! One parser per direction, sharing the line parsers and size guards:
+//! the push [`RequestParser`] reads every request (reactors feed it
+//! whatever the socket produced), and the blocking
+//! [`Response::read_from`] reads every response — each outbound call in
+//! the system reads its reply through it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -403,19 +402,6 @@ impl Request {
         w.write_all(&self.body)?;
         w.flush()
     }
-
-    /// Parse one request from a buffered reader. Returns
-    /// [`HttpError::Closed`] on clean EOF before the first byte.
-    pub fn read_from<R: Read>(r: &mut BufReader<R>) -> Result<Request, HttpError> {
-        let line = read_line_within(r, MAX_HEADER_BYTES)?;
-        if line.is_empty() {
-            return Err(HttpError::Closed);
-        }
-        let (method, path, query, version) = parse_request_line(line.trim_end())?;
-        let headers = read_headers(r)?;
-        let body = read_body(r, &headers)?;
-        Ok(Request { method, path, query, version, headers, body })
-    }
 }
 
 /// An HTTP response.
@@ -592,9 +578,9 @@ enum Phase {
 /// produced and it returns how many it consumed plus a complete request
 /// once one is assembled, leaving any pipelined remainder unconsumed.
 /// It applies the same line parsers and size guards as the blocking
-/// [`Request::read_from`], and like it rejects an unterminated line with
-/// [`HttpError::TooLarge`] as soon as the header budget is spent rather
-/// than buffering without bound.
+/// [`Response::read_from`], and like it rejects an unterminated line
+/// with [`HttpError::TooLarge`] as soon as the header budget is spent
+/// rather than buffering without bound.
 pub struct RequestParser {
     phase: Phase,
     /// Bytes of the current, not-yet-terminated line (sans `\n`).
@@ -708,10 +694,17 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// One whole request through the push parser, as a server reads it.
+    fn parse_request(raw: &[u8]) -> Result<Request, HttpError> {
+        let (consumed, req) = RequestParser::new().feed(raw)?;
+        assert_eq!(consumed, raw.len());
+        Ok(req.expect("request did not complete"))
+    }
+
     fn roundtrip_request(req: &Request) -> Request {
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
-        Request::read_from(&mut BufReader::new(Cursor::new(buf))).unwrap()
+        parse_request(&buf).unwrap()
     }
 
     #[test]
@@ -751,7 +744,7 @@ mod tests {
     #[test]
     fn empty_body_when_no_content_length() {
         let raw = b"GET /x HTTP/1.1\r\nhost: a\r\n\r\n";
-        let req = Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).unwrap();
+        let req = parse_request(raw).unwrap();
         assert!(req.body.is_empty());
         assert_eq!(req.method, Method::Get);
     }
@@ -764,24 +757,28 @@ mod tests {
             b"GET / SPDY/9\r\n\r\n",
             b"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
         ] {
-            assert!(
-                Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).is_err(),
-                "{raw:?} accepted"
-            );
+            assert!(RequestParser::new().feed(raw).is_err(), "{raw:?} accepted");
         }
     }
 
     #[test]
     fn clean_eof_is_closed() {
-        let err = Request::read_from(&mut BufReader::new(Cursor::new(Vec::new()))).unwrap_err();
+        let err = Response::read_from(&mut BufReader::new(Cursor::new(Vec::new()))).unwrap_err();
         assert!(matches!(err, HttpError::Closed));
+        // The request side: a peer that hangs up before its first byte
+        // leaves the parser idle (the server's clean-close test); one
+        // that hangs up mid-request does not.
+        let mut p = RequestParser::new();
+        assert!(matches!(p.feed(b""), Ok((0, None))));
+        assert!(p.is_idle());
+        assert!(matches!(p.feed(b"GET /x HT"), Ok((9, None))));
+        assert!(!p.is_idle());
     }
 
     #[test]
     fn oversized_body_rejected() {
         let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
-        let err =
-            Request::read_from(&mut BufReader::new(Cursor::new(raw.into_bytes()))).unwrap_err();
+        let err = RequestParser::new().feed(raw.as_bytes()).unwrap_err();
         assert!(matches!(err, HttpError::TooLarge));
     }
 
@@ -815,7 +812,7 @@ mod tests {
         );
         // The request line and the request side share the guard.
         let flood = vec![b'G'; MAX_HEADER_BYTES + 2];
-        let err = Request::read_from(&mut BufReader::new(Cursor::new(flood))).unwrap_err();
+        let err = RequestParser::new().feed(&flood).unwrap_err();
         assert!(matches!(err, HttpError::TooLarge), "got {err}");
     }
 
@@ -830,21 +827,21 @@ mod tests {
     #[test]
     fn version_parsed_and_keep_alive_defaults() {
         let raw = b"GET /x HTTP/1.0\r\nhost: a\r\n\r\n";
-        let req = Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).unwrap();
+        let req = parse_request(raw).unwrap();
         assert_eq!(req.version, Version::Http10);
         assert!(!req.wants_keep_alive(), "HTTP/1.0 must default to close");
 
         let raw = b"GET /x HTTP/1.0\r\nconnection: keep-alive\r\n\r\n";
-        let req = Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).unwrap();
+        let req = parse_request(raw).unwrap();
         assert!(req.wants_keep_alive(), "explicit keep-alive overrides the 1.0 default");
 
         let raw = b"GET /x HTTP/1.1\r\n\r\n";
-        let req = Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).unwrap();
+        let req = parse_request(raw).unwrap();
         assert_eq!(req.version, Version::Http11);
         assert!(req.wants_keep_alive(), "HTTP/1.1 must default to keep-alive");
 
         let raw = b"GET /x HTTP/1.1\r\nConnection: Close\r\n\r\n";
-        let req = Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).unwrap();
+        let req = parse_request(raw).unwrap();
         assert!(!req.wants_keep_alive(), "explicit close overrides the 1.1 default");
     }
 
@@ -852,7 +849,7 @@ mod tests {
     fn unknown_minor_versions_rejected() {
         // Only 1.0 and 1.1 exist; "HTTP/1.9" is garbage, not a version.
         let raw = b"GET /x HTTP/1.9\r\n\r\n";
-        assert!(Request::read_from(&mut BufReader::new(Cursor::new(raw.to_vec()))).is_err());
+        assert!(RequestParser::new().feed(raw).is_err());
     }
 
     #[test]

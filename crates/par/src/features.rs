@@ -73,19 +73,10 @@ fn env_force() -> &'static bool {
     })
 }
 
-/// Hardware capability, detected once, before any override. The optional
-/// `P3_SIMD_LEVEL` env var (`scalar`|`sse2`|`avx2`) caps the detected
-/// level — it lets an AVX2 machine exercise the SSE2 floor end to end.
+/// Hardware capability, detected once, before any override.
 fn hw_level() -> SimdLevel {
     static HW: OnceLock<SimdLevel> = OnceLock::new();
-    *HW.get_or_init(|| {
-        let detected = detect_level();
-        match std::env::var("P3_SIMD_LEVEL").as_deref() {
-            Ok("scalar") => SimdLevel::Scalar,
-            Ok("sse2") => detected.min(SimdLevel::Sse2),
-            _ => detected,
-        }
-    })
+    *HW.get_or_init(detect_level)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -115,7 +106,7 @@ fn detect_aes() -> bool {
 
 fn hw_aes() -> bool {
     static HW: OnceLock<bool> = OnceLock::new();
-    *HW.get_or_init(|| detect_aes() && hw_level() != SimdLevel::Scalar)
+    *HW.get_or_init(detect_aes)
 }
 
 /// Log the selected implementation once per process, on first query.

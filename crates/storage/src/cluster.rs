@@ -1,5 +1,6 @@
 //! Client-side sharded cluster router over N storage nodes, with
-//! dynamic membership, rebalancing, and anti-entropy repair.
+//! dynamic membership and one convergence pass that both rebalances
+//! and repairs.
 //!
 //! Speaks the same `PUT/GET/DELETE /blobs/{id}` HTTP surface the
 //! single-node [`crate::StorageService`] exposes, which is exactly why
@@ -54,33 +55,34 @@
 //! The node list lives in an epoch-numbered membership snapshot
 //! (epoch 1 is the boot topology). [`ClusterBackend::update_membership`]
 //! applies adds and removes atomically as one epoch bump, then runs the
-//! **rebalancer**: it walks every reachable node's blob index
-//! (paginated `GET /index`), and for each blob whose replica set
-//! changed between the old and new ring, streams the blob to the new
-//! owners that don't hold it (throttled, counted in
-//! `rebalanced_blobs`). Data-path operations snapshot the membership
-//! per call, so traffic keeps flowing during a change — and while the
-//! rebalance is in flight the *previous* epoch stays live for reads: a
-//! definitive miss at the new placement falls back to the old replica
-//! set (writing any find through to the new owners), so a re-owned but
+//! **convergence pass** (below), counting the copies it streams in
+//! `rebalanced_blobs`. Data-path operations snapshot the membership per
+//! call, so traffic keeps flowing during a change — and while the pass
+//! is in flight the *previous* epoch stays live for reads: a definitive
+//! miss at the new placement falls back to the old replica set (writing
+//! any find through to the new owners), so a re-owned but
 //! not-yet-streamed blob can never read as falsely absent. A *partial*
-//! rebalance (some stream failed) keeps that fallback window open —
-//! with reachable ex-members still serving as read-fallback and sweep
-//! sources, and further membership changes refused — until an
-//! anti-entropy pass over every member *and* windowed ex-member proves
-//! the cluster converged.
+//! pass (a stream failed, or a current member could not be walked)
+//! keeps that fallback window open — with reachable ex-members still
+//! serving as read-fallback and repair sources, and further membership
+//! changes refused — until a sweep proves the cluster converged.
 //!
-//! # Anti-entropy
+//! # One convergence pass
 //!
 //! Read-repair only heals blobs that get read; a node that died and
 //! returned empty would stay under-replicated on its cold blobs
-//! forever. [`ClusterBackend::sweep_once`] (run periodically by
-//! [`ClusterBackend::spawn_sweeper`]) diffs per-arc index digests —
-//! an XOR of [`crate::ring::id_fingerprint`] over each replica's IDs in
-//! that arc — and only where digests disagree (or a replica is
-//! unreachable, or a non-replica member still holds leftovers in the
-//! arc) falls back to an id-set diff, re-PUTting every blob a live
-//! replica is missing (counted in `sweep_repairs`). The sweep issues
+//! forever. The router has exactly one mechanism that moves replicas
+//! without a client asking, run after every membership change and by
+//! [`ClusterBackend::sweep_once`] (periodically, via
+//! [`ClusterBackend::spawn_sweeper`]; counted in `sweep_repairs`): walk
+//! the paginated `/index` and `/tombstones` of every member and every
+//! previous-epoch ex-member, push each learned delete across the
+//! blob's current replica set, then stream every other blob seen
+//! anywhere to each current replica whose index lacks it, from any
+//! holder whose copy verifies. A node that cannot be walked — down, or
+//! paging dishonestly — has *unknown* contents, never empty ones. The
+//! sweep closes the fallback window only after a pass that streamed
+//! nothing, failed nothing and walked every node. The pass issues
 //! **zero client reads**: it talks straight to the nodes' `/index` and
 //! `/blobs` routes and never touches the router's get path.
 //!
@@ -96,21 +98,21 @@
 //! carry `x-p3-tombstone: 1` when the miss is a durable delete, and
 //! nodes serve a paginated `GET /tombstones` listing.
 //!
-//! The router honours tombstones at three points. A read that sees a
+//! The router honours tombstones at two points. A read that sees a
 //! tombstoned 404 (`NodeAnswer::Deleted`) treats it as *definitive* —
 //! it outranks any stale `Found` still sitting on a replica that missed
 //! the delete — and pushes the delete to the other replicas
 //! (`tombstone_propagations`) instead of letting read-repair resurrect
-//! the blob. The sweep walks every member's (and windowed ex-member's)
-//! `/tombstones` before diffing indexes: tombstoned IDs are excluded
-//! from re-replication, and any live copy still sitting on a current
-//! replica is deleted. The rebalancer propagates tombstones to the new
-//! replica set when placement changes, so delete knowledge survives
-//! membership churn (a DELETE to a node that never held the blob still
-//! writes a tombstone there).
+//! the blob. The convergence pass learns every walked node's
+//! tombstones before diffing indexes: tombstoned IDs are never
+//! re-replicated, any live copy still sitting on a current replica is
+//! deleted, and a replica that missed the delete is handed the
+//! tombstone — so delete knowledge survives membership churn (a DELETE
+//! to a node that never held the blob still writes a tombstone there).
 
-use crate::ring::{id_fingerprint, HashRing};
-use crate::{crc32, hex_decode};
+use crate::crc32;
+use crate::hex_decode;
+use crate::ring::HashRing;
 use crate::{
     BackendStats, MembershipChange, MembershipView, StatCounters, StorageBackend, StorageError,
     StorageResult,
@@ -118,13 +120,17 @@ use crate::{
 use p3_net::client::{ClientError, ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
 use p3_net::{Deadlines, Response, StatusCode, TcpTransport, Transport};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::sync::Weak;
+use std::time::Duration;
+use std::time::Instant;
 
-/// Page size the rebalancer/sweeper request from `GET /index` and
+/// Page size the convergence pass requests from `GET /index` and
 /// `GET /tombstones`.
 const INDEX_FETCH_PAGE: usize = 512;
 
@@ -164,10 +170,10 @@ pub struct ClusterConfig {
     /// Per-request read/write deadline for node traffic — bounds what a
     /// black-holed (accepting but never answering) peer can cost.
     pub read_timeout: Duration,
-    /// Blobs the rebalancer/sweeper stream before pausing once.
+    /// Copies the convergence pass streams before pausing once.
     pub repair_batch: usize,
-    /// Pause between repair batches (the throttle: keeps a big
-    /// rebalance from saturating the network the live traffic needs).
+    /// Pause between repair batches (the throttle: keeps a big pass
+    /// from saturating the network the live traffic needs).
     pub repair_pause: Duration,
 }
 
@@ -194,7 +200,7 @@ impl Default for ClusterConfig {
 /// Per-node circuit breaker. Shared across membership epochs by
 /// address, so an ejection outlives the epoch bump that kept the node.
 #[derive(Debug, Default)]
-struct NodeHealth {
+pub(super) struct NodeHealth {
     consecutive_failures: AtomicU32,
     /// How many backoff windows this outage has already burned —
     /// exponent of the next window's duration. Reset on any success.
@@ -233,15 +239,20 @@ fn wire_crc_ok(r: &Response) -> bool {
 /// One immutable membership epoch: the node list, the ring built from
 /// the node address strings, and each node's health tracker.
 #[derive(Debug)]
-struct Membership {
-    epoch: u64,
-    nodes: Vec<SocketAddr>,
+pub(super) struct Membership {
+    pub(super) epoch: u64,
+    pub(super) nodes: Vec<SocketAddr>,
     ring: HashRing,
-    health: Vec<Arc<NodeHealth>>,
+    pub(super) health: Vec<Arc<NodeHealth>>,
 }
 
 impl Membership {
-    fn build(epoch: u64, nodes: Vec<SocketAddr>, vnodes: usize, prev: Option<&Membership>) -> Self {
+    pub(super) fn build(
+        epoch: u64,
+        nodes: Vec<SocketAddr>,
+        vnodes: usize,
+        prev: Option<&Membership>,
+    ) -> Self {
         let ids: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
         let ring = HashRing::with_ids(&ids, vnodes);
         let health = nodes
@@ -257,16 +268,16 @@ impl Membership {
     }
 
     /// Replica node *indices* for a blob ID (preference order).
-    fn replica_nodes(&self, id: &str, r: usize) -> Vec<usize> {
+    pub(super) fn replica_nodes(&self, id: &str, r: usize) -> Vec<usize> {
         self.ring.replicas_for(id, r)
     }
 
     /// Replica node *addresses* for a blob ID (preference order).
-    fn replica_addrs(&self, id: &str, r: usize) -> Vec<SocketAddr> {
+    pub(super) fn replica_addrs(&self, id: &str, r: usize) -> Vec<SocketAddr> {
         self.replica_nodes(id, r).into_iter().map(|n| self.nodes[n]).collect()
     }
 
-    fn view(&self) -> MembershipView {
+    pub(super) fn view(&self) -> MembershipView {
         MembershipView { epoch: self.epoch, nodes: self.nodes.clone() }
     }
 }
@@ -286,8 +297,8 @@ pub struct ClusterBackend {
     /// must never read as "absent" — the proxy would pass the
     /// privacy-degraded public part through as a non-P3 photo.
     prev_epoch: Mutex<Option<Arc<Membership>>>,
-    /// Serializes admin operations (membership changes, sweeps) so a
-    /// rebalance and a sweep never interleave their repair streams.
+    /// Serializes admin operations (membership changes, sweeps) so two
+    /// convergence passes never interleave their repair streams.
     admin: Mutex<()>,
     pool: ClientPool,
     stats: StatCounters,
@@ -401,20 +412,20 @@ impl ClusterBackend {
         self.snapshot().epoch
     }
 
-    fn available(&self, m: &Membership, node: usize) -> bool {
+    pub(super) fn available(&self, m: &Membership, node: usize) -> bool {
         match *m.health[node].ejected_until.lock() {
             Some(until) => Instant::now() >= until,
             None => true,
         }
     }
 
-    fn mark_ok(&self, m: &Membership, node: usize) {
+    pub(super) fn mark_ok(&self, m: &Membership, node: usize) {
         m.health[node].consecutive_failures.store(0, Ordering::Relaxed);
         m.health[node].backoff_exp.store(0, Ordering::Relaxed);
         *m.health[node].ejected_until.lock() = None;
     }
 
-    fn mark_failure(&self, m: &Membership, node: usize) {
+    pub(super) fn mark_failure(&self, m: &Membership, node: usize) {
         self.stats.node_failure();
         let health = &m.health[node];
         let fails = health.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
@@ -523,7 +534,7 @@ impl ClusterBackend {
     }
 
     /// PUT straight to a node address, outside the health bookkeeping —
-    /// the repair paths use this so a rebalance against a flaky target
+    /// the repair paths use this so a pass against a flaky target
     /// doesn't trip the data path's circuit breaker. The node echoes
     /// the CRC of what it stored on the ack; an echo that doesn't match
     /// what we sent means the bytes rotted in flight — a success ack we
@@ -594,22 +605,18 @@ impl ClusterBackend {
         Ok(None)
     }
 
-    /// Push a delete to every replica of `id` except `from` (which
-    /// already answered with a tombstone). Best-effort: a replica still
-    /// holding a stale live copy loses it (counted in
+    /// Push a delete of `id` to each of `targets` — the one place the
+    /// router propagates a tombstone, for a read that saw one and for
+    /// the convergence pass alike. Best-effort: a node still holding a
+    /// stale live copy loses it (a 200, counted in
     /// `tombstone_propagations`), one that missed the delete entirely
-    /// gains the tombstone, and an unreachable one heals on a later
-    /// sweep. Outside the health bookkeeping, like the repair paths.
-    fn propagate_tombstone(&self, m: &Membership, id: &str, from: usize, replicas: &[usize]) {
-        for &n in replicas {
-            if n == from {
-                continue;
-            }
-            if let Ok(resp) = self.pool.delete(m.nodes[n], &format!("/blobs/{id}")) {
+    /// gains the tombstone (an idempotent 404, not worth counting), and
+    /// an unreachable one heals on a later pass. Outside the health
+    /// bookkeeping, like every repair write.
+    fn push_delete(&self, targets: impl IntoIterator<Item = SocketAddr>, id: &str) {
+        for addr in targets {
+            if let Ok(resp) = self.pool.delete(addr, &format!("/blobs/{id}")) {
                 if resp.status.is_success() {
-                    // 200 = a stale live copy actually got removed; an
-                    // idempotent 404 (already tombstoned or never held)
-                    // isn't a propagation worth counting.
                     self.stats.tombstone_propagation();
                 }
             }
@@ -630,10 +637,11 @@ impl ClusterBackend {
     /// held) or `/tombstones` (durable deletes; backends without
     /// tombstones legitimately serve empty pages) — through the
     /// paginated line protocol the two routes share. `None` means the
-    /// node could not be walked (down or not answering) — callers must
-    /// treat its contents as unknown, not empty.
-    fn fetch_ids(&self, addr: SocketAddr, route: &str) -> Option<Vec<String>> {
-        let mut ids = Vec::new();
+    /// node could not be walked — down, not answering, or not paging
+    /// honestly — and callers must treat its contents as unknown, not
+    /// empty.
+    fn fetch_ids(&self, addr: SocketAddr, route: &str) -> Option<BTreeSet<String>> {
+        let mut ids = BTreeSet::new();
         let mut after: Option<String> = None;
         loop {
             let path = match &after {
@@ -644,28 +652,37 @@ impl ClusterBackend {
             if !resp.status.is_success() {
                 return None;
             }
-            let body = String::from_utf8_lossy(&resp.body).into_owned();
+            let body = String::from_utf8_lossy(&resp.body);
             let mut page = 0usize;
-            let mut last_line: Option<String> = None;
+            let mut last_line: Option<&str> = None;
             for line in body.lines().filter(|l| !l.is_empty()) {
                 page += 1;
-                last_line = Some(line.to_string());
+                last_line = Some(line);
                 if let Some(id) = hex_decode(line) {
-                    ids.push(id);
+                    ids.insert(id);
                 }
             }
             if page < INDEX_FETCH_PAGE {
                 return Some(ids);
             }
-            after = last_line;
+            // The node is untrusted and the walk holds the admin lock:
+            // hex lines are byte-ordered and the cursor is exclusive, so
+            // a full page that does not end strictly past the cursor is
+            // a node replaying pages, which would loop here forever.
+            let next = last_line.map(str::to_string);
+            if next <= after {
+                return None;
+            }
+            after = next;
         }
     }
 
     // ---- membership admin -------------------------------------------
 
     /// Apply `add` then `remove` as one epoch bump, swap the new
-    /// membership in, and run the rebalancer. Serialized with other
-    /// admin operations; data-path traffic keeps flowing throughout.
+    /// membership in, and run the convergence pass. Serialized with
+    /// other admin operations; data-path traffic keeps flowing
+    /// throughout.
     pub fn update_membership(
         &self,
         add: &[SocketAddr],
@@ -702,19 +719,24 @@ impl ClusterBackend {
         }
         let next = Arc::new(Membership::build(old.epoch + 1, nodes, self.cfg.vnodes, Some(&old)));
         // Publish the new epoch but keep the old one live for reads
-        // until the rebalance has streamed every re-owned blob: a read
-        // that hits only not-yet-populated new owners falls back to the
-        // old placement instead of reporting a false definitive miss.
+        // until the pass has streamed every re-owned blob: a read that
+        // hits only not-yet-populated new owners falls back to the old
+        // placement instead of reporting a false definitive miss.
         *self.prev_epoch.lock() = Some(Arc::clone(&old));
         *self.membership.lock() = Arc::clone(&next);
-        let (rebalanced, failed_streams) = self.rebalance(&old, &next);
-        if failed_streams == 0 {
+        let (rebalanced, failed, _) =
+            self.converge(&next, Some(&old), StatCounters::rebalanced_blob);
+        // A partial pass (a stream failed, or a current member could
+        // not be walked) leaves the fallback window open: reads stay
+        // correct via the old placement, and the anti-entropy sweep
+        // closes the window once a pass proves the cluster converged.
+        // An unwalkable *ex*-member does not count: removing a dead
+        // node is the primary use of `remove`, and a dead node's data
+        // cannot be saved by refusing the operation — at R≥2 the
+        // survivors hold copies and re-replicate normally.
+        if failed == 0 {
             *self.prev_epoch.lock() = None;
         }
-        // A partial rebalance (unreachable target or source) leaves the
-        // fallback window open: reads stay correct via the old
-        // placement, and the anti-entropy sweep closes the window once
-        // a pass proves the cluster converged.
         Ok(MembershipChange { view: next.view(), rebalanced_blobs: rebalanced })
     }
 
@@ -735,83 +757,81 @@ impl ClusterBackend {
         self.update_membership(&[], &[addr])
     }
 
-    /// Stream every blob whose replica set changed between `old` and
-    /// `new` to its new owners. Indexes are walked from the union of
-    /// both epochs' nodes (a drained-but-alive node can still hand its
-    /// blobs off); unreachable nodes are skipped — the anti-entropy
-    /// sweep converges whatever a partial rebalance leaves behind *on
-    /// current members*. The deliberate exception: removing a node that
-    /// is unreachable during the rebalance abandons any blob whose only
-    /// copies lived there (possible at R=1, or after every other
-    /// replica was lost) — removing a dead node is the primary use of
-    /// `remove`, and a dead node's data cannot be saved by refusing the
-    /// operation. At R≥2 the survivors hold copies and re-replicate
-    /// normally. Returns `(copies streamed, streams that failed)`; the
-    /// streamed count is also in `rebalanced_blobs`, and a nonzero
-    /// failure count keeps the previous-epoch read fallback open (see
-    /// [`ClusterBackend::update_membership`]).
-    fn rebalance(&self, old: &Membership, new: &Membership) -> (u64, u64) {
-        let mut sources: Vec<SocketAddr> = new.nodes.clone();
-        for n in &old.nodes {
-            if !sources.contains(n) {
-                sources.push(*n);
-            }
+    // ---- convergence -------------------------------------------------
+
+    /// The one convergence pass, run by a membership change and by the
+    /// anti-entropy sweep: make every replica of `m` hold what it
+    /// should, from any verified holder. It walks the index and the
+    /// tombstones of every member of `m` and of every node only `prev`
+    /// lists (a drained-but-alive ex-member can still hand its blobs
+    /// off), pushes each learned delete across the blob's current
+    /// replica set, then streams every other blob seen anywhere to each
+    /// current replica whose index is known to lack it — one verified
+    /// GET, throttled PUTs, `count`ed per copy that landed. Never
+    /// issues a client read (`gets` stays untouched).
+    ///
+    /// Returns `(copies streamed, failures, every node walked)`. A
+    /// failure is a stream that found no verified source or whose PUT
+    /// was refused, or a *member* that could not be walked: its
+    /// contents are unknown, so nothing proves its replicas whole.
+    fn converge(
+        &self,
+        m: &Membership,
+        prev: Option<&Membership>,
+        count: fn(&StatCounters),
+    ) -> (u64, u64, bool) {
+        let r = self.r_eff(m);
+        // Members first, so a member's position here is its ring index.
+        let mut nodes = m.nodes.clone();
+        nodes.extend(prev.iter().flat_map(|p| &p.nodes).filter(|a| !m.nodes.contains(a)));
+        let walk = |route| nodes.iter().map(|&addr| self.fetch_ids(addr, route)).collect();
+        let indexes: Vec<Option<BTreeSet<String>>> = walk("/index");
+        let tombs: Vec<Option<BTreeSet<String>>> = walk("/tombstones");
+        let unwalked = |n: usize| indexes[n].is_none() || tombs[n].is_none();
+        // Whether node `n`'s listing names `id`; `None` when unwalked.
+        let lists = |sets: &[Option<BTreeSet<String>>], n: usize, id: &String| {
+            sets[n].as_ref().map(|ids| ids.contains(id))
+        };
+        let mut failed = (0..m.nodes.len()).filter(|&n| unwalked(n)).count() as u64;
+        let all_walked = !(0..nodes.len()).any(unwalked);
+        // Tombstones outrank live copies: every delete is learned
+        // *before* any index is diffed, or the streams below would
+        // faithfully resurrect a deleted blob from whichever replica
+        // missed the delete. Each goes to the current replicas that
+        // still hold a live copy or lack the tombstone (a DELETE writes
+        // one even on a node that never held the blob), so delete
+        // knowledge survives membership churn.
+        let tombstoned: BTreeSet<&String> = tombs.iter().flatten().flatten().collect();
+        for &id in &tombstoned {
+            let lagging = m.replica_nodes(id, r).into_iter().filter(|&n| {
+                lists(&indexes, n, id) == Some(true) || lists(&tombs, n, id) == Some(false)
+            });
+            self.push_delete(lagging.map(|n| m.nodes[n]), id);
         }
-        // holder map: blob ID → nodes that hold a copy right now.
-        let mut holders: BTreeMap<String, Vec<SocketAddr>> = BTreeMap::new();
-        for &addr in &sources {
-            if let Some(ids) = self.fetch_ids(addr, "/index") {
-                for id in ids {
-                    holders.entry(id).or_default().push(addr);
-                }
-            }
-        }
-        // Deletes travel with the data: a tombstoned blob's stale live
-        // copies must not be streamed to new owners, and the new owners
-        // must *learn* the delete (a DELETE writes a tombstone even on
-        // a node that never held the blob).
-        let mut tombstoned: HashSet<String> = HashSet::new();
-        for &addr in &sources {
-            if let Some(ids) = self.fetch_ids(addr, "/tombstones") {
-                tombstoned.extend(ids);
-            }
-        }
-        let r_old = self.r_eff(old);
-        let r_new = self.r_eff(new);
-        let mut moved = 0u64;
-        let mut failed = 0u64;
+        let live: BTreeSet<&String> =
+            indexes.iter().flatten().flatten().filter(|id| !tombstoned.contains(id)).collect();
+        let mut streamed = 0u64;
         let mut since_pause = 0usize;
-        for (id, who) in &holders {
-            let old_set = old.replica_addrs(id, r_old);
-            let new_set = new.replica_addrs(id, r_new);
-            if old_set == new_set {
-                continue;
-            }
-            let targets: Vec<SocketAddr> =
-                new_set.into_iter().filter(|a| !who.contains(a)).collect();
+        for id in live {
+            // An unwalked replica is not a target: it heals on a later
+            // pass, and was already charged as a failure above.
+            let mut targets = m.replica_nodes(id, r);
+            targets.retain(|&n| lists(&indexes, n, id) == Some(false));
             if targets.is_empty() {
                 continue;
             }
-            if tombstoned.contains(id) {
-                // The live copies are stale leftovers of a delete: push
-                // the delete to the new owners instead of the bytes.
-                for target in targets {
-                    if let Ok(resp) = self.pool.delete(target, &format!("/blobs/{id}")) {
-                        if resp.status.is_success() {
-                            self.stats.tombstone_propagation();
-                        }
-                    }
-                }
-                continue;
-            }
-            let Some(body) = self.direct_get(who, id) else {
+            let holders: Vec<SocketAddr> = (0..nodes.len())
+                .filter(|&n| lists(&indexes, n, id) == Some(true))
+                .map(|n| nodes[n])
+                .collect();
+            let Some(body) = self.direct_get(&holders, id) else {
                 failed += targets.len() as u64;
                 continue;
             };
-            for target in targets {
-                if self.direct_put(target, id, &body) {
-                    moved += 1;
-                    self.stats.rebalanced_blob();
+            for n in targets {
+                if self.direct_put(m.nodes[n], id, &body) {
+                    streamed += 1;
+                    count(&self.stats);
                 } else {
                     failed += 1;
                 }
@@ -822,214 +842,28 @@ impl ClusterBackend {
                 }
             }
         }
-        // Tombstones with no live copy left anywhere still carry
-        // knowledge: if the blob's placement changed, tell the new
-        // owners about the delete so a lagging replica that resurfaces
-        // later can't win an anti-entropy diff against them.
-        for id in &tombstoned {
-            if holders.contains_key(id) {
-                continue;
-            }
-            let old_set = old.replica_addrs(id, r_old);
-            let new_set = new.replica_addrs(id, r_new);
-            if old_set == new_set {
-                continue;
-            }
-            for target in new_set {
-                let _ = self.pool.delete(target, &format!("/blobs/{id}"));
-            }
-        }
-        (moved, failed)
+        (streamed, failed, all_walked)
     }
 
-    // ---- anti-entropy ------------------------------------------------
-
-    /// One full anti-entropy pass: diff per-arc index digests across
-    /// each arc's replica set, re-replicate every blob a live replica
-    /// is missing, and return the number of repairs streamed. Never
-    /// issues a client read (`gets` stays untouched).
+    /// One anti-entropy pass: re-replicate every blob a live replica is
+    /// missing and return the number of repairs streamed (also in
+    /// `sweep_repairs`).
     pub fn sweep_once(&self) -> u64 {
         let _admin = self.admin.lock();
         let m = self.snapshot();
-        let r = self.r_eff(&m);
-        // Index every node we can reach. `None` = node unknown (down),
-        // which disqualifies the digest fast path for its arcs.
-        let indexes: Vec<Option<HashSet<String>>> = m
-            .nodes
-            .iter()
-            .map(|&addr| self.fetch_ids(addr, "/index").map(|ids| ids.into_iter().collect()))
-            .collect();
         // While a fallback window is open, *ex-members* of the previous
-        // epoch may still hold the only copy of a blob a partial
-        // rebalance failed to stream — index them too: they serve as
-        // repair sources, and the convergence proof below must cover
-        // them before the window may close.
+        // epoch may still hold the only copy of a blob a partial pass
+        // failed to stream: they are repair sources too.
         let prev = self.prev_epoch.lock().clone();
-        let ex_nodes: Vec<SocketAddr> = prev
-            .map(|p| p.nodes.iter().copied().filter(|a| !m.nodes.contains(a)).collect())
-            .unwrap_or_default();
-        let ex_indexes: Vec<(SocketAddr, Option<HashSet<String>>)> = ex_nodes
-            .iter()
-            .map(|&addr| {
-                (addr, self.fetch_ids(addr, "/index").map(|ids| ids.into_iter().collect()))
-            })
-            .collect();
-        // Tombstones outrank live copies: learn every member's (and
-        // windowed ex-member's) deletes *before* diffing indexes, or
-        // the repair below would faithfully resurrect a deleted blob
-        // from whichever replica missed the delete.
-        let tomb_sets: Vec<Option<HashSet<String>>> = m
-            .nodes
-            .iter()
-            .map(|&addr| self.fetch_ids(addr, "/tombstones").map(|ids| ids.into_iter().collect()))
-            .collect();
-        let ex_tomb_sets: Vec<Option<HashSet<String>>> = ex_nodes
-            .iter()
-            .map(|&addr| self.fetch_ids(addr, "/tombstones").map(|ids| ids.into_iter().collect()))
-            .collect();
-        let mut tombstoned: HashSet<String> = HashSet::new();
-        for set in tomb_sets.iter().chain(ex_tomb_sets.iter()).flatten() {
-            tombstoned.extend(set.iter().cloned());
-        }
-        // Propagate each delete across its *current* replica set: drop
-        // stale live copies, and hand the tombstone itself to replicas
-        // that missed the delete (an idempotent DELETE writes one even
-        // on a node that never held the blob).
-        for id in &tombstoned {
-            for &n in &m.replica_nodes(id, r) {
-                let holds_live = indexes[n].as_ref().is_some_and(|ids| ids.contains(id));
-                let has_tomb = tomb_sets[n].as_ref().is_some_and(|ids| ids.contains(id));
-                if !holds_live && (has_tomb || tomb_sets[n].is_none()) {
-                    continue;
-                }
-                if let Ok(resp) = self.pool.delete(m.nodes[n], &format!("/blobs/{id}")) {
-                    if resp.status.is_success() && holds_live {
-                        self.stats.tombstone_propagation();
-                    }
-                }
-            }
-        }
-        // Group by arc: arc → node → (digest, ids in that arc), plus
-        // the ex-members' holdings per arc. Tombstoned IDs are excluded
-        // outright — their stale live copies were deleted above, and
-        // they must never be candidates for re-replication.
-        let mut arcs: BTreeMap<usize, HashMap<usize, (u64, Vec<&String>)>> = BTreeMap::new();
-        for (node, ids) in indexes.iter().enumerate() {
-            let Some(ids) = ids else { continue };
-            for id in ids {
-                if tombstoned.contains(id) {
-                    continue;
-                }
-                let entry = arcs
-                    .entry(m.ring.arc_of(id))
-                    .or_default()
-                    .entry(node)
-                    .or_insert((0, Vec::new()));
-                entry.0 ^= id_fingerprint(id);
-                entry.1.push(id);
-            }
-        }
-        let mut ex_arcs: BTreeMap<usize, HashMap<SocketAddr, Vec<&String>>> = BTreeMap::new();
-        for (addr, ids) in &ex_indexes {
-            let Some(ids) = ids else { continue };
-            for id in ids {
-                if tombstoned.contains(id) {
-                    continue;
-                }
-                ex_arcs.entry(m.ring.arc_of(id)).or_default().entry(*addr).or_default().push(id);
-            }
-        }
-        let empty_members: HashMap<usize, (u64, Vec<&String>)> = HashMap::new();
-        let arc_keys: Vec<usize> = {
-            let mut keys: Vec<usize> = arcs.keys().chain(ex_arcs.keys()).copied().collect();
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        };
-        let mut repairs = 0u64;
-        let mut failed = 0u64;
-        let mut since_pause = 0usize;
-        for arc in arc_keys {
-            let per_node = arcs.get(&arc).unwrap_or(&empty_members);
-            let ex_holders = ex_arcs.get(&arc);
-            let replicas = m.ring.arc_replicas(arc, r);
-            // Fingerprint fast path: every replica was indexed, their
-            // digests agree, and no non-replica member holds leftovers
-            // in this arc (a leftover could be the only surviving copy
-            // of a blob all current replicas are missing).
-            let all_live = replicas.iter().all(|&n| indexes[n].is_some());
-            let digests: Vec<u64> =
-                replicas.iter().map(|n| per_node.get(n).map(|(d, _)| *d).unwrap_or(0)).collect();
-            let digests_agree = digests.windows(2).all(|w| w[0] == w[1]);
-            let only_replicas_hold = per_node.keys().all(|n| replicas.contains(n));
-            if all_live && digests_agree && only_replicas_hold && ex_holders.is_none() {
-                continue;
-            }
-            // Fallback: id-set diff. Union every member's (and windowed
-            // ex-member's) IDs for this arc, then re-PUT each blob to
-            // every live replica missing it, sourcing from any holder.
-            let mut union: Vec<&String> = per_node
-                .values()
-                .flat_map(|(_, ids)| ids)
-                .chain(ex_holders.into_iter().flat_map(|per| per.values().flatten()))
-                .copied()
-                .collect();
-            union.sort_unstable();
-            union.dedup();
-            for id in union {
-                // Live replicas missing this blob; fetch the body once,
-                // then stream it to each of them.
-                let missing: Vec<usize> = replicas
-                    .iter()
-                    .copied()
-                    .filter(|&rep| {
-                        indexes[rep].as_ref().is_some_and(|ids| !ids.contains(id))
-                        // unreachable replicas heal next sweep
-                    })
-                    .collect();
-                if missing.is_empty() {
-                    continue;
-                }
-                let holder_addrs: Vec<SocketAddr> = per_node
-                    .iter()
-                    .filter(|(_, (_, ids))| ids.contains(&id))
-                    .map(|(&n, _)| m.nodes[n])
-                    .chain(ex_holders.into_iter().flat_map(|per| {
-                        per.iter().filter(|(_, ids)| ids.contains(&id)).map(|(&a, _)| a)
-                    }))
-                    .collect();
-                let Some(body) = self.direct_get(&holder_addrs, id) else {
-                    failed += missing.len() as u64;
-                    continue;
-                };
-                for rep in missing {
-                    if self.direct_put(m.nodes[rep], id, &body) {
-                        repairs += 1;
-                        self.stats.sweep_repair();
-                    } else {
-                        failed += 1;
-                    }
-                    since_pause += 1;
-                    if since_pause >= self.cfg.repair_batch {
-                        std::thread::sleep(self.cfg.repair_pause);
-                        since_pause = 0;
-                    }
-                }
-            }
-        }
+        let (repairs, failed, all_walked) =
+            self.converge(&m, prev.as_deref(), StatCounters::sweep_repair);
         self.stats.sweep_run();
-        // A clean pass over a fully-indexed topology — every current
-        // member AND every windowed ex-member answered — proves the
-        // cluster converged: the fallback window a partial rebalance
-        // left open can close now. (Serialized with membership changes
-        // by the admin lock, so this cannot race a new rebalance.)
-        if repairs == 0
-            && failed == 0
-            && indexes.iter().all(|i| i.is_some())
-            && ex_indexes.iter().all(|(_, i)| i.is_some())
-            && tomb_sets.iter().all(|t| t.is_some())
-            && ex_tomb_sets.iter().all(|t| t.is_some())
-        {
+        // A clean pass over a fully-walked topology — every member AND
+        // every windowed ex-member answered — proves the cluster
+        // converged: the fallback window can close now. (Serialized
+        // with membership changes by the admin lock, so this cannot
+        // race a new one.)
+        if repairs == 0 && failed == 0 && all_walked {
             *self.prev_epoch.lock() = None;
         }
         repairs
@@ -1155,7 +989,8 @@ impl StorageBackend for ClusterBackend {
                     // Heal the delete forward right now, so no later
                     // read-repair can undo it from a replica that
                     // missed it.
-                    self.propagate_tombstone(&m, id, n, &replicas);
+                    let others = replicas.iter().filter(|&&other| other != n);
+                    self.push_delete(others.map(|&other| m.nodes[other]), id);
                     self.stats.get_miss();
                     return Ok(None);
                 }
@@ -1170,7 +1005,7 @@ impl StorageBackend for ClusterBackend {
                 // empty after a failure), and every replica holding a
                 // rotten copy needs it overwritten — the anti-entropy
                 // sweep can't heal corruption (the blob is still in the
-                // index, so digests agree), this re-PUT is what does.
+                // node's index), this re-PUT is what does.
                 for &n in stale.iter().chain(&corrupt) {
                     if self.node_put(&m, n, id, &body) {
                         self.stats.read_repair();
@@ -1199,7 +1034,7 @@ impl StorageBackend for ClusterBackend {
                 }
                 // The window can also *close* between our replica walk
                 // and the fallback probe: the 404s above may predate
-                // the rebalancer streaming the blob to exactly the
+                // the pass streaming the blob to exactly the
                 // replicas that answered them. One re-probe of the
                 // current placement settles it; a read that never saw
                 // an open window skips this entirely.
@@ -1299,12 +1134,13 @@ impl StorageBackend for ClusterBackend {
 mod tests {
     use super::*;
     use crate::{StorageCore, StorageService};
+    use std::collections::HashMap;
 
-    fn spawn_nodes(n: usize) -> Vec<StorageService> {
+    pub(super) fn spawn_nodes(n: usize) -> Vec<StorageService> {
         (0..n).map(|_| StorageService::spawn().unwrap()).collect()
     }
 
-    fn cluster(nodes: &[StorageService], replicas: usize) -> ClusterBackend {
+    pub(super) fn cluster(nodes: &[StorageService], replicas: usize) -> ClusterBackend {
         ClusterBackend::new(ClusterConfig {
             nodes: nodes.iter().map(|s| s.addr()).collect(),
             replicas,
@@ -1433,7 +1269,7 @@ mod tests {
     }
 
     /// Respawn a storage service on a specific (just-freed) address.
-    fn respawn_on(addr: SocketAddr, core: Arc<StorageCore>) -> StorageService {
+    pub(super) fn respawn_on(addr: SocketAddr, core: Arc<StorageCore>) -> StorageService {
         StorageService::respawn_on(addr, core)
             .unwrap_or_else(|e| panic!("could not rebind {addr}: {e}"))
     }
@@ -1873,6 +1709,43 @@ mod tests {
         }
         // A second sweep finds everything in sync: digests agree.
         assert_eq!(cluster.sweep_once(), 0, "converged cluster must sweep clean");
+    }
+
+    #[test]
+    fn node_replaying_index_pages_is_unwalkable_not_a_hang() {
+        // The storage provider is untrusted: this "node" answers every
+        // `/index` and `/tombstones` page with the same full page, and
+        // serves a body for any blob. A walk that trusts its pagination
+        // never ends — while holding the admin lock.
+        let page: String = (0..INDEX_FETCH_PAGE)
+            .map(|i| crate::hex_encode(&format!("ghost-{i:03}")) + "\n")
+            .collect();
+        let hostile =
+            p3_net::Server::spawn(Arc::new(move |req: &p3_net::Request| match req.path.as_str() {
+                "/index" | "/tombstones" => Response::ok("text/plain", page.clone().into_bytes()),
+                _ => Response::ok("application/octet-stream", b"planted".to_vec()),
+            }))
+            .unwrap();
+        let honest = spawn_nodes(1);
+        let cluster = Arc::new(cluster(&honest, 2));
+        cluster.put("real", b"payload").unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let walker = Arc::clone(&cluster);
+        let hostile_addr = hostile.addr();
+        std::thread::spawn(move || {
+            let change = walker.add_node(hostile_addr).unwrap();
+            let swept = walker.sweep_once();
+            let _ = done_tx.send((change.rebalanced_blobs, swept));
+        });
+        let (rebalanced, swept) = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("convergence pass hung on a node replaying its index pages");
+        // Contents unknown, never "empty" and never trusted: nothing is
+        // streamed to the node or from its listing, and the window a
+        // clean pass would close stays open.
+        assert_eq!((rebalanced, swept), (0, 0));
+        assert_eq!(honest[0].core().len(), 1, "nothing the hostile index named may be streamed");
+        assert!(cluster.rebalance_window_open(), "an unwalked member must keep the window open");
     }
 
     #[test]

@@ -25,10 +25,11 @@
 //!   consistent hashing with virtual nodes, replication factor R,
 //!   quorum writes, first-healthy-replica reads with read-repair,
 //!   per-node health/ejection so reads survive a node failure, plus an
-//!   epoch-numbered dynamic membership table with a rebalancer (blobs
-//!   whose replica set changed stream to their new owners) and a
-//!   background anti-entropy sweep that re-replicates cold blobs a
-//!   returned-empty node lost.
+//!   epoch-numbered dynamic membership table and one convergence pass
+//!   — run after every membership change and by the background
+//!   anti-entropy sweep — that streams each blob to the current
+//!   replicas lacking it (re-owned blobs to their new owners, cold
+//!   blobs to a node that returned empty).
 //!
 //! [`StorageCore`] wraps any backend with the serving instrumentation
 //! (read counter) and the *tamper mode* — a malicious-provider simulation
@@ -38,7 +39,7 @@
 //! `PUT/GET/DELETE /blobs/{id}` HTTP surface the proxy speaks, plus
 //! `GET /stats` (JSON counters), `GET /len` (plain blob count, used by
 //! the cluster router's size estimate), `GET /index` (paginated
-//! hex-encoded blob-ID listing the rebalancer and sweep walk), and
+//! hex-encoded blob-ID listing the cluster's convergence pass walks), and
 //! `GET`/`POST /admin/membership` (the cluster's membership table).
 
 pub mod cluster;
@@ -103,158 +104,112 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
-/// Snapshot of a backend's operation counters. Which fields move depends
-/// on the backend: `corrupt_reads` is disk-only, the replication fields
-/// are cluster-only; the rest are universal.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct BackendStats {
+/// Declares the backend counter set exactly once: from this one table
+/// come [`BackendStats`]' public fields, its [`BackendStats::fields`]
+/// listing (what `/stats` renders), the atomic `StatCounters` the
+/// backends bump, and `StatCounters::snapshot` — so a counter cannot be
+/// declared and then silently miss from `/stats`.
+macro_rules! backend_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Snapshot of a backend's operation counters. Which fields move
+        /// depends on the backend: `corrupt_reads` is disk-only, the
+        /// replication fields are cluster-only; the rest are universal.
+        #[derive(Debug, Default, Clone, PartialEq, Eq)]
+        pub struct BackendStats {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Cluster: current membership epoch (bumps on every
+            /// add/remove-node admin operation; starts at 1). Not a
+            /// counter: the cluster backend stamps the live epoch into
+            /// its snapshot; other backends report 0.
+            pub membership_epoch: u64,
+        }
+
+        impl BackendStats {
+            /// Flat `(name, value)` view for stats endpoints and benches.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $((stringify!($name), self.$name),)*
+                    ("membership_epoch", self.membership_epoch),
+                ]
+            }
+        }
+
+        /// Internal atomic counterpart of [`BackendStats`], shared by the
+        /// backend implementations in this crate.
+        #[derive(Debug, Default)]
+        pub(crate) struct StatCounters {
+            $($name: AtomicU64,)*
+        }
+
+        impl StatCounters {
+            pub(crate) fn snapshot(&self) -> BackendStats {
+                BackendStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                    membership_epoch: 0,
+                }
+            }
+        }
+    };
+}
+
+backend_counters! {
     /// Blobs written.
-    pub puts: u64,
+    puts,
     /// Blob reads attempted (hit or miss).
-    pub gets: u64,
+    gets,
     /// Blobs deleted.
-    pub deletes: u64,
+    deletes,
     /// Reads that found no blob.
-    pub misses: u64,
+    misses,
     /// Payload bytes written.
-    pub bytes_written: u64,
+    bytes_written,
     /// Payload bytes read.
-    pub bytes_read: u64,
+    bytes_read,
     /// Disk: reads rejected because the on-disk file was truncated or
     /// failed its CRC (surfaced as a corrupt error, never as garbage
     /// and never as a definitive miss).
-    pub corrupt_reads: u64,
+    corrupt_reads,
     /// Cluster: replica answers rejected by end-to-end integrity
     /// verification — a wire-CRC mismatch or a node reporting its own
     /// copy corrupt. Each reject excludes that answer from quorum and
     /// marks the replica for read-repair.
-    pub integrity_rejects: u64,
+    integrity_rejects,
     /// Cluster: per-node requests retried after a transient failure.
-    pub retries: u64,
+    retries,
     /// Cluster: backoff windows scheduled against failing nodes (first
     /// ejections plus each jittered-exponential escalation).
-    pub backoffs: u64,
+    backoffs,
     /// Cluster: stale/missing replicas rewritten during reads.
-    pub read_repairs: u64,
+    read_repairs,
     /// Cluster: individual node requests that failed.
-    pub node_failures: u64,
+    node_failures,
     /// Cluster: nodes ejected by the health tracker.
-    pub nodes_ejected: u64,
+    nodes_ejected,
     /// Cluster: writes that reached some but not all replicas (quorum
     /// still met, or the put failed entirely).
-    pub partial_writes: u64,
-    /// Cluster: blobs streamed to their new owners by the rebalancer
-    /// after a membership change.
-    pub rebalanced_blobs: u64,
-    /// Cluster: under-replicated blobs re-replicated by the
+    partial_writes,
+    /// Cluster: copies the convergence pass streamed on behalf of a
+    /// membership change.
+    rebalanced_blobs,
+    /// Cluster: copies the convergence pass streamed on behalf of the
     /// anti-entropy sweep.
-    pub sweep_repairs: u64,
+    sweep_repairs,
     /// Cluster: anti-entropy sweep passes completed.
-    pub sweep_runs: u64,
-    /// Cluster: current membership epoch (bumps on every
-    /// add/remove-node admin operation; starts at 1).
-    pub membership_epoch: u64,
+    sweep_runs,
     /// Packed store: shared fsync batches issued by the group-commit
     /// writer. `puts / group_commits` is the effective batching factor.
-    pub group_commits: u64,
+    group_commits,
     /// Packed store: segments rewritten (or dropped outright) by the
     /// compactor.
-    pub compactions: u64,
+    compactions,
     /// Packed store: bytes of segment files unlinked by compaction.
-    pub reclaimed_bytes: u64,
+    reclaimed_bytes,
     /// Cluster: deletes pushed to replicas holding a stale live copy
-    /// (by the sweep, the rebalancer, or a read that saw a tombstone).
-    pub tombstone_propagations: u64,
-}
-
-impl BackendStats {
-    /// Flat `(name, value)` view for stats endpoints and benches.
-    pub fn fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("puts", self.puts),
-            ("gets", self.gets),
-            ("deletes", self.deletes),
-            ("misses", self.misses),
-            ("bytes_written", self.bytes_written),
-            ("bytes_read", self.bytes_read),
-            ("corrupt_reads", self.corrupt_reads),
-            ("integrity_rejects", self.integrity_rejects),
-            ("retries", self.retries),
-            ("backoffs", self.backoffs),
-            ("read_repairs", self.read_repairs),
-            ("node_failures", self.node_failures),
-            ("nodes_ejected", self.nodes_ejected),
-            ("partial_writes", self.partial_writes),
-            ("rebalanced_blobs", self.rebalanced_blobs),
-            ("sweep_repairs", self.sweep_repairs),
-            ("sweep_runs", self.sweep_runs),
-            ("membership_epoch", self.membership_epoch),
-            ("group_commits", self.group_commits),
-            ("compactions", self.compactions),
-            ("reclaimed_bytes", self.reclaimed_bytes),
-            ("tombstone_propagations", self.tombstone_propagations),
-        ]
-    }
-}
-
-/// Internal atomic counterpart of [`BackendStats`], shared by the
-/// backend implementations in this crate.
-#[derive(Debug, Default)]
-pub(crate) struct StatCounters {
-    puts: AtomicU64,
-    gets: AtomicU64,
-    deletes: AtomicU64,
-    misses: AtomicU64,
-    bytes_written: AtomicU64,
-    bytes_read: AtomicU64,
-    corrupt_reads: AtomicU64,
-    integrity_rejects: AtomicU64,
-    retries: AtomicU64,
-    backoffs: AtomicU64,
-    read_repairs: AtomicU64,
-    node_failures: AtomicU64,
-    nodes_ejected: AtomicU64,
-    partial_writes: AtomicU64,
-    rebalanced_blobs: AtomicU64,
-    sweep_repairs: AtomicU64,
-    sweep_runs: AtomicU64,
-    group_commits: AtomicU64,
-    compactions: AtomicU64,
-    reclaimed_bytes: AtomicU64,
-    tombstone_propagations: AtomicU64,
+    /// (by the convergence pass, or a read that saw a tombstone).
+    tombstone_propagations,
 }
 
 impl StatCounters {
-    pub(crate) fn snapshot(&self) -> BackendStats {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        BackendStats {
-            puts: ld(&self.puts),
-            gets: ld(&self.gets),
-            deletes: ld(&self.deletes),
-            misses: ld(&self.misses),
-            bytes_written: ld(&self.bytes_written),
-            bytes_read: ld(&self.bytes_read),
-            corrupt_reads: ld(&self.corrupt_reads),
-            integrity_rejects: ld(&self.integrity_rejects),
-            retries: ld(&self.retries),
-            backoffs: ld(&self.backoffs),
-            read_repairs: ld(&self.read_repairs),
-            node_failures: ld(&self.node_failures),
-            nodes_ejected: ld(&self.nodes_ejected),
-            partial_writes: ld(&self.partial_writes),
-            rebalanced_blobs: ld(&self.rebalanced_blobs),
-            sweep_repairs: ld(&self.sweep_repairs),
-            sweep_runs: ld(&self.sweep_runs),
-            // Not a counter: the cluster backend stamps the live epoch
-            // into its snapshot; other backends report 0.
-            membership_epoch: 0,
-            group_commits: ld(&self.group_commits),
-            compactions: ld(&self.compactions),
-            reclaimed_bytes: ld(&self.reclaimed_bytes),
-            tombstone_propagations: ld(&self.tombstone_propagations),
-        }
-    }
-
     pub(crate) fn put(&self, bytes: usize) {
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.bytes_written.fetch_add(bytes as u64, Ordering::Relaxed);
@@ -360,7 +315,7 @@ impl MembershipView {
 pub struct MembershipChange {
     /// Membership after the change.
     pub view: MembershipView,
-    /// Blobs the rebalancer streamed to their new owners.
+    /// Copies the change's convergence pass streamed.
     pub rebalanced_blobs: u64,
 }
 
@@ -393,8 +348,8 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// One sorted page of blob IDs strictly after `after` (exclusive
     /// cursor; `None` starts from the beginning), at most `limit` long.
     /// Backends that physically hold blobs (mem, packed) implement this;
-    /// it powers the `GET /index` route the cluster rebalancer and
-    /// anti-entropy sweep walk. The default declines.
+    /// it powers the `GET /index` route the cluster's convergence pass
+    /// walks. The default declines.
     fn list_ids(&self, _after: Option<&str>, _limit: usize) -> StorageResult<Vec<String>> {
         Err(StorageError::Unavailable(format!("{} backend does not list ids", self.kind())))
     }
@@ -410,7 +365,7 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 
     /// One sorted page of tombstoned blob IDs, same cursor contract as
     /// [`StorageBackend::list_ids`]. Powers `GET /tombstones`, which
-    /// the anti-entropy sweep walks to propagate deletes cluster-wide.
+    /// the cluster's convergence pass walks to propagate deletes.
     /// Backends without tombstones report none.
     fn list_tombstones(&self, _after: Option<&str>, _limit: usize) -> StorageResult<Vec<String>> {
         Ok(Vec::new())

@@ -47,14 +47,6 @@ fn position(bytes: &[u8]) -> u64 {
     mix64(fnv1a(bytes))
 }
 
-/// Mix of one blob ID, used by the anti-entropy sweep's per-arc
-/// XOR-of-id-hashes fingerprints. XOR of avalanche-mixed hashes is
-/// order-independent and incremental, which is exactly what a set
-/// fingerprint needs; raw FNV would let structured ID sets cancel.
-pub fn id_fingerprint(id: &str) -> u64 {
-    mix64(fnv1a(id.as_bytes()))
-}
-
 /// A ring over physical nodes, each with `vnodes` points.
 ///
 /// Nodes are identified by *stable string IDs* (the cluster uses the
@@ -64,9 +56,9 @@ pub fn id_fingerprint(id: &str) -> u64 {
 /// keyspace instead of the ~1/N consistent hashing promises.
 #[derive(Debug, Clone)]
 pub struct HashRing {
-    /// `(position, node index)` sorted by position. Each entry is one
-    /// *arc*: keys hashing into `(previous position, position]` are
-    /// owned by this point's replica walk.
+    /// `(position, node index)` sorted by position: keys hashing into
+    /// `(previous position, position]` are owned by this point's
+    /// replica walk.
     points: Vec<(u64, usize)>,
     nodes: usize,
 }
@@ -101,26 +93,16 @@ impl HashRing {
         self.nodes
     }
 
-    /// Number of arcs (= total vnode points).
-    pub fn arcs(&self) -> usize {
-        self.points.len()
-    }
-
-    /// The arc a key falls in: index of the first ring point at or
-    /// clockwise of the key's position (wrapping). All keys in one arc
-    /// share one replica set ([`Self::arc_replicas`]).
-    pub fn arc_of(&self, key: &str) -> usize {
-        let h = position(key.as_bytes());
-        self.points.partition_point(|&(pos, _)| pos < h) % self.points.len()
-    }
-
-    /// The first `r` *distinct* physical nodes clockwise from arc
-    /// `arc`'s point, in preference order (capped at the node count).
-    pub fn arc_replicas(&self, arc: usize, r: usize) -> Vec<usize> {
+    /// The first `r` *distinct* physical nodes clockwise from `key`'s
+    /// position, in preference order (capped at the node count).
+    pub fn replicas_for(&self, key: &str, r: usize) -> Vec<usize> {
         let r = r.clamp(1, self.nodes);
+        let h = position(key.as_bytes());
+        // The first ring point at or clockwise of the key (wrapping).
+        let start = self.points.partition_point(|&(pos, _)| pos < h);
         let mut out = Vec::with_capacity(r);
         for i in 0..self.points.len() {
-            let (_, node) = self.points[(arc + i) % self.points.len()];
+            let (_, node) = self.points[(start + i) % self.points.len()];
             if !out.contains(&node) {
                 out.push(node);
                 if out.len() == r {
@@ -129,12 +111,6 @@ impl HashRing {
             }
         }
         out
-    }
-
-    /// The first `r` *distinct* physical nodes clockwise from `key`'s
-    /// position, in preference order (capped at the node count).
-    pub fn replicas_for(&self, key: &str, r: usize) -> Vec<usize> {
-        self.arc_replicas(self.arc_of(key), r)
     }
 }
 
@@ -198,18 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn arc_replicas_agree_with_replicas_for() {
-        let ring = HashRing::with_ids(&["10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"], 32);
-        assert_eq!(ring.arcs(), 3 * 32);
-        for i in 0..200 {
-            let key = i.to_string();
-            let arc = ring.arc_of(&key);
-            assert!(arc < ring.arcs());
-            assert_eq!(ring.arc_replicas(arc, 2), ring.replicas_for(&key, 2));
-        }
-    }
-
-    #[test]
     fn removing_a_mid_list_node_keeps_other_placements() {
         // The property an index-keyed ring lacks: dropping a node from
         // the middle of the list must not move keys between the
@@ -227,14 +191,6 @@ mod tests {
                 assert_eq!(old_id, new_id, "key {key} moved between survivors");
             }
         }
-    }
-
-    #[test]
-    fn id_fingerprint_xor_is_order_independent() {
-        let a = id_fingerprint("photo-1") ^ id_fingerprint("photo-2") ^ id_fingerprint("photo-3");
-        let b = id_fingerprint("photo-3") ^ id_fingerprint("photo-1") ^ id_fingerprint("photo-2");
-        assert_eq!(a, b);
-        assert_ne!(a ^ id_fingerprint("photo-4"), a, "adding an id must change the digest");
     }
 
     #[test]

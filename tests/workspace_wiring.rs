@@ -227,3 +227,66 @@ fn docs_name_only_existing_bins_and_bench_files() {
         }
     }
 }
+
+/// Every `--flag` the README, ARCHITECTURE, the verify skill, a workflow
+/// or the CLI's own usage text shows on a `p3 <subcommand>` line (or on
+/// a line continuing one: after a trailing `\`, or opening with `--` /
+/// `[--`) is a flag literal in `crates/cli/src/` — the CLI rejects what
+/// it does not read, so a recipe naming a deleted flag no longer runs.
+#[test]
+fn docs_name_only_flags_the_cli_reads() {
+    let root = repo_root();
+    let cli_src = root.join("crates/cli/src");
+    let main_rs = fs::read_to_string(cli_src.join("main.rs")).expect("cli main.rs");
+    let sources: Vec<String> = fs::read_dir(&cli_src)
+        .expect("crates/cli/src exists")
+        .map(|entry| fs::read_to_string(entry.expect("readable dir entry").path()).expect("source"))
+        .collect();
+    // Subcommand names: the quoted strings on main's dispatch arms.
+    let subcommands: Vec<&str> = main_rs
+        .lines()
+        .filter(|line| line.contains("=> commands::"))
+        .flat_map(|line| line.split('"').skip(1).step_by(2))
+        .collect();
+    assert!(subcommands.contains(&"split") && subcommands.contains(&"proxy"), "{subcommands:?}");
+    let names_subcommand = |line: &str| {
+        line.match_indices("p3 ").any(|(at, _)| {
+            let word = line[at + 3..].split(|c: char| !is_flag_char(c)).next().unwrap_or("");
+            !line[..at].ends_with(is_flag_char) && subcommands.contains(&word)
+        })
+    };
+    let mut docs = runnable_docs(&root);
+    docs.push(cli_src.join("main.rs"));
+    let mut checked = 0usize;
+    for doc in docs {
+        let text = fs::read_to_string(&doc).unwrap_or_else(|e| panic!("read {doc:?}: {e}"));
+        let mut in_command = false;
+        let mut continued = false;
+        for line in text.lines() {
+            // Doc comments and markdown quote their continuation lines.
+            let bare = line.trim_start_matches(|c: char| c.is_whitespace() || "/!>#".contains(c));
+            in_command = names_subcommand(line)
+                || (in_command && (continued || bare.starts_with("--") || bare.starts_with("[--")));
+            continued = line.trim_end().ends_with('\\');
+            if !in_command {
+                continue;
+            }
+            for (at, _) in line.match_indices("--") {
+                let name = line[at + 2..].split(|c: char| !is_flag_char(c)).next().unwrap_or("");
+                if name.is_empty() || line[..at].ends_with(is_flag_char) {
+                    continue;
+                }
+                checked += 1;
+                let read = sources.iter().any(|src| {
+                    src.contains(&format!("\"{name}\"")) || src.contains(&format!("\"--{name}\""))
+                });
+                assert!(read, "{doc:?} shows `--{name}` on a p3 command line: the CLI reads no such flag\n  {line}");
+            }
+        }
+    }
+    assert!(checked > 40, "flag scan is broken: only {checked} flags seen");
+}
+
+fn is_flag_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '-' || c == '_'
+}

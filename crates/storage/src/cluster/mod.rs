@@ -109,6 +109,12 @@
 //! deleted, and a replica that missed the delete is handed the
 //! tombstone — so delete knowledge survives membership churn (a DELETE
 //! to a node that never held the blob still writes a tombstone there).
+//!
+//! # Layout
+//!
+//! This file holds the config, routing, `classify` and the
+//! [`StorageBackend`] impl; `health` the per-node circuit breaker;
+//! `converge` the membership table, the pass and the [`Sweeper`].
 
 mod converge;
 mod health;

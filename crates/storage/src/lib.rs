@@ -107,10 +107,11 @@ impl From<std::io::Error> for StorageError {
 /// Declares the backend counter set exactly once: from this one table
 /// come [`BackendStats`]' public fields, its [`BackendStats::fields`]
 /// listing (what `/stats` renders), the atomic `StatCounters` the
-/// backends bump, and `StatCounters::snapshot` — so a counter cannot be
+/// backends bump, `StatCounters::snapshot`, and for `name => bump` rows
+/// the `StatCounters::bump()` that adds one — so a counter cannot be
 /// declared and then silently miss from `/stats`.
 macro_rules! backend_counters {
-    ($($(#[$doc:meta])* $name:ident,)*) => {
+    ($($(#[$doc:meta])* $name:ident $(=> $bump:ident)?,)*) => {
         /// Snapshot of a backend's operation counters. Which fields move
         /// depends on the backend: `corrupt_reads` is disk-only, the
         /// replication fields are cluster-only; the rest are universal.
@@ -148,6 +149,10 @@ macro_rules! backend_counters {
                     membership_epoch: 0,
                 }
             }
+
+            $($(pub(crate) fn $bump(&self) {
+                self.$name.fetch_add(1, Ordering::Relaxed);
+            })?)*
         }
     };
 }
@@ -158,7 +163,7 @@ backend_counters! {
     /// Blob reads attempted (hit or miss).
     gets,
     /// Blobs deleted.
-    deletes,
+    deletes => delete,
     /// Reads that found no blob.
     misses,
     /// Payload bytes written.
@@ -168,37 +173,37 @@ backend_counters! {
     /// Disk: reads rejected because the on-disk file was truncated or
     /// failed its CRC (surfaced as a corrupt error, never as garbage
     /// and never as a definitive miss).
-    corrupt_reads,
+    corrupt_reads => corrupt_read,
     /// Cluster: replica answers rejected by end-to-end integrity
     /// verification — a wire-CRC mismatch or a node reporting its own
     /// copy corrupt. Each reject excludes that answer from quorum and
     /// marks the replica for read-repair.
-    integrity_rejects,
+    integrity_rejects => integrity_reject,
     /// Cluster: per-node requests retried after a transient failure.
-    retries,
+    retries => retry,
     /// Cluster: backoff windows scheduled against failing nodes (first
     /// ejections plus each jittered-exponential escalation).
-    backoffs,
+    backoffs => backoff,
     /// Cluster: stale/missing replicas rewritten during reads.
-    read_repairs,
+    read_repairs => read_repair,
     /// Cluster: individual node requests that failed.
-    node_failures,
+    node_failures => node_failure,
     /// Cluster: nodes ejected by the health tracker.
-    nodes_ejected,
+    nodes_ejected => node_ejected,
     /// Cluster: writes that reached some but not all replicas (quorum
     /// still met, or the put failed entirely).
-    partial_writes,
+    partial_writes => partial_write,
     /// Cluster: copies the convergence pass streamed on behalf of a
     /// membership change.
-    rebalanced_blobs,
+    rebalanced_blobs => rebalanced_blob,
     /// Cluster: copies the convergence pass streamed on behalf of the
     /// anti-entropy sweep.
-    sweep_repairs,
+    sweep_repairs => sweep_repair,
     /// Cluster: anti-entropy sweep passes completed.
-    sweep_runs,
+    sweep_runs => sweep_run,
     /// Packed store: shared fsync batches issued by the group-commit
     /// writer. `puts / group_commits` is the effective batching factor.
-    group_commits,
+    group_commits => group_commit,
     /// Packed store: segments rewritten (or dropped outright) by the
     /// compactor.
     compactions,
@@ -206,7 +211,7 @@ backend_counters! {
     reclaimed_bytes,
     /// Cluster: deletes pushed to replicas holding a stale live copy
     /// (by the convergence pass, or a read that saw a tombstone).
-    tombstone_propagations,
+    tombstone_propagations => tombstone_propagation,
 }
 
 impl StatCounters {
@@ -225,65 +230,9 @@ impl StatCounters {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn delete(&self) {
-        self.deletes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn corrupt_read(&self) {
-        self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn integrity_reject(&self) {
-        self.integrity_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn backoff(&self) {
-        self.backoffs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn read_repair(&self) {
-        self.read_repairs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn node_failure(&self) {
-        self.node_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn node_ejected(&self) {
-        self.nodes_ejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn partial_write(&self) {
-        self.partial_writes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn rebalanced_blob(&self) {
-        self.rebalanced_blobs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn sweep_repair(&self) {
-        self.sweep_repairs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn sweep_run(&self) {
-        self.sweep_runs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn group_commit(&self) {
-        self.group_commits.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn compaction(&self, segments: u64, bytes: u64) {
         self.compactions.fetch_add(segments, Ordering::Relaxed);
         self.reclaimed_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn tombstone_propagation(&self) {
-        self.tombstone_propagations.fetch_add(1, Ordering::Relaxed);
     }
 }
 

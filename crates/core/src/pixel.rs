@@ -7,7 +7,7 @@
 //! error source when the transform is known).
 
 use p3_jpeg::image::{GrayImage, RgbImage};
-use p3_vision::image::ImageF32;
+use p3_vision::image::{round_to_u8, ImageF32};
 
 /// Split an interleaved RGB image into three float channels.
 pub fn rgb_to_channels(img: &RgbImage) -> [ImageF32; 3] {
@@ -30,10 +30,9 @@ pub fn channels_to_rgb(ch: &[ImageF32; 3]) -> RgbImage {
     let h = ch[0].height;
     assert!(ch.iter().all(|c| c.width == w && c.height == h), "channel size mismatch");
     let mut img = RgbImage::new(w, h);
-    for i in 0..w * h {
-        img.data[i * 3] = ch[0].data[i].round().clamp(0.0, 255.0) as u8;
-        img.data[i * 3 + 1] = ch[1].data[i].round().clamp(0.0, 255.0) as u8;
-        img.data[i * 3 + 2] = ch[2].data[i].round().clamp(0.0, 255.0) as u8;
+    let planes = ch[0].data.iter().zip(&ch[1].data).zip(&ch[2].data);
+    for (px, ((&r, &g), &b)) in img.data.chunks_exact_mut(3).zip(planes) {
+        px.copy_from_slice(&[round_to_u8(r), round_to_u8(g), round_to_u8(b)]);
     }
     img
 }

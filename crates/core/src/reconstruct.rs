@@ -9,18 +9,26 @@
 //! * **Processed** ([`reconstruct_processed`]): the PSP applied some
 //!   transform `A` to the public part. By Eq. 2,
 //!   `A·y = A·xp + A·(xs + corr)`: decode the secret+correction image to
-//!   a *signed fractional delta* in RGB space, push it through the same
-//!   linear `A` locally, and add pixel-by-pixel. Gamma (nonlinear) is
-//!   handled by the paper's one-to-one-mapping trick: invert it on the
-//!   received image, add the linearly-transformed delta, re-apply.
+//!   a *signed fractional delta*, push it through the same linear `A`
+//!   locally, and add pixel-by-pixel. The delta stays in **component
+//!   space at native (subsampled) resolution until after `A`**: chroma
+//!   upsampling is itself a separable linear map, so it folds into `A`'s
+//!   per-axis tap tables, and the 3×3 YCbCr→RGB matrix commutes with any
+//!   per-channel spatial `A`, so it is applied once per *output* pixel,
+//!   fused with the add. Gamma (nonlinear) is handled by the paper's
+//!   one-to-one-mapping trick: invert it on the received image, add the
+//!   linearly-transformed delta, re-apply.
 
-use p3_jpeg::block::CoeffImage;
-use p3_jpeg::dct::idct8x8;
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use p3_jpeg::block::{CoeffImage, ComponentCoeffs};
+use p3_jpeg::dct::{idct8x8_signed, idct_signed_scales};
 use p3_jpeg::image::RgbImage;
-use p3_vision::image::ImageF32;
+use p3_vision::image::{round_to_u8, ImageF32};
+use p3_vision::resize::{apply_separable, gamma_sample, sharpen, AxisTaps, ResizeFilter};
 
-use crate::pixel::channels_to_rgb;
-use crate::split::{recombine_coeffs, secret_plus_correction};
+use crate::split::recombine_coeffs;
 use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
 
@@ -32,111 +40,170 @@ pub fn reconstruct_exact(public: &CoeffImage, secret: &CoeffImage, t: u16) -> Re
     recombine_coeffs(public, secret, t)
 }
 
-/// Decode the secret + correction image into signed `f32` **delta
-/// channels** in RGB space at the original resolution.
-///
-/// "The third image, the correction factor, does not depend on the
-/// public image and can be completely derived from the secret image" —
-/// this function materializes `xs + (Ss − Ss²)·w` in the pixel domain:
-/// no +128 level shift, no chroma offset, values may be negative.
-pub fn delta_rgb_channels(secret: &CoeffImage, t: u16) -> Result<[ImageF32; 3]> {
-    secret.validate()?;
-    let spc = secret_plus_correction(secret, t);
-    let planes = delta_planes(&spc)?;
-    match planes.len() {
-        1 => {
-            let y = &planes[0];
-            Ok([y.clone(), y.clone(), y.clone()])
-        }
-        3 => {
-            let dy = upsample_f32(&planes[0], secret.width, secret.height);
-            let dcb = upsample_f32(&planes[1], secret.width, secret.height);
-            let dcr = upsample_f32(&planes[2], secret.width, secret.height);
-            // Linear part of the JFIF YCbCr→RGB map (offsets cancel in
-            // deltas).
-            let n = secret.width * secret.height;
-            let mut r = ImageF32::new(secret.width, secret.height);
-            let mut g = ImageF32::new(secret.width, secret.height);
-            let mut b = ImageF32::new(secret.width, secret.height);
-            for i in 0..n {
-                let y = dy.data[i];
-                let cb = dcb.data[i];
-                let cr = dcr.data[i];
-                r.data[i] = y + 1.402 * cr;
-                g.data[i] = y - 0.344_136_3 * cb - 0.714_136_3 * cr;
-                b.data[i] = y + 1.772 * cb;
-            }
-            Ok([r, g, b])
-        }
-        n => Err(P3Error::Mismatch(format!("{n}-component secret part"))),
+/// Per-thread scratch of [`reconstruct_processed`], reused from view to
+/// view so the hot path faults no fresh pages: one component's
+/// native-resolution delta plane, the resampler's intermediate rows, and
+/// the transformed delta per component.
+#[derive(Default)]
+struct Scratch {
+    plane: Vec<f32>,
+    rows: Vec<f32>,
+    delta: Vec<ImageF32>,
+}
+
+/// Samples (4 MiB) above which a thread releases its scratch after the
+/// view instead of keeping it: one huge photo must not pin its planes
+/// to a worker thread for good.
+const SCRATCH_KEPT: usize = 1 << 20;
+
+impl Scratch {
+    fn samples(&self) -> usize {
+        let delta: usize = self.delta.iter().map(|d| d.data.capacity()).sum();
+        self.plane.capacity() + self.rows.capacity() + delta
     }
 }
 
-/// Per-component signed delta planes (dequantize + IDCT, **no** level
-/// shift), cropped to real component dimensions.
-fn delta_planes(ci: &CoeffImage) -> Result<Vec<ImageF32>> {
-    let h_max = ci.h_max() as usize;
-    let v_max = ci.v_max() as usize;
-    let mut out = Vec::with_capacity(ci.components.len());
-    for comp in &ci.components {
-        let qt = &ci.qtables[comp.quant_idx];
-        let samp_w = (ci.width * comp.h_samp as usize).div_ceil(h_max);
-        let samp_h = (ci.height * comp.v_samp as usize).div_ceil(v_max);
-        let full_w = comp.padded_w * 8;
-        let mut full = vec![0f32; full_w * comp.padded_h * 8];
-        for by in 0..comp.padded_h {
-            for bx in 0..comp.padded_w {
-                let deq = qt.dequantize(comp.block(bx, by));
-                let px = idct8x8(&deq);
-                for sy in 0..8 {
-                    let row = (by * 8 + sy) * full_w + bx * 8;
-                    full[row..row + 8].copy_from_slice(&px[sy * 8..sy * 8 + 8]);
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Decode one component of the secret + correction image — `xs +
+/// (Ss − Ss²)·w`, i.e. `−2T` on every negative AC coefficient, fused into
+/// dequantization — to signed samples at the component's native
+/// resolution: no +128 level shift, no chroma offset, nothing rounded.
+/// Returns the plane's row stride.
+fn decode_delta(
+    comp: &ComponentCoeffs,
+    steps: &[u16; 64],
+    t: u16,
+    (samp_w, samp_h): (usize, usize),
+    plane: &mut Vec<f32>,
+) -> Result<usize> {
+    let (bw, bh) = (samp_w.div_ceil(8), samp_h.div_ceil(8));
+    if bw > comp.padded_w || bh > comp.padded_h {
+        return Err(P3Error::Mismatch(format!(
+            "component {} needs {bw}x{bh} blocks but carries {}x{}",
+            comp.id, comp.padded_w, comp.padded_h
+        )));
+    }
+    let scales = idct_signed_scales();
+    let mult: [f32; 64] = std::array::from_fn(|i| f32::from(steps[i]) * scales[i]);
+    let correction = -2 * i32::from(t);
+    let stride = bw * 8;
+    plane.clear();
+    plane.resize(stride * bh * 8, 0.0);
+    for by in 0..bh {
+        let band = &mut plane[by * 8 * stride..(by + 1) * 8 * stride];
+        for bx in 0..bw {
+            let block = comp.block(bx, by);
+            if block[1..].iter().all(|&c| c == 0) {
+                // DC only (most of a secret part): a flat block.
+                let flat = block[0] as f32 * mult[0];
+                if flat != 0.0 {
+                    for row in band.chunks_exact_mut(stride) {
+                        row[bx * 8..bx * 8 + 8].fill(flat);
+                    }
                 }
+                continue;
+            }
+            let mut ws = [[0f32; 8]; 8];
+            ws[0][0] = block[0] as f32 * mult[0];
+            for k in 1..64 {
+                let c = block[k].saturating_add(if block[k] < 0 { correction } else { 0 });
+                ws[k / 8][k % 8] = c as f32 * mult[k];
+            }
+            idct8x8_signed(&mut ws);
+            for (row, px) in band.chunks_exact_mut(stride).zip(&ws) {
+                row[bx * 8..bx * 8 + 8].copy_from_slice(px);
             }
         }
-        let mut plane = ImageF32::new(samp_w, samp_h);
-        for y in 0..samp_h {
-            let src = y * full_w;
-            plane.data[y * samp_w..(y + 1) * samp_w].copy_from_slice(&full[src..src + samp_w]);
-        }
-        out.push(plane);
     }
-    Ok(out)
+    Ok(stride)
 }
 
-/// Bilinear upsample for signed float planes — the same center-aligned
-/// weights `p3-jpeg` uses for chroma, so public-part and delta decoding
-/// commute exactly in the identity case.
-fn upsample_f32(p: &ImageF32, width: usize, height: usize) -> ImageF32 {
-    if p.width == width && p.height == height {
-        return p.clone();
+/// One axis of `A ∘ upsample` for a component with `samp` samples along
+/// an axis of `full` pixels: the exact matrix product of the chroma
+/// upsample, crop and resize taps, so a subsampled plane goes to output
+/// resolution in one pass and the full-resolution plane never exists.
+fn axis_taps(
+    samp: usize,
+    full: usize,
+    crop: Option<(usize, usize)>,
+    resize: Option<(usize, ResizeFilter)>,
+) -> Arc<AxisTaps> {
+    let mut len = full;
+    let mut stages: Vec<Arc<AxisTaps>> = Vec::with_capacity(3);
+    if samp != full {
+        stages.push(Arc::new(AxisTaps::bilinear(samp, full)));
     }
-    let mut out = ImageF32::new(width, height);
-    let sx = p.width as f32 / width as f32;
-    let sy = p.height as f32 / height as f32;
-    for y in 0..height {
-        let fy = (y as f32 + 0.5) * sy - 0.5;
-        let y0 = fy.floor();
-        let wy = fy - y0;
-        for x in 0..width {
-            let fx = (x as f32 + 0.5) * sx - 0.5;
-            let x0 = fx.floor();
-            let wx = fx - x0;
-            let p00 = p.get_clamped(x0 as isize, y0 as isize);
-            let p10 = p.get_clamped(x0 as isize + 1, y0 as isize);
-            let p01 = p.get_clamped(x0 as isize, y0 as isize + 1);
-            let p11 = p.get_clamped(x0 as isize + 1, y0 as isize + 1);
-            out.set(
-                x,
-                y,
-                p00 * (1.0 - wx) * (1.0 - wy)
-                    + p10 * wx * (1.0 - wy)
-                    + p01 * (1.0 - wx) * wy
-                    + p11 * wx * wy,
-            );
+    if let Some((start, want)) = crop {
+        let window = AxisTaps::window(len, start, want);
+        len = window.dst_len();
+        stages.push(Arc::new(window));
+    }
+    if let Some((dst, filter)) = resize {
+        stages.push(AxisTaps::resize(len, dst, filter));
+    }
+    stages
+        .into_iter()
+        .reduce(|inner, outer| Arc::new(inner.then(&outer)))
+        .unwrap_or_else(|| Arc::new(AxisTaps::window(full, 0, full)))
+}
+
+/// Both axes of `A ∘ upsample` for components of one geometry.
+struct PlaneTaps {
+    samp: (usize, usize),
+    x: Arc<AxisTaps>,
+    y: Arc<AxisTaps>,
+}
+
+/// `A·(xs + corr)` per component into `scratch.delta`, at output
+/// resolution, still in the secret's component space (Y, or Y/Cb/Cr).
+fn transformed_delta(
+    secret: &CoeffImage,
+    t: u16,
+    transform: &TransformSpec,
+    scratch: &mut Scratch,
+) -> Result<()> {
+    let (w, h) = (secret.width, secret.height);
+    let (h_max, v_max) = (usize::from(secret.h_max()), usize::from(secret.v_max()));
+    let (cw, ch) = TransformSpec { resize_to: None, ..*transform }.output_dims(w, h);
+    // Like `resize`, the stage is a no-op as a whole or runs on both axes.
+    let resize = transform.resize_to.filter(|&dims| dims != (cw, ch));
+    let (filter, crop) = (transform.filter, transform.crop);
+    let (sigma, amount) = transform.sharpen;
+    scratch.delta.resize_with(secret.components.len(), || ImageF32::new(0, 0));
+    let mut kept: Option<PlaneTaps> = None;
+    for (comp, delta) in secret.components.iter().zip(&mut scratch.delta) {
+        let samp = (
+            (w * usize::from(comp.h_samp)).div_ceil(h_max),
+            (h * usize::from(comp.v_samp)).div_ceil(v_max),
+        );
+        let steps = &secret.qtables[comp.quant_idx].table;
+        let stride = decode_delta(comp, steps, t, samp, &mut scratch.plane)?;
+        // Cb and Cr share a geometry: their taps are composed once.
+        kept.take_if(|kept| kept.samp != samp);
+        let taps = kept.get_or_insert_with(|| PlaneTaps {
+            samp,
+            x: axis_taps(
+                samp.0,
+                w,
+                crop.map(|(x, _, cw, _)| (x, cw)),
+                resize.map(|(rw, _)| (rw, filter)),
+            ),
+            y: axis_taps(
+                samp.1,
+                h,
+                crop.map(|(_, y, _, ch)| (y, ch)),
+                resize.map(|(_, rh)| (rh, filter)),
+            ),
+        });
+        apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, delta);
+        if amount != 0.0 {
+            *delta = sharpen(delta, sigma, amount);
         }
     }
-    out
+    Ok(())
 }
 
 /// Reconstruct an image whose public part was processed by `transform`
@@ -160,32 +227,59 @@ pub fn reconstruct_processed(
             processed_public.width, processed_public.height
         )));
     }
-    let delta = delta_rgb_channels(secret, t)?;
-    let transformed: Vec<ImageF32> = delta.iter().map(|ch| transform.apply_linear(ch)).collect();
-    let received = crate::pixel::rgb_to_channels(processed_public);
+    secret.validate()?;
+    if !matches!(secret.components.len(), 1 | 3) {
+        return Err(P3Error::Mismatch(format!(
+            "{}-component secret part",
+            secret.components.len()
+        )));
+    }
+    SCRATCH.with_borrow_mut(|scratch| {
+        let out = transformed_delta(secret, t, transform, scratch)
+            .map(|()| add_delta(processed_public, &scratch.delta, transform));
+        if scratch.samples() > SCRATCH_KEPT {
+            *scratch = Scratch::default();
+        }
+        out
+    })
+}
 
-    let mut out_ch: Vec<ImageF32> = Vec::with_capacity(3);
-    for (recv, dt) in received.iter().zip(transformed.iter()) {
-        if transform.is_linear() {
-            out_ch.push(recv.add(dt));
+/// The fused tail of Eq. 2, once per output pixel: `clamp(round(public +
+/// M·(dY, dCb, dCr)))` with `M` the linear part of the JFIF YCbCr→RGB
+/// map (offsets cancel in deltas; a 1-component secret adds its luma
+/// delta to all three channels), wrapped in the inverse/forward gamma
+/// when `A` ends in one.
+fn add_delta(public: &RgbImage, delta: &[ImageF32], transform: &TransformSpec) -> RgbImage {
+    let mut out = RgbImage::new(public.width, public.height);
+    let dy = &delta[0].data;
+    let (dcb, dcr) = if delta.len() == 3 { (&delta[1].data, &delta[2].data) } else { (dy, dy) };
+    let gray = delta.len() == 1;
+    let (gamma, linear) = (transform.gamma, transform.is_linear());
+    let ungamma = |v: f32| if linear { v } else { gamma_sample(v, 1.0 / gamma) };
+    let regamma = |v: f32| if linear { v } else { gamma_sample(v, gamma) };
+    // A received sample is one of 256 values: invert gamma by table.
+    let received: [f32; 256] = std::array::from_fn(|v| ungamma(v as f32));
+    let pixels = out.data.chunks_exact_mut(3).zip(public.data.chunks_exact(3));
+    for ((o, p), ((&y, &cb), &cr)) in pixels.zip(dy.iter().zip(dcb).zip(dcr)) {
+        let d = if gray {
+            [y, y, y]
         } else {
-            // Undo gamma, add the linear delta, re-apply gamma.
-            let lin = transform.invert_nonlinear(recv);
-            out_ch.push(transform.reapply_nonlinear(&lin.add(dt)));
+            [y + 1.402 * cr, y - 0.344_136_3 * cb - 0.714_136_3 * cr, y + 1.772 * cb]
+        };
+        for c in 0..3 {
+            o[c] = round_to_u8(regamma(received[usize::from(p[c])] + d[c]));
         }
     }
-    let out: [ImageF32; 3] = [out_ch.remove(0), out_ch.remove(0), out_ch.remove(0)];
-    Ok(channels_to_rgb(&out))
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::rgb_to_channels;
+    use crate::pixel::{channels_to_rgb, rgb_to_channels};
     use crate::split::split_coeffs;
     use p3_jpeg::encoder::{pixels_to_coeffs, Subsampling};
     use p3_vision::metrics::psnr;
-    use p3_vision::resize::ResizeFilter;
 
     fn test_image(w: usize, h: usize) -> RgbImage {
         let mut img = RgbImage::new(w, h);
@@ -301,15 +395,34 @@ mod tests {
     }
 
     #[test]
-    fn delta_channels_are_zero_mean_ish_without_dc() {
-        // The delta of a secret part carries the DC, so it is NOT
-        // zero-mean; but with an all-zero secret it must be exactly zero.
-        let ci = pixels_to_coeffs(&test_image(16, 16), 90, Subsampling::S444).unwrap();
+    fn all_zero_secret_adds_nothing() {
+        // The delta of a real secret part carries the DC, so it is not
+        // zero-mean; but an all-zero secret must leave the public part
+        // exactly as served, whatever `A` is.
+        let ci = pixels_to_coeffs(&test_image(48, 32), 90, Subsampling::S420).unwrap();
         let mut zero = ci.clone();
         zero.for_each_block_mut(|_, b| *b = [0; 64]);
-        let delta = delta_rgb_channels(&zero, 10).unwrap();
-        for ch in &delta {
-            assert!(ch.data.iter().all(|&v| v.abs() < 1e-4));
-        }
+        let t = TransformSpec::resize(20, 14, ResizeFilter::Lanczos3);
+        let served = test_image(20, 14);
+        assert_eq!(reconstruct_processed(&served, &zero, 10, &t).unwrap().data, served.data);
+    }
+
+    #[test]
+    fn inconsistent_geometry_is_an_error_not_a_panic() {
+        let ci = pixels_to_coeffs(&test_image(32, 32), 90, Subsampling::S444).unwrap();
+        let (_, mut secret, _) = split_coeffs(&ci, 10).unwrap();
+        let public = RgbImage::new(64, 64);
+        // Claims 64x64 pixels but carries the blocks of 32x32: passes
+        // `validate` (which checks counts, not coverage).
+        secret.width = 64;
+        secret.height = 64;
+        let err = reconstruct_processed(&public, &secret, 10, &TransformSpec::identity());
+        assert!(matches!(err, Err(P3Error::Mismatch(_))), "{err:?}");
+        // A dangling quant index is `validate`'s to refuse.
+        let (_, mut secret, _) = split_coeffs(&ci, 10).unwrap();
+        secret.components[0].quant_idx = 9;
+        let err =
+            reconstruct_processed(&test_image(32, 32), &secret, 10, &TransformSpec::identity());
+        assert!(matches!(err, Err(P3Error::Jpeg(_))), "{err:?}");
     }
 }

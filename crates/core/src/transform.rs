@@ -11,6 +11,7 @@
 
 use p3_vision::image::ImageF32;
 use p3_vision::resize::{crop, gamma_correct, resize, sharpen, ResizeFilter};
+use std::borrow::Cow;
 
 /// A concrete server-side processing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,42 +54,38 @@ impl TransformSpec {
 
     /// Apply the full pipeline (including gamma) to one channel.
     pub fn apply(&self, ch: &ImageF32) -> ImageF32 {
-        let g = self.apply_linear(ch);
-        gamma_correct(&g, self.gamma)
+        let linear = self.linear_stages(ch);
+        if self.is_linear() {
+            linear.into_owned()
+        } else {
+            gamma_correct(&linear, self.gamma)
+        }
     }
 
     /// Apply only the linear stages (crop → resize → sharpen). This is
     /// the `A` of paper Eq. 2 — what the recipient applies to the
     /// secret + correction delta.
     pub fn apply_linear(&self, ch: &ImageF32) -> ImageF32 {
-        let mut img = ch.clone();
+        self.linear_stages(ch).into_owned()
+    }
+
+    /// The linear stages, borrowing the input until a stage actually
+    /// runs: each stage that does allocates its output and nothing else.
+    fn linear_stages<'a>(&self, ch: &'a ImageF32) -> Cow<'a, ImageF32> {
+        let mut img = Cow::Borrowed(ch);
         if let Some((x, y, w, h)) = self.crop {
-            img = crop(&img, x, y, w, h);
+            img = Cow::Owned(crop(&img, x, y, w, h));
         }
         if let Some((w, h)) = self.resize_to {
-            img = resize(&img, w, h, self.filter);
+            if (w, h) != (img.width, img.height) {
+                img = Cow::Owned(resize(&img, w, h, self.filter));
+            }
         }
         let (sigma, amount) = self.sharpen;
         if amount != 0.0 {
-            img = sharpen(&img, sigma, amount);
+            img = Cow::Owned(sharpen(&img, sigma, amount));
         }
         img
-    }
-
-    /// Invert the nonlinear tail (gamma) of the pipeline — used by the
-    /// recipient before adding the linearly-transformed delta, per the
-    /// paper's one-to-one-mapping argument.
-    pub fn invert_nonlinear(&self, ch: &ImageF32) -> ImageF32 {
-        if (self.gamma - 1.0).abs() < 1e-6 {
-            ch.clone()
-        } else {
-            gamma_correct(ch, 1.0 / self.gamma)
-        }
-    }
-
-    /// Re-apply the nonlinear tail after the linear reconstruction.
-    pub fn reapply_nonlinear(&self, ch: &ImageF32) -> ImageF32 {
-        gamma_correct(ch, self.gamma)
     }
 
     /// Output dimensions for an input of the given size.
@@ -157,7 +154,7 @@ mod tests {
         let t = TransformSpec { gamma: 2.2, ..TransformSpec::default() };
         assert!(!t.is_linear());
         let fwd = t.apply(&a);
-        let back = t.invert_nonlinear(&fwd);
+        let back = gamma_correct(&fwd, 1.0 / t.gamma);
         for i in 0..a.data.len() {
             assert!(
                 (back.data[i] - a.data[i]).abs() < 0.75,

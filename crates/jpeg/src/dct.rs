@@ -1,13 +1,12 @@
 //! Forward and inverse 8×8 DCT (type-II / type-III).
 //!
-//! Two implementations live here:
+//! Three implementations live here:
 //!
 //! * [`mod@reference`] — the textbook separable `f32` basis-matrix transform
 //!   (O(64²) multiply-adds per block). It is the semantic ground truth:
-//!   the equivalence tests gate the fast path against it, and callers
-//!   that need unscaled floating-point coefficients (e.g. pixel-domain
-//!   reconstruction in `p3-core`) keep using it via the re-exported
-//!   [`fdct8x8`]/[`idct8x8`].
+//!   the equivalence tests gate the fast paths against it, and callers
+//!   that need unscaled floating-point coefficients keep using it via
+//!   the re-exported [`fdct8x8`]/[`idct8x8`].
 //! * The scaled integer **AAN** (Arai–Agui–Nakajima) butterfly pair
 //!   ([`fdct8x8_aan`] / [`idct8x8_aan`]) — the hot path used by the
 //!   encoder and decoder. Each 1-D pass costs 29 adds and 5 multiplies
@@ -15,6 +14,10 @@
 //!   factorization leaves behind are folded into the quantization step
 //!   (see [`crate::quant::AanQuantizer`] / [`crate::quant::AanDequantizer`]),
 //!   so the per-block transform itself never multiplies by them.
+//! * [`idct8x8_signed`] — the same inverse butterflies in `f32`, with no
+//!   level shift, rounding or clamp: the inverse for the *signed
+//!   fractional delta* of pixel-domain reconstruction (`p3-core`, paper
+//!   Eq. 2), where the integer path's `u8` output cannot be used.
 //!
 //! The JPEG convention is used: with level-shifted pixels `f(x,y)` in
 //! `[-128, 127]`,
@@ -379,12 +382,123 @@ pub(crate) fn aan_scales_2d() -> [f64; 64] {
     out
 }
 
+// ---------------------------------------------------------------------------
+// Signed float AAN inverse (pixel-domain reconstruction, paper Eq. 2)
+// ---------------------------------------------------------------------------
+
+/// `s[u]·s[v]/8` in natural order: the factor a dequantized coefficient
+/// is multiplied by (fold it into the step size) before
+/// [`idct8x8_signed`].
+pub fn idct_signed_scales() -> &'static [f32; 64] {
+    static SCALES: std::sync::OnceLock<[f32; 64]> = std::sync::OnceLock::new();
+    SCALES.get_or_init(|| aan_scales_2d().map(|s| (s / 8.0) as f32))
+}
+
+type Lanes = [f32; 8];
+
+#[inline(always)]
+fn lanes(a: Lanes, b: Lanes, f: impl Fn(f32, f32) -> f32) -> Lanes {
+    std::array::from_fn(|i| f(a[i], b[i]))
+}
+
+/// One 1-D inverse AAN pass down the rows of `r`, all eight columns at
+/// once: [`idct1d`]'s butterflies with every variable a row of lanes, so
+/// the compiler vectorizes them.
+#[inline(always)]
+fn idct_rows_signed(r: &mut [Lanes; 8]) {
+    let add = |a, b| lanes(a, b, |x, y| x + y);
+    let sub = |a, b| lanes(a, b, |x, y| x - y);
+    let mul = |a: Lanes, k: f32| a.map(|x| x * k);
+
+    // Even part.
+    let tmp10 = add(r[0], r[4]);
+    let tmp11 = sub(r[0], r[4]);
+    let tmp13 = add(r[2], r[6]);
+    let tmp12 = sub(mul(sub(r[2], r[6]), std::f32::consts::SQRT_2), tmp13);
+
+    let tmp0 = add(tmp10, tmp13);
+    let tmp3 = sub(tmp10, tmp13);
+    let tmp1 = add(tmp11, tmp12);
+    let tmp2 = sub(tmp11, tmp12);
+
+    // Odd part.
+    let z13 = add(r[5], r[3]);
+    let z10 = sub(r[5], r[3]);
+    let z11 = add(r[1], r[7]);
+    let z12 = sub(r[1], r[7]);
+
+    let tmp7 = add(z11, z13);
+    let tmp11 = mul(sub(z11, z13), std::f32::consts::SQRT_2);
+
+    let z5 = mul(add(z10, z12), 1.847_759_1);
+    let tmp10 = sub(mul(z12, 1.082_392_2), z5);
+    let tmp12 = sub(z5, mul(z10, 2.613_126));
+
+    let tmp6 = sub(tmp12, tmp7);
+    let tmp5 = sub(tmp11, tmp6);
+    let tmp4 = add(tmp10, tmp5);
+
+    r[0] = add(tmp0, tmp7);
+    r[7] = sub(tmp0, tmp7);
+    r[1] = add(tmp1, tmp6);
+    r[6] = sub(tmp1, tmp6);
+    r[2] = add(tmp2, tmp5);
+    r[5] = sub(tmp2, tmp5);
+    r[4] = add(tmp3, tmp4);
+    r[3] = sub(tmp3, tmp4);
+}
+
+/// Inverse 8×8 DCT of a **signed delta** block: the AAN butterflies of
+/// [`idct8x8_aan`] in `f32`, with no level shift, rounding or clamp, so
+/// fractional and negative samples survive (paper footnote 8). Input is
+/// eight rows of coefficients pre-multiplied by [`idct_signed_scales`];
+/// output replaces it with eight rows of samples, equal to
+/// [`reference::idct8x8`] of the unscaled coefficients to within
+/// `2⁻²⁰ × Σ|coefficient|` (pinned by a test).
+pub fn idct8x8_signed(block: &mut [[f32; 8]; 8]) {
+    let transpose = |m: &[Lanes; 8]| -> [Lanes; 8] {
+        std::array::from_fn(|i| std::array::from_fn(|j| m[j][i]))
+    };
+    idct_rows_signed(block);
+    *block = transpose(block);
+    idct_rows_signed(block);
+    *block = transpose(block);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn max_abs_diff(a: &[f32; 64], b: &[f32; 64]) -> f32 {
         a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
+    }
+
+    #[test]
+    fn signed_idct_is_pinned_to_the_reference() {
+        let scales = idct_signed_scales();
+        let mut s = 0x9E37_79B9u32;
+        for round in 0..200 {
+            // Sparse, signed, wide-range coefficients: what a secret
+            // part dequantizes to.
+            let mut coeffs = [0f32; 64];
+            for c in coeffs.iter_mut() {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                if round % 4 == 0 || s >> 29 == 0 {
+                    *c = ((s >> 8) % 4001) as f32 - 2000.0;
+                }
+            }
+            let want = idct8x8(&coeffs);
+            let mut block = [[0f32; 8]; 8];
+            for (i, c) in coeffs.iter().enumerate() {
+                block[i / 8][i % 8] = c * scales[i];
+            }
+            idct8x8_signed(&mut block);
+            let budget = coeffs.iter().map(|c| c.abs()).sum::<f32>() / (1 << 20) as f32;
+            for (i, w) in want.iter().enumerate() {
+                let got = block[i / 8][i % 8];
+                assert!((got - w).abs() <= budget + 1e-6, "round {round} sample {i}: {got} vs {w}");
+            }
+        }
     }
 
     #[test]

@@ -36,8 +36,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// State shared by the reactors, the offload workers, and shutdown.
@@ -63,16 +62,98 @@ pub(crate) struct OffloadJob {
     slot: Arc<Mutex<Option<Vec<u8>>>>,
 }
 
-pub(crate) fn offload_loop(rx: &Mutex<Receiver<OffloadJob>>, shared: &Shared) {
-    loop {
-        let job = {
-            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-            guard.recv()
-        };
-        let job = match job {
-            Ok(j) => j,
-            Err(_) => return,
-        };
+/// The bounded hand-off from the reactors to the offload workers.
+///
+/// Idle workers are woken **most-recently-idle first**: the worker that
+/// just finished a request — its stack, allocator arena and codec
+/// scratch still in cache — takes the next one, and load no wider than
+/// `k` requests at a time only ever runs on `k` threads. (Workers
+/// sharing one channel receiver take turns instead, so every request
+/// ran on the thread that had slept longest; on the view path that cost
+/// more than the network hop it sits behind.)
+pub(crate) struct OffloadQueue<T = OffloadJob> {
+    state: Mutex<QueueState<T>>,
+    /// One per worker, so a wake-up goes to the worker chosen.
+    wake: Vec<Condvar>,
+    depth: usize,
+}
+
+struct QueueState<T> {
+    jobs: VecDeque<T>,
+    /// Workers waiting for a job, most recently idle last.
+    idle: Vec<usize>,
+    closed: bool,
+}
+
+/// Why [`OffloadQueue::try_send`] handed a job back.
+pub(crate) enum SendError {
+    /// `depth` requests are already waiting for a worker.
+    Full,
+    /// The server is shutting down.
+    Closed,
+}
+
+impl<T> OffloadQueue<T> {
+    pub(crate) fn new(workers: usize, depth: usize) -> Self {
+        OffloadQueue {
+            state: Mutex::new(QueueState {
+                jobs: VecDeque::with_capacity(depth),
+                idle: Vec::with_capacity(workers),
+                closed: false,
+            }),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
+            depth,
+        }
+    }
+
+    fn state(&self) -> std::sync::MutexGuard<'_, QueueState<T>> {
+        // A queue of whole jobs and indices is valid at every step.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn try_send(&self, job: T) -> Result<(), SendError> {
+        let mut state = self.state();
+        if state.closed {
+            return Err(SendError::Closed);
+        }
+        if state.jobs.len() >= self.depth {
+            return Err(SendError::Full);
+        }
+        state.jobs.push_back(job);
+        if let Some(worker) = state.idle.pop() {
+            self.wake[worker].notify_one();
+        }
+        Ok(())
+    }
+
+    /// The next job for `worker`, or `None` once the queue is closed and
+    /// drained.
+    fn recv(&self, worker: usize) -> Option<T> {
+        let mut state = self.state();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            // A spurious wake-up finds the worker still listed.
+            if !state.idle.contains(&worker) {
+                state.idle.push(worker);
+            }
+            state = self.wake[worker].wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// No more jobs will be sent: workers finish what is queued and exit.
+    pub(crate) fn close(&self) {
+        self.state().closed = true;
+        self.wake.iter().for_each(Condvar::notify_one);
+    }
+}
+
+pub(crate) fn offload_loop(queue: &OffloadQueue, worker: usize, shared: &Shared) {
+    while let Some(job) = queue.recv(worker) {
         // A panicking handler must cost one response, not one worker.
         let response = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (shared.handler)(&job.request)
@@ -95,7 +176,7 @@ pub(crate) fn offload_loop(rx: &Mutex<Receiver<OffloadJob>>, shared: &Shared) {
 pub(crate) struct Acceptor {
     pub(crate) listener: TcpListener,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) tx: SyncSender<OffloadJob>,
+    pub(crate) tx: Arc<OffloadQueue>,
 }
 
 impl Source for Acceptor {
@@ -130,7 +211,7 @@ impl Source for Acceptor {
                     let conn = Rc::new(RefCell::new(Conn::new(
                         stream,
                         Arc::clone(&self.shared),
-                        self.tx.clone(),
+                        Arc::clone(&self.tx),
                     )));
                     let dyn_src: Rc<RefCell<dyn Source>> = conn.clone();
                     if let Ok(t) = r.register(fd, dyn_src, true, false) {
@@ -175,7 +256,7 @@ enum ConnState {
 struct Conn {
     stream: TcpStream,
     shared: Arc<Shared>,
-    tx: SyncSender<OffloadJob>,
+    tx: Arc<OffloadQueue>,
     token: Token,
     parser: RequestParser,
     /// Bytes read but not yet consumed by the parser (pipelining).
@@ -193,7 +274,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shared: Arc<Shared>, tx: SyncSender<OffloadJob>) -> Conn {
+    fn new(stream: TcpStream, shared: Arc<Shared>, tx: Arc<OffloadQueue>) -> Conn {
         shared.stats.open_connections.fetch_add(1, Ordering::SeqCst);
         Conn {
             stream,
@@ -326,7 +407,7 @@ impl Conn {
         self.holds_in_flight = true;
         match self.tx.try_send(job) {
             Ok(()) => self.state = ConnState::Dispatched,
-            Err(TrySendError::Full(_)) => {
+            Err(SendError::Full) => {
                 self.release_in_flight();
                 self.shared.stats.rejected_503.fetch_add(1, Ordering::Relaxed);
                 let mut resp =
@@ -336,7 +417,7 @@ impl Conn {
                 self.close_after_write = true;
                 self.start_write(&resp);
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(SendError::Closed) => {
                 self.release_in_flight();
                 self.close_conn(r);
             }
@@ -462,5 +543,60 @@ impl Drop for Conn {
         // dropping all sources; both must settle the gauges.
         self.release_in_flight();
         self.shared.stats.open_connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    #[test]
+    fn the_worker_idle_last_is_woken_first_and_close_drains() {
+        let queue = Arc::new(OffloadQueue::<u32>::new(3, 2));
+        let (ran_tx, ran) = mpsc::channel();
+        let idle = |n: usize| {
+            while queue.state().idle.len() != n {
+                std::thread::yield_now();
+            }
+        };
+        // Workers go idle one at a time, so the stack is [0, 1, 2].
+        let workers: Vec<_> = (0..3)
+            .map(|w| {
+                let (queue, ran_tx) = (Arc::clone(&queue), ran_tx.clone());
+                let join = std::thread::spawn(move || {
+                    while let Some(job) = queue.recv(w) {
+                        ran_tx.send((w, job)).unwrap();
+                    }
+                });
+                idle(w + 1);
+                join
+            })
+            .collect();
+        // One job at a time always lands on the warm worker.
+        for job in 0..5 {
+            assert!(queue.try_send(job).is_ok());
+            assert_eq!(ran.recv().unwrap(), (2, job));
+            idle(3);
+        }
+        // Two at once reach one level down the stack, never to worker 0.
+        assert!(queue.try_send(10).is_ok() && queue.try_send(11).is_ok());
+        let mut pair = [ran.recv().unwrap(), ran.recv().unwrap()];
+        pair.sort();
+        assert!(pair.iter().all(|&(w, _)| w != 0), "{pair:?}");
+        assert_eq!([pair[0].1, pair[1].1], [10, 11]);
+        idle(3);
+        // The bound counts waiting jobs; close still runs what is queued.
+        queue.state().idle.clear(); // nobody to wake: jobs stay queued
+        assert!(queue.try_send(20).is_ok() && queue.try_send(21).is_ok());
+        assert!(matches!(queue.try_send(22), Err(SendError::Full)));
+        queue.close();
+        assert!(matches!(queue.try_send(23), Err(SendError::Closed)));
+        for join in workers {
+            join.join().unwrap();
+        }
+        let mut drained: Vec<u32> = ran.try_iter().map(|(_, job)| job).collect();
+        drained.sort();
+        assert_eq!(drained, [20, 21]);
     }
 }

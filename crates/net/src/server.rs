@@ -14,7 +14,7 @@
 //! `400` to malformed requests and `500` to panicking handlers, exports
 //! [`ServerStats`] gauges, and drains gracefully on shutdown.
 
-use crate::conn::{offload_loop, Acceptor, OffloadJob, Shared};
+use crate::conn::{offload_loop, Acceptor, OffloadQueue, Shared};
 use crate::http::{Request, Response};
 use p3_reactor::{Handle, Reactor, Source, Token};
 use std::cell::RefCell;
@@ -22,7 +22,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::unix::io::AsRawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Request handler type: total function from request to response. A
@@ -106,6 +106,7 @@ pub struct Server {
     handles: Vec<Handle>,
     acceptor_tokens: Vec<Token>,
     reactor_joins: Vec<std::thread::JoinHandle<()>>,
+    offload: Arc<OffloadQueue>,
     worker_joins: Vec<std::thread::JoinHandle<()>>,
     drain_timeout: Duration,
 }
@@ -160,16 +161,15 @@ impl Server {
             handler,
         });
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<OffloadJob>(queue_depth);
-        let rx = Arc::new(Mutex::new(rx));
+        let offload = Arc::new(OffloadQueue::new(workers, queue_depth));
         let mut worker_joins = Vec::with_capacity(workers);
         for i in 0..workers {
-            let rx = Arc::clone(&rx);
+            let queue = Arc::clone(&offload);
             let shared2 = Arc::clone(&shared);
             worker_joins.push(
                 std::thread::Builder::new()
                     .name(format!("http-offload-{i}"))
-                    .spawn(move || offload_loop(&rx, &shared2))?,
+                    .spawn(move || offload_loop(&queue, i, &shared2))?,
             );
         }
 
@@ -189,7 +189,7 @@ impl Server {
         for (i, lst) in listeners.into_iter().enumerate() {
             let (htx, hrx) = std::sync::mpsc::channel();
             let shared2 = Arc::clone(&shared);
-            let tx2 = tx.clone();
+            let tx2 = Arc::clone(&offload);
             let join =
                 std::thread::Builder::new().name(format!("http-reactor-{i}")).spawn(move || {
                     let mut reactor = match Reactor::new() {
@@ -229,7 +229,6 @@ impl Server {
                 }
             }
         }
-        drop(tx);
         if let Some(err) = spawn_err {
             shared.stop.store(true, Ordering::SeqCst);
             for h in &handles {
@@ -238,6 +237,7 @@ impl Server {
             for j in reactor_joins {
                 let _ = j.join();
             }
+            offload.close();
             for j in worker_joins {
                 let _ = j.join();
             }
@@ -250,6 +250,7 @@ impl Server {
             handles,
             acceptor_tokens,
             reactor_joins,
+            offload,
             worker_joins,
             drain_timeout: cfg.drain_timeout,
         })
@@ -302,9 +303,9 @@ impl Server {
         for j in self.reactor_joins.drain(..) {
             let _ = j.join();
         }
-        // Reactor exit dropped every Conn and Acceptor, and with them
-        // every offload sender; workers drain the queue and see the
-        // channel close.
+        // Reactor exit dropped every Conn and Acceptor, so nothing can
+        // dispatch any more: workers drain the queue and exit.
+        self.offload.close();
         for j in self.worker_joins.drain(..) {
             let _ = j.join();
         }
@@ -324,6 +325,7 @@ mod tests {
     use crate::http::{Method, StatusCode};
     use std::io::BufReader;
     use std::net::TcpStream;
+    use std::sync::Mutex;
 
     fn echo_handler() -> Handler {
         Arc::new(|req: &Request| {

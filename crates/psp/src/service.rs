@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why an upload was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,9 +44,12 @@ struct StoredPhoto {
     /// The upload after marker stripping (what "full" serves if within
     /// the ladder cap).
     stripped: Vec<u8>,
-    /// Decoded pixels of the stored ceiling rendition, kept for dynamic
-    /// transforms.
-    ceiling_rgb: RgbImage,
+    /// Pixels of the ceiling rendition before its JPEG encode — what
+    /// dynamic transforms start from. Rebuilt from `stripped` on the
+    /// first dynamic fetch (the decode and transform `upload` ran, so
+    /// the same pixels) rather than held uncompressed, ~20× the upload's
+    /// size, for every photo stored.
+    ceiling_rgb: OnceLock<RgbImage>,
     /// Pre-built ladder renditions keyed by max side.
     renditions: HashMap<usize, Vec<u8>>,
 }
@@ -116,22 +119,35 @@ impl PspCore {
 
         // Build the static ladder with the hidden pipeline. The first
         // entry is the storage ceiling.
-        let mut renditions = HashMap::new();
-        let mut ceiling_rgb = None;
-        for &side in &self.profile.ladder {
-            let spec = self.profile.transform_to_side(rgb.width, rgb.height, side);
-            let out = self.transform_pixels(&rgb, &spec);
-            if ceiling_rgb.is_none() {
-                ceiling_rgb = Some(out.clone());
-            }
-            renditions.insert(side, self.encode(&out));
-        }
+        let renditions = self
+            .profile
+            .ladder
+            .iter()
+            .map(|&side| {
+                let spec = self.profile.transform_to_side(rgb.width, rgb.height, side);
+                (side, self.encode(&self.transform_pixels(&rgb, &spec)))
+            })
+            .collect();
         let id = self.next_id.fetch_add(1, Ordering::SeqCst);
-        self.photos.lock().insert(
-            id,
-            StoredPhoto { stripped, ceiling_rgb: ceiling_rgb.unwrap_or(rgb), renditions },
-        );
+        self.photos
+            .lock()
+            .insert(id, StoredPhoto { stripped, ceiling_rgb: OnceLock::new(), renditions });
         Ok(id)
+    }
+
+    /// The pixels dynamic transforms start from: the upload through the
+    /// ceiling's transform (the upload itself under an empty ladder).
+    fn ceiling_rgb<'a>(&self, photo: &'a StoredPhoto) -> &'a RgbImage {
+        photo.ceiling_rgb.get_or_init(|| {
+            let rgb = p3_jpeg::decode_to_rgb(&photo.stripped).expect("decoded at upload");
+            match self.profile.ladder.first() {
+                Some(&side) => {
+                    let spec = self.profile.transform_to_side(rgb.width, rgb.height, side);
+                    self.transform_pixels(&rgb, &spec)
+                }
+                None => rgb,
+            }
+        })
     }
 
     /// Fetch a rendition. `None` if the photo does not exist.
@@ -144,13 +160,13 @@ impl PspCore {
                 photo.renditions.get(&side).cloned()
             }
             SizeRequest::Fit(w, h) => {
-                let src = &photo.ceiling_rgb;
+                let src = self.ceiling_rgb(photo);
                 let max_side = usize::from(w.max(h)).max(1);
                 let spec = self.profile.transform_to_side(src.width, src.height, max_side);
                 Some(self.encode(&self.transform_pixels(src, &spec)))
             }
             SizeRequest::Crop(x, y, w, h) => {
-                let src = &photo.ceiling_rgb;
+                let src = self.ceiling_rgb(photo);
                 let spec = TransformSpec {
                     crop: Some((
                         usize::from(x),

@@ -17,6 +17,16 @@ pub struct ImageF32 {
     pub data: Vec<f32>,
 }
 
+/// Clamp to `[0,255]` and round half up — what `v.round().clamp(0.0,
+/// 255.0) as u8` yields for every `f32` (NaN → 0), without the libm
+/// `roundf` call `f32::round` is on baseline x86-64.
+#[inline]
+pub fn round_to_u8(v: f32) -> u8 {
+    let c = v.clamp(0.0, 255.0);
+    let t = c as u8;
+    t + u8::from(c - f32::from(t) >= 0.5)
+}
+
 impl ImageF32 {
     /// Allocate a zero image.
     pub fn new(width: usize, height: usize) -> Self {
@@ -39,7 +49,7 @@ impl ImageF32 {
 
     /// Clamp to `[0,255]` and round to 8-bit samples.
     pub fn to_u8(&self) -> Vec<u8> {
-        self.data.iter().map(|&v| v.round().clamp(0.0, 255.0) as u8).collect()
+        self.data.iter().map(|&v| round_to_u8(v)).collect()
     }
 
     /// Pixel accessor.
@@ -122,6 +132,27 @@ mod tests {
     fn to_u8_clamps() {
         let img = ImageF32::from_raw(2, 1, vec![-5.0, 300.0]).unwrap();
         assert_eq!(img.to_u8(), vec![0, 255]);
+    }
+
+    #[test]
+    fn round_to_u8_matches_round_then_clamp() {
+        let edges = [
+            0.499_999_97,
+            0.5,
+            1.5,
+            254.5,
+            255.5,
+            -0.5,
+            254.499_98,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let sweep = (0..=259_000).map(|i| i as f32 / 1000.0 - 2.0);
+        for v in edges.into_iter().chain(sweep) {
+            assert_eq!(round_to_u8(v), v.round().clamp(0.0, 255.0) as u8, "{v}");
+        }
+        assert_eq!(edges.map(round_to_u8), [0, 1, 2, 255, 255, 0, 254, 0, 255, 0]);
     }
 
     #[test]

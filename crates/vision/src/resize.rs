@@ -17,6 +17,7 @@
 //! exhaustive search must try gamma candidates rather than commute them.
 
 use crate::image::ImageF32;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Resampling kernels, mirroring the common ImageMagick set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,37 +120,208 @@ fn lanczos(x: f32, a: f32) -> f32 {
     }
 }
 
-/// Precomputed sample weights for one output position.
-struct WeightRow {
-    start: isize,
-    weights: Vec<f32>,
+/// One axis of a separable linear map, flattened: output position `d` is
+/// `Σ weight[k] · src[index[k]]` over `k` in `bounds[d]..bounds[d + 1]`,
+/// accumulated in that order. Edge clamping is folded into the indices,
+/// so every index is `< src_len` and the inner loops never test a bound
+/// of the image.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AxisTaps {
+    src_len: usize,
+    bounds: Vec<u32>,
+    index: Vec<u32>,
+    weight: Vec<f32>,
 }
 
-fn build_weights(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Vec<WeightRow> {
-    let scale = src_len as f32 / dst_len as f32;
-    // Widen the kernel when minifying so it acts as an antialias filter.
-    let filter_scale = scale.max(1.0);
-    let support = filter.support() * filter_scale;
-    let mut rows = Vec::with_capacity(dst_len);
-    for d in 0..dst_len {
-        let center = (d as f32 + 0.5) * scale - 0.5;
-        let start = (center - support).ceil() as isize;
-        let end = (center + support).floor() as isize;
-        let mut weights = Vec::with_capacity((end - start + 1).max(0) as usize);
-        let mut sum = 0.0f32;
-        for s in start..=end {
-            let w = filter.eval((s as f32 - center) / filter_scale);
-            weights.push(w);
-            sum += w;
+/// Resize tap tables are pure functions of their key and cost a kernel
+/// evaluation per tap (Lanczos: two `sin`s), so the last few are kept
+/// process-wide: a photo's ladder and every view of it reuse them.
+type ResizeKey = (usize, usize, ResizeFilter);
+static RESIZE_TAPS: Mutex<Vec<(ResizeKey, Arc<AxisTaps>)>> = Mutex::new(Vec::new());
+const RESIZE_TAPS_KEPT: usize = 16;
+
+impl AxisTaps {
+    fn with_capacity(src_len: usize, dst_len: usize, taps: usize) -> Self {
+        assert!(src_len > 0 && src_len <= u32::MAX as usize, "axis length out of range");
+        let mut bounds = Vec::with_capacity(dst_len + 1);
+        bounds.push(0);
+        Self { src_len, bounds, index: Vec::with_capacity(taps), weight: Vec::with_capacity(taps) }
+    }
+
+    fn push_tap(&mut self, index: usize, weight: f32) {
+        debug_assert!(index < self.src_len);
+        self.index.push(index as u32);
+        self.weight.push(weight);
+    }
+
+    fn end_output(&mut self) {
+        self.bounds.push(self.index.len() as u32);
+    }
+
+    /// Source length the taps index into.
+    pub fn src_len(&self) -> usize {
+        self.src_len
+    }
+
+    /// Number of output positions.
+    pub fn dst_len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// `(indices, weights)` of output position `d`.
+    #[inline]
+    fn taps(&self, d: usize) -> (&[u32], &[f32]) {
+        let run = self.bounds[d] as usize..self.bounds[d + 1] as usize;
+        (&self.index[run.clone()], &self.weight[run])
+    }
+
+    /// The resampling taps of [`resize`] along one axis (kernel widened
+    /// when minifying so it antialiases; weights normalized per output).
+    pub fn resize(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Arc<AxisTaps> {
+        let key = (src_len, dst_len, filter);
+        let cache = || RESIZE_TAPS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, taps)) = cache().iter().find(|(k, _)| *k == key) {
+            return Arc::clone(taps);
         }
-        if sum.abs() > 1e-8 {
-            for w in weights.iter_mut() {
-                *w /= sum;
+        let taps = Arc::new(Self::build_resize(src_len, dst_len, filter));
+        let mut kept = cache();
+        if kept.len() == RESIZE_TAPS_KEPT {
+            kept.remove(0);
+        }
+        kept.push((key, Arc::clone(&taps)));
+        taps
+    }
+
+    fn build_resize(src_len: usize, dst_len: usize, filter: ResizeFilter) -> AxisTaps {
+        let scale = src_len as f32 / dst_len as f32;
+        // Widen the kernel when minifying so it acts as an antialias filter.
+        let filter_scale = scale.max(1.0);
+        let support = filter.support() * filter_scale;
+        let last = src_len as isize - 1;
+        let mut out = Self::with_capacity(src_len, dst_len, dst_len * (2 * support as usize + 2));
+        for d in 0..dst_len {
+            let center = (d as f32 + 0.5) * scale - 0.5;
+            let start = (center - support).ceil() as isize;
+            let end = (center + support).floor() as isize;
+            let first = out.weight.len();
+            let mut sum = 0.0f32;
+            for s in start..=end {
+                let w = filter.eval((s as f32 - center) / filter_scale);
+                out.push_tap(s.clamp(0, last) as usize, w);
+                sum += w;
+            }
+            if sum.abs() > 1e-8 {
+                for w in &mut out.weight[first..] {
+                    *w /= sum;
+                }
+            }
+            out.end_output();
+        }
+        out
+    }
+
+    /// The window [`crop`] keeps of a `src_len` axis: `want` samples from
+    /// `start`, clamped to bounds and never empty.
+    pub fn window(src_len: usize, start: usize, want: usize) -> AxisTaps {
+        let (start, len) = clamp_window(src_len, start, want);
+        let mut out = Self::with_capacity(src_len, len, len);
+        for d in 0..len {
+            out.push_tap(start + d, 1.0);
+            out.end_output();
+        }
+        out
+    }
+
+    /// Centre-aligned bilinear interpolation from `src_len` to `dst_len`
+    /// samples — JPEG chroma upsampling along one axis.
+    pub fn bilinear(src_len: usize, dst_len: usize) -> AxisTaps {
+        let scale = src_len as f32 / dst_len as f32;
+        let last = src_len as isize - 1;
+        let mut out = Self::with_capacity(src_len, dst_len, 2 * dst_len);
+        for d in 0..dst_len {
+            let pos = (d as f32 + 0.5) * scale - 0.5;
+            let lo = pos.floor();
+            let frac = pos - lo;
+            out.push_tap((lo as isize).clamp(0, last) as usize, 1.0 - frac);
+            out.push_tap((lo as isize + 1).clamp(0, last) as usize, frac);
+            out.end_output();
+        }
+        out
+    }
+
+    /// The product `outer · self`: one table that maps `self`'s source
+    /// straight to `outer`'s outputs, taps on the same source sample
+    /// merged.
+    pub fn then(&self, outer: &AxisTaps) -> AxisTaps {
+        assert_eq!(outer.src_len, self.dst_len(), "composed axes disagree");
+        let mut out = Self::with_capacity(self.src_len, outer.dst_len(), outer.index.len() * 2);
+        let mut row = vec![0.0f32; self.src_len];
+        for d in 0..outer.dst_len() {
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            let (mids, outer_w) = outer.taps(d);
+            for (&mid, &ow) in mids.iter().zip(outer_w) {
+                let (srcs, inner_w) = self.taps(mid as usize);
+                for (&s, &iw) in srcs.iter().zip(inner_w) {
+                    row[s as usize] += ow * iw;
+                    lo = lo.min(s as usize);
+                    hi = hi.max(s as usize);
+                }
+            }
+            for (s, w) in row.iter_mut().enumerate().take(hi + 1).skip(lo) {
+                if *w != 0.0 {
+                    out.push_tap(s, *w);
+                    *w = 0.0;
+                }
+            }
+            out.end_output();
+        }
+        out
+    }
+}
+
+/// Apply the separable map `yt ⊗ xt` to the `xt.src_len() × yt.src_len()`
+/// plane at the top-left of `src` (rows `stride` apart): horizontal pass
+/// into `rows`, then vertical into `out`. Both are overwritten whatever
+/// they held, so a caller may reuse their allocations across calls;
+/// source rows no vertical tap reads are skipped.
+pub fn apply_separable(
+    src: &[f32],
+    stride: usize,
+    xt: &AxisTaps,
+    yt: &AxisTaps,
+    rows: &mut Vec<f32>,
+    out: &mut ImageF32,
+) {
+    assert!(stride >= xt.src_len && src.len() >= (yt.src_len - 1) * stride + xt.src_len);
+    let (w, h) = (xt.dst_len(), yt.dst_len());
+    assert!(w > 0 && h > 0, "zero target dimension");
+    let first = yt.index.iter().min().map_or(0, |&y| y as usize);
+    let last = yt.index.iter().max().map_or(0, |&y| y as usize);
+    rows.clear();
+    rows.resize((last + 1 - first) * w, 0.0);
+    for (y, row) in (first..=last).zip(rows.chunks_exact_mut(w)) {
+        let line = &src[y * stride..y * stride + xt.src_len];
+        for (x, o) in row.iter_mut().enumerate() {
+            let (index, weight) = xt.taps(x);
+            let mut acc = 0.0f32;
+            for (&i, &wt) in index.iter().zip(weight) {
+                acc += wt * line[i as usize];
+            }
+            *o = acc;
+        }
+    }
+    (out.width, out.height) = (w, h);
+    out.data.clear();
+    out.data.resize(w * h, 0.0);
+    for (y, o) in out.data.chunks_exact_mut(w).enumerate() {
+        let (index, weight) = yt.taps(y);
+        for (&i, &wt) in index.iter().zip(weight) {
+            let line = &rows[(i as usize - first) * w..][..w];
+            for (acc, &v) in o.iter_mut().zip(line) {
+                *acc += wt * v;
             }
         }
-        rows.push(WeightRow { start, weights });
     }
-    rows
 }
 
 /// Resize with the given filter (separable, horizontal then vertical).
@@ -158,30 +330,10 @@ pub fn resize(img: &ImageF32, new_w: usize, new_h: usize, filter: ResizeFilter) 
     if new_w == img.width && new_h == img.height {
         return img.clone();
     }
-    // Horizontal pass.
-    let wrows = build_weights(img.width, new_w, filter);
-    let mut tmp = ImageF32::new(new_w, img.height);
-    for y in 0..img.height {
-        for (x, row) in wrows.iter().enumerate() {
-            let mut acc = 0.0f32;
-            for (k, &w) in row.weights.iter().enumerate() {
-                acc += w * img.get_clamped(row.start + k as isize, y as isize);
-            }
-            tmp.set(x, y, acc);
-        }
-    }
-    // Vertical pass.
-    let hrows = build_weights(img.height, new_h, filter);
-    let mut out = ImageF32::new(new_w, new_h);
-    for (y, row) in hrows.iter().enumerate() {
-        for x in 0..new_w {
-            let mut acc = 0.0f32;
-            for (k, &w) in row.weights.iter().enumerate() {
-                acc += w * tmp.get_clamped(x as isize, row.start + k as isize);
-            }
-            out.set(x, y, acc);
-        }
-    }
+    let xt = AxisTaps::resize(img.width, new_w, filter);
+    let yt = AxisTaps::resize(img.height, new_h, filter);
+    let mut out = ImageF32::new(0, 0);
+    apply_separable(&img.data, img.width, &xt, &yt, &mut Vec::new(), &mut out);
     out
 }
 
@@ -203,17 +355,20 @@ pub fn resize_fit(img: &ImageF32, max_side: usize, filter: ResizeFilter) -> Imag
 /// notes PSPs crop at arbitrary boundaries which the proxy approximates
 /// at 8×8 granularity — callers choose the geometry.
 pub fn crop(img: &ImageF32, x0: usize, y0: usize, w: usize, h: usize) -> ImageF32 {
-    let x0 = x0.min(img.width.saturating_sub(1));
-    let y0 = y0.min(img.height.saturating_sub(1));
-    let w = w.min(img.width - x0).max(1);
-    let h = h.min(img.height - y0).max(1);
+    let (x0, w) = clamp_window(img.width, x0, w);
+    let (y0, h) = clamp_window(img.height, y0, h);
     let mut out = ImageF32::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            out.set(x, y, img.get(x0 + x, y0 + y));
-        }
+    for (y, row) in out.data.chunks_exact_mut(w).enumerate() {
+        row.copy_from_slice(&img.data[(y0 + y) * img.width + x0..][..w]);
     }
     out
+}
+
+/// `want` samples from `start` on an axis of `len`, clamped to bounds and
+/// never empty.
+fn clamp_window(len: usize, start: usize, want: usize) -> (usize, usize) {
+    let start = start.min(len.saturating_sub(1));
+    (start, want.min(len - start).max(1))
 }
 
 /// Unsharp-mask sharpening: `out = img + amount * (img - blur(img))`.
@@ -222,10 +377,9 @@ pub fn sharpen(img: &ImageF32, sigma: f32, amount: f32) -> ImageF32 {
     if amount == 0.0 {
         return img.clone();
     }
-    let blurred = crate::filter::gaussian_blur(img, sigma);
-    let mut out = ImageF32::new(img.width, img.height);
-    for i in 0..img.data.len() {
-        out.data[i] = img.data[i] + amount * (img.data[i] - blurred.data[i]);
+    let mut out = crate::filter::gaussian_blur(img, sigma);
+    for (o, &v) in out.data.iter_mut().zip(img.data.iter()) {
+        *o = v + amount * (v - *o);
     }
     out
 }
@@ -237,18 +391,134 @@ pub fn gamma_correct(img: &ImageF32, gamma: f32) -> ImageF32 {
     if (gamma - 1.0).abs() < 1e-6 {
         return img.clone();
     }
-    let inv = 1.0 / gamma;
     let mut out = ImageF32::new(img.width, img.height);
     for (o, &v) in out.data.iter_mut().zip(img.data.iter()) {
-        let n = (v / 255.0).clamp(0.0, 1.0);
-        *o = n.powf(inv) * 255.0;
+        *o = gamma_sample(v, gamma);
     }
     out
+}
+
+/// [`gamma_correct`] of one sample, for callers that fuse it into a
+/// pass of their own.
+#[inline]
+pub fn gamma_sample(v: f32, gamma: f32) -> f32 {
+    (v / 255.0).clamp(0.0, 1.0).powf(1.0 / gamma) * 255.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `resize` as it was before the tap tables: weights rebuilt per
+    /// call, every tap bounds-clamped. Kept as the bit-identity oracle.
+    fn resize_old(img: &ImageF32, new_w: usize, new_h: usize, filter: ResizeFilter) -> ImageF32 {
+        fn build_weights(src: usize, dst: usize, filter: ResizeFilter) -> Vec<(isize, Vec<f32>)> {
+            let scale = src as f32 / dst as f32;
+            let filter_scale = scale.max(1.0);
+            let support = filter.support() * filter_scale;
+            let mut rows = Vec::with_capacity(dst);
+            for d in 0..dst {
+                let center = (d as f32 + 0.5) * scale - 0.5;
+                let start = (center - support).ceil() as isize;
+                let end = (center + support).floor() as isize;
+                let mut weights: Vec<f32> = (start..=end)
+                    .map(|s| filter.eval((s as f32 - center) / filter_scale))
+                    .collect();
+                let sum: f32 = weights.iter().fold(0.0, |a, w| a + w);
+                if sum.abs() > 1e-8 {
+                    weights.iter_mut().for_each(|w| *w /= sum);
+                }
+                rows.push((start, weights));
+            }
+            rows
+        }
+        if new_w == img.width && new_h == img.height {
+            return img.clone();
+        }
+        let mut tmp = ImageF32::new(new_w, img.height);
+        let wrows = build_weights(img.width, new_w, filter);
+        for y in 0..img.height {
+            for (x, (start, weights)) in wrows.iter().enumerate() {
+                let mut acc = 0.0f32;
+                for (k, &w) in weights.iter().enumerate() {
+                    acc += w * img.get_clamped(start + k as isize, y as isize);
+                }
+                tmp.set(x, y, acc);
+            }
+        }
+        let mut out = ImageF32::new(new_w, new_h);
+        for (y, (start, weights)) in build_weights(img.height, new_h, filter).iter().enumerate() {
+            for x in 0..new_w {
+                let mut acc = 0.0f32;
+                for (k, &w) in weights.iter().enumerate() {
+                    acc += w * tmp.get_clamped(x as isize, start + k as isize);
+                }
+                out.set(x, y, acc);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn resize_is_bit_identical_to_the_old_loop(
+            w in 1usize..=400, h in 1usize..=24, new_w in 1usize..=400, new_h in 1usize..=24,
+            transpose in any::<bool>(), filter in 0usize..6, seed in any::<u32>(),
+        ) {
+            // The wide axis sweeps 1…400 on both sides of the ratio; the
+            // other stays short so a case costs milliseconds.
+            let (w, h, new_w, new_h) = if transpose { (h, w, new_h, new_w) } else { (w, h, new_w, new_h) };
+            let mut img = ImageF32::new(w, h);
+            let mut s = seed | 1;
+            for v in img.data.iter_mut() {
+                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
+                *v = (s >> 20) as f32 / 16.0 - 64.0;
+            }
+            let filter = ResizeFilter::all()[filter];
+            let new = resize(&img, new_w, new_h, filter);
+            let old = resize_old(&img, new_w, new_h, filter);
+            prop_assert_eq!((new.width, new.height), (old.width, old.height));
+            let bits = |i: &ImageF32| i.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&new), bits(&old), "{:?} {}x{} -> {}x{}", filter, w, h, new_w, new_h);
+        }
+    }
+
+    #[test]
+    fn composed_taps_equal_the_stages_in_sequence() {
+        let src: Vec<f32> = (0..40).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+        let run = |t: &AxisTaps, v: &[f32]| -> Vec<f32> {
+            (0..t.dst_len())
+                .map(|d| {
+                    let (i, w) = t.taps(d);
+                    i.iter().zip(w).map(|(&i, &w)| w * v[i as usize]).sum()
+                })
+                .collect()
+        };
+        let up = AxisTaps::bilinear(40, 79);
+        let win = AxisTaps::window(79, 5, 60);
+        let down = AxisTaps::resize(60, 23, ResizeFilter::Lanczos3);
+        let staged = run(&down, &run(&win, &run(&up, &src)));
+        let fused = run(&up.then(&win).then(&down), &src);
+        assert_eq!(fused.len(), 23);
+        for (a, b) in staged.iter().zip(&fused) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn resize_taps_are_cached_and_the_cache_is_bounded() {
+        let a = AxisTaps::resize(311, 97, ResizeFilter::Mitchell);
+        assert!(Arc::ptr_eq(&a, &AxisTaps::resize(311, 97, ResizeFilter::Mitchell)));
+        for dst in 1..=2 * RESIZE_TAPS_KEPT {
+            AxisTaps::resize(313, dst, ResizeFilter::Box);
+        }
+        let kept = RESIZE_TAPS.lock().unwrap().len();
+        assert!(kept <= RESIZE_TAPS_KEPT, "{kept} tables kept");
+        assert_eq!(*a, *AxisTaps::resize(311, 97, ResizeFilter::Mitchell), "rebuilt equal");
+    }
 
     fn gradient(w: usize, h: usize) -> ImageF32 {
         let mut img = ImageF32::new(w, h);

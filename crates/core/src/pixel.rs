@@ -23,6 +23,17 @@ pub fn rgb_to_channels(img: &RgbImage) -> [ImageF32; 3] {
     [r, g, b]
 }
 
+/// Split an interleaved RGB image into three 8-bit planes (overwritten
+/// whatever they held) — the channels as the row kernels can read them
+/// ([`p3_vision::image::View`]) at a quarter of [`rgb_to_channels`]'
+/// bytes.
+pub fn rgb_to_planes_u8(img: &RgbImage, planes: &mut [Vec<u8>; 3]) {
+    for (c, plane) in planes.iter_mut().enumerate() {
+        plane.clear();
+        plane.extend(img.data.chunks_exact(3).map(|px| px[c]));
+    }
+}
+
 /// Merge three float channels back into an interleaved RGB image
 /// (rounded and clamped).
 pub fn channels_to_rgb(ch: &[ImageF32; 3]) -> RgbImage {
@@ -35,6 +46,16 @@ pub fn channels_to_rgb(ch: &[ImageF32; 3]) -> RgbImage {
         px.copy_from_slice(&[round_to_u8(r), round_to_u8(g), round_to_u8(b)]);
     }
     img
+}
+
+/// Round and clamp float samples into channel `c` of as many interleaved
+/// RGB pixels — what [`channels_to_rgb`] does to a pixel, for a caller
+/// that holds one row of one channel at a time.
+pub fn round_into_channel(samples: &[f32], c: usize, rgb: &mut [u8]) {
+    assert!(rgb.len() == 3 * samples.len(), "channel size mismatch");
+    for (px, &v) in rgb.chunks_exact_mut(3).zip(samples) {
+        px[c] = round_to_u8(v);
+    }
 }
 
 /// Grayscale image to float plane.
@@ -72,6 +93,24 @@ mod tests {
         }
         let ch = rgb_to_channels(&img);
         assert_eq!(channels_to_rgb(&ch).data, img.data);
+        let mut by_channel = vec![0u8; img.data.len()];
+        for (c, plane) in ch.iter().enumerate() {
+            round_into_channel(&plane.data, c, &mut by_channel);
+        }
+        assert_eq!(by_channel, img.data);
+    }
+
+    #[test]
+    fn planes_are_the_channels_unwidened() {
+        let mut img = RgbImage::new(7, 3);
+        for (i, v) in img.data.iter_mut().enumerate() {
+            *v = ((i * 29) % 256) as u8;
+        }
+        let mut planes = [vec![1, 2, 3], Vec::new(), vec![9; 100]];
+        rgb_to_planes_u8(&img, &mut planes);
+        for (plane, ch) in planes.iter().zip(rgb_to_channels(&img)) {
+            assert_eq!(ImageF32::from_u8(7, 3, plane).unwrap(), ch);
+        }
     }
 
     #[test]

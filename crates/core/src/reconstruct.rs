@@ -26,7 +26,7 @@ use p3_jpeg::block::{CoeffImage, ComponentCoeffs};
 use p3_jpeg::dct::{idct8x8_signed, idct_signed_scales};
 use p3_jpeg::image::RgbImage;
 use p3_vision::image::{round_to_u8, ImageF32};
-use p3_vision::resize::{apply_separable, gamma_sample, sharpen, AxisTaps, ResizeFilter};
+use p3_vision::resize::{apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter};
 
 use crate::split::recombine_coeffs;
 use crate::transform::TransformSpec;
@@ -42,12 +42,15 @@ pub fn reconstruct_exact(public: &CoeffImage, secret: &CoeffImage, t: u16) -> Re
 
 /// Per-thread scratch of [`reconstruct_processed`], reused from view to
 /// view so the hot path faults no fresh pages: one component's
-/// native-resolution delta plane, the resampler's intermediate rows, and
-/// the transformed delta per component.
+/// native-resolution delta plane, the resampler's intermediate rows, the
+/// resampled plane and blurred-row ring of the unsharp, and the
+/// transformed delta per component.
 #[derive(Default)]
 struct Scratch {
     plane: Vec<f32>,
     rows: Vec<f32>,
+    stage: ImageF32,
+    ring: Vec<f32>,
     delta: Vec<ImageF32>,
 }
 
@@ -59,7 +62,8 @@ const SCRATCH_KEPT: usize = 1 << 20;
 impl Scratch {
     fn samples(&self) -> usize {
         let delta: usize = self.delta.iter().map(|d| d.data.capacity()).sum();
-        self.plane.capacity() + self.rows.capacity() + delta
+        let unsharp = self.stage.data.capacity() + self.ring.capacity();
+        self.plane.capacity() + self.rows.capacity() + unsharp + delta
     }
 }
 
@@ -198,9 +202,12 @@ fn transformed_delta(
                 resize.map(|(_, rh)| (rh, filter)),
             ),
         });
-        apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, delta);
-        if amount != 0.0 {
-            *delta = sharpen(delta, sigma, amount);
+        if amount == 0.0 {
+            apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, delta);
+        } else {
+            let (stage, ring) = (&mut scratch.stage, &mut scratch.ring);
+            apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, stage);
+            sharpen_into(stage, sigma, amount, ring, delta);
         }
     }
     Ok(())

@@ -18,7 +18,7 @@ pub const COEFS_PER_BLOCK: usize = 64;
 pub type Block = [i32; COEFS_PER_BLOCK];
 
 /// Per-component coefficient storage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ComponentCoeffs {
     /// Component identifier as used in SOF/SOS (1 = Y, 2 = Cb, 3 = Cr by
     /// JFIF convention).
@@ -68,7 +68,7 @@ impl ComponentCoeffs {
 }
 
 /// A complete image in the quantized-DCT-coefficient domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoeffImage {
     /// Image width in pixels.
     pub width: usize,
@@ -112,6 +112,24 @@ impl CoeffImage {
         sampling: &[(u8, u8)],
         quant_map: &[usize],
     ) -> Result<Self> {
+        let mut ci = Self::default();
+        ci.reset(width, height, qtables, sampling, quant_map)?;
+        Ok(ci)
+    }
+
+    /// Make this the image [`Self::zeroed`] builds from the same
+    /// arguments, keeping the block allocations. On an error the image
+    /// is left empty.
+    pub fn reset(
+        &mut self,
+        width: usize,
+        height: usize,
+        qtables: Vec<QuantTable>,
+        sampling: &[(u8, u8)],
+        quant_map: &[usize],
+    ) -> Result<()> {
+        let mut components = std::mem::take(&mut self.components);
+        *self = Self::default();
         if sampling.is_empty() || sampling.len() > 4 || sampling.len() != quant_map.len() {
             return Err(JpegError::Invalid("bad component specification".into()));
         }
@@ -123,37 +141,36 @@ impl CoeffImage {
                 return Err(JpegError::Invalid("sampling factor out of range".into()));
             }
         }
+        if quant_map.iter().any(|&q| q >= qtables.len()) {
+            return Err(JpegError::Invalid("quant table index out of range".into()));
+        }
         let h_max = sampling.iter().map(|s| s.0).max().unwrap();
         let v_max = sampling.iter().map(|s| s.1).max().unwrap();
         let mcus_x = width.div_ceil(8 * h_max as usize);
         let mcus_y = height.div_ceil(8 * v_max as usize);
-        let mut components = Vec::new();
-        for (i, (&(h, v), &q)) in sampling.iter().zip(quant_map.iter()).enumerate() {
-            if h == 0 || v == 0 || h > 4 || v > 4 {
-                return Err(JpegError::Invalid("sampling factor out of range".into()));
-            }
-            if q >= qtables.len() {
-                return Err(JpegError::Invalid("quant table index out of range".into()));
-            }
+        components.resize_with(sampling.len(), ComponentCoeffs::default);
+        let specs = sampling.iter().zip(quant_map.iter());
+        for (i, (comp, (&(h, v), &q))) in components.iter_mut().zip(specs).enumerate() {
             let samp_w = (width * h as usize).div_ceil(h_max as usize);
             let samp_h = (height * v as usize).div_ceil(v_max as usize);
-            let blocks_w = samp_w.div_ceil(8);
-            let blocks_h = samp_h.div_ceil(8);
-            let padded_w = mcus_x * h as usize;
-            let padded_h = mcus_y * v as usize;
-            components.push(ComponentCoeffs {
+            let (padded_w, padded_h) = (mcus_x * h as usize, mcus_y * v as usize);
+            let mut blocks = std::mem::take(&mut comp.blocks);
+            blocks.clear();
+            blocks.resize(padded_w * padded_h, [0i32; COEFS_PER_BLOCK]);
+            *comp = ComponentCoeffs {
                 id: (i + 1) as u8,
                 h_samp: h,
                 v_samp: v,
                 quant_idx: q,
-                blocks_w,
-                blocks_h,
+                blocks_w: samp_w.div_ceil(8),
+                blocks_h: samp_h.div_ceil(8),
                 padded_w,
                 padded_h,
-                blocks: vec![[0i32; COEFS_PER_BLOCK]; padded_w * padded_h],
-            });
+                blocks,
+            };
         }
-        Ok(Self { width, height, qtables, components })
+        *self = Self { width, height, qtables, components };
+        Ok(())
     }
 
     /// Verify internal consistency (geometry vs. block counts).

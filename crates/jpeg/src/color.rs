@@ -17,7 +17,7 @@ use crate::image::{GrayImage, RgbImage};
 
 /// One image plane of `u8` samples with its own geometry (chroma planes are
 /// smaller than luma under subsampling).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Plane {
     /// Width in samples.
     pub width: usize,
@@ -31,6 +31,13 @@ impl Plane {
     /// Allocate a zero plane.
     pub fn new(width: usize, height: usize) -> Self {
         Self { width, height, data: vec![0; width * height] }
+    }
+
+    /// Make this a zero `width × height` plane, keeping its allocation.
+    pub fn reset(&mut self, width: usize, height: usize) {
+        (self.width, self.height) = (width, height);
+        self.data.clear();
+        self.data.resize(width * height, 0);
     }
 
     /// Sample with edge replication for out-of-range coordinates.
@@ -122,19 +129,23 @@ pub fn rgb_to_planes(img: &RgbImage) -> [Plane; 3] {
 /// scratch rows per task instead of two whole planes that are written
 /// and immediately re-read.
 ///
-/// Returns `None` (caller falls back to the unfused stages) for odd
-/// dimensions or when scalar code is forced — the scalar oracle keeps
-/// the original stage-by-stage path. Bit-exact with the unfused path by
-/// construction: both drive the same [`crate::simd`] row kernels.
-pub fn rgb_to_planes_420(img: &RgbImage) -> Option<(Plane, Plane, Plane)> {
+/// `planes` become Y, Cb, Cr, overwritten whatever they held (a caller
+/// that converts image after image allocates for none of them). Returns
+/// false, `planes` untouched (caller falls back to the unfused stages),
+/// for odd dimensions or when scalar code is forced — the scalar oracle
+/// keeps the original stage-by-stage path. Bit-exact with the unfused
+/// path by construction: both drive the same [`crate::simd`] row kernels.
+pub fn rgb_to_planes_420(img: &RgbImage, planes: &mut Vec<Plane>) -> bool {
     let (w, h) = (img.width, img.height);
     let level = crate::simd::simd_level();
     if w == 0 || h == 0 || w % 2 != 0 || h % 2 != 0 || level == crate::simd::SimdLevel::Scalar {
-        return None;
+        return false;
     }
-    let mut y = Plane::new(w, h);
-    let mut cbh = Plane::new(w / 2, h / 2);
-    let mut crh = Plane::new(w / 2, h / 2);
+    planes.resize_with(3, Plane::default);
+    let [y, cbh, crh] = &mut planes[..] else { unreachable!("sized above") };
+    y.reset(w, h);
+    cbh.reset(w / 2, h / 2);
+    crh.reset(w / 2, h / 2);
     // Bands of row pairs: scratch chroma rows are allocated once per
     // band, not once per pair.
     const PAIRS_PER_BAND: usize = 16;
@@ -171,7 +182,7 @@ pub fn rgb_to_planes_420(img: &RgbImage) -> Option<(Plane, Plane, Plane)> {
             crate::simd::downsample2x2_row(level, cr0, cr1, crrow);
         }
     });
-    Some((y, cbh, crh))
+    true
 }
 
 /// Merge Y, Cb, Cr planes (all at full resolution) into an RGB image.
@@ -330,23 +341,26 @@ mod tests {
 
     #[test]
     fn fused_420_matches_unfused_stages() {
+        let mut fused = vec![Plane::new(3, 3)];
         for (w, h) in [(2usize, 2usize), (16, 8), (34, 18), (64, 64)] {
             let mut img = RgbImage::new(w, h);
             for (i, px) in img.data.iter_mut().enumerate() {
                 *px = (i.wrapping_mul(131) % 256) as u8;
             }
-            let Some((fy, fcb, fcr)) = rgb_to_planes_420(&img) else {
+            // One dirty set of planes through every size.
+            if !rgb_to_planes_420(&img, &mut fused) {
                 // Scalar forced in this process: fallback path is the oracle.
                 return;
-            };
+            }
+            let [fy, fcb, fcr] = &fused[..] else { panic!("three planes") };
             let [y, cb, cr] = rgb_to_planes(&img);
             assert_eq!(fy.data, y.data, "{w}x{h} Y");
             assert_eq!(fcb.data, downsample(&cb, 2, 2).data, "{w}x{h} Cb");
             assert_eq!(fcr.data, downsample(&cr, 2, 2).data, "{w}x{h} Cr");
         }
         // Odd dimensions must decline the fused path.
-        assert!(rgb_to_planes_420(&RgbImage::new(5, 4)).is_none());
-        assert!(rgb_to_planes_420(&RgbImage::new(4, 5)).is_none());
+        assert!(!rgb_to_planes_420(&RgbImage::new(5, 4), &mut fused));
+        assert!(!rgb_to_planes_420(&RgbImage::new(4, 5), &mut fused));
     }
 
     #[test]

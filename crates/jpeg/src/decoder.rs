@@ -44,6 +44,8 @@ struct Decoder<'a> {
     dc_tables: [Option<HuffDecoder>; 4],
     ac_tables: [Option<HuffDecoder>; 4],
     frame: Option<CoeffImage>,
+    /// A coefficient image whose allocations the frame may take over.
+    recycled: CoeffImage,
     progressive: bool,
     restart_interval: u16,
     scans: usize,
@@ -61,6 +63,7 @@ impl<'a> Decoder<'a> {
             dc_tables: [None, None, None, None],
             ac_tables: [None, None, None, None],
             frame: None,
+            recycled: CoeffImage::default(),
             progressive: false,
             restart_interval: 0,
             scans: 0,
@@ -189,7 +192,8 @@ impl<'a> Decoder<'a> {
         for i in 0..=max_tq {
             qtables.push(self.qtables[i].clone().unwrap_or_else(|| QuantTable::flat(1)));
         }
-        let mut frame = CoeffImage::zeroed(width, height, qtables, &sampling, &quant_map)?;
+        let mut frame = std::mem::take(&mut self.recycled);
+        frame.reset(width, height, qtables, &sampling, &quant_map)?;
         for (c, &id) in frame.components.iter_mut().zip(ids.iter()) {
             c.id = id;
         }
@@ -733,15 +737,24 @@ fn decode_block_baseline(
 /// Decode a JPEG bitstream into quantized coefficients plus stream
 /// metadata. Works for baseline and progressive streams.
 pub fn decode_to_coeffs(data: &[u8]) -> Result<(CoeffImage, DecodedInfo)> {
+    let mut frame = CoeffImage::default();
+    let info = decode_to_coeffs_into(data, &mut frame)?;
+    Ok((frame, info))
+}
+
+/// [`decode_to_coeffs`] into a caller's coefficient image, whose block
+/// allocations the decoded frame takes over. On an error the image is
+/// left empty.
+pub fn decode_to_coeffs_into(data: &[u8], frame: &mut CoeffImage) -> Result<DecodedInfo> {
     let mut d = Decoder::new(data);
+    d.recycled = std::mem::take(frame);
     d.run()?;
-    let info = DecodedInfo {
+    *frame = d.frame.take().expect("run() guarantees a frame");
+    Ok(DecodedInfo {
         progressive: d.progressive,
         restart_interval: d.restart_interval,
         scans: d.scans,
-    };
-    let frame = d.frame.take().expect("run() guarantees a frame");
-    Ok((frame, info))
+    })
 }
 
 /// Decode only the first `max_scans` scans of a (typically progressive)
@@ -771,12 +784,20 @@ pub fn decode_scan_prefix(
 /// Reconstruct the sample planes of each component (dequantize + IDCT),
 /// cropped to real component dimensions.
 pub fn coeffs_to_planes(ci: &CoeffImage) -> Result<Vec<Plane>> {
+    let mut planes = Vec::new();
+    coeffs_to_planes_into(ci, &mut planes)?;
+    Ok(planes)
+}
+
+/// [`coeffs_to_planes`] into a caller's planes, overwritten whatever
+/// they held.
+pub fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()> {
     ci.validate()?;
     let h_max = ci.h_max() as usize;
     let v_max = ci.v_max() as usize;
-    let mut planes = Vec::with_capacity(ci.components.len());
+    planes.resize_with(ci.components.len(), Plane::default);
     let level = crate::simd::simd_level();
-    for comp in &ci.components {
+    for (comp, plane) in ci.components.iter().zip(planes.iter_mut()) {
         // Hot path: dequantization scale factors (quant step × AAN scale ×
         // fixed-point scale) folded into one table per component, then the
         // integer AAN inverse butterflies per block — SIMD-dispatched per
@@ -799,7 +820,7 @@ pub fn coeffs_to_planes(ci: &CoeffImage) -> Result<Vec<Plane>> {
                 }
             });
         };
-        let mut plane = Plane::new(samp_w, samp_h);
+        plane.reset(samp_w, samp_h);
         if samp_w == full_w && samp_h == comp.padded_h * 8 {
             // Block-aligned plane (every multiple-of-8 geometry): render
             // straight into the output, skipping the padded temp + crop.
@@ -812,25 +833,34 @@ pub fn coeffs_to_planes(ci: &CoeffImage) -> Result<Vec<Plane>> {
                 plane.data[y * samp_w..(y + 1) * samp_w].copy_from_slice(&full[src..src + samp_w]);
             }
         }
-        planes.push(plane);
     }
-    Ok(planes)
+    Ok(())
 }
 
 /// Complete the pixel pipeline from a coefficient image.
 pub fn coeffs_to_rgb(ci: &CoeffImage) -> Result<RgbImage> {
-    let planes = coeffs_to_planes(ci)?;
+    let mut img = RgbImage::default();
+    coeffs_to_rgb_into(ci, &mut Vec::new(), &mut img)?;
+    Ok(img)
+}
+
+/// [`coeffs_to_rgb`] into a caller's image through a caller's sample
+/// planes, both overwritten whatever they held.
+pub fn coeffs_to_rgb_into(
+    ci: &CoeffImage,
+    planes: &mut Vec<Plane>,
+    img: &mut RgbImage,
+) -> Result<()> {
+    coeffs_to_planes_into(ci, planes)?;
     match planes.len() {
         1 => {
             let y = &planes[0];
-            let mut img = RgbImage::new(ci.width, ci.height);
-            for py in 0..ci.height {
-                for px in 0..ci.width {
-                    let v = y.data[py * y.width + px];
-                    img.set(px, py, [v, v, v]);
-                }
+            (img.width, img.height) = (ci.width, ci.height);
+            img.data.clear();
+            for row in y.data.chunks_exact(y.width.max(1)).take(ci.height) {
+                img.data.extend(row[..ci.width].iter().flat_map(|&v| [v, v, v]));
             }
-            Ok(img)
+            Ok(())
         }
         3 => {
             let (w, h) = (ci.width, ci.height);
@@ -850,7 +880,9 @@ pub fn coeffs_to_rgb(ci: &CoeffImage) -> Result<RgbImage> {
                 && w > 0
             {
                 let level = crate::simd::simd_level();
-                let mut img = RgbImage::new(w, h);
+                (img.width, img.height) = (w, h);
+                img.data.clear();
+                img.data.resize(3 * w * h, 0);
                 const BAND_ROWS: usize = 32;
                 let bands: Vec<(usize, &mut [u8])> =
                     img.data.chunks_mut(3 * w * BAND_ROWS).enumerate().collect();
@@ -889,12 +921,13 @@ pub fn coeffs_to_rgb(ci: &CoeffImage) -> Result<RgbImage> {
                         );
                     }
                 });
-                return Ok(img);
+                return Ok(());
             }
             let y = upsample(y, w, h);
             let cb = upsample(cb, w, h);
             let cr = upsample(cr, w, h);
-            Ok(planes_to_rgb(&y, &cb, &cr))
+            *img = planes_to_rgb(&y, &cb, &cr);
+            Ok(())
         }
         n => Err(JpegError::Unsupported(format!("{n}-component pixel output"))),
     }
@@ -954,6 +987,36 @@ mod tests {
             return f64::INFINITY;
         }
         10.0 * (255.0f64 * 255.0 / mse).log10()
+    }
+
+    /// One set of buffers through images of every shape the twins
+    /// special-case, large before small: each call's results equal the
+    /// allocating functions', whatever the buffers held.
+    #[test]
+    fn into_twins_overwrite_dirty_buffers() {
+        use crate::encoder::pixels_to_coeffs_into;
+        let shapes = [
+            (64, 48, Subsampling::S420),
+            (17, 9, Subsampling::S420), // odd: unfused planes, padded blocks
+            (40, 24, Subsampling::S444),
+            (8, 8, Subsampling::S422),
+            (64, 48, Subsampling::S420),
+        ];
+        let (mut ci, mut planes, mut frame, mut rgb) =
+            (CoeffImage::default(), Vec::new(), CoeffImage::default(), RgbImage::default());
+        for (w, h, subsampling) in shapes {
+            let img = test_rgb(w, h);
+            pixels_to_coeffs_into(&img, 85, subsampling, &mut planes, &mut ci).unwrap();
+            assert_eq!(ci, pixels_to_coeffs(&img, 85, subsampling).unwrap(), "{w}x{h}");
+            let jpeg = encode_coeffs(&ci, Mode::Progressive, 0).unwrap();
+            decode_to_coeffs_into(&jpeg, &mut frame).unwrap();
+            assert_eq!(frame, decode_to_coeffs(&jpeg).unwrap().0, "{w}x{h}");
+            coeffs_to_rgb_into(&frame, &mut planes, &mut rgb).unwrap();
+            assert_eq!(rgb, coeffs_to_rgb(&frame).unwrap(), "{w}x{h}");
+        }
+        // A failed decode leaves the caller's image empty, not stale.
+        assert!(decode_to_coeffs_into(b"not a jpeg", &mut frame).is_err());
+        assert_eq!(frame, CoeffImage::default());
     }
 
     #[test]

@@ -134,33 +134,46 @@ pub fn pixels_to_coeffs(
     quality: u8,
     subsampling: Subsampling,
 ) -> Result<CoeffImage> {
+    let mut ci = CoeffImage::default();
+    pixels_to_coeffs_into(img, quality, subsampling, &mut Vec::new(), &mut ci)?;
+    Ok(ci)
+}
+
+/// [`pixels_to_coeffs`] into a caller's coefficient image through a
+/// caller's sample planes, both overwritten whatever they held: a caller
+/// that encodes image after image allocates for none of them.
+pub fn pixels_to_coeffs_into(
+    img: &RgbImage,
+    quality: u8,
+    subsampling: Subsampling,
+    planes: &mut Vec<Plane>,
+    ci: &mut CoeffImage,
+) -> Result<()> {
     if img.width == 0 || img.height == 0 {
         return Err(JpegError::Invalid("empty image".into()));
     }
-    let (sampling, planes): (Vec<(u8, u8)>, Vec<Plane>) = match subsampling {
+    let staged =
+        |[y, cb, cr]: [Plane; 3], fx, fy| vec![y, downsample(&cb, fx, fy), downsample(&cr, fx, fy)];
+    let sampling = match subsampling {
         Subsampling::S444 => {
-            let [y, cb, cr] = rgb_to_planes(img);
-            (vec![(1, 1), (1, 1), (1, 1)], vec![y, cb, cr])
+            *planes = rgb_to_planes(img).into();
+            [(1, 1), (1, 1), (1, 1)]
         }
         Subsampling::S422 => {
-            let [y, cb, cr] = rgb_to_planes(img);
-            (vec![(2, 1), (1, 1), (1, 1)], vec![y, downsample(&cb, 2, 1), downsample(&cr, 2, 1)])
+            *planes = staged(rgb_to_planes(img), 2, 1);
+            [(2, 1), (1, 1), (1, 1)]
         }
         // 4:2:0 prefers the fused convert+downsample pass (bit-exact with
         // the stage-by-stage fallback, which scalar mode always takes).
-        Subsampling::S420 => match crate::color::rgb_to_planes_420(img) {
-            Some((y, cbh, crh)) => (vec![(2, 2), (1, 1), (1, 1)], vec![y, cbh, crh]),
-            None => {
-                let [y, cb, cr] = rgb_to_planes(img);
-                (
-                    vec![(2, 2), (1, 1), (1, 1)],
-                    vec![y, downsample(&cb, 2, 2), downsample(&cr, 2, 2)],
-                )
+        Subsampling::S420 => {
+            if !crate::color::rgb_to_planes_420(img, planes) {
+                *planes = staged(rgb_to_planes(img), 2, 2);
             }
-        },
+            [(2, 2), (1, 1), (1, 1)]
+        }
     };
     let qtables = vec![QuantTable::luma(quality), QuantTable::chroma(quality)];
-    let mut ci = CoeffImage::zeroed(img.width, img.height, qtables, &sampling, &[0, 1, 1])?;
+    ci.reset(img.width, img.height, qtables, &sampling, &[0, 1, 1])?;
     for (comp, plane) in ci.components.iter_mut().zip(planes.iter()) {
         plane_into_blocks(
             plane,
@@ -168,7 +181,7 @@ pub fn pixels_to_coeffs(
             &[QuantTable::luma(quality), QuantTable::chroma(quality)][comp.quant_idx.min(1)],
         );
     }
-    Ok(ci)
+    Ok(())
 }
 
 /// Forward-transform a grayscale image into quantized coefficients.

@@ -5,7 +5,7 @@
 //! dependency-free. Conversions between the two live in downstream crates.
 
 /// Interleaved 8-bit RGB image.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RgbImage {
     /// Width in pixels.
     pub width: usize,

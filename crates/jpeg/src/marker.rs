@@ -203,9 +203,17 @@ pub fn summarize(data: &[u8]) -> Result<HeaderSummary> {
         sampling: Vec::new(),
         markers: Vec::new(),
     };
+    let mut framed = false;
     for seg in &segs {
         summary.markers.push(seg.marker);
         if seg.marker == SOF0 || seg.marker == SOF1 || seg.marker == SOF2 {
+            // The decoder builds its frame from the first header and
+            // refuses a second; a summary that reported the last would
+            // describe a frame nothing decodes.
+            if framed {
+                return Err(JpegError::Unsupported("multiple frames".into()));
+            }
+            framed = true;
             summary.progressive = seg.marker == SOF2;
             let p = seg.payload;
             if p.len() < 6 {
@@ -300,5 +308,14 @@ mod tests {
         assert_eq!((s.width, s.height), (2, 3));
         assert_eq!(s.components, 1);
         assert_eq!(s.sampling, vec![(1, 1)]);
+    }
+
+    #[test]
+    fn summarize_refuses_a_second_frame_header() {
+        let mut v = vec![0xFF, SOI];
+        write_segment(&mut v, SOF0, &[8, 0xEA, 0x60, 0xEA, 0x60, 1, 1, 0x11, 0]);
+        write_segment(&mut v, SOF0, &[8, 0, 3, 0, 2, 1, 1, 0x11, 0]);
+        v.extend_from_slice(&[0xFF, EOI]);
+        assert!(matches!(summarize(&v), Err(JpegError::Unsupported(_))));
     }
 }

@@ -103,7 +103,8 @@ impl PspProfile {
     }
 
     /// The full hidden [`TransformSpec`] for an input of `w × h` and a
-    /// target maximum side. Mirrors `resize_fit` semantics.
+    /// target maximum side: the longer side becomes `max_side`, aspect
+    /// ratio kept, and an input already that small is not resized.
     pub fn transform_to_side(&self, w: usize, h: usize, max_side: usize) -> TransformSpec {
         let longest = w.max(h);
         let resize_to = if longest <= max_side {

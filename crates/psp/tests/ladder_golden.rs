@@ -115,3 +115,58 @@ fn every_ladder_rung_is_byte_identical_to_golden() {
     }
     assert!(print || rungs == GOLDEN.len());
 }
+
+/// Every golden a stock provider can be asked for after uploading photo
+/// `k`: the named rungs (`GOLDEN`) and the two dynamic requests
+/// (`GOLDEN_DYNAMIC`).
+fn assert_stock_golden(psp: &PspCore, id: u64, k: usize) {
+    let profile = psp.profile();
+    for req in [SizeRequest::Big, SizeRequest::Small, SizeRequest::Thumb] {
+        let side = profile.ladder_side(req).expect("named rung");
+        let want = GOLDEN.iter().find(|g| g.0 == profile.name && g.1 == side).expect("golden").2[k];
+        let got = fnv1a(&psp.fetch(id, req).expect("rendition"));
+        assert_eq!(got, want, "{} photo {k} rung {side}", profile.name);
+    }
+    let want = GOLDEN_DYNAMIC.iter().find(|g| g.0 == profile.name).expect("golden").1[k];
+    let got = [SizeRequest::Fit(200, 150), SizeRequest::Crop(16, 24, 160, 120)]
+        .map(|req| fnv1a(&psp.fetch(id, req).expect("rendition")));
+    assert_eq!(got, want, "{} photo {k} dynamic", profile.name);
+}
+
+/// Big, small, big through one provider: its pooled scratch is dirty
+/// from, and larger than, what the next photo needs (and the 1100x824
+/// one outgrows what the pool keeps), and not one sample may leak.
+#[test]
+fn one_provider_serves_golden_bytes_whatever_it_served_before() {
+    let uploads = uploads();
+    for profile in [PspProfile::facebook(), PspProfile::flickr()] {
+        let psp = PspCore::new(profile);
+        for k in [1, 0, 1, 2, 0] {
+            let id = psp.upload(&uploads[k]).expect("upload");
+            assert_stock_golden(&psp, id, k);
+        }
+    }
+}
+
+/// The same uploads from four threads at once, each through whichever
+/// scratch the pool hands it.
+#[test]
+fn concurrent_uploads_serve_golden_bytes() {
+    let uploads = uploads();
+    let psp = PspCore::new(PspProfile::facebook());
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (psp, uploads, start) = (&psp, &uploads, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..uploads.len() {
+                    let k = (t + i) % uploads.len();
+                    let id = psp.upload(&uploads[k]).expect("upload");
+                    assert_stock_golden(psp, id, k);
+                }
+            });
+        }
+    });
+    assert_eq!(psp.photo_count(), 12);
+}

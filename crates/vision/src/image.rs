@@ -7,7 +7,7 @@
 //! an extra error source (paper footnote 8).
 
 /// Single-channel `f32` image, row-major.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ImageF32 {
     /// Width in pixels.
     pub width: usize,
@@ -27,7 +27,71 @@ pub fn round_to_u8(v: f32) -> u8 {
     t + u8::from(c - f32::from(t) >= 0.5)
 }
 
+/// A sample the row kernels can read: `f32` itself, or `u8`, which
+/// widens exactly — so a kernel fed from an 8-bit plane computes what it
+/// would from the `f32` copy, which then need not exist.
+pub trait Sample: Copy {
+    /// `src` as `f32`s: widened into `buf` (at least as long), or `src`
+    /// itself where it already is.
+    fn widen<'a>(src: &'a [Self], buf: &'a mut [f32]) -> &'a [f32];
+}
+
+impl Sample for f32 {
+    fn widen<'a>(src: &'a [f32], _: &'a mut [f32]) -> &'a [f32] {
+        src
+    }
+}
+
+impl Sample for u8 {
+    fn widen<'a>(src: &'a [u8], buf: &'a mut [f32]) -> &'a [f32] {
+        let buf = &mut buf[..src.len()];
+        for (o, &v) in buf.iter_mut().zip(src) {
+            *o = f32::from(v);
+        }
+        buf
+    }
+}
+
+/// A `width × height` window of samples, rows `stride` apart: what the
+/// row kernels read, a row at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct View<'a, T> {
+    /// The window's first sample, and at least what follows it.
+    pub data: &'a [T],
+    /// Samples from one row's start to the next's.
+    pub stride: usize,
+    /// Width in samples.
+    pub width: usize,
+    /// Height in rows.
+    pub height: usize,
+}
+
+impl<'a, T: Sample> View<'a, T> {
+    /// A whole row-major plane.
+    pub fn new(data: &'a [T], width: usize, height: usize) -> Self {
+        assert!(data.len() >= width * height, "plane shorter than its dimensions");
+        Self { data, stride: width, width, height }
+    }
+
+    /// The `w × h` window at `(x0, y0)`, which must lie inside.
+    pub fn window(&self, x0: usize, y0: usize, w: usize, h: usize) -> Self {
+        assert!(x0 + w <= self.width && y0 + h <= self.height, "window outside the plane");
+        Self { data: &self.data[y0 * self.stride + x0..], stride: self.stride, width: w, height: h }
+    }
+
+    /// Row `y` as `f32`s, through `buf` (at least a row long) if its
+    /// samples have to be widened.
+    pub fn row<'b>(&'b self, y: usize, buf: &'b mut [f32]) -> &'b [f32] {
+        T::widen(&self.data[y * self.stride..][..self.width], buf)
+    }
+}
+
 impl ImageF32 {
+    /// The whole image as the row kernels read it.
+    pub fn view(&self) -> View<'_, f32> {
+        View::new(&self.data, self.width, self.height)
+    }
+
     /// Allocate a zero image.
     pub fn new(width: usize, height: usize) -> Self {
         Self { width, height, data: vec![0.0; width * height] }

@@ -16,7 +16,8 @@
 //! linear; gamma correction is not, which is exactly why the paper's
 //! exhaustive search must try gamma candidates rather than commute them.
 
-use crate::image::ImageF32;
+use crate::filter::{accumulate_h, accumulate_v, gaussian_kernel};
+use crate::image::{ImageF32, Sample, View};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Resampling kernels, mirroring the common ImageMagick set.
@@ -139,6 +140,9 @@ pub struct AxisTaps {
 type ResizeKey = (usize, usize, ResizeFilter);
 static RESIZE_TAPS: Mutex<Vec<(ResizeKey, Arc<AxisTaps>)>> = Mutex::new(Vec::new());
 const RESIZE_TAPS_KEPT: usize = 16;
+
+/// Source rows [`apply_separable`]'s horizontal pass resamples together.
+const ROW_GROUP: usize = 16;
 
 impl AxisTaps {
     fn with_capacity(src_len: usize, dst_len: usize, taps: usize) -> Self {
@@ -294,32 +298,115 @@ pub fn apply_separable(
 ) {
     assert!(stride >= xt.src_len && src.len() >= (yt.src_len - 1) * stride + xt.src_len);
     let (w, h) = (xt.dst_len(), yt.dst_len());
-    assert!(w > 0 && h > 0, "zero target dimension");
-    let first = yt.index.iter().min().map_or(0, |&y| y as usize);
-    let last = yt.index.iter().max().map_or(0, |&y| y as usize);
-    rows.clear();
-    rows.resize((last + 1 - first) * w, 0.0);
-    for (y, row) in (first..=last).zip(rows.chunks_exact_mut(w)) {
-        let line = &src[y * stride..y * stride + xt.src_len];
-        for (x, o) in row.iter_mut().enumerate() {
-            let (index, weight) = xt.taps(x);
-            let mut acc = 0.0f32;
-            for (&i, &wt) in index.iter().zip(weight) {
-                acc += wt * line[i as usize];
-            }
-            *o = acc;
-        }
-    }
+    let src = View { data: src, stride, width: xt.src_len, height: yt.src_len };
+    let first = resample_h(&src, xt, yt, rows);
     (out.width, out.height) = (w, h);
     out.data.clear();
     out.data.resize(w * h, 0.0);
-    for (y, o) in out.data.chunks_exact_mut(w).enumerate() {
-        let (index, weight) = yt.taps(y);
-        for (&i, &wt) in index.iter().zip(weight) {
-            let line = &rows[(i as usize - first) * w..][..w];
-            for (acc, &v) in o.iter_mut().zip(line) {
-                *acc += wt * v;
+    for (y, acc) in out.data.chunks_exact_mut(w).enumerate() {
+        resample_v(acc, yt, y, &rows[..], first);
+    }
+}
+
+/// [`apply_separable`] of a [`View`] (as wide and high as the taps'
+/// sources), a row at a time: `emit(y, row)` is handed each output row,
+/// top to bottom, while it is still in cache, and no output plane
+/// exists.
+pub fn apply_separable_rows<T: Sample>(
+    src: &View<'_, T>,
+    xt: &AxisTaps,
+    yt: &AxisTaps,
+    rows: &mut Vec<f32>,
+    mut emit: impl FnMut(usize, &mut [f32]),
+) {
+    let (w, h) = (xt.dst_len(), yt.dst_len());
+    let first = resample_h(src, xt, yt, rows);
+    // The horizontal pass sized its spare tail for at least one row.
+    let tail = rows.len() - w;
+    let (rows, spare) = rows.split_at_mut(tail);
+    for y in 0..h {
+        spare.fill(0.0);
+        resample_v(spare, yt, y, rows, first);
+        emit(y, spare);
+    }
+}
+
+/// The horizontal pass of [`apply_separable`]: every source row a
+/// vertical tap reads, resampled by `xt`, at the front of `rows`, which
+/// also keeps a spare tail of at least one output row. Returns the index
+/// of the first of those source rows.
+fn resample_h<T: Sample>(
+    src: &View<'_, T>,
+    xt: &AxisTaps,
+    yt: &AxisTaps,
+    rows: &mut Vec<f32>,
+) -> usize {
+    assert!((src.width, src.height) == (xt.src_len, yt.src_len), "taps for another plane");
+    let w = xt.dst_len();
+    assert!(w > 0 && yt.dst_len() > 0, "zero target dimension");
+    let first = yt.index.iter().min().map_or(0, |&y| y as usize);
+    let last = yt.index.iter().max().map_or(0, |&y| y as usize);
+    // One output's sum is a chain of dependent adds, and its taps sit
+    // at arbitrary columns: a row at a time is scalar and waits on the
+    // adder. So `ROW_GROUP` source rows are interleaved column by column
+    // behind the output rows, and each tap becomes one multiply-add
+    // across the group — a lane per row, every lane summing its own
+    // row's taps in table order, which is the bits of the scalar loop.
+    // The last group slides back over rows already done rather than
+    // leave a remainder; fewer rows than a group take the scalar loop.
+    let kept = last + 1 - first;
+    rows.clear();
+    rows.resize(kept * w + (ROW_GROUP * xt.src_len).max(w) + xt.src_len, 0.0);
+    let (rows, spare) = rows.split_at_mut(kept * w);
+    let (widened, group) = spare.split_at_mut(xt.src_len);
+    if kept >= ROW_GROUP {
+        for y0 in (0..kept).step_by(ROW_GROUP).map(|y| y.min(kept - ROW_GROUP)) {
+            for r in 0..ROW_GROUP {
+                let line = src.row(first + y0 + r, widened);
+                for (cell, &v) in group.chunks_exact_mut(ROW_GROUP).zip(line) {
+                    cell[r] = v;
+                }
             }
+            let band = &mut rows[y0 * w..][..ROW_GROUP * w];
+            for x in 0..w {
+                let (index, weight) = xt.taps(x);
+                let mut acc = [0.0f32; ROW_GROUP];
+                for (&i, &wt) in index.iter().zip(weight) {
+                    let cell = &group[i as usize * ROW_GROUP..][..ROW_GROUP];
+                    for (a, &v) in acc.iter_mut().zip(cell) {
+                        *a += wt * v;
+                    }
+                }
+                for (r, a) in acc.into_iter().enumerate() {
+                    band[r * w + x] = a;
+                }
+            }
+        }
+    } else {
+        for (y, row) in rows.chunks_exact_mut(w).enumerate() {
+            let line = src.row(first + y, widened);
+            for (x, o) in row.iter_mut().enumerate() {
+                let (index, weight) = xt.taps(x);
+                let mut acc = 0.0f32;
+                for (&i, &wt) in index.iter().zip(weight) {
+                    acc += wt * line[i as usize];
+                }
+                *o = acc;
+            }
+        }
+    }
+    first
+}
+
+/// Output row `y` of the vertical pass, accumulated onto `acc` a tap at
+/// a time from the rows [`resample_h`] left (`first` being the source
+/// row at their front).
+fn resample_v(acc: &mut [f32], yt: &AxisTaps, y: usize, rows: &[f32], first: usize) {
+    let w = acc.len();
+    let (index, weight) = yt.taps(y);
+    for (&i, &wt) in index.iter().zip(weight) {
+        for (a, &v) in acc.iter_mut().zip(&rows[(i as usize - first) * w..][..w]) {
+            *a += wt * v;
         }
     }
 }
@@ -337,20 +424,6 @@ pub fn resize(img: &ImageF32, new_w: usize, new_h: usize, filter: ResizeFilter) 
     out
 }
 
-/// Resize preserving aspect ratio so the longer side becomes `max_side`
-/// (the "fit inside NxN box" rule Facebook's static ladder uses; images
-/// already smaller are returned unchanged).
-pub fn resize_fit(img: &ImageF32, max_side: usize, filter: ResizeFilter) -> ImageF32 {
-    let longest = img.width.max(img.height);
-    if longest <= max_side {
-        return img.clone();
-    }
-    let scale = max_side as f64 / longest as f64;
-    let new_w = ((img.width as f64 * scale).round() as usize).max(1);
-    let new_h = ((img.height as f64 * scale).round() as usize).max(1);
-    resize(img, new_w, new_h, filter)
-}
-
 /// Crop a rectangle (clamped to bounds). Cropping is linear; the paper
 /// notes PSPs crop at arbitrary boundaries which the proxy approximates
 /// at 8×8 granularity — callers choose the geometry.
@@ -365,8 +438,8 @@ pub fn crop(img: &ImageF32, x0: usize, y0: usize, w: usize, h: usize) -> ImageF3
 }
 
 /// `want` samples from `start` on an axis of `len`, clamped to bounds and
-/// never empty.
-fn clamp_window(len: usize, start: usize, want: usize) -> (usize, usize) {
+/// never empty — the window [`crop`] keeps of each axis.
+pub fn clamp_window(len: usize, start: usize, want: usize) -> (usize, usize) {
     let start = start.min(len.saturating_sub(1));
     (start, want.min(len - start).max(1))
 }
@@ -377,11 +450,64 @@ pub fn sharpen(img: &ImageF32, sigma: f32, amount: f32) -> ImageF32 {
     if amount == 0.0 {
         return img.clone();
     }
-    let mut out = crate::filter::gaussian_blur(img, sigma);
-    for (o, &v) in out.data.iter_mut().zip(img.data.iter()) {
-        *o = v + amount * (v - *o);
-    }
+    let mut out = ImageF32::default();
+    sharpen_into(img, sigma, amount, &mut Vec::new(), &mut out);
     out
+}
+
+/// [`sharpen`] into a caller's plane through a caller's `ring`, both
+/// overwritten whatever they held.
+pub fn sharpen_into(
+    img: &ImageF32,
+    sigma: f32,
+    amount: f32,
+    ring: &mut Vec<f32>,
+    out: &mut ImageF32,
+) {
+    (out.width, out.height) = (img.width, img.height);
+    out.data.clear();
+    sharpen_rows(&img.view(), sigma, amount, ring, |_, row| out.data.extend_from_slice(row));
+}
+
+/// [`sharpen`] of a [`View`], a row at a time: `emit(y, row)` is
+/// handed each output row, top to bottom. The blur's horizontal pass
+/// lives only as the kernel's height of rows in `ring`, each computed
+/// once as the vertical pass reaches it, so the unsharp touches no plane
+/// but its input.
+pub fn sharpen_rows<T: Sample>(
+    img: &View<'_, T>,
+    sigma: f32,
+    amount: f32,
+    ring: &mut Vec<f32>,
+    mut emit: impl FnMut(usize, &mut [f32]),
+) {
+    let (w, h) = (img.width, img.height);
+    if w == 0 {
+        return;
+    }
+    let kernel = gaussian_kernel(sigma);
+    let (slots, r) = (kernel.len(), kernel.len() / 2);
+    ring.clear();
+    ring.resize((slots + 2) * w, 0.0);
+    let (ring, spare) = ring.split_at_mut(slots * w);
+    let (acc, widened) = spare.split_at_mut(w);
+    // Rows `0..blurred` of the horizontal pass are done; row `sy` sits
+    // in slot `sy % slots`, and output row `y` reads `y − r ..= y + r`.
+    let mut blurred = 0;
+    for y in 0..h {
+        while blurred <= (y + r).min(h - 1) {
+            let slot = &mut ring[blurred % slots * w..][..w];
+            slot.fill(0.0);
+            accumulate_h(slot, &kernel, img.row(blurred, widened));
+            blurred += 1;
+        }
+        acc.fill(0.0);
+        accumulate_v(acc, &kernel, (y, h), |sy| &ring[sy % slots * w..][..w]);
+        for (o, &v) in acc.iter_mut().zip(img.row(y, widened)) {
+            *o = v + amount * (v - *o);
+        }
+        emit(y, acc);
+    }
 }
 
 /// Gamma correction on the nominal \[0,255\] range. **Nonlinear** for
@@ -408,6 +534,7 @@ pub fn gamma_sample(v: f32, gamma: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::oracle::{self, bits, noise};
     use proptest::prelude::*;
 
     /// `resize` as it was before the tap tables: weights rebuilt per
@@ -460,6 +587,15 @@ mod tests {
         out
     }
 
+    /// The plane a row kernel emits, top to bottom, into `out`.
+    fn gather(out: &mut ImageF32) -> impl FnMut(usize, &mut [f32]) + '_ {
+        |y, row| {
+            assert_eq!(y, out.height, "rows out of order");
+            (out.width, out.height) = (row.len(), y + 1);
+            out.data.extend_from_slice(row);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -471,18 +607,81 @@ mod tests {
             // The wide axis sweeps 1…400 on both sides of the ratio; the
             // other stays short so a case costs milliseconds.
             let (w, h, new_w, new_h) = if transpose { (h, w, new_h, new_w) } else { (w, h, new_w, new_h) };
-            let mut img = ImageF32::new(w, h);
-            let mut s = seed | 1;
-            for v in img.data.iter_mut() {
-                s = s.wrapping_mul(1664525).wrapping_add(1013904223);
-                *v = (s >> 20) as f32 / 16.0 - 64.0;
-            }
+            let img = noise(w, h, seed);
             let filter = ResizeFilter::all()[filter];
             let new = resize(&img, new_w, new_h, filter);
             let old = resize_old(&img, new_w, new_h, filter);
-            prop_assert_eq!((new.width, new.height), (old.width, old.height));
-            let bits = |i: &ImageF32| i.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&new), bits(&old), "{:?} {}x{} -> {}x{}", filter, w, h, new_w, new_h);
+            if (new_w, new_h) != (w, h) {
+                // Row by row through a dirty buffer: the same plane.
+                let (xt, yt) = (AxisTaps::resize(w, new_w, filter), AxisTaps::resize(h, new_h, filter));
+                let (mut rows, mut streamed) = (noise(7, 5, seed).data, ImageF32::default());
+                apply_separable_rows(&img.view(), &xt, &yt, &mut rows, gather(&mut streamed));
+                prop_assert_eq!(bits(&streamed), bits(&old));
+            }
+        }
+
+        #[test]
+        fn sharpen_is_bit_identical_to_the_old_loops(
+            w in 1usize..=400, h in 1usize..=24, transpose in any::<bool>(),
+            sigma in 1usize..=8, amount in 1usize..=6, seed in any::<u32>(),
+        ) {
+            let (w, h) = if transpose { (h, w) } else { (w, h) };
+            let img = noise(w, h, seed);
+            let (sigma, amount) = (sigma as f32 * 0.25, amount as f32 * 0.25);
+            let mut old = oracle::gaussian_blur(&img, sigma);
+            for (o, &v) in old.data.iter_mut().zip(&img.data) {
+                *o = v + amount * (v - *o);
+            }
+            prop_assert_eq!(bits(&sharpen(&img, sigma, amount)), bits(&old));
+            // Dirty planes of another size are overwritten whole.
+            let (mut ring, mut out) = (noise(h + 2, w + 5, seed).data, noise(3, 7, seed));
+            sharpen_into(&img, sigma, amount, &mut ring, &mut out);
+            prop_assert_eq!(bits(&out), bits(&old));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A window of an 8-bit plane, widened as the kernels read it,
+        /// gives the bits of the same window copied out as `f32`.
+        #[test]
+        fn kernels_read_u8_windows_bit_identically_to_their_f32_copies(
+            w in 1usize..=90, h in 1usize..=40, x0 in 0usize..=7, y0 in 0usize..=7,
+            new_w in 1usize..=90, new_h in 1usize..=40, filter in 0usize..6, seed in any::<u32>(),
+        ) {
+            let (full_w, full_h) = (w + x0 + 3, h + y0 + 2);
+            let bytes: Vec<u8> = noise(full_w, full_h, seed).data.iter().map(|v| (*v as i32 & 255) as u8).collect();
+            let window = View::new(&bytes, full_w, full_h).window(x0, y0, w, h);
+            let copy = crop(&ImageF32::from_u8(full_w, full_h, &bytes).unwrap(), x0, y0, w, h);
+            let mut sharp = ImageF32::default();
+            sharpen_rows(&window, 0.8, 0.5, &mut Vec::new(), gather(&mut sharp));
+            prop_assert_eq!(bits(&sharp), bits(&sharpen(&copy, 0.8, 0.5)));
+            if (new_w, new_h) != (w, h) {
+                let filter = ResizeFilter::all()[filter];
+                let (xt, yt) = (AxisTaps::resize(w, new_w, filter), AxisTaps::resize(h, new_h, filter));
+                let mut resized = ImageF32::default();
+                apply_separable_rows(&window, &xt, &yt, &mut Vec::new(), gather(&mut resized));
+                prop_assert_eq!(bits(&resized), bits(&resize(&copy, new_w, new_h, filter)));
+            }
+        }
+    }
+
+    /// The horizontal pass takes source rows `ROW_GROUP` at a time, the
+    /// last group sliding back over the one before: 1…33 rows are fewer
+    /// than a group, whole groups, and every length of slide.
+    #[test]
+    fn resize_is_bit_identical_to_the_old_loop_for_every_row_group_remainder() {
+        for h in 1..=2 * ROW_GROUP + 1 {
+            for (i, &filter) in ResizeFilter::all().iter().enumerate() {
+                let img = noise(61, h, 7 * h as u32 + i as u32);
+                for (new_w, new_h) in [(23, h), (97, h), (40, 2 * h + 1)] {
+                    let new = resize(&img, new_w, new_h, filter);
+                    let old = resize_old(&img, new_w, new_h, filter);
+                    assert_eq!(bits(&new), bits(&old), "{filter:?} 61x{h} -> {new_w}x{new_h}");
+                }
+            }
         }
     }
 
@@ -577,17 +776,6 @@ mod tests {
                 assert!((lhs.data[i] - rhs.data[i]).abs() < 1e-2, "{f:?} at {i}");
             }
         }
-    }
-
-    #[test]
-    fn resize_fit_rules() {
-        let img = gradient(200, 100);
-        let out = resize_fit(&img, 50, ResizeFilter::Triangle);
-        assert_eq!((out.width, out.height), (50, 25));
-        // Already small: untouched.
-        let small = gradient(30, 20);
-        let out = resize_fit(&small, 50, ResizeFilter::Triangle);
-        assert_eq!((out.width, out.height), (30, 20));
     }
 
     #[test]

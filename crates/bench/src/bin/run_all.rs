@@ -72,9 +72,10 @@ fn main() {
         md,
         "Generated by `cargo run --release -p p3-bench --bin run_all` at `{scale:?}` \
          scale (set `P3_SCALE=full` for paper-sized corpora). All corpora are \
-         deterministic synthetic analogues (see DESIGN.md §2); absolute numbers \
-         therefore differ from the paper, while the *shapes* — who wins, by what \
-         factor, where the knees fall — are the reproduction targets.\n"
+         deterministic synthetic analogues (see ARCHITECTURE.md § Crate \
+         responsibilities); absolute numbers therefore differ from the paper, \
+         while the *shapes* — who wins, by what factor, where the knees fall — \
+         are the reproduction targets.\n"
     );
 
     let _ = writeln!(md, "## Figure 5 — threshold vs normalized size\n");
@@ -225,7 +226,7 @@ fn main() {
         );
     }
 
-    let _ = writeln!(md, "\n## Ablations (DESIGN.md §5)\n");
+    let _ = writeln!(md, "\n## Ablations\n");
     let _ = writeln!(
         md,
         "| T | P3 public dB | DC kept dB | sign leaked dB | size opt | size Annex-K |"

@@ -1,4 +1,4 @@
-//! Ablations of P3's design choices (DESIGN.md §5).
+//! Ablations of P3's design choices.
 //!
 //! 1. **DC extraction** — what if the DC coefficients stayed public?
 //!    (Paper: "The extraction of the DC component into the secret part

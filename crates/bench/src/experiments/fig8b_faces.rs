@@ -6,9 +6,10 @@
 //! per image; the original-image baseline exceeds 1 because some images
 //! contain several faces.
 //!
-//! Substitution note (DESIGN.md): OpenCV's pre-trained Haar cascade is
-//! unavailable offline, so the detector is our own Viola-Jones-style
-//! cascade trained on the synthetic face corpus at runtime.
+//! Substitution note (ARCHITECTURE.md § Crate responsibilities):
+//! OpenCV's pre-trained Haar cascade is unavailable offline, so the
+//! detector is our own Viola-Jones-style cascade trained on the
+//! synthetic face corpus at runtime.
 
 use crate::experiments::common::{coeffs_to_luma, UPLOAD_QUALITY};
 use crate::util::{f3, mean_std, Scale, Table, THRESHOLDS};

@@ -12,7 +12,7 @@
 //! progress 0%  12% 16%        34%  40%      52%  56%       66%  70%      78%  82%     88%
 //!          |---|===|==========|----|========|----|=========|----|========|----|=======|--|
 //!              kill corrupt         slow n1      partition      full n2       bit-flip
-//!              n0   n1 (overlap!)   (+15ms/op)   router→n2      (ENOSPC)     n0→router
+//!              n0   n1 (overlap!)   (+15ms/read) router→n2      (ENOSPC)     n0→router
 //!              (restart n0 @34%)                 (black hole)                 responses
 //! ```
 
@@ -31,7 +31,7 @@ pub struct ChaosReport {
     pub node_kills: u64,
     /// Router-observed failed node requests during the run.
     pub node_failures_observed: u64,
-    /// Ops the slow node actually delayed.
+    /// Router reads the slow link to node1 actually delayed.
     pub delayed_ops: u64,
     /// Writes the injected-full disk rejected.
     pub full_rejections: u64,
@@ -71,8 +71,8 @@ const FULL_UNTIL: f64 = 0.78;
 const FLIP_AT: f64 = 0.82;
 const FLIP_UNTIL: f64 = 0.88;
 
-/// Injected per-op latency for the slow-node window.
-const SLOW_MS: u64 = 15;
+/// Injected per-read latency for the slow-node window.
+const SLOW: Duration = Duration::from_millis(15);
 
 /// Drive the chaos script against `cluster` while the workload runs.
 /// Returns once all `total` requests have completed (every window
@@ -113,11 +113,11 @@ pub fn run_controller(
                 step = 3;
             }
             3 if f >= SLOW_AT => {
-                cluster.nodes[1].core.set_delay_ms(SLOW_MS);
+                cluster.slow_node(1, SLOW);
                 step = 4;
             }
             4 if f >= SLOW_UNTIL => {
-                cluster.nodes[1].core.set_delay_ms(0);
+                cluster.heal_link(1);
                 step = 5;
             }
             5 if f >= PARTITION_AT => {
@@ -157,14 +157,14 @@ pub fn run_controller(
     if step < 3 {
         cluster.restart_node(0)?;
     }
-    cluster.nodes[1].core.set_delay_ms(0);
     cluster.nodes[2].disk.set_disk_full(false);
-    cluster.heal_link(0);
-    cluster.heal_link(2);
+    for link in 0..3 {
+        cluster.heal_link(link);
+    }
 
     let stats = cluster.cluster_stats();
     report.node_failures_observed = stats.node_failures.saturating_sub(failures_before);
-    report.delayed_ops = cluster.nodes[1].core.delayed_ops();
+    report.delayed_ops = cluster.fault_plan.delayed();
     report.full_rejections = cluster.nodes[2].disk.full_rejections();
     report.corrupt_reads_detected = cluster.corrupt_reads().saturating_sub(corrupt_before);
     report.read_repairs = stats.read_repairs.saturating_sub(repairs_before);
@@ -314,14 +314,14 @@ pub fn backstop(
         cluster.restart_node(0)?;
         report.node_failures_observed += cluster.cluster_stats().node_failures - before;
     }
-    // Slow: one delayed read through node1's core.
+    // Slow: delayed reads over the router's link to node1.
     if report.delayed_ops == 0 {
-        cluster.nodes[1].core.set_delay_ms(SLOW_MS);
+        cluster.slow_node(1, SLOW);
         for photo in pinned {
             let _ = p3_net::http_get(proxy, &format!("/photos/{}", photo.id));
         }
-        cluster.nodes[1].core.set_delay_ms(0);
-        report.delayed_ops = cluster.nodes[1].core.delayed_ops();
+        cluster.heal_link(1);
+        report.delayed_ops = cluster.fault_plan.delayed();
     }
     // Disk-full: a direct PUT against node2 must be rejected.
     if report.full_rejections == 0 {

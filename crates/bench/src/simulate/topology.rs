@@ -185,6 +185,13 @@ impl SimCluster {
         self.fault_plan.set(ROUTER_PEER, self.nodes[i].addr, FaultRule::black_holed());
     }
 
+    /// Slow the router→node `i` link: every read off it waits `latency`
+    /// first. The node itself answers everyone else at full speed.
+    pub fn slow_node(&self, i: usize, latency: Duration) {
+        let rule = FaultRule { latency, ..FaultRule::default() };
+        self.fault_plan.set(ROUTER_PEER, self.nodes[i].addr, rule);
+    }
+
     /// Start flipping one payload byte of every response node `i`
     /// sends the router — in-flight corruption the wire CRC must catch.
     pub fn flip_node_responses(&self, i: usize) {

@@ -42,9 +42,11 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Pre-size the output buffer for an expected stream length.
-    pub fn reserve(&mut self, additional: usize) {
-        self.out.reserve(additional);
+    /// Writer that appends the stuffed stream to `out` — the headers of
+    /// a scan, say — and hands the whole buffer back from
+    /// [`BitWriter::finish`]. ([`BitWriter::len`] then counts `out` too.)
+    pub fn appending(out: Vec<u8>) -> Self {
+        Self { out, acc: 0, nbits: 0 }
     }
 
     /// Append `count` bits (the low `count` bits of `value`), MSB first.

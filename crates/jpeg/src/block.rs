@@ -54,17 +54,6 @@ impl ComponentCoeffs {
     pub fn block_mut(&mut self, bx: usize, by: usize) -> &mut Block {
         &mut self.blocks[by * self.padded_w + bx]
     }
-
-    /// Component width in samples (given the full-image geometry is
-    /// tracked by the parent, this is `blocks_w * 8` rounded to content).
-    pub fn sample_width(&self) -> usize {
-        self.blocks_w * 8
-    }
-
-    /// Component height in samples.
-    pub fn sample_height(&self) -> usize {
-        self.blocks_h * 8
-    }
 }
 
 /// A complete image in the quantized-DCT-coefficient domain.

@@ -18,6 +18,11 @@ use crate::quant::QuantTable;
 use crate::zigzag::UNZIGZAG;
 use crate::{JpegError, Result};
 
+/// Longest side a frame header may claim. A 64×64 stream whose header
+/// says 65 535² would otherwise be a 12 GB allocation to whoever decodes
+/// it — the PSP, or the trusted proxy splitting an upload.
+pub const MAX_SIDE: usize = 8192;
+
 /// Metadata gathered while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedInfo {
@@ -165,6 +170,9 @@ impl<'a> Decoder<'a> {
         let width = usize::from(self.take_u16()?);
         if width == 0 || height == 0 {
             return Err(JpegError::Unsupported("DNL-deferred dimensions".into()));
+        }
+        if width > MAX_SIDE || height > MAX_SIDE {
+            return Err(JpegError::TooLarge { width, height });
         }
         let ncomp = usize::from(self.take_u8()?);
         if ncomp == 0 || ncomp > 4 {

@@ -50,15 +50,15 @@ pub enum Mode {
 
 /// Encoder configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EncodeConfig {
+struct EncodeConfig {
     /// IJG-style quality, 1..=100.
-    pub quality: u8,
+    quality: u8,
     /// Chroma layout for color input.
-    pub subsampling: Subsampling,
+    subsampling: Subsampling,
     /// Bitstream mode.
-    pub mode: Mode,
+    mode: Mode,
     /// Restart interval in MCUs (0 disables; baseline only).
-    pub restart_interval: u16,
+    restart_interval: u16,
 }
 
 impl Default for EncodeConfig {
@@ -84,11 +84,6 @@ impl Encoder {
     /// baseline).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Encoder with explicit configuration.
-    pub fn with_config(cfg: EncodeConfig) -> Self {
-        Self { cfg }
     }
 
     /// Set the quality factor.
@@ -254,35 +249,23 @@ fn plane_into_blocks(plane: &Plane, comp: &mut ComponentCoeffs, qt: &QuantTable)
 }
 
 // ---------------------------------------------------------------------------
-// Entropy-coding sinks: the same scan walkers run in "gather" mode (counting
-// Huffman symbols to build optimized tables) and "emit" mode.
+// Scan recording. Every entropy-coded scan of every mode goes the same way:
+// a walker records the scan as an op stream into the per-thread scratch,
+// and `emit_scan` builds the tables the scan declares, writes DHT + SOS and
+// replays the ops into the output. No walker writes a bit itself.
 // ---------------------------------------------------------------------------
 
-/// Symbol class for table selection.
+/// Symbol class for table selection; the discriminant is an op's class bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
-    Dc,
-    Ac,
+    Dc = 0,
+    Ac = 1,
 }
 
-trait SymbolSink {
-    fn symbol(&mut self, class: Class, tbl: usize, sym: u8);
-    fn bits(&mut self, value: u32, count: u32);
-    /// Huffman symbol immediately followed by its magnitude bits — the
-    /// dominant emission pattern (every nonzero coefficient). Sinks
-    /// override this to fuse the two into a single operation.
-    fn symbol_bits(&mut self, class: Class, tbl: usize, sym: u8, value: u32, count: u32) {
-        self.symbol(class, tbl, sym);
-        if count > 0 {
-            self.bits(value, count);
-        }
-    }
-    /// Emit a restart marker (baseline emit mode only).
-    fn restart(&mut self, idx: u8);
-}
-
-/// Counts symbol frequencies *and* records the op stream, so optimized
-/// encodes walk the coefficient blocks exactly once: the recorded ops are
+/// One recorded scan, and the per-thread scratch it is recorded into.
+///
+/// Counts symbol frequencies *and* records the op stream, so every scan
+/// walks the coefficient blocks exactly once: the recorded ops are
 /// replayed into the bit writer after the tables are built, instead of
 /// re-running the whole scan.
 ///
@@ -296,10 +279,22 @@ trait SymbolSink {
 /// Bits:    [tag=1 | count:6 @32 | bits:32]
 /// Restart: [tag=2 | idx:8]
 /// ```
-struct GatherSink {
-    dc: [FreqCounter; 2],
-    ac: [FreqCounter; 2],
+#[derive(Default)]
+struct ScanRecorder {
+    /// Symbol counts per table, indexed like the replay's tables by an
+    /// op's class and table bits (`class << 1 | tbl`).
+    freq: [FreqCounter; 4],
     ops: Vec<u64>,
+    /// Bits the ops carry besides Huffman codes (magnitude and raw bits,
+    /// restart markers with their padding): with the code lengths, the
+    /// scan's size before a byte of it is written.
+    extra_bits: usize,
+    /// [`scan_ac_refine`]'s correction bits, deferred until the EOB run
+    /// they belong to is flushed.
+    pending: Vec<u8>,
+    /// [`emit_scan`]'s DHT / DRI / SOS segments, staged so that the
+    /// output grows once per scan, by what the scan needs.
+    head: Vec<u8>,
 }
 
 const OP_SHIFT: u32 = 62;
@@ -307,34 +302,104 @@ const OP_SYMBOL: u64 = 0;
 const OP_BITS: u64 = 1;
 const OP_RESTART: u64 = 2;
 
-impl GatherSink {
-    fn new() -> Self {
-        Self::with_op_capacity(0)
+/// Bytes above which a thread releases its scratch after the encode
+/// instead of keeping it: one huge photo must not pin its op stream to a
+/// worker thread for good. (A 320×240 photo records ~0.3 MB of ops, the
+/// 720 rung of one ~2.)
+const SCRATCH_KEPT: usize = 4 << 20;
+
+// The op stream runs to ~24 ops per block (hundreds of KiB per image), and
+// a fresh allocation that size page-faults its way in on every encode.
+thread_local! {
+    static SCRATCH: std::cell::RefCell<ScanRecorder> = std::cell::RefCell::default();
+}
+
+impl ScanRecorder {
+    /// Forget the previous scan (capacity kept), and pre-size the op
+    /// stream on a thread that has none yet (ops ≈ nonzero coefficients,
+    /// so this uses a per-block estimate) — repeated doubling on a
+    /// multi-hundred-KiB `Vec` otherwise re-copies the whole stream
+    /// several times.
+    fn begin(&mut self, ci: &CoeffImage) {
+        self.freq = Default::default();
+        self.ops.clear();
+        self.extra_bits = 0;
+        self.pending.clear();
+        let nblk: usize = ci.components.iter().map(|c| c.blocks.len()).sum();
+        self.ops.reserve((nblk * 24).min(1 << 20));
     }
 
-    /// Pre-size the op stream (ops ≈ nonzero coefficients, so callers pass
-    /// a per-block estimate) — repeated doubling on a multi-hundred-KiB
-    /// `Vec` otherwise re-copies the whole stream several times.
-    fn with_op_capacity(cap: usize) -> Self {
-        Self {
-            dc: [FreqCounter::new(), FreqCounter::new()],
-            ac: [FreqCounter::new(), FreqCounter::new()],
-            ops: Vec::with_capacity(cap),
+    fn bytes(&self) -> usize {
+        8 * self.ops.capacity() + self.pending.capacity() + self.head.capacity()
+    }
+
+    fn symbol(&mut self, class: Class, tbl: usize, sym: u8) {
+        self.symbol_bits(class, tbl, sym, 0, 0);
+    }
+
+    /// Huffman symbol immediately followed by its magnitude bits — the
+    /// dominant emission pattern (every nonzero coefficient), fused into
+    /// a single op.
+    fn symbol_bits(&mut self, class: Class, tbl: usize, sym: u8, value: u32, count: u32) {
+        debug_assert!(count <= 16);
+        let table = ((class as usize) << 1) | tbl;
+        self.freq[table].count(sym);
+        self.extra_bits += count as usize;
+        self.ops.push(
+            (OP_SYMBOL << OP_SHIFT)
+                | ((table as u64) << 46)
+                | (u64::from(sym) << 38)
+                | (u64::from(count) << 32)
+                | u64::from(value),
+        );
+    }
+
+    fn bits(&mut self, value: u32, count: u32) {
+        debug_assert!(count <= 16 && count > 0);
+        self.extra_bits += count as usize;
+        // Fuse into the preceding symbol op when there is one and it has
+        // no bits attached yet (count field still zero).
+        if let Some(last) = self.ops.last_mut() {
+            if *last >> OP_SHIFT == OP_SYMBOL && (*last >> 32) & 0x3F == 0 {
+                *last |= (u64::from(count) << 32) | u64::from(value);
+                return;
+            }
+        }
+        self.ops.push((OP_BITS << OP_SHIFT) | (u64::from(count) << 32) | u64::from(value));
+    }
+
+    fn correction_bits(&mut self, bits: &[u8]) {
+        for &b in bits {
+            self.bits(u32::from(b), 1);
         }
     }
 
-    /// Replay the recorded op stream into an emit sink.
-    fn replay(&self, sink: &mut EmitSink) {
-        // Class bit (47) and table bit (46) together index the flat
-        // table array, resolved once outside the hot loop. Entries stay
-        // `Option` because grayscale scans leave table 1 unbuilt.
-        let tables: [Option<&HuffEncoder>; 4] = [
-            sink.dc.first().and_then(Option::as_ref),
-            sink.dc.get(1).and_then(Option::as_ref),
-            sink.ac.first().and_then(Option::as_ref),
-            sink.ac.get(1).and_then(Option::as_ref),
-        ];
-        let w = &mut sink.w;
+    /// Restart marker (baseline only).
+    fn restart(&mut self, idx: u8) {
+        self.extra_bits += 7 + 16;
+        self.ops.push((OP_RESTART << OP_SHIFT) | u64::from(idx));
+    }
+
+    /// Close a progressive AC scan's EOB run — the EOBn symbol with the
+    /// run length's low bits, then the correction bits deferred behind it.
+    fn flush_eob(&mut self, tbl: usize, eobrun: &mut u32) {
+        if *eobrun > 0 {
+            let nbits = 31 - eobrun.leading_zeros();
+            self.symbol_bits(Class::Ac, tbl, (nbits as u8) << 4, *eobrun - (1 << nbits), nbits);
+            *eobrun = 0;
+        }
+        let mut pending = std::mem::take(&mut self.pending);
+        self.correction_bits(&pending);
+        pending.clear();
+        self.pending = pending;
+    }
+
+    /// Replay the recorded op stream into the bit writer.
+    fn replay(&self, tables: &[Option<HuffEncoder>; 4], w: &mut BitWriter) {
+        // Class bit (47) and table bit (46) together index the table
+        // array, resolved once outside the hot loop. Entries stay
+        // `Option` because a scan builds only the tables it declares.
+        let tables = tables.each_ref().map(Option::as_ref);
         for &op in &self.ops {
             match op >> OP_SHIFT {
                 OP_SYMBOL => {
@@ -356,116 +421,17 @@ impl GatherSink {
     }
 }
 
-impl SymbolSink for GatherSink {
-    fn symbol(&mut self, class: Class, tbl: usize, sym: u8) {
-        let class_bit = match class {
-            Class::Dc => {
-                self.dc[tbl].count(sym);
-                0u64
-            }
-            Class::Ac => {
-                self.ac[tbl].count(sym);
-                1u64
-            }
-        };
-        self.ops.push(
-            (OP_SYMBOL << OP_SHIFT)
-                | (class_bit << 47)
-                | ((tbl as u64) << 46)
-                | (u64::from(sym) << 38),
-        );
-    }
-    fn bits(&mut self, value: u32, count: u32) {
-        debug_assert!(count <= 16 && count > 0);
-        // Fuse into the preceding symbol op when there is one and it has
-        // no bits attached yet (count field still zero).
-        if let Some(last) = self.ops.last_mut() {
-            if *last >> OP_SHIFT == OP_SYMBOL && (*last >> 32) & 0x3F == 0 {
-                *last |= (u64::from(count) << 32) | u64::from(value);
-                return;
-            }
-        }
-        self.ops.push((OP_BITS << OP_SHIFT) | (u64::from(count) << 32) | u64::from(value));
-    }
-    fn symbol_bits(&mut self, class: Class, tbl: usize, sym: u8, value: u32, count: u32) {
-        debug_assert!(count <= 16);
-        let class_bit = match class {
-            Class::Dc => {
-                self.dc[tbl].count(sym);
-                0u64
-            }
-            Class::Ac => {
-                self.ac[tbl].count(sym);
-                1u64
-            }
-        };
-        // Push the fully-formed fused op directly — no last_mut fixup.
-        self.ops.push(
-            (OP_SYMBOL << OP_SHIFT)
-                | (class_bit << 47)
-                | ((tbl as u64) << 46)
-                | (u64::from(sym) << 38)
-                | (u64::from(count) << 32)
-                | u64::from(value),
-        );
-    }
-    fn restart(&mut self, idx: u8) {
-        self.ops.push((OP_RESTART << OP_SHIFT) | u64::from(idx));
-    }
-}
-
-/// Writes the bitstream.
-struct EmitSink {
-    w: BitWriter,
-    dc: Vec<Option<HuffEncoder>>,
-    ac: Vec<Option<HuffEncoder>>,
-}
-
-impl EmitSink {
-    fn new(dc: Vec<Option<HuffEncoder>>, ac: Vec<Option<HuffEncoder>>) -> Self {
-        Self { w: BitWriter::new(), dc, ac }
-    }
-}
-
-impl SymbolSink for EmitSink {
-    fn symbol(&mut self, class: Class, tbl: usize, sym: u8) {
-        let enc = match class {
-            Class::Dc => self.dc[tbl].as_ref(),
-            Class::Ac => self.ac[tbl].as_ref(),
-        };
-        enc.expect("encoder table missing").put(&mut self.w, sym);
-    }
-    fn bits(&mut self, value: u32, count: u32) {
-        self.w.put_bits(value, count);
-    }
-    fn symbol_bits(&mut self, class: Class, tbl: usize, sym: u8, value: u32, count: u32) {
-        let enc = match class {
-            Class::Dc => self.dc[tbl].as_ref(),
-            Class::Ac => self.ac[tbl].as_ref(),
-        };
-        let e = enc.expect("encoder table missing").entry_of(sym);
-        let (code, len) = (e >> 8, e & 0xFF);
-        // One fused write: code then magnitude bits (≤ 32 total).
-        self.w.put_bits((code << count) | value, len + count);
-    }
-    fn restart(&mut self, idx: u8) {
-        self.w.align();
-        self.w.put_marker_byte(0xFF);
-        self.w.put_marker_byte(0xD0 + (idx & 7));
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Shared coefficient-level emitters
+// Shared coefficient-level recorders
 // ---------------------------------------------------------------------------
 
-fn emit_dc<S: SymbolSink>(sink: &mut S, tbl: usize, diff: i32) {
+fn emit_dc(rec: &mut ScanRecorder, tbl: usize, diff: i32) {
     let (size, bits) = encode_magnitude(diff);
-    sink.symbol_bits(Class::Dc, tbl, size as u8, bits, size);
+    rec.symbol_bits(Class::Dc, tbl, size as u8, bits, size);
 }
 
-fn emit_block_ac_baseline<S: SymbolSink>(
-    sink: &mut S,
+fn emit_block_ac_baseline(
+    rec: &mut ScanRecorder,
     tbl: usize,
     block: &Block,
     level: crate::simd::SimdLevel,
@@ -487,16 +453,16 @@ fn emit_block_ac_baseline<S: SymbolSink>(
             let mut run = z - prev - 1;
             let v = block[usize::from(crate::zigzag::UNZIGZAG[z as usize])];
             while run > 15 {
-                sink.symbol(Class::Ac, tbl, 0xF0);
+                rec.symbol(Class::Ac, tbl, 0xF0);
                 run -= 16;
             }
             let (size, bits) = encode_magnitude(v);
             debug_assert!(size <= 10 || v.unsigned_abs() <= 32767, "coefficient too large");
-            sink.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
+            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
             prev = z;
         }
         if prev != 63 {
-            sink.symbol(Class::Ac, tbl, 0x00); // EOB
+            rec.symbol(Class::Ac, tbl, 0x00); // EOB
         }
         return;
     }
@@ -508,16 +474,16 @@ fn emit_block_ac_baseline<S: SymbolSink>(
             continue;
         }
         while run > 15 {
-            sink.symbol(Class::Ac, tbl, 0xF0);
+            rec.symbol(Class::Ac, tbl, 0xF0);
             run -= 16;
         }
         let (size, bits) = encode_magnitude(v);
         debug_assert!(size <= 10 || v.unsigned_abs() <= 32767, "coefficient too large");
-        sink.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
+        rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
         run = 0;
     }
     if run > 0 {
-        sink.symbol(Class::Ac, tbl, 0x00); // EOB
+        rec.symbol(Class::Ac, tbl, 0x00); // EOB
     }
 }
 
@@ -554,32 +520,32 @@ fn walk_mcus<F: FnMut(usize, usize, usize)>(ci: &CoeffImage, mut f: F) {
     }
 }
 
+/// Table index assignment: component 0 uses tables 0 (luma), all other
+/// components use tables 1 (chroma).
+fn tbl_for_component(cidx: usize) -> usize {
+    usize::from(cidx != 0)
+}
+
 /// Baseline scan: interleaved if multi-component.
-fn scan_baseline<S: SymbolSink>(
-    ci: &CoeffImage,
-    tbl_of: &[(usize, usize)], // (dc_tbl, ac_tbl) per component
-    restart_interval: u16,
-    sink: &mut S,
-) {
+fn scan_baseline(ci: &CoeffImage, restart_interval: u16, rec: &mut ScanRecorder) {
     let level = crate::simd::simd_level();
     let mut last_dc = vec![0i32; ci.components.len()];
     if ci.components.len() == 1 {
         let comp = &ci.components[0];
-        let (dct, act) = tbl_of[0];
         let mut mcu_count = 0u32;
         let mut rst = 0u8;
         for by in 0..comp.blocks_h {
             for bx in 0..comp.blocks_w {
                 if restart_interval > 0 && mcu_count == u32::from(restart_interval) {
-                    sink.restart(rst);
+                    rec.restart(rst);
                     rst = (rst + 1) & 7;
                     mcu_count = 0;
                     last_dc[0] = 0;
                 }
                 let b = comp.block(bx, by);
-                emit_dc(sink, dct, b[0] - last_dc[0]);
+                emit_dc(rec, 0, b[0] - last_dc[0]);
                 last_dc[0] = b[0];
-                emit_block_ac_baseline(sink, act, b, level);
+                emit_block_ac_baseline(rec, 0, b, level);
                 mcu_count += 1;
             }
         }
@@ -593,20 +559,20 @@ fn scan_baseline<S: SymbolSink>(
     for my in 0..mcus_y {
         for mx in 0..mcus_x {
             if restart_interval > 0 && mcu_count == u32::from(restart_interval) {
-                sink.restart(rst);
+                rec.restart(rst);
                 rst = (rst + 1) & 7;
                 mcu_count = 0;
                 last_dc.iter_mut().for_each(|d| *d = 0);
             }
             for (cidx, comp) in ci.components.iter().enumerate() {
-                let (dct, act) = tbl_of[cidx];
+                let tbl = tbl_for_component(cidx);
                 for v in 0..comp.v_samp as usize {
                     for h in 0..comp.h_samp as usize {
                         let b = comp
                             .block(mx * comp.h_samp as usize + h, my * comp.v_samp as usize + v);
-                        emit_dc(sink, dct, b[0] - last_dc[cidx]);
+                        emit_dc(rec, tbl, b[0] - last_dc[cidx]);
                         last_dc[cidx] = b[0];
-                        emit_block_ac_baseline(sink, act, b, level);
+                        emit_block_ac_baseline(rec, tbl, b, level);
                     }
                 }
             }
@@ -616,107 +582,75 @@ fn scan_baseline<S: SymbolSink>(
 }
 
 /// Progressive DC first scan (Ah = 0): interleaved across all components.
-fn scan_dc_first<S: SymbolSink>(ci: &CoeffImage, al: u8, tbl_of: &[usize], sink: &mut S) {
+fn scan_dc_first(ci: &CoeffImage, al: u8, rec: &mut ScanRecorder) {
     let mut last_dc = vec![0i32; ci.components.len()];
     walk_mcus(ci, |cidx, bx, by| {
         let b = ci.components[cidx].block(bx, by);
         let v = b[0] >> al; // DC uses arithmetic shift per spec
-        emit_dc(sink, tbl_of[cidx], v - last_dc[cidx]);
+        emit_dc(rec, tbl_for_component(cidx), v - last_dc[cidx]);
         last_dc[cidx] = v;
     });
 }
 
 /// Progressive DC refinement scan (Ah = Al + 1): one raw bit per block.
-fn scan_dc_refine<S: SymbolSink>(ci: &CoeffImage, al: u8, sink: &mut S) {
+fn scan_dc_refine(ci: &CoeffImage, al: u8, rec: &mut ScanRecorder) {
     walk_mcus(ci, |cidx, bx, by| {
         let b = ci.components[cidx].block(bx, by);
-        sink.bits(((b[0] >> al) & 1) as u32, 1);
+        rec.bits(((b[0] >> al) & 1) as u32, 1);
     });
 }
 
 /// Progressive AC first scan over one component (non-interleaved).
-fn scan_ac_first<S: SymbolSink>(
+fn scan_ac_first(
     comp: &ComponentCoeffs,
     ss: usize,
     se: usize,
     al: u8,
     tbl: usize,
-    sink: &mut S,
+    rec: &mut ScanRecorder,
 ) {
     let mut eobrun: u32 = 0;
-    let flush_eob = |eobrun: &mut u32, sink: &mut S| {
-        if *eobrun > 0 {
-            let nbits = 31 - eobrun.leading_zeros();
-            sink.symbol(Class::Ac, tbl, (nbits as u8) << 4);
-            if nbits > 0 {
-                sink.bits(*eobrun - (1 << nbits), nbits);
-            }
-            *eobrun = 0;
-        }
-    };
     for by in 0..comp.blocks_h {
         for bx in 0..comp.blocks_w {
             let block = comp.block(bx, by);
             let mut run = 0u32;
-            let mut wrote_any = false;
             for z in ss..=se {
                 let v = pt_shift(block[usize::from(crate::zigzag::UNZIGZAG[z])], al);
                 if v == 0 {
                     run += 1;
                     continue;
                 }
-                flush_eob(&mut eobrun, sink);
+                rec.flush_eob(tbl, &mut eobrun);
                 while run > 15 {
-                    sink.symbol(Class::Ac, tbl, 0xF0);
+                    rec.symbol(Class::Ac, tbl, 0xF0);
                     run -= 16;
                 }
                 let (size, bits) = encode_magnitude(v);
-                sink.symbol(Class::Ac, tbl, ((run as u8) << 4) | size as u8);
-                sink.bits(bits, size);
+                rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
                 run = 0;
-                wrote_any = true;
             }
-            let _ = wrote_any;
             if run > 0 {
                 eobrun += 1;
                 if eobrun == 0x7FFF {
-                    flush_eob(&mut eobrun, sink);
+                    rec.flush_eob(tbl, &mut eobrun);
                 }
             }
         }
     }
-    flush_eob(&mut eobrun, sink);
+    rec.flush_eob(tbl, &mut eobrun);
 }
 
 /// Progressive AC refinement scan (Ah = Al + 1) over one component —
 /// the correction-bit algorithm of ITU T.81 §G.1.2.3 / figure G.7.
-fn scan_ac_refine<S: SymbolSink>(
+fn scan_ac_refine(
     comp: &ComponentCoeffs,
     ss: usize,
     se: usize,
     al: u8,
     tbl: usize,
-    sink: &mut S,
+    rec: &mut ScanRecorder,
 ) {
     let mut eobrun: u32 = 0;
-    // Correction bits deferred until the EOB run they belong to is flushed.
-    let mut pending: Vec<u8> = Vec::new();
-
-    fn flush_eob<S: SymbolSink>(eobrun: &mut u32, pending: &mut Vec<u8>, tbl: usize, sink: &mut S) {
-        if *eobrun > 0 {
-            let nbits = 31 - eobrun.leading_zeros();
-            sink.symbol(Class::Ac, tbl, (nbits as u8) << 4);
-            if nbits > 0 {
-                sink.bits(*eobrun - (1 << nbits), nbits);
-            }
-            *eobrun = 0;
-        }
-        for &b in pending.iter() {
-            sink.bits(u32::from(b), 1);
-        }
-        pending.clear();
-    }
-
     for by in 0..comp.blocks_h {
         for bx in 0..comp.blocks_w {
             let block = comp.block(bx, by);
@@ -732,7 +666,10 @@ fn scan_ac_refine<S: SymbolSink>(
                 }
             }
             let mut run = 0u32;
-            let mut local: Vec<u8> = Vec::new(); // BR bits of this block
+            // Correction bits of this block (at most one per coefficient)
+            // not yet recorded.
+            let mut local = [0u8; 64];
+            let mut nlocal = 0usize;
             for z in ss..=se {
                 let t = absval[z];
                 if t == 0 {
@@ -742,42 +679,38 @@ fn scan_ac_refine<S: SymbolSink>(
                 // ZRLs are only needed when a newly-significant coefficient
                 // lies ahead; otherwise the zeros fold into the next EOB.
                 while run > 15 && z <= eob_pos {
-                    flush_eob(&mut eobrun, &mut pending, tbl, sink);
-                    sink.symbol(Class::Ac, tbl, 0xF0);
+                    rec.flush_eob(tbl, &mut eobrun);
+                    rec.symbol(Class::Ac, tbl, 0xF0);
                     run -= 16;
-                    for &b in local.iter() {
-                        sink.bits(u32::from(b), 1);
-                    }
-                    local.clear();
+                    rec.correction_bits(&local[..nlocal]);
+                    nlocal = 0;
                 }
                 if t > 1 {
                     // Already significant: just a correction bit.
-                    local.push((t & 1) as u8);
+                    local[nlocal] = (t & 1) as u8;
+                    nlocal += 1;
                     continue;
                 }
                 // Newly significant (magnitude exactly 1 at this precision).
-                flush_eob(&mut eobrun, &mut pending, tbl, sink);
-                sink.symbol(Class::Ac, tbl, ((run as u8) << 4) | 1);
+                rec.flush_eob(tbl, &mut eobrun);
                 let sign_bit =
                     if block[usize::from(crate::zigzag::UNZIGZAG[z])] < 0 { 0 } else { 1 };
-                sink.bits(sign_bit, 1);
-                for &b in local.iter() {
-                    sink.bits(u32::from(b), 1);
-                }
-                local.clear();
+                rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, sign_bit, 1);
+                rec.correction_bits(&local[..nlocal]);
+                nlocal = 0;
                 run = 0;
             }
-            if run > 0 || !local.is_empty() {
+            if run > 0 || nlocal > 0 {
                 eobrun += 1;
-                pending.append(&mut local);
+                rec.pending.extend_from_slice(&local[..nlocal]);
                 // Guard the counters like IJG does.
-                if eobrun == 0x7FFF || pending.len() > 937 {
-                    flush_eob(&mut eobrun, &mut pending, tbl, sink);
+                if eobrun == 0x7FFF || rec.pending.len() > 937 {
+                    rec.flush_eob(tbl, &mut eobrun);
                 }
             }
         }
     }
-    flush_eob(&mut eobrun, &mut pending, tbl, sink);
+    rec.flush_eob(tbl, &mut eobrun);
 }
 
 // ---------------------------------------------------------------------------
@@ -794,7 +727,7 @@ fn write_dqt_segments(out: &mut Vec<u8>, ci: &CoeffImage) {
 }
 
 fn write_sof(out: &mut Vec<u8>, ci: &CoeffImage, progressive: bool) {
-    let mut payload = Vec::new();
+    let mut payload = Vec::with_capacity(6 + 3 * ci.components.len());
     payload.push(8); // precision
     payload.extend_from_slice(&(ci.height as u16).to_be_bytes());
     payload.extend_from_slice(&(ci.width as u16).to_be_bytes());
@@ -807,38 +740,98 @@ fn write_sof(out: &mut Vec<u8>, ci: &CoeffImage, progressive: bool) {
     write_segment(out, if progressive { marker::SOF2 } else { marker::SOF0 }, &payload);
 }
 
-fn write_dht(out: &mut Vec<u8>, class: u8, id: u8, spec: &HuffSpec) {
+fn write_dht(out: &mut Vec<u8>, class: Class, id: u8, spec: &HuffSpec) {
     let mut payload = Vec::with_capacity(17 + spec.values.len());
-    payload.push((class << 4) | id);
+    payload.push(((class as u8) << 4) | id);
     payload.extend_from_slice(&spec.bits);
     payload.extend_from_slice(&spec.values);
     write_segment(out, marker::DHT, &payload);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn write_sos(
-    out: &mut Vec<u8>,
-    comps: &[(u8, u8, u8)], // (component id, dc table, ac table)
+/// The parameters of one scan's SOS header.
+struct ScanHeader<'a> {
+    /// `(component id, dc table, ac table)` per component of the scan.
+    comps: &'a [(u8, u8, u8)],
     ss: u8,
     se: u8,
     ah: u8,
     al: u8,
-) {
-    let mut payload = Vec::new();
-    payload.push(comps.len() as u8);
-    for &(id, dc, ac) in comps {
+}
+
+fn write_sos(out: &mut Vec<u8>, sos: &ScanHeader<'_>) {
+    let mut payload = Vec::with_capacity(4 + 2 * sos.comps.len());
+    payload.push(sos.comps.len() as u8);
+    for &(id, dc, ac) in sos.comps {
         payload.push(id);
         payload.push((dc << 4) | ac);
     }
-    payload.push(ss);
-    payload.push(se);
-    payload.push((ah << 4) | al);
+    payload.push(sos.ss);
+    payload.push(sos.se);
+    payload.push((sos.ah << 4) | sos.al);
     write_segment(out, marker::SOS, &payload);
 }
 
 // ---------------------------------------------------------------------------
 // Top-level encode
 // ---------------------------------------------------------------------------
+
+/// The one way a recorded scan becomes bytes: a DHT for each table the
+/// SOS parameters declare — built from the recorded symbol counts, or
+/// taken from `fixed` (indexed like [`ScanRecorder::freq`]) — then DRI
+/// if the scan restarts, the SOS header, and the op stream replayed
+/// straight into `out`, which grows once, by the scan's size.
+fn emit_scan(
+    out: &mut Vec<u8>,
+    rec: &mut ScanRecorder,
+    fixed: Option<&[HuffSpec; 4]>,
+    restart_interval: u16,
+    sos: &ScanHeader<'_>,
+) -> Result<()> {
+    // A DC refinement scan (Ah > 0) is raw bits: it declares no table.
+    let (dc, ac) = (sos.ss == 0 && sos.ah == 0, sos.se > 0);
+    let mut tables: [Option<HuffEncoder>; 4] = [None, None, None, None];
+    let mut bits = rec.extra_bits;
+    let mut head = std::mem::take(&mut rec.head);
+    head.clear();
+    for id in 0..2u8 {
+        let declared = [
+            (Class::Dc, dc && sos.comps.iter().any(|c| c.1 == id)),
+            (Class::Ac, ac && sos.comps.iter().any(|c| c.2 == id)),
+        ];
+        for (class, _) in declared.into_iter().filter(|&(_, declared)| declared) {
+            let table = ((class as usize) << 1) | usize::from(id);
+            let built;
+            let spec = match fixed {
+                Some(specs) => &specs[table],
+                None => {
+                    built = rec.freq[table].build_spec().expect("a counter always builds");
+                    &built
+                }
+            };
+            write_dht(&mut head, class, id, spec);
+            let enc = HuffEncoder::from_spec(spec)?;
+            let counts = rec.freq[table].freq.iter().take(256).zip(0..=255u8);
+            bits +=
+                counts.map(|(&n, sym)| n as usize * usize::from(enc.size_of(sym))).sum::<usize>();
+            tables[table] = Some(enc);
+        }
+    }
+    if restart_interval > 0 {
+        write_segment(&mut head, marker::DRI, &restart_interval.to_be_bytes());
+    }
+    write_sos(&mut head, sos);
+    // The scan's exact size but for byte stuffing (about one byte in
+    // 256; the `Vec` grows if a stream has more): the caller keeps the
+    // stream, so it is handed its bytes and no growth slack.
+    let bytes = bits.div_ceil(8);
+    out.reserve_exact(head.len() + bytes + bytes / 64 + 8);
+    out.extend_from_slice(&head);
+    rec.head = head;
+    let mut w = BitWriter::appending(std::mem::take(out));
+    rec.replay(&tables, &mut w);
+    *out = w.finish();
+    Ok(())
+}
 
 /// Entropy-encode a coefficient image into a complete JPEG bitstream.
 ///
@@ -850,114 +843,50 @@ pub fn encode_coeffs(ci: &CoeffImage, mode: Mode, restart_interval: u16) -> Resu
     if ci.width > 65_535 || ci.height > 65_535 {
         return Err(JpegError::Invalid("image too large for JPEG".into()));
     }
-    match mode {
-        Mode::Baseline | Mode::BaselineOptimized => {
-            encode_baseline(ci, mode == Mode::BaselineOptimized, restart_interval)
-        }
-        Mode::Progressive => encode_progressive(ci),
+    let (ncomp, progressive) = (ci.components.len(), mode == Mode::Progressive);
+    if progressive && ncomp != 1 && ncomp != 3 {
+        return Err(JpegError::Unsupported(format!("{ncomp}-component progressive")));
     }
-}
-
-/// Table index assignment: component 0 uses tables 0 (luma), all other
-/// components use tables 1 (chroma).
-fn tbl_for_component(cidx: usize) -> usize {
-    usize::from(cidx != 0)
-}
-
-// Recycled op-stream buffer: the gather pass records ~24 ops per block
-// (hundreds of KiB per image), and a fresh allocation that size page-
-// faults its way in on every encode. Taken at gather start, returned
-// (cleared, capacity kept) once the replay is done.
-thread_local! {
-    static OPS_POOL: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
-}
-
-fn encode_baseline(ci: &CoeffImage, optimized: bool, restart_interval: u16) -> Result<Vec<u8>> {
-    let ncomp = ci.components.len();
-    let tbl_of: Vec<(usize, usize)> =
-        (0..ncomp).map(|i| (tbl_for_component(i), tbl_for_component(i))).collect();
-
-    let (dc_specs, ac_specs, gather): (Vec<HuffSpec>, Vec<HuffSpec>, Option<GatherSink>) =
-        if optimized {
-            let nblk: usize = ci.components.iter().map(|c| c.blocks.len()).sum();
-            let mut gather = GatherSink::new();
-            // Pre-size the op stream (ops ≈ nonzero coefficients, so this
-            // uses a per-block estimate) from the recycled buffer when one
-            // is around — repeated doubling on a multi-hundred-KiB `Vec`
-            // otherwise re-copies the whole stream several times.
-            gather.ops = OPS_POOL.with(std::cell::Cell::take);
-            gather.ops.clear();
-            gather.ops.reserve((nblk * 24).min(1 << 20));
-            scan_baseline(ci, &tbl_of, restart_interval, &mut gather);
-            let dc: Vec<HuffSpec> =
-                gather.dc.iter().map(|f| f.build_spec().expect("spec")).collect();
-            let ac: Vec<HuffSpec> =
-                gather.ac.iter().map(|f| f.build_spec().expect("spec")).collect();
-            (dc, ac, Some(gather))
-        } else {
-            (
-                vec![default_dc_luma(), default_dc_chroma()],
-                vec![default_ac_luma(), default_ac_chroma()],
-                None,
-            )
-        };
-
-    let ntables = if ncomp == 1 { 1 } else { 2 };
-    let mut sink = EmitSink::new(
-        dc_specs
-            .iter()
-            .take(ntables)
-            .map(|s| Some(HuffEncoder::from_spec(s).expect("dc enc")))
-            .collect::<Vec<_>>(),
-        ac_specs
-            .iter()
-            .take(ntables)
-            .map(|s| Some(HuffEncoder::from_spec(s).expect("ac enc")))
-            .collect::<Vec<_>>(),
-    );
-    // Pad table vectors so indexing by table id always works.
-    while sink.dc.len() < 2 {
-        sink.dc.push(None);
-    }
-    while sink.ac.len() < 2 {
-        sink.ac.push(None);
-    }
-    if let Some(g) = &gather {
-        // ~2 bytes per recorded op is a comfortable upper-ballpark for
-        // optimized tables; avoids rude doubling re-copies mid-stream.
-        sink.w.reserve(g.ops.len() * 2);
-    }
-    match gather {
-        Some(mut g) => {
-            g.replay(&mut sink);
-            OPS_POOL.with(|p| p.set(std::mem::take(&mut g.ops)));
-        }
-        None => scan_baseline(ci, &tbl_of, restart_interval, &mut sink),
-    }
-    let entropy = sink.w.finish();
-
-    let mut out = Vec::with_capacity(entropy.len() + 1024);
+    let mut out = Vec::new();
     out.extend_from_slice(&[0xFF, marker::SOI]);
     write_jfif_app0(&mut out);
     write_dqt_segments(&mut out, ci);
-    write_sof(&mut out, ci, false);
-    for t in 0..ntables {
-        write_dht(&mut out, 0, t as u8, &dc_specs[t]);
-        write_dht(&mut out, 1, t as u8, &ac_specs[t]);
-    }
-    if restart_interval > 0 {
-        write_segment(&mut out, marker::DRI, &restart_interval.to_be_bytes());
-    }
+    write_sof(&mut out, ci, progressive);
+    SCRATCH.with_borrow_mut(|rec| {
+        let done = if progressive {
+            encode_progressive(ci, rec, &mut out)
+        } else {
+            encode_baseline(ci, mode == Mode::BaselineOptimized, restart_interval, rec, &mut out)
+        };
+        if rec.bytes() > SCRATCH_KEPT {
+            *rec = ScanRecorder::default();
+        }
+        done
+    })?;
+    out.extend_from_slice(&[0xFF, marker::EOI]);
+    Ok(out)
+}
+
+/// The one sequential scan, under per-image tables or the Annex-K ones.
+fn encode_baseline(
+    ci: &CoeffImage,
+    optimized: bool,
+    restart_interval: u16,
+    rec: &mut ScanRecorder,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let annex_k = (!optimized)
+        .then(|| [default_dc_luma(), default_dc_chroma(), default_ac_luma(), default_ac_chroma()]);
+    rec.begin(ci);
+    scan_baseline(ci, restart_interval, rec);
     let comps: Vec<(u8, u8, u8)> = ci
         .components
         .iter()
         .enumerate()
         .map(|(i, c)| (c.id, tbl_for_component(i) as u8, tbl_for_component(i) as u8))
         .collect();
-    write_sos(&mut out, &comps, 0, 63, 0, 0);
-    out.extend_from_slice(&entropy);
-    out.extend_from_slice(&[0xFF, marker::EOI]);
-    Ok(out)
+    let sos = ScanHeader { comps: &comps, ss: 0, se: 63, ah: 0, al: 0 };
+    emit_scan(out, rec, annex_k.as_ref(), restart_interval, &sos)
 }
 
 /// One progressive scan description.
@@ -996,91 +925,41 @@ fn scan_script(ncomp: usize) -> Vec<ProgScan> {
     }
 }
 
-fn encode_progressive(ci: &CoeffImage) -> Result<Vec<u8>> {
-    let ncomp = ci.components.len();
-    if ncomp != 1 && ncomp != 3 {
-        return Err(JpegError::Unsupported(format!("{ncomp}-component progressive")));
-    }
-    let script = scan_script(ncomp);
-    let dc_tbl_of: Vec<usize> = (0..ncomp).map(tbl_for_component).collect();
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&[0xFF, marker::SOI]);
-    write_jfif_app0(&mut out);
-    write_dqt_segments(&mut out, ci);
-    write_sof(&mut out, ci, true);
-
-    for scan in &script {
-        match *scan {
+/// The scan script, each scan recorded by its walker and emitted under
+/// its own tables.
+fn encode_progressive(ci: &CoeffImage, rec: &mut ScanRecorder, out: &mut Vec<u8>) -> Result<()> {
+    // A DC scan interleaves every component; the refinement names no table.
+    let dc_comps = |first: bool| -> Vec<(u8, u8, u8)> {
+        let tbl = |i| if first { tbl_for_component(i) as u8 } else { 0 };
+        ci.components.iter().enumerate().map(|(i, c)| (c.id, tbl(i), 0)).collect()
+    };
+    for scan in scan_script(ci.components.len()) {
+        rec.begin(ci);
+        let (dc, ac);
+        let sos = match scan {
             ProgScan::DcFirst { al } => {
-                let mut gather = GatherSink::new();
-                scan_dc_first(ci, al, &dc_tbl_of, &mut gather);
-                let ntables = if ncomp == 1 { 1 } else { 2 };
-                let specs: Vec<HuffSpec> = gather
-                    .dc
-                    .iter()
-                    .take(ntables)
-                    .map(|f| f.build_spec().expect("dc spec"))
-                    .collect();
-                for (t, spec) in specs.iter().enumerate() {
-                    write_dht(&mut out, 0, t as u8, spec);
-                }
-                let mut sink = EmitSink::new(
-                    specs.iter().map(|s| Some(HuffEncoder::from_spec(s).expect("enc"))).collect(),
-                    vec![None, None],
-                );
-                while sink.dc.len() < 2 {
-                    sink.dc.push(None);
-                }
-                gather.replay(&mut sink);
-                let comps: Vec<(u8, u8, u8)> = ci
-                    .components
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| (c.id, tbl_for_component(i) as u8, 0))
-                    .collect();
-                write_sos(&mut out, &comps, 0, 0, 0, al);
-                out.extend_from_slice(&sink.w.finish());
+                scan_dc_first(ci, al, rec);
+                dc = dc_comps(true);
+                ScanHeader { comps: &dc, ss: 0, se: 0, ah: 0, al }
             }
             ProgScan::DcRefine { ah } => {
-                let mut sink = EmitSink::new(vec![None, None], vec![None, None]);
-                scan_dc_refine(ci, ah - 1, &mut sink);
-                let comps: Vec<(u8, u8, u8)> = ci.components.iter().map(|c| (c.id, 0, 0)).collect();
-                write_sos(&mut out, &comps, 0, 0, ah, ah - 1);
-                out.extend_from_slice(&sink.w.finish());
+                scan_dc_refine(ci, ah - 1, rec);
+                dc = dc_comps(false);
+                ScanHeader { comps: &dc, ss: 0, se: 0, ah, al: ah - 1 }
             }
-            ProgScan::AcFirst { comp, ss, se, al } => {
-                let comp_ref = &ci.components[comp];
-                let tbl = tbl_for_component(comp);
-                let mut gather = GatherSink::new();
-                scan_ac_first(comp_ref, ss, se, al, tbl, &mut gather);
-                let spec = gather.ac[tbl].build_spec().expect("ac spec");
-                write_dht(&mut out, 1, tbl as u8, &spec);
-                let mut ac_encs: Vec<Option<HuffEncoder>> = vec![None, None];
-                ac_encs[tbl] = Some(HuffEncoder::from_spec(&spec).expect("enc"));
-                let mut sink = EmitSink::new(vec![None, None], ac_encs);
-                gather.replay(&mut sink);
-                write_sos(&mut out, &[(comp_ref.id, 0, tbl as u8)], ss as u8, se as u8, 0, al);
-                out.extend_from_slice(&sink.w.finish());
+            ProgScan::AcFirst { comp, ss, se, al } | ProgScan::AcRefine { comp, ss, se, al } => {
+                let (c, tbl) = (&ci.components[comp], tbl_for_component(comp));
+                let refine = matches!(scan, ProgScan::AcRefine { .. });
+                let walker = if refine { scan_ac_refine } else { scan_ac_first };
+                walker(c, ss, se, al, tbl, rec);
+                ac = [(c.id, 0, tbl as u8)];
+                let ah = if refine { al + 1 } else { 0 };
+                ScanHeader { comps: &ac, ss: ss as u8, se: se as u8, ah, al }
             }
-            ProgScan::AcRefine { comp, ss, se, al } => {
-                let comp_ref = &ci.components[comp];
-                let tbl = tbl_for_component(comp);
-                let mut gather = GatherSink::new();
-                scan_ac_refine(comp_ref, ss, se, al, tbl, &mut gather);
-                let spec = gather.ac[tbl].build_spec().expect("ac spec");
-                write_dht(&mut out, 1, tbl as u8, &spec);
-                let mut ac_encs: Vec<Option<HuffEncoder>> = vec![None, None];
-                ac_encs[tbl] = Some(HuffEncoder::from_spec(&spec).expect("enc"));
-                let mut sink = EmitSink::new(vec![None, None], ac_encs);
-                gather.replay(&mut sink);
-                write_sos(&mut out, &[(comp_ref.id, 0, tbl as u8)], ss as u8, se as u8, al + 1, al);
-                out.extend_from_slice(&sink.w.finish());
-            }
-        }
+        };
+        emit_scan(out, rec, None, 0, &sos)?;
     }
-    out.extend_from_slice(&[0xFF, marker::EOI]);
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

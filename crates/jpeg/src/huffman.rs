@@ -316,7 +316,7 @@ impl FreqCounter {
             out_bits[l - 1] = bits[l] as u8;
         }
         // Emit symbols sorted by (codesize, symbol value).
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(256);
         for len in 1..=32 {
             for (sym, &size) in codesize.iter().enumerate().take(256) {
                 if size == len {

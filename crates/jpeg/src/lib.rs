@@ -56,7 +56,7 @@ pub mod zigzag;
 
 pub use block::{Block, CoeffImage, ComponentCoeffs, COEFS_PER_BLOCK};
 pub use decoder::{decode_to_coeffs, decode_to_gray, decode_to_rgb, DecodedInfo};
-pub use encoder::{EncodeConfig, Encoder, Mode, Subsampling};
+pub use encoder::{Encoder, Mode, Subsampling};
 pub use image::{GrayImage, RgbImage};
 pub use quant::QuantTable;
 
@@ -70,6 +70,15 @@ pub enum JpegError {
     /// The bitstream is legal JPEG but uses a feature this codec does not
     /// implement (e.g. arithmetic coding, 12-bit precision, hierarchical).
     Unsupported(String),
+    /// The frame header claims a side over [`decoder::MAX_SIDE`]. The
+    /// decoder allocates the coefficient planes the header asks for, so
+    /// it refuses before it does.
+    TooLarge {
+        /// Claimed width in samples.
+        width: usize,
+        /// Claimed height in samples.
+        height: usize,
+    },
     /// Input ended before the bitstream was complete.
     Truncated,
     /// A caller-supplied structure is inconsistent (e.g. a [`CoeffImage`]
@@ -82,6 +91,9 @@ impl fmt::Display for JpegError {
         match self {
             JpegError::Format(m) => write!(f, "malformed JPEG: {m}"),
             JpegError::Unsupported(m) => write!(f, "unsupported JPEG feature: {m}"),
+            JpegError::TooLarge { width, height } => {
+                write!(f, "{width}x{height} frame exceeds {} samples a side", decoder::MAX_SIDE)
+            }
             JpegError::Truncated => write!(f, "truncated JPEG stream"),
             JpegError::Invalid(m) => write!(f, "invalid input: {m}"),
         }

@@ -47,6 +47,7 @@ pub(crate) struct Shared {
     pub(crate) in_flight: AtomicUsize,
     /// Test hook: pending simulated `accept()` failures (see
     /// [`crate::server::Server::inject_accept_errors`]).
+    #[cfg(test)]
     pub(crate) injected_accept_errors: AtomicUsize,
     pub(crate) idle_timeout: Duration,
     pub(crate) handler: Handler,
@@ -191,6 +192,7 @@ impl Source for Acceptor {
                     // Injected-failure hook: treat the accept as a
                     // transient error so the resilience path is
                     // exercised end to end.
+                    #[cfg(test)]
                     if self
                         .shared
                         .injected_accept_errors

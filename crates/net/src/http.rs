@@ -113,6 +113,8 @@ impl StatusCode {
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     /// 416 — the `Range` header was malformed or out of bounds.
     pub const RANGE_NOT_SATISFIABLE: StatusCode = StatusCode(416);
+    /// 422 — well-formed, but not something this server can act on.
+    pub const UNPROCESSABLE: StatusCode = StatusCode(422);
     /// 500.
     pub const INTERNAL: StatusCode = StatusCode(500);
     /// 502.
@@ -132,6 +134,7 @@ impl StatusCode {
             404 => "Not Found",
             413 => "Payload Too Large",
             416 => "Range Not Satisfiable",
+            422 => "Unprocessable Content",
             500 => "Internal Server Error",
             502 => "Bad Gateway",
             503 => "Service Unavailable",
@@ -511,11 +514,26 @@ fn parse_header_line(line: &str, headers: &mut Headers) -> Result<(), HttpError>
     let (name, value) = line
         .split_once(':')
         .ok_or_else(|| HttpError::Parse(format!("bad header line {line:?}")))?;
-    headers.set(name.trim(), value.trim().to_string());
+    let name = name.trim();
+    // [`Headers::set`] replaces, and for the one header that frames the
+    // message "last wins" is a guess the peer (or a proxy in between)
+    // may make the other way. A repeat is refused even when the values
+    // agree: nothing this system talks to sends one.
+    if name.eq_ignore_ascii_case("content-length") && headers.get(name).is_some() {
+        return Err(HttpError::Parse("repeated content-length".into()));
+    }
+    headers.set(name, value.trim().to_string());
     Ok(())
 }
 
+/// The body's length, which only `content-length` may give: a message
+/// that declares a transfer coding this crate does not decode (chunked)
+/// would otherwise frame as empty and its body be parsed as the next
+/// message on the connection.
 fn body_len(headers: &Headers) -> Result<usize, HttpError> {
+    if headers.get("transfer-encoding").is_some() {
+        return Err(HttpError::Parse("transfer-encoding is not supported".into()));
+    }
     let len: usize = match headers.get("content-length") {
         None => 0,
         Some(v) => v.parse().map_err(|_| HttpError::Parse("bad content-length".into()))?,
@@ -758,6 +776,31 @@ mod tests {
             b"GET / HTTP/1.1\r\nbadheader\r\n\r\n",
         ] {
             assert!(RequestParser::new().feed(raw).is_err(), "{raw:?} accepted");
+        }
+    }
+
+    #[test]
+    fn ambiguous_framing_is_a_parse_error_in_both_directions() {
+        const CHUNK: &str = "5\r\nhello\r\n0\r\n\r\n";
+        for (what, headers, body) in [
+            ("conflicting content-length", "content-length: 5\r\ncontent-length: 0\r\n", "hello"),
+            ("identical content-length", "content-length: 5\r\nContent-Length: 5\r\n", "hello"),
+            ("chunked", "transfer-encoding: chunked\r\n", CHUNK),
+            ("chunked + length", "content-length: 5\r\nTransfer-Encoding: chunked\r\n", CHUNK),
+        ] {
+            // A client's request through the push parser: refused at the
+            // header block, so not one body byte is taken for a second
+            // request.
+            let raw = format!("POST /blobs/x HTTP/1.1\r\n{headers}\r\n{body}");
+            let err = match RequestParser::new().feed(raw.as_bytes()) {
+                Err(err) => err,
+                Ok((n, req)) => panic!("{what}: consumed {n}, parsed {:?}", req.map(|r| r.path)),
+            };
+            assert!(matches!(err, HttpError::Parse(_)), "{what}: {err}");
+            // A node's or the PSP's reply through the blocking reader.
+            let raw = format!("HTTP/1.1 200 OK\r\n{headers}\r\n{body}");
+            let err = Response::read_from(&mut BufReader::new(Cursor::new(raw))).unwrap_err();
+            assert!(matches!(err, HttpError::Parse(_)), "{what}: {err}");
         }
     }
 

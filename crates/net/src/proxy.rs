@@ -9,7 +9,9 @@
 //!   that ID ("This returns an ID, which is then used to name a file
 //!   containing the secret part"). If the storage PUT fails the PSP
 //!   upload is rolled back with a `DELETE`, so no orphaned public
-//!   (privacy-degraded) photo outlives a failed P3 upload.
+//!   (privacy-degraded) photo outlives a failed P3 upload. A JPEG that
+//!   does not split (a frame over the decoder's ceiling is 413, an
+//!   unsupported feature 422) is refused, never forwarded whole.
 //! * **Download path** — intercepts `GET /photos/{id}...`, forwards to
 //!   the PSP while *concurrently* fetching the secret blob by ID ("the
 //!   proxy downloads the secret part … while waiting for the public
@@ -38,7 +40,9 @@ use crate::server::{Server, ServerConfig, ServerStats};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
 use p3_core::transform::TransformSpec;
+use p3_core::P3Error;
 use p3_crypto::EnvelopeKey;
+use p3_jpeg::JpegError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -402,11 +406,6 @@ impl P3Proxy {
         self.ctx.cache.len()
     }
 
-    /// Fresh TCP connections the proxy has opened to its upstreams.
-    pub fn upstream_connects(&self) -> u64 {
-        self.ctx.pool.connects()
-    }
-
     /// Stop the proxy (graceful: drains in-flight requests).
     pub fn shutdown(&mut self) {
         self.server.shutdown();
@@ -523,10 +522,18 @@ fn parse_crop(spec: &str) -> Option<(usize, usize, usize, usize)> {
 fn handle_upload(req: &Request, ctx: &ProxyCtx) -> Response {
     let cfg = &ctx.cfg;
     let stats = &ctx.stats;
-    // Split locally. If the body is not decodable JPEG, stay transparent.
+    // Split locally. A body offered as a photo that does not split is
+    // refused here: forwarded, it would be published whole and in the
+    // clear by the one component that exists to prevent that.
     let (public_jpeg, container, _stats) = match cfg.codec.split_jpeg(&req.body) {
         Ok(parts) => parts,
-        Err(_) => return forward(req, ctx),
+        Err(e) => {
+            let status = match e {
+                P3Error::Jpeg(JpegError::TooLarge { .. }) => StatusCode::PAYLOAD_TOO_LARGE,
+                _ => StatusCode::UNPROCESSABLE,
+            };
+            return Response::text(status, &format!("not split, nothing sent upstream: {e}"));
+        }
     };
     // Upload the public part in place of the original.
     let mut pub_req = Request::new(Method::Post, &req.target(), public_jpeg);

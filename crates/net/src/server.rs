@@ -156,6 +156,7 @@ impl Server {
             stop: AtomicBool::new(false),
             stats,
             in_flight: AtomicUsize::new(0),
+            #[cfg(test)]
             injected_accept_errors: AtomicUsize::new(0),
             idle_timeout: cfg.idle_timeout,
             handler,
@@ -276,7 +277,8 @@ impl Server {
     /// runs). Test instrumentation for the listener's resilience; real
     /// accept errors (EMFILE, ECONNABORTED) are hard to provoke
     /// portably.
-    pub fn inject_accept_errors(&self, n: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_accept_errors(&self, n: usize) {
         self.shared.injected_accept_errors.fetch_add(n, Ordering::SeqCst);
     }
 
@@ -436,6 +438,28 @@ mod tests {
         let mut reader = BufReader::new(stream);
         let resp = Response::read_from(&mut reader).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
+    }
+
+    #[test]
+    fn chunked_request_gets_400_and_its_body_is_never_a_second_request() {
+        let server = echo_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        use std::io::{Read, Write};
+        // The chunk "body" is itself a well-formed request: framed as
+        // `content-length: 0` it would be served as one.
+        let smuggled = "GET /smuggled HTTP/1.1\r\n\r\n";
+        let wire = format!(
+            "POST /upload HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n{:x}\r\n{smuggled}\r\n0\r\n\r\n",
+            smuggled.len()
+        );
+        stream.write_all(wire.as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream);
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert_eq!(resp.status, StatusCode::BAD_REQUEST);
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).expect("connection must be closed, not kept open");
+        assert!(rest.is_empty(), "answered past the 400: {:?}", String::from_utf8_lossy(&rest));
     }
 
     #[test]

@@ -45,9 +45,6 @@ impl fmt::Display for UploadError {
     }
 }
 
-/// Longest side an upload's frame header may claim.
-const MAX_SIDE: usize = 8192;
-
 struct StoredPhoto {
     /// The upload after marker stripping (what "full" serves if within
     /// the ladder cap).
@@ -193,16 +190,17 @@ impl PspCore {
 
     /// Upload a photo; returns the assigned ID.
     pub fn upload(&self, body: &[u8]) -> Result<u64, UploadError> {
-        // The decoder allocates the coefficient planes the frame header
-        // asks for, so the header is judged before the decoder sees it.
-        let header = p3_jpeg::marker::summarize(body).map_err(|_| UploadError::NotJpeg)?;
-        if header.width > MAX_SIDE || header.height > MAX_SIDE {
-            return Err(UploadError::TooLarge);
-        }
+        // The decoder judges the first frame header alone (and refuses
+        // one over its ceiling before allocating for it); a stream with
+        // a second is not a photo whatever the first claims.
+        p3_jpeg::marker::summarize(body).map_err(|_| UploadError::NotJpeg)?;
         let stripped =
             p3_jpeg::marker::strip_app_markers(body).map_err(|_| UploadError::NotJpeg)?;
         let renditions = self.with_scratch(|scratch| {
-            let (w, h) = scratch.decode(body).map_err(|_| UploadError::NotJpeg)?;
+            let (w, h) = scratch.decode(body).map_err(|e| match e {
+                p3_jpeg::JpegError::TooLarge { .. } => UploadError::TooLarge,
+                _ => UploadError::NotJpeg,
+            })?;
             if self.profile.detect_p3_uploads {
                 // The countermeasure of §4.2: a clipped public part shows
                 // a histogram spike at its maximum AC magnitude and no DC.
@@ -387,6 +385,7 @@ fn handle(core: &PspCore, req: &Request) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p3_jpeg::decoder::MAX_SIDE;
 
     fn photo_jpeg(w: usize, h: usize) -> Vec<u8> {
         let mut img = RgbImage::new(w, h);

@@ -177,11 +177,6 @@ impl Reactor {
         self.wheel.cancel(token);
     }
 
-    /// Number of currently registered sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
-    }
-
     /// Ask the loop to exit after the current dispatch round. Callable
     /// from within callbacks.
     pub fn stop(&mut self) {

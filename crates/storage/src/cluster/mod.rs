@@ -329,11 +329,6 @@ impl ClusterBackend {
         m.replica_addrs(id, self.r_eff(&m))
     }
 
-    /// Current member node addresses.
-    pub fn node_addrs(&self) -> Vec<SocketAddr> {
-        self.snapshot().nodes.clone()
-    }
-
     /// Current membership epoch.
     pub fn epoch(&self) -> u64 {
         self.snapshot().epoch

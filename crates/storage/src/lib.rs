@@ -356,11 +356,6 @@ pub struct StorageCore {
     /// When set, served blobs have one byte flipped — a malicious or
     /// faulty provider.
     tamper: AtomicBool,
-    /// Chaos hook: injected latency (ms) applied to every put/get — the
-    /// harness's "slow node" fault class. 0 = off.
-    delay_ms: AtomicU64,
-    /// Operations that paid the injected delay, proving the fault fired.
-    delayed_ops: AtomicU64,
 }
 
 impl Default for StorageCore {
@@ -377,13 +372,7 @@ impl StorageCore {
 
     /// Core over an explicit backend.
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> Self {
-        Self {
-            backend,
-            gets: AtomicU64::new(0),
-            tamper: AtomicBool::new(false),
-            delay_ms: AtomicU64::new(0),
-            delayed_ops: AtomicU64::new(0),
-        }
+        Self { backend, gets: AtomicU64::new(0), tamper: AtomicBool::new(false) }
     }
 
     /// The backend behind this core.
@@ -391,25 +380,14 @@ impl StorageCore {
         &self.backend
     }
 
-    /// Pay the injected slow-node latency, if any.
-    fn chaos_delay(&self) {
-        let ms = self.delay_ms.load(Ordering::Relaxed);
-        if ms > 0 {
-            self.delayed_ops.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-    }
-
     /// Store a blob.
     pub fn put(&self, id: &str, data: &[u8]) -> StorageResult<()> {
-        self.chaos_delay();
         self.backend.put(id, data)
     }
 
     /// Fetch a blob (possibly tampered, if tampering is enabled). The
     /// untampered path clones an `Arc`, not the blob.
     pub fn get(&self, id: &str) -> StorageResult<Option<Arc<[u8]>>> {
-        self.chaos_delay();
         self.gets.fetch_add(1, Ordering::Relaxed);
         let Some(blob) = self.backend.get(id)? else {
             return Ok(None);
@@ -460,18 +438,6 @@ impl StorageCore {
     /// Enable/disable tampering.
     pub fn set_tamper(&self, on: bool) {
         self.tamper.store(on, Ordering::Relaxed);
-    }
-
-    /// Chaos hook: inject `ms` milliseconds of latency into every
-    /// put/get served by this core (0 disables). The simulation
-    /// harness's "slow node" fault class.
-    pub fn set_delay_ms(&self, ms: u64) {
-        self.delay_ms.store(ms, Ordering::Relaxed);
-    }
-
-    /// Operations that paid the injected slow-node delay.
-    pub fn delayed_ops(&self) -> u64 {
-        self.delayed_ops.load(Ordering::Relaxed)
     }
 
     /// Number of blob reads served since startup.
@@ -921,22 +887,6 @@ mod tests {
         assert_eq!(whole.headers.get("accept-ranges"), Some("bytes"));
         assert_eq!(whole.body, body);
         svc.shutdown();
-    }
-
-    #[test]
-    fn injected_delay_slows_ops_and_counts_them() {
-        let core = StorageCore::new();
-        core.put("a", b"fast").unwrap();
-        assert_eq!(core.delayed_ops(), 0);
-        core.set_delay_ms(5);
-        let t0 = std::time::Instant::now();
-        core.get("a").unwrap();
-        core.put("b", b"slow").unwrap();
-        assert!(t0.elapsed() >= std::time::Duration::from_millis(10));
-        assert_eq!(core.delayed_ops(), 2);
-        core.set_delay_ms(0);
-        core.get("a").unwrap();
-        assert_eq!(core.delayed_ops(), 2, "cleared delay stops counting");
     }
 
     #[test]

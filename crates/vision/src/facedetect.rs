@@ -5,9 +5,10 @@
 //! is unavailable offline, so this module implements the same detector
 //! family — integral images, Haar-like features, boosted decision stumps
 //! arranged in an attentional cascade — and trains it at runtime on the
-//! synthetic face corpus from `p3-datasets`. DESIGN.md records this
-//! substitution; the measured quantity (average faces detected per image
-//! on originals vs. public parts) is the same.
+//! synthetic face corpus from `p3-datasets`. ARCHITECTURE.md § Crate
+//! responsibilities records this substitution; the measured quantity
+//! (average faces detected per image on originals vs. public parts) is
+//! the same.
 
 use crate::image::ImageF32;
 

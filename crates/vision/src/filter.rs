@@ -112,17 +112,6 @@ pub fn sobel(img: &ImageF32) -> (ImageF32, ImageF32) {
     (gx, gy)
 }
 
-/// Gradient magnitude image from Sobel responses.
-pub fn gradient_magnitude(gx: &ImageF32, gy: &ImageF32) -> ImageF32 {
-    assert_eq!(gx.width, gy.width);
-    assert_eq!(gx.height, gy.height);
-    ImageF32 {
-        width: gx.width,
-        height: gx.height,
-        data: gx.data.iter().zip(gy.data.iter()).map(|(&x, &y)| (x * x + y * y).sqrt()).collect(),
-    }
-}
-
 /// The per-sample `get_clamped` loops the row passes replaced, kept as
 /// the bit-identity oracle.
 #[cfg(test)]

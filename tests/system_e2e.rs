@@ -139,6 +139,57 @@ fn non_p3_photos_pass_through() {
     assert_eq!(sys.proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 1);
 }
 
+/// `jpeg` with bytes of its first frame header overwritten, `at` counted
+/// from the marker: marker(2) length(2) precision(1) height(2) width(2).
+fn with_frame_header(jpeg: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    let sof = jpeg.windows(2).position(|m| m == [0xFF, p3_jpeg::marker::SOF0]).expect("SOF0");
+    let mut out = jpeg.to_vec();
+    out[sof + at..sof + at + bytes.len()].copy_from_slice(bytes);
+    out
+}
+
+#[test]
+fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
+    let sys = spawn_system(PspProfile::facebook(), 15);
+    let (_, jpeg) = photo(21, 64, 64);
+    // A 12-bit frame is legal JPEG this codec cannot split; a proxy that
+    // forwards what it cannot split publishes the photo whole.
+    let deep = with_frame_header(&jpeg, 4, &[12]);
+    let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", deep).expect("answer");
+    assert_eq!(resp.status.0, 422, "{}", String::from_utf8_lossy(&resp.body));
+    assert!(String::from_utf8_lossy(&resp.body).contains("12-bit"), "the reason is named");
+    // Neither can a proxy configured with no threshold.
+    let unset = spawn_system(PspProfile::facebook(), 0);
+    let resp =
+        http_post(unset.proxy.addr(), "/photos", "image/jpeg", jpeg.clone()).expect("answer");
+    assert_eq!(resp.status.0, 422);
+    for sys in [&sys, &unset] {
+        assert_eq!(sys.psp.core().photo_count(), 0, "the PSP saw the un-split upload");
+        assert_eq!(sys.storage.core().len(), 0);
+    }
+    // What is not offered as a JPEG photo is none of the proxy's
+    // business and still passes through.
+    let resp = http_post(sys.proxy.addr(), "/photos", "application/octet-stream", jpeg)
+        .expect("passthrough");
+    assert!(resp.status.is_success());
+    assert_eq!(sys.psp.core().photo_count(), 1);
+    assert_eq!(sys.proxy.stats().uploads_split.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn oversized_frame_header_is_refused_by_the_proxy_before_it_allocates_for_it() {
+    let sys = spawn_system(PspProfile::facebook(), 15);
+    let (_, jpeg) = photo(22, 64, 64);
+    // 60 000 x 60 000 is a 21 GB coefficient image to a decoder that
+    // believes the header — here the trusted side's.
+    let side = 60_000u16.to_be_bytes();
+    let bomb = with_frame_header(&jpeg, 5, &[side, side].concat());
+    let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", bomb).expect("answer");
+    assert_eq!(resp.status.0, 413, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(sys.psp.core().photo_count(), 0);
+    assert_eq!(sys.storage.core().len(), 0);
+}
+
 #[test]
 fn tampered_storage_fails_closed() {
     let sys = spawn_system(PspProfile::facebook(), 15);

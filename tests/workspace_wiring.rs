@@ -228,6 +228,59 @@ fn docs_name_only_existing_bins_and_bench_files() {
     }
 }
 
+/// Every `.rs` file under `dir`, recursively (build output skipped).
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read {dir:?}: {e}")) {
+        let path = entry.expect("readable dir entry").path();
+        if path.is_dir() && path.file_name().is_some_and(|n| n != "target") {
+            rust_sources(&path, out);
+        } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// An upper-case `*.md` name in a source file, the README, ARCHITECTURE,
+/// the verify skill or a workflow names a document at the repo root (the
+/// root's convention; one behind a `/` lives somewhere else). It must be
+/// committed there, or be the one `run_all` writes: a citation of a
+/// document nobody wrote sends the reader nowhere.
+#[test]
+fn sources_and_docs_cite_only_root_documents_that_exist() {
+    const WRITTEN_BY_RUN_ALL: &str = "EXPERIMENTS.md";
+    let root = repo_root();
+    let run_all =
+        fs::read_to_string(root.join("crates/bench/src/bin/run_all.rs")).expect("run_all");
+    assert!(run_all.contains(&format!("Path::new(\"{WRITTEN_BY_RUN_ALL}\")")), "run_all moved");
+    let mut files = runnable_docs(&root);
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        rust_sources(&root.join(dir), &mut files);
+    }
+    let is_stem = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    let mut cited = BTreeSet::new();
+    for file in files {
+        let text = fs::read_to_string(&file).unwrap_or_else(|e| panic!("read {file:?}: {e}"));
+        for (at, _) in text.match_indices(".md") {
+            let before = &text[..at];
+            let stem = &before[before.rfind(|c| !is_stem(c)).map_or(0, |i| i + 1)..];
+            let inside_a_longer_name = |c: char| c.is_ascii_alphanumeric() || "/_.-".contains(c);
+            if stem.is_empty()
+                || before[..before.len() - stem.len()].ends_with(inside_a_longer_name)
+                || text[at + 3..].starts_with(|c: char| c.is_ascii_alphanumeric())
+            {
+                continue;
+            }
+            let name = format!("{stem}.md");
+            assert!(
+                name == WRITTEN_BY_RUN_ALL || root.join(&name).is_file(),
+                "{file:?} cites `{name}`: no such document at the root, and nothing writes one"
+            );
+            cited.insert(name);
+        }
+    }
+    assert!(cited.contains("ARCHITECTURE.md") && cited.contains("README.md"), "{cited:?}");
+}
+
 /// Every `--flag` the README, ARCHITECTURE, the verify skill, a workflow
 /// or the CLI's own usage text shows on a `p3 <subcommand>` line (or on
 /// a line continuing one: after a trailing `\`, or opening with `--` /

@@ -1,15 +1,15 @@
 //! The simulated serving topology: PSP + 3 disk-backed storage nodes
-//! behind a cluster router + trusted proxy, with handles for every
-//! chaos hook (kill/restart, delay, disk-full, on-disk corruption,
-//! and — via the router's [`FaultTransport`] — partitions, black
-//! holes, and in-flight bit flips on the router→node links).
+//! behind a cluster router + trusted proxy, with a handle for every
+//! fault the phase table arms: kill/restart and on-disk corruption
+//! here, disk-full on each node's [`FaultBackend`], link faults on the
+//! router's [`FaultTransport`].
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{FaultPlan, FaultRule, FaultTransport};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::{
-    BackendStats, ClusterBackend, ClusterConfig, Compactor, PackedBackend, PackedConfig,
+    ClusterBackend, ClusterConfig, Compactor, FaultBackend, PackedBackend, PackedConfig,
     StorageBackend, StorageCore, StorageService,
 };
 use std::net::SocketAddr;
@@ -19,20 +19,48 @@ use std::time::Duration;
 
 /// One storage node plus the handles chaos needs to reach inside it.
 pub struct SimNode {
-    /// Listening service; `None` while the node is "dead".
-    service: Option<StorageService>,
-    /// The node's request core (delay injection lives here).
-    pub core: Arc<StorageCore>,
-    /// The packed needle-log backend (disk-full injection, needle
-    /// corruption, and stats live here).
+    /// Listening service and background compactor; `None` while the
+    /// node is "dead" — a powered-off machine serves nothing and
+    /// doesn't rewrite its own segments.
+    running: Option<(StorageService, Compactor)>,
+    /// The packed needle-log backend (needle corruption and stats).
     pub disk: Arc<PackedBackend>,
-    /// Background compactor; dropped while the node is "dead" — a
-    /// powered-off machine doesn't rewrite its own segments.
-    compactor: Option<Compactor>,
+    /// The decorator the node serves `disk` through (disk-full).
+    pub fault: Arc<FaultBackend>,
     /// Durable data directory — survives kill/restart.
-    pub dir: PathBuf,
+    dir: PathBuf,
     /// Fixed address; restarts rebind the same port.
     pub addr: SocketAddr,
+}
+
+impl SimNode {
+    /// Open (or re-open: a power-cycle, not a wipe — the packed store's
+    /// recovery scan rebuilds the index from the needle log) node `i`'s
+    /// store over `dir` and serve it, on `addr` when the node had one.
+    fn start(i: usize, dir: PathBuf, addr: Option<SocketAddr>) -> Result<SimNode, String> {
+        let disk = Arc::new(
+            PackedBackend::open_with(&dir, sim_node_config())
+                .map_err(|e| format!("open node{i}: {e}"))?,
+        );
+        let fault = Arc::new(FaultBackend::new(Arc::clone(&disk) as Arc<dyn StorageBackend>));
+        let core =
+            Arc::new(StorageCore::with_backend(Arc::clone(&fault) as Arc<dyn StorageBackend>));
+        let service = match addr {
+            Some(addr) => StorageService::respawn_on(addr, core),
+            None => StorageService::spawn_with(core),
+        }
+        .map_err(|e| format!("bind node{i}: {e}"))?;
+        let addr = service.addr();
+        let compactor = Compactor::spawn(&disk, COMPACT_INTERVAL);
+        Ok(SimNode { running: Some((service, compactor)), disk, fault, dir, addr })
+    }
+
+    /// Kill the node; its durable directory survives.
+    pub fn stop(&mut self) {
+        if let Some((mut service, _compactor)) = self.running.take() {
+            service.shutdown();
+        }
+    }
 }
 
 /// Node store tuning for the simulation: segments small enough that the
@@ -48,22 +76,21 @@ const COMPACT_INTERVAL: Duration = Duration::from_millis(500);
 
 /// The whole topology under test.
 pub struct SimCluster {
-    psp: PspService,
+    /// What a client would see *without* the proxy: public parts.
+    pub psp: PspService,
     /// The three storage nodes, chaos-addressable by index.
     pub nodes: Vec<SimNode>,
     /// The cluster router backend (replica math + failure counters).
     pub router_backend: Arc<ClusterBackend>,
-    /// Fault rules on the router→node links (partitions, black holes,
-    /// latency, bit flips). Chaos sets rules here; the router's
-    /// transport consults them per connect/read/write.
+    /// Fault rules on the router→node links, consulted by the router's
+    /// transport per connect/read/write; also counts what they did.
     pub fault_plan: Arc<FaultPlan>,
-    router: StorageService,
-    proxy: P3Proxy,
+    /// The router's HTTP front (`/admin/membership` lives here).
+    pub router: StorageService,
+    /// Where clients send requests.
+    pub proxy: P3Proxy,
     base_dir: PathBuf,
 }
-
-/// Shared master key for the simulated proxy.
-pub const MASTER_KEY: &[u8] = b"p3 simulate master key";
 
 /// Source label the router's fault transport identifies itself by in
 /// the [`FaultPlan`] — rules keyed on it hit only router→node traffic.
@@ -78,21 +105,9 @@ impl SimCluster {
             std::env::temp_dir().join(format!("p3-simulate-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base_dir);
         let psp = PspService::spawn(PspProfile::facebook()).map_err(|e| format!("psp: {e}"))?;
-        let mut nodes = Vec::with_capacity(3);
-        for i in 0..3 {
-            let dir = base_dir.join(format!("node{i}"));
-            let disk = Arc::new(
-                PackedBackend::open_with(&dir, sim_node_config())
-                    .map_err(|e| format!("node{i}: {e}"))?,
-            );
-            let compactor = Some(Compactor::spawn(&disk, COMPACT_INTERVAL));
-            let core =
-                Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
-            let service = StorageService::spawn_with(Arc::clone(&core))
-                .map_err(|e| format!("node{i}: {e}"))?;
-            let addr = service.addr();
-            nodes.push(SimNode { service: Some(service), core, disk, compactor, dir, addr });
-        }
+        let nodes = (0..3)
+            .map(|i| SimNode::start(i, base_dir.join(format!("node{i}")), None))
+            .collect::<Result<Vec<_>, _>>()?;
         let fault_plan = FaultPlan::new();
         let router_backend = Arc::new(
             ClusterBackend::with_transport(
@@ -100,13 +115,12 @@ impl SimCluster {
                     nodes: nodes.iter().map(|n| n.addr).collect(),
                     replicas: 2,
                     backoff_base: Duration::from_millis(100),
-                    // Cap escalation low: chaos windows are seconds
-                    // long, and the backstop needs a healed node to be
-                    // re-probed promptly, not parked for 30 s.
+                    // Cap escalation low: a phase lasts a second or so,
+                    // and a healed node should be re-probed promptly,
+                    // not parked for 30 s.
                     backoff_max: Duration::from_millis(400),
                     // Short deadlines so a black-holed link costs one
-                    // bounded timeout, not a stalled worker: the chaos
-                    // windows are fractions of a ~2 s run.
+                    // bounded timeout, not a stalled worker.
                     connect_timeout: Duration::from_millis(150),
                     read_timeout: Duration::from_millis(400),
                     ..ClusterConfig::default()
@@ -122,7 +136,7 @@ impl SimCluster {
         let proxy = P3Proxy::spawn(ProxyConfig {
             psp_addr: psp.addr(),
             storage_addr: router.addr(),
-            master_key: MASTER_KEY.to_vec(),
+            master_key: b"p3 simulate master key".to_vec(),
             codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
             estimator: default_estimator(),
             reencode_quality: 90,
@@ -134,101 +148,34 @@ impl SimCluster {
         Ok(SimCluster { psp, nodes, router_backend, fault_plan, router, proxy, base_dir })
     }
 
-    /// Where clients send requests.
-    pub fn proxy_addr(&self) -> SocketAddr {
-        self.proxy.addr()
-    }
-
-    /// Kill node `i` (its durable directory survives). The compactor
-    /// dies with the node — dead machines don't rewrite segments.
-    pub fn kill_node(&mut self, i: usize) {
-        self.nodes[i].compactor = None;
-        if let Some(mut svc) = self.nodes[i].service.take() {
-            svc.shutdown();
-        }
-    }
-
-    /// Restart node `i` on its original address, re-opening the same
-    /// data directory (a power-cycle, not a wipe): the packed store's
-    /// recovery scan rebuilds the index from the needle log.
+    /// Restart node `i` on its original address over the same data
+    /// directory, fault-free.
     pub fn restart_node(&mut self, i: usize) -> Result<(), String> {
         let node = &mut self.nodes[i];
-        if node.service.is_some() {
-            return Ok(());
-        }
-        let disk = Arc::new(
-            PackedBackend::open_with(&node.dir, sim_node_config())
-                .map_err(|e| format!("reopen node{i}: {e}"))?,
-        );
-        let core =
-            Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
-        let service = StorageService::respawn_on(node.addr, Arc::clone(&core))
-            .map_err(|e| format!("rebind node{i} {}: {e}", node.addr))?;
-        node.compactor = Some(Compactor::spawn(&disk, COMPACT_INTERVAL));
-        node.disk = disk;
-        node.core = core;
-        node.service = Some(service);
+        node.stop();
+        *node = SimNode::start(i, node.dir.clone(), Some(node.addr))?;
         Ok(())
     }
 
-    /// Flip one payload byte in every live needle inside node `i`'s
-    /// segment files (frame headers left intact so only the CRC can
-    /// catch it). Returns how many blobs were corrupted.
-    pub fn corrupt_node_blobs(&self, i: usize) -> u64 {
-        self.nodes[i].disk.corrupt_live_needles().map_or(0, |n| n as u64)
-    }
-
-    /// Asymmetric partition: the router can no longer reach node `i` —
-    /// connects and reads black-hole (cost a deadline, no RST) — while
-    /// the node itself stays up and reachable by everyone else.
-    pub fn partition_node(&self, i: usize) {
-        self.fault_plan.set(ROUTER_PEER, self.nodes[i].addr, FaultRule::black_holed());
-    }
-
-    /// Slow the router→node `i` link: every read off it waits `latency`
-    /// first. The node itself answers everyone else at full speed.
-    pub fn slow_node(&self, i: usize, latency: Duration) {
-        let rule = FaultRule { latency, ..FaultRule::default() };
+    /// Put `rule` on the router→node `i` link. The node itself stays
+    /// up and answers everyone else untouched.
+    pub fn fault_link(&self, i: usize, rule: FaultRule) {
         self.fault_plan.set(ROUTER_PEER, self.nodes[i].addr, rule);
-    }
-
-    /// Start flipping one payload byte of every response node `i`
-    /// sends the router — in-flight corruption the wire CRC must catch.
-    pub fn flip_node_responses(&self, i: usize) {
-        self.fault_plan.set(ROUTER_PEER, self.nodes[i].addr, FaultRule::flipping());
     }
 
     /// Heal whatever fault rule is on the router→node `i` link.
     pub fn heal_link(&self, i: usize) {
         self.fault_plan.clear(ROUTER_PEER, self.nodes[i].addr);
     }
+}
 
-    /// The cluster router's own HTTP address (`/admin/membership` lives
-    /// here) — the soak's churn loop drives membership through it.
-    pub fn router_addr(&self) -> SocketAddr {
-        self.router.addr()
-    }
-
-    /// Router-level cluster counters (node failures, read repairs...).
-    pub fn cluster_stats(&self) -> BackendStats {
-        self.router_backend.stats()
-    }
-
-    /// Detected-corruption count summed over the live disk backends.
-    pub fn corrupt_reads(&self) -> u64 {
-        self.nodes.iter().map(|n| n.disk.stats().corrupt_reads).sum()
-    }
-
-    /// Tear everything down and remove the data directories.
-    pub fn shutdown(mut self) {
+/// Tear everything down and remove the data directories, on every path
+/// out of a run — an `Err` from a phase included.
+impl Drop for SimCluster {
+    fn drop(&mut self) {
         self.proxy.shutdown();
         self.router.shutdown();
-        for node in &mut self.nodes {
-            node.compactor = None;
-            if let Some(mut svc) = node.service.take() {
-                svc.shutdown();
-            }
-        }
+        self.nodes.iter_mut().for_each(SimNode::stop);
         self.psp.shutdown();
         let _ = std::fs::remove_dir_all(&self.base_dir);
     }

@@ -1,15 +1,32 @@
-//! Open-loop Zipfian workload: pinned golden corpus, precomputed
-//! arrival schedule, coordinated-omission-aware latency accounting,
-//! and byte-exact response verification.
+//! The load half of a phase: the pinned golden corpus, the seeded
+//! request plan, and a closed-loop batch driver that hash-verifies
+//! every answer.
 
+use p3_core::pixel::rgb_to_luma;
 use p3_datasets::synth::Zipf;
+use p3_jpeg::RgbImage;
 use p3_net::{http_get, http_post};
+use p3_vision::metrics::psnr;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Fraction of requests that are reads (the rest upload a fresh photo).
+const READ_MIX: f64 = 0.9;
+/// Zipf exponent of photo popularity over the pinned corpus.
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Client threads driving a batch, each with one request in flight.
+const WORKERS: usize = 8;
+
+/// A read is pinned as golden only if its luma PSNR against the
+/// uploaded pixels clears this. Calibrated on what the simulate
+/// topology serves for [`photo_jpeg`] (96×72 scenes, facebook PSP, T = 15)
+/// over 1 499 seeds — 1 to 1 199 plus 300 spread over `u64`: the
+/// proxy's reconstruction reads 34.55–40.45 dB, the PSP's public part
+/// of the same photo 14.55–21.43 dB. The floor is the midpoint: 6.5 dB
+/// under the worst reconstruction, 6.5 dB over the best public part.
+const PIN_PSNR_FLOOR_DB: f64 = 28.0;
 
 /// A pinned photo: uploaded before the run, its reconstructed bytes
 /// hashed right after a verified first read. Every later read must be
@@ -21,47 +38,70 @@ pub struct PinnedPhoto {
     pub golden: [u8; 32],
 }
 
-/// Everything one request needs, precomputed so workers stay dumb.
-enum Plan {
-    /// Read pinned photo `photo_idx` as user `user_rank`.
-    Read { photo_idx: usize, user_rank: usize },
-    /// Upload a fresh photo seeded by `seed`.
-    Write { seed: u64, user_rank: usize },
+/// One planned request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Request {
+    /// Read the pinned photo at this index of the corpus.
+    Read(usize),
+    /// Upload the fresh photo `photo_jpeg` makes from this seed.
+    Write(u64),
 }
 
-/// Aggregated outcome of the open-loop run.
-#[derive(Debug, Default)]
-pub struct WorkloadResult {
-    /// Per-read latencies (ms), measured from scheduled arrival.
-    pub read_lat_ms: Vec<f64>,
-    /// Per-write latencies (ms), measured from scheduled arrival.
-    pub write_lat_ms: Vec<f64>,
+/// What a batch's answers were.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Outcomes {
     /// Reads answered 200 with byte-identical golden content.
     pub ok_reads: u64,
     /// Writes answered success.
     pub ok_writes: u64,
-    /// Client-visible explicit errors (5xx/transport) — allowed under
-    /// chaos.
+    /// Client-visible explicit errors (non-2xx or transport) — allowed
+    /// while a fault is armed.
     pub explicit_errors: u64,
     /// Responses that were *wrong*: 200 with bytes that differ from the
     /// pinned golden copy. Must be zero, always.
     pub wrong_data: u64,
-    /// Wall-clock of the request phase (seconds).
-    pub wall_s: f64,
 }
 
-/// Deterministic synthetic JPEG for upload traffic.
-pub fn photo_jpeg(seed: u64) -> Vec<u8> {
+impl std::ops::AddAssign for Outcomes {
+    fn add_assign(&mut self, o: Outcomes) {
+        self.ok_reads += o.ok_reads;
+        self.ok_writes += o.ok_writes;
+        self.explicit_errors += o.explicit_errors;
+        self.wrong_data += o.wrong_data;
+    }
+}
+
+/// Deterministic synthetic photo for upload traffic.
+fn photo_jpeg(seed: u64) -> Vec<u8> {
     let img = p3_datasets::synth::scene(seed, 96, 72, &p3_datasets::synth::SceneParams::default());
     p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).expect("encode synth jpeg")
 }
 
+/// The pin-time oracle: `served` must decode to the uploaded photo, not
+/// to its privacy-degraded public part. Returns the measured PSNR.
+fn check_pin(uploaded: &RgbImage, served: &[u8]) -> Result<f64, String> {
+    let got = p3_jpeg::decode_to_rgb(served).map_err(|e| format!("not a JPEG: {e}"))?;
+    if (got.width, got.height) != (uploaded.width, uploaded.height) {
+        return Err(format!("served {}x{}, not the upload's size", got.width, got.height));
+    }
+    let db = psnr(&rgb_to_luma(uploaded), &rgb_to_luma(&got));
+    if db < PIN_PSNR_FLOOR_DB {
+        return Err(format!(
+            "luma PSNR {db:.1} dB against the upload is under the {PIN_PSNR_FLOOR_DB} dB floor: \
+             a public part, not a reconstruction"
+        ));
+    }
+    Ok(db)
+}
+
 /// Upload `count` photos through the proxy and pin each one's golden
-/// reconstructed bytes with a verify-read. Runs before any chaos.
+/// reconstructed bytes with a verify-read that passes `check_pin`.
+/// Runs before any fault is armed.
 pub fn pin_corpus(proxy: SocketAddr, count: usize, seed: u64) -> Result<Vec<PinnedPhoto>, String> {
     let mut pinned = Vec::with_capacity(count);
     for i in 0..count {
         let jpeg = photo_jpeg(seed.wrapping_add(i as u64));
+        let uploaded = p3_jpeg::decode_to_rgb(&jpeg).expect("decode own upload");
         let resp = http_post(proxy, "/photos", "image/jpeg", jpeg)
             .map_err(|e| format!("pin upload {i}: {e}"))?;
         if !resp.status.is_success() {
@@ -73,140 +113,109 @@ pub fn pin_corpus(proxy: SocketAddr, count: usize, seed: u64) -> Result<Vec<Pinn
         if !read.status.is_success() {
             return Err(format!("pin verify-read {id}: status {}", read.status.0));
         }
-        p3_jpeg::decode_to_rgb(&read.body)
-            .map_err(|e| format!("pin verify-read {id}: not a JPEG: {e}"))?;
+        check_pin(&uploaded, &read.body).map_err(|e| format!("pin verify-read {id}: {e}"))?;
         pinned.push(PinnedPhoto { id, golden: p3_crypto::sha256(&read.body) });
     }
     Ok(pinned)
 }
 
-/// Precompute the open-loop arrival schedule: cumulative seconds from
-/// run start, exponential inter-arrivals at `target_rps`.
-fn arrival_schedule(requests: usize, target_rps: f64, rng: &mut StdRng) -> Vec<f64> {
-    let mut at = 0.0f64;
-    (0..requests)
+/// The `batch` requests of phase number `phase_no` (counted from the
+/// start of the run, across soak rounds): a pure function of its
+/// arguments, so a run's whole request sequence follows from `--seed`.
+pub fn request_plan(seed: u64, photos: usize, batch: usize, phase_no: u64) -> Vec<Request> {
+    let stream = seed ^ phase_no.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut rng = StdRng::seed_from_u64(stream);
+    let mut popularity = Zipf::new(photos, ZIPF_EXPONENT, stream ^ 0x5eed);
+    (0..batch)
         .map(|_| {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            at += -u.ln() / target_rps;
-            at
+            if rng.gen_bool(READ_MIX) {
+                Request::Read(popularity.next_rank())
+            } else {
+                Request::Write(rng.next_u64())
+            }
         })
         .collect()
 }
 
-/// Drive the open-loop schedule with a closed set of worker threads.
-///
-/// `progress` is bumped once per completed request — the chaos
-/// controller keys its fault windows off it.
-pub fn run_open_loop(
-    proxy: SocketAddr,
-    pinned: &[PinnedPhoto],
-    opts: &super::SimulateOpts,
-    progress: &AtomicUsize,
-) -> WorkloadResult {
-    // Precompute everything random so the workload is a pure function
-    // of the seed regardless of worker interleaving.
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let schedule = arrival_schedule(opts.requests, opts.target_rps, &mut rng);
-    let mut photo_zipf = Zipf::new(pinned.len(), opts.zipf_exponent, opts.seed ^ 0x5eed);
-    let mut user_zipf = Zipf::new(opts.users, opts.zipf_exponent, opts.seed ^ 0xfeed);
-    let plans: Vec<Plan> = (0..opts.requests)
-        .map(|i| {
-            let user_rank = user_zipf.next_rank();
-            if rng.gen_range(0.0..1.0) < opts.read_mix {
-                Plan::Read { photo_idx: photo_zipf.next_rank(), user_rank }
-            } else {
-                Plan::Write { seed: opts.seed ^ (0xD00D + i as u64), user_rank }
-            }
-        })
-        .collect();
-
-    let next = AtomicUsize::new(0);
-    let ok_reads = AtomicU64::new(0);
-    let ok_writes = AtomicU64::new(0);
-    let explicit_errors = AtomicU64::new(0);
-    let wrong_data = AtomicU64::new(0);
-    let read_lat = Mutex::new(Vec::with_capacity(opts.requests));
-    let write_lat = Mutex::new(Vec::with_capacity(opts.requests));
-    let start = Instant::now();
-
-    std::thread::scope(|s| {
-        for _ in 0..opts.workers.max(1) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= opts.requests {
-                    break;
-                }
-                // Open loop: wait for the scheduled arrival, then
-                // charge everything after it — queueing included — to
-                // this request's latency.
-                let scheduled = Duration::from_secs_f64(schedule[i]);
-                if let Some(wait) = scheduled.checked_sub(start.elapsed()) {
-                    std::thread::sleep(wait);
-                }
-                let outcome = match &plans[i] {
-                    Plan::Read { photo_idx, user_rank } => {
-                        let photo = &pinned[*photo_idx];
-                        let path = format!("/photos/{}?user=u{user_rank}", photo.id);
-                        match http_get(proxy, &path) {
-                            Ok(resp) if resp.status.is_success() => {
-                                if p3_crypto::sha256(&resp.body) == photo.golden {
-                                    Outcome::OkRead
-                                } else {
-                                    Outcome::WrongData
-                                }
-                            }
-                            Ok(_) => Outcome::ExplicitError,
-                            Err(_) => Outcome::ExplicitError,
-                        }
-                    }
-                    Plan::Write { seed, user_rank } => {
-                        let path = format!("/photos?user=u{user_rank}");
-                        match http_post(proxy, &path, "image/jpeg", photo_jpeg(*seed)) {
-                            Ok(resp) if resp.status.is_success() => Outcome::OkWrite,
-                            Ok(_) => Outcome::ExplicitError,
-                            Err(_) => Outcome::ExplicitError,
-                        }
-                    }
-                };
-                // Latency from *scheduled* arrival: a worker that fell
-                // behind charges its queueing delay to this request
-                // (the coordinated-omission-aware measurement).
-                let lat_ms = start.elapsed().saturating_sub(scheduled).as_secs_f64() * 1e3;
-                match outcome {
-                    Outcome::OkRead => {
-                        ok_reads.fetch_add(1, Ordering::Relaxed);
-                        read_lat.lock().unwrap_or_else(|e| e.into_inner()).push(lat_ms);
-                    }
-                    Outcome::OkWrite => {
-                        ok_writes.fetch_add(1, Ordering::Relaxed);
-                        write_lat.lock().unwrap_or_else(|e| e.into_inner()).push(lat_ms);
-                    }
-                    Outcome::ExplicitError => {
-                        explicit_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Outcome::WrongData => {
-                        wrong_data.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                progress.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-
-    WorkloadResult {
-        read_lat_ms: read_lat.into_inner().unwrap_or_else(|e| e.into_inner()),
-        write_lat_ms: write_lat.into_inner().unwrap_or_else(|e| e.into_inner()),
-        ok_reads: ok_reads.into_inner(),
-        ok_writes: ok_writes.into_inner(),
-        explicit_errors: explicit_errors.into_inner(),
-        wrong_data: wrong_data.into_inner(),
-        wall_s: start.elapsed().as_secs_f64(),
+/// One read of a pinned photo, verified against its golden hash.
+fn read_pinned(proxy: SocketAddr, photo: &PinnedPhoto, out: &mut Outcomes) {
+    match http_get(proxy, &format!("/photos/{}", photo.id)) {
+        Ok(resp) if !resp.status.is_success() => out.explicit_errors += 1,
+        Ok(resp) if p3_crypto::sha256(&resp.body) == photo.golden => out.ok_reads += 1,
+        Ok(_) => out.wrong_data += 1,
+        Err(_) => out.explicit_errors += 1,
     }
 }
 
-enum Outcome {
-    OkRead,
-    OkWrite,
-    ExplicitError,
-    WrongData,
+/// Drive `plan` closed-loop — `WORKERS` threads, each sending its
+/// next request when the last one answered — and return once every
+/// request has its answer.
+pub fn run_batch(proxy: SocketAddr, pinned: &[PinnedPhoto], plan: &[Request]) -> Outcomes {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut mine = Outcomes::default();
+        while let Some(request) = plan.get(next.fetch_add(1, Ordering::Relaxed)) {
+            match request {
+                Request::Read(photo) => read_pinned(proxy, &pinned[*photo], &mut mine),
+                Request::Write(seed) => {
+                    match http_post(proxy, "/photos", "image/jpeg", photo_jpeg(*seed)) {
+                        Ok(resp) if resp.status.is_success() => mine.ok_writes += 1,
+                        _ => mine.explicit_errors += 1,
+                    }
+                }
+            }
+        }
+        mine
+    };
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS).map(|_| s.spawn(worker)).collect();
+        let mut total = Outcomes::default();
+        for handle in workers {
+            total += handle.join().expect("a batch worker panicked");
+        }
+        total
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::topology::SimCluster;
+    use super::*;
+
+    #[test]
+    fn request_plan_is_a_pure_function_of_the_seed() {
+        let plan = |seed, phase_no| request_plan(seed, 10, 200, phase_no);
+        assert_eq!(plan(42, 3), plan(42, 3), "same seed, same phase: same plan");
+        assert_ne!(plan(42, 3), plan(43, 3), "another seed: another plan");
+        assert_ne!(plan(42, 3), plan(42, 4), "each phase gets its own stretch of the sequence");
+        let reads = plan(42, 0).iter().filter(|r| matches!(r, Request::Read(_))).count();
+        assert!((160..=195).contains(&reads), "90/10 mix, got {reads} reads of 200");
+        assert!(plan(42, 0).iter().all(|r| match r {
+            Request::Read(photo) => *photo < 10,
+            Request::Write(_) => true,
+        }));
+    }
+
+    /// What the oracle exists for: a proxy that passed the PSP's public
+    /// part through at pin time must not get it pinned as golden. The
+    /// PSP's own answer *is* that public part.
+    #[test]
+    fn pin_oracle_rejects_the_public_part_and_passes_every_reconstruction() {
+        let cluster = SimCluster::spawn("pin-oracle").expect("topology");
+        for seed in 42..74u64 {
+            let jpeg = photo_jpeg(seed);
+            let uploaded = p3_jpeg::decode_to_rgb(&jpeg).unwrap();
+            let resp = http_post(cluster.proxy.addr(), "/photos", "image/jpeg", jpeg).unwrap();
+            let id = String::from_utf8_lossy(&resp.body).trim().to_string();
+            let path = format!("/photos/{id}");
+            let reconstructed = http_get(cluster.proxy.addr(), &path).unwrap();
+            let db = check_pin(&uploaded, &reconstructed.body)
+                .unwrap_or_else(|e| panic!("seed {seed}: true reconstruction refused: {e}"));
+            assert!(db >= PIN_PSNR_FLOOR_DB + 5.0, "seed {seed}: {db:.1} dB leaves no margin");
+            let public = http_get(cluster.psp.addr(), &path).unwrap();
+            assert!(public.status.is_success());
+            let err = check_pin(&uploaded, &public.body).expect_err("public part pinned");
+            assert!(err.contains("under the 28 dB floor"), "seed {seed}: {err}");
+        }
+    }
 }

@@ -87,15 +87,6 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-/// Percentile by nearest-rank on a sorted slice (0 for an empty one).
-pub fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
 /// A simple fixed-width text table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -159,27 +150,20 @@ impl Table {
 }
 
 /// Compare a committed metric-JSON report's key sets (section names
-/// and per-section field names, in order) against the schema the
-/// current build emits. This is `p3 simulate --check-schema`'s drift
-/// guard: a report that gains, loses, or renames a field fails CI until
-/// the committed `BENCH_simulate.json` is regenerated, so it can't
-/// silently rot.
-pub fn check_metric_schema(
-    path: &str,
-    expected: &[(&'static str, Vec<&'static str>)],
-) -> Result<(), String> {
+/// and per-section field names, in order) against those of `current`,
+/// a report the current build rendered. This is `p3 simulate
+/// --check-schema`'s drift guard: a report that gains, loses, or renames
+/// a field fails CI until the committed `BENCH_simulate.json` is
+/// regenerated, so it can't silently rot.
+pub fn check_metric_schema(path: &str, current: &str) -> Result<(), String> {
+    let keys = |src: &str| -> Result<Vec<(String, Vec<String>)>, String> {
+        let sections = parse_metric_json(src)?.into_iter();
+        Ok(sections
+            .map(|(s, metrics)| (s, metrics.into_iter().map(|(f, _)| f).collect()))
+            .collect())
+    };
     let src = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let parsed = parse_metric_json(&src)?;
-    let got: Vec<(String, Vec<String>)> = parsed
-        .into_iter()
-        .map(|(section, metrics)| (section, metrics.into_iter().map(|(f, _)| f).collect()))
-        .collect();
-    let want: Vec<(String, Vec<String>)> = expected
-        .iter()
-        .map(|(section, fields)| {
-            (section.to_string(), fields.iter().map(|f| f.to_string()).collect())
-        })
-        .collect();
+    let (got, want) = (keys(&src)?, keys(current)?);
     if got == want {
         Ok(())
     } else {
@@ -241,11 +225,19 @@ mod tests {
         let metric_path = dir.join("metric.json");
         std::fs::write(&metric_path, "{\n  \"s\": { \"a\": 1, \"b\": 2 }\n}\n").unwrap();
         let p = metric_path.to_str().unwrap();
-        assert!(check_metric_schema(p, &[("s", vec!["a", "b"])]).is_ok());
-        assert!(check_metric_schema(p, &[("s", vec!["a"])]).is_err(), "extra committed field");
-        assert!(check_metric_schema(p, &[("s", vec!["a", "b", "c"])]).is_err(), "missing field");
-        assert!(check_metric_schema(p, &[("t", vec!["a", "b"])]).is_err(), "renamed section");
-        assert!(check_metric_schema(p, &[("s", vec!["b", "a"])]).is_err(), "field order drift");
+        let doc = |body: &str| format!("{{ {body} }}");
+        assert!(
+            check_metric_schema(p, &doc(r#""s": { "a": 7, "b": 8 }"#)).is_ok(),
+            "values differ"
+        );
+        for (drift, why) in [
+            (r#""s": { "a": 1 }"#, "extra committed field"),
+            (r#""s": { "a": 1, "b": 2, "c": 3 }"#, "missing field"),
+            (r#""t": { "a": 1, "b": 2 }"#, "renamed section"),
+            (r#""s": { "b": 2, "a": 1 }"#, "field order drift"),
+        ] {
+            assert!(check_metric_schema(p, &doc(drift)).is_err(), "{why}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -428,52 +428,35 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     park_forever()
 }
 
-/// `p3 simulate` — million-user Zipfian workload driver + chaos harness
-/// (see `p3_bench::simulate`). Boolean flags are stripped before the
+/// `p3 simulate` — the whole-system chaos script (see
+/// `p3_bench::simulate`). Boolean flags are stripped before the
 /// `--flag value` parser runs.
 pub fn simulate(argv: &[String]) -> Result<(), String> {
     let mut quick = false;
-    let mut no_chaos = false;
     let mut check_schema = false;
     let mut rest = Vec::with_capacity(argv.len());
     for a in argv {
         match a.as_str() {
             "--quick" => quick = true,
-            "--no-chaos" => no_chaos = true,
             "--check-schema" => check_schema = true,
             _ => rest.push(a.clone()),
         }
     }
-    let args = Args::parse(
-        "simulate",
-        &[
-            "users", "photos", "requests", "rps", "read-mix", "zipf", "seed", "workers", "soak",
-            "out",
-        ],
-        &rest,
-    )?;
-    use p3_bench::simulate::SimulateOpts;
-    let base = if quick { SimulateOpts::quick() } else { SimulateOpts::full() };
+    let args = Args::parse("simulate", &["seed", "soak", "out"], &rest)?;
     if check_schema {
         let path = args.opt("out", "BENCH_simulate.json");
         p3_bench::simulate::check_schema(path)?;
         println!("{path}: schema OK");
         return Ok(());
     }
-    let opts = SimulateOpts {
-        users: args.opt_usize("users", base.users)?,
-        photos: args.opt_usize("photos", base.photos)?,
-        requests: args.opt_usize("requests", base.requests)?,
-        target_rps: args.opt_f64("rps", base.target_rps)?,
-        read_mix: args.opt_f64("read-mix", base.read_mix)?,
-        zipf_exponent: args.opt_f64("zipf", base.zipf_exponent)?,
-        seed: args.opt_u64("seed", base.seed)?,
-        workers: args.opt_usize("workers", base.workers)?,
-        chaos: !no_chaos,
-        soak_secs: args.opt_u64("soak", base.soak_secs)?,
-        out_path: args.opt("out", &base.out_path).to_string(),
-    };
-    p3_bench::simulate::run(&opts)
+    let default_out =
+        if quick { "target/BENCH_simulate_quick.json" } else { "BENCH_simulate.json" };
+    p3_bench::simulate::run(&p3_bench::simulate::SimulateOpts {
+        quick,
+        seed: args.opt_u64("seed", 42)?,
+        soak_secs: args.opt_u64("soak", 0)?,
+        out_path: args.opt("out", default_out).to_string(),
+    })
 }
 
 fn park_forever() -> Result<(), String> {

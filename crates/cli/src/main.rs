@@ -14,9 +14,7 @@
 //! p3 storage-admin show|add|remove [node-addr] --router <addr>
 //! p3 proxy --psp <addr> --storage <addr> --key <passphrase> [--addr 127.0.0.1:0] [--threshold 15]
 //!          [--workers N] [--cache-capacity N]
-//! p3 simulate [--quick] [--no-chaos] [--users N] [--photos N] [--requests N] [--rps R]
-//!             [--read-mix 0.9] [--zipf 1.1] [--seed N] [--workers N] [--soak SECS]
-//!             [--out FILE]
+//! p3 simulate [--quick] [--seed N] [--soak SECS] [--out FILE]
 //! p3 simulate --check-schema [--out FILE]
 //! ```
 //!
@@ -99,12 +97,10 @@ USAGE:
   p3 proxy --psp <addr> --storage <addr> --key <passphrase>
            [--addr 127.0.0.1:0] [--threshold 15]
            [--workers N] [--cache-capacity N]
-  p3 simulate [--quick] [--no-chaos] [--users N] [--photos N]
-              [--requests N] [--rps R] [--read-mix 0.9] [--zipf 1.1]
-              [--seed N] [--workers N] [--soak SECS]
+  p3 simulate [--quick] [--seed N] [--soak SECS]
               [--out BENCH_simulate.json]
-                                           (open-loop Zipfian workload +
-                                            chaos harness over a spawned
+                                           (seeded chaos script, one fault
+                                            per phase, over a spawned
                                             PSP/storage/proxy topology)
   p3 simulate --check-schema [--out FILE]  (validate a committed result)
 

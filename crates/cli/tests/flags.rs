@@ -50,3 +50,16 @@ fn server_subcommands_reject_unread_flags_instead_of_serving() {
         assert_eq!(stderr.trim(), format!("error: unknown flag {flag} for 'p3 {cmd}'"));
     }
 }
+
+#[test]
+fn simulate_rejects_the_flags_of_its_deleted_load_generator_instead_of_running() {
+    for flag in ["--rps", "--users", "--photos", "--requests", "--read-mix", "--zipf", "--workers"]
+    {
+        let (code, stderr) = p3(&["simulate", "--quick", flag, "5"]);
+        assert_eq!(code, Some(1), "p3 simulate {flag}: {stderr}");
+        assert_eq!(stderr.trim(), format!("error: unknown flag {flag} for 'p3 simulate'"));
+    }
+    let (code, stderr) = p3(&["simulate", "--quick", "--no-chaos"]);
+    assert_eq!(code, Some(1), "p3 simulate --no-chaos: {stderr}");
+    assert_eq!(stderr.trim(), "error: unknown flag --no-chaos for 'p3 simulate'");
+}

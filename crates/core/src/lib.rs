@@ -44,7 +44,6 @@
 pub mod attack;
 pub mod container;
 pub mod embed;
-pub mod keys;
 pub mod pipeline;
 pub mod pixel;
 pub mod reconstruct;

@@ -32,10 +32,11 @@
 //!   blobs to a node that returned empty).
 //!
 //! [`StorageCore`] wraps any backend with the serving instrumentation
-//! (read counter) and the *tamper mode* — a malicious-provider simulation
-//! that flips one byte of every served blob, letting the envelope-MAC
-//! tests prove tampering is detected regardless of which backend served
-//! the bytes. [`StorageService`] puts the core behind the
+//! (read counter). A misbehaving provider is a [`FaultBackend`] around
+//! the real one — it flips one byte of every served blob (the
+//! envelope-MAC tests prove tampering is detected regardless of which
+//! backend served the bytes) or refuses writes like a full disk.
+//! [`StorageService`] puts the core behind the
 //! `PUT/GET/DELETE /blobs/{id}` HTTP surface the proxy speaks, plus
 //! `GET /stats` (JSON counters), `GET /len` (plain blob count, used by
 //! the cluster router's size estimate), `GET /index` (paginated
@@ -44,6 +45,7 @@
 
 pub mod cluster;
 pub mod compact;
+pub mod fault;
 pub mod log;
 pub mod mem;
 pub mod needle;
@@ -51,6 +53,7 @@ pub mod ring;
 
 pub use cluster::{ClusterBackend, ClusterConfig, Sweeper};
 pub use compact::{compact_once, CompactReport, Compactor};
+pub use fault::FaultBackend;
 pub use log::{PackedBackend, PackedConfig};
 pub use mem::MemBackend;
 pub use needle::crc32;
@@ -59,7 +62,7 @@ pub use ring::HashRing;
 use p3_net::stats::render_metrics;
 use p3_net::{Method, Request, Response, Server, StatusCode};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result alias for storage operations.
@@ -342,20 +345,13 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
 }
 
 /// The storage provider core: any [`StorageBackend`] plus the serving
-/// instrumentation and the malicious-provider *tamper mode*.
-///
-/// Tampering lives here — above the backend — so "the provider flips a
-/// byte of what it serves" can be simulated against every backend and
-/// the envelope-MAC tests hold regardless of where the bytes came from.
+/// instrumentation.
 #[derive(Debug)]
 pub struct StorageCore {
     backend: Arc<dyn StorageBackend>,
     /// Blob reads served (hit or miss) — lets tests assert the proxy's
     /// cache and singleflight actually suppress redundant fetches.
     gets: AtomicU64,
-    /// When set, served blobs have one byte flipped — a malicious or
-    /// faulty provider.
-    tamper: AtomicBool,
 }
 
 impl Default for StorageCore {
@@ -372,7 +368,7 @@ impl StorageCore {
 
     /// Core over an explicit backend.
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> Self {
-        Self { backend, gets: AtomicU64::new(0), tamper: AtomicBool::new(false) }
+        Self { backend, gets: AtomicU64::new(0) }
     }
 
     /// The backend behind this core.
@@ -385,22 +381,10 @@ impl StorageCore {
         self.backend.put(id, data)
     }
 
-    /// Fetch a blob (possibly tampered, if tampering is enabled). The
-    /// untampered path clones an `Arc`, not the blob.
+    /// Fetch a blob: an `Arc` clone, not a copy of the bytes.
     pub fn get(&self, id: &str) -> StorageResult<Option<Arc<[u8]>>> {
         self.gets.fetch_add(1, Ordering::Relaxed);
-        let Some(blob) = self.backend.get(id)? else {
-            return Ok(None);
-        };
-        if self.tamper.load(Ordering::Relaxed) && !blob.is_empty() {
-            // Per-read corruption: copy, flip, leave the stored blob
-            // intact (tampering is what the provider *serves*).
-            let mut data = blob.to_vec();
-            let idx = data.len() / 2;
-            data[idx] ^= 0x01;
-            return Ok(Some(Arc::from(data)));
-        }
-        Ok(Some(blob))
+        self.backend.get(id)
     }
 
     /// Remove a blob; true if it existed.
@@ -435,11 +419,6 @@ impl StorageCore {
         self.backend.list_tombstones(after, limit)
     }
 
-    /// Enable/disable tampering.
-    pub fn set_tamper(&self, on: bool) {
-        self.tamper.store(on, Ordering::Relaxed);
-    }
-
     /// Number of blob reads served since startup.
     pub fn get_count(&self) -> u64 {
         self.gets.load(Ordering::Relaxed)
@@ -447,11 +426,7 @@ impl StorageCore {
 
     /// `/stats` JSON: front-end counters plus the backend's.
     pub fn stats_json(&self) -> String {
-        let front = vec![
-            ("gets", self.get_count() as f64),
-            ("blobs", self.len() as f64),
-            ("tampering", u64::from(self.tamper.load(Ordering::Relaxed)) as f64),
-        ];
+        let front = vec![("gets", self.get_count() as f64), ("blobs", self.len() as f64)];
         let backend: Vec<(&str, f64)> =
             self.backend.stats().fields().into_iter().map(|(k, v)| (k, v as f64)).collect();
         render_metrics(&[("storage", front), ("backend", backend)])
@@ -679,9 +654,9 @@ fn handle_blob(core: &StorageCore, req: &Request) -> Response {
         },
         Method::Get => match core.get(id) {
             // Range is applied at the HTTP layer over the fully-fetched
-            // blob: the CRC check (disk) and tamper hook see whole blobs,
-            // and a ranged read of a corrupt blob is still a detected
-            // error, never a sliced-garbage 206. The wire CRC always
+            // blob: the CRC check (disk) sees whole blobs, and a ranged
+            // read of a corrupt blob is still a detected error, never a
+            // sliced-garbage 206. The wire CRC always
             // covers the *full* blob (readers of a 206 slice can't check
             // it directly; the cluster router reads unranged).
             Ok(Some(data)) => {
@@ -744,53 +719,6 @@ mod tests {
         assert!(core.delete("a").unwrap());
         assert!(!core.delete("a").unwrap());
         assert!(core.get("a").unwrap().is_none());
-    }
-
-    #[test]
-    fn tampering_flips_served_bytes_only() {
-        let core = StorageCore::new();
-        core.put("x", &[0u8; 10]).unwrap();
-        core.set_tamper(true);
-        let served = core.get("x").unwrap().unwrap();
-        assert_ne!(&served[..], &[0u8; 10][..]);
-        // The stored copy stays intact; tampering is per-read.
-        core.set_tamper(false);
-        assert_eq!(&core.get("x").unwrap().unwrap()[..], &[0u8; 10][..]);
-    }
-
-    /// The envelope MAC must catch a tampering provider no matter which
-    /// backend served the bytes — mem, packed, and a 2-node cluster.
-    #[test]
-    fn tampered_blob_fails_envelope_auth_on_every_backend() {
-        let dir = std::env::temp_dir().join(format!("p3-tamper-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut node_a = StorageService::spawn().unwrap();
-        let mut node_b = StorageService::spawn().unwrap();
-        let cluster = ClusterBackend::new(ClusterConfig {
-            nodes: vec![node_a.addr(), node_b.addr()],
-            replicas: 2,
-            ..ClusterConfig::default()
-        })
-        .unwrap();
-        let backends: Vec<Arc<dyn StorageBackend>> = vec![
-            Arc::new(MemBackend::new()),
-            Arc::new(PackedBackend::open(&dir).unwrap()),
-            Arc::new(cluster),
-        ];
-        for backend in backends {
-            let kind = backend.kind();
-            let core = StorageCore::with_backend(backend);
-            let key = p3_crypto::EnvelopeKey::derive(b"m", b"photo-9");
-            core.put("photo-9", &p3_crypto::seal(&key, b"secret part")).unwrap();
-            let honest = core.get("photo-9").unwrap().unwrap();
-            assert!(p3_crypto::open(&key, &honest).is_ok(), "{kind}: honest read must verify");
-            core.set_tamper(true);
-            let served = core.get("photo-9").unwrap().unwrap();
-            assert!(p3_crypto::open(&key, &served).is_err(), "{kind}: tampering must be detected");
-        }
-        node_a.shutdown();
-        node_b.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

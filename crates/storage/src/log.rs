@@ -44,7 +44,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{BufReader, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 const SEG_EXT: &str = "seg";
@@ -161,8 +161,6 @@ pub(crate) struct PackedInner {
     /// would die on the already-unlinked file.
     pub(crate) compacting: PlMutex<()>,
     pub(crate) stats: StatCounters,
-    disk_full: AtomicBool,
-    full_rejections: AtomicU64,
     stop: AtomicBool,
 }
 
@@ -330,8 +328,6 @@ impl PackedBackend {
             files: PlMutex::new(files),
             compacting: PlMutex::new(()),
             stats: StatCounters::default(),
-            disk_full: AtomicBool::new(false),
-            full_rejections: AtomicU64::new(0),
             stop: AtomicBool::new(false),
         });
         let flusher = spawn_flusher(Arc::clone(&inner));
@@ -341,18 +337,6 @@ impl PackedBackend {
     /// The data directory this store persists into.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
-    }
-
-    /// Chaos hook: simulate a full (or freed) volume — writes
-    /// (including tombstones) are rejected with an I/O error, reads
-    /// keep working — a full disk can still serve what it holds.
-    pub fn set_disk_full(&self, full: bool) {
-        self.inner.disk_full.store(full, Ordering::Relaxed);
-    }
-
-    /// How many writes the injected-full volume has rejected.
-    pub fn full_rejections(&self) -> u64 {
-        self.inner.full_rejections.load(Ordering::Relaxed)
     }
 
     /// Live segment count (for benches and tests).
@@ -584,10 +568,6 @@ impl StorageBackend for PackedBackend {
     }
 
     fn put(&self, id: &str, data: &[u8]) -> StorageResult<()> {
-        if self.inner.disk_full.load(Ordering::Relaxed) {
-            self.inner.full_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::other("no space left on device (injected)").into());
-        }
         self.append_record(id, 0, data)?;
         self.inner.stats.put(data.len());
         Ok(())
@@ -620,10 +600,6 @@ impl StorageBackend for PackedBackend {
     }
 
     fn delete(&self, id: &str) -> StorageResult<bool> {
-        if self.inner.disk_full.load(Ordering::Relaxed) {
-            self.inner.full_rejections.fetch_add(1, Ordering::Relaxed);
-            return Err(std::io::Error::other("no space left on device (injected)").into());
-        }
         self.inner.stats.delete();
         // Existence answered at append time; the tombstone is written
         // even when the blob is locally absent — a replica that missed
@@ -1012,21 +988,6 @@ mod tests {
             "{puts} puts from {WRITERS} writers took {commits} fsync batches \
              ({per_commit:.1} per batch, floor {MIN_PUTS_PER_COMMIT:.1})"
         );
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_disk_full_rejects_writes_not_reads() {
-        let dir = tmpdir("full");
-        let store = PackedBackend::open(&dir).unwrap();
-        store.put("a", b"ok").unwrap();
-        store.set_disk_full(true);
-        assert!(store.put("b", b"nope").is_err());
-        assert!(store.delete("a").is_err());
-        assert_eq!(store.get("a").unwrap().unwrap().as_ref(), b"ok");
-        assert_eq!(store.full_rejections(), 2);
-        store.set_disk_full(false);
-        store.put("b", b"yes").unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

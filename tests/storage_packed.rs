@@ -15,8 +15,8 @@ use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::needle;
 use p3_storage::{
-    compact_once, ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig,
-    StorageBackend, StorageCore, StorageService,
+    compact_once, ClusterBackend, ClusterConfig, FaultBackend, MemBackend, PackedBackend,
+    PackedConfig, StorageBackend, StorageCore, StorageService,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -474,18 +474,21 @@ fn blobs_and_envelope_macs_survive_storage_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The tamper mode lives above the backend; a packed-store provider
-/// that flips bytes must still be caught by the envelope MAC.
+/// Tampering wraps the backend; a packed-store provider that flips
+/// bytes must still be caught by the envelope MAC.
 #[test]
 fn packed_service_tamper_mode_still_fails_closed() {
     let dir = tmpdir("tamper");
     let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let storage = StorageService::spawn_with(packed_core(&dir)).expect("storage");
+    let provider =
+        Arc::new(FaultBackend::new(Arc::new(PackedBackend::open(&dir).expect("open data dir"))));
+    let core = Arc::new(StorageCore::with_backend(Arc::clone(&provider) as Arc<_>));
+    let storage = StorageService::spawn_with(core).expect("storage");
     let proxy = uncached_proxy(&psp, &storage);
     let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo_jpeg(9)).expect("upload");
     assert!(resp.status.is_success());
     let id = String::from_utf8_lossy(&resp.body).trim().to_string();
-    storage.core().set_tamper(true);
+    provider.tamper(true);
     let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("download");
     assert!(!resp.status.is_success(), "tampered packed blob accepted: {:?}", resp.status);
     let _ = std::fs::remove_dir_all(&dir);

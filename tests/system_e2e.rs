@@ -11,9 +11,10 @@ use p3_core::pixel::rgb_to_luma;
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
-use p3_storage::StorageService;
+use p3_storage::{FaultBackend, MemBackend, StorageCore, StorageService};
 use p3_vision::metrics::psnr;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 struct System {
     psp: PspService,
@@ -22,8 +23,11 @@ struct System {
 }
 
 fn spawn_system(profile: PspProfile, threshold: u16) -> System {
+    spawn_system_over(StorageService::spawn().expect("storage"), profile, threshold)
+}
+
+fn spawn_system_over(storage: StorageService, profile: PspProfile, threshold: u16) -> System {
     let psp = PspService::spawn(profile).expect("psp");
-    let storage = StorageService::spawn().expect("storage");
     let proxy = P3Proxy::spawn(ProxyConfig {
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
@@ -192,12 +196,15 @@ fn oversized_frame_header_is_refused_by_the_proxy_before_it_allocates_for_it() {
 
 #[test]
 fn tampered_storage_fails_closed() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let provider = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
+    let core = Arc::new(StorageCore::with_backend(Arc::clone(&provider) as Arc<_>));
+    let storage = StorageService::spawn_with(core).expect("storage");
+    let sys = spawn_system_over(storage, PspProfile::facebook(), 15);
     let (_, jpeg) = photo(8, sc(320), sc(240));
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", jpeg).expect("upload");
     let id = String::from_utf8_lossy(&resp.body).trim().to_string();
 
-    sys.storage.core().set_tamper(true);
+    provider.tamper(true);
     let resp = http_get(sys.proxy.addr(), &format!("/photos/{id}?size=big")).expect("download");
     // The proxy must not serve a silently-corrupted reconstruction.
     assert!(!resp.status.is_success(), "tampered blob accepted: {:?}", resp.status);

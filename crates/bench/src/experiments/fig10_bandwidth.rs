@@ -11,9 +11,9 @@ use p3_core::pixel::{channels_to_rgb, rgb_to_channels};
 use p3_jpeg::image::RgbImage;
 
 /// Thresholds plotted in the paper's Figure 10.
-pub const FIG10_THRESHOLDS: [u16; 5] = [1, 5, 10, 15, 20];
+const FIG10_THRESHOLDS: [u16; 5] = [1, 5, 10, 15, 20];
 /// Facebook's static ladder resolutions.
-pub const RESOLUTIONS: [usize; 3] = [720, 130, 75];
+const RESOLUTIONS: [usize; 3] = [720, 130, 75];
 
 /// One sweep point.
 #[derive(Debug, Clone)]
@@ -22,8 +22,8 @@ pub struct BandwidthPoint {
     pub t: u16,
     /// Mean uploaded size (public + secret) in KB.
     pub uploaded_kb: f64,
-    /// Mean overhead in KB per ladder resolution (same order as
-    /// [`RESOLUTIONS`]).
+    /// Mean overhead in KB per ladder resolution (720, 130 and 75 px, in
+    /// that order).
     pub overhead_kb: Vec<f64>,
     /// Std-dev of the overheads.
     pub overhead_std_kb: Vec<f64>,

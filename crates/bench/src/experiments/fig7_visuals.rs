@@ -9,7 +9,7 @@ use crate::util::{output_dir, Scale};
 use std::path::PathBuf;
 
 /// Thresholds shown in the paper's Figure 7.
-pub const FIG7_THRESHOLDS: [u16; 5] = [1, 5, 10, 15, 20];
+const FIG7_THRESHOLDS: [u16; 5] = [1, 5, 10, 15, 20];
 
 /// Write the visual pairs; returns the written file paths.
 pub fn run(_scale: Scale) -> Vec<PathBuf> {

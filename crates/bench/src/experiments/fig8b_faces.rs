@@ -40,7 +40,7 @@ pub struct FaceDetectionResult {
 }
 
 /// Train the attack detector.
-pub fn train_detector(seed: u64) -> Cascade {
+fn train_detector(seed: u64) -> Cascade {
     let (faces, nonfaces) = p3_datasets::corpus::detector_training_set(220, 440, seed);
     Cascade::train(
         &faces,

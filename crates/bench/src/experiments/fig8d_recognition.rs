@@ -15,7 +15,7 @@ use p3_vision::eigenface::{cmc_curve, Distance, EigenfaceModel, Gallery};
 use p3_vision::image::ImageF32;
 
 /// The thresholds the paper plots CMC curves for.
-pub const FIG8D_THRESHOLDS: [u16; 4] = [1, 10, 20, 100];
+const FIG8D_THRESHOLDS: [u16; 4] = [1, 10, 20, 100];
 
 /// One CMC curve.
 #[derive(Debug, Clone)]

@@ -2,7 +2,7 @@
 //!
 //! Spins up the full serving topology (PSP simulator, three
 //! disk-backed storage nodes behind a cluster router, trusted proxy),
-//! pins a golden photo corpus, then walks [`chaos::PHASES`] in order:
+//! pins a golden photo corpus, then walks `chaos::PHASES` in order:
 //! healthy → kill node0 → corrupt node1 while node0 is down → restart →
 //! slow node1 → partition router→node2 → disk-full node2 → flip node0's
 //! responses → healed. Each phase arms one fault, aims a probe at it,
@@ -11,7 +11,7 @@
 //! outcomes and fault counters. Network faults are rules on the
 //! router's [`p3_net::FaultTransport`], store faults switches on each
 //! node's [`p3_storage::FaultBackend`]. With `--soak SECS` the table
-//! loops until the deadline with [`chaos::run_churn`] alongside.
+//! loops until the deadline with `chaos::run_churn` alongside.
 //!
 //! The harness *asserts* the 503-never-wrong-data invariant: every
 //! client-visible response is byte-identical to the pinned golden copy
@@ -20,7 +20,7 @@
 //! Results — counts only, nothing timed — land in a self-validating
 //! `BENCH_simulate.json`.
 
-pub mod chaos;
+mod chaos;
 pub mod topology;
 pub mod workload;
 

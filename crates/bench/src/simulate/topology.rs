@@ -94,7 +94,7 @@ pub struct SimCluster {
 
 /// Source label the router's fault transport identifies itself by in
 /// the [`FaultPlan`] — rules keyed on it hit only router→node traffic.
-pub const ROUTER_PEER: &str = "router";
+const ROUTER_PEER: &str = "router";
 
 impl SimCluster {
     /// Spawn PSP, three disk nodes, router, and proxy. The secret cache

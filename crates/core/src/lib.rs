@@ -43,7 +43,6 @@
 
 pub mod attack;
 pub mod container;
-pub mod embed;
 pub mod pipeline;
 pub mod pixel;
 pub mod reconstruct;

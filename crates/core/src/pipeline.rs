@@ -3,8 +3,8 @@
 //!
 //! This is the API the trusted proxy calls (paper §4.1): on upload it
 //! splits and encrypts; on download it decrypts and reconstructs —
-//! exactly when the public part came back unprocessed, or via Eq. 2 with
-//! a [`TransformSpec`] when the PSP resized/cropped/re-encoded it.
+//! exactly when the public part came back unprocessed, or via Eq. 2
+//! ([`crate::reconstruct_processed`]) when the PSP resized/cropped/re-encoded it.
 //!
 //! Because the proxy runs this pipeline inline on every photo, its cost
 //! *is* the system's throughput ceiling. The heavy lifting sits on the
@@ -18,12 +18,10 @@
 
 use p3_crypto::EnvelopeKey;
 use p3_jpeg::encoder::{encode_coeffs, Mode};
-use p3_jpeg::image::RgbImage;
 
 use crate::container::SecretContainer;
-use crate::reconstruct::{reconstruct_exact, reconstruct_processed};
+use crate::reconstruct::reconstruct_exact;
 use crate::split::split_coeffs;
-use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
 
 /// P3 configuration.
@@ -120,74 +118,21 @@ impl P3Codec {
         if (public.width, public.height) != (container.width as usize, container.height as usize) {
             return Err(P3Error::Mismatch(format!(
                 "public part is {}x{}, container says {}x{} — was the public part processed? \
-                 use reconstruct_processed_jpeg instead",
+                 reconstruct it with reconstruct_processed instead",
                 public.width, public.height, container.width, container.height
             )));
         }
         let full = reconstruct_exact(&public, &secret, container.threshold)?;
         Ok(encode_coeffs(&full, Mode::BaselineOptimized, 0)?)
     }
-
-    /// The paper's un-implemented optimization (§5.3): "a sender can
-    /// upload multiple encrypted secret parts, one for each known static
-    /// transformation that a PSP performs", trading storage for download
-    /// bandwidth — a recipient fetching the 130-px rendition then only
-    /// downloads a 130-px secret part instead of the full-size one.
-    ///
-    /// For each ladder entry we resize the *original pixels* to the
-    /// rendition size, re-encode, split, and seal; the result maps
-    /// `max_side → sealed blob`. Reconstruction for a given rendition
-    /// uses the matching blob with the ordinary exact/processed APIs.
-    pub fn encrypt_jpeg_ladder(
-        &self,
-        jpeg: &[u8],
-        key: &EnvelopeKey,
-        ladder: &[usize],
-    ) -> Result<Vec<(usize, P3Parts)>> {
-        let rgb = p3_jpeg::decode_to_rgb(jpeg)?;
-        let ch = crate::pixel::rgb_to_channels(&rgb);
-        let mut out = Vec::with_capacity(ladder.len());
-        for &side in ladder {
-            let longest = rgb.width.max(rgb.height);
-            let scaled = if longest <= side {
-                rgb.clone()
-            } else {
-                let scale = side as f64 / longest as f64;
-                let w = ((rgb.width as f64 * scale).round() as usize).max(1);
-                let h = ((rgb.height as f64 * scale).round() as usize).max(1);
-                let spec = TransformSpec::resize(w, h, p3_vision::resize::ResizeFilter::Triangle);
-                crate::pixel::channels_to_rgb(&[
-                    spec.apply(&ch[0]),
-                    spec.apply(&ch[1]),
-                    spec.apply(&ch[2]),
-                ])
-            };
-            let scaled_jpeg = p3_jpeg::Encoder::new().quality(90).encode_rgb(&scaled)?;
-            out.push((side, self.encrypt_jpeg(&scaled_jpeg, key)?));
-        }
-        Ok(out)
-    }
-
-    /// Recipient side, processed public part (paper Eq. 2): the PSP
-    /// transformed the public image; apply the same (estimated) transform
-    /// to the secret delta and combine.
-    pub fn reconstruct_processed_jpeg(
-        &self,
-        processed_public_jpeg: &[u8],
-        secret_blob: &[u8],
-        key: &EnvelopeKey,
-        transform: &TransformSpec,
-    ) -> Result<RgbImage> {
-        let container = SecretContainer::open(secret_blob, key)?;
-        let processed = p3_jpeg::decode_to_rgb(processed_public_jpeg)?;
-        let (secret, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
-        reconstruct_processed(&processed, &secret, container.threshold, transform)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reconstruct::reconstruct_processed;
+    use crate::transform::TransformSpec;
+    use p3_jpeg::image::RgbImage;
     use p3_vision::metrics::psnr;
 
     fn photo(w: usize, h: usize) -> Vec<u8> {
@@ -276,30 +221,11 @@ mod tests {
             crate::pixel::channels_to_rgb(&[t.apply(&ch[0]), t.apply(&ch[1]), t.apply(&ch[2])]);
         let resized_jpeg = p3_jpeg::Encoder::new().quality(90).encode_rgb(&resized).unwrap();
         assert!(codec.decrypt_jpeg(&resized_jpeg, &parts.secret_blob, &key).is_err());
-        // ... but the processed API succeeds.
-        let rec = codec.reconstruct_processed_jpeg(&resized_jpeg, &parts.secret_blob, &key, &t);
-        assert!(rec.is_ok());
-    }
-
-    #[test]
-    fn ladder_secrets_shrink_with_resolution() {
-        let jpeg = photo(720, 540);
-        let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
-        let key = EnvelopeKey::derive(b"k", b"ladder");
-        let ladder = codec.encrypt_jpeg_ladder(&jpeg, &key, &[720, 130, 75]).unwrap();
-        assert_eq!(ladder.len(), 3);
-        // Smaller renditions -> smaller secret parts (the bandwidth win).
-        let sizes: Vec<usize> = ladder.iter().map(|(_, p)| p.secret_blob.len()).collect();
-        assert!(sizes[0] > sizes[1] && sizes[1] > sizes[2], "{sizes:?}");
-        // The 130-px secret is a small fraction of the full-size one.
-        assert!(sizes[1] * 4 < sizes[0], "{sizes:?}");
-        // Every rung decrypts to a valid JPEG of the right size.
-        for (side, parts) in &ladder {
-            let restored =
-                codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
-            let img = p3_jpeg::decode_to_rgb(&restored).unwrap();
-            assert!(img.width.max(img.height) <= *side);
-        }
+        // ... but Eq. 2 reconstructs it.
+        let container = SecretContainer::open(&parts.secret_blob, &key).unwrap();
+        let (secret, _) = p3_jpeg::decode_to_coeffs(&container.jpeg).unwrap();
+        let processed = p3_jpeg::decode_to_rgb(&resized_jpeg).unwrap();
+        assert!(reconstruct_processed(&processed, &secret, container.threshold, &t).is_ok());
     }
 
     #[test]

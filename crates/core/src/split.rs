@@ -117,25 +117,6 @@ pub fn recombine_coeffs(public: &CoeffImage, secret: &CoeffImage, t: u16) -> Res
     Ok(out)
 }
 
-/// The quantized-domain correction term `(Ss − Ss²)·w` alone: `−2T` at
-/// every AC position whose secret coefficient is negative. Decoded to the
-/// pixel domain, this is the third image of the paper's Eq. 2 — the part
-/// of the reconstruction that "does not depend on the public image and
-/// can be completely derived from the secret image".
-pub fn correction_coeffs(secret: &CoeffImage, t: u16) -> CoeffImage {
-    let t = i32::from(t);
-    let mut corr = secret.clone();
-    for comp in corr.components.iter_mut() {
-        for block in comp.blocks.iter_mut() {
-            block[0] = 0;
-            for c in block.iter_mut().take(COEFS_PER_BLOCK).skip(1) {
-                *c = if *c < 0 { -2 * t } else { 0 };
-            }
-        }
-    }
-    corr
-}
-
 /// Secret coefficients plus the correction term — everything the
 /// recipient derives from the secret part for pixel-domain
 /// reconstruction.
@@ -260,22 +241,6 @@ mod tests {
     #[test]
     fn threshold_zero_rejected() {
         assert!(split_coeffs(&test_ci(), 0).is_err());
-    }
-
-    #[test]
-    fn correction_is_minus_2t_at_negative_secret() {
-        let ci = test_ci();
-        let t = 10;
-        let (_, secret, _) = split_coeffs(&ci, t).unwrap();
-        let corr = correction_coeffs(&secret, t);
-        for (sc, cc) in secret.components.iter().zip(corr.components.iter()) {
-            for (sb, cb) in sc.blocks.iter().zip(cc.blocks.iter()) {
-                assert_eq!(cb[0], 0);
-                for k in 1..64 {
-                    assert_eq!(cb[k], if sb[k] < 0 { -20 } else { 0 });
-                }
-            }
-        }
     }
 
     #[test]

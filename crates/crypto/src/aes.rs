@@ -183,8 +183,9 @@ impl Aes {
         [o0 ^ last[0], o1 ^ last[1], o2 ^ last[2], o3 ^ last[3]]
     }
 
-    /// Encrypt one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+    /// Encrypt one 16-byte block in place (the FIPS-197 vectors' shape).
+    #[cfg(test)]
+    fn encrypt_block(&self, block: &mut [u8; 16]) {
         let input = [
             u32::from_be_bytes(block[0..4].try_into().expect("4 bytes")),
             u32::from_be_bytes(block[4..8].try_into().expect("4 bytes")),

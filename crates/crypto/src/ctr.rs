@@ -64,7 +64,7 @@ impl AesCtr {
     /// `P3_FORCE_SCALAR` hasn't disabled hardware paths); the portable
     /// T-table batch path below is the always-compiled oracle it is
     /// tested bit-exact against.
-    pub fn apply_keystream(&self, data: &mut [u8], counter_start: u32) {
+    fn apply_keystream(&self, data: &mut [u8], counter_start: u32) {
         #[cfg(target_arch = "x86_64")]
         if p3_par::features::aes_ni() {
             // SAFETY: AES-NI support verified by the dispatch gate.

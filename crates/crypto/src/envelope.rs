@@ -95,7 +95,7 @@ pub fn seal(key: &EnvelopeKey, plaintext: &[u8]) -> Vec<u8> {
 }
 
 /// Seal with a caller-supplied nonce (deterministic tests).
-pub fn seal_with_nonce(key: &EnvelopeKey, plaintext: &[u8], nonce: [u8; 12]) -> Vec<u8> {
+fn seal_with_nonce(key: &EnvelopeKey, plaintext: &[u8], nonce: [u8; 12]) -> Vec<u8> {
     let mut out = Vec::with_capacity(plaintext.len() + OVERHEAD);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);

@@ -14,7 +14,7 @@
 //! * [`sha256`](mod@sha256) — SHA-256 (FIPS 180-4);
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104 / RFC 4231);
 //! * [`hkdf`] — HKDF-SHA256 (RFC 5869) for deriving per-photo keys;
-//! * [`envelope`] — the encrypt-then-MAC container used for secret parts.
+//! * [`seal`] / [`open`] — the encrypt-then-MAC envelope used for secret parts.
 //!
 //! **Scope note.** These implementations favour clarity and correctness;
 //! they make no constant-time claims beyond what the algorithms give
@@ -26,7 +26,7 @@ pub mod aes;
 #[cfg(target_arch = "x86_64")]
 mod aesni;
 pub mod ctr;
-pub mod envelope;
+mod envelope;
 pub mod hkdf;
 pub mod hmac;
 pub mod sha256;

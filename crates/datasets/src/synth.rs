@@ -9,13 +9,12 @@
 //! way real photographs do).
 
 use p3_jpeg::image::RgbImage;
-use p3_vision::image::ImageF32;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Deterministic value-noise lattice with smooth interpolation.
 #[derive(Debug, Clone)]
-pub struct ValueNoise {
+struct ValueNoise {
     lattice: Vec<f32>,
     size: usize,
 }
@@ -56,7 +55,7 @@ impl ValueNoise {
 
     /// Fractal (multi-octave) noise with per-octave gain `gain` — the
     /// spectral slope knob. `gain = 0.5` gives roughly 1/f² power.
-    pub fn fbm(&self, x: f32, y: f32, octaves: usize, gain: f32) -> f32 {
+    fn fbm(&self, x: f32, y: f32, octaves: usize, gain: f32) -> f32 {
         let mut amp = 1.0f32;
         let mut freq = 1.0f32;
         let mut sum = 0.0f32;
@@ -69,26 +68,6 @@ impl ValueNoise {
         }
         sum / norm.max(1e-6)
     }
-}
-
-/// A grayscale fractal-noise field in `[0, 255]`.
-pub fn noise_field(
-    seed: u64,
-    width: usize,
-    height: usize,
-    base_scale: f32,
-    octaves: usize,
-    gain: f32,
-) -> ImageF32 {
-    let noise = ValueNoise::new(seed, 64);
-    let mut img = ImageF32::new(width, height);
-    for y in 0..height {
-        for x in 0..width {
-            let v = noise.fbm(x as f32 * base_scale, y as f32 * base_scale, octaves, gain);
-            img.set(x, y, (v * 0.5 + 0.5) * 255.0);
-        }
-    }
-    img
 }
 
 /// Scene composition parameters.
@@ -319,14 +298,6 @@ impl Zipf {
         }
     }
 
-    /// Total probability mass of ranks `0..k` (the "head").
-    pub fn head_mass(&self, k: usize) -> f64 {
-        match k {
-            0 => 0.0,
-            _ => self.cdf[k.min(self.cdf.len()) - 1],
-        }
-    }
-
     /// Draw the next rank.
     pub fn next_rank(&mut self) -> usize {
         let u: f64 = self.rng.gen_range(0.0..1.0);
@@ -338,6 +309,27 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p3_vision::image::ImageF32;
+
+    /// A grayscale fractal-noise field in `[0, 255]`.
+    fn noise_field(
+        seed: u64,
+        width: usize,
+        height: usize,
+        base_scale: f32,
+        octaves: usize,
+        gain: f32,
+    ) -> ImageF32 {
+        let noise = ValueNoise::new(seed, 64);
+        let mut img = ImageF32::new(width, height);
+        for y in 0..height {
+            for x in 0..width {
+                let v = noise.fbm(x as f32 * base_scale, y as f32 * base_scale, octaves, gain);
+                img.set(x, y, (v * 0.5 + 0.5) * 255.0);
+            }
+        }
+        img
+    }
 
     #[test]
     fn noise_is_deterministic() {

@@ -133,20 +133,11 @@ impl BitWriter {
     }
 }
 
-/// Outcome of scanning forward in the entropy-coded segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanEvent {
-    /// A restart marker `RSTn` (value 0..=7) was consumed.
-    Restart(u8),
-    /// A non-restart marker begins; the reader stops before it.
-    Marker(u8),
-}
-
 /// Bit-level reader that reverses JPEG byte stuffing.
 ///
 /// The reader operates over the entropy-coded bytes of one scan. When it
 /// encounters a marker it records it and reports end-of-data; the caller
-/// resumes segment-level parsing at [`BitReader::marker_position`].
+/// resumes segment-level parsing at [`BitReader::resume_position`].
 #[derive(Debug)]
 pub struct BitReader<'a> {
     data: &'a [u8],
@@ -165,12 +156,6 @@ impl<'a> BitReader<'a> {
         Self { data, pos: 0, acc: 0, nbits: 0, pending_marker: None, marker_pos: 0 }
     }
 
-    /// Offset (within the slice passed to [`BitReader::new`]) of the `0xFF`
-    /// byte of the marker that terminated the scan, if any.
-    pub fn marker_position(&self) -> usize {
-        self.marker_pos
-    }
-
     /// Offset at which segment-level parsing should resume after entropy
     /// decoding completes: the terminating marker if one was seen, else
     /// the first unread byte (any bits still buffered are final-byte
@@ -181,11 +166,6 @@ impl<'a> BitReader<'a> {
         } else {
             self.pos
         }
-    }
-
-    /// The marker code that terminated the scan, if one was encountered.
-    pub fn pending_marker(&self) -> Option<u8> {
-        self.pending_marker
     }
 
     fn fill(&mut self) -> Result<()> {
@@ -387,8 +367,8 @@ mod tests {
         assert_eq!(r.get_bits(8).unwrap(), 0x12);
         // Next reads hit the synthesized padding; marker is recorded.
         let _ = r.get_bits(8).unwrap();
-        assert_eq!(r.pending_marker(), Some(0xD9));
-        assert_eq!(r.marker_position(), 1);
+        assert_eq!(r.pending_marker, Some(0xD9));
+        assert_eq!(r.marker_pos, 1);
     }
 
     #[test]

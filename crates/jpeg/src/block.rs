@@ -207,11 +207,6 @@ impl CoeffImage {
         }
     }
 
-    /// Total number of blocks across components.
-    pub fn total_blocks(&self) -> usize {
-        self.components.iter().map(|c| c.blocks.len()).sum()
-    }
-
     /// Histogram of absolute AC coefficient values (used by the
     /// threshold-guessing attack of paper §3.4 and by tests).
     pub fn ac_magnitude_histogram(&self) -> std::collections::BTreeMap<u32, u64> {
@@ -291,7 +286,7 @@ mod tests {
             b[0] = 7;
             n += 1;
         });
-        assert_eq!(n, img.total_blocks());
+        assert_eq!(n, img.components.iter().map(|c| c.blocks.len()).sum::<usize>());
         let mut n2 = 0usize;
         img.for_each_block(|_, b| {
             assert_eq!(b[0], 7);

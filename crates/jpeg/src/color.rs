@@ -13,7 +13,7 @@
 //! source indices and 8-bit weights instead of doing float arithmetic
 //! per tap.
 
-use crate::image::{GrayImage, RgbImage};
+use crate::image::RgbImage;
 
 /// One image plane of `u8` samples with its own geometry (chroma planes are
 /// smaller than luma under subsampling).
@@ -324,17 +324,6 @@ pub fn upsample(p: &Plane, width: usize, height: usize) -> Plane {
     out
 }
 
-/// Luma-only view of an RGB image (BT.601), used by the vision attacks
-/// which all operate on grayscale.
-pub fn rgb_to_gray(img: &RgbImage) -> GrayImage {
-    let mut g = GrayImage::new(img.width, img.height);
-    for i in 0..img.width * img.height {
-        let (y, _, _) = rgb_to_ycbcr(img.data[i * 3], img.data[i * 3 + 1], img.data[i * 3 + 2]);
-        g.data[i] = y;
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,12 +431,5 @@ mod tests {
         for i in 0..img.data.len() {
             assert!((i16::from(img.data[i]) - i16::from(back.data[i])).abs() <= 2);
         }
-    }
-
-    #[test]
-    fn rgb_to_gray_uses_luma_weights() {
-        let mut img = RgbImage::new(1, 1);
-        img.set(0, 0, [255, 0, 0]);
-        assert_eq!(rgb_to_gray(&img).get(0, 0), 76); // 0.299*255 ≈ 76
     }
 }

@@ -3,10 +3,8 @@
 //! Three implementations live here:
 //!
 //! * [`mod@reference`] — the textbook separable `f32` basis-matrix transform
-//!   (O(64²) multiply-adds per block). It is the semantic ground truth:
-//!   the equivalence tests gate the fast paths against it, and callers
-//!   that need unscaled floating-point coefficients keep using it via
-//!   the re-exported [`fdct8x8`]/[`idct8x8`].
+//!   (O(64²) multiply-adds per block). It is the semantic ground truth the
+//!   equivalence tests gate the fast paths against; nothing ships on it.
 //! * The scaled integer **AAN** (Arai–Agui–Nakajima) butterfly pair
 //!   ([`fdct8x8_aan`] / [`idct8x8_aan`]) — the hot path used by the
 //!   encoder and decoder. Each 1-D pass costs 29 adds and 5 multiplies
@@ -53,7 +51,7 @@ pub mod reference {
 
     /// Forward 8×8 DCT of a level-shifted block (row-major spatial samples
     /// in, row-major frequency coefficients out).
-    pub fn fdct8x8(pixels: &[f32; 64]) -> [f32; 64] {
+    pub(super) fn fdct8x8(pixels: &[f32; 64]) -> [f32; 64] {
         let b = basis();
         // tmp = B * f   (transform columns of f along y)
         let mut tmp = [0f32; 64];
@@ -127,8 +125,6 @@ pub mod reference {
         out
     }
 }
-
-pub use reference::{fdct8x8, fdct_from_u8, idct8x8, idct_to_u8};
 
 // ---------------------------------------------------------------------------
 // Scaled integer AAN fast path
@@ -467,6 +463,7 @@ pub fn idct8x8_signed(block: &mut [[f32; 8]; 8]) {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{fdct8x8, fdct_from_u8, idct8x8, idct_to_u8};
     use super::*;
 
     fn max_abs_diff(a: &[f32; 64], b: &[f32; 64]) -> f32 {

@@ -43,8 +43,6 @@ struct ScanComponent {
 struct Decoder<'a> {
     data: &'a [u8],
     pos: usize,
-    /// Stop after this many entropy-coded scans (progressive preview).
-    max_scans: Option<usize>,
     qtables: [Option<QuantTable>; 4],
     dc_tables: [Option<HuffDecoder>; 4],
     ac_tables: [Option<HuffDecoder>; 4],
@@ -63,7 +61,6 @@ impl<'a> Decoder<'a> {
         Self {
             data,
             pos: 0,
-            max_scans: None,
             qtables: [None, None, None, None],
             dc_tables: [None, None, None, None],
             ac_tables: [None, None, None, None],
@@ -136,12 +133,6 @@ impl<'a> Decoder<'a> {
                 }
                 marker::SOS => {
                     self.parse_and_decode_scan()?;
-                    if let Some(max) = self.max_scans {
-                        if self.scans >= max {
-                            // Progressive preview: stop refining here.
-                            return Ok(());
-                        }
-                    }
                 }
                 0x01 | 0xD0..=0xD7 => { /* stray standalone markers: ignore */ }
                 _ => {
@@ -765,41 +756,10 @@ pub fn decode_to_coeffs_into(data: &[u8], frame: &mut CoeffImage) -> Result<Deco
     })
 }
 
-/// Decode only the first `max_scans` scans of a (typically progressive)
-/// stream — the "render as soon as the first few coefficients are
-/// received" behaviour the paper credits for Facebook's progressive
-/// mode. Also reports how many input bytes were needed.
-pub fn decode_scan_prefix(
-    data: &[u8],
-    max_scans: usize,
-) -> Result<(CoeffImage, DecodedInfo, usize)> {
-    if max_scans == 0 {
-        return Err(JpegError::Invalid("max_scans must be >= 1".into()));
-    }
-    let mut d = Decoder::new(data);
-    d.max_scans = Some(max_scans);
-    d.run()?;
-    let info = DecodedInfo {
-        progressive: d.progressive,
-        restart_interval: d.restart_interval,
-        scans: d.scans,
-    };
-    let consumed = d.pos;
-    let frame = d.frame.take().ok_or(JpegError::Truncated)?;
-    Ok((frame, info, consumed))
-}
-
 /// Reconstruct the sample planes of each component (dequantize + IDCT),
-/// cropped to real component dimensions.
-pub fn coeffs_to_planes(ci: &CoeffImage) -> Result<Vec<Plane>> {
-    let mut planes = Vec::new();
-    coeffs_to_planes_into(ci, &mut planes)?;
-    Ok(planes)
-}
-
-/// [`coeffs_to_planes`] into a caller's planes, overwritten whatever
-/// they held.
-pub fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()> {
+/// cropped to real component dimensions, into a caller's planes,
+/// overwritten whatever they held.
+fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()> {
     ci.validate()?;
     let h_max = ci.h_max() as usize;
     let v_max = ci.v_max() as usize;
@@ -943,7 +903,8 @@ pub fn coeffs_to_rgb_into(
 
 /// Luma-only pixel output (used by the vision attacks).
 pub fn coeffs_to_gray(ci: &CoeffImage) -> Result<GrayImage> {
-    let planes = coeffs_to_planes(ci)?;
+    let mut planes = Vec::new();
+    coeffs_to_planes_into(ci, &mut planes)?;
     let y = upsample(&planes[0], ci.width, ci.height);
     Ok(GrayImage { width: ci.width, height: ci.height, data: y.data })
 }
@@ -952,12 +913,6 @@ pub fn coeffs_to_gray(ci: &CoeffImage) -> Result<GrayImage> {
 pub fn decode_to_rgb(data: &[u8]) -> Result<RgbImage> {
     let (ci, _) = decode_to_coeffs(data)?;
     coeffs_to_rgb(&ci)
-}
-
-/// Decode straight to grayscale (luma) pixels.
-pub fn decode_to_gray(data: &[u8]) -> Result<GrayImage> {
-    let (ci, _) = decode_to_coeffs(data)?;
-    coeffs_to_gray(&ci)
 }
 
 #[cfg(test)]
@@ -1087,7 +1042,8 @@ mod tests {
     fn pixel_roundtrip_with_restarts() {
         let img = test_rgb(64, 48);
         let plain = Encoder::new().quality(90).encode_rgb(&img).unwrap();
-        let rst = Encoder::new().quality(90).restart_interval(3).encode_rgb(&img).unwrap();
+        let ci = crate::encoder::pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
+        let rst = crate::encoder::encode_coeffs(&ci, Mode::BaselineOptimized, 3).unwrap();
         let a = decode_to_rgb(&plain).unwrap();
         let b = decode_to_rgb(&rst).unwrap();
         assert_eq!(a.data, b.data, "restart markers changed decoded pixels");
@@ -1113,38 +1069,6 @@ mod tests {
     }
 
     #[test]
-    fn progressive_prefix_decoding_improves_with_scans() {
-        let img = test_rgb(80, 64);
-        let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
-        let full_jpeg = encode_coeffs(&ci, Mode::Progressive, 0).unwrap();
-        let reference = coeffs_to_rgb(&ci).unwrap();
-        let mut prev_psnr = 0.0f64;
-        let mut prev_bytes = 0usize;
-        for scans in [1usize, 2, 5, 10] {
-            let (partial, info, consumed) = decode_scan_prefix(&full_jpeg, scans).unwrap();
-            assert!(info.scans <= scans);
-            let px = coeffs_to_rgb(&partial).unwrap();
-            let p = psnr(&reference, &px);
-            assert!(
-                p + 0.5 >= prev_psnr,
-                "quality regressed at {scans} scans: {p:.1} < {prev_psnr:.1}"
-            );
-            assert!(consumed >= prev_bytes, "byte count must grow");
-            prev_psnr = p;
-            prev_bytes = consumed;
-        }
-        // The first scan needs far fewer bytes than the whole stream.
-        let (_, _, first_bytes) = decode_scan_prefix(&full_jpeg, 1).unwrap();
-        assert!(first_bytes * 2 < full_jpeg.len(), "{first_bytes} vs {}", full_jpeg.len());
-        // All scans == full decode.
-        let (all, _, _) = decode_scan_prefix(&full_jpeg, 100).unwrap();
-        let (full, _) = decode_to_coeffs(&full_jpeg).unwrap();
-        for (a, b) in all.components.iter().zip(full.components.iter()) {
-            assert_eq!(a.blocks, b.blocks);
-        }
-    }
-
-    #[test]
     fn rejects_garbage() {
         assert!(decode_to_coeffs(b"not a jpeg").is_err());
         assert!(decode_to_coeffs(&[0xFF, 0xD8]).is_err());
@@ -1157,8 +1081,9 @@ mod tests {
         for (i, p) in img.data.iter_mut().enumerate() {
             *p = if (i / 16 + i % 16) % 2 == 0 { 230 } else { 20 };
         }
-        let jpg = Encoder::new().quality(95).encode_gray(&img).unwrap();
-        let dec = decode_to_gray(&jpg).unwrap();
+        let ci = crate::encoder::gray_to_coeffs(&img, 95).unwrap();
+        let jpg = crate::encoder::encode_coeffs(&ci, Mode::BaselineOptimized, 0).unwrap();
+        let dec = coeffs_to_gray(&decode_to_coeffs(&jpg).unwrap().0).unwrap();
         assert_eq!((dec.width, dec.height), (16, 16));
         // Checkerboard survives roughly.
         assert!(dec.get(0, 0) > 128);

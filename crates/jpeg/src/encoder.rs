@@ -55,20 +55,11 @@ struct EncodeConfig {
     quality: u8,
     /// Chroma layout for color input.
     subsampling: Subsampling,
-    /// Bitstream mode.
-    mode: Mode,
-    /// Restart interval in MCUs (0 disables; baseline only).
-    restart_interval: u16,
 }
 
 impl Default for EncodeConfig {
     fn default() -> Self {
-        Self {
-            quality: 90,
-            subsampling: Subsampling::S420,
-            mode: Mode::BaselineOptimized,
-            restart_interval: 0,
-        }
+        Self { quality: 90, subsampling: Subsampling::S420 }
     }
 }
 
@@ -98,28 +89,10 @@ impl Encoder {
         self
     }
 
-    /// Set the bitstream mode.
-    pub fn mode(mut self, m: Mode) -> Self {
-        self.cfg.mode = m;
-        self
-    }
-
-    /// Set the restart interval (baseline modes only).
-    pub fn restart_interval(mut self, ri: u16) -> Self {
-        self.cfg.restart_interval = ri;
-        self
-    }
-
-    /// Encode an RGB image.
+    /// Encode an RGB image (optimized baseline, no restart markers).
     pub fn encode_rgb(&self, img: &RgbImage) -> Result<Vec<u8>> {
         let ci = pixels_to_coeffs(img, self.cfg.quality, self.cfg.subsampling)?;
-        encode_coeffs(&ci, self.cfg.mode, self.cfg.restart_interval)
-    }
-
-    /// Encode a grayscale image.
-    pub fn encode_gray(&self, img: &GrayImage) -> Result<Vec<u8>> {
-        let ci = gray_to_coeffs(img, self.cfg.quality)?;
-        encode_coeffs(&ci, self.cfg.mode, self.cfg.restart_interval)
+        encode_coeffs(&ci, Mode::BaselineOptimized, 0)
     }
 }
 
@@ -1023,7 +996,8 @@ mod tests {
     #[test]
     fn progressive_stream_is_marked_sof2() {
         let img = test_rgb(40, 40);
-        let jpg = Encoder::new().mode(Mode::Progressive).encode_rgb(&img).unwrap();
+        let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
+        let jpg = encode_coeffs(&ci, Mode::Progressive, 0).unwrap();
         let summary = crate::marker::summarize(&jpg).unwrap();
         assert!(summary.progressive);
     }
@@ -1034,7 +1008,8 @@ mod tests {
         for (i, p) in img.data.iter_mut().enumerate() {
             *p = (i % 256) as u8;
         }
-        let jpg = Encoder::new().encode_gray(&img).unwrap();
+        let jpg =
+            encode_coeffs(&gray_to_coeffs(&img, 90).unwrap(), Mode::BaselineOptimized, 0).unwrap();
         let summary = crate::marker::summarize(&jpg).unwrap();
         assert_eq!(summary.components, 1);
     }
@@ -1042,8 +1017,9 @@ mod tests {
     #[test]
     fn optimized_is_smaller_than_default_tables() {
         let img = test_rgb(128, 128);
-        let default = Encoder::new().mode(Mode::Baseline).encode_rgb(&img).unwrap();
-        let optimized = Encoder::new().mode(Mode::BaselineOptimized).encode_rgb(&img).unwrap();
+        let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
+        let default = encode_coeffs(&ci, Mode::Baseline, 0).unwrap();
+        let optimized = encode_coeffs(&ci, Mode::BaselineOptimized, 0).unwrap();
         assert!(
             optimized.len() <= default.len(),
             "optimized {} > default {}",
@@ -1055,7 +1031,8 @@ mod tests {
     #[test]
     fn restart_markers_appear() {
         let img = test_rgb(64, 64);
-        let jpg = Encoder::new().restart_interval(2).encode_rgb(&img).unwrap();
+        let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
+        let jpg = encode_coeffs(&ci, Mode::BaselineOptimized, 2).unwrap();
         let segs = crate::marker::segments(&jpg).unwrap();
         let sos = segs.iter().find(|s| s.marker == crate::marker::SOS).unwrap();
         let has_rst = sos.entropy.windows(2).any(|w| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]));

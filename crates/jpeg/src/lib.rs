@@ -55,7 +55,7 @@ pub mod simd;
 pub mod zigzag;
 
 pub use block::{Block, CoeffImage, ComponentCoeffs, COEFS_PER_BLOCK};
-pub use decoder::{decode_to_coeffs, decode_to_gray, decode_to_rgb, DecodedInfo};
+pub use decoder::{decode_to_coeffs, decode_to_rgb, DecodedInfo};
 pub use encoder::{Encoder, Mode, Subsampling};
 pub use image::{GrayImage, RgbImage};
 pub use quant::QuantTable;

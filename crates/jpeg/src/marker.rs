@@ -31,14 +31,12 @@ pub const DRI: u8 = 0xDD;
 /// Start of scan.
 pub const SOS: u8 = 0xDA;
 /// Comment.
-pub const COM: u8 = 0xFE;
+const COM: u8 = 0xFE;
 /// First application segment (JFIF).
-pub const APP0: u8 = 0xE0;
-/// Application segment 1 (EXIF).
-pub const APP1: u8 = 0xE1;
+const APP0: u8 = 0xE0;
 
 /// Is this a standalone marker (no length field)?
-pub fn is_standalone(marker: u8) -> bool {
+fn is_standalone(marker: u8) -> bool {
     matches!(marker, 0x01 | 0xD0..=0xD9)
 }
 

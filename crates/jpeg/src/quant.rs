@@ -14,7 +14,7 @@ use crate::dct::aan_scales_2d;
 use crate::zigzag::ZIGZAG;
 
 /// Annex K Table K.1 — reference luminance quantization table (natural order).
-pub const ANNEX_K_LUMA: [u16; 64] = [
+const ANNEX_K_LUMA: [u16; 64] = [
     16, 11, 10, 16, 24, 40, 51, 61, //
     12, 12, 14, 19, 26, 58, 60, 55, //
     14, 13, 16, 24, 40, 57, 69, 56, //
@@ -26,7 +26,7 @@ pub const ANNEX_K_LUMA: [u16; 64] = [
 ];
 
 /// Annex K Table K.2 — reference chrominance quantization table.
-pub const ANNEX_K_CHROMA: [u16; 64] = [
+const ANNEX_K_CHROMA: [u16; 64] = [
     17, 18, 24, 47, 99, 99, 99, 99, //
     18, 21, 26, 66, 99, 99, 99, 99, //
     24, 26, 56, 99, 99, 99, 99, 99, //
@@ -56,7 +56,7 @@ impl QuantTable {
     ///
     /// The paper notes "images shared through PSPs tend to be uploaded with
     /// high quality settings"; the evaluation encodes at quality 85–95.
-    pub fn from_quality(base: &[u16; 64], quality: u8) -> Self {
+    fn from_quality(base: &[u16; 64], quality: u8) -> Self {
         let q = quality.clamp(1, 100) as i32;
         let scale = if q < 50 { 5000 / q } else { 200 - 2 * q };
         let mut t = [0u16; 64];
@@ -127,32 +127,6 @@ impl QuantTable {
     /// near-lossless paths).
     pub fn flat(step: u16) -> Self {
         Self { table: [step.max(1); 64] }
-    }
-
-    /// Estimate the IJG quality factor that would have produced this
-    /// table from `base` — the inverse of [`QuantTable::from_quality`].
-    ///
-    /// Used by the recipient proxy to characterize a PSP's re-encode
-    /// settings from served images ("by inspecting the JPEG header, we
-    /// can tell some kinds of transformations that may have been
-    /// performed"). Returns the quality in 1..=100 minimizing the
-    /// table-wise absolute error, and that error's mean per entry.
-    pub fn estimate_quality(&self, base: &[u16; 64]) -> (u8, f64) {
-        let mut best = (1u8, f64::INFINITY);
-        for q in 1..=100u8 {
-            let candidate = QuantTable::from_quality(base, q);
-            let err: f64 = candidate
-                .table
-                .iter()
-                .zip(self.table.iter())
-                .map(|(&a, &b)| (f64::from(a) - f64::from(b)).abs())
-                .sum::<f64>()
-                / 64.0;
-            if err < best.1 {
-                best = (q, err);
-            }
-        }
-        best
     }
 }
 
@@ -296,20 +270,6 @@ mod tests {
         let t = QuantTable::luma(75);
         let zz = t.to_zigzag_bytes();
         assert_eq!(QuantTable::from_zigzag_bytes(&zz), t);
-    }
-
-    #[test]
-    fn quality_estimation_inverts_scaling() {
-        for q in [10u8, 35, 50, 75, 90, 95] {
-            let t = QuantTable::luma(q);
-            let (est, err) = t.estimate_quality(&ANNEX_K_LUMA);
-            assert_eq!(est, q, "estimated {est} for true {q}");
-            assert!(err < 1e-9);
-        }
-        // Near-saturated tables map to a nearby quality.
-        let t = QuantTable::luma(99);
-        let (est, _) = t.estimate_quality(&ANNEX_K_LUMA);
-        assert!((98..=100).contains(&est), "{est}");
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub const ZIGZAG: [usize; 64] = [
 
 /// `NATURAL_TO_ZIGZAG[n]` is the zig-zag position of natural-order index `n`
 /// (the inverse permutation of [`ZIGZAG`]).
-pub const NATURAL_TO_ZIGZAG: [usize; 64] = build_inverse();
+const NATURAL_TO_ZIGZAG: [usize; 64] = build_inverse();
 
 /// [`ZIGZAG`] as a byte table (lepton-style `UNZIGZAG`): the encoder and
 /// decoder hot loops index this 64-byte LUT — exactly one cache line —
@@ -69,24 +69,6 @@ const fn build_unzigzag() -> [u8; 64] {
         i += 1;
     }
     zz
-}
-
-/// Permute a natural-order block into zig-zag order.
-pub fn to_zigzag(block: &[i32; 64]) -> [i32; 64] {
-    let mut out = [0i32; 64];
-    for (z, &n) in ZIGZAG.iter().enumerate() {
-        out[z] = block[n];
-    }
-    out
-}
-
-/// Permute a zig-zag-order block back to natural order.
-pub fn from_zigzag(zz: &[i32; 64]) -> [i32; 64] {
-    let mut out = [0i32; 64];
-    for (z, &n) in ZIGZAG.iter().enumerate() {
-        out[n] = zz[z];
-    }
-    out
 }
 
 #[cfg(test)]
@@ -145,15 +127,6 @@ mod tests {
         }
         let got = (0..8).fold(0u64, |a, k| a | MASK_TO_ZIGZAG[k][(m >> (8 * k)) as u8 as usize]);
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn roundtrip() {
-        let mut b = [0i32; 64];
-        for (i, v) in b.iter_mut().enumerate() {
-            *v = i as i32 * 3 - 50;
-        }
-        assert_eq!(from_zigzag(&to_zigzag(&b)), b);
     }
 
     #[test]

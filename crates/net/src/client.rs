@@ -67,23 +67,6 @@ pub fn http_post(
     send(addr, req)
 }
 
-/// PUT `body` to `path` at `addr`.
-pub fn http_put(
-    addr: SocketAddr,
-    path: &str,
-    content_type: &str,
-    body: Vec<u8>,
-) -> Result<Response, ClientError> {
-    let mut req = Request::new(Method::Put, path, body);
-    req.headers.set("content-type", content_type);
-    send(addr, req)
-}
-
-/// DELETE `path` at `addr`.
-pub fn http_delete(addr: SocketAddr, path: &str) -> Result<Response, ClientError> {
-    send(addr, Request::new(Method::Delete, path, Vec::new()))
-}
-
 /// An idle pooled connection (a buffered transport stream), stamped
 /// with when it went idle. Writes go through the `BufReader`'s inner
 /// stream (`get_mut`); exchanges are strictly write-then-read, so one
@@ -263,19 +246,6 @@ impl ClientPool {
         self.send(addr, Request::new(Method::Get, path, Vec::new()))
     }
 
-    /// POST `body` to `path` at `addr` over the pool.
-    pub fn post(
-        &self,
-        addr: SocketAddr,
-        path: &str,
-        content_type: &str,
-        body: Vec<u8>,
-    ) -> Result<Response, ClientError> {
-        let mut req = Request::new(Method::Post, path, body);
-        req.headers.set("content-type", content_type);
-        self.send(addr, req)
-    }
-
     /// PUT `body` to `path` at `addr` over the pool.
     pub fn put(
         &self,
@@ -368,7 +338,7 @@ mod tests {
         let server = ok_server();
         let pool = ClientPool::default();
         for _ in 0..3 {
-            assert!(pool.post(server.addr(), "/p", "text/plain", vec![1]).is_ok());
+            assert!(pool.send(server.addr(), Request::new(Method::Post, "/p", vec![1])).is_ok());
         }
         // A stale-socket retry would silently replay the POST, so each
         // one must open its own connection...

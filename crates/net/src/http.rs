@@ -18,7 +18,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 /// Maximum accepted header block (DoS guard).
 pub const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Maximum accepted body (a P3 original photo is a few MB).
-pub const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
+const MAX_BODY_BYTES: usize = 64 * 1024 * 1024;
 
 /// HTTP request methods used by the P3 system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,7 +89,7 @@ impl Version {
     }
 
     /// Whether connections persist by default at this version.
-    pub fn default_keep_alive(&self) -> bool {
+    fn default_keep_alive(&self) -> bool {
         matches!(self, Version::Http11)
     }
 }
@@ -112,7 +112,7 @@ impl StatusCode {
     /// 413.
     pub const PAYLOAD_TOO_LARGE: StatusCode = StatusCode(413);
     /// 416 — the `Range` header was malformed or out of bounds.
-    pub const RANGE_NOT_SATISFIABLE: StatusCode = StatusCode(416);
+    const RANGE_NOT_SATISFIABLE: StatusCode = StatusCode(416);
     /// 422 — well-formed, but not something this server can act on.
     pub const UNPROCESSABLE: StatusCode = StatusCode(422);
     /// 500.
@@ -199,7 +199,7 @@ impl Headers {
 /// this type exists to fix, and a client that sent a range it believes
 /// in must hear 416, not receive an unexpected full body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ByteRange {
+enum ByteRange {
     /// `bytes=a-b`: offsets `a..=b`.
     FromTo(u64, u64),
     /// `bytes=a-`: offset `a` to the end of the representation.
@@ -208,7 +208,7 @@ pub enum ByteRange {
 
 /// Disposition of a request's `Range` header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RangeHeader {
+enum RangeHeader {
     /// No `Range` header, or a non-`bytes` unit (ignored per RFC 9110
     /// §14.2: unknown units mean "serve the full representation").
     None,
@@ -221,7 +221,7 @@ pub enum RangeHeader {
 }
 
 /// Strictly parse an optional `Range` header value.
-pub fn parse_range_header(value: Option<&str>) -> RangeHeader {
+fn parse_range_header(value: Option<&str>) -> RangeHeader {
     let Some(value) = value else {
         return RangeHeader::None;
     };
@@ -259,7 +259,7 @@ impl ByteRange {
     /// inclusive `(start, end)` to serve, or `None` when the range is
     /// unsatisfiable (start at or past the end — including any range
     /// against an empty body).
-    pub fn resolve(&self, len: u64) -> Option<(u64, u64)> {
+    fn resolve(&self, len: u64) -> Option<(u64, u64)> {
         let (start, want_end) = match *self {
             ByteRange::FromTo(a, b) => (a, b),
             ByteRange::From(a) => (a, u64::MAX),

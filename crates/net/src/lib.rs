@@ -50,12 +50,10 @@ pub mod stats;
 pub mod transport;
 mod video;
 
-pub use client::{http_delete, http_get, http_post, http_put, ClientError, ClientPool};
+pub use client::{http_get, http_post, ClientError, ClientPool};
 pub use http::{
-    apply_range, parse_range_header, ByteRange, Headers, Method, RangeHeader, Request,
-    RequestParser, Response, StatusCode, Version,
+    apply_range, Headers, Method, Request, RequestParser, Response, StatusCode, Version,
 };
-pub use p3_reactor::raise_nofile_limit;
 pub use proxy::{P3Proxy, ProxyConfig, ProxyStats, TransformEstimator};
 pub use server::{Server, ServerConfig, ServerStats};
 pub use transport::{

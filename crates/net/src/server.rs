@@ -62,7 +62,7 @@ pub fn default_workers() -> usize {
 }
 
 /// Default reactor count: `available_parallelism` clamped to `[1, 8]`.
-pub fn default_reactors() -> usize {
+fn default_reactors() -> usize {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     cpus.clamp(1, 8)
 }

@@ -147,7 +147,6 @@ impl FaultRule {
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     rules: Mutex<HashMap<(String, SocketAddr), FaultRule>>,
-    dropped_connects: AtomicU64,
     black_holed: AtomicU64,
     delayed: AtomicU64,
     flipped: AtomicU64,
@@ -171,19 +170,9 @@ impl FaultPlan {
         rules.remove(&(source.to_string(), dest));
     }
 
-    /// Heal every pair.
-    pub fn clear_all(&self) {
-        self.rules.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    }
-
     fn rule(&self, source: &str, dest: SocketAddr) -> FaultRule {
         let rules = self.rules.lock().unwrap_or_else(|e| e.into_inner());
         rules.get(&(source.to_string(), dest)).copied().unwrap_or_default()
-    }
-
-    /// Connections refused by a `drop_connects` rule.
-    pub fn dropped_connects(&self) -> u64 {
-        self.dropped_connects.load(Ordering::Relaxed)
     }
 
     /// Operations (connects, reads, writes) swallowed by a black hole.
@@ -222,7 +211,6 @@ impl Transport for FaultTransport {
     fn connect(&self, addr: SocketAddr, deadlines: Deadlines) -> io::Result<Box<dyn Connection>> {
         let rule = self.plan.rule(&self.source, addr);
         if rule.drop_connects {
-            self.plan.dropped_connects.fetch_add(1, Ordering::Relaxed);
             return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "fault: dropped"));
         }
         if rule.black_hole {
@@ -359,7 +347,6 @@ mod tests {
         // The rule is per (source, destination): b is unaffected.
         let resp = pool.get(b.addr(), "/ok").unwrap();
         assert_eq!(resp.body, b"/ok");
-        assert!(plan.dropped_connects() >= 1);
         // Healing the pair restores traffic.
         plan.clear("test", a.addr());
         assert!(pool.get(a.addr(), "/back").is_ok());

@@ -55,7 +55,7 @@ pub fn set_force_scalar(force: bool) {
 
 /// Whether scalar code is currently forced (programmatic override first,
 /// then the `P3_FORCE_SCALAR` environment variable, read once).
-pub fn force_scalar() -> bool {
+fn force_scalar() -> bool {
     match FORCE.load(Ordering::Relaxed) {
         1 => true,
         2 => false,

@@ -234,7 +234,7 @@ fn global_slot() -> &'static Mutex<Arc<Pool>> {
 /// Default executor count: every available core, capped at 16 (the codec
 /// fans out over ~48 block rows; beyond 16 executors the per-row tasks
 /// are too short to amortize wakeups).
-pub fn default_threads() -> usize {
+fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
 }
 
@@ -243,8 +243,8 @@ pub fn global() -> Arc<Pool> {
     Arc::clone(&global_slot().lock().unwrap())
 }
 
-/// Resize the process-wide codec pool (the `--codec-threads` knob).
-/// `0` restores the [`default_threads`] sizing.
+/// Resize the process-wide codec pool. `0` restores the default sizing
+/// (every core, capped at 16).
 pub fn set_global_threads(threads: usize) {
     let threads = if threads == 0 { default_threads() } else { threads };
     let mut slot = global_slot().lock().unwrap();

@@ -17,7 +17,7 @@
 //! * an optional **countermeasure mode** (§4.2) where the PSP detects
 //!   threshold-clipped uploads and refuses them.
 //!
-//! [`reverse`] implements the client-side answer: the exhaustive
+//! [`reverse_engineer`] implements the client-side answer: the exhaustive
 //! parameter search the paper uses to approximate the hidden pipeline
 //! ("we select several candidate settings for colorspace conversion,
 //! filtering, sharpening, enhancing, and gamma corrections, and then
@@ -28,7 +28,7 @@
 //! `p3-storage` crate.
 
 pub mod profile;
-pub mod reverse;
+mod reverse;
 pub mod service;
 
 pub use profile::{PspProfile, SizeRequest};

@@ -594,14 +594,15 @@ mod tests {
     fn markers_are_stripped() {
         let core = PspCore::new(PspProfile::facebook());
         // Inject a COM marker into an upload.
+        const COM: u8 = 0xFE;
         let mut jpeg = photo_jpeg(64, 64);
         let mut with_comment = jpeg[..2].to_vec();
-        p3_jpeg::marker::write_segment(&mut with_comment, p3_jpeg::marker::COM, b"secret-stash");
+        p3_jpeg::marker::write_segment(&mut with_comment, COM, b"secret-stash");
         with_comment.extend_from_slice(&jpeg.split_off(2));
         let id = core.upload(&with_comment).unwrap();
         let stored = core.stored_original(id).unwrap();
         let summary = p3_jpeg::marker::summarize(&stored).unwrap();
-        assert!(!summary.markers.contains(&p3_jpeg::marker::COM));
+        assert!(!summary.markers.contains(&COM));
     }
 
     #[test]
@@ -638,11 +639,14 @@ mod tests {
         let resp =
             p3_net::http_post(svc.addr(), "/photos", "image/jpeg", photo_jpeg(64, 48)).unwrap();
         let id: u64 = String::from_utf8_lossy(&resp.body).trim().parse().unwrap();
-        let del = p3_net::http_delete(svc.addr(), &format!("/photos/{id}")).unwrap();
-        assert!(del.status.is_success());
+        let delete = || {
+            let req = Request::new(p3_net::Method::Delete, &format!("/photos/{id}"), Vec::new());
+            p3_net::client::send(svc.addr(), req).unwrap()
+        };
+        assert!(delete().status.is_success());
         let gone = p3_net::http_get(svc.addr(), &format!("/photos/{id}?size=big")).unwrap();
         assert_eq!(gone.status, StatusCode::NOT_FOUND);
-        let again = p3_net::http_delete(svc.addr(), &format!("/photos/{id}")).unwrap();
+        let again = delete();
         assert_eq!(again.status, StatusCode::NOT_FOUND);
         svc.shutdown();
     }

@@ -34,5 +34,4 @@ pub mod reactor;
 pub mod sys;
 pub mod wheel;
 
-pub use reactor::{spawn_loop, Handle, Reactor, Source, Token};
-pub use sys::raise_nofile_limit;
+pub use reactor::{Handle, Reactor, Source, Token};

@@ -15,7 +15,7 @@ use std::io;
 use std::os::unix::io::RawFd;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::sys::{Epoll, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -87,7 +87,7 @@ impl Handle {
     }
 
     /// Whether the reactor loop is still running (or not yet exited).
-    pub fn is_live(&self) -> bool {
+    fn is_live(&self) -> bool {
         self.shared.live.load(Ordering::SeqCst)
     }
 }
@@ -268,31 +268,32 @@ fn interest_mask(readable: bool, writable: bool) -> u32 {
     mask
 }
 
-/// Spawn a dedicated reactor thread named `name` and return its handle
-/// once the loop is constructed.
-pub fn spawn_loop(name: &str) -> io::Result<Handle> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::Builder::new().name(name.to_string()).spawn(move || {
-        let mut reactor = match Reactor::new() {
-            Ok(r) => r,
-            Err(err) => {
-                let _ = tx.send(Err(err));
-                return;
-            }
-        };
-        let _ = tx.send(Ok(reactor.handle()));
-        reactor.run();
-    })?;
-    rx.recv().map_err(|_| io::Error::other("reactor thread died"))?
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
+    use std::sync::mpsc;
     use std::time::Duration;
+
+    /// Spawn a dedicated reactor thread named `name` and return its handle
+    /// once the loop is constructed.
+    fn spawn_loop(name: &str) -> io::Result<Handle> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::Builder::new().name(name.to_string()).spawn(move || {
+            let mut reactor = match Reactor::new() {
+                Ok(r) => r,
+                Err(err) => {
+                    let _ = tx.send(Err(err));
+                    return;
+                }
+            };
+            let _ = tx.send(Ok(reactor.handle()));
+            reactor.run();
+        })?;
+        rx.recv().map_err(|_| io::Error::other("reactor thread died"))?
+    }
 
     /// Echo server source: reads whatever arrives, writes it back.
     struct Echo {

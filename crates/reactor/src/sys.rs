@@ -29,7 +29,6 @@ const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 const EINTR: i32 = 4;
 const EAGAIN: i32 = 11;
-const RLIMIT_NOFILE: c_int = 7;
 
 /// Mirror of the kernel's `struct epoll_event`. On x86-64 the kernel ABI
 /// packs it (no padding between `events` and `data`); elsewhere natural
@@ -37,17 +36,11 @@ const RLIMIT_NOFILE: c_int = 7;
 #[repr(C)]
 #[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+struct EpollEvent {
     /// Bitmask of `EPOLL*` readiness flags.
     pub events: u32,
     /// Caller-chosen cookie, returned verbatim on readiness.
     pub data: u64,
-}
-
-#[repr(C)]
-struct RLimit {
-    rlim_cur: u64,
-    rlim_max: u64,
 }
 
 extern "C" {
@@ -58,8 +51,6 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
@@ -68,19 +59,6 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
     } else {
         Ok(ret)
     }
-}
-
-/// Raise the soft `RLIMIT_NOFILE` to the hard limit, returning the new
-/// soft limit. Holding a 10k-connection population needs more
-/// descriptors than the conventional 1024-soft default allows.
-pub fn raise_nofile_limit() -> io::Result<u64> {
-    let mut lim = RLimit { rlim_cur: 0, rlim_max: 0 };
-    cvt(unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) })?;
-    if lim.rlim_cur < lim.rlim_max {
-        lim.rlim_cur = lim.rlim_max;
-        cvt(unsafe { setrlimit(RLIMIT_NOFILE, &lim) })?;
-    }
-    Ok(lim.rlim_cur)
 }
 
 /// Owned epoll instance. Level-triggered (the reactor re-arms interest
@@ -234,11 +212,5 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].0, 42);
         assert_ne!(out[0].1 & EPOLLOUT, 0, "fresh socket should be writable");
-    }
-
-    #[test]
-    fn raise_nofile_limit_reports_a_sane_value() {
-        let n = raise_nofile_limit().unwrap();
-        assert!(n >= 256, "soft nofile limit suspiciously low: {n}");
     }
 }

@@ -242,6 +242,67 @@ mod tests {
         assert_ne!(buf, [0u8; 13]);
     }
 
+    /// `seed_from_u64` seeds every dataset corpus and every chaos plan,
+    /// so its stream is pinned: a change here re-rolls all of them.
+    #[test]
+    fn seeded_stream_is_pinned() {
+        let golden: [(u64, [u64; 8]); 3] = [
+            (
+                0,
+                [
+                    0x6e78_9e6a_a1b9_65f4,
+                    0x06c4_5d18_8009_454f,
+                    0xf88b_b8a8_724c_81ec,
+                    0x1b39_896a_51a8_749b,
+                    0x53cb_9f0c_747e_a2ea,
+                    0x2c82_9abe_1f45_32e1,
+                    0xc584_133a_c916_ab3c,
+                    0x3ee5_7890_41c9_8ac3,
+                ],
+            ),
+            (
+                42,
+                [
+                    0x28ef_e333_b266_f103,
+                    0x4752_6757_130f_9f52,
+                    0x581c_e1ff_0e4a_e394,
+                    0x09bc_585a_2448_23f2,
+                    0xde44_31fa_3c80_db06,
+                    0x37e9_671c_4537_6d5d,
+                    0xccf6_35ee_9e9e_2fa4,
+                    0x5705_b877_0b3d_7dd5,
+                ],
+            ),
+            (
+                u64::MAX,
+                [
+                    0xe99f_f867_dbf6_82c9,
+                    0x382f_f84c_b272_81e9,
+                    0x6d1d_b36c_cba9_82d2,
+                    0xb4a0_472e_5780_69ae,
+                    0xd31d_adbd_a438_bb33,
+                    0xf14f_2cf8_0208_3fa5,
+                    0x405d_a438_a39e_8064,
+                    0xc4fe_a708_156e_0c84,
+                ],
+            ),
+        ];
+        for (seed, words) in golden {
+            let mut rng = StdRng::seed_from_u64(seed);
+            assert_eq!(words.map(|_| rng.next_u64()), words, "seed {seed}");
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        let draws: Vec<u32> = (0..16).map(|_| rng.gen_range(0..1000)).collect();
+        assert_eq!(
+            draws,
+            [804, 346, 203, 674, 305, 798, 182, 985, 425, 83, 516, 990, 344, 190, 680, 327]
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut buf = [0u8; 13];
+        rng.fill_bytes(&mut buf);
+        assert_eq!(buf, [248, 54, 151, 147, 77, 49, 151, 192, 71, 193, 107, 16, 240]);
+    }
+
     #[test]
     fn thread_rng_instances_diverge() {
         let a = super::thread_rng().next_u64();

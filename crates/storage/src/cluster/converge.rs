@@ -181,16 +181,6 @@ impl ClusterBackend {
         self.prev_epoch.lock().is_some()
     }
 
-    /// Convenience wrapper: add one node.
-    pub fn add_node(&self, addr: SocketAddr) -> StorageResult<MembershipChange> {
-        self.update_membership(&[addr], &[])
-    }
-
-    /// Convenience wrapper: remove one node.
-    pub fn remove_node(&self, addr: SocketAddr) -> StorageResult<MembershipChange> {
-        self.update_membership(&[], &[addr])
-    }
-
     // ---- convergence -------------------------------------------------
 
     /// The one convergence pass, run by a membership change and by the
@@ -395,7 +385,7 @@ mod tests {
             ids.iter().map(|id| (id.clone(), cluster.replicas_for(id))).collect();
 
         let fourth = StorageService::spawn().unwrap();
-        let change = cluster.add_node(fourth.addr()).unwrap();
+        let change = cluster.update_membership(&[fourth.addr()], &[]).unwrap();
         assert_eq!(change.view.epoch, 2);
         assert_eq!(change.view.nodes.len(), 4);
         assert_eq!(cluster.stats().membership_epoch, 2);
@@ -426,23 +416,23 @@ mod tests {
         // Growing 1 → 2 nodes un-clamps R to 2: every blob gains the
         // new node as a replica, so all 8 must stream.
         let node_b = spawn_nodes(1);
-        let change = cluster.add_node(node_b[0].addr()).unwrap();
+        let change = cluster.update_membership(&[node_b[0].addr()], &[]).unwrap();
         assert_eq!(change.rebalanced_blobs, 8, "every blob gains a second replica");
         assert_eq!(node_b[0].core().len(), 8);
 
         // Draining the original node back down to 1 streams nothing new
         // (the survivor already holds everything) and keeps all reads.
-        let change = cluster.remove_node(node_a[0].addr()).unwrap();
+        let change = cluster.update_membership(&[], &[node_a[0].addr()]).unwrap();
         assert_eq!(change.rebalanced_blobs, 0, "survivor already holds every blob");
         for i in 0..8 {
             assert!(cluster.get(&format!("solo-{i}")).unwrap().is_some());
         }
 
         // A 1-node ring cannot lose its last node.
-        assert!(cluster.remove_node(node_b[0].addr()).is_err());
+        assert!(cluster.update_membership(&[], &[node_b[0].addr()]).is_err());
         // And membership ops validate their arguments.
-        assert!(cluster.add_node(node_b[0].addr()).is_err(), "already a member");
-        assert!(cluster.remove_node(node_a[0].addr()).is_err(), "not a member");
+        assert!(cluster.update_membership(&[node_b[0].addr()], &[]).is_err(), "already a member");
+        assert!(cluster.update_membership(&[], &[node_a[0].addr()]).is_err(), "not a member");
     }
 
     #[test]
@@ -460,7 +450,7 @@ mod tests {
             .iter()
             .position(|n| n.core().is_empty())
             .expect("4 nodes, 3 singly-placed blobs: someone is empty");
-        let change = cluster.remove_node(nodes[empty_idx].addr()).unwrap();
+        let change = cluster.update_membership(&[], &[nodes[empty_idx].addr()]).unwrap();
         assert_eq!(change.rebalanced_blobs, 0, "no blob's replica set involved the empty node");
         for id in &ids {
             assert!(cluster.get(id).unwrap().is_some(), "{id} must survive the removal");
@@ -526,7 +516,7 @@ mod tests {
             });
             // ~half the blobs re-own to node B; at 40 ms per streamed
             // copy the reader laps the ID space many times mid-window.
-            cluster.add_node(node_b.addr()).unwrap();
+            cluster.update_membership(&[node_b.addr()], &[]).unwrap();
             done_tx.send(()).unwrap();
         });
         // Window closed: the fallback epoch is gone, yet everything
@@ -554,14 +544,14 @@ mod tests {
             let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
-        let change = cluster.add_node(dead_addr).unwrap();
+        let change = cluster.update_membership(&[dead_addr], &[]).unwrap();
         assert_eq!(change.rebalanced_blobs, 0, "nothing can stream to a dead node");
         assert!(cluster.rebalance_window_open(), "failed streams must keep the window open");
         // Further churn is refused until the cluster converges — a
         // second epoch bump would overwrite the only fallback epoch
         // still protecting the unstreamed blobs.
         assert!(
-            cluster.add_node("127.0.0.1:1".parse().unwrap()).is_err(),
+            cluster.update_membership(&["127.0.0.1:1".parse().unwrap()], &[]).is_err(),
             "membership changes must be refused while the window is open"
         );
         // Reads stay honest: blobs still owned by the live node serve;
@@ -586,6 +576,51 @@ mod tests {
         for id in &ids {
             assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
         }
+    }
+
+    #[test]
+    fn corrupt_copy_mid_window_falls_back_to_the_previous_epoch() {
+        // R=2 over {a, b}, then a third node joins while down, holding
+        // the window open. A blob re-owned to {new, b} then meets a 404
+        // from its (empty) new owner and a rotten copy on b: the intact
+        // copy at its previous-epoch home a must serve it, and the read
+        // must heal both current replicas.
+        let dir = std::env::temp_dir().join(format!("p3-window-rot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(crate::PackedBackend::open(&dir).unwrap());
+        let nodes = [
+            StorageService::spawn().unwrap(),
+            StorageService::spawn_with(Arc::new(StorageCore::with_backend(disk.clone()))).unwrap(),
+        ];
+        let cluster = cluster(&nodes, 2);
+        let ids: Vec<String> = (0..32).map(|i| format!("rot-{i}")).collect();
+        for id in &ids {
+            cluster.put(id, id.as_bytes()).unwrap();
+        }
+        let dead_addr = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            l.local_addr().unwrap()
+        };
+        cluster.update_membership(&[dead_addr], &[]).unwrap();
+        assert!(cluster.rebalance_window_open());
+        let reborn = Arc::new(StorageCore::new());
+        let _svc = respawn_on(dead_addr, Arc::clone(&reborn));
+        let id = ids
+            .iter()
+            .find(|id| {
+                let owners = cluster.replicas_for(id);
+                owners.contains(&dead_addr) && owners.contains(&nodes[1].addr())
+            })
+            .expect("32 blobs over 3 nodes: some re-own to {new, b}");
+        assert!(disk.corrupt_live_needles().unwrap() > 0);
+
+        match cluster.get(id) {
+            Ok(Some(body)) => assert_eq!(&body[..], id.as_bytes()),
+            other => panic!("{id}: the previous epoch holds it intact, got {other:?}"),
+        }
+        assert_eq!(reborn.get(id).unwrap().unwrap().as_ref(), id.as_bytes(), "new owner healed");
+        assert_eq!(disk.get(id).unwrap().unwrap().as_ref(), id.as_bytes(), "rotten copy healed");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -622,7 +657,7 @@ mod tests {
         other[0].shutdown();
         // Remove the (alive, data-holding) node: every stream to the
         // dead survivor fails, so the window stays open.
-        cluster.remove_node(keeper[0].addr()).unwrap();
+        cluster.update_membership(&[], &[keeper[0].addr()]).unwrap();
         assert!(cluster.rebalance_window_open());
         // The survivor returns empty. The first sweep must find the
         // ex-member's copies and stream them over; only the clean
@@ -706,7 +741,7 @@ mod tests {
         let walker = Arc::clone(&cluster);
         let hostile_addr = hostile.addr();
         std::thread::spawn(move || {
-            let change = walker.add_node(hostile_addr).unwrap();
+            let change = walker.update_membership(&[hostile_addr], &[]).unwrap();
             let swept = walker.sweep_once();
             let _ = done_tx.send((change.rebalanced_blobs, swept));
         });

@@ -609,11 +609,21 @@ impl StorageBackend for ClusterBackend {
             // copy reachable the read fails loudly (503 + corrupt
             // marker) for the client to retry — never a definitive
             // miss, which would hand the proxy the privacy-degraded
-            // public part to serve as a non-P3 photo.
-            None if !corrupt.is_empty() => Err(StorageError::Corrupt(format!(
-                "{} replica(s) hold only corrupt copies of {id}; no intact copy reachable",
-                corrupt.len()
-            ))),
+            // public part to serve as a non-P3 photo. Mid-rebalance the
+            // previous epoch's home may still hold an intact copy: the
+            // probe serves it and writes it through to every current
+            // replica, the rotten one included.
+            None if !corrupt.is_empty() => {
+                let current: Vec<SocketAddr> = replicas.iter().map(|&n| m.nodes[n]).collect();
+                if let Ok(Some(body)) = self.get_from_prev_epoch(id, &current) {
+                    self.stats.get_hit(body.len());
+                    return Ok(Some(Arc::from(body)));
+                }
+                Err(StorageError::Corrupt(format!(
+                    "{} replica(s) hold only corrupt copies of {id}; no intact copy reachable",
+                    corrupt.len()
+                )))
+            }
             None if absent >= Self::miss_quorum(r) => {
                 // A met miss quorum is only definitive when placement
                 // is stable: mid-rebalance, the blob may live at its

@@ -34,7 +34,7 @@
 //!   layer uses to stop read-repair and anti-entropy from resurrecting
 //!   deleted blobs from stale replicas.
 //!
-//! Segment rewriting (space reclaim) lives in [`crate::compact`].
+//! Segment rewriting (space reclaim) lives in [`crate::Compactor`].
 
 use crate::needle::{self, ScanEntry, FLAG_TOMBSTONE};
 use crate::{BackendStats, StatCounters, StorageBackend, StorageError, StorageResult};
@@ -339,8 +339,9 @@ impl PackedBackend {
         &self.inner.dir
     }
 
-    /// Live segment count (for benches and tests).
-    pub fn segment_count(&self) -> usize {
+    /// Live segment count.
+    #[cfg(test)]
+    pub(crate) fn segment_count(&self) -> usize {
         self.inner.segs.lock().len()
     }
 

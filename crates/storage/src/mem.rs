@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// Default shard count: plenty of lock spread for tens of workers while
 /// keeping the `len()` sweep trivial.
-pub const DEFAULT_SHARDS: usize = 16;
+const DEFAULT_SHARDS: usize = 16;
 
 /// Sharded in-memory blob store.
 #[derive(Debug)]
@@ -37,13 +37,13 @@ impl Default for MemBackend {
 }
 
 impl MemBackend {
-    /// Empty store with [`DEFAULT_SHARDS`] shards.
+    /// Empty store with `DEFAULT_SHARDS` shards.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
     /// Empty store with an explicit shard count (minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
+    fn with_shards(shards: usize) -> Self {
         let n = shards.max(1);
         Self {
             shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),

@@ -37,7 +37,7 @@ use std::io::Read;
 /// Frame magic ("P3 Needle v1").
 pub const MAGIC: [u8; 4] = *b"P3N1";
 /// Trailer magic closing every frame.
-pub const TRAILER: [u8; 4] = *b"p3nt";
+const TRAILER: [u8; 4] = *b"p3nt";
 /// Fixed header length (magic + flags + id len + seq + payload len).
 pub const HEADER_LEN: usize = 4 + 1 + 2 + 8 + 8;
 /// Fixed per-frame overhead beyond ID + payload (header + CRC + trailer).
@@ -227,12 +227,12 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Incremental CRC32: the streaming form lets the segment scan hash
 /// header and payload without concatenating them.
-pub fn crc32_init() -> u32 {
+fn crc32_init() -> u32 {
     !0u32
 }
 
 /// Feed bytes into a streaming CRC32 state.
-pub fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
+fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
     const TABLE: [u32; 256] = crc32_table();
     for &b in data {
         state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
@@ -241,7 +241,7 @@ pub fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
 }
 
 /// Finalize a streaming CRC32 state.
-pub fn crc32_fin(state: u32) -> u32 {
+fn crc32_fin(state: u32) -> u32 {
     !state
 }
 

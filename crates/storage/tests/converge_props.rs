@@ -100,13 +100,13 @@ proptest! {
                 }
                 Op::Add if members.len() < 5 => {
                     let node = StorageService::spawn().expect("node");
-                    cluster.add_node(node.addr()).expect("add");
+                    cluster.update_membership(&[node.addr()], &[]).expect("add");
                     members.push(node);
                     wiped_since_pass = false;
                 }
                 Op::Remove(n) if members.len() > 3 => {
                     let node = members.remove(usize::from(n) % members.len());
-                    cluster.remove_node(node.addr()).expect("remove");
+                    cluster.update_membership(&[], &[node.addr()]).expect("remove");
                     retired.push(node);
                     wiped_since_pass = false;
                 }

@@ -180,7 +180,7 @@ impl EigenfaceModel {
     }
 
     /// Project a face into the subspace, producing its coefficient vector.
-    pub fn project(&self, face: &ImageF32) -> Vec<f32> {
+    fn project(&self, face: &ImageF32) -> Vec<f32> {
         assert_eq!(face.width, self.width, "face width mismatch");
         assert_eq!(face.height, self.height, "face height mismatch");
         let centered: Vec<f32> =
@@ -191,24 +191,8 @@ impl EigenfaceModel {
             .collect()
     }
 
-    /// Reconstruction error ("distance from face space") — Turk &
-    /// Pentland's faceness score, also usable for crude face detection.
-    pub fn distance_from_face_space(&self, face: &ImageF32) -> f32 {
-        let coeffs = self.project(face);
-        let centered: Vec<f32> =
-            face.data.iter().zip(self.mean.iter()).map(|(&v, &m)| v - m).collect();
-        let mut recon = vec![0f32; centered.len()];
-        for (c, e) in coeffs.iter().zip(self.basis.iter()) {
-            for (r, &ev) in recon.iter_mut().zip(e.iter()) {
-                *r += c * ev;
-            }
-        }
-        centered.iter().zip(recon.iter()).map(|(&a, &b)| (a - b) * (a - b)).sum::<f32>().sqrt()
-            / (centered.len() as f32).sqrt()
-    }
-
     /// Distance between two projected coefficient vectors.
-    pub fn distance(&self, a: &[f32], b: &[f32], metric: Distance) -> f32 {
+    fn distance(&self, a: &[f32], b: &[f32], metric: Distance) -> f32 {
         match metric {
             Distance::Euclidean => {
                 a.iter().zip(b.iter()).map(|(&x, &y)| (x - y) * (x - y)).sum::<f32>().sqrt()
@@ -439,21 +423,6 @@ mod tests {
             }
         }
         assert!(hits <= 6, "noise matched identity 0 {hits}/12 times");
-    }
-
-    #[test]
-    fn dffs_separates_faces_from_noise() {
-        let train = training_set(6, 3);
-        let model = EigenfaceModel::train(&train, 10).unwrap();
-        let face_dffs = model.distance_from_face_space(&face(2, 9, 24, 24));
-        let mut noise = ImageF32::new(24, 24);
-        let mut state = 5u32;
-        for p in noise.data.iter_mut() {
-            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-            *p = (state >> 24) as f32;
-        }
-        let noise_dffs = model.distance_from_face_space(&noise);
-        assert!(face_dffs < noise_dffs, "face {face_dffs} vs noise {noise_dffs}");
     }
 
     #[test]

@@ -48,7 +48,7 @@ impl IntegralImage {
 
     /// Sum of pixels in `[x, x+w) × [y, y+h)`.
     #[inline]
-    pub fn rect_sum(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
+    fn rect_sum(&self, x: usize, y: usize, w: usize, h: usize) -> f64 {
         debug_assert!(x + w <= self.width && y + h <= self.height);
         let s = self.width + 1;
         self.sum[(y + h) * s + x + w] + self.sum[y * s + x]
@@ -57,7 +57,7 @@ impl IntegralImage {
     }
 
     /// Mean and standard deviation of a window.
-    pub fn window_stats(&self, x: usize, y: usize, w: usize, h: usize) -> (f64, f64) {
+    fn window_stats(&self, x: usize, y: usize, w: usize, h: usize) -> (f64, f64) {
         let s = self.width + 1;
         let n = (w * h) as f64;
         let total = self.rect_sum(x, y, w, h);
@@ -101,7 +101,7 @@ pub struct HaarFeature {
 }
 
 /// Canonical training window side.
-pub const WINDOW: usize = 24;
+const WINDOW: usize = 24;
 
 impl HaarFeature {
     /// Evaluate at a scaled window anchored at `(wx, wy)` with side
@@ -315,7 +315,7 @@ impl Cascade {
     }
 
     /// Does the window pass the whole cascade?
-    pub fn classify_window(
+    fn classify_window(
         &self,
         ii: &IntegralImage,
         wx: usize,
@@ -579,6 +579,27 @@ mod tests {
         assert_eq!(ii.rect_sum(0, 0, 4, 4), (0..16).sum::<usize>() as f64);
         assert_eq!(ii.rect_sum(1, 1, 2, 2), (5 + 6 + 9 + 10) as f64);
         assert_eq!(ii.rect_sum(3, 3, 1, 1), 15.0);
+    }
+
+    #[test]
+    fn integral_image_matches_naive_sum_on_every_rect() {
+        let (w, h) = (7, 5);
+        let mut img = ImageF32::new(w, h);
+        let mut st = 9;
+        for v in img.data.iter_mut() {
+            *v = lcg(&mut st) * 255.0;
+        }
+        let ii = IntegralImage::new(&img);
+        for (x, y) in (0..w).flat_map(|x| (0..h).map(move |y| (x, y))) {
+            for (rw, rh) in (1..=w - x).flat_map(|rw| (1..=h - y).map(move |rh| (rw, rh))) {
+                let naive: f64 = (y..y + rh)
+                    .flat_map(|yy| (x..x + rw).map(move |xx| (xx, yy)))
+                    .map(|(xx, yy)| f64::from(img.get(xx, yy)))
+                    .sum();
+                let fast = ii.rect_sum(x, y, rw, rh);
+                assert!((fast - naive).abs() < 1e-3, "({x},{y},{rw},{rh}): {fast} vs {naive}");
+            }
+        }
     }
 
     #[test]

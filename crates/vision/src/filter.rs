@@ -54,7 +54,7 @@ pub(crate) fn accumulate_v<'a>(
 }
 
 /// Convolve horizontally with a 1-D kernel (odd length).
-pub fn convolve_h(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
+fn convolve_h(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let mut out = ImageF32::new(img.width, img.height);
     if img.width > 0 {
@@ -67,7 +67,7 @@ pub fn convolve_h(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
 }
 
 /// Convolve vertically with a 1-D kernel (odd length).
-pub fn convolve_v(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
+fn convolve_v(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
     assert!(kernel.len() % 2 == 1, "kernel length must be odd");
     let (w, h) = (img.width, img.height);
     let mut out = ImageF32::new(w, h);
@@ -80,7 +80,7 @@ pub fn convolve_v(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
 }
 
 /// Separable convolution with the same 1-D kernel in both axes.
-pub fn convolve_separable(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
+fn convolve_separable(img: &ImageF32, kernel: &[f32]) -> ImageF32 {
     convolve_v(&convolve_h(img, kernel), kernel)
 }
 

@@ -136,22 +136,6 @@ impl ImageF32 {
         self.data[y * self.width + x] = v;
     }
 
-    /// Bilinear sample at fractional coordinates (clamped).
-    pub fn sample_bilinear(&self, x: f32, y: f32) -> f32 {
-        let x0 = x.floor() as isize;
-        let y0 = y.floor() as isize;
-        let fx = x - x0 as f32;
-        let fy = y - y0 as f32;
-        let p00 = self.get_clamped(x0, y0);
-        let p10 = self.get_clamped(x0 + 1, y0);
-        let p01 = self.get_clamped(x0, y0 + 1);
-        let p11 = self.get_clamped(x0 + 1, y0 + 1);
-        p00 * (1.0 - fx) * (1.0 - fy)
-            + p10 * fx * (1.0 - fy)
-            + p01 * (1.0 - fx) * fy
-            + p11 * fx * fy
-    }
-
     /// Elementwise addition — the pixel-domain reconstruction primitive of
     /// paper Eq. 2 (`A·xp + A·(xs + corr)`).
     pub fn add(&self, other: &ImageF32) -> ImageF32 {
@@ -223,13 +207,6 @@ mod tests {
     fn from_raw_validates() {
         assert!(ImageF32::from_raw(2, 2, vec![0.0; 3]).is_none());
         assert!(ImageF32::from_u8(2, 2, &[0; 5]).is_none());
-    }
-
-    #[test]
-    fn bilinear_interpolates() {
-        let img = ImageF32::from_raw(2, 1, vec![0.0, 10.0]).unwrap();
-        assert!((img.sample_bilinear(0.5, 0.0) - 5.0).abs() < 1e-6);
-        assert!((img.sample_bilinear(0.0, 0.0) - 0.0).abs() < 1e-6);
     }
 
     #[test]

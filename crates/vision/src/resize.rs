@@ -51,7 +51,7 @@ impl ResizeFilter {
     }
 
     /// Kernel support radius (in source pixels at scale 1).
-    pub fn support(&self) -> f32 {
+    fn support(&self) -> f32 {
         match self {
             ResizeFilter::Box => 0.5,
             ResizeFilter::Triangle => 1.0,
@@ -160,11 +160,6 @@ impl AxisTaps {
 
     fn end_output(&mut self) {
         self.bounds.push(self.index.len() as u32);
-    }
-
-    /// Source length the taps index into.
-    pub fn src_len(&self) -> usize {
-        self.src_len
     }
 
     /// Number of output positions.

@@ -321,7 +321,7 @@ fn descriptor(
 }
 
 /// Euclidean distance between descriptors.
-pub fn descriptor_distance(a: &[f32; 128], b: &[f32; 128]) -> f32 {
+fn descriptor_distance(a: &[f32; 128], b: &[f32; 128]) -> f32 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum::<f32>().sqrt()
 }
 

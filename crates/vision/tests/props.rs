@@ -1,6 +1,5 @@
 //! Property tests for the vision substrate.
 
-use p3_vision::facedetect::IntegralImage;
 use p3_vision::filter::{gaussian_blur, gaussian_kernel};
 use p3_vision::image::ImageF32;
 use p3_vision::metrics::{mse, psnr, ssim};
@@ -21,25 +20,6 @@ fn arb_image(max_side: usize) -> impl Strategy<Value = ImageF32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn integral_image_matches_naive_sum(img in arb_image(24),
-                                        fx in 0.0f64..1.0, fy in 0.0f64..1.0,
-                                        fw in 0.0f64..1.0, fh in 0.0f64..1.0) {
-        let x = (fx * (img.width - 1) as f64) as usize;
-        let y = (fy * (img.height - 1) as f64) as usize;
-        let w = 1 + (fw * (img.width - x - 1) as f64) as usize;
-        let h = 1 + (fh * (img.height - y - 1) as f64) as usize;
-        let ii = IntegralImage::new(&img);
-        let fast = ii.rect_sum(x, y, w, h);
-        let mut naive = 0f64;
-        for yy in y..y + h {
-            for xx in x..x + w {
-                naive += f64::from(img.get(xx, yy));
-            }
-        }
-        prop_assert!((fast - naive).abs() < 1e-3, "{fast} vs {naive}");
-    }
 
     #[test]
     fn blur_preserves_mean(seed in any::<u32>(),

@@ -1,65 +1,13 @@
 //! Integration tests for the paper's discussion-section extensions:
-//! APPn embedding (§4.1 negative result), per-ladder secret parts
-//! (§5.3 optimization), video (§4.2), hostile PSP countermeasure (§4.2),
-//! and 4:2:2 uploads through the whole pipeline.
+//! video (§4.2), hostile PSP countermeasure (§4.2), and 4:2:2 uploads
+//! through the whole pipeline.
 
-use p3_core::embed::{embed_secret, extract_secret};
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_crypto::EnvelopeKey;
 
 fn photo_jpeg(subsampling: p3_jpeg::Subsampling) -> Vec<u8> {
     let img = p3_datasets::synth::scene(31, 320, 240, &p3_datasets::synth::SceneParams::default());
     p3_jpeg::Encoder::new().quality(90).subsampling(subsampling).encode_rgb(&img).unwrap()
-}
-
-#[test]
-fn embedding_works_with_cooperative_psp_but_not_hostile_stripping() {
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
-    let key = EnvelopeKey::derive(b"m", b"embed-test");
-    let jpeg = photo_jpeg(p3_jpeg::Subsampling::S420);
-    let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
-
-    // Cooperative path: secret embedded in the public JPEG, single file.
-    let combined = embed_secret(&parts.public_jpeg, &parts.secret_blob).unwrap();
-    assert!(p3_jpeg::decode_to_rgb(&combined).is_ok(), "combined file must stay JPEG");
-    let (blob, clean_public) = extract_secret(&combined).unwrap().expect("embedded");
-    let restored = codec.decrypt_jpeg(&clean_public, &blob, &key).unwrap();
-    let (a, _) = p3_jpeg::decode_to_coeffs(&jpeg).unwrap();
-    let (b, _) = p3_jpeg::decode_to_coeffs(&restored).unwrap();
-    for (ca, cb) in a.components.iter().zip(b.components.iter()) {
-        assert_eq!(ca.blocks, cb.blocks);
-    }
-
-    // Real-world path: the PSP strips the markers, destroying the secret
-    // (the reason P3 ships with a separate storage provider).
-    let psp = p3_psp::PspCore::new(p3_psp::PspProfile::facebook());
-    let id = psp.upload(&combined).unwrap();
-    let stored = psp.stored_original(id).unwrap();
-    assert!(extract_secret(&stored).unwrap().is_none(), "PSP kept the embedded secret?");
-}
-
-#[test]
-fn ladder_secrets_cut_download_bytes_for_small_renditions() {
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
-    let key = EnvelopeKey::derive(b"m", b"ladder-test");
-    let jpeg = photo_jpeg(p3_jpeg::Subsampling::S420);
-    let full = codec.encrypt_jpeg(&jpeg, &key).unwrap();
-    let ladder = codec.encrypt_jpeg_ladder(&jpeg, &key, &[720, 130, 75]).unwrap();
-
-    // Downloading the 75-px rendition with a per-ladder secret costs far
-    // less than dragging the full-size secret along (the paper's
-    // bandwidth/storage trade).
-    let (_, thumb_parts) = &ladder[2];
-    assert!(
-        thumb_parts.secret_blob.len() * 3 < full.secret_blob.len(),
-        "thumb secret {} vs full secret {}",
-        thumb_parts.secret_blob.len(),
-        full.secret_blob.len()
-    );
-    // Total storage across the ladder exceeds the single secret — the
-    // documented trade-off.
-    let total: usize = ladder.iter().map(|(_, p)| p.secret_blob.len()).sum();
-    assert!(total > full.secret_blob.len());
 }
 
 #[test]

@@ -4,6 +4,7 @@
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_core::pixel::rgb_to_luma;
 use p3_crypto::EnvelopeKey;
+use p3_jpeg::encoder::{encode_coeffs, Mode};
 use p3_vision::metrics::psnr;
 
 fn corpus() -> Vec<Vec<u8>> {
@@ -102,7 +103,8 @@ fn grayscale_photos_work_end_to_end() {
             gray.set(x, y, ((x * x + y * 3) % 256) as u8);
         }
     }
-    let jpeg = p3_jpeg::Encoder::new().quality(90).encode_gray(&gray).unwrap();
+    let coeffs = p3_jpeg::encoder::gray_to_coeffs(&gray, 90).unwrap();
+    let jpeg = encode_coeffs(&coeffs, Mode::BaselineOptimized, 0).unwrap();
     let key = EnvelopeKey::derive(b"k", b"gray");
     let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
     let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
@@ -117,11 +119,8 @@ fn progressive_uploads_split_too() {
     // A photo already in progressive format (e.g. re-shared from
     // Facebook) must also split and roundtrip.
     let img = p3_datasets::synth::scene(3, 160, 120, &p3_datasets::synth::SceneParams::default());
-    let jpeg = p3_jpeg::Encoder::new()
-        .quality(88)
-        .mode(p3_jpeg::encoder::Mode::Progressive)
-        .encode_rgb(&img)
-        .unwrap();
+    let coeffs = p3_jpeg::encoder::pixels_to_coeffs(&img, 88, p3_jpeg::Subsampling::S420).unwrap();
+    let jpeg = encode_coeffs(&coeffs, Mode::Progressive, 0).unwrap();
     let key = EnvelopeKey::derive(b"k", b"prog");
     let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
     let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();

@@ -634,7 +634,9 @@ fn asymmetric_partition_degrades_to_503_and_heals_zero_wrong_data() {
 
     // Heal. After the (deterministic, jitter-free) backoff window the
     // router re-probes and serves byte-identical data again.
-    plan.clear_all();
+    for addr in &replicas {
+        plan.clear("router", *addr);
+    }
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         match cluster.get("photo-p") {

@@ -11,7 +11,7 @@
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
-use p3_net::{http_get, http_post};
+use p3_net::{http_get, http_post, Method, Request};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::needle;
 use p3_storage::{
@@ -231,19 +231,14 @@ fn delete_compact_restart_over_http_never_resurrects() {
         for round in 0..3 {
             for k in 0..12 {
                 let body = blob_for(seed, round * 100 + k, 1024);
-                let resp = p3_net::client::http_put(
-                    addr,
-                    &format!("/blobs/churn-{k}"),
-                    "application/octet-stream",
-                    body,
-                )
-                .expect("put");
+                let put = Request::new(Method::Put, &format!("/blobs/churn-{k}"), body);
+                let resp = p3_net::client::send(addr, put).expect("put");
                 assert!(resp.status.is_success());
             }
         }
         for k in 6..12 {
-            let resp =
-                p3_net::client::http_delete(addr, &format!("/blobs/churn-{k}")).expect("delete");
+            let delete = Request::new(Method::Delete, &format!("/blobs/churn-{k}"), Vec::new());
+            let resp = p3_net::client::send(addr, delete).expect("delete");
             assert!(resp.status.is_success());
             // Tombstoned IDs answer 404 with the tombstone marker — the
             // definitive "deleted", not a mere "don't have it".

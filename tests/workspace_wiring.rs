@@ -2,7 +2,7 @@
 //! buildable, and the documentation's description of the workspace stays
 //! consistent with the manifests on disk.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fs;
 use std::path::PathBuf;
 
@@ -342,4 +342,520 @@ fn docs_name_only_flags_the_cli_reads() {
 
 fn is_flag_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '-' || c == '_'
+}
+
+/// `pub` items no shipping code calls, each with the one kind of reason
+/// that lets a test-only item stay public: a `test oracle` (a reference
+/// implementation tests compare the shipping one against), a `test seam`
+/// (a switch only tests flip) or a `test observer` (a read-only value
+/// only tests assert on).
+#[rustfmt::skip]
+const ALLOWED: &[(&str, &str, &str)] = &[
+    ("crates/core/src/split.rs", "secret_plus_correction",
+        "test oracle: Eq. 1's secret-side delta"),
+    ("crates/core/src/transform.rs", "apply_linear",
+        "test oracle: the `A` of Eq. 2 on its own"),
+    ("crates/jpeg/src/dct.rs", "fdct_from_u8",
+        "test oracle: the f32 DCT the AAN path is gated on"),
+    ("crates/jpeg/src/dct.rs", "idct8x8",
+        "test oracle: the f32 IDCT Eq. 2's pipeline is pinned to"),
+    ("crates/jpeg/src/dct.rs", "idct_to_u8",
+        "test oracle: the f32 IDCT the AAN path is gated on"),
+    ("crates/jpeg/src/quant.rs", "dequantize",
+        "test oracle: the f32 dequantizer feeding those IDCTs"),
+    ("crates/vision/src/metrics.rs", "ssim",
+        "test oracle: the yardstick privacy tests grade parts with"),
+    ("crates/vision/src/resize.rs", "gamma_correct",
+        "test oracle: the per-image gamma the LUT must match"),
+    ("crates/par/src/features.rs", "set_force_scalar",
+        "test seam: both dispatch paths in one process"),
+    ("crates/par/src/pool.rs", "set_global_threads",
+        "test seam: the codec properties' thread axis"),
+    ("crates/storage/src/fault.rs", "tamper",
+        "test seam: arms the rot fail-closed tests run on"),
+    ("crates/net/src/http.rs", "MAX_HEADER_BYTES",
+        "test observer: the guard a property probes past"),
+    ("crates/net/src/proxy.rs", "secret_cache_len",
+        "test observer: the secret cache's size"),
+    ("crates/net/src/proxy.rs", "server_stats",
+        "test observer: the serving counters, in-process"),
+    ("crates/psp/src/service.rs", "photo_count",
+        "test observer: the photo map's size"),
+    ("crates/storage/src/lib.rs", "get_count",
+        "test observer: blob reads, for singleflight tests"),
+];
+
+const REASON_KINDS: [&str; 3] = ["test oracle", "test seam", "test observer"];
+
+/// Every `pub fn | const | static | struct | enum | trait | type | mod`
+/// under `crates/*/src` (shims aside) is named outside its own file by
+/// shipping code: `crates/*/src`, `src/`, `examples/` or `perfbench/src/`,
+/// with comments, string contents, `#[cfg(test)]` items and `pub use`
+/// re-exports stripped first. A type is also reached when a reached item
+/// of its own file names it: a `pub fn` in its signature, a struct, enum
+/// or alias in its definition. Anything else needs an `ALLOWED` entry,
+/// and an entry whose item is gone or has since found a shipping caller
+/// fails too.
+#[test]
+fn every_pub_item_has_a_shipping_caller() {
+    let root = repo_root();
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(&root).unwrap().to_str().unwrap().replace('\\', "/");
+            (rel, fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}")))
+        })
+        .collect();
+    let scan = scan_pub_items(&files);
+    assert!(scan.declared > 300, "pub item scan is broken: only {} items seen", scan.declared);
+
+    assert!(ALLOWED.len() <= 25, "the allow-list has grown to {} entries", ALLOWED.len());
+    let failures = allow_list_failures(&scan, ALLOWED);
+    assert!(failures.is_empty(), "{} failures:\n  {}", failures.len(), failures.join("\n  "));
+}
+
+/// Every uncalled item `allowed` does not list, and every entry of it
+/// that is stale (its item gone or called) or gives a reason of no kind.
+fn allow_list_failures(scan: &PubScan, allowed: &[(&str, &str, &str)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for &(file, name, reason) in allowed {
+        if !REASON_KINDS.iter().any(|kind| reason.starts_with(&format!("{kind}: "))) {
+            failures.push(format!("{file}: `{name}`'s reason is none of {REASON_KINDS:?}"));
+        }
+        if !scan.declared_at(file, name) {
+            failures.push(format!("{file}: allowed `{name}` is no longer a pub item there"));
+        } else if !scan.uncalled.iter().any(|u| u.file == file && u.name == name) {
+            failures.push(format!("{file}: allowed `{name}` now has a shipping caller"));
+        }
+    }
+    for item in &scan.uncalled {
+        if !allowed.iter().any(|&(file, name, _)| item.file == file && item.name == name) {
+            failures.push(format!(
+                "{}: pub {} `{}` has no shipping caller ({})",
+                item.file, item.kind, item.name, item.named_by
+            ));
+        }
+    }
+    failures
+}
+
+/// The scanner's own edges: a name in a `#[cfg(test)]` item, a comment,
+/// a string or a `pub use` line is no caller; one in another crate's
+/// `src/` is, and so is a reached item's signature or definition. The
+/// allow-list check fails a stale entry.
+#[test]
+fn pub_item_scan_strips_tests_comments_and_reexports() {
+    let lib = "
+        pub fn in_test_mod() {}
+        pub fn in_comment() {}
+        pub fn in_string() {}
+        pub fn reexported() {}
+        pub(crate) fn crate_visible() {}
+        pub const fn called() -> Reached { Reached { nested: Nested } }
+        pub struct Reached { pub nested: Nested }
+        pub struct Nested;
+        pub struct Unreached;
+        pub mod inner {}
+        /// `pub fn in_doc_comment() {}` declares nothing.
+        #[cfg(test)]
+        pub fn test_only() {}
+        mod tests { pub fn in_plain_mod() {} }
+    ";
+    let user = r#"
+        #[cfg(test)]
+        mod tests {
+            fn t() { a::in_test_mod(); a::test_only(); }
+        }
+        // a::in_comment();
+        /* a::in_comment(); */
+        const S: &str = "a::in_string()";
+        const C: char = '"'; fn quote() -> char { C }
+        pub use a::reexported;
+        pub use a::{
+            in_plain_mod, inner,
+        };
+        fn f<'a>(_: &'a str) { a::called(); }
+    "#;
+    let files = [
+        ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/b/src/lib.rs".to_string(), user.to_string()),
+        ("tests/it.rs".to_string(), "fn t() { a::in_comment(); a::Unreached; }".to_string()),
+    ];
+    let scan = scan_pub_items(&files);
+    let mut uncalled: Vec<&str> = scan.uncalled.iter().map(|u| u.name.as_str()).collect();
+    uncalled.sort_unstable();
+    assert_eq!(
+        uncalled,
+        [
+            "Unreached",
+            "in_comment",
+            "in_plain_mod",
+            "in_string",
+            "in_test_mod",
+            "inner",
+            "reexported"
+        ]
+    );
+    assert_eq!(scan.declared, 10, "crate-visible, doc-comment and cfg(test) items are not pub API");
+    assert!(scan.declared_at("crates/a/src/lib.rs", "called"));
+    let named_by = |name: &str| scan.uncalled.iter().find(|u| u.name == name).unwrap().named_by;
+    assert_eq!(named_by("in_comment"), "named only by tests");
+    assert_eq!(named_by("inner"), "named by nothing");
+
+    // The allow-list cannot rot: an entry for a called or a deleted item,
+    // or one whose reason is no allowed kind, fails like an unlisted item.
+    let lib_rs = "crates/a/src/lib.rs";
+    let allowed: Vec<_> = ["in_comment", "in_plain_mod", "in_string", "in_test_mod", "reexported"]
+        .into_iter()
+        .map(|name| (lib_rs, name, "test oracle: listed"))
+        .chain([
+            (lib_rs, "Unreached", "test observer: listed"),
+            (lib_rs, "called", "test seam: has a caller now"),
+            (lib_rs, "deleted", "test seam: no such item"),
+            (lib_rs, "inner", "kept because"),
+        ])
+        .collect();
+    let failures = allow_list_failures(&scan, &allowed);
+    assert_eq!(failures.len(), 3, "{failures:#?}");
+    for (failure, name) in failures.iter().zip(["called", "deleted", "inner"]) {
+        assert!(failure.contains(&format!("`{name}`")), "{failure}");
+    }
+}
+
+struct Uncalled {
+    file: String,
+    kind: &'static str,
+    name: String,
+    /// Who names it instead: tests, its own file, or nothing.
+    named_by: &'static str,
+}
+
+struct PubScan {
+    declared: usize,
+    items: BTreeSet<(String, String)>,
+    uncalled: Vec<Uncalled>,
+}
+
+impl PubScan {
+    fn declared_at(&self, file: &str, name: &str) -> bool {
+        self.items.contains(&(file.to_string(), name.to_string()))
+    }
+}
+
+/// Where a repo-relative path sits: `(declares pub API, ships)`.
+fn role(path: &str) -> (bool, bool) {
+    let mut parts = path.split('/');
+    let crate_src = parts.next() == Some("crates")
+        && parts.next().is_some_and(|c| c != "shims")
+        && parts.next() == Some("src");
+    let ships = crate_src
+        || ["src/", "examples/", "perfbench/src/"].iter().any(|dir| path.starts_with(dir));
+    (crate_src, ships)
+}
+
+/// Find every `pub` item of `files` (repo-relative path, source) that no
+/// other shipping file names.
+fn scan_pub_items(files: &[(String, String)]) -> PubScan {
+    struct Decl {
+        file: usize,
+        kind: &'static str,
+        name: String,
+        signature: String,
+    }
+    let mut decls = Vec::new();
+    // Per file: the words of its shipping text, and of all its code.
+    let mut shipping_words = Vec::new();
+    let mut all_words = Vec::new();
+    for (index, (path, source)) in files.iter().enumerate() {
+        let (declares, ships) = role(path);
+        let code = strip_reexports(&blank_comments_and_strings(source));
+        all_words.push(word_counts(&code));
+        let shipping = strip_cfg_test(&code);
+        if declares {
+            decls.extend(pub_decls(&shipping).into_iter().map(|(kind, name, signature)| Decl {
+                file: index,
+                kind,
+                name,
+                signature,
+            }));
+        }
+        shipping_words.push(if ships { word_counts(&shipping) } else { Default::default() });
+    }
+    let called_elsewhere = |decl: &Decl| {
+        shipping_words
+            .iter()
+            .enumerate()
+            .any(|(index, words)| index != decl.file && words.contains_key(&decl.name))
+    };
+    let mut reached: Vec<bool> = decls.iter().map(called_elsewhere).collect();
+    // A type a reached item of its own file names in its signature (or,
+    // for a struct, enum or alias, its definition) is reachable through it.
+    let is_type = |decl: &Decl| ["struct", "enum", "trait", "type"].contains(&decl.kind);
+    loop {
+        let newly: Vec<usize> = (0..decls.len())
+            .filter(|&t| !reached[t] && is_type(&decls[t]))
+            .filter(|&t| {
+                decls.iter().zip(&reached).any(|(by, &reached)| {
+                    reached
+                        && by.file == decls[t].file
+                        && by.kind != "trait"
+                        && word_counts(&by.signature).contains_key(&decls[t].name)
+                })
+            })
+            .collect();
+        if newly.is_empty() {
+            break;
+        }
+        newly.into_iter().for_each(|t| reached[t] = true);
+    }
+    let uncalled = decls
+        .iter()
+        .zip(&reached)
+        .filter(|&(_, &reached)| !reached)
+        .map(|(decl, _)| {
+            let count =
+                |words: &HashMap<String, usize>| words.get(&decl.name).copied().unwrap_or(0);
+            let by_tests =
+                (0..files.len()).any(|i| count(&all_words[i]) > count(&shipping_words[i]));
+            let in_own_file = count(&shipping_words[decl.file]) > 1;
+            Uncalled {
+                file: files[decl.file].0.clone(),
+                kind: decl.kind,
+                name: decl.name.clone(),
+                named_by: match (by_tests, in_own_file) {
+                    (true, true) => "named by tests and its own file",
+                    (false, true) => "named only in its own file",
+                    (true, false) => "named only by tests",
+                    (false, false) => "named by nothing",
+                },
+            }
+        })
+        .collect();
+    PubScan {
+        declared: decls.len(),
+        items: decls.iter().map(|d| (files[d.file].0.clone(), d.name.clone())).collect(),
+        uncalled,
+    }
+}
+
+fn is_ident(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// How often each identifier occurs in `text`.
+fn word_counts(text: &str) -> HashMap<String, usize> {
+    let mut counts = HashMap::new();
+    for word in text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
+        if !word.is_empty() {
+            *counts.entry(word.to_string()).or_insert(0) += 1;
+        }
+    }
+    counts
+}
+
+/// `source` with comments and the contents of string and char literals
+/// replaced by spaces (newlines kept), so only code is left to match.
+fn blank_comments_and_strings(source: &str) -> String {
+    let s = source.as_bytes();
+    let mut out = s.to_vec();
+    let mut i = 0;
+    while i < s.len() {
+        if let Some((open, hashes)) = raw_string_open(s, i) {
+            let mut close = vec![b'"'];
+            close.extend(std::iter::repeat_n(b'#', hashes));
+            let end = s[open..]
+                .windows(close.len())
+                .position(|w| w == close)
+                .map_or(s.len(), |n| open + n);
+            blank(&mut out[open..end]);
+            i = end + close.len();
+        } else if s[i..].starts_with(b"//") {
+            let end = s[i..].iter().position(|&b| b == b'\n').map_or(s.len(), |n| i + n);
+            blank(&mut out[i..end]);
+            i = end;
+        } else if s[i..].starts_with(b"/*") {
+            let (mut depth, mut j) = (1, i + 2);
+            while j < s.len() && depth > 0 {
+                if s[j..].starts_with(b"/*") {
+                    depth += 1;
+                    j += 2;
+                } else if s[j..].starts_with(b"*/") {
+                    depth -= 1;
+                    j += 2;
+                } else {
+                    j += 1;
+                }
+            }
+            blank(&mut out[i..j]);
+            i = j;
+        } else if s[i] == b'"' {
+            let mut j = i + 1;
+            while j < s.len() && s[j] != b'"' {
+                j += if s[j] == b'\\' { 2 } else { 1 };
+            }
+            blank(&mut out[i + 1..j.min(s.len())]);
+            i = j + 1;
+        } else if s[i] == b'\'' {
+            // A char literal is `'x'` or `'\…'`; anything else is a lifetime.
+            let len = match s.get(i + 1) {
+                Some(b'\\') => s
+                    .get(i + 3..)
+                    .and_then(|rest| rest.iter().position(|&b| b == b'\''))
+                    .map(|n| n + 4),
+                Some(&lead) => {
+                    let width = match lead {
+                        0xf0.. => 4,
+                        0xe0.. => 3,
+                        0x80.. => 2,
+                        _ => 1,
+                    };
+                    (s.get(i + 1 + width) == Some(&b'\'')).then_some(width + 2)
+                }
+                None => None,
+            };
+            if let Some(len) = len {
+                blank(&mut out[i + 1..i + len - 1]);
+                i += len;
+            } else {
+                i += 1;
+            }
+        } else {
+            i += 1;
+        }
+    }
+    String::from_utf8(out).expect("blanking keeps whole characters")
+}
+
+/// Replace `bytes` with spaces, keeping newlines so lines stay put.
+fn blank(bytes: &mut [u8]) {
+    bytes.iter_mut().filter(|b| **b != b'\n').for_each(|b| *b = b' ');
+}
+
+/// If a raw string (`r"…"`, `r#"…"#`, `br"…"`) starts at `i`: the index
+/// of its first content byte and its number of `#`s.
+fn raw_string_open(s: &[u8], i: usize) -> Option<(usize, usize)> {
+    if i > 0 && is_ident(s[i - 1]) {
+        return None;
+    }
+    let at = i + [&b"br"[..], b"r"].iter().find(|p| s[i..].starts_with(p))?.len();
+    let hashes = s[at..].iter().take_while(|&&b| b == b'#').count();
+    (s.get(at + hashes) == Some(&b'"')).then_some((at + hashes + 1, hashes))
+}
+
+/// The byte just past the item or statement that starts at `from`: up to a
+/// `;` or `,` at depth 0, through a `{ … }` block (and a trailing `;`,
+/// `,` or `else` arm), or up to the bracket that closes its enclosing one.
+fn item_end(s: &[u8], from: usize) -> usize {
+    let mut depth = 0usize;
+    let mut i = from;
+    while i < s.len() {
+        match s[i] {
+            b'(' | b'[' | b'{' => depth += 1,
+            b')' | b']' | b'}' if depth == 0 => return i,
+            b')' | b']' => depth -= 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    let rest = &s[i + 1..];
+                    let skip = rest.iter().take_while(|b| b.is_ascii_whitespace()).count();
+                    match rest.get(skip) {
+                        Some(b';' | b',') => return i + 2 + skip,
+                        _ if rest[skip..].starts_with(b"else") => {}
+                        _ => return i + 1,
+                    }
+                }
+            }
+            b';' | b',' if depth == 0 => return i + 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    s.len()
+}
+
+/// `code` (already blanked) with every `#[cfg(test)]` item removed.
+fn strip_cfg_test(code: &str) -> String {
+    const ATTR: &str = "#[cfg(test)]";
+    let mut out = code.as_bytes().to_vec();
+    let mut from = 0;
+    while let Some(at) = code[from..].find(ATTR).map(|n| from + n) {
+        let end = item_end(code.as_bytes(), at + ATTR.len());
+        blank(&mut out[at..end]);
+        from = end;
+    }
+    String::from_utf8(out).expect("blanking keeps whole characters")
+}
+
+/// `code` with every re-export (`pub use …;`, `pub(crate) use …;`) removed.
+fn strip_reexports(code: &str) -> String {
+    let s = code.as_bytes();
+    let mut out = s.to_vec();
+    let mut from = 0;
+    while let Some(at) = code[from..].find("pub").map(|n| from + n) {
+        from = at + 3;
+        if at > 0 && is_ident(s[at - 1]) {
+            continue;
+        }
+        let mut j = at + 3;
+        if s.get(j) == Some(&b'(') {
+            j += s[j..].iter().position(|&b| b == b')').map_or(0, |n| n + 1);
+        }
+        j += s[j..].iter().take_while(|b| b.is_ascii_whitespace()).count();
+        if s[j..].starts_with(b"use") && s.get(j + 3).is_some_and(|&b| !is_ident(b)) {
+            let end = s[j..].iter().position(|&b| b == b';').map_or(s.len(), |n| j + n + 1);
+            blank(&mut out[at..end]);
+            from = end;
+        }
+    }
+    String::from_utf8(out).expect("blanking keeps whole characters")
+}
+
+/// Every `pub` (not `pub(…)`) item declared in `code`: its kind, its name,
+/// and its text up to the body (a fn's signature).
+fn pub_decls(code: &str) -> Vec<(&'static str, String, String)> {
+    const KINDS: [&str; 8] = ["fn", "const", "static", "struct", "enum", "trait", "type", "mod"];
+    let s = code.as_bytes();
+    let word_at = |mut i: usize| {
+        i += s[i..].iter().take_while(|b| b.is_ascii_whitespace() || **b == b'"').count();
+        let len = s[i..].iter().take_while(|&&b| is_ident(b)).count();
+        (&code[i..i + len], i + len)
+    };
+    let mut decls = Vec::new();
+    for (at, _) in code.match_indices("pub") {
+        if (at > 0 && is_ident(s[at - 1]))
+            || s.get(at + 3).is_none_or(|&b| !b.is_ascii_whitespace())
+        {
+            continue;
+        }
+        let (mut word, mut next) = word_at(at + 3);
+        let kind = loop {
+            match word {
+                "unsafe" | "async" | "extern" => {}
+                "const" if ["fn", "unsafe", "async", "extern"].contains(&word_at(next).0) => {}
+                _ => break KINDS.iter().find(|&&k| k == word).copied(),
+            }
+            (word, next) = word_at(next);
+        };
+        let Some(kind) = kind else { continue };
+        let (mut name, mut after) = word_at(next);
+        if kind == "static" && name == "mut" {
+            (name, after) = word_at(after);
+        }
+        if name.is_empty() {
+            continue;
+        }
+        let end = match kind {
+            "struct" | "enum" | "type" => item_end(s, after),
+            _ => s[after..]
+                .iter()
+                .position(|&b| b == b'{' || b == b';')
+                .map_or(s.len(), |n| after + n),
+        };
+        decls.push((kind, name.to_string(), code[after..end].to_string()));
+    }
+    decls
 }

@@ -420,10 +420,8 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     println!(
         "trusted proxy listening on {} (psp {psp}, storage {storage}, {workers} workers, \
-         queue {queue_depth}, idle {idle_ms}ms, cache {cache_capacity}x{cache_shards} shards, \
-         {} codec threads)",
+         queue {queue_depth}, idle {idle_ms}ms, cache {cache_capacity}x{cache_shards} shards)",
         proxy.addr(),
-        p3_par::global().threads()
     );
     park_forever()
 }

@@ -89,44 +89,22 @@ pub fn ycbcr_to_rgb(y: u8, cb: u8, cr: u8) -> (u8, u8, u8) {
     (r.clamp(0, 255) as u8, g.clamp(0, 255) as u8, b.clamp(0, 255) as u8)
 }
 
-/// Pixels per parallel band for the per-pixel stages: large enough to
-/// amortize a pool wakeup, small enough that a typical photo still splits
-/// into a few tasks per executor for load balancing.
-fn band_pixels(total: usize, threads: usize) -> usize {
-    total.div_ceil(threads * 4).max(4096)
-}
-
 /// Split an RGB image into full-resolution Y, Cb, Cr planes.
 ///
-/// The per-pixel conversion is SIMD-dispatched (see [`crate::simd`]) and
-/// fans out across the process-wide `p3_par` pool in contiguous
-/// equal-length pixel bands of the three output planes.
+/// The per-pixel conversion is SIMD-dispatched (see [`crate::simd`]).
 pub fn rgb_to_planes(img: &RgbImage) -> [Plane; 3] {
     let mut y = Plane::new(img.width, img.height);
     let mut cb = Plane::new(img.width, img.height);
     let mut cr = Plane::new(img.width, img.height);
-    if img.data.is_empty() {
-        return [y, cb, cr];
-    }
     let level = crate::simd::simd_level();
-    let pool = p3_par::global();
-    let band = band_pixels(img.width * img.height, pool.threads());
-    let parts: Vec<_> = img
-        .data
-        .chunks(3 * band)
-        .zip(y.data.chunks_mut(band).zip(cb.data.chunks_mut(band).zip(cr.data.chunks_mut(band))))
-        .map(|(rgb, (yb, (cbb, crb)))| (rgb, yb, cbb, crb))
-        .collect();
-    pool.run_parts(parts, |_, (rgb, yb, cbb, crb)| {
-        crate::simd::rgb_rows_to_ycbcr(level, rgb, yb, cbb, crb);
-    });
+    crate::simd::rgb_rows_to_ycbcr(level, &img.data, &mut y.data, &mut cb.data, &mut cr.data);
     [y, cb, cr]
 }
 
 /// Fused [`rgb_to_planes`] + 2×2 chroma [`downsample`] for the 4:2:0
 /// fast path: full-resolution Y plus half-resolution Cb/Cr in one pass,
-/// with the full-resolution chroma rows living only in two cache-hot
-/// scratch rows per task instead of two whole planes that are written
+/// with the full-resolution chroma rows living only in cache-hot
+/// scratch rows instead of two whole planes that are written
 /// and immediately re-read.
 ///
 /// `planes` become Y, Cb, Cr, overwritten whatever they held (a caller
@@ -146,67 +124,37 @@ pub fn rgb_to_planes_420(img: &RgbImage, planes: &mut Vec<Plane>) -> bool {
     y.reset(w, h);
     cbh.reset(w / 2, h / 2);
     crh.reset(w / 2, h / 2);
-    // Bands of row pairs: scratch chroma rows are allocated once per
-    // band, not once per pair.
-    const PAIRS_PER_BAND: usize = 16;
-    let parts: Vec<_> = y
-        .data
-        .chunks_mut(2 * w * PAIRS_PER_BAND)
-        .zip(
-            cbh.data
-                .chunks_mut(w / 2 * PAIRS_PER_BAND)
-                .zip(crh.data.chunks_mut(w / 2 * PAIRS_PER_BAND)),
-        )
-        .enumerate()
-        .collect();
-    p3_par::global().run_parts(parts, |_, (band, (yband, (cbband, crband)))| {
-        // Scratch full-resolution chroma rows, used only when the fully
-        // fused row-pair kernel is unavailable (SSE2 floor); allocated
-        // lazily once per band.
-        let mut scratch: Option<[Vec<u8>; 4]> = None;
-        let pairs =
-            yband.chunks_mut(2 * w).zip(cbband.chunks_mut(w / 2).zip(crband.chunks_mut(w / 2)));
-        for (i, (ypair, (cbrow, crrow))) in pairs.enumerate() {
-            let py = 2 * (band * PAIRS_PER_BAND + i);
-            let (y0, y1) = ypair.split_at_mut(w);
-            let rgb0 = &img.data[3 * py * w..3 * (py + 1) * w];
-            let rgb1 = &img.data[3 * (py + 1) * w..3 * (py + 2) * w];
-            if crate::simd::rgb_rows2_to_ycbcr420(level, rgb0, rgb1, y0, y1, cbrow, crrow) {
-                continue;
-            }
-            let [cb0, cb1, cr0, cr1] =
-                scratch.get_or_insert_with(|| std::array::from_fn(|_| vec![0u8; w]));
-            crate::simd::rgb_rows_to_ycbcr(level, rgb0, y0, cb0, cr0);
-            crate::simd::rgb_rows_to_ycbcr(level, rgb1, y1, cb1, cr1);
-            crate::simd::downsample2x2_row(level, cb0, cb1, cbrow);
-            crate::simd::downsample2x2_row(level, cr0, cr1, crrow);
+    // Scratch full-resolution chroma rows, used only when the fully fused
+    // row-pair kernel is unavailable (SSE2 floor); allocated lazily, once
+    // per call.
+    let mut scratch: Option<[Vec<u8>; 4]> = None;
+    let pairs =
+        y.data.chunks_mut(2 * w).zip(cbh.data.chunks_mut(w / 2).zip(crh.data.chunks_mut(w / 2)));
+    for ((ypair, (cbrow, crrow)), rgb) in pairs.zip(img.data.chunks(6 * w)) {
+        let (y0, y1) = ypair.split_at_mut(w);
+        let (rgb0, rgb1) = rgb.split_at(3 * w);
+        if crate::simd::rgb_rows2_to_ycbcr420(level, rgb0, rgb1, y0, y1, cbrow, crrow) {
+            continue;
         }
-    });
+        let [cb0, cb1, cr0, cr1] =
+            scratch.get_or_insert_with(|| std::array::from_fn(|_| vec![0u8; w]));
+        crate::simd::rgb_rows_to_ycbcr(level, rgb0, y0, cb0, cr0);
+        crate::simd::rgb_rows_to_ycbcr(level, rgb1, y1, cb1, cr1);
+        crate::simd::downsample2x2_row(level, cb0, cb1, cbrow);
+        crate::simd::downsample2x2_row(level, cr0, cr1, crrow);
+    }
     true
 }
 
 /// Merge Y, Cb, Cr planes (all at full resolution) into an RGB image.
 ///
-/// SIMD-dispatched and pool-parallel like [`rgb_to_planes`].
+/// SIMD-dispatched like [`rgb_to_planes`].
 pub fn planes_to_rgb(y: &Plane, cb: &Plane, cr: &Plane) -> RgbImage {
     debug_assert_eq!(y.width, cb.width);
     debug_assert_eq!(y.width, cr.width);
     let mut img = RgbImage::new(y.width, y.height);
-    if img.data.is_empty() {
-        return img;
-    }
     let level = crate::simd::simd_level();
-    let pool = p3_par::global();
-    let band = band_pixels(y.width * y.height, pool.threads());
-    let parts: Vec<_> = img
-        .data
-        .chunks_mut(3 * band)
-        .zip(y.data.chunks(band).zip(cb.data.chunks(band).zip(cr.data.chunks(band))))
-        .map(|(rgb, (yb, (cbb, crb)))| (rgb, yb, cbb, crb))
-        .collect();
-    pool.run_parts(parts, |_, (rgb, yb, cbb, crb)| {
-        crate::simd::ycbcr_rows_to_rgb(level, yb, cbb, crb, rgb);
-    });
+    crate::simd::ycbcr_rows_to_rgb(level, &y.data, &cb.data, &cr.data, &mut img.data);
     img
 }
 
@@ -224,13 +172,11 @@ pub fn downsample(p: &Plane, fx: usize, fy: usize) -> Plane {
     let (int_w, int_h) = if (fx, fy) == (2, 2) { (p.width / 2, p.height / 2) } else { (0, 0) };
     if int_w > 0 && int_h > 0 {
         let level = crate::simd::simd_level();
-        let rows: Vec<(usize, &mut [u8])> =
-            out.data.chunks_mut(w).take(int_h).enumerate().collect();
-        p3_par::global().run_parts(rows, |_, (oy, dst)| {
+        for (oy, dst) in out.data.chunks_mut(w).take(int_h).enumerate() {
             let r0 = &p.data[2 * oy * p.width..][..2 * int_w];
             let r1 = &p.data[(2 * oy + 1) * p.width..][..2 * int_w];
             crate::simd::downsample2x2_row(level, r0, r1, &mut dst[..int_w]);
-        });
+        }
     }
     // General/edge path (whole plane for non-2×2 factors, the ragged
     // right/bottom edges otherwise).
@@ -289,11 +235,10 @@ pub fn upsample(p: &Plane, width: usize, height: usize) -> Plane {
     let mut out = Plane::new(width, height);
     // Exact-2× fast path (the 4:2:0 common case): the center-aligned taps
     // collapse to fixed (index, weight) patterns per output parity, which
-    // the SIMD row kernel exploits; rows fan out across the pool.
+    // the SIMD row kernel exploits.
     if width == 2 * p.width && height == 2 * p.height && p.width > 0 {
         let level = crate::simd::simd_level();
-        let rows: Vec<(usize, &mut [u8])> = out.data.chunks_mut(width).enumerate().collect();
-        p3_par::global().run_parts(rows, |_, (y, dst)| {
+        for (y, dst) in out.data.chunks_mut(width).enumerate() {
             let k = y / 2;
             let (y0, y1, wy) = if y % 2 == 0 {
                 (k.saturating_sub(1), k, 192)
@@ -303,7 +248,7 @@ pub fn upsample(p: &Plane, width: usize, height: usize) -> Plane {
             let row0 = &p.data[y0 * p.width..][..p.width];
             let row1 = &p.data[y1 * p.width..][..p.width];
             crate::simd::upsample2x_row(level, row0, row1, wy, dst);
-        });
+        }
         return out;
     }
     let xtaps = bilinear_taps(p.width, width);

@@ -769,36 +769,23 @@ fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()>
         // Hot path: dequantization scale factors (quant step × AAN scale ×
         // fixed-point scale) folded into one table per component, then the
         // integer AAN inverse butterflies per block — SIMD-dispatched per
-        // [`crate::simd`], with block rows fanned out across the
-        // process-wide `p3_par` pool (each task owns one disjoint
-        // 8-sample-row band of the padded plane).
+        // [`crate::simd`]. Each block is written straight into the plane,
+        // clipped to the real component size; padding blocks wholly
+        // outside it are never transformed.
         let dequantizer = AanDequantizer::new(&ci.qtables[comp.quant_idx]);
         let samp_w = (ci.width * comp.h_samp as usize).div_ceil(h_max);
         let samp_h = (ci.height * comp.v_samp as usize).div_ceil(v_max);
-        let full_w = comp.padded_w * 8;
-        let render = |data: &mut [u8]| {
-            let bands: Vec<(usize, &mut [u8])> = data.chunks_mut(full_w * 8).enumerate().collect();
-            p3_par::global().run_parts(bands, |_, (by, band)| {
-                for bx in 0..comp.padded_w {
-                    let px = crate::simd::dequant_idct(level, comp.block(bx, by), &dequantizer);
-                    for sy in 0..8 {
-                        let row = sy * full_w + bx * 8;
-                        band[row..row + 8].copy_from_slice(&px[sy * 8..sy * 8 + 8]);
-                    }
-                }
-            });
-        };
+        if samp_w.div_ceil(8) > comp.padded_w || samp_h.div_ceil(8) > comp.padded_h {
+            return Err(JpegError::Invalid("frame size exceeds the block grid".into()));
+        }
         plane.reset(samp_w, samp_h);
-        if samp_w == full_w && samp_h == comp.padded_h * 8 {
-            // Block-aligned plane (every multiple-of-8 geometry): render
-            // straight into the output, skipping the padded temp + crop.
-            render(&mut plane.data);
-        } else {
-            let mut full = vec![0u8; full_w * comp.padded_h * 8];
-            render(&mut full);
-            for y in 0..samp_h {
-                let src = y * full_w;
-                plane.data[y * samp_w..(y + 1) * samp_w].copy_from_slice(&full[src..src + samp_w]);
+        for (by, band) in plane.data.chunks_mut((samp_w * 8).max(1)).enumerate() {
+            for bx in 0..samp_w.div_ceil(8) {
+                let px = crate::simd::dequant_idct(level, comp.block(bx, by), &dequantizer);
+                let (x, n) = (bx * 8, (samp_w - bx * 8).min(8));
+                for (sy, row) in band.chunks_mut(samp_w).enumerate() {
+                    row[x..x + n].copy_from_slice(&px[sy * 8..sy * 8 + n]);
+                }
             }
         }
     }
@@ -834,7 +821,7 @@ pub fn coeffs_to_rgb_into(
             let (w, h) = (ci.width, ci.height);
             let (y, cb, cr) = (&planes[0], &planes[1], &planes[2]);
             // Fused fast path for full-size luma + exactly-half chroma
-            // (4:2:0): upsample each chroma row into a band-local scratch
+            // (4:2:0): upsample each chroma row into a one-row scratch
             // and convert to RGB in the same pass, instead of
             // materializing three full-size intermediate planes. Row taps
             // and kernels are identical to `upsample` + `planes_to_rgb`,
@@ -851,44 +838,38 @@ pub fn coeffs_to_rgb_into(
                 (img.width, img.height) = (w, h);
                 img.data.clear();
                 img.data.resize(3 * w * h, 0);
-                const BAND_ROWS: usize = 32;
-                let bands: Vec<(usize, &mut [u8])> =
-                    img.data.chunks_mut(3 * w * BAND_ROWS).enumerate().collect();
-                p3_par::global().run_parts(bands, |_, (bi, band)| {
-                    let mut cb_row = vec![0u8; w];
-                    let mut cr_row = vec![0u8; w];
-                    for (j, out_row) in band.chunks_mut(3 * w).enumerate() {
-                        let oy = bi * BAND_ROWS + j;
-                        let k = oy / 2;
-                        let (y0, y1, wy) = if oy.is_multiple_of(2) {
-                            (k.saturating_sub(1), k, 192)
-                        } else {
-                            (k, (k + 1).min(cb.height - 1), 64)
-                        };
-                        let (r0, r1) = (y0 * cb.width, y1 * cb.width);
-                        crate::simd::upsample2x_row(
-                            level,
-                            &cb.data[r0..r0 + cb.width],
-                            &cb.data[r1..r1 + cb.width],
-                            wy,
-                            &mut cb_row,
-                        );
-                        crate::simd::upsample2x_row(
-                            level,
-                            &cr.data[r0..r0 + cr.width],
-                            &cr.data[r1..r1 + cr.width],
-                            wy,
-                            &mut cr_row,
-                        );
-                        crate::simd::ycbcr_rows_to_rgb(
-                            level,
-                            &y.data[oy * w..oy * w + w],
-                            &cb_row,
-                            &cr_row,
-                            out_row,
-                        );
-                    }
-                });
+                let mut cb_row = vec![0u8; w];
+                let mut cr_row = vec![0u8; w];
+                for (oy, out_row) in img.data.chunks_mut(3 * w).enumerate() {
+                    let k = oy / 2;
+                    let (y0, y1, wy) = if oy.is_multiple_of(2) {
+                        (k.saturating_sub(1), k, 192)
+                    } else {
+                        (k, (k + 1).min(cb.height - 1), 64)
+                    };
+                    let (r0, r1) = (y0 * cb.width, y1 * cb.width);
+                    crate::simd::upsample2x_row(
+                        level,
+                        &cb.data[r0..r0 + cb.width],
+                        &cb.data[r1..r1 + cb.width],
+                        wy,
+                        &mut cb_row,
+                    );
+                    crate::simd::upsample2x_row(
+                        level,
+                        &cr.data[r0..r0 + cr.width],
+                        &cr.data[r1..r1 + cr.width],
+                        wy,
+                        &mut cr_row,
+                    );
+                    crate::simd::ycbcr_rows_to_rgb(
+                        level,
+                        &y.data[oy * w..oy * w + w],
+                        &cb_row,
+                        &cr_row,
+                        out_row,
+                    );
+                }
                 return Ok(());
             }
             let y = upsample(y, w, h);

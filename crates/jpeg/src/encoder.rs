@@ -170,10 +170,7 @@ pub fn gray_to_coeffs(img: &GrayImage, quality: u8) -> Result<CoeffImage> {
 /// Hot path: the scaled integer AAN forward DCT plus an [`AanQuantizer`]
 /// built once per plane, so each coefficient costs one reciprocal
 /// multiply instead of a float divide against an unscaled table. The
-/// DCT+quant kernel is SIMD-dispatched per [`crate::simd`], and block
-/// rows fan out across the process-wide [`p3_par`] pool (block rows are
-/// contiguous in [`ComponentCoeffs::blocks`], so each task owns a
-/// disjoint `&mut [Block]`).
+/// DCT+quant kernel is SIMD-dispatched per [`crate::simd`].
 ///
 /// MCU padding blocks (`bx ≥ blocks_w` or `by ≥ blocks_h`) keep only
 /// their DC term. Progressive AC scans are non-interleaved and per
@@ -189,9 +186,7 @@ fn plane_into_blocks(plane: &Plane, comp: &mut ComponentCoeffs, qt: &QuantTable)
     let interior_w = plane.width / 8; // blocks fully inside the plane
     let interior_h = plane.height / 8;
     let (blocks_w, blocks_h) = (comp.blocks_w, comp.blocks_h);
-    let rows: Vec<(usize, &mut [Block])> =
-        comp.blocks.chunks_mut(comp.padded_w).enumerate().collect();
-    p3_par::global().run_parts(rows, |_, (by, row)| {
+    for (by, row) in comp.blocks.chunks_mut(comp.padded_w).enumerate() {
         for (bx, out) in row.iter_mut().enumerate() {
             if bx < interior_w && by < interior_h {
                 // Interior block: read the rows straight from the plane,
@@ -218,7 +213,7 @@ fn plane_into_blocks(plane: &Plane, comp: &mut ComponentCoeffs, qt: &QuantTable)
                 out[1..].fill(0);
             }
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------

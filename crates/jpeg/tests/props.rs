@@ -162,15 +162,14 @@ proptest! {
         w in 1usize..80,
         h in 1usize..48,
         quality in 30u8..=95,
-        threads in 1usize..4,
         sub_ix in 0usize..3,
     ) {
-        // The vectorized/pooled codec is an *optimization*, never an
-        // approximation: for arbitrary images, subsampling modes, and
-        // thread counts, the forced-scalar oracle and the SIMD path must
-        // agree on every coefficient, every encoded byte, and every
-        // decoded pixel. (On machines without vector units both runs take
-        // the scalar path and the assertions are trivially true.)
+        // The vectorized codec is an *optimization*, never an
+        // approximation: for arbitrary images and subsampling modes, the
+        // forced-scalar oracle and the SIMD path must agree on every
+        // coefficient, every encoded byte, and every decoded pixel. (On
+        // machines without vector units both runs take the scalar path and
+        // the assertions are trivially true.)
         let sub = [Subsampling::S444, Subsampling::S422, Subsampling::S420][sub_ix];
         let mut img = RgbImage::new(w, h);
         let mut state = seed | 1;
@@ -179,12 +178,10 @@ proptest! {
             *px = (state >> 56) as u8;
         }
         p3_par::features::set_force_scalar(true);
-        p3_par::set_global_threads(1);
         let ci_scalar = pixels_to_coeffs(&img, quality, sub).unwrap();
         let jpeg_scalar = encode_coeffs(&ci_scalar, Mode::BaselineOptimized, 0).unwrap();
         let px_scalar = p3_jpeg::decode_to_rgb(&jpeg_scalar).unwrap();
         p3_par::features::set_force_scalar(false);
-        p3_par::set_global_threads(threads);
         let ci_simd = pixels_to_coeffs(&img, quality, sub).unwrap();
         for (a, b) in ci_scalar.components.iter().zip(ci_simd.components.iter()) {
             prop_assert_eq!(&a.blocks, &b.blocks, "coefficients differ (comp {})", a.id);
@@ -193,7 +190,5 @@ proptest! {
         prop_assert_eq!(&jpeg_scalar, &jpeg_simd, "encoded bytes differ");
         let px_simd = p3_jpeg::decode_to_rgb(&jpeg_simd).unwrap();
         prop_assert_eq!(&px_scalar.data, &px_simd.data, "decoded pixels differ");
-        // Leave the process-wide dispatch in its default shape.
-        p3_par::set_global_threads(0);
     }
 }

@@ -1,24 +1,44 @@
 #![warn(missing_docs)]
 
-//! # p3-par — codec parallelism and CPU-feature dispatch
+//! # p3-par — CPU-feature dispatch for the codec hot path
 //!
-//! Two small pieces shared by the codec hot paths (`p3-jpeg`, `p3-crypto`):
+//! [`features`] is runtime SIMD/AES-NI capability detection with a
+//! process-wide `P3_FORCE_SCALAR` override, so the scalar reference
+//! paths stay reachable in production builds and tests can pin either
+//! dispatch level. `p3-jpeg` and `p3-crypto` share it.
 //!
-//! * [`Pool`] — a persistent scoped thread pool in the spirit of
-//!   `rayon::scope`, sized for the codec's row-band fan-out: one job at a
-//!   time, tasks claimed from an atomic counter, the caller participates,
-//!   and `threads = 1` degenerates to inline execution with zero
-//!   synchronization. Vendored here because the offline dependency set has
-//!   no rayon (see the shims policy in the workspace `Cargo.toml`).
-//! * [`features`] — runtime SIMD/AES-NI capability detection with a
-//!   process-wide `P3_FORCE_SCALAR` override, so the scalar reference
-//!   paths stay reachable in production builds and tests can pin either
-//!   dispatch level.
+//! The codec fans nothing out: every stage is a serial loop on the
+//! calling thread, and the serving tier's offload pool is the one level
+//! of parallelism (ARCHITECTURE.md § Codec performance).
 //!
 //! This crate deliberately has no dependencies (not even the shims): both
 //! `p3-jpeg` and `p3-crypto` sit below every other workspace crate.
 
 pub mod features;
-pub mod pool;
 
-pub use pool::{global, set_global_threads, Pool};
+/// A zero-worker pool: [`Pool::run`] is a `for` loop on the calling thread.
+///
+/// It exists only so the frozen benchmark (`perfbench/`) keeps compiling:
+/// its `par.dispatch_us` probe names [`global`], [`Pool::threads`] and
+/// [`Pool::run`]. The benchmark's next revision deletes it together with
+/// `par.dispatch_us`.
+pub struct Pool;
+
+impl Pool {
+    /// Always 1: the calling thread.
+    pub fn threads(&self) -> usize {
+        1
+    }
+
+    /// Run `f(0..tasks)` in order on the calling thread.
+    pub fn run<F: Fn(usize)>(&self, tasks: usize, f: F) {
+        for i in 0..tasks {
+            f(i);
+        }
+    }
+}
+
+/// The stand-in pool (see [`Pool`]).
+pub fn global() -> Pool {
+    Pool
+}

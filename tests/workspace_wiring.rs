@@ -369,8 +369,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "test oracle: the per-image gamma the LUT must match"),
     ("crates/par/src/features.rs", "set_force_scalar",
         "test seam: both dispatch paths in one process"),
-    ("crates/par/src/pool.rs", "set_global_threads",
-        "test seam: the codec properties' thread axis"),
     ("crates/storage/src/fault.rs", "tamper",
         "test seam: arms the rot fail-closed tests run on"),
     ("crates/net/src/http.rs", "MAX_HEADER_BYTES",

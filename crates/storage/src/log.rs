@@ -992,6 +992,91 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A put's ack promises the next get sees it. Small segments make
+    /// writers roll while the flusher has a batch in flight: the roll
+    /// must not wake a writer whose record that batch has yet to publish.
+    #[test]
+    fn acked_put_is_readable_across_segment_rolls() {
+        const WRITERS: usize = 8;
+        const ROUNDS: usize = 400;
+        let dir = tmpdir("roll-ack");
+        let store = PackedBackend::open_with(&dir, small_cfg()).unwrap();
+        let wrong: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let store = &store;
+                    s.spawn(move || {
+                        let key = format!("w{t}");
+                        let mut wrong = 0;
+                        for round in 0..ROUNDS {
+                            let mut payload = vec![t as u8; 900];
+                            payload[..8].copy_from_slice(&(round as u64).to_le_bytes());
+                            store.put(&key, &payload).unwrap();
+                            match store.get(&key).unwrap() {
+                                Some(got) if got.as_ref() == payload.as_slice() => {}
+                                _ => wrong += 1,
+                            }
+                        }
+                        wrong
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(
+            wrong,
+            0,
+            "{wrong} of {} acked puts read back missing or stale",
+            WRITERS * ROUNDS
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A roll that cannot open the next segment must leave the active
+    /// one active: were it sealed, the writer would keep appending to a
+    /// compaction victim, and the pass would unlink acked frames.
+    #[test]
+    fn failed_roll_never_lets_compaction_retire_the_active_segment() {
+        let dir = tmpdir("failed-roll");
+        let cfg = PackedConfig { compact_min_bytes: 0, ..small_cfg() };
+        let mut acked: Vec<(&str, Vec<u8>)> = Vec::new();
+        {
+            let store = PackedBackend::open_with(&dir, cfg.clone()).unwrap();
+            // Segment 0: a small live blob and three generations of a
+            // big one, two of them dead.
+            store.put("keep", b"kept").unwrap();
+            acked.push(("keep", b"kept".to_vec()));
+            for round in 0..3u8 {
+                store.put("churn", &[round; 900]).unwrap();
+            }
+            acked.push(("churn", vec![2; 900]));
+            // Occupy the next segment's name so the roll cannot open it.
+            let blocker = seg_path(&dir, 1);
+            fs::create_dir(&blocker).unwrap();
+            assert!(store.put("big", &[7; 2000]).is_err(), "a frame that needs a roll must fail");
+            store.put("small", b"fits").unwrap();
+            acked.push(("small", b"fits".to_vec()));
+            let report = crate::compact_once(&store).unwrap();
+            for (id, want) in &acked {
+                let got = store.get(id);
+                assert!(
+                    matches!(&got, Ok(Some(b)) if b.as_ref() == want.as_slice()),
+                    "{id} after the pass ({report:?}): {got:?}"
+                );
+            }
+            fs::remove_dir(&blocker).unwrap();
+        }
+        let store = PackedBackend::open_with(&dir, cfg).unwrap();
+        for (id, want) in &acked {
+            let got = store.get(id);
+            assert!(
+                matches!(&got, Ok(Some(b)) if b.as_ref() == want.as_slice()),
+                "{id} after reopen: {got:?}"
+            );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn list_ids_and_tombstones_paginate() {
         let dir = tmpdir("list");

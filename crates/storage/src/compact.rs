@@ -21,20 +21,22 @@
 //!   horizon has passed could be retired; this store keeps them
 //!   forever — at one ~40-byte needle per deleted blob the cost is
 //!   noise, and cluster-wide delete safety needs no GC clock.)
-//! * **The index swap is atomic per record and guarded by a CAS**: the
-//!   copy installs only if the index still points at the victim frame
-//!   (same segment, same sequence number). A concurrent re-put or
-//!   delete wins the race and the copy just counts as dead bytes in
-//!   the new segment. Readers holding the victim's file handle keep
-//!   reading through the unlink (POSIX semantics); readers that look
-//!   up after the swap see the new location.
+//! * **The index swap is the store's one publish rule**, atomic per
+//!   record: a copy installs only if the index still points at the
+//!   victim frame (same segment, same sequence number). A concurrent
+//!   re-put or delete wins the race and the copy just counts as dead
+//!   bytes in the new segment. A pass first waits until everything
+//!   already appended is published, so a victim's newest frames are in
+//!   the index before it is snapshotted. Readers holding the victim's
+//!   file handle keep reading through the unlink (POSIX semantics);
+//!   readers that look up after the swap see the new location.
 //!
 //! If any live needle in a victim fails its CRC, that segment is
 //! **skipped**, not compacted: deleting it would turn a detected
 //! corruption into a plain miss, breaking the "never a false 404"
 //! contract. The rotted segment stays on disk as evidence.
 
-use crate::log::PackedBackend;
+use crate::log::{Loc, PackedBackend};
 use crate::StorageResult;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
@@ -76,21 +78,19 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
             .map(|(&n, _)| n)
             .collect()
     };
+    // A victim's last frames may still wait in the flusher's queue,
+    // unpublished; the index snapshots below must see them.
+    store.commit_all()?;
     'victims: for seg in victims {
-        // Snapshot the records that still live in this segment.
-        let live_puts: Vec<(String, crate::log::Loc)> = inner
+        // Snapshot the records that still live in this segment, blobs
+        // and tombstones alike.
+        let live: Vec<(String, Loc)> = inner
             .index
             .lock()
+            .map
             .iter()
-            .filter(|(_, l)| l.seg == seg)
-            .map(|(id, l)| (id.clone(), l.clone()))
-            .collect();
-        let live_tombs: Vec<(String, crate::log::Tomb)> = inner
-            .tombs
-            .lock()
-            .iter()
-            .filter(|(_, t)| t.seg == seg)
-            .map(|(id, t)| (id.clone(), t.clone()))
+            .filter(|(_, loc)| loc.seg == seg)
+            .map(|(id, loc)| (id.clone(), loc.clone()))
             .collect();
 
         // Queue every live record's copy, then pay one group commit
@@ -99,18 +99,20 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
         // (copies already queued ride the next flush and install as
         // usual; the victim just stays on disk).
         let mut queued_through = None;
-        for (id, loc) in &live_puts {
-            let payload = match store.read_at(id, loc) {
-                Ok(p) => p,
-                Err(_) => {
-                    report.skipped_corrupt += 1;
-                    continue 'victims;
+        for (id, loc) in &live {
+            let payload = if loc.tombstone {
+                Vec::new()
+            } else {
+                match store.read_at(id, loc) {
+                    Ok(p) => p,
+                    Err(_) => {
+                        report.skipped_corrupt += 1;
+                        continue 'victims;
+                    }
                 }
             };
-            queued_through = Some(store.enqueue_rewrite(id, loc.seq, seg, false, &payload)?);
-        }
-        for (id, tomb) in &live_tombs {
-            queued_through = Some(store.enqueue_rewrite(id, tomb.seq, seg, true, &[])?);
+            let copy_of = Some((loc.seq, seg));
+            queued_through = Some(store.append(id, loc.tombstone, &payload, copy_of)?);
         }
         if let Some(end) = queued_through {
             store.commit_through(end)?;
@@ -119,10 +121,11 @@ pub fn compact_once(store: &PackedBackend) -> StorageResult<CompactReport> {
         // Every copy is durable and CAS-installed; the victim file can
         // go. Handles cached by in-flight readers stay readable.
         let freed = store.retire_segment(seg)?;
+        let tombstones = live.iter().filter(|(_, loc)| loc.tombstone).count();
         report.segments_compacted += 1;
         report.reclaimed_bytes += freed;
-        report.live_copied += live_puts.len();
-        report.tombstones_copied += live_tombs.len();
+        report.live_copied += live.len() - tombstones;
+        report.tombstones_copied += tombstones;
     }
     if report.segments_compacted > 0 {
         inner.stats.compaction(report.segments_compacted as u64, report.reclaimed_bytes);
@@ -327,6 +330,55 @@ mod tests {
             "fresh put must never be shadowed by a compaction copy"
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Queue a compaction copy of `id`'s newest frame, snapshotted
+    /// before `write` runs, with `write` landing after the copy is
+    /// queued (or before, `write_first`); then commit the copy.
+    fn race_copy(store: &PackedBackend, id: &str, write_first: bool, write: impl FnOnce()) {
+        let loc = store.inner().index.lock().map[id].clone();
+        let payload = if loc.tombstone { Vec::new() } else { store.read_at(id, &loc).unwrap() };
+        let copy = || store.append(id, loc.tombstone, &payload, Some((loc.seq, loc.seg))).unwrap();
+        let end = if write_first {
+            write();
+            copy()
+        } else {
+            let end = copy();
+            write();
+            end
+        };
+        store.commit_through(end).unwrap();
+    }
+
+    /// The publish rule across kinds, interleavings forced on one
+    /// thread: a blob's copy against a delete, and a tombstone's copy
+    /// against a re-put. The live write wins both, before and after a
+    /// reopen, whether it lands before or after the copy is queued.
+    #[test]
+    fn live_write_beats_compaction_copy_across_kinds() {
+        let live_writes_won = |store: &PackedBackend| {
+            assert!(store.get("doomed").unwrap().is_none());
+            assert!(store.deleted("doomed").unwrap());
+            assert_eq!(store.get("reborn").unwrap().unwrap().as_ref(), b"new");
+            assert!(!store.deleted("reborn").unwrap());
+            assert_eq!(store.len(), 1);
+        };
+        for write_first in [false, true] {
+            let dir = tmpdir(&format!("cross-kind-{write_first}"));
+            {
+                let store = PackedBackend::open_with(&dir, churn_cfg()).unwrap();
+                store.put("doomed", b"old").unwrap();
+                store.put("reborn", b"old").unwrap();
+                store.delete("reborn").unwrap();
+                race_copy(&store, "doomed", write_first, || {
+                    assert!(store.delete("doomed").unwrap())
+                });
+                race_copy(&store, "reborn", write_first, || store.put("reborn", b"new").unwrap());
+                live_writes_won(&store);
+            }
+            live_writes_won(&PackedBackend::open_with(&dir, churn_cfg()).unwrap());
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

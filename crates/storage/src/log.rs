@@ -14,29 +14,42 @@
 //!   covers their bytes. While one fsync is in flight, every
 //!   concurrent writer's frame accumulates behind it and the *next*
 //!   fsync commits them all — N concurrent puts cost ~1 fsync. The ack
-//!   rule is strict: `put` returns only after the covering flush
-//!   completes, and the in-memory index publishes an entry only *after*
-//!   its frame is durable, so a reader can never observe (or
-//!   read-repair from) bytes a crash could unwrite.
+//!   rule is strict: `put` returns only once its frame is durable *and*
+//!   published. The flusher is the only code that does either: it
+//!   publishes a batch after the fsync that covers it, then advances
+//!   the watermark writers wait on. A reader never observes (or
+//!   read-repairs from) bytes a crash could unwrite, and a writer never
+//!   wakes before its own record is visible.
+//!
+//! * **One index, one publish rule.** The index maps every ID to its
+//!   newest needle, a blob or a tombstone. Replay at open, the flusher
+//!   and compaction copies all go through `publish`: a record replaces
+//!   its ID's entry only with a higher sequence number (a compaction
+//!   copy only the exact frame it copied), and whichever frame loses is
+//!   dead bytes in its segment.
 //!
 //! * **Recovery = sequential scan.** Opening the store scans each
 //!   segment's needle chain, verifying every CRC. A torn final needle
 //!   (the kill-mid-group-commit case) truncates the active segment at
 //!   the last intact frame instead of failing; the acked prefix is
-//!   exactly what survives. Replay keeps, per ID, the needle with the
-//!   highest sequence number — physically order-free, which is what
-//!   lets compaction copy old frames forward without write stalls.
+//!   exactly what survives. Replay is the publish rule, so it is
+//!   physically order-free, which is what lets compaction copy old
+//!   frames forward without write stalls.
 //!
 //! * **Tombstones make delete real.** A delete appends a tombstone
-//!   needle (group-committed like any write) and the ID moves from the
-//!   index to the tombstone map. "Deleted" and "never existed" become
-//!   distinct answers — [`PackedBackend::deleted`] — which the cluster
-//!   layer uses to stop read-repair and anti-entropy from resurrecting
+//!   needle (group-committed like any write), which becomes the ID's
+//!   newest entry. "Deleted" and "never existed" become distinct
+//!   answers — [`PackedBackend::deleted`] — which the cluster layer
+//!   uses to stop read-repair and anti-entropy from resurrecting
 //!   deleted blobs from stale replicas.
+//!
+//! * **A roll seals only once the next segment is open.** A roll that
+//!   fails leaves the active segment active, so the writer never
+//!   appends to a sealed segment, a compaction candidate.
 //!
 //! Segment rewriting (space reclaim) lives in [`crate::Compactor`].
 
-use crate::needle::{self, ScanEntry, FLAG_TOMBSTONE};
+use crate::needle::{self, FLAG_TOMBSTONE};
 use crate::{BackendStats, StatCounters, StorageBackend, StorageError, StorageResult};
 use parking_lot::Mutex as PlMutex;
 use std::collections::{BTreeMap, HashMap};
@@ -69,7 +82,8 @@ impl Default for PackedConfig {
     }
 }
 
-/// Where a live needle lives.
+/// Where an ID's newest needle lives: its blob, or the tombstone that
+/// deleted it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Loc {
     pub(crate) seg: u32,
@@ -77,15 +91,30 @@ pub(crate) struct Loc {
     pub(crate) frame_len: u32,
     pub(crate) payload_len: u32,
     pub(crate) seq: u64,
+    pub(crate) tombstone: bool,
 }
 
-/// A live tombstone (the ID is deleted as of `seq`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Tomb {
-    pub(crate) seg: u32,
-    pub(crate) offset: u64,
-    pub(crate) frame_len: u32,
-    pub(crate) seq: u64,
+/// Every ID's newest needle, and how many of them are blobs (so `len`
+/// needs no walk). Only `publish` writes it.
+#[derive(Debug, Default)]
+pub(crate) struct Index {
+    pub(crate) map: BTreeMap<String, Loc>,
+    live: usize,
+}
+
+impl Index {
+    /// One sorted page of the IDs strictly after `after` whose newest
+    /// needle is a tombstone (`tombstones`) or a blob (`!tombstones`).
+    fn page(&self, after: Option<&str>, limit: usize, tombstones: bool) -> Vec<String> {
+        use std::ops::Bound;
+        let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.map
+            .range::<str, _>((lower, Bound::Unbounded))
+            .filter(|(_, loc)| loc.tombstone == tombstones)
+            .take(limit)
+            .map(|(id, _)| id.clone())
+            .collect()
+    }
 }
 
 /// Per-segment byte accounting for the compactor.
@@ -102,26 +131,16 @@ pub(crate) struct SegInfo {
     pub(crate) sealed: bool,
 }
 
-/// One record awaiting index publication after its covering flush.
+/// One record appended and awaiting publication after its covering
+/// flush.
 #[derive(Debug)]
-enum PendingOp {
-    Put {
-        id: String,
-        loc: Loc,
-    },
-    Tomb {
-        id: String,
-        tomb: Tomb,
-    },
-    /// A compaction copy: installs only if the original (same seq, in
-    /// `from_seg`) is still current — a concurrent re-put or delete
-    /// wins and the copy becomes instant dead bytes.
-    Rewrite {
-        id: String,
-        loc: Loc,
-        from_seg: u32,
-        tombstone: bool,
-    },
+struct Record {
+    id: String,
+    loc: Loc,
+    /// A compaction copy names the segment of the frame it copied: it
+    /// installs only over that exact frame, so a concurrent re-put or
+    /// delete wins and the copy is dead on arrival.
+    copied_from: Option<u32>,
 }
 
 #[derive(Debug)]
@@ -133,7 +152,7 @@ struct Writer {
     /// watermark writers wait on.
     total: u64,
     next_seq: u64,
-    pending: Vec<PendingOp>,
+    pending: Vec<Record>,
 }
 
 #[derive(Debug, Default)]
@@ -152,8 +171,7 @@ pub(crate) struct PackedInner {
     work_cv: Condvar,
     flush: Mutex<FlushMark>,
     flushed_cv: Condvar,
-    pub(crate) index: PlMutex<BTreeMap<String, Loc>>,
-    pub(crate) tombs: PlMutex<BTreeMap<String, Tomb>>,
+    pub(crate) index: PlMutex<Index>,
     pub(crate) segs: PlMutex<BTreeMap<u32, SegInfo>>,
     files: PlMutex<HashMap<u32, Arc<File>>>,
     /// Held for the length of a compaction pass: two passes that
@@ -203,13 +221,11 @@ impl PackedBackend {
         }
         seg_nums.sort_unstable();
 
-        // Scan every segment; replay keeps the max-seq record per ID.
-        let mut index: BTreeMap<String, Loc> = BTreeMap::new();
-        let mut tombs: BTreeMap<String, Tomb> = BTreeMap::new();
+        // Scan every segment in order, publishing each intact needle.
+        let mut index = Index::default();
         let mut segs: BTreeMap<u32, SegInfo> = BTreeMap::new();
         let mut files: HashMap<u32, Arc<File>> = HashMap::new();
         let mut next_seq = 1u64;
-        let mut scanned: Vec<(u32, Vec<ScanEntry>)> = Vec::new();
         let last = seg_nums.last().copied();
         for &n in &seg_nums {
             let path = seg_path(dir, n);
@@ -236,51 +252,17 @@ impl PackedBackend {
                     sealed: Some(n) != last,
                 },
             );
-            for e in &out.entries {
+            for e in out.entries {
                 next_seq = next_seq.max(e.seq + 1);
-            }
-            scanned.push((n, out.entries));
-        }
-
-        // Winner per ID = highest sequence number.
-        for (n, entries) in &scanned {
-            for e in entries {
-                let cur = best_seq(&index, &tombs, &e.id);
-                if e.seq <= cur {
-                    continue;
-                }
-                index.remove(&e.id);
-                tombs.remove(&e.id);
-                if e.is_tombstone() {
-                    tombs.insert(
-                        e.id.clone(),
-                        Tomb { seg: *n, offset: e.offset, frame_len: e.frame_len, seq: e.seq },
-                    );
-                } else {
-                    index.insert(
-                        e.id.clone(),
-                        Loc {
-                            seg: *n,
-                            offset: e.offset,
-                            frame_len: e.frame_len,
-                            payload_len: e.payload_len,
-                            seq: e.seq,
-                        },
-                    );
-                }
-            }
-        }
-        // Everything that lost replay is dead bytes in its segment.
-        for (n, entries) in &scanned {
-            for e in entries {
-                let live = match (index.get(&e.id), tombs.get(&e.id)) {
-                    (Some(l), _) => l.seq == e.seq && l.seg == *n && l.offset == e.offset,
-                    (None, Some(t)) => t.seq == e.seq && t.seg == *n && t.offset == e.offset,
-                    (None, None) => false,
+                let loc = Loc {
+                    seg: n,
+                    offset: e.offset,
+                    frame_len: e.frame_len,
+                    payload_len: e.payload_len,
+                    seq: e.seq,
+                    tombstone: e.is_tombstone(),
                 };
-                if !live {
-                    segs.get_mut(n).unwrap().dead += u64::from(e.frame_len);
-                }
+                publish(&mut index, &mut segs, Record { id: e.id, loc, copied_from: None });
             }
         }
 
@@ -323,7 +305,6 @@ impl PackedBackend {
             flush: Mutex::new(FlushMark { flushed_total: total, poisoned: false }),
             flushed_cv: Condvar::new(),
             index: PlMutex::new(index),
-            tombs: PlMutex::new(tombs),
             segs: PlMutex::new(segs),
             files: PlMutex::new(files),
             compacting: PlMutex::new(()),
@@ -366,17 +347,16 @@ impl PackedBackend {
         self.inner.stats.snapshot().group_commits
     }
 
-    /// Chaos hook for the simulation harness: flip one byte inside
-    /// every *live* needle on disk (payload byte when there is one,
-    /// CRC byte otherwise), modelling storage-medium bit rot. Returns
-    /// how many needles were damaged; subsequent reads must surface
-    /// each as a detected corrupt error, never as garbage.
+    /// Chaos hook for the simulation harness: flip one byte inside the
+    /// needle of every live blob on disk (its middle payload byte, or
+    /// the CRC of an empty blob), modelling storage-medium bit rot.
+    /// Tombstones are left alone. Returns how many needles were
+    /// damaged; subsequent reads must surface each as a detected
+    /// corrupt error, never as garbage.
     pub fn corrupt_live_needles(&self) -> StorageResult<usize> {
-        let locs: Vec<(String, Loc)> =
-            self.inner.index.lock().iter().map(|(id, l)| (id.clone(), l.clone())).collect();
         let mut by_seg: BTreeMap<u32, Vec<(String, Loc)>> = BTreeMap::new();
-        for (id, loc) in locs {
-            by_seg.entry(loc.seg).or_default().push((id, loc));
+        for (id, loc) in self.inner.index.lock().map.iter().filter(|(_, loc)| !loc.tombstone) {
+            by_seg.entry(loc.seg).or_default().push((id.clone(), loc.clone()));
         }
         let mut flipped = 0;
         for (seg, entries) in by_seg {
@@ -388,8 +368,7 @@ impl PackedBackend {
                         + (needle::HEADER_LEN + id.len()) as u64
                         + u64::from(loc.payload_len) / 2
                 } else {
-                    // Tombstones and empty blobs have no payload byte;
-                    // damage the CRC itself.
+                    // An empty blob has no payload byte; damage the CRC.
                     loc.offset + u64::from(loc.frame_len) - 8
                 };
                 let mut b = [0u8];
@@ -424,57 +403,52 @@ impl PackedBackend {
         Ok(freed)
     }
 
-    /// Append one record (put or tombstone) through the group-commit
-    /// writer and block until its covering fsync completes.
-    fn append_record(&self, id: &str, flags: u8, payload: &[u8]) -> StorageResult<Loc> {
+    /// Append one record (blob or tombstone) through the group-commit
+    /// writer and queue it for the flusher to publish; nothing waits
+    /// here. A put or delete takes the next sequence number; a
+    /// compaction copy passes `copy_of = (seq, segment)` of the frame
+    /// it copies and keeps its sequence number. Returns the watermark
+    /// that covers the record, for [`Self::commit_through`].
+    pub(crate) fn append(
+        &self,
+        id: &str,
+        tombstone: bool,
+        payload: &[u8],
+        copy_of: Option<(u64, u32)>,
+    ) -> StorageResult<u64> {
         let inner = &self.inner;
-        let my_end;
-        let loc;
-        {
-            let mut w = inner.writer.lock().expect("writer lock");
-            let seq = w.next_seq;
-            let frame = needle::encode(id, seq, flags, payload);
-            if w.seg_len > 0 && w.seg_len + frame.len() as u64 > inner.cfg.segment_bytes {
-                roll_segment(inner, &mut w)?;
-            }
-            w.next_seq = seq + 1;
-            let this_loc = Loc {
-                seg: w.seg,
-                offset: w.seg_len,
-                frame_len: frame.len() as u32,
-                payload_len: payload.len() as u32,
-                seq,
-            };
-            append_frame(&w.file, w.seg_len, &frame)?;
-            w.seg_len += frame.len() as u64;
-            w.total += frame.len() as u64;
-            my_end = w.total;
-            loc = this_loc.clone();
-            let op = if flags & FLAG_TOMBSTONE != 0 {
-                PendingOp::Tomb {
-                    id: id.to_string(),
-                    tomb: Tomb {
-                        seg: this_loc.seg,
-                        offset: this_loc.offset,
-                        frame_len: this_loc.frame_len,
-                        seq,
-                    },
-                }
-            } else {
-                PendingOp::Put { id: id.to_string(), loc: this_loc }
-            };
-            w.pending.push(op);
-            inner.work_cv.notify_one();
+        let mut w = inner.writer.lock().expect("writer lock");
+        let seq = copy_of.map_or(w.next_seq, |(seq, _)| seq);
+        let frame = needle::encode(id, seq, if tombstone { FLAG_TOMBSTONE } else { 0 }, payload);
+        if w.seg_len > 0 && w.seg_len + frame.len() as u64 > inner.cfg.segment_bytes {
+            roll_segment(inner, &mut w)?;
         }
-        self.wait_flushed(my_end)?;
-        Ok(loc)
+        if copy_of.is_none() {
+            w.next_seq = seq + 1;
+        }
+        let loc = Loc {
+            seg: w.seg,
+            offset: w.seg_len,
+            frame_len: frame.len() as u32,
+            payload_len: payload.len() as u32,
+            seq,
+            tombstone,
+        };
+        append_frame(&w.file, w.seg_len, &frame)?;
+        w.seg_len += frame.len() as u64;
+        w.total += frame.len() as u64;
+        let copied_from = copy_of.map(|(_, seg)| seg);
+        w.pending.push(Record { id: id.to_string(), loc, copied_from });
+        Ok(w.total)
     }
 
-    /// Ack-after-the-shared-flush: block until the flusher's watermark
-    /// covers `my_end` bytes, or fail if durability was poisoned.
-    fn wait_flushed(&self, my_end: u64) -> StorageResult<()> {
+    /// Ack-after-the-shared-flush: wake the flusher and block until its
+    /// watermark covers `end`, i.e. every record appended up to there
+    /// is durable and published, or fail if durability was poisoned.
+    pub(crate) fn commit_through(&self, end: u64) -> StorageResult<()> {
+        self.inner.work_cv.notify_one();
         let mut mark = self.inner.flush.lock().expect("flush lock");
-        while mark.flushed_total < my_end && !mark.poisoned {
+        while mark.flushed_total < end && !mark.poisoned {
             mark = self.inner.flushed_cv.wait(mark).expect("flush wait");
         }
         if mark.poisoned {
@@ -485,45 +459,10 @@ impl PackedBackend {
         Ok(())
     }
 
-    /// Compaction support: append a copy of an existing frame (put or
-    /// tombstone), preserving its original sequence number, *without*
-    /// waking the flusher or waiting for it. Returns the group-commit
-    /// watermark that covers the copy; the compactor queues a whole
-    /// victim's copies and pays for one [`Self::commit_through`].
-    pub(crate) fn enqueue_rewrite(
-        &self,
-        id: &str,
-        seq: u64,
-        from_seg: u32,
-        tombstone: bool,
-        payload: &[u8],
-    ) -> StorageResult<u64> {
-        let inner = &self.inner;
-        let mut w = inner.writer.lock().expect("writer lock");
-        let flags = if tombstone { FLAG_TOMBSTONE } else { 0 };
-        let frame = needle::encode(id, seq, flags, payload);
-        if w.seg_len > 0 && w.seg_len + frame.len() as u64 > inner.cfg.segment_bytes {
-            roll_segment(inner, &mut w)?;
-        }
-        let loc = Loc {
-            seg: w.seg,
-            offset: w.seg_len,
-            frame_len: frame.len() as u32,
-            payload_len: payload.len() as u32,
-            seq,
-        };
-        append_frame(&w.file, w.seg_len, &frame)?;
-        w.seg_len += frame.len() as u64;
-        w.total += frame.len() as u64;
-        w.pending.push(PendingOp::Rewrite { id: id.to_string(), loc, from_seg, tombstone });
-        Ok(w.total)
-    }
-
-    /// Compaction support: wake the flusher and block until every
-    /// record up to watermark `end` is durable and index-published.
-    pub(crate) fn commit_through(&self, end: u64) -> StorageResult<()> {
-        self.inner.work_cv.notify_one();
-        self.wait_flushed(end)
+    /// [`Self::commit_through`] everything appended so far.
+    pub(crate) fn commit_all(&self) -> StorageResult<()> {
+        let end = self.inner.writer.lock().expect("writer lock").total;
+        self.commit_through(end)
     }
 
     /// Read the frame at `loc` and return its verified payload.
@@ -569,7 +508,7 @@ impl StorageBackend for PackedBackend {
     }
 
     fn put(&self, id: &str, data: &[u8]) -> StorageResult<()> {
-        self.append_record(id, 0, data)?;
+        self.commit_through(self.append(id, false, data, None)?)?;
         self.inner.stats.put(data.len());
         Ok(())
     }
@@ -579,9 +518,12 @@ impl StorageBackend for PackedBackend {
         // index lookup and the pread; the second lookup sees the swapped
         // location.
         for attempt in 0..2 {
-            let Some(loc) = self.inner.index.lock().get(id).cloned() else {
-                self.inner.stats.get_miss();
-                return Ok(None);
+            let loc = match self.inner.index.lock().map.get(id) {
+                Some(loc) if !loc.tombstone => loc.clone(),
+                _ => {
+                    self.inner.stats.get_miss();
+                    return Ok(None);
+                }
             };
             match self.read_at(id, &loc) {
                 Ok(payload) => {
@@ -606,41 +548,34 @@ impl StorageBackend for PackedBackend {
         // even when the blob is locally absent — a replica that missed
         // the original put must still remember the delete, or sweep
         // and read-repair could resurrect the blob from elsewhere.
-        let existed = self.inner.index.lock().contains_key(id);
-        if !existed && self.inner.tombs.lock().contains_key(id) {
+        let existed = match self.inner.index.lock().map.get(id) {
             // Already tombstoned: idempotent, no new frame needed.
-            return Ok(false);
-        }
-        self.append_record(id, FLAG_TOMBSTONE, &[])?;
+            Some(loc) if loc.tombstone => return Ok(false),
+            found => found.is_some(),
+        };
+        self.commit_through(self.append(id, true, &[], None)?)?;
         Ok(existed)
     }
 
     fn len(&self) -> usize {
-        self.inner.index.lock().len()
+        self.inner.index.lock().live
     }
 
     fn list_ids(&self, after: Option<&str>, limit: usize) -> StorageResult<Vec<String>> {
-        Ok(page_of_keys(&self.inner.index.lock(), after, limit))
+        Ok(self.inner.index.lock().page(after, limit, false))
     }
 
     fn deleted(&self, id: &str) -> StorageResult<bool> {
-        Ok(self.inner.tombs.lock().contains_key(id))
+        Ok(self.inner.index.lock().map.get(id).is_some_and(|loc| loc.tombstone))
     }
 
     fn list_tombstones(&self, after: Option<&str>, limit: usize) -> StorageResult<Vec<String>> {
-        Ok(page_of_keys(&self.inner.tombs.lock(), after, limit))
+        Ok(self.inner.index.lock().page(after, limit, true))
     }
 
     fn stats(&self) -> BackendStats {
         self.inner.stats.snapshot()
     }
-}
-
-/// One sorted page of `map`'s keys strictly after `after`.
-fn page_of_keys<V>(map: &BTreeMap<String, V>, after: Option<&str>, limit: usize) -> Vec<String> {
-    use std::ops::Bound;
-    let lower = after.map_or(Bound::Unbounded, Bound::Excluded);
-    map.range::<str, _>((lower, Bound::Unbounded)).take(limit).map(|(k, _)| k.clone()).collect()
 }
 
 fn seg_path(dir: &Path, n: u32) -> PathBuf {
@@ -662,120 +597,68 @@ fn append_frame(file: &Arc<File>, at: u64, frame: &[u8]) -> StorageResult<()> {
     Ok(())
 }
 
-/// Seal the active segment (inline flush + fsync) and start the next
-/// one. Runs under the writer lock; rare (once per segment_bytes).
+/// Start the next segment and seal the active one. Runs under the
+/// writer lock; rare (once per segment_bytes). It publishes nothing and
+/// moves no watermark: the frames still queued from the old segment are
+/// made durable here and published by the flusher's next batch.
 fn roll_segment(inner: &PackedInner, w: &mut Writer) -> StorageResult<()> {
-    // Everything appended so far must be durable and indexed before the
-    // segment is sealed.
-    w.file.sync_data()?;
-    let ops = std::mem::take(&mut w.pending);
-    apply_ops(inner, ops);
-    {
-        let mut mark = inner.flush.lock().expect("flush lock");
-        mark.flushed_total = mark.flushed_total.max(w.total);
-        inner.flushed_cv.notify_all();
-    }
-    {
-        let mut segs = inner.segs.lock();
-        let info = segs.entry(w.seg).or_default();
-        info.sealed = true;
-        info.len = w.seg_len;
-    }
+    // The next segment and its directory entry exist before anything is
+    // sealed: a roll that fails here leaves the active segment active,
+    // never a compaction candidate the writer still appends to.
     let next = w.seg + 1;
     let file = Arc::new(open_segment(&inner.dir, next)?);
-    // The new directory entry must survive power loss before any frame
-    // in it is acked.
     File::open(&inner.dir)?.sync_all()?;
+    // The flusher syncs only the active file.
+    if let Err(e) = w.file.sync_data() {
+        inner.poison();
+        return Err(e.into());
+    }
     inner.files.lock().insert(next, Arc::clone(&file));
-    inner.segs.lock().insert(next, SegInfo::default());
+    let mut segs = inner.segs.lock();
+    let info = segs.entry(w.seg).or_default();
+    info.sealed = true;
+    info.len = w.seg_len;
+    segs.insert(next, SegInfo::default());
     w.seg = next;
     w.file = file;
     w.seg_len = 0;
     Ok(())
 }
 
-fn best_seq(index: &BTreeMap<String, Loc>, tombs: &BTreeMap<String, Tomb>, id: &str) -> u64 {
-    let a = index.get(id).map(|l| l.seq).unwrap_or(0);
-    let b = tombs.get(id).map(|t| t.seq).unwrap_or(0);
-    a.max(b)
+/// The one rule that writes the index, for replay, the flusher and
+/// compaction copies alike: a record replaces its ID's entry only with
+/// a higher sequence number — a compaction copy only the exact frame it
+/// copied (same segment, same sequence) — and whichever frame loses is
+/// dead bytes in its segment. Records may therefore land in any order
+/// without an older one ever shadowing a newer.
+fn publish(index: &mut Index, segs: &mut BTreeMap<u32, SegInfo>, rec: Record) {
+    let current = index.map.get(&rec.id);
+    let wins = match rec.copied_from {
+        Some(seg) => current.is_some_and(|c| c.seg == seg && c.seq == rec.loc.seq),
+        None => current.is_none_or(|c| rec.loc.seq > c.seq),
+    };
+    let loser = if wins {
+        let live = usize::from(!rec.loc.tombstone);
+        let old = index.map.insert(rec.id, rec.loc);
+        index.live = index.live + live - old.as_ref().map_or(0, |o| usize::from(!o.tombstone));
+        old
+    } else {
+        Some(rec.loc)
+    };
+    if let Some(dead) = loser {
+        if let Some(info) = segs.get_mut(&dead.seg) {
+            info.dead += u64::from(dead.frame_len);
+        }
+    }
 }
 
-/// Publish a batch of flushed records into the index maps. Monotonic
-/// per ID on sequence number, so batches racing with a roll's inline
-/// apply (or compaction copies racing live re-puts) can land in any
-/// order without an older record ever shadowing a newer one.
-fn apply_ops(inner: &PackedInner, ops: Vec<PendingOp>) {
-    if ops.is_empty() {
-        return;
-    }
-    let mut index = inner.index.lock();
-    let mut tombs = inner.tombs.lock();
-    let mut segs = inner.segs.lock();
-    let mark_dead = |segs: &mut BTreeMap<u32, SegInfo>, seg: u32, bytes: u32| {
-        segs.entry(seg).or_default().dead += u64::from(bytes);
-    };
-    // Note: `SegInfo::len` is set authoritatively when a segment seals
-    // (roll) or at open (recovery scan); apply only tracks dead bytes.
-    for op in ops {
-        match op {
-            PendingOp::Put { id, loc } => {
-                if loc.seq <= best_seq(&index, &tombs, &id) {
-                    mark_dead(&mut segs, loc.seg, loc.frame_len);
-                    continue;
-                }
-                if let Some(old) = index.insert(id.clone(), loc) {
-                    mark_dead(&mut segs, old.seg, old.frame_len);
-                }
-                if let Some(old) = tombs.remove(&id) {
-                    mark_dead(&mut segs, old.seg, old.frame_len);
-                }
-            }
-            PendingOp::Tomb { id, tomb } => {
-                if tomb.seq <= best_seq(&index, &tombs, &id) {
-                    mark_dead(&mut segs, tomb.seg, tomb.frame_len);
-                    continue;
-                }
-                if let Some(old) = index.remove(&id) {
-                    mark_dead(&mut segs, old.seg, old.frame_len);
-                }
-                if let Some(old) = tombs.insert(id.clone(), tomb) {
-                    mark_dead(&mut segs, old.seg, old.frame_len);
-                }
-            }
-            PendingOp::Rewrite { id, loc, from_seg, tombstone } => {
-                let installed = if tombstone {
-                    match tombs.get_mut(&id) {
-                        Some(t) if t.seg == from_seg && t.seq == loc.seq => {
-                            *t = Tomb {
-                                seg: loc.seg,
-                                offset: loc.offset,
-                                frame_len: loc.frame_len,
-                                seq: loc.seq,
-                            };
-                            true
-                        }
-                        _ => false,
-                    }
-                } else {
-                    match index.get_mut(&id) {
-                        Some(l) if l.seg == from_seg && l.seq == loc.seq => {
-                            *l = loc.clone();
-                            true
-                        }
-                        _ => false,
-                    }
-                };
-                if installed {
-                    // The original frame in the victim segment is now
-                    // dead (its segment is about to be dropped anyway).
-                    mark_dead(&mut segs, from_seg, loc.frame_len);
-                } else {
-                    // Lost the race to a live write: the copy itself is
-                    // dead on arrival.
-                    mark_dead(&mut segs, loc.seg, loc.frame_len);
-                }
-            }
-        }
+impl PackedInner {
+    /// Durability can no longer be promised (an fsync failed): fail
+    /// every waiting and future write, so no ack ever lies about an
+    /// fsync.
+    fn poison(&self) {
+        self.flush.lock().expect("flush lock").poisoned = true;
+        self.flushed_cv.notify_all();
     }
 }
 
@@ -783,7 +666,7 @@ fn spawn_flusher(inner: Arc<PackedInner>) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("p3-group-commit".into())
         .spawn(move || loop {
-            let (file, target, ops) = {
+            let (file, target, batch) = {
                 let mut w = inner.writer.lock().expect("writer lock");
                 while w.pending.is_empty() && !inner.stop.load(Ordering::Relaxed) {
                     w = inner.work_cv.wait(w).expect("work wait");
@@ -793,22 +676,19 @@ fn spawn_flusher(inner: Arc<PackedInner>) -> std::thread::JoinHandle<()> {
                 }
                 (Arc::clone(&w.file), w.total, std::mem::take(&mut w.pending))
             };
-            match file.sync_data() {
-                Ok(()) => {
-                    apply_ops(&inner, ops);
-                    inner.stats.group_commit();
-                    let mut mark = inner.flush.lock().expect("flush lock");
-                    mark.flushed_total = mark.flushed_total.max(target);
-                    inner.flushed_cv.notify_all();
-                }
-                Err(_) => {
-                    // Durability can no longer be promised: poison the
-                    // store so no ack ever lies about an fsync.
-                    let mut mark = inner.flush.lock().expect("flush lock");
-                    mark.poisoned = true;
-                    inner.flushed_cv.notify_all();
+            if file.sync_data().is_err() {
+                inner.poison();
+                continue;
+            }
+            {
+                let (mut index, mut segs) = (inner.index.lock(), inner.segs.lock());
+                for rec in batch {
+                    publish(&mut index, &mut segs, rec);
                 }
             }
+            inner.stats.group_commit();
+            inner.flush.lock().expect("flush lock").flushed_total = target;
+            inner.flushed_cv.notify_all();
         })
         .expect("spawn group-commit flusher")
 }
@@ -871,7 +751,9 @@ mod tests {
     /// Replay must charge a superseded needle's bytes to its segment
     /// exactly once: a reopened store carries the same per-segment dead
     /// counts it closed with, so restarting never tips a segment over
-    /// the compaction threshold on its own.
+    /// the compaction threshold on its own. The same holds after
+    /// deletes, re-puts of deleted IDs, and a pass that retires
+    /// segments and copies their blobs and tombstones forward.
     #[test]
     fn reopen_counts_superseded_needles_dead_once() {
         let dir = tmpdir("dead-once");
@@ -893,10 +775,26 @@ mod tests {
             dead_by_seg(&store)
         };
         assert!(before.iter().any(|&(_, dead)| dead > 0), "overwrites must leave dead bytes");
-        let store = PackedBackend::open_with(&dir, cfg).unwrap();
+        let store = PackedBackend::open_with(&dir, cfg.clone()).unwrap();
         assert_eq!(dead_by_seg(&store), before, "reopen must not re-count dead bytes");
         let report = crate::compact_once(&store).unwrap();
         assert_eq!(report.segments_compacted, 0, "nothing crossed the threshold: {report:?}");
+
+        // Delete half the keys and re-put a third of those: the early
+        // segments cross the threshold and the pass retires them.
+        for i in (0..60).step_by(2) {
+            store.delete(&format!("blob-{i:03}")).unwrap();
+        }
+        for i in (0..60).step_by(6) {
+            store.put(&format!("blob-{i:03}"), &[0xDD; 300]).unwrap();
+        }
+        let report = crate::compact_once(&store).unwrap();
+        assert!(report.segments_compacted > 0, "the churn must retire segments: {report:?}");
+        let after = dead_by_seg(&store);
+        drop(store);
+        let store = PackedBackend::open_with(&dir, cfg).unwrap();
+        assert_eq!(dead_by_seg(&store), after, "reopen after compaction must agree");
+        assert_eq!(store.len(), 40);
         fs::remove_dir_all(&dir).unwrap();
     }
 

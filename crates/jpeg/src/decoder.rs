@@ -1049,6 +1049,66 @@ mod tests {
         assert_eq!(base.data, prog.data, "same coefficients must give identical pixels");
     }
 
+    // The encoder tests' golden card.
+    include!("../tests/common/card.rs");
+
+    /// Every scan of a progressive stream restarts where DRI says, and
+    /// the decoder reads each RST back to the exact coefficients.
+    #[test]
+    fn progressive_scans_honour_restart_intervals() {
+        let rgb = card(0x9e37_79b9 + 1, 75, 56);
+        let mut gray = GrayImage::new(75, 56);
+        for (g, px) in gray.data.iter_mut().zip(rgb.data.chunks_exact(3)) {
+            *g = px[1];
+        }
+        let layouts = [
+            ("gray", crate::encoder::gray_to_coeffs(&gray, 92).unwrap()),
+            ("420", pixels_to_coeffs(&rgb, 92, Subsampling::S420).unwrap()),
+        ];
+        for (layout, ci) in &layouts {
+            for ri in [1u16, 3, 7] {
+                let jpeg = encode_coeffs(ci, Mode::Progressive, ri).unwrap();
+                let segs = marker::segments(&jpeg).unwrap();
+                let dri =
+                    segs.iter().any(|s| s.marker == marker::DRI && s.payload == ri.to_be_bytes());
+                assert!(dri, "{layout} DRI {ri}: no DRI segment");
+                for (n, scan) in segs.iter().filter(|s| s.marker == marker::SOS).enumerate() {
+                    let rst = |w: &[u8]| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]);
+                    let rst = scan.entropy.windows(2).any(rst);
+                    assert!(rst, "{layout} DRI {ri}: scan {n} has no RST marker");
+                }
+                let (back, info) = decode_to_coeffs(&jpeg).unwrap();
+                assert!(info.progressive);
+                for (a, b) in ci.components.iter().zip(&back.components) {
+                    assert_eq!(a.blocks, b.blocks, "{layout} DRI {ri}: component {}", a.id);
+                }
+            }
+        }
+    }
+
+    /// A frame or scan header naming a table id above 3 is malformed.
+    #[test]
+    fn table_ids_above_three_are_format_errors() {
+        let jpeg = Encoder::new().quality(90).encode_rgb(&test_rgb(32, 16)).unwrap();
+        // `at` counted from the marker; the SOF's first component spec
+        // is `id, h/v, Tq` at 10..13, the SOS's is `id, Td/Ta` at 5..7.
+        let patched = |m: u8, at: usize, byte: u8| {
+            let pos = jpeg.windows(2).position(|w| w == [0xFF, m]).unwrap();
+            let mut out = jpeg.clone();
+            out[pos + at] = byte;
+            out
+        };
+        let rows = [
+            ("SOF Tq 9", patched(marker::SOF0, 12, 9)),
+            ("SOS Td 5", patched(marker::SOS, 6, 0x50)),
+            ("SOS Ta 5", patched(marker::SOS, 6, 0x05)),
+        ];
+        for (what, bad) in rows {
+            let got = decode_to_coeffs(&bad);
+            assert!(matches!(got, Err(JpegError::Format(_))), "{what}: {got:?}");
+        }
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(decode_to_coeffs(b"not a jpeg").is_err());

@@ -414,6 +414,20 @@ mod tests {
     fn rejects_garbage_uploads() {
         let core = PspCore::new(PspProfile::facebook());
         assert_eq!(core.upload(b"fully encrypted blob").unwrap_err(), UploadError::NotJpeg);
+        // Headers naming a table id above 3: a frame's quant table, a
+        // scan's DC or AC Huffman table.
+        let jpeg = photo_jpeg(64, 48);
+        for (m, at, byte) in [
+            (p3_jpeg::marker::SOF0, 12, 9),
+            (p3_jpeg::marker::SOS, 6, 0x50),
+            (p3_jpeg::marker::SOS, 6, 0x05),
+        ] {
+            let pos = jpeg.windows(2).position(|w| w == [0xFF, m]).unwrap();
+            let mut bad = jpeg.clone();
+            bad[pos + at] = byte;
+            assert_eq!(core.upload(&bad).unwrap_err(), UploadError::NotJpeg, "FF{m:02X} +{at}");
+        }
+        assert_eq!(core.photo_count(), 0);
     }
 
     /// `jpeg` with the dimensions its first frame header claims

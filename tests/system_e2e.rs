@@ -8,6 +8,7 @@
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_core::pixel::rgb_to_luma;
+use p3_jpeg::marker::{SOF0, SOS};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
@@ -143,12 +144,14 @@ fn non_p3_photos_pass_through() {
     assert_eq!(sys.proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 1);
 }
 
-/// `jpeg` with bytes of its first frame header overwritten, `at` counted
-/// from the marker: marker(2) length(2) precision(1) height(2) width(2).
-fn with_frame_header(jpeg: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
-    let sof = jpeg.windows(2).position(|m| m == [0xFF, p3_jpeg::marker::SOF0]).expect("SOF0");
+/// `jpeg` with bytes of its first `marker` segment overwritten, `at`
+/// counted from the marker. SOF0: marker(2) length(2) precision(1)
+/// height(2) width(2) components(1), then `id, h/v, Tq` per component.
+/// SOS: marker(2) length(2) components(1), then `id, Td/Ta` per component.
+fn with_header(jpeg: &[u8], marker: u8, at: usize, bytes: &[u8]) -> Vec<u8> {
+    let pos = jpeg.windows(2).position(|m| m == [0xFF, marker]).expect("marker");
     let mut out = jpeg.to_vec();
-    out[sof + at..sof + at + bytes.len()].copy_from_slice(bytes);
+    out[pos + at..pos + at + bytes.len()].copy_from_slice(bytes);
     out
 }
 
@@ -158,10 +161,19 @@ fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
     let (_, jpeg) = photo(21, 64, 64);
     // A 12-bit frame is legal JPEG this codec cannot split; a proxy that
     // forwards what it cannot split publishes the photo whole.
-    let deep = with_frame_header(&jpeg, 4, &[12]);
-    let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", deep).expect("answer");
-    assert_eq!(resp.status.0, 422, "{}", String::from_utf8_lossy(&resp.body));
-    assert!(String::from_utf8_lossy(&resp.body).contains("12-bit"), "the reason is named");
+    // Nor can it split a header naming a table id above 3 (these once
+    // panicked the decoder: a 500 in place of a refusal).
+    let rows = [
+        (with_header(&jpeg, SOF0, 4, &[12]), "12-bit"),
+        (with_header(&jpeg, SOF0, 12, &[9]), "quant table"),
+        (with_header(&jpeg, SOS, 6, &[0x50]), "Huffman table"),
+    ];
+    for (bad, reason) in rows {
+        let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", bad).expect("answer");
+        let body = String::from_utf8_lossy(&resp.body);
+        assert_eq!(resp.status.0, 422, "{reason}: {body}");
+        assert!(body.contains(reason), "the reason is named: {body}");
+    }
     // Neither can a proxy configured with no threshold.
     let unset = spawn_system(PspProfile::facebook(), 0);
     let resp =
@@ -187,7 +199,7 @@ fn oversized_frame_header_is_refused_by_the_proxy_before_it_allocates_for_it() {
     // 60 000 x 60 000 is a 21 GB coefficient image to a decoder that
     // believes the header — here the trusted side's.
     let side = 60_000u16.to_be_bytes();
-    let bomb = with_frame_header(&jpeg, 5, &[side, side].concat());
+    let bomb = with_header(&jpeg, SOF0, 5, &[side, side].concat());
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", bomb).expect("answer");
     assert_eq!(resp.status.0, 413, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(sys.psp.core().photo_count(), 0);

@@ -7,6 +7,8 @@
 //! geometry; both re-encode to standards-compliant JPEG without any
 //! further loss.
 
+use std::ops::Range;
+
 use crate::quant::QuantTable;
 use crate::{JpegError, Result};
 
@@ -48,11 +50,81 @@ impl ComponentCoeffs {
     pub fn block(&self, bx: usize, by: usize) -> &Block {
         &self.blocks[by * self.padded_w + bx]
     }
+}
 
-    /// Mutable block accessor (padded coordinates).
-    #[inline]
-    pub fn block_mut(&mut self, bx: usize, by: usize) -> &mut Block {
-        &mut self.blocks[by * self.padded_w + bx]
+/// One step of a [`ScanWalk`].
+#[derive(Debug)]
+pub(crate) enum Step {
+    /// Marker `RSTn` comes next: the MCU after it opens a restart
+    /// interval.
+    Restart(u8),
+    /// Blocks `xs` of block row `y` of the scan's `i`-th component,
+    /// adjacent in the stream.
+    Blocks(usize, usize, Range<usize>),
+}
+
+/// The order a scan's data units take in the stream (T.81 A.2), and
+/// where its restart markers fall: both codec directions walk every scan
+/// through this.
+///
+/// An interleaved scan visits each MCU's components in scan order, each
+/// component's `v` block rows of `h` blocks, over the padded grids. A
+/// one-component scan's MCU is one block, over the component's real
+/// block grid row by row. Every `restart_interval` MCUs (0 = never) a
+/// [`Step::Restart`] numbered 0..=7 cyclically comes between two MCUs.
+pub(crate) struct ScanWalk {
+    /// `(h, v)` blocks each scan component adds to an MCU.
+    units: [(usize, usize); 4],
+    n: usize,
+    /// MCUs across and down.
+    mcus: (usize, usize),
+    /// MCUs per restart interval, `usize::MAX` for none.
+    interval: usize,
+}
+
+impl ScanWalk {
+    /// The walk of a scan over `comps` (indices into `frame.components`,
+    /// at most 4) under a restart interval.
+    pub(crate) fn new(frame: &CoeffImage, comps: &[usize], restart_interval: u16) -> Self {
+        let mut units = [(1, 1); 4];
+        let mcus = if let [c] = comps {
+            (frame.components[*c].blocks_w, frame.components[*c].blocks_h)
+        } else {
+            for (unit, &c) in units.iter_mut().zip(comps) {
+                let c = &frame.components[c];
+                *unit = (usize::from(c.h_samp), usize::from(c.v_samp));
+            }
+            (frame.mcus_x(), frame.mcus_y())
+        };
+        let interval = if restart_interval == 0 { usize::MAX } else { restart_interval.into() };
+        Self { units, n: comps.len(), mcus, interval }
+    }
+
+    /// Hand every step to `f`, in stream order, stopping at its first
+    /// error. A one-component scan's run is as much of a block row as
+    /// its restart interval leaves; an interleaved scan's is one MCU's
+    /// `h` blocks of one row.
+    pub(crate) fn walk(&self, mut f: impl FnMut(Step) -> Result<()>) -> Result<()> {
+        let (mcus_x, mcus_y) = self.mcus;
+        let (mut left, mut next) = (self.interval, 0u8);
+        for my in 0..mcus_y {
+            let mut mx = 0;
+            while mx < mcus_x {
+                if left == 0 {
+                    f(Step::Restart(next))?;
+                    (left, next) = (self.interval, (next + 1) & 7);
+                }
+                let take = if self.n == 1 { (mcus_x - mx).min(left) } else { 1 };
+                for (i, &(h, v)) in self.units[..self.n].iter().enumerate() {
+                    for y in my * v..(my + 1) * v {
+                        f(Step::Blocks(i, y, mx * h..(mx + take) * h))?;
+                    }
+                }
+                mx += take;
+                left -= take;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -81,12 +153,12 @@ impl CoeffImage {
     }
 
     /// MCU columns across the image.
-    pub fn mcus_x(&self) -> usize {
+    fn mcus_x(&self) -> usize {
         self.width.div_ceil(8 * self.h_max() as usize)
     }
 
     /// MCU rows down the image.
-    pub fn mcus_y(&self) -> usize {
+    fn mcus_y(&self) -> usize {
         self.height.div_ceil(8 * self.v_max() as usize)
     }
 
@@ -272,9 +344,126 @@ mod tests {
     #[test]
     fn block_accessors() {
         let mut img = CoeffImage::zeroed(32, 32, tables(), &[(1, 1)], &[0]).unwrap();
-        img.components[0].block_mut(2, 3)[5] = 42;
+        img.components[0].blocks[3 * 4 + 2][5] = 42;
         assert_eq!(img.components[0].block(2, 3)[5], 42);
         assert_eq!(img.components[0].block(0, 0)[5], 0);
+    }
+
+    /// A data unit `(scan component, x, y)` with the MCU it belongs to,
+    /// or a restart marker's index.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Unit {
+        Block { i: usize, x: usize, y: usize, mcu: usize },
+        Rst(u8),
+    }
+
+    /// T.81 A.2 spelled out MCU by MCU: the order [`ScanWalk`] must keep.
+    fn oracle(img: &CoeffImage, comps: &[usize], ri: usize) -> Vec<Unit> {
+        let mut mcus = Vec::new(); // each MCU's blocks
+        if let [c] = comps {
+            let c = &img.components[*c];
+            for y in 0..c.blocks_h {
+                for x in 0..c.blocks_w {
+                    mcus.push(vec![(0, x, y)]);
+                }
+            }
+        } else {
+            for my in 0..img.mcus_y() {
+                for mx in 0..img.mcus_x() {
+                    let mut mcu = Vec::new();
+                    for (i, &c) in comps.iter().enumerate() {
+                        let (h, v) = (img.components[c].h_samp, img.components[c].v_samp);
+                        for dy in 0..v as usize {
+                            for dx in 0..h as usize {
+                                mcu.push((i, mx * h as usize + dx, my * v as usize + dy));
+                            }
+                        }
+                    }
+                    mcus.push(mcu);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        for (mcu, blocks) in mcus.into_iter().enumerate() {
+            if ri > 0 && mcu > 0 && mcu % ri == 0 {
+                out.push(Unit::Rst(((mcu / ri - 1) % 8) as u8));
+            }
+            out.extend(blocks.into_iter().map(|(i, x, y)| Unit::Block { i, x, y, mcu }));
+        }
+        out
+    }
+
+    #[test]
+    fn scan_walk_visits_every_unit_once_in_stream_order() {
+        let layouts: [&[(u8, u8)]; 4] = [
+            &[(1, 1)],
+            &[(1, 1), (1, 1), (1, 1)],
+            &[(2, 1), (1, 1), (1, 1)],
+            &[(2, 2), (1, 1), (1, 1)],
+        ];
+        for sampling in layouts {
+            let quant = [0, 1, 1, 1];
+            let img =
+                CoeffImage::zeroed(75, 56, tables(), sampling, &quant[..sampling.len()]).unwrap();
+            let all: Vec<usize> = (0..sampling.len()).collect();
+            let scans = std::iter::once(all.clone()).chain(all.iter().map(|&c| vec![c]));
+            for comps in scans {
+                for ri in [0, 1, 3, 7] {
+                    let want = oracle(&img, &comps, ri);
+                    let mcu_of: std::collections::HashMap<_, _> = want
+                        .iter()
+                        .filter_map(|u| match *u {
+                            Unit::Block { i, x, y, mcu } => Some(((i, x, y), mcu)),
+                            Unit::Rst(_) => None,
+                        })
+                        .collect();
+                    let mut got = Vec::new();
+                    let walk = ScanWalk::new(&img, &comps, ri as u16);
+                    walk.walk(|step| {
+                        match step {
+                            Step::Restart(k) => got.push(Unit::Rst(k)),
+                            Step::Blocks(i, y, xs) => {
+                                let mcus: Vec<usize> =
+                                    xs.clone().map(|x| mcu_of[&(i, x, y)]).collect();
+                                // A run never crosses an interval boundary.
+                                let interval = |mcu: usize| mcu / ri.max(1);
+                                let (first, last) = (mcus[0], mcus[mcus.len() - 1]);
+                                let within = ri == 0 || interval(first) == interval(last);
+                                assert!(within, "{sampling:?} {comps:?} restart {ri}: run {xs:?}");
+                                got.extend(xs.zip(mcus).map(|(x, mcu)| Unit::Block {
+                                    i,
+                                    x,
+                                    y,
+                                    mcu,
+                                }));
+                            }
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
+                    assert_eq!(got, want, "{sampling:?} scan {comps:?} restart {ri}");
+                    // Each unit once: the padded grids when interleaved,
+                    // the real one alone.
+                    for (i, &c) in comps.iter().enumerate() {
+                        let c = &img.components[c];
+                        let (w, h) = if comps.len() == 1 {
+                            (c.blocks_w, c.blocks_h)
+                        } else {
+                            (c.padded_w, c.padded_h)
+                        };
+                        let mut seen = vec![0; w * h];
+                        for u in &got {
+                            if let Unit::Block { i: ui, x, y, .. } = *u {
+                                if ui == i {
+                                    seen[y * w + x] += 1;
+                                }
+                            }
+                        }
+                        assert!(seen.iter().all(|&n| n == 1), "{sampling:?} {comps:?}: {seen:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -298,7 +487,7 @@ mod tests {
     #[test]
     fn histogram_counts_ac_only() {
         let mut img = CoeffImage::zeroed(8, 8, tables(), &[(1, 1)], &[0]).unwrap();
-        let b = img.components[0].block_mut(0, 0);
+        let b = &mut img.components[0].blocks[0];
         b[0] = 100; // DC — excluded
         b[1] = 5;
         b[2] = -5;

@@ -4,11 +4,17 @@
 //! representation the P3 algorithm manipulates — while [`decode_to_rgb`]
 //! completes the conventional pipeline (dequantize, IDCT, upsample, color
 //! convert). Baseline (SOF0/SOF1) and progressive (SOF2) streams are both
-//! handled, including restart intervals, multiple scans, table
-//! redefinition between scans, and 16-bit quantization tables.
+//! handled, including multiple scans, table redefinition between scans,
+//! and 16-bit quantization tables.
+//!
+//! Every scan, sequential or progressive, is read the same way: the
+//! block module's `ScanWalk` hands out its blocks in stream order and
+//! says where its restart markers fall, so a restart interval holds in
+//! every kind of scan, and each block is decoded by one band rule
+//! (`Band::decode`).
 
 use crate::bitio::BitReader;
-use crate::block::{CoeffImage, COEFS_PER_BLOCK};
+use crate::block::{Block, CoeffImage, ScanWalk, Step};
 use crate::color::{planes_to_rgb, upsample, Plane};
 use crate::huffman::{HuffDecoder, HuffSpec};
 use crate::image::{GrayImage, RgbImage};
@@ -28,16 +34,8 @@ pub const MAX_SIDE: usize = 8192;
 pub struct DecodedInfo {
     /// True if the stream was progressive (SOF2).
     pub progressive: bool,
-    /// Restart interval in effect for the last scan (0 = none).
-    pub restart_interval: u16,
     /// Number of entropy-coded scans encountered.
     pub scans: usize,
-}
-
-struct ScanComponent {
-    comp_idx: usize,
-    dc_tbl: usize,
-    ac_tbl: usize,
 }
 
 struct Decoder<'a> {
@@ -52,8 +50,6 @@ struct Decoder<'a> {
     progressive: bool,
     restart_interval: u16,
     scans: usize,
-    /// EOB run carried across blocks within a progressive AC scan.
-    eobrun: u32,
 }
 
 impl<'a> Decoder<'a> {
@@ -69,7 +65,6 @@ impl<'a> Decoder<'a> {
             progressive: false,
             restart_interval: 0,
             scans: 0,
-            eobrun: 0,
         }
     }
 
@@ -176,6 +171,9 @@ impl<'a> Decoder<'a> {
             let id = self.take_u8()?;
             let hv = self.take_u8()?;
             let tq = usize::from(self.take_u8()?);
+            if tq > 3 {
+                return Err(JpegError::Format(format!("SOF names quant table {tq}")));
+            }
             ids.push(id);
             sampling.push((hv >> 4, hv & 0x0F));
             quant_map.push(tq);
@@ -282,26 +280,9 @@ impl<'a> Decoder<'a> {
         if ns == 0 || ns > 4 {
             return Err(JpegError::Format(format!("{ns} scan components")));
         }
-        let comp_ids: Vec<u8> = self
-            .frame
-            .as_ref()
-            .ok_or_else(|| JpegError::Format("SOS before SOF".into()))?
-            .components
-            .iter()
-            .map(|c| c.id)
-            .collect();
-        let mut scomps = Vec::new();
-        for _ in 0..ns {
-            let cs = self.take_u8()?;
-            let tt = self.take_u8()?;
-            let comp_idx = comp_ids.iter().position(|&id| id == cs).ok_or_else(|| {
-                JpegError::Format(format!("scan references unknown component {cs}"))
-            })?;
-            scomps.push(ScanComponent {
-                comp_idx,
-                dc_tbl: usize::from(tt >> 4),
-                ac_tbl: usize::from(tt & 0x0F),
-            });
+        let mut specs = [(0u8, 0u8); 4];
+        for spec in &mut specs[..ns] {
+            *spec = (self.take_u8()?, self.take_u8()?);
         }
         let ss = usize::from(self.take_u8()?);
         let se = usize::from(self.take_u8()?);
@@ -313,424 +294,228 @@ impl<'a> Decoder<'a> {
         if ss > 63 || se > 63 || ss > se {
             return Err(JpegError::Format("bad spectral selection".into()));
         }
+        if !self.progressive && (ss != 0 || se != 63 || ah != 0 || al != 0) {
+            return Err(JpegError::Format("baseline scan with progressive params".into()));
+        }
+        if self.progressive && ss == 0 && se != 0 {
+            return Err(JpegError::Format("progressive DC scan with Se != 0".into()));
+        }
+        if self.progressive && ss > 0 && ns != 1 {
+            return Err(JpegError::Format("interleaved progressive AC scan".into()));
+        }
+        let frame =
+            self.frame.as_mut().ok_or_else(|| JpegError::Format("SOS before SOF".into()))?;
+        let mut comps = [0usize; 4];
+        let mut band = Band {
+            ss,
+            se,
+            ah,
+            al,
+            progressive: self.progressive,
+            tables: [(None, None); 4],
+            last_dc: [0; 4],
+            eobrun: 0,
+        };
+        let scan = comps.iter_mut().zip(&mut band.tables).zip(&specs[..ns]);
+        for ((comp, tables), &(cs, tt)) in scan {
+            *comp = frame.components.iter().position(|c| c.id == cs).ok_or_else(|| {
+                JpegError::Format(format!("scan references unknown component {cs}"))
+            })?;
+            let (td, ta) = (usize::from(tt >> 4), usize::from(tt & 0x0F));
+            if td > 3 || ta > 3 {
+                return Err(JpegError::Format(format!("SOS names Huffman table {td}/{ta}")));
+            }
+            *tables = (self.dc_tables[td].as_ref(), self.ac_tables[ta].as_ref());
+        }
         self.scans += 1;
-        self.eobrun = 0;
 
-        let entropy = &self.data[self.pos..];
-        let mut reader = BitReader::new(entropy);
-        if self.progressive {
-            self.decode_progressive_scan(&scomps, ss, se, ah, al, &mut reader)?;
-        } else {
-            if ss != 0 || se != 63 || ah != 0 || al != 0 {
-                return Err(JpegError::Format("baseline scan with progressive params".into()));
-            }
-            self.decode_baseline_scan(&scomps, &mut reader)?;
-        }
-        // Resume segment parsing at the terminating marker.
-        self.pos += reader.resume_position();
-        Ok(())
-    }
-
-    // -- baseline ----------------------------------------------------------
-
-    fn decode_baseline_scan(
-        &mut self,
-        scomps: &[ScanComponent],
-        r: &mut BitReader<'_>,
-    ) -> Result<()> {
-        let frame = self.frame.as_mut().expect("frame checked");
-        let ri = u32::from(self.restart_interval);
-        let mut last_dc = vec![0i32; scomps.len()];
-        let mut mcu_count = 0u32;
-        let mut rst_expect = 0u8;
-
-        // Resolve table presence up front.
-        for sc in scomps {
-            if self.dc_tables[sc.dc_tbl].is_none() {
-                return Err(JpegError::Format("missing DC table".into()));
-            }
-            if self.ac_tables[sc.ac_tbl].is_none() {
-                return Err(JpegError::Format("missing AC table".into()));
-            }
-        }
-
-        let handle_restart = |mcu_count: &mut u32,
-                              last_dc: &mut [i32],
-                              rst_expect: &mut u8,
-                              r: &mut BitReader<'_>|
-         -> Result<()> {
-            if ri > 0 && *mcu_count == ri {
-                let idx = r.read_restart()?;
-                if idx != *rst_expect {
+        // One restart rule: the marker, its index, then the DC
+        // predictors and the EOB run start over.
+        let data = self.data;
+        let mut r = BitReader::new(&data[self.pos..]);
+        ScanWalk::new(frame, &comps[..ns], self.restart_interval).walk(|step| match step {
+            Step::Restart(n) => {
+                let got = r.read_restart()?;
+                if got != n {
                     return Err(JpegError::Format(format!(
-                        "restart marker out of order: got {idx}, want {rst_expect}"
+                        "restart marker out of order: got {got}, want {n}"
                     )));
                 }
-                *rst_expect = (*rst_expect + 1) & 7;
-                *mcu_count = 0;
-                last_dc.iter_mut().for_each(|d| *d = 0);
+                (band.last_dc, band.eobrun) = ([0; 4], 0);
+                Ok(())
             }
-            Ok(())
-        };
-
-        if scomps.len() == 1 {
-            let sc = &scomps[0];
-            let dc = self.dc_tables[sc.dc_tbl].as_ref().unwrap();
-            let ac = self.ac_tables[sc.ac_tbl].as_ref().unwrap();
-            let comp = &mut frame.components[sc.comp_idx];
-            for by in 0..comp.blocks_h {
-                for bx in 0..comp.blocks_w {
-                    handle_restart(&mut mcu_count, &mut last_dc, &mut rst_expect, r)?;
-                    let block = comp.block_mut(bx, by);
-                    decode_block_baseline(r, dc, ac, &mut last_dc[0], block)?;
-                    mcu_count += 1;
+            Step::Blocks(i, y, xs) => {
+                let comp = &mut frame.components[comps[i]];
+                for block in &mut comp.blocks[y * comp.padded_w..][xs] {
+                    band.decode(&mut r, i, block)?;
                 }
+                Ok(())
             }
-        } else {
-            let mcus_x = frame.mcus_x();
-            let mcus_y = frame.mcus_y();
-            for my in 0..mcus_y {
-                for mx in 0..mcus_x {
-                    handle_restart(&mut mcu_count, &mut last_dc, &mut rst_expect, r)?;
-                    for (i, sc) in scomps.iter().enumerate() {
-                        let dc = self.dc_tables[sc.dc_tbl].as_ref().unwrap();
-                        let ac = self.ac_tables[sc.ac_tbl].as_ref().unwrap();
-                        let comp = &mut frame.components[sc.comp_idx];
-                        let (h, v) = (comp.h_samp as usize, comp.v_samp as usize);
-                        for dv in 0..v {
-                            for dh in 0..h {
-                                let block = comp.block_mut(mx * h + dh, my * v + dv);
-                                decode_block_baseline(r, dc, ac, &mut last_dc[i], block)?;
-                            }
-                        }
-                    }
-                    mcu_count += 1;
-                }
-            }
-        }
+        })?;
+        // Resume segment parsing at the terminating marker.
+        self.pos += r.resume_position();
         Ok(())
     }
+}
 
-    // -- progressive ---------------------------------------------------------
+fn missing(class: &str) -> JpegError {
+    JpegError::Format(format!("missing {class} table"))
+}
 
-    fn decode_progressive_scan(
-        &mut self,
-        scomps: &[ScanComponent],
-        ss: usize,
-        se: usize,
-        ah: u8,
-        al: u8,
-        r: &mut BitReader<'_>,
-    ) -> Result<()> {
-        if ss == 0 {
-            if se != 0 {
-                return Err(JpegError::Format("progressive DC scan with Se != 0".into()));
-            }
-            if ah == 0 {
-                self.decode_dc_first(scomps, al, r)
-            } else {
-                self.decode_dc_refine(scomps, al, r)
-            }
-        } else {
-            if scomps.len() != 1 {
-                return Err(JpegError::Format("interleaved progressive AC scan".into()));
-            }
-            if ah == 0 {
-                self.decode_ac_first(&scomps[0], ss, se, al, r)
-            } else {
-                self.decode_ac_refine(&scomps[0], ss, se, al, r)
+/// One scan's coding parameters, and what a restart resets.
+struct Band<'t> {
+    /// Spectral selection `Ss..=Se`.
+    ss: usize,
+    se: usize,
+    /// Successive approximation: the bit position before (`Ah`, 0 on a
+    /// first pass) and after (`Al`) this scan.
+    ah: u8,
+    al: u8,
+    /// Only a progressive scan may code an EOB run (`EOBn`, n > 0).
+    progressive: bool,
+    /// `(DC, AC)` tables of each scan component, as its header names them.
+    tables: [(Option<&'t HuffDecoder>, Option<&'t HuffDecoder>); 4],
+    /// DC predictor of each scan component.
+    last_dc: [i32; 4],
+    /// Blocks the current EOB run still covers.
+    eobrun: u32,
+}
+
+impl Band<'_> {
+    /// Decode the `i`-th scan component's next block: its DC term iff
+    /// `Ss = 0`, its AC band `max(Ss, 1)..=Se` iff `Se > 0`, each a first
+    /// pass when `Ah = 0` and a refinement otherwise. A sequential block
+    /// is a DC and an AC first pass at `Al = 0`.
+    fn decode(&mut self, r: &mut BitReader<'_>, i: usize, block: &mut Block) -> Result<()> {
+        let (dc, ac) = self.tables[i];
+        if self.ss == 0 {
+            if self.ah == 0 {
+                let s = dc.ok_or_else(|| missing("DC"))?.decode(r)?;
+                if s > 11 {
+                    return Err(JpegError::Format("DC size > 11".into()));
+                }
+                self.last_dc[i] += r.receive_extend(u32::from(s))?;
+                block[0] = self.last_dc[i] << self.al;
+            } else if r.get_bit()? == 1 {
+                block[0] |= 1 << self.al;
             }
         }
-    }
-
-    fn decode_dc_first(
-        &mut self,
-        scomps: &[ScanComponent],
-        al: u8,
-        r: &mut BitReader<'_>,
-    ) -> Result<()> {
-        let frame = self.frame.as_mut().expect("frame");
-        let ri = u32::from(self.restart_interval);
-        let mut last_dc = vec![0i32; scomps.len()];
-        let mut mcu_count = 0u32;
-        for sc in scomps {
-            if self.dc_tables[sc.dc_tbl].is_none() {
-                return Err(JpegError::Format("missing DC table".into()));
-            }
-        }
-        // Unified MCU walk (single-component scans have 1-block MCUs over
-        // real dims).
-        let mcus: Vec<(usize, usize, usize)> = if scomps.len() == 1 {
-            let comp = &frame.components[scomps[0].comp_idx];
-            let mut v = Vec::with_capacity(comp.blocks_w * comp.blocks_h);
-            for by in 0..comp.blocks_h {
-                for bx in 0..comp.blocks_w {
-                    v.push((0usize, bx, by));
-                }
-            }
-            v
-        } else {
-            let mut v = Vec::new();
-            for my in 0..frame.mcus_y() {
-                for mx in 0..frame.mcus_x() {
-                    for (i, sc) in scomps.iter().enumerate() {
-                        let comp = &frame.components[sc.comp_idx];
-                        for dv in 0..comp.v_samp as usize {
-                            for dh in 0..comp.h_samp as usize {
-                                v.push((
-                                    i,
-                                    mx * comp.h_samp as usize + dh,
-                                    my * comp.v_samp as usize + dv,
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            v
-        };
-        let mcu_size = if scomps.len() == 1 {
-            1
-        } else {
-            scomps
-                .iter()
-                .map(|sc| {
-                    let c = &frame.components[sc.comp_idx];
-                    c.h_samp as usize * c.v_samp as usize
-                })
-                .sum::<usize>()
-        };
-        let mut in_mcu = 0usize;
-        for (i, bx, by) in mcus {
-            if ri > 0 && in_mcu == 0 && mcu_count == ri {
-                r.read_restart()?;
-                last_dc.iter_mut().for_each(|d| *d = 0);
-                mcu_count = 0;
-            }
-            let sc = &scomps[i];
-            let dec = self.dc_tables[sc.dc_tbl].as_ref().unwrap();
-            let s = dec.decode(r)?;
-            if s > 11 {
-                return Err(JpegError::Format("DC size > 11".into()));
-            }
-            let diff = r.receive_extend(u32::from(s))?;
-            last_dc[i] += diff;
-            let comp = &mut frame.components[sc.comp_idx];
-            comp.block_mut(bx, by)[0] = last_dc[i] << al;
-            in_mcu += 1;
-            if in_mcu == mcu_size {
-                in_mcu = 0;
-                mcu_count += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_dc_refine(
-        &mut self,
-        scomps: &[ScanComponent],
-        al: u8,
-        r: &mut BitReader<'_>,
-    ) -> Result<()> {
-        let frame = self.frame.as_mut().expect("frame");
-        if scomps.len() == 1 {
-            let comp = &mut frame.components[scomps[0].comp_idx];
-            for by in 0..comp.blocks_h {
-                for bx in 0..comp.blocks_w {
-                    if r.get_bit()? == 1 {
-                        comp.block_mut(bx, by)[0] |= 1 << al;
-                    }
-                }
-            }
+        if self.se == 0 {
             return Ok(());
         }
-        for my in 0..frame.mcus_y() {
-            for mx in 0..frame.mcus_x() {
-                for sc in scomps {
-                    let comp = &mut frame.components[sc.comp_idx];
-                    let (h, v) = (comp.h_samp as usize, comp.v_samp as usize);
-                    for dv in 0..v {
-                        for dh in 0..h {
-                            if r.get_bit()? == 1 {
-                                comp.block_mut(mx * h + dh, my * v + dv)[0] |= 1 << al;
-                            }
-                        }
-                    }
+        let ac = ac.ok_or_else(|| missing("AC"))?;
+        if self.ah == 0 {
+            self.ac_first(r, ac, block)
+        } else {
+            self.ac_refine(r, ac, block)
+        }
+    }
+
+    fn ac_first(
+        &mut self,
+        r: &mut BitReader<'_>,
+        ac: &HuffDecoder,
+        block: &mut Block,
+    ) -> Result<()> {
+        if self.eobrun > 0 {
+            self.eobrun -= 1;
+            return Ok(());
+        }
+        let mut k = self.ss.max(1);
+        while k <= self.se {
+            let rs = ac.decode(r)?;
+            let (run, size) = (usize::from(rs >> 4), u32::from(rs & 0x0F));
+            if size != 0 {
+                k += run;
+                if k > self.se {
+                    return Err(JpegError::Format("AC index overrun".into()));
                 }
+                block[usize::from(UNZIGZAG[k])] = r.receive_extend(size)? << self.al;
+                k += 1;
+            } else if run == 15 {
+                k += 16; // ZRL
+            } else {
+                if run > 0 && !self.progressive {
+                    return Err(JpegError::Format("EOB run in a sequential scan".into()));
+                }
+                self.eobrun = (1 << run) - 1 + r.get_bits(run as u32)?;
+                break;
             }
         }
         Ok(())
     }
 
-    fn decode_ac_first(
+    fn ac_refine(
         &mut self,
-        sc: &ScanComponent,
-        ss: usize,
-        se: usize,
-        al: u8,
         r: &mut BitReader<'_>,
+        ac: &HuffDecoder,
+        block: &mut Block,
     ) -> Result<()> {
-        let frame = self.frame.as_mut().expect("frame");
-        let dec = self.ac_tables[sc.ac_tbl]
-            .as_ref()
-            .ok_or_else(|| JpegError::Format("missing AC table".into()))?;
-        let comp = &mut frame.components[sc.comp_idx];
-        for by in 0..comp.blocks_h {
-            for bx in 0..comp.blocks_w {
-                let block = comp.block_mut(bx, by);
-                if self.eobrun > 0 {
-                    self.eobrun -= 1;
-                    continue;
+        let (ss, se) = (self.ss.max(1), self.se);
+        let p1: i32 = 1 << self.al;
+        let m1: i32 = -1 << self.al;
+        let mut k = ss;
+        if self.eobrun == 0 {
+            while k <= se {
+                let rs = ac.decode(r)?;
+                let mut run = i32::from(rs >> 4);
+                let size = rs & 0x0F;
+                let mut newval = 0i32;
+                if size != 0 {
+                    if size != 1 {
+                        return Err(JpegError::Format("refine scan size != 1".into()));
+                    }
+                    newval = if r.get_bit()? == 1 { p1 } else { m1 };
+                } else if run != 15 {
+                    self.eobrun = (1 << run) + r.get_bits(run as u32)?;
+                    break;
                 }
-                let mut k = ss;
+                // Advance over already-nonzero coefficients (reading a
+                // correction bit for each) and `run` still-zero ones.
                 while k <= se {
-                    let rs = dec.decode(r)?;
-                    let run = usize::from(rs >> 4);
-                    let size = u32::from(rs & 0x0F);
-                    if size != 0 {
-                        k += run;
-                        if k > se {
-                            return Err(JpegError::Format("AC index overrun".into()));
-                        }
-                        let v = r.receive_extend(size)?;
-                        block[usize::from(UNZIGZAG[k])] = v << al;
-                        k += 1;
-                    } else if run != 15 {
-                        self.eobrun = (1 << run) - 1;
-                        if run > 0 {
-                            self.eobrun += r.get_bits(run as u32)?;
-                        }
-                        break;
-                    } else {
-                        k += 16; // ZRL
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn decode_ac_refine(
-        &mut self,
-        sc: &ScanComponent,
-        ss: usize,
-        se: usize,
-        al: u8,
-        r: &mut BitReader<'_>,
-    ) -> Result<()> {
-        let frame = self.frame.as_mut().expect("frame");
-        let dec = self.ac_tables[sc.ac_tbl]
-            .as_ref()
-            .ok_or_else(|| JpegError::Format("missing AC table".into()))?;
-        let comp = &mut frame.components[sc.comp_idx];
-        let p1: i32 = 1 << al;
-        let m1: i32 = -1 << al;
-        for by in 0..comp.blocks_h {
-            for bx in 0..comp.blocks_w {
-                let block = comp.block_mut(bx, by);
-                let mut k = ss;
-                if self.eobrun == 0 {
-                    while k <= se {
-                        let rs = dec.decode(r)?;
-                        let mut run = i32::from(rs >> 4);
-                        let size = rs & 0x0F;
-                        let mut newval = 0i32;
-                        if size != 0 {
-                            if size != 1 {
-                                return Err(JpegError::Format("refine scan size != 1".into()));
-                            }
-                            newval = if r.get_bit()? == 1 { p1 } else { m1 };
-                        } else if run != 15 {
-                            self.eobrun = 1 << run;
-                            if run > 0 {
-                                self.eobrun += r.get_bits(run as u32)?;
-                            }
-                            break;
-                        }
-                        // Advance over already-nonzero coefficients (reading a
-                        // correction bit for each) and `run` still-zero ones.
-                        while k <= se {
-                            let coef = &mut block[usize::from(UNZIGZAG[k])];
-                            if *coef != 0 {
-                                if r.get_bit()? == 1 && (*coef & p1) == 0 {
-                                    if *coef >= 0 {
-                                        *coef += p1;
-                                    } else {
-                                        *coef += m1;
-                                    }
-                                }
-                            } else {
-                                run -= 1;
-                                if run < 0 {
-                                    break;
-                                }
-                            }
-                            k += 1;
-                        }
-                        if newval != 0 {
-                            if k > se {
-                                return Err(JpegError::Format("refine index overrun".into()));
-                            }
-                            block[usize::from(UNZIGZAG[k])] = newval;
-                        }
-                        k += 1;
-                    }
-                }
-                if self.eobrun > 0 {
-                    // Remaining positions: correction bits for nonzeros only.
-                    while k <= se {
-                        let coef = &mut block[usize::from(UNZIGZAG[k])];
-                        if *coef != 0 && r.get_bit()? == 1 && (*coef & p1) == 0 {
+                    let coef = &mut block[usize::from(UNZIGZAG[k])];
+                    if *coef != 0 {
+                        if r.get_bit()? == 1 && (*coef & p1) == 0 {
                             if *coef >= 0 {
                                 *coef += p1;
                             } else {
                                 *coef += m1;
                             }
                         }
-                        k += 1;
+                    } else {
+                        run -= 1;
+                        if run < 0 {
+                            break;
+                        }
                     }
-                    self.eobrun -= 1;
+                    k += 1;
                 }
+                if newval != 0 {
+                    if k > se {
+                        return Err(JpegError::Format("refine index overrun".into()));
+                    }
+                    block[usize::from(UNZIGZAG[k])] = newval;
+                }
+                k += 1;
             }
+        }
+        if self.eobrun > 0 {
+            // Remaining positions: correction bits for nonzeros only.
+            while k <= se {
+                let coef = &mut block[usize::from(UNZIGZAG[k])];
+                if *coef != 0 && r.get_bit()? == 1 && (*coef & p1) == 0 {
+                    if *coef >= 0 {
+                        *coef += p1;
+                    } else {
+                        *coef += m1;
+                    }
+                }
+                k += 1;
+            }
+            self.eobrun -= 1;
         }
         Ok(())
     }
-}
-
-fn decode_block_baseline(
-    r: &mut BitReader<'_>,
-    dc: &HuffDecoder,
-    ac: &HuffDecoder,
-    last_dc: &mut i32,
-    block: &mut [i32; COEFS_PER_BLOCK],
-) -> Result<()> {
-    let s = dc.decode(r)?;
-    if s > 11 {
-        return Err(JpegError::Format("DC size > 11".into()));
-    }
-    let diff = r.receive_extend(u32::from(s))?;
-    *last_dc += diff;
-    block[0] = *last_dc;
-    let mut k = 1usize;
-    while k < 64 {
-        let rs = ac.decode(r)?;
-        let run = usize::from(rs >> 4);
-        let size = u32::from(rs & 0x0F);
-        if size == 0 {
-            if run == 15 {
-                k += 16;
-                continue;
-            }
-            break; // EOB
-        }
-        k += run;
-        if k > 63 {
-            return Err(JpegError::Format("AC index overrun".into()));
-        }
-        block[usize::from(UNZIGZAG[k])] = r.receive_extend(size)?;
-        k += 1;
-    }
-    Ok(())
 }
 
 /// Decode a JPEG bitstream into quantized coefficients plus stream
@@ -749,11 +534,7 @@ pub fn decode_to_coeffs_into(data: &[u8], frame: &mut CoeffImage) -> Result<Deco
     d.recycled = std::mem::take(frame);
     d.run()?;
     *frame = d.frame.take().expect("run() guarantees a frame");
-    Ok(DecodedInfo {
-        progressive: d.progressive,
-        restart_interval: d.restart_interval,
-        scans: d.scans,
-    })
+    Ok(DecodedInfo { progressive: d.progressive, scans: d.scans })
 }
 
 /// Reconstruct the sample planes of each component (dequantize + IDCT),

@@ -11,7 +11,7 @@
 //! reported 5–10 % range.
 
 use crate::bitio::{encode_magnitude, BitWriter};
-use crate::block::{Block, CoeffImage, ComponentCoeffs};
+use crate::block::{Block, CoeffImage, ComponentCoeffs, ScanWalk, Step};
 use crate::color::{downsample, rgb_to_planes, Plane};
 use crate::huffman::{
     default_ac_chroma, default_ac_luma, default_dc_chroma, default_dc_luma, FreqCounter,
@@ -219,7 +219,8 @@ fn plane_into_blocks(plane: &Plane, comp: &mut ComponentCoeffs, qt: &QuantTable)
 // ---------------------------------------------------------------------------
 // Scan recording. Every entropy-coded scan of every mode goes the same way:
 // a walker records the scan as an op stream into the per-thread scratch,
-// and `emit_scan` builds the tables the scan declares, writes DHT + SOS and
+// in the order `ScanWalk` gives (restart markers included), and
+// `emit_scan` builds the tables the scan declares, writes DHT + SOS and
 // replays the ops into the output. No walker writes a bit itself.
 // ---------------------------------------------------------------------------
 
@@ -342,7 +343,7 @@ impl ScanRecorder {
         }
     }
 
-    /// Restart marker (baseline only).
+    /// Restart marker `RST{idx}`, where a scan's walk places one.
     fn restart(&mut self, idx: u8) {
         self.extra_bits += 7 + 16;
         self.ops.push((OP_RESTART << OP_SHIFT) | u64::from(idx));
@@ -470,215 +471,202 @@ fn pt_shift(v: i32, al: u8) -> i32 {
 // Scan walkers
 // ---------------------------------------------------------------------------
 
-/// Walk the interleaved MCU structure, invoking `f(comp_idx, bx, by)` for
-/// each data unit in scan order.
-fn walk_mcus<F: FnMut(usize, usize, usize)>(ci: &CoeffImage, mut f: F) {
-    let mcus_x = ci.mcus_x();
-    let mcus_y = ci.mcus_y();
-    for my in 0..mcus_y {
-        for mx in 0..mcus_x {
-            for (cidx, comp) in ci.components.iter().enumerate() {
-                for v in 0..comp.v_samp as usize {
-                    for h in 0..comp.h_samp as usize {
-                        f(cidx, mx * comp.h_samp as usize + h, my * comp.v_samp as usize + v);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Table index assignment: component 0 uses tables 0 (luma), all other
 /// components use tables 1 (chroma).
 fn tbl_for_component(cidx: usize) -> usize {
     usize::from(cidx != 0)
 }
 
-/// Baseline scan: interleaved if multi-component.
-fn scan_baseline(ci: &CoeffImage, restart_interval: u16, rec: &mut ScanRecorder) {
+/// Component indices in frame order: a sequential or DC scan takes the
+/// first `ci.components.len()`.
+const ALL: [usize; 4] = [0, 1, 2, 3];
+
+/// What a restart resets: the DC predictors (by component) and an AC
+/// scan's EOB run.
+#[derive(Default)]
+struct Carry {
+    last_dc: [i32; 4],
+    eobrun: u32,
+}
+
+/// Record the scan over `comps` in the order [`ScanWalk`] gives:
+/// `block` records each block, handed its component index. A restart
+/// closes the EOB run, records the marker and resets the predictors.
+fn record_scan(
+    ci: &CoeffImage,
+    comps: &[usize],
+    restart_interval: u16,
+    rec: &mut ScanRecorder,
+    mut block: impl FnMut(&mut ScanRecorder, &mut Carry, usize, &Block),
+) -> Result<()> {
+    // Only a one-component AC scan has EOB runs to close.
+    let tbl = tbl_for_component(comps[0]);
+    let mut carry = Carry::default();
+    ScanWalk::new(ci, comps, restart_interval).walk(|step| {
+        match step {
+            Step::Restart(n) => {
+                rec.flush_eob(tbl, &mut carry.eobrun);
+                rec.restart(n);
+                carry = Carry::default();
+            }
+            Step::Blocks(i, y, xs) => {
+                let comp = &ci.components[comps[i]];
+                for b in &comp.blocks[y * comp.padded_w..][xs] {
+                    block(rec, &mut carry, comps[i], b);
+                }
+            }
+        }
+        Ok(())
+    })?;
+    rec.flush_eob(tbl, &mut carry.eobrun);
+    Ok(())
+}
+
+/// Sequential scan: every component, interleaved if more than one.
+fn scan_baseline(ci: &CoeffImage, restart_interval: u16, rec: &mut ScanRecorder) -> Result<()> {
     let level = crate::simd::simd_level();
-    let mut last_dc = vec![0i32; ci.components.len()];
-    if ci.components.len() == 1 {
-        let comp = &ci.components[0];
-        let mut mcu_count = 0u32;
-        let mut rst = 0u8;
-        for by in 0..comp.blocks_h {
-            for bx in 0..comp.blocks_w {
-                if restart_interval > 0 && mcu_count == u32::from(restart_interval) {
-                    rec.restart(rst);
-                    rst = (rst + 1) & 7;
-                    mcu_count = 0;
-                    last_dc[0] = 0;
-                }
-                let b = comp.block(bx, by);
-                emit_dc(rec, 0, b[0] - last_dc[0]);
-                last_dc[0] = b[0];
-                emit_block_ac_baseline(rec, 0, b, level);
-                mcu_count += 1;
-            }
-        }
-        return;
-    }
-    // Interleaved path: restart logic needs MCU boundaries, so walk manually.
-    let mcus_x = ci.mcus_x();
-    let mcus_y = ci.mcus_y();
-    let mut mcu_count = 0u32;
-    let mut rst = 0u8;
-    for my in 0..mcus_y {
-        for mx in 0..mcus_x {
-            if restart_interval > 0 && mcu_count == u32::from(restart_interval) {
-                rec.restart(rst);
-                rst = (rst + 1) & 7;
-                mcu_count = 0;
-                last_dc.iter_mut().for_each(|d| *d = 0);
-            }
-            for (cidx, comp) in ci.components.iter().enumerate() {
-                let tbl = tbl_for_component(cidx);
-                for v in 0..comp.v_samp as usize {
-                    for h in 0..comp.h_samp as usize {
-                        let b = comp
-                            .block(mx * comp.h_samp as usize + h, my * comp.v_samp as usize + v);
-                        emit_dc(rec, tbl, b[0] - last_dc[cidx]);
-                        last_dc[cidx] = b[0];
-                        emit_block_ac_baseline(rec, tbl, b, level);
-                    }
-                }
-            }
-            mcu_count += 1;
-        }
-    }
+    let comps = &ALL[..ci.components.len()];
+    record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
+        let tbl = tbl_for_component(c);
+        emit_dc(rec, tbl, b[0] - carry.last_dc[c]);
+        carry.last_dc[c] = b[0];
+        emit_block_ac_baseline(rec, tbl, b, level);
+    })
 }
 
 /// Progressive DC first scan (Ah = 0): interleaved across all components.
-fn scan_dc_first(ci: &CoeffImage, al: u8, rec: &mut ScanRecorder) {
-    let mut last_dc = vec![0i32; ci.components.len()];
-    walk_mcus(ci, |cidx, bx, by| {
-        let b = ci.components[cidx].block(bx, by);
+fn scan_dc_first(
+    ci: &CoeffImage,
+    al: u8,
+    restart_interval: u16,
+    rec: &mut ScanRecorder,
+) -> Result<()> {
+    let comps = &ALL[..ci.components.len()];
+    record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
         let v = b[0] >> al; // DC uses arithmetic shift per spec
-        emit_dc(rec, tbl_for_component(cidx), v - last_dc[cidx]);
-        last_dc[cidx] = v;
-    });
+        emit_dc(rec, tbl_for_component(c), v - carry.last_dc[c]);
+        carry.last_dc[c] = v;
+    })
 }
 
 /// Progressive DC refinement scan (Ah = Al + 1): one raw bit per block.
-fn scan_dc_refine(ci: &CoeffImage, al: u8, rec: &mut ScanRecorder) {
-    walk_mcus(ci, |cidx, bx, by| {
-        let b = ci.components[cidx].block(bx, by);
+fn scan_dc_refine(
+    ci: &CoeffImage,
+    al: u8,
+    restart_interval: u16,
+    rec: &mut ScanRecorder,
+) -> Result<()> {
+    let comps = &ALL[..ci.components.len()];
+    record_scan(ci, comps, restart_interval, rec, |rec, _, _, b| {
         rec.bits(((b[0] >> al) & 1) as u32, 1);
-    });
+    })
 }
 
 /// Progressive AC first scan over one component (non-interleaved).
 fn scan_ac_first(
-    comp: &ComponentCoeffs,
+    ci: &CoeffImage,
+    comp: usize,
     ss: usize,
     se: usize,
     al: u8,
-    tbl: usize,
+    restart_interval: u16,
     rec: &mut ScanRecorder,
-) {
-    let mut eobrun: u32 = 0;
-    for by in 0..comp.blocks_h {
-        for bx in 0..comp.blocks_w {
-            let block = comp.block(bx, by);
-            let mut run = 0u32;
-            for z in ss..=se {
-                let v = pt_shift(block[usize::from(crate::zigzag::UNZIGZAG[z])], al);
-                if v == 0 {
-                    run += 1;
-                    continue;
-                }
-                rec.flush_eob(tbl, &mut eobrun);
-                while run > 15 {
-                    rec.symbol(Class::Ac, tbl, 0xF0);
-                    run -= 16;
-                }
-                let (size, bits) = encode_magnitude(v);
-                rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
-                run = 0;
+) -> Result<()> {
+    let tbl = tbl_for_component(comp);
+    record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
+        let mut run = 0u32;
+        for z in ss..=se {
+            let v = pt_shift(block[usize::from(crate::zigzag::UNZIGZAG[z])], al);
+            if v == 0 {
+                run += 1;
+                continue;
             }
-            if run > 0 {
-                eobrun += 1;
-                if eobrun == 0x7FFF {
-                    rec.flush_eob(tbl, &mut eobrun);
-                }
+            rec.flush_eob(tbl, &mut carry.eobrun);
+            while run > 15 {
+                rec.symbol(Class::Ac, tbl, 0xF0);
+                run -= 16;
+            }
+            let (size, bits) = encode_magnitude(v);
+            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
+            run = 0;
+        }
+        if run > 0 {
+            carry.eobrun += 1;
+            if carry.eobrun == 0x7FFF {
+                rec.flush_eob(tbl, &mut carry.eobrun);
             }
         }
-    }
-    rec.flush_eob(tbl, &mut eobrun);
+    })
 }
 
 /// Progressive AC refinement scan (Ah = Al + 1) over one component —
 /// the correction-bit algorithm of ITU T.81 §G.1.2.3 / figure G.7.
 fn scan_ac_refine(
-    comp: &ComponentCoeffs,
+    ci: &CoeffImage,
+    comp: usize,
     ss: usize,
     se: usize,
     al: u8,
-    tbl: usize,
+    restart_interval: u16,
     rec: &mut ScanRecorder,
-) {
-    let mut eobrun: u32 = 0;
-    for by in 0..comp.blocks_h {
-        for bx in 0..comp.blocks_w {
-            let block = comp.block(bx, by);
-            // Precompute shifted magnitudes and the last newly-significant
-            // position (EOB for this pass).
-            let mut absval = [0i32; 64];
-            let mut eob_pos = 0usize; // 0 ⇒ none (band starts at ss ≥ 1)
-            for z in ss..=se {
-                let t = block[usize::from(crate::zigzag::UNZIGZAG[z])].unsigned_abs() as i32 >> al;
-                absval[z] = t;
-                if t == 1 {
-                    eob_pos = z;
-                }
-            }
-            let mut run = 0u32;
-            // Correction bits of this block (at most one per coefficient)
-            // not yet recorded.
-            let mut local = [0u8; 64];
-            let mut nlocal = 0usize;
-            for z in ss..=se {
-                let t = absval[z];
-                if t == 0 {
-                    run += 1;
-                    continue;
-                }
-                // ZRLs are only needed when a newly-significant coefficient
-                // lies ahead; otherwise the zeros fold into the next EOB.
-                while run > 15 && z <= eob_pos {
-                    rec.flush_eob(tbl, &mut eobrun);
-                    rec.symbol(Class::Ac, tbl, 0xF0);
-                    run -= 16;
-                    rec.correction_bits(&local[..nlocal]);
-                    nlocal = 0;
-                }
-                if t > 1 {
-                    // Already significant: just a correction bit.
-                    local[nlocal] = (t & 1) as u8;
-                    nlocal += 1;
-                    continue;
-                }
-                // Newly significant (magnitude exactly 1 at this precision).
-                rec.flush_eob(tbl, &mut eobrun);
-                let sign_bit =
-                    if block[usize::from(crate::zigzag::UNZIGZAG[z])] < 0 { 0 } else { 1 };
-                rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, sign_bit, 1);
-                rec.correction_bits(&local[..nlocal]);
-                nlocal = 0;
-                run = 0;
-            }
-            if run > 0 || nlocal > 0 {
-                eobrun += 1;
-                rec.pending.extend_from_slice(&local[..nlocal]);
-                // Guard the counters like IJG does.
-                if eobrun == 0x7FFF || rec.pending.len() > 937 {
-                    rec.flush_eob(tbl, &mut eobrun);
-                }
+) -> Result<()> {
+    let tbl = tbl_for_component(comp);
+    record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
+        let eobrun = &mut carry.eobrun;
+        // Precompute shifted magnitudes and the last newly-significant
+        // position (EOB for this pass).
+        let mut absval = [0i32; 64];
+        let mut eob_pos = 0usize; // 0 ⇒ none (band starts at ss ≥ 1)
+        for z in ss..=se {
+            let t = block[usize::from(crate::zigzag::UNZIGZAG[z])].unsigned_abs() as i32 >> al;
+            absval[z] = t;
+            if t == 1 {
+                eob_pos = z;
             }
         }
-    }
-    rec.flush_eob(tbl, &mut eobrun);
+        let mut run = 0u32;
+        // Correction bits of this block (at most one per coefficient)
+        // not yet recorded.
+        let mut local = [0u8; 64];
+        let mut nlocal = 0usize;
+        for z in ss..=se {
+            let t = absval[z];
+            if t == 0 {
+                run += 1;
+                continue;
+            }
+            // ZRLs are only needed when a newly-significant coefficient
+            // lies ahead; otherwise the zeros fold into the next EOB.
+            while run > 15 && z <= eob_pos {
+                rec.flush_eob(tbl, eobrun);
+                rec.symbol(Class::Ac, tbl, 0xF0);
+                run -= 16;
+                rec.correction_bits(&local[..nlocal]);
+                nlocal = 0;
+            }
+            if t > 1 {
+                // Already significant: just a correction bit.
+                local[nlocal] = (t & 1) as u8;
+                nlocal += 1;
+                continue;
+            }
+            // Newly significant (magnitude exactly 1 at this precision).
+            rec.flush_eob(tbl, eobrun);
+            let sign_bit = if block[usize::from(crate::zigzag::UNZIGZAG[z])] < 0 { 0 } else { 1 };
+            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, sign_bit, 1);
+            rec.correction_bits(&local[..nlocal]);
+            nlocal = 0;
+            run = 0;
+        }
+        if run > 0 || nlocal > 0 {
+            *eobrun += 1;
+            rec.pending.extend_from_slice(&local[..nlocal]);
+            // Guard the counters like IJG does.
+            if *eobrun == 0x7FFF || rec.pending.len() > 937 {
+                rec.flush_eob(tbl, eobrun);
+            }
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -822,7 +810,7 @@ pub fn encode_coeffs(ci: &CoeffImage, mode: Mode, restart_interval: u16) -> Resu
     write_sof(&mut out, ci, progressive);
     SCRATCH.with_borrow_mut(|rec| {
         let done = if progressive {
-            encode_progressive(ci, rec, &mut out)
+            encode_progressive(ci, restart_interval, rec, &mut out)
         } else {
             encode_baseline(ci, mode == Mode::BaselineOptimized, restart_interval, rec, &mut out)
         };
@@ -846,7 +834,7 @@ fn encode_baseline(
     let annex_k = (!optimized)
         .then(|| [default_dc_luma(), default_dc_chroma(), default_ac_luma(), default_ac_chroma()]);
     rec.begin(ci);
-    scan_baseline(ci, restart_interval, rec);
+    scan_baseline(ci, restart_interval, rec)?;
     let comps: Vec<(u8, u8, u8)> = ci
         .components
         .iter()
@@ -894,8 +882,13 @@ fn scan_script(ncomp: usize) -> Vec<ProgScan> {
 }
 
 /// The scan script, each scan recorded by its walker and emitted under
-/// its own tables.
-fn encode_progressive(ci: &CoeffImage, rec: &mut ScanRecorder, out: &mut Vec<u8>) -> Result<()> {
+/// its own tables, every one restarting every `restart_interval` MCUs.
+fn encode_progressive(
+    ci: &CoeffImage,
+    restart_interval: u16,
+    rec: &mut ScanRecorder,
+    out: &mut Vec<u8>,
+) -> Result<()> {
     // A DC scan interleaves every component; the refinement names no table.
     let dc_comps = |first: bool| -> Vec<(u8, u8, u8)> {
         let tbl = |i| if first { tbl_for_component(i) as u8 } else { 0 };
@@ -906,26 +899,25 @@ fn encode_progressive(ci: &CoeffImage, rec: &mut ScanRecorder, out: &mut Vec<u8>
         let (dc, ac);
         let sos = match scan {
             ProgScan::DcFirst { al } => {
-                scan_dc_first(ci, al, rec);
+                scan_dc_first(ci, al, restart_interval, rec)?;
                 dc = dc_comps(true);
                 ScanHeader { comps: &dc, ss: 0, se: 0, ah: 0, al }
             }
             ProgScan::DcRefine { ah } => {
-                scan_dc_refine(ci, ah - 1, rec);
+                scan_dc_refine(ci, ah - 1, restart_interval, rec)?;
                 dc = dc_comps(false);
                 ScanHeader { comps: &dc, ss: 0, se: 0, ah, al: ah - 1 }
             }
             ProgScan::AcFirst { comp, ss, se, al } | ProgScan::AcRefine { comp, ss, se, al } => {
-                let (c, tbl) = (&ci.components[comp], tbl_for_component(comp));
                 let refine = matches!(scan, ProgScan::AcRefine { .. });
                 let walker = if refine { scan_ac_refine } else { scan_ac_first };
-                walker(c, ss, se, al, tbl, rec);
-                ac = [(c.id, 0, tbl as u8)];
+                walker(ci, comp, ss, se, al, restart_interval, rec)?;
+                ac = [(ci.components[comp].id, 0, tbl_for_component(comp) as u8)];
                 let ah = if refine { al + 1 } else { 0 };
                 ScanHeader { comps: &ac, ss: ss as u8, se: se as u8, ah, al }
             }
         };
-        emit_scan(out, rec, None, 0, &sos)?;
+        emit_scan(out, rec, None, restart_interval, &sos)?;
     }
     Ok(())
 }

@@ -117,17 +117,19 @@ fn grayscale_photos_work_end_to_end() {
 #[test]
 fn progressive_uploads_split_too() {
     // A photo already in progressive format (e.g. re-shared from
-    // Facebook) must also split and roundtrip.
+    // Facebook) must also split and roundtrip, restart markers or not.
     let img = p3_datasets::synth::scene(3, 160, 120, &p3_datasets::synth::SceneParams::default());
     let coeffs = p3_jpeg::encoder::pixels_to_coeffs(&img, 88, p3_jpeg::Subsampling::S420).unwrap();
-    let jpeg = encode_coeffs(&coeffs, Mode::Progressive, 0).unwrap();
     let key = EnvelopeKey::derive(b"k", b"prog");
     let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
-    let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
-    let restored = codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
-    let (a, _) = p3_jpeg::decode_to_coeffs(&jpeg).unwrap();
-    let (b, _) = p3_jpeg::decode_to_coeffs(&restored).unwrap();
-    for (ca, cb) in a.components.iter().zip(b.components.iter()) {
-        assert_eq!(ca.blocks, cb.blocks);
+    for restart in [0, 7] {
+        let jpeg = encode_coeffs(&coeffs, Mode::Progressive, restart).unwrap();
+        let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
+        let restored = codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
+        let (a, _) = p3_jpeg::decode_to_coeffs(&jpeg).unwrap();
+        let (b, _) = p3_jpeg::decode_to_coeffs(&restored).unwrap();
+        for (ca, cb) in a.components.iter().zip(b.components.iter()) {
+            assert_eq!(ca.blocks, cb.blocks, "restart {restart}");
+        }
     }
 }

@@ -890,6 +890,35 @@ mod tests {
         }
     }
 
+    /// T.81 B.2.3 caps a successive-approximation bit position at 13.
+    #[test]
+    fn approximation_bits_above_thirteen_are_format_errors() {
+        let ci = pixels_to_coeffs(&test_rgb(32, 16), 90, Subsampling::S420).unwrap();
+        let jpeg = encode_coeffs(&ci, Mode::Progressive, 0).unwrap();
+        let sos: Vec<usize> = (0..jpeg.len() - 1)
+            .filter(|&i| jpeg[i] == 0xFF && jpeg[i + 1] == marker::SOS)
+            .collect();
+        // `Ah/Al` is the header's last byte: at 13 in the three-component
+        // DC-first scan, at 9 in a one-component AC scan. The sixth scan
+        // refines luma AC from Ah = 2.
+        let patched = |scan: usize, at: usize, byte: u8| {
+            let mut out = jpeg.clone();
+            out[sos[scan] + at] = byte;
+            out
+        };
+        let rows = [
+            ("DC first Al 14", patched(0, 13, 0x0E)),
+            ("AC first Al 14", patched(1, 9, 0x0E)),
+            ("AC refine Ah 14", patched(5, 9, 0xE0 | (jpeg[sos[5] + 9] & 0x0F))),
+        ];
+        for (what, bad) in rows {
+            let got = decode_to_coeffs(&bad);
+            assert!(matches!(got, Err(JpegError::Format(_))), "{what}: {got:?}");
+        }
+        // 13 is legal.
+        decode_to_coeffs(&patched(1, 9, 0x0D)).unwrap();
+    }
+
     #[test]
     fn rejects_garbage() {
         assert!(decode_to_coeffs(b"not a jpeg").is_err());

@@ -1032,6 +1032,56 @@ mod tests {
         assert!(encode_coeffs(&ci, Mode::Baseline, 0).is_ok());
     }
 
+    /// A refine scan that is nothing but correction bits records a few
+    /// ops a block, not one per bit. The ratio does not depend on the
+    /// image size or the machine, so it gates the walker's cost without
+    /// a timer.
+    #[test]
+    fn a_pure_refinement_scan_records_few_ops_per_block() {
+        let mut ci =
+            CoeffImage::zeroed(64, 48, vec![QuantTable::luma(90)], &[(1, 1)], &[0]).unwrap();
+        for (i, b) in ci.components[0].blocks.iter_mut().enumerate() {
+            for (k, v) in b.iter_mut().enumerate().skip(1) {
+                let m = 2 + ((i * 7 + k * 13) % 60) as i32;
+                *v = if (i + k) % 3 == 0 { -m } else { m };
+            }
+        }
+        let mut rec = ScanRecorder::default();
+        rec.begin(&ci);
+        scan_ac_refine(&ci, 0, 1, 63, 0, 0, &mut rec).unwrap();
+        let blocks = ci.components[0].blocks.len();
+        let ops = rec.ops.len();
+        assert!(ops <= 3 * blocks, "{ops} ops for {blocks} blocks of 63 correction bits");
+    }
+
+    /// A coefficient the format cannot carry is an encode error in every
+    /// mode, not a stream the decoder refuses.
+    #[test]
+    fn coefficients_the_format_cannot_carry_are_refused() {
+        let qt = || vec![QuantTable::luma(90)];
+        // |AC| = 245 761 is an 18-bit category; the symbol's size nibble
+        // holds 15.
+        let mut ac = CoeffImage::zeroed(16, 16, qt(), &[(1, 1)], &[0]).unwrap();
+        ac.components[0].blocks[3][9] = -245_761;
+        // DCs ramp 0, 2000, 4000, 6000 along each 4-block row: where a row
+        // wraps, the difference is -6000, a 13-bit category (11 is the
+        // most a DC difference may have). DRI 4 restarts the predictor
+        // there instead.
+        let mut dc = CoeffImage::zeroed(32, 16, qt(), &[(1, 1)], &[0]).unwrap();
+        for (i, b) in dc.components[0].blocks.iter_mut().enumerate() {
+            b[0] = 2000 * (i % 4) as i32;
+        }
+        for mode in [Mode::Baseline, Mode::BaselineOptimized, Mode::Progressive] {
+            for (what, ci) in [("AC", &ac), ("DC", &dc)] {
+                let got = encode_coeffs(ci, mode, 0);
+                assert!(matches!(got, Err(JpegError::Invalid(_))), "{what} {mode:?}: {got:?}");
+            }
+            let jpeg = encode_coeffs(&dc, mode, 4).unwrap();
+            let (back, _) = crate::decode_to_coeffs(&jpeg).unwrap();
+            assert_eq!(back.components[0].blocks, dc.components[0].blocks, "{mode:?}");
+        }
+    }
+
     #[test]
     fn pt_shift_sign_preserving() {
         assert_eq!(pt_shift(5, 1), 2);

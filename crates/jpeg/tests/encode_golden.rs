@@ -13,7 +13,8 @@
 //! AC walker branches on the SIMD nonzero mask, the bytes must not.
 
 use p3_jpeg::encoder::{encode_coeffs, gray_to_coeffs, pixels_to_coeffs, Mode, Subsampling};
-use p3_jpeg::{decode_to_coeffs, CoeffImage, GrayImage, RgbImage};
+use p3_jpeg::zigzag::ZIGZAG;
+use p3_jpeg::{decode_to_coeffs, CoeffImage, GrayImage, QuantTable, RgbImage};
 
 mod common;
 use common::card;
@@ -107,4 +108,117 @@ fn every_mode_layout_and_size_is_byte_identical_to_golden() {
         }
     }
     assert_eq!(row, GOLDEN.len());
+}
+
+/// Progressive-coder edge cases no photo above reaches, crafted straight
+/// into coefficients:
+/// - 1456×1456 with every AC band empty: over 32 767 blocks per AC scan,
+///   so an EOB run hits its 0x7FFF cap;
+/// - every |AC| in 2..=61: the `Al = 0` refine scan is nothing but
+///   correction bits, deferred behind the EOB run until they pass 937.
+///   One block in 16 stops at zig-zag 55, so that after 14 full blocks
+///   and it they sum to exactly 937, which must not flush yet;
+/// - at most four AC a block, up to 32 767 (15-bit categories), at random
+///   positions: long zero runs, and empty blocks in between;
+/// - a lone ±1 past 16 or more zeros after a few |AC| ≥ 2, so the refine
+///   scan codes a ZRL while correction bits are pending, then the newly
+///   significant coefficient.
+const EDGES: [&str; 4] =
+    ["empty bands", "correction bits only", "sparse 15-bit", "ZRL then a new 1"];
+
+/// One row per `EDGES` × {gray, 4:2:0}, one column per restart {0, 7}, at
+/// `Mode::Progressive`; generated from the commit before the AC walkers
+/// went mask-driven.
+#[rustfmt::skip]
+const EDGE_GOLDEN: [[u64; 2]; 8] = [
+    [0x3f37362e7b5359d6, 0x9a51c545f8279d91], // empty bands gray
+    [0x0731f293f2dfd0a1, 0xd3c0febf2e4ea9aa], // empty bands 420
+    [0x5645707972cf8f24, 0x99b1d1f7c3129a60], // correction bits only gray
+    [0x90fb70f462541f3b, 0xf082604191fbe6af], // correction bits only 420
+    [0x388382b835245862, 0x527aeed94dd3d663], // sparse 15-bit gray
+    [0xf30c4a5f6177a50e, 0x63cd7330d8aa3e61], // sparse 15-bit 420
+    [0x0b1a16765e2e80bf, 0x9dd0198b39d0ccbc], // ZRL then a new 1 gray
+    [0x4d2c2c6c72f27491, 0x1f4cd98081282c11], // ZRL then a new 1 420
+];
+
+fn edge(case: usize, gray: bool) -> CoeffImage {
+    let (w, h) = if case == 0 { (1456, 1456) } else { (128, 96) };
+    let qt = vec![QuantTable::luma(90), QuantTable::chroma(90)];
+    let mut ci = if gray {
+        CoeffImage::zeroed(w, h, qt, &[(1, 1)], &[0])
+    } else {
+        CoeffImage::zeroed(w, h, qt, &[(2, 2), (1, 1), (1, 1)], &[0, 1, 1])
+    }
+    .expect("coefficient image");
+    let mut s = 0x2545_f491_4f6c_dd1d ^ case as u64;
+    let mut next = |n: u64| {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) % n
+    };
+    for comp in &mut ci.components {
+        // AC only in real blocks: a progressive AC scan does not cover
+        // the MCU padding.
+        for by in 0..comp.blocks_h {
+            for bx in 0..comp.blocks_w {
+                let b = &mut comp.blocks[by * comp.padded_w + bx];
+                b[0] = next(512) as i32 - 256;
+                let mut put = |z: usize, magnitude: u64, negative: bool| {
+                    let v = magnitude as i32;
+                    b[ZIGZAG[z]] = if negative { -v } else { v };
+                };
+                match case {
+                    0 => {}
+                    1 => {
+                        let last = if (by * comp.blocks_w + bx) % 16 == 14 { 55 } else { 63 };
+                        (1..=last).for_each(|z| put(z, 2 + next(60), next(2) == 0));
+                    }
+                    2 => {
+                        for _ in 0..next(5) {
+                            let bits = 1 + next(15);
+                            put(1 + next(63) as usize, next(1 << bits) | 1, next(2) == 0);
+                        }
+                    }
+                    _ => {
+                        let k = 1 + next(4) as usize;
+                        (1..=k).for_each(|z| put(z, 2 + next(4), next(2) == 0));
+                        let lone = k + 17 + next(24) as usize;
+                        put(lone, 1, next(2) == 0);
+                        if lone < 63 && next(2) == 0 {
+                            put(lone + 1, 2 + next(8), next(2) == 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    ci
+}
+
+#[test]
+fn progressive_edge_cases_are_byte_identical_to_golden() {
+    let print = std::env::var_os("P3_PRINT_GOLDEN").is_some();
+    let mut row = 0;
+    for (case, what) in EDGES.iter().enumerate() {
+        for (layout, gray) in [("gray", true), ("420", false)] {
+            let ci = edge(case, gray);
+            let got = [0u16, 7].map(|restart| {
+                let jpeg = encode_coeffs(&ci, Mode::Progressive, restart).expect("encode");
+                let (back, _) = decode_to_coeffs(&jpeg).expect("decode");
+                for (a, b) in ci.components.iter().zip(&back.components) {
+                    let same = a.blocks == b.blocks;
+                    assert!(same, "{what} {layout} restart {restart}: component {}", a.id);
+                }
+                fnv1a(&jpeg)
+            });
+            if print {
+                println!("    [{:#018x}, {:#018x}], // {what} {layout}", got[0], got[1]);
+            } else {
+                assert_eq!(got, EDGE_GOLDEN[row], "{what} {layout} changed (restart 0, 7)");
+            }
+            row += 1;
+        }
+    }
+    assert_eq!(row, EDGE_GOLDEN.len());
 }

@@ -8,7 +8,9 @@
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_core::pixel::rgb_to_luma;
+use p3_jpeg::encoder::{encode_coeffs, Mode};
 use p3_jpeg::marker::{SOF0, SOS};
+use p3_jpeg::{CoeffImage, QuantTable};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
@@ -163,10 +165,29 @@ fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
     // forwards what it cannot split publishes the photo whole.
     // Nor can it split a header naming a table id above 3 (these once
     // panicked the decoder: a 500 in place of a refusal).
+    // Nor a legal upload whose secret part the format cannot carry (these
+    // once stored a secret that never decodes again): a first AC scan at
+    // Al = 13 decodes to |AC| far past the 15 bits an AC symbol can size,
+    // and DCs that climb 2000 a block under DRI 4 fall 6000 where each
+    // interval restarts, a difference the secret, coded without
+    // restarts, cannot hold.
+    let (coeffs, _) = p3_jpeg::decode_to_coeffs(&jpeg).expect("decode");
+    let mut al13 = encode_coeffs(&coeffs, Mode::Progressive, 0).expect("progressive");
+    let ac_scan = al13.windows(2).enumerate().filter(|(_, m)| *m == [0xFF, SOS]).nth(1);
+    let ac_scan = ac_scan.expect("a first AC scan").0;
+    al13[ac_scan + 9] = 0x0D; // Ah = 0, Al = 13
+    let mut ramp = CoeffImage::zeroed(32, 16, vec![QuantTable::luma(90)], &[(1, 1)], &[0])
+        .expect("coefficient image");
+    for (i, b) in ramp.components[0].blocks.iter_mut().enumerate() {
+        b[0] = 2000 * (i % 4) as i32;
+    }
+    let dri4 = encode_coeffs(&ramp, Mode::BaselineOptimized, 4).expect("DRI 4");
     let rows = [
         (with_header(&jpeg, SOF0, 4, &[12]), "12-bit"),
         (with_header(&jpeg, SOF0, 12, &[9]), "quant table"),
         (with_header(&jpeg, SOS, 6, &[0x50]), "Huffman table"),
+        (al13, "out of range"),
+        (dri4, "out of range"),
     ];
     for (bad, reason) in rows {
         let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", bad).expect("answer");

@@ -294,6 +294,10 @@ impl<'a> Decoder<'a> {
         if ss > 63 || se > 63 || ss > se {
             return Err(JpegError::Format("bad spectral selection".into()));
         }
+        // T.81 B.2.3: a successive-approximation bit position is 0..=13.
+        if ah > 13 || al > 13 {
+            return Err(JpegError::Format(format!("successive approximation Ah {ah} Al {al}")));
+        }
         if !self.progressive && (ss != 0 || se != 63 || ah != 0 || al != 0) {
             return Err(JpegError::Format("baseline scan with progressive params".into()));
         }

@@ -21,6 +21,8 @@ use crate::image::{GrayImage, RgbImage};
 use crate::marker::{self, write_jfif_app0, write_segment};
 use crate::quant::AanQuantizer;
 use crate::quant::QuantTable;
+use crate::simd::SimdLevel;
+use crate::zigzag::{MASK_TO_ZIGZAG, UNZIGZAG};
 
 use crate::{JpegError, Result};
 
@@ -238,10 +240,14 @@ enum Class {
 /// replayed into the bit writer after the tables are built, instead of
 /// re-running the whole scan.
 ///
-/// Ops pack into a `u64` each, tag in the top two bits. A Huffman symbol
-/// immediately followed by its magnitude bits (the dominant pattern —
-/// every nonzero coefficient) fuses into one `Symbol` op carrying the
-/// raw bits, which replays as a single multi-bit write.
+/// Ops pack into a `u64` each, tag in the top two bits, and replay as
+/// one `put_bits` each. Raw bits — a coefficient's magnitude bits, DC
+/// refinement bits, AC correction bits — ride in the op before them while
+/// it has room: a `Symbol` takes up to 16 (its code has at most 16, and
+/// one write holds 32), a `Bits` op up to 32; past that they open a new
+/// `Bits` op. So a nonzero coefficient (the dominant pattern) is one op,
+/// and a refine block's correction bits ride in its newly significant
+/// symbol's op, or in one or two `Bits` ops.
 ///
 /// ```text
 /// Symbol:  [tag=0 | class:1 @47 | tbl:1 @46 | sym:8 @38 | count:6 @32 | bits:32]
@@ -259,8 +265,14 @@ struct ScanRecorder {
     /// scan's size before a byte of it is written.
     extra_bits: usize,
     /// [`scan_ac_refine`]'s correction bits, deferred until the EOB run
-    /// they belong to is flushed.
-    pending: Vec<u8>,
+    /// they belong to is flushed: `Bits` ops, packed as in `ops`.
+    pending: Vec<u64>,
+    /// How many bits `pending` holds.
+    pending_bits: usize,
+    /// A walker met a coefficient no symbol can code: an AC magnitude
+    /// past 15 bits or a DC difference past 11 (T.81 F.1.2.1.1,
+    /// F.1.2.2.1). [`emit_scan`] refuses the scan.
+    out_of_range: bool,
     /// [`emit_scan`]'s DHT / DRI / SOS segments, staged so that the
     /// output grows once per scan, by what the scan needs.
     head: Vec<u8>,
@@ -270,6 +282,33 @@ const OP_SHIFT: u32 = 62;
 const OP_SYMBOL: u64 = 0;
 const OP_BITS: u64 = 1;
 const OP_RESTART: u64 = 2;
+
+/// Append the low `count` bits of `value` (MSB first) to an op stream:
+/// into its last op while that has room, then in `Bits` ops of up to 32.
+fn pack_bits(ops: &mut Vec<u64>, value: u64, mut count: u32) {
+    debug_assert!(count <= 64);
+    if let Some(last) = ops.last_mut() {
+        let have = ((*last >> 32) & 0x3F) as u32;
+        let cap: u32 = match *last >> OP_SHIFT {
+            OP_SYMBOL => 16,
+            OP_BITS => 32,
+            _ => 0,
+        };
+        let room = cap.saturating_sub(have).min(count);
+        if room > 0 {
+            count -= room;
+            let head = (value >> count) & ((1 << room) - 1);
+            let bits = ((*last & 0xFFFF_FFFF) << room) | head;
+            *last = (*last & !((1 << 38) - 1)) | (u64::from(have + room) << 32) | bits;
+        }
+    }
+    while count > 0 {
+        let n = count.min(32);
+        count -= n;
+        let chunk = (value >> count) & ((1 << n) - 1);
+        ops.push((OP_BITS << OP_SHIFT) | (u64::from(n) << 32) | chunk);
+    }
+}
 
 /// Bytes above which a thread releases its scratch after the encode
 /// instead of keeping it: one huge photo must not pin its op stream to a
@@ -294,12 +333,14 @@ impl ScanRecorder {
         self.ops.clear();
         self.extra_bits = 0;
         self.pending.clear();
+        self.pending_bits = 0;
+        self.out_of_range = false;
         let nblk: usize = ci.components.iter().map(|c| c.blocks.len()).sum();
         self.ops.reserve((nblk * 24).min(1 << 20));
     }
 
     fn bytes(&self) -> usize {
-        8 * self.ops.capacity() + self.pending.capacity() + self.head.capacity()
+        8 * (self.ops.capacity() + self.pending.capacity()) + self.head.capacity()
     }
 
     fn symbol(&mut self, class: Class, tbl: usize, sym: u8) {
@@ -323,24 +364,10 @@ impl ScanRecorder {
         );
     }
 
-    fn bits(&mut self, value: u32, count: u32) {
-        debug_assert!(count <= 16 && count > 0);
+    /// The low `count` bits of `value`, MSB first.
+    fn bits(&mut self, value: u64, count: u32) {
         self.extra_bits += count as usize;
-        // Fuse into the preceding symbol op when there is one and it has
-        // no bits attached yet (count field still zero).
-        if let Some(last) = self.ops.last_mut() {
-            if *last >> OP_SHIFT == OP_SYMBOL && (*last >> 32) & 0x3F == 0 {
-                *last |= (u64::from(count) << 32) | u64::from(value);
-                return;
-            }
-        }
-        self.ops.push((OP_BITS << OP_SHIFT) | (u64::from(count) << 32) | u64::from(value));
-    }
-
-    fn correction_bits(&mut self, bits: &[u8]) {
-        for &b in bits {
-            self.bits(u32::from(b), 1);
-        }
+        pack_bits(&mut self.ops, value, count);
     }
 
     /// Restart marker `RST{idx}`, where a scan's walk places one.
@@ -357,10 +384,10 @@ impl ScanRecorder {
             self.symbol_bits(Class::Ac, tbl, (nbits as u8) << 4, *eobrun - (1 << nbits), nbits);
             *eobrun = 0;
         }
-        let mut pending = std::mem::take(&mut self.pending);
-        self.correction_bits(&pending);
-        pending.clear();
-        self.pending = pending;
+        self.extra_bits += std::mem::take(&mut self.pending_bits);
+        for op in self.pending.drain(..) {
+            pack_bits(&mut self.ops, op, ((op >> 32) & 0x3F) as u32);
+        }
     }
 
     /// Replay the recorded op stream into the bit writer.
@@ -376,7 +403,7 @@ impl ScanRecorder {
                     let e = enc.entry_of(((op >> 38) & 0xFF) as u8);
                     let (code, len) = (e >> 8, e & 0xFF);
                     let count = ((op >> 32) & 0x3F) as u32;
-                    // One fused write: code then magnitude bits (≤ 32 total).
+                    // One fused write: code then raw bits (≤ 32 total).
                     w.put_bits((code << count) | (op as u32 & ((1u32 << count) - 1)), len + count);
                 }
                 OP_BITS => w.put_bits(op as u32, ((op >> 32) & 0x3F) as u32),
@@ -394,77 +421,65 @@ impl ScanRecorder {
 // Shared coefficient-level recorders
 // ---------------------------------------------------------------------------
 
-fn emit_dc(rec: &mut ScanRecorder, tbl: usize, diff: i32) {
-    let (size, bits) = encode_magnitude(diff);
+/// A DC difference: `v` against the component's predictor, which then
+/// takes `v`. A difference past 11 bits has no symbol (T.81 F.1.2.1.1).
+fn emit_dc(rec: &mut ScanRecorder, tbl: usize, v: i32, pred: &mut i32) {
+    let diff = i64::from(v) - i64::from(std::mem::replace(pred, v));
+    if diff.unsigned_abs() >= 1 << 11 {
+        rec.out_of_range = true;
+        return;
+    }
+    let (size, bits) = encode_magnitude(diff as i32);
     rec.symbol_bits(Class::Dc, tbl, size as u8, bits, size);
 }
 
-fn emit_block_ac_baseline(
+/// Zig-zag-order mask of the coefficients of `block` in the band
+/// `ss..=se` with `|v| ≥ t`: at `t = 2^Al`, the ones a scan at point
+/// transform `Al` codes as nonzero. Most are zero after quantization, so
+/// walking the mask's set bits skips them without loading them.
+fn band_mask(level: SimdLevel, block: &Block, t: u32, ss: usize, se: usize) -> u64 {
+    let m = crate::simd::magnitude_mask(level, block, t);
+    let zz = MASK_TO_ZIGZAG
+        .iter()
+        .enumerate()
+        .fold(0, |zz, (k, lut)| zz | lut[(m >> (8 * k)) as u8 as usize]);
+    zz & (u64::MAX << ss) & (u64::MAX >> (63 - se))
+}
+
+/// Record `block`'s coefficients at the set bits of `zz` (zig-zag
+/// positions past `prev`) as run/size symbols, ZRLs included, under
+/// point transform `al` (T.81 G.1.2.1: the magnitude shifts, the sign
+/// stays); a sequential block's AC is this at `Al = 0`. Returns the last
+/// position recorded, `prev` if none.
+fn emit_ac_first(
     rec: &mut ScanRecorder,
     tbl: usize,
     block: &Block,
-    level: crate::simd::SimdLevel,
-) {
-    // With vector support, jump straight from nonzero to nonzero via a
-    // precomputed bitmask instead of load-and-testing all 63 AC slots —
-    // most are zero after quantization, so this walks ~2·nnz bits.
-    if let Some(mask) = crate::simd::nonzero_mask(level, block) {
-        let m = mask & !1; // AC coefficients only
-        let lut = &crate::zigzag::MASK_TO_ZIGZAG;
-        let mut zz = 0u64;
-        for (k, t) in lut.iter().enumerate() {
-            zz |= t[(m >> (8 * k)) as u8 as usize];
-        }
-        let mut prev = 0u32;
-        while zz != 0 {
-            let z = zz.trailing_zeros();
-            zz &= zz - 1;
-            let mut run = z - prev - 1;
-            let v = block[usize::from(crate::zigzag::UNZIGZAG[z as usize])];
-            while run > 15 {
-                rec.symbol(Class::Ac, tbl, 0xF0);
-                run -= 16;
-            }
-            let (size, bits) = encode_magnitude(v);
-            debug_assert!(size <= 10 || v.unsigned_abs() <= 32767, "coefficient too large");
-            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
-            prev = z;
-        }
-        if prev != 63 {
-            rec.symbol(Class::Ac, tbl, 0x00); // EOB
-        }
-        return;
-    }
-    let mut run = 0u32;
-    for z in 1..64 {
-        let v = block[usize::from(crate::zigzag::UNZIGZAG[z])];
-        if v == 0 {
-            run += 1;
-            continue;
-        }
+    mut zz: u64,
+    mut prev: u32,
+    al: u8,
+) -> u32 {
+    while zz != 0 {
+        let z = zz.trailing_zeros();
+        zz &= zz - 1;
+        let mut run = z - prev - 1;
+        prev = z;
         while run > 15 {
             rec.symbol(Class::Ac, tbl, 0xF0);
             run -= 16;
         }
-        let (size, bits) = encode_magnitude(v);
-        debug_assert!(size <= 10 || v.unsigned_abs() <= 32767, "coefficient too large");
+        let v = block[usize::from(UNZIGZAG[z as usize])];
+        let a = v.unsigned_abs() >> al;
+        let size = 32 - a.leading_zeros();
+        // A 16-bit or wider magnitude overflows the symbol's size nibble.
+        if size > 15 {
+            rec.out_of_range = true;
+            continue;
+        }
+        let bits = (if v < 0 { !a } else { a }) & ((1 << size) - 1);
         rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
-        run = 0;
     }
-    if run > 0 {
-        rec.symbol(Class::Ac, tbl, 0x00); // EOB
-    }
-}
-
-/// Point transform for AC coefficients in progressive scans:
-/// sign-preserving magnitude shift.
-#[inline]
-fn pt_shift(v: i32, al: u8) -> i32 {
-    if v >= 0 {
-        v >> al
-    } else {
-        -((-v) >> al)
-    }
+    prev
 }
 
 // ---------------------------------------------------------------------------
@@ -528,9 +543,10 @@ fn scan_baseline(ci: &CoeffImage, restart_interval: u16, rec: &mut ScanRecorder)
     let comps = &ALL[..ci.components.len()];
     record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
         let tbl = tbl_for_component(c);
-        emit_dc(rec, tbl, b[0] - carry.last_dc[c]);
-        carry.last_dc[c] = b[0];
-        emit_block_ac_baseline(rec, tbl, b, level);
+        emit_dc(rec, tbl, b[0], &mut carry.last_dc[c]);
+        if emit_ac_first(rec, tbl, b, band_mask(level, b, 1, 1, 63), 0, 0) != 63 {
+            rec.symbol(Class::Ac, tbl, 0x00); // EOB
+        }
     })
 }
 
@@ -543,9 +559,8 @@ fn scan_dc_first(
 ) -> Result<()> {
     let comps = &ALL[..ci.components.len()];
     record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
-        let v = b[0] >> al; // DC uses arithmetic shift per spec
-        emit_dc(rec, tbl_for_component(c), v - carry.last_dc[c]);
-        carry.last_dc[c] = v;
+        // DC uses arithmetic shift per spec
+        emit_dc(rec, tbl_for_component(c), b[0] >> al, &mut carry.last_dc[c]);
     })
 }
 
@@ -558,11 +573,12 @@ fn scan_dc_refine(
 ) -> Result<()> {
     let comps = &ALL[..ci.components.len()];
     record_scan(ci, comps, restart_interval, rec, |rec, _, _, b| {
-        rec.bits(((b[0] >> al) & 1) as u32, 1);
+        rec.bits(((b[0] >> al) & 1) as u64, 1);
     })
 }
 
-/// Progressive AC first scan over one component (non-interleaved).
+/// Progressive AC first scan over one component (non-interleaved). A
+/// block with nothing to code at this precision only extends the EOB run.
 fn scan_ac_first(
     ci: &CoeffImage,
     comp: usize,
@@ -572,25 +588,13 @@ fn scan_ac_first(
     restart_interval: u16,
     rec: &mut ScanRecorder,
 ) -> Result<()> {
-    let tbl = tbl_for_component(comp);
+    let (level, tbl) = (crate::simd::simd_level(), tbl_for_component(comp));
     record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
-        let mut run = 0u32;
-        for z in ss..=se {
-            let v = pt_shift(block[usize::from(crate::zigzag::UNZIGZAG[z])], al);
-            if v == 0 {
-                run += 1;
-                continue;
-            }
+        let zz = band_mask(level, block, 1 << al, ss, se);
+        if zz != 0 {
             rec.flush_eob(tbl, &mut carry.eobrun);
-            while run > 15 {
-                rec.symbol(Class::Ac, tbl, 0xF0);
-                run -= 16;
-            }
-            let (size, bits) = encode_magnitude(v);
-            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | size as u8, bits, size);
-            run = 0;
         }
-        if run > 0 {
+        if emit_ac_first(rec, tbl, block, zz, ss as u32 - 1, al) != se as u32 {
             carry.eobrun += 1;
             if carry.eobrun == 0x7FFF {
                 rec.flush_eob(tbl, &mut carry.eobrun);
@@ -610,59 +614,48 @@ fn scan_ac_refine(
     restart_interval: u16,
     rec: &mut ScanRecorder,
 ) -> Result<()> {
-    let tbl = tbl_for_component(comp);
+    let (level, tbl) = (crate::simd::simd_level(), tbl_for_component(comp));
     record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
         let eobrun = &mut carry.eobrun;
-        // Precompute shifted magnitudes and the last newly-significant
-        // position (EOB for this pass).
-        let mut absval = [0i32; 64];
-        let mut eob_pos = 0usize; // 0 ⇒ none (band starts at ss ≥ 1)
-        for z in ss..=se {
-            let t = block[usize::from(crate::zigzag::UNZIGZAG[z])].unsigned_abs() as i32 >> al;
-            absval[z] = t;
-            if t == 1 {
-                eob_pos = z;
-            }
-        }
-        let mut run = 0u32;
-        // Correction bits of this block (at most one per coefficient)
-        // not yet recorded.
-        let mut local = [0u8; 64];
-        let mut nlocal = 0usize;
-        for z in ss..=se {
-            let t = absval[z];
-            if t == 0 {
-                run += 1;
-                continue;
-            }
-            // ZRLs are only needed when a newly-significant coefficient
-            // lies ahead; otherwise the zeros fold into the next EOB.
-            while run > 15 && z <= eob_pos {
+        // Nonzero at this precision: already significant (|v| ≥ 2^(Al+1),
+        // a correction bit each) or newly so (a run/1 symbol each).
+        let nonzero = band_mask(level, block, 1 << al, ss, se);
+        let newly = nonzero & !band_mask(level, block, 2 << al, ss, se);
+        // One past the last newly significant position: ZRLs are coded
+        // only before it; past it, zeros fold into the next EOB.
+        let eob = 64 - newly.leading_zeros();
+        let (mut zz, mut prev, mut run) = (nonzero, ss as u32 - 1, 0);
+        // This block's correction bits not yet recorded, at most 63.
+        let (mut bits, mut nbits) = (0u64, 0);
+        while zz != 0 {
+            let z = zz.trailing_zeros();
+            zz &= zz - 1;
+            run += z - prev - 1;
+            prev = z;
+            while run > 15 && z < eob {
                 rec.flush_eob(tbl, eobrun);
                 rec.symbol(Class::Ac, tbl, 0xF0);
+                rec.bits(bits, nbits);
+                (bits, nbits) = (0, 0);
                 run -= 16;
-                rec.correction_bits(&local[..nlocal]);
-                nlocal = 0;
             }
-            if t > 1 {
-                // Already significant: just a correction bit.
-                local[nlocal] = (t & 1) as u8;
-                nlocal += 1;
+            let v = block[usize::from(UNZIGZAG[z as usize])];
+            if (newly >> z) & 1 == 0 {
+                bits = (bits << 1) | u64::from((v.unsigned_abs() >> al) & 1);
+                nbits += 1;
                 continue;
             }
-            // Newly significant (magnitude exactly 1 at this precision).
             rec.flush_eob(tbl, eobrun);
-            let sign_bit = if block[usize::from(crate::zigzag::UNZIGZAG[z])] < 0 { 0 } else { 1 };
-            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, sign_bit, 1);
-            rec.correction_bits(&local[..nlocal]);
-            nlocal = 0;
-            run = 0;
+            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, u32::from(v > 0), 1);
+            rec.bits(bits, nbits);
+            (bits, nbits, run) = (0, 0, 0);
         }
-        if run > 0 || nlocal > 0 {
+        if run + se as u32 - prev > 0 || nbits > 0 {
             *eobrun += 1;
-            rec.pending.extend_from_slice(&local[..nlocal]);
+            rec.pending_bits += nbits as usize;
+            pack_bits(&mut rec.pending, bits, nbits);
             // Guard the counters like IJG does.
-            if *eobrun == 0x7FFF || rec.pending.len() > 937 {
+            if *eobrun == 0x7FFF || rec.pending_bits > 937 {
                 rec.flush_eob(tbl, eobrun);
             }
         }
@@ -743,6 +736,12 @@ fn emit_scan(
     restart_interval: u16,
     sos: &ScanHeader<'_>,
 ) -> Result<()> {
+    if rec.out_of_range {
+        return Err(JpegError::Invalid(
+            "coefficient out of range: an AC magnitude past 15 bits or a DC difference past 11"
+                .into(),
+        ));
+    }
     // A DC refinement scan (Ah > 0) is raw bits: it declares no table.
     let (dc, ac) = (sos.ss == 0 && sos.ah == 0, sos.se > 0);
     let mut tables: [Option<HuffEncoder>; 4] = [None, None, None, None];
@@ -1080,14 +1079,5 @@ mod tests {
             let (back, _) = crate::decode_to_coeffs(&jpeg).unwrap();
             assert_eq!(back.components[0].blocks, dc.components[0].blocks, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn pt_shift_sign_preserving() {
-        assert_eq!(pt_shift(5, 1), 2);
-        assert_eq!(pt_shift(-5, 1), -2);
-        assert_eq!(pt_shift(1, 1), 0);
-        assert_eq!(pt_shift(-1, 1), 0);
-        assert_eq!(pt_shift(-4, 2), -1);
     }
 }

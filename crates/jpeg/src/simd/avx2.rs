@@ -501,19 +501,20 @@ pub(super) fn ycbcr_rows_to_rgb(y: &[u8], cb: &[u8], cr: &[u8], rgb: &mut [u8]) 
     super::ycbcr_rows_scalar(&y[i..], &cb[i..], &cr[i..], &mut rgb[3 * i..]);
 }
 
-/// Bitmask of nonzero coefficients in natural (row-major) order: bit `i`
-/// is set iff `block[i] != 0`. Lets the entropy coder's AC scan skip
-/// zero coefficients without loading them.
+/// [`super::magnitude_mask`], eight lanes at a time: `|v| ≥ t` as
+/// `max_u32(abs(v), t) == abs(v)`. Read unsigned, `abs_epi32(i32::MIN)`
+/// is 2³¹, as `unsigned_abs` has it.
 #[target_feature(enable = "avx2")]
-pub(super) fn nonzero_mask(block: &[i32; 64]) -> u64 {
-    let zero = _mm256_setzero_si256();
+pub(super) fn magnitude_mask(block: &[i32; 64], t: u32) -> u64 {
+    let t = _mm256_set1_epi32(t as i32);
     let mut mask = 0u64;
     for i in 0..8 {
         // SAFETY: 8 in-bounds i32 at offset 8*i of the 64-entry block.
         let v = unsafe { _mm256_loadu_si256(block.as_ptr().add(8 * i).cast()) };
-        let is_zero = _mm256_cmpeq_epi32(v, zero);
-        let bits = _mm256_movemask_ps(_mm256_castsi256_ps(is_zero)) as u32;
-        mask |= u64::from(!bits & 0xFF) << (8 * i);
+        let a = _mm256_abs_epi32(v);
+        let big = _mm256_cmpeq_epi32(_mm256_max_epu32(a, t), a);
+        let bits = _mm256_movemask_ps(_mm256_castsi256_ps(big)) as u32;
+        mask |= u64::from(bits) << (8 * i);
     }
     mask
 }

@@ -13,6 +13,7 @@
 //! | [`ycbcr_rows_to_rgb`] | [`crate::color::ycbcr_to_rgb`] per pixel |
 //! | [`downsample2x2_row`] | the 2×2 interior loop in [`crate::color::downsample`] |
 //! | [`upsample2x_row`] | the bilinear tap loop in [`crate::color::upsample`] at exact 2× |
+//! | `magnitude_mask` | `unsigned_abs() >= t` per coefficient |
 //!
 //! Dispatch policy (see [`p3_par::features`]): AVX2 kernels are selected
 //! by runtime detection; the 128-bit kernels use only SSE2 — the x86_64
@@ -226,24 +227,26 @@ pub fn fdct_quant_strided(
     *out = quantizer.quantize(&crate::dct::fdct8x8_aan(&samples));
 }
 
-/// Natural-order nonzero bitmask of a coefficient block (bit `i` set iff
-/// `block[i] != 0`), or `None` at scalar level — the entropy coder's AC
-/// scan uses it to skip zero coefficients without loading them, and falls
-/// back to the plain load-and-test walk when it is unavailable.
-pub fn nonzero_mask(level: SimdLevel, block: &[i32; 64]) -> Option<u64> {
+/// Natural-order magnitude bitmask of a coefficient block: bit `i` is set
+/// iff `block[i].unsigned_abs() >= t`, for any `t ≤ 2³¹`. At `t = 2^Al`
+/// it marks the coefficients a scan at point transform `Al` codes as
+/// nonzero (`t = 1`: every nonzero one), so the entropy coder's AC
+/// walkers jump from set bit to set bit without loading the rest.
+pub(crate) fn magnitude_mask(level: SimdLevel, block: &[i32; 64], t: u32) -> u64 {
+    debug_assert!(t <= 1 << 31, "threshold {t} past 2^31");
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_ok(level) {
             // SAFETY: AVX2 support verified above.
-            return Some(unsafe { avx2::nonzero_mask(block) });
+            return unsafe { avx2::magnitude_mask(block, t) };
         }
         if level >= SimdLevel::Sse2 {
             // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
-            return Some(unsafe { sse2::nonzero_mask(block) });
+            return unsafe { sse2::magnitude_mask(block, t) };
         }
     }
-    let _ = block;
-    None
+    let _ = level;
+    (0..64).filter(|&i| block[i].unsigned_abs() >= t).fold(0, |mask, i| mask | 1 << i)
 }
 
 /// Dequantization + inverse AAN DCT of one 8×8 block to clamped pixels.
@@ -466,36 +469,34 @@ mod tests {
     }
 
     #[test]
-    fn nonzero_mask_matches_block_contents() {
-        for seed in 0..24u64 {
-            let raw = bytes(seed, 64);
-            let mut block = [0i32; 64];
-            for (i, b) in block.iter_mut().enumerate() {
-                *b = match raw[i] % 4 {
-                    0 | 3 => 0,
-                    1 => i32::from(raw[i]) - 128,
-                    _ => -(i32::from(raw[i]) + 1),
-                };
-            }
-            let want = block
-                .iter()
-                .enumerate()
-                .filter(|&(_, &v)| v != 0)
-                .fold(0u64, |m, (i, _)| m | 1 << i);
-            for level in levels() {
-                match nonzero_mask(level, &block) {
-                    Some(got) => assert_eq!(got, want, "seed {seed} level {level:?}"),
-                    None => assert_eq!(level, SimdLevel::Scalar, "only scalar may opt out"),
+    fn magnitude_mask_matches_unsigned_abs_at_every_level() {
+        for t in [1u32, 2, 4, 1 << 14, 1 << 15] {
+            let ti = t as i32;
+            // Each slot draws from the values either side of ±t, zero,
+            // the i32 extremes, or noise at t's scale.
+            let edges = [ti, -ti, ti - 1, 1 - ti, 0, i32::MAX, i32::MIN, -i32::MAX];
+            for seed in 0..24u64 {
+                let raw = bytes(seed ^ (u64::from(t) << 8), 128);
+                let mut block = [0i32; 64];
+                for (i, b) in block.iter_mut().enumerate() {
+                    let r = raw[2 * i];
+                    *b = match r % 3 {
+                        0 => edges[usize::from(raw[2 * i + 1]) % edges.len()],
+                        1 => (i32::from(raw[2 * i + 1]) - 128) * ti / 64,
+                        _ => i32::from(r as i8) >> (r % 8),
+                    };
+                }
+                let want =
+                    (0..64).filter(|&i| block[i].unsigned_abs() >= t).fold(0u64, |m, i| m | 1 << i);
+                for level in levels() {
+                    let got = magnitude_mask(level, &block, t);
+                    assert_eq!(got, want, "t {t} seed {seed} {level:?}: {block:?}");
                 }
             }
-        }
-        // All-zero and all-nonzero extremes.
-        for level in levels() {
-            if let Some(m) = nonzero_mask(level, &[0i32; 64]) {
-                assert_eq!(m, 0);
-            }
-            if let Some(m) = nonzero_mask(level, &[-1i32; 64]) {
-                assert_eq!(m, u64::MAX);
+            for level in levels() {
+                for (v, want) in [(0, 0), (ti, u64::MAX), (1 - ti, 0), (i32::MIN, u64::MAX)] {
+                    assert_eq!(magnitude_mask(level, &[v; 64], t), want, "t {t} v {v} {level:?}");
+                }
             }
         }
     }

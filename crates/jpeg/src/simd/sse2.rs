@@ -325,19 +325,21 @@ pub(super) fn upsample2x_row(row0: &[u8], row1: &[u8], wy: i32, out: &mut [u8]) 
     super::up2x_row_scalar(row0, row1, wy, out, 2 * k, 2 * w);
 }
 
-/// Bitmask of nonzero coefficients in natural (row-major) order: bit `i`
-/// is set iff `block[i] != 0`. Lets the entropy coder's AC scan skip
-/// zero coefficients without loading them.
+/// [`super::magnitude_mask`], four lanes at a time: SSE2 has neither
+/// `abs` nor an unsigned compare, so `|v| ≥ t` is `v > t − 1 ∨ v < 1 − t`
+/// in signed compares, which for `t ≤ 2³¹` counts `i32::MIN` as 2³¹, as
+/// `unsigned_abs` does.
 #[target_feature(enable = "sse2")]
-pub(super) fn nonzero_mask(block: &[i32; 64]) -> u64 {
-    let zero = _mm_setzero_si128();
+pub(super) fn magnitude_mask(block: &[i32; 64], t: u32) -> u64 {
+    let hi = _mm_set1_epi32(t.wrapping_sub(1) as i32);
+    let lo = _mm_set1_epi32(1u32.wrapping_sub(t) as i32);
     let mut mask = 0u64;
     for i in 0..16 {
         // SAFETY: 4 in-bounds i32 at offset 4*i of the 64-entry block.
         let v = unsafe { _mm_loadu_si128(block.as_ptr().add(4 * i).cast()) };
-        let is_zero = _mm_cmpeq_epi32(v, zero);
-        let bits = _mm_movemask_ps(_mm_castsi128_ps(is_zero)) as u32;
-        mask |= u64::from(!bits & 0xF) << (4 * i);
+        let big = _mm_or_si128(_mm_cmpgt_epi32(v, hi), _mm_cmpgt_epi32(lo, v));
+        let bits = _mm_movemask_ps(_mm_castsi128_ps(big)) as u32;
+        mask |= u64::from(bits) << (4 * i);
     }
     mask
 }

@@ -9,8 +9,9 @@
 //! honour the restart interval, whose streams the decode below checks
 //! (`P3_PRINT_GOLDEN=1 cargo test -p p3-jpeg --test encode_golden --
 //! --nocapture` prints the table; only regenerate from a commit you
-//! trust). CI runs this under `P3_FORCE_SCALAR=0` and `=1`: the baseline
-//! AC walker branches on the SIMD nonzero mask, the bytes must not.
+//! trust). CI runs this under `P3_FORCE_SCALAR=0` and `=1`: every AC
+//! walker branches on a SIMD-computed coefficient mask, the bytes must
+//! not.
 
 use p3_jpeg::encoder::{encode_coeffs, gray_to_coeffs, pixels_to_coeffs, Mode, Subsampling};
 use p3_jpeg::zigzag::ZIGZAG;

@@ -169,7 +169,8 @@ proptest! {
         // forced-scalar oracle and the SIMD path must agree on every
         // coefficient, every encoded byte, and every decoded pixel. (On
         // machines without vector units both runs take the scalar path and
-        // the assertions are trivially true.)
+        // the assertions are trivially true.) Every AC walker of both
+        // modes branches on a SIMD-computed coefficient mask.
         let sub = [Subsampling::S444, Subsampling::S422, Subsampling::S420][sub_ix];
         let mut img = RgbImage::new(w, h);
         let mut state = seed | 1;
@@ -177,18 +178,19 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             *px = (state >> 56) as u8;
         }
+        let modes = [Mode::BaselineOptimized, Mode::Progressive];
         p3_par::features::set_force_scalar(true);
         let ci_scalar = pixels_to_coeffs(&img, quality, sub).unwrap();
-        let jpeg_scalar = encode_coeffs(&ci_scalar, Mode::BaselineOptimized, 0).unwrap();
-        let px_scalar = p3_jpeg::decode_to_rgb(&jpeg_scalar).unwrap();
+        let jpeg_scalar = modes.map(|mode| encode_coeffs(&ci_scalar, mode, 0).unwrap());
+        let px_scalar = p3_jpeg::decode_to_rgb(&jpeg_scalar[0]).unwrap();
         p3_par::features::set_force_scalar(false);
         let ci_simd = pixels_to_coeffs(&img, quality, sub).unwrap();
         for (a, b) in ci_scalar.components.iter().zip(ci_simd.components.iter()) {
             prop_assert_eq!(&a.blocks, &b.blocks, "coefficients differ (comp {})", a.id);
         }
-        let jpeg_simd = encode_coeffs(&ci_simd, Mode::BaselineOptimized, 0).unwrap();
+        let jpeg_simd = modes.map(|mode| encode_coeffs(&ci_simd, mode, 0).unwrap());
         prop_assert_eq!(&jpeg_scalar, &jpeg_simd, "encoded bytes differ");
-        let px_simd = p3_jpeg::decode_to_rgb(&jpeg_simd).unwrap();
+        let px_simd = p3_jpeg::decode_to_rgb(&jpeg_simd[0]).unwrap();
         prop_assert_eq!(&px_scalar.data, &px_simd.data, "decoded pixels differ");
     }
 }

@@ -1080,4 +1080,32 @@ mod tests {
             assert_eq!(back.components[0].blocks, dc.components[0].blocks, "{mode:?}");
         }
     }
+
+    /// The Annex-K AC tables stop at category 10 (|AC| ≤ 1 023). A larger
+    /// AC value is legal JPEG, so the table-building modes carry it, but
+    /// `Mode::Baseline` has no code for its symbol and must refuse it
+    /// rather than write a zero-length code its decoder cannot read.
+    #[test]
+    fn baseline_refuses_ac_values_its_fixed_tables_cannot_code() {
+        let image = |v: i32| {
+            let mut ci =
+                CoeffImage::zeroed(16, 16, vec![QuantTable::luma(90)], &[(1, 1)], &[0]).unwrap();
+            ci.components[0].blocks[3][9] = v;
+            ci
+        };
+        let round_trips = |ci: &CoeffImage, mode: Mode| {
+            let jpeg = encode_coeffs(ci, mode, 0).unwrap();
+            let (back, _) = crate::decode_to_coeffs(&jpeg).unwrap();
+            assert_eq!(back.components[0].blocks, ci.components[0].blocks, "{mode:?}");
+        };
+        for v in [1024, -1024, 32_767] {
+            let ci = image(v);
+            let got = encode_coeffs(&ci, Mode::Baseline, 0).map(|jpeg| jpeg.len());
+            assert!(matches!(got, Err(JpegError::Invalid(_))), "AC {v} Baseline: {got:?} bytes");
+            round_trips(&ci, Mode::BaselineOptimized);
+            round_trips(&ci, Mode::Progressive);
+        }
+        round_trips(&image(1023), Mode::Baseline);
+        round_trips(&image(-1023), Mode::Baseline);
+    }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! # p3-crypto — primitives for the P3 secret-part envelope
 //!

@@ -103,16 +103,15 @@ pub fn rgb_to_planes(img: &RgbImage) -> [Plane; 3] {
 
 /// Fused [`rgb_to_planes`] + 2×2 chroma [`downsample`] for the 4:2:0
 /// fast path: full-resolution Y plus half-resolution Cb/Cr in one pass,
-/// with the full-resolution chroma rows living only in cache-hot
-/// scratch rows instead of two whole planes that are written
-/// and immediately re-read.
+/// with the 2×2 chroma average done in registers instead of writing two
+/// full-resolution chroma planes and immediately re-reading them.
 ///
 /// `planes` become Y, Cb, Cr, overwritten whatever they held (a caller
 /// that converts image after image allocates for none of them). Returns
 /// false, `planes` untouched (caller falls back to the unfused stages),
-/// for odd dimensions or when scalar code is forced — the scalar oracle
-/// keeps the original stage-by-stage path. Bit-exact with the unfused
-/// path by construction: both drive the same [`crate::simd`] row kernels.
+/// for odd dimensions or at the scalar level — the scalar oracle keeps
+/// the original stage-by-stage path. Bit-exact with the unfused path:
+/// the row-pair kernel is pinned against it in [`crate::simd`].
 pub fn rgb_to_planes_420(img: &RgbImage, planes: &mut Vec<Plane>) -> bool {
     let (w, h) = (img.width, img.height);
     let level = crate::simd::simd_level();
@@ -124,24 +123,13 @@ pub fn rgb_to_planes_420(img: &RgbImage, planes: &mut Vec<Plane>) -> bool {
     y.reset(w, h);
     cbh.reset(w / 2, h / 2);
     crh.reset(w / 2, h / 2);
-    // Scratch full-resolution chroma rows, used only when the fully fused
-    // row-pair kernel is unavailable (SSE2 floor); allocated lazily, once
-    // per call.
-    let mut scratch: Option<[Vec<u8>; 4]> = None;
     let pairs =
         y.data.chunks_mut(2 * w).zip(cbh.data.chunks_mut(w / 2).zip(crh.data.chunks_mut(w / 2)));
     for ((ypair, (cbrow, crrow)), rgb) in pairs.zip(img.data.chunks(6 * w)) {
         let (y0, y1) = ypair.split_at_mut(w);
         let (rgb0, rgb1) = rgb.split_at(3 * w);
-        if crate::simd::rgb_rows2_to_ycbcr420(level, rgb0, rgb1, y0, y1, cbrow, crrow) {
-            continue;
-        }
-        let [cb0, cb1, cr0, cr1] =
-            scratch.get_or_insert_with(|| std::array::from_fn(|_| vec![0u8; w]));
-        crate::simd::rgb_rows_to_ycbcr(level, rgb0, y0, cb0, cr0);
-        crate::simd::rgb_rows_to_ycbcr(level, rgb1, y1, cb1, cr1);
-        crate::simd::downsample2x2_row(level, cb0, cb1, cbrow);
-        crate::simd::downsample2x2_row(level, cr0, cr1, crrow);
+        let fused = crate::simd::rgb_rows2_to_ycbcr420(level, rgb0, rgb1, y0, y1, cbrow, crrow);
+        debug_assert!(fused, "the row-pair kernel runs at every vector level");
     }
     true
 }
@@ -281,10 +269,12 @@ mod tests {
             for (i, px) in img.data.iter_mut().enumerate() {
                 *px = (i.wrapping_mul(131) % 256) as u8;
             }
-            // One dirty set of planes through every size.
-            if !rgb_to_planes_420(&img, &mut fused) {
-                // Scalar forced in this process: fallback path is the oracle.
-                return;
+            // One dirty set of planes through every size. Only the scalar
+            // level may decline: a silent fallback at AVX2 fails here.
+            let scalar = crate::simd::simd_level() == crate::simd::SimdLevel::Scalar;
+            assert_eq!(rgb_to_planes_420(&img, &mut fused), !scalar, "{w}x{h}");
+            if scalar {
+                continue;
             }
             let [fy, fcb, fcr] = &fused[..] else { panic!("three planes") };
             let [y, cb, cr] = rgb_to_planes(&img);

@@ -766,8 +766,19 @@ fn emit_scan(
             write_dht(&mut head, class, id, spec);
             let enc = HuffEncoder::from_spec(spec)?;
             let counts = rec.freq[table].freq.iter().take(256).zip(0..=255u8);
-            bits +=
-                counts.map(|(&n, sym)| n as usize * usize::from(enc.size_of(sym))).sum::<usize>();
+            for (&n, sym) in counts.filter(|&(&n, _)| n > 0) {
+                // Only a fixed table can lack a used symbol: the Annex-K AC
+                // tables stop at category 10.
+                match enc.size_of(sym) {
+                    0 => {
+                        return Err(JpegError::Invalid(format!(
+                            "symbol {sym:#04x} has no code in the fixed tables: an AC magnitude \
+                             past 1023 needs an optimized mode"
+                        )))
+                    }
+                    len => bits += n as usize * usize::from(len),
+                }
+            }
             tables[table] = Some(enc);
         }
     }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! # p3-jpeg — a from-scratch JPEG codec with coefficient-level access
 //!
@@ -33,7 +34,7 @@
 //! | [`quant`] | quantization tables, Annex-K defaults, IJG quality scaling |
 //! | [`dct`] | forward/inverse 8×8 DCT (separable, `f32`) |
 //! | [`color`] | JFIF RGB↔YCbCr, chroma down/upsampling |
-//! | [`simd`] | runtime-dispatched SSE2/AVX2 kernels for the per-pixel/per-block stages |
+//! | [`simd`] | runtime-dispatched AVX2 kernels (scalar oracles below them) for the per-pixel/per-block stages |
 //! | [`huffman`] | table derivation, Annex-K defaults, optimal table builder |
 //! | [`marker`] | marker constants and segment-level parse/serialize |
 //! | [`block`] | [`CoeffImage`] / [`ComponentCoeffs`] coefficient storage |

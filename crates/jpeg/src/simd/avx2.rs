@@ -5,7 +5,10 @@
 
 use std::arch::x86_64::*;
 
-use crate::dct::{OUT_GUARD_BITS, SCALE_BITS, WS_LIMIT};
+use crate::dct::{
+    F_0_382683433, F_0_541196100, F_0_707106781, F_1_082392200, F_1_306562965, F_1_414213562,
+    F_1_847759065, F_2_613125930, OUT_GUARD_BITS, SCALE_BITS, WS_LIMIT,
+};
 
 type V = __m256i;
 
@@ -36,7 +39,103 @@ fn cmul(v: V, k: i64) -> V {
     _mm256_add_epi32(_mm256_mullo_epi32(vh, k), lo)
 }
 
-aan_butterflies!(#[target_feature(enable = "avx2")]);
+// The two AAN passes are line-for-line the scalar `crate::dct` passes
+// with `+`/`-`/`cmul` replaced by lane-wise ops: a butterfly over eight
+// row vectors performs, per lane, the 1-D transform of one column of
+// the matrix those vectors form.
+
+/// One forward AAN pass across eight vectors (scalar `fdct1d`).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn fdct_pass(d: &mut [V; 8]) {
+    let tmp0 = vadd(d[0], d[7]);
+    let tmp7 = vsub(d[0], d[7]);
+    let tmp1 = vadd(d[1], d[6]);
+    let tmp6 = vsub(d[1], d[6]);
+    let tmp2 = vadd(d[2], d[5]);
+    let tmp5 = vsub(d[2], d[5]);
+    let tmp3 = vadd(d[3], d[4]);
+    let tmp4 = vsub(d[3], d[4]);
+
+    let tmp10 = vadd(tmp0, tmp3);
+    let tmp13 = vsub(tmp0, tmp3);
+    let tmp11 = vadd(tmp1, tmp2);
+    let tmp12 = vsub(tmp1, tmp2);
+
+    d[0] = vadd(tmp10, tmp11);
+    d[4] = vsub(tmp10, tmp11);
+
+    let z1 = cmul(vadd(tmp12, tmp13), F_0_707106781);
+    d[2] = vadd(tmp13, z1);
+    d[6] = vsub(tmp13, z1);
+
+    let tmp10 = vadd(tmp4, tmp5);
+    let tmp11 = vadd(tmp5, tmp6);
+    let tmp12 = vadd(tmp6, tmp7);
+
+    let z5 = cmul(vsub(tmp10, tmp12), F_0_382683433);
+    let z2 = vadd(cmul(tmp10, F_0_541196100), z5);
+    let z4 = vadd(cmul(tmp12, F_1_306562965), z5);
+    let z3 = cmul(tmp11, F_0_707106781);
+
+    let z11 = vadd(tmp7, z3);
+    let z13 = vsub(tmp7, z3);
+
+    d[5] = vadd(z13, z2);
+    d[3] = vsub(z13, z2);
+    d[1] = vadd(z11, z4);
+    d[7] = vsub(z11, z4);
+}
+
+/// One inverse AAN pass across eight vectors (scalar `idct1d`).
+#[target_feature(enable = "avx2")]
+#[inline]
+fn idct_pass(d: &mut [V; 8]) {
+    let tmp0 = d[0];
+    let tmp1 = d[2];
+    let tmp2 = d[4];
+    let tmp3 = d[6];
+
+    let tmp10 = vadd(tmp0, tmp2);
+    let tmp11 = vsub(tmp0, tmp2);
+    let tmp13 = vadd(tmp1, tmp3);
+    let tmp12 = vsub(cmul(vsub(tmp1, tmp3), F_1_414213562), tmp13);
+
+    let tmp0 = vadd(tmp10, tmp13);
+    let tmp3 = vsub(tmp10, tmp13);
+    let tmp1 = vadd(tmp11, tmp12);
+    let tmp2 = vsub(tmp11, tmp12);
+
+    let tmp4 = d[1];
+    let tmp5 = d[3];
+    let tmp6 = d[5];
+    let tmp7 = d[7];
+
+    let z13 = vadd(tmp6, tmp5);
+    let z10 = vsub(tmp6, tmp5);
+    let z11 = vadd(tmp4, tmp7);
+    let z12 = vsub(tmp4, tmp7);
+
+    let tmp7 = vadd(z11, z13);
+    let tmp11 = cmul(vsub(z11, z13), F_1_414213562);
+
+    let z5 = cmul(vadd(z10, z12), F_1_847759065);
+    let tmp10 = vsub(cmul(z12, F_1_082392200), z5);
+    let tmp12 = vsub(z5, cmul(z10, F_2_613125930));
+
+    let tmp6 = vsub(tmp12, tmp7);
+    let tmp5 = vsub(tmp11, tmp6);
+    let tmp4 = vadd(tmp10, tmp5);
+
+    d[0] = vadd(tmp0, tmp7);
+    d[7] = vsub(tmp0, tmp7);
+    d[1] = vadd(tmp1, tmp6);
+    d[6] = vsub(tmp1, tmp6);
+    d[2] = vadd(tmp2, tmp5);
+    d[5] = vsub(tmp2, tmp5);
+    d[4] = vadd(tmp3, tmp4);
+    d[3] = vsub(tmp3, tmp4);
+}
 
 /// Transpose an 8×8 i32 matrix held as eight row vectors.
 #[target_feature(enable = "avx2")]
@@ -114,6 +213,7 @@ pub(super) unsafe fn fdct_quant_strided(
         let prod = _mm256_mul_ps(_mm256_cvtepi32_ps(ws), rc);
         let rounded = _mm256_add_ps(prod, _mm256_or_ps(_mm256_and_ps(prod, sign), half));
         let q = _mm256_cvttps_epi32(rounded);
+        // SAFETY: 8 in-bounds i32 at row i of the 64-entry `out`.
         unsafe { _mm256_storeu_si256(out.as_mut_ptr().add(8 * i).cast(), q) };
     }
 }
@@ -126,9 +226,13 @@ pub(super) fn dequant_idct(q: &[i32; 64], mult: &[f32; 64]) -> [u8; 64] {
     let neg_lim_f = _mm256_set1_ps(-(WS_LIMIT as f32));
     let mut d = [_mm256_setzero_si256(); 8];
     for (i, v) in d.iter_mut().enumerate() {
-        // SAFETY: 8 in-bounds i32 / f32 at row i.
-        let qi = unsafe { _mm256_loadu_si256(q.as_ptr().add(8 * i).cast()) };
-        let m = unsafe { _mm256_loadu_ps(mult.as_ptr().add(8 * i)) };
+        // SAFETY: 8 in-bounds i32 / f32 at row i of the 64-entry arrays.
+        let (qi, m) = unsafe {
+            (
+                _mm256_loadu_si256(q.as_ptr().add(8 * i).cast()),
+                _mm256_loadu_ps(mult.as_ptr().add(8 * i)),
+            )
+        };
         let prod = _mm256_mul_ps(_mm256_cvtepi32_ps(qi), m);
         *v = _mm256_cvttps_epi32(_mm256_max_ps(_mm256_min_ps(prod, lim_f), neg_lim_f));
     }
@@ -238,10 +342,14 @@ unsafe fn convert16_ycbcr(rgb: *const u8) -> (V, V, V) {
     let half = _mm256_set1_epi32(HALF);
     let c128_16 = _mm256_set1_epi16(128);
     let one16 = _mm256_set1_epi16(1);
-    // SAFETY (caller contract): 48 in-bounds bytes at `rgb`.
-    let a = unsafe { _mm_loadu_si128(rgb.cast()) };
-    let b = unsafe { _mm_loadu_si128(rgb.add(16).cast()) };
-    let c = unsafe { _mm_loadu_si128(rgb.add(32).cast()) };
+    // SAFETY: the caller guarantees 48 readable bytes at `rgb`.
+    let (a, b, c) = unsafe {
+        (
+            _mm_loadu_si128(rgb.cast()),
+            _mm_loadu_si128(rgb.add(16).cast()),
+            _mm_loadu_si128(rgb.add(32).cast()),
+        )
+    };
     let gather = |m: &[__m128i; 3]| {
         _mm_or_si128(
             _mm_or_si128(_mm_shuffle_epi8(a, m[0]), _mm_shuffle_epi8(b, m[1])),

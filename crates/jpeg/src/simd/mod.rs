@@ -15,13 +15,13 @@
 //! | [`upsample2x_row`] | the bilinear tap loop in [`crate::color::upsample`] at exact 2× |
 //! | `magnitude_mask` | `unsigned_abs() >= t` per coefficient |
 //!
-//! Dispatch policy (see [`p3_par::features`]): AVX2 kernels are selected
-//! by runtime detection; the 128-bit kernels use only SSE2 — the x86_64
-//! compile-time baseline — so they are the floor on that architecture.
-//! The RGB(de)interleave kernels need `pshufb` (SSSE3, above the SSE2
-//! floor), so color conversion dispatches AVX2-or-scalar. `Scalar` is
-//! reachable everywhere via `P3_FORCE_SCALAR` / `--no-simd`, which is how
-//! CI exercises the oracle paths in release builds.
+//! Dispatch policy (see [`p3_par::features`]): every kernel runs either
+//! its AVX2 vector code, selected by runtime detection, or its scalar
+//! oracle. The two chroma resamplers are 128-bit code compiled at the
+//! `x86_64` baseline ISA (`sse2.rs`) that runs at the AVX2 level: built
+//! for AVX2 they measured slower. `Scalar` is what a host without AVX2
+//! gets, and what `P3_FORCE_SCALAR` selects anywhere, which is how CI
+//! exercises the oracle paths in release builds.
 //!
 //! Why bit-exactness is cheap here: the AAN workspace is 13-bit fixed
 //! point, and the one scalar operation without a lane-width SIMD
@@ -41,118 +41,6 @@
 use crate::quant::{AanDequantizer, AanQuantizer};
 
 pub use p3_par::features::{simd_level, SimdLevel};
-
-/// Shared AAN butterfly bodies, expanded inside each backend with that
-/// backend's vector type `V` and `vadd`/`vsub`/`cmul` helpers in scope.
-/// Textual expansion (rather than generics) lets each instantiation carry
-/// the backend's `#[target_feature]` attribute, which is what makes the
-/// intrinsic calls inside the helpers safe.
-///
-/// The bodies are line-for-line the scalar [`crate::dct`] passes with
-/// `+`/`-`/`cmul` replaced by lane-wise ops: a butterfly over eight
-/// row-vectors performs, per lane, the 1-D transform of one column of
-/// the matrix those vectors form.
-macro_rules! aan_butterflies {
-    ($(#[$attr:meta])*) => {
-        use crate::dct::{
-            F_0_382683433, F_0_541196100, F_0_707106781, F_1_082392200, F_1_306562965,
-            F_1_414213562, F_1_847759065, F_2_613125930,
-        };
-
-        /// One forward AAN pass across eight vectors (scalar `fdct1d`).
-        $(#[$attr])*
-        #[inline]
-        fn fdct_pass(d: &mut [V; 8]) {
-            let tmp0 = vadd(d[0], d[7]);
-            let tmp7 = vsub(d[0], d[7]);
-            let tmp1 = vadd(d[1], d[6]);
-            let tmp6 = vsub(d[1], d[6]);
-            let tmp2 = vadd(d[2], d[5]);
-            let tmp5 = vsub(d[2], d[5]);
-            let tmp3 = vadd(d[3], d[4]);
-            let tmp4 = vsub(d[3], d[4]);
-
-            let tmp10 = vadd(tmp0, tmp3);
-            let tmp13 = vsub(tmp0, tmp3);
-            let tmp11 = vadd(tmp1, tmp2);
-            let tmp12 = vsub(tmp1, tmp2);
-
-            d[0] = vadd(tmp10, tmp11);
-            d[4] = vsub(tmp10, tmp11);
-
-            let z1 = cmul(vadd(tmp12, tmp13), F_0_707106781);
-            d[2] = vadd(tmp13, z1);
-            d[6] = vsub(tmp13, z1);
-
-            let tmp10 = vadd(tmp4, tmp5);
-            let tmp11 = vadd(tmp5, tmp6);
-            let tmp12 = vadd(tmp6, tmp7);
-
-            let z5 = cmul(vsub(tmp10, tmp12), F_0_382683433);
-            let z2 = vadd(cmul(tmp10, F_0_541196100), z5);
-            let z4 = vadd(cmul(tmp12, F_1_306562965), z5);
-            let z3 = cmul(tmp11, F_0_707106781);
-
-            let z11 = vadd(tmp7, z3);
-            let z13 = vsub(tmp7, z3);
-
-            d[5] = vadd(z13, z2);
-            d[3] = vsub(z13, z2);
-            d[1] = vadd(z11, z4);
-            d[7] = vsub(z11, z4);
-        }
-
-        /// One inverse AAN pass across eight vectors (scalar `idct1d`).
-        $(#[$attr])*
-        #[inline]
-        fn idct_pass(d: &mut [V; 8]) {
-            let tmp0 = d[0];
-            let tmp1 = d[2];
-            let tmp2 = d[4];
-            let tmp3 = d[6];
-
-            let tmp10 = vadd(tmp0, tmp2);
-            let tmp11 = vsub(tmp0, tmp2);
-            let tmp13 = vadd(tmp1, tmp3);
-            let tmp12 = vsub(cmul(vsub(tmp1, tmp3), F_1_414213562), tmp13);
-
-            let tmp0 = vadd(tmp10, tmp13);
-            let tmp3 = vsub(tmp10, tmp13);
-            let tmp1 = vadd(tmp11, tmp12);
-            let tmp2 = vsub(tmp11, tmp12);
-
-            let tmp4 = d[1];
-            let tmp5 = d[3];
-            let tmp6 = d[5];
-            let tmp7 = d[7];
-
-            let z13 = vadd(tmp6, tmp5);
-            let z10 = vsub(tmp6, tmp5);
-            let z11 = vadd(tmp4, tmp7);
-            let z12 = vsub(tmp4, tmp7);
-
-            let tmp7 = vadd(z11, z13);
-            let tmp11 = cmul(vsub(z11, z13), F_1_414213562);
-
-            let z5 = cmul(vadd(z10, z12), F_1_847759065);
-            let tmp10 = vsub(cmul(z12, F_1_082392200), z5);
-            let tmp12 = vsub(z5, cmul(z10, F_2_613125930));
-
-            let tmp6 = vsub(tmp12, tmp7);
-            let tmp5 = vsub(tmp11, tmp6);
-            let tmp4 = vadd(tmp10, tmp5);
-
-            d[0] = vadd(tmp0, tmp7);
-            d[7] = vsub(tmp0, tmp7);
-            d[1] = vadd(tmp1, tmp6);
-            d[6] = vsub(tmp1, tmp6);
-            d[2] = vadd(tmp2, tmp5);
-            d[5] = vsub(tmp2, tmp5);
-            d[4] = vadd(tmp3, tmp4);
-            d[3] = vsub(tmp3, tmp4);
-        }
-    };
-}
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -181,16 +69,11 @@ pub fn fdct_quant(
     out: &mut [i32; 64],
 ) {
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_ok(level) {
-            // SAFETY: AVX2 support verified above.
-            return unsafe { avx2::fdct_quant(samples, quantizer.recip(), out) };
-        }
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
-            return unsafe { sse2::fdct_quant(samples, quantizer.recip(), out) };
-        }
+    if avx2_ok(level) {
+        // SAFETY: AVX2 support verified above.
+        return unsafe { avx2::fdct_quant(samples, quantizer.recip(), out) };
     }
+    let _ = level;
     *out = quantizer.quantize(&crate::dct::fdct8x8_aan(samples));
 }
 
@@ -206,20 +89,11 @@ pub fn fdct_quant_strided(
 ) {
     assert!(stride >= 8 && src.len() >= stride * 7 + 8, "strided block out of bounds");
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_ok(level) {
-            // SAFETY: row bounds asserted above; AVX2 support verified.
-            return unsafe {
-                avx2::fdct_quant_strided(src.as_ptr(), stride, quantizer.recip(), out)
-            };
-        }
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: row bounds asserted above; SSE2 is the x86_64 baseline.
-            return unsafe {
-                sse2::fdct_quant_strided(src.as_ptr(), stride, quantizer.recip(), out)
-            };
-        }
+    if avx2_ok(level) {
+        // SAFETY: row bounds asserted above; AVX2 support verified.
+        return unsafe { avx2::fdct_quant_strided(src.as_ptr(), stride, quantizer.recip(), out) };
     }
+    let _ = level;
     let mut samples = [0u8; 64];
     for i in 0..8 {
         samples[8 * i..8 * i + 8].copy_from_slice(&src[stride * i..stride * i + 8]);
@@ -235,15 +109,9 @@ pub fn fdct_quant_strided(
 pub(crate) fn magnitude_mask(level: SimdLevel, block: &[i32; 64], t: u32) -> u64 {
     debug_assert!(t <= 1 << 31, "threshold {t} past 2^31");
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_ok(level) {
-            // SAFETY: AVX2 support verified above.
-            return unsafe { avx2::magnitude_mask(block, t) };
-        }
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
-            return unsafe { sse2::magnitude_mask(block, t) };
-        }
+    if avx2_ok(level) {
+        // SAFETY: AVX2 support verified above.
+        return unsafe { avx2::magnitude_mask(block, t) };
     }
     let _ = level;
     (0..64).filter(|&i| block[i].unsigned_abs() >= t).fold(0, |mask, i| mask | 1 << i)
@@ -256,16 +124,11 @@ pub(crate) fn magnitude_mask(level: SimdLevel, block: &[i32; 64], t: u32) -> u64
 /// the workspace clamp is replicated exactly).
 pub fn dequant_idct(level: SimdLevel, q: &[i32; 64], deq: &AanDequantizer) -> [u8; 64] {
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx2_ok(level) {
-            // SAFETY: AVX2 support verified above.
-            return unsafe { avx2::dequant_idct(q, deq.mult()) };
-        }
-        if level >= SimdLevel::Sse2 {
-            // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
-            return unsafe { sse2::dequant_idct(q, deq.mult()) };
-        }
+    if avx2_ok(level) {
+        // SAFETY: AVX2 support verified above.
+        return unsafe { avx2::dequant_idct(q, deq.mult()) };
     }
+    let _ = level;
     crate::dct::idct8x8_aan(&mut deq.dequantize_scaled(q))
 }
 
@@ -274,12 +137,13 @@ pub fn dequant_idct(level: SimdLevel, q: &[i32; 64], deq: &AanDequantizer) -> [u
 /// `rgb.len() == 3 * y.len()` and the three output slices have equal
 /// length. Equivalent to [`crate::color::rgb_to_ycbcr`] per pixel.
 pub fn rgb_rows_to_ycbcr(level: SimdLevel, rgb: &[u8], y: &mut [u8], cb: &mut [u8], cr: &mut [u8]) {
-    debug_assert_eq!(rgb.len(), 3 * y.len());
-    debug_assert_eq!(y.len(), cb.len());
-    debug_assert_eq!(y.len(), cr.len());
+    assert_eq!(rgb.len(), 3 * y.len());
+    assert_eq!(y.len(), cb.len());
+    assert_eq!(y.len(), cr.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_ok(level) {
-        // SAFETY: AVX2 support verified above.
+        // SAFETY: AVX2 support verified, and the kernel stays inside the
+        // lengths asserted above.
         unsafe { avx2::rgb_rows_to_ycbcr(rgb, y, cb, cr) };
         return;
     }
@@ -301,14 +165,15 @@ pub fn rgb_rows2_to_ycbcr420(
     cbrow: &mut [u8],
     crrow: &mut [u8],
 ) -> bool {
-    debug_assert_eq!(rgb0.len(), 3 * y0.len());
-    debug_assert_eq!(rgb1.len(), 3 * y1.len());
-    debug_assert_eq!(y0.len(), y1.len());
-    debug_assert_eq!(y0.len(), 2 * cbrow.len());
-    debug_assert_eq!(y0.len(), 2 * crrow.len());
+    assert_eq!(rgb0.len(), 3 * y0.len());
+    assert_eq!(rgb1.len(), 3 * y1.len());
+    assert_eq!(y0.len(), y1.len());
+    assert_eq!(y0.len(), 2 * cbrow.len());
+    assert_eq!(y0.len(), 2 * crrow.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_ok(level) {
-        // SAFETY: AVX2 support verified above.
+        // SAFETY: AVX2 support verified, and the kernel stays inside the
+        // lengths asserted above.
         unsafe { avx2::rgb_rows2_to_ycbcr420(rgb0, rgb1, y0, y1, cbrow, crrow) };
         return true;
     }
@@ -320,12 +185,13 @@ pub fn rgb_rows2_to_ycbcr420(
 ///
 /// Equivalent to [`crate::color::ycbcr_to_rgb`] per pixel.
 pub fn ycbcr_rows_to_rgb(level: SimdLevel, y: &[u8], cb: &[u8], cr: &[u8], rgb: &mut [u8]) {
-    debug_assert_eq!(rgb.len(), 3 * y.len());
-    debug_assert_eq!(y.len(), cb.len());
-    debug_assert_eq!(y.len(), cr.len());
+    assert_eq!(rgb.len(), 3 * y.len());
+    assert_eq!(y.len(), cb.len());
+    assert_eq!(y.len(), cr.len());
     #[cfg(target_arch = "x86_64")]
     if avx2_ok(level) {
-        // SAFETY: AVX2 support verified above.
+        // SAFETY: AVX2 support verified, and the kernel stays inside the
+        // lengths asserted above.
         unsafe { avx2::ycbcr_rows_to_rgb(y, cb, cr, rgb) };
         return;
     }
@@ -337,11 +203,12 @@ pub fn ycbcr_rows_to_rgb(level: SimdLevel, y: &[u8], cb: &[u8], cr: &[u8], rgb: 
 /// `out[i] = (r0[2i] + r0[2i+1] + r1[2i] + r1[2i+1] + 2) / 4`, with
 /// `r0.len() == r1.len() == 2 * out.len()`.
 pub fn downsample2x2_row(level: SimdLevel, r0: &[u8], r1: &[u8], out: &mut [u8]) {
-    debug_assert_eq!(r0.len(), 2 * out.len());
-    debug_assert_eq!(r1.len(), 2 * out.len());
+    assert_eq!(r0.len(), 2 * out.len());
+    assert_eq!(r1.len(), 2 * out.len());
     #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Sse2 {
-        // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
+    if avx2_ok(level) {
+        // SAFETY: SSE2 is part of the x86_64 compile-time baseline, and the
+        // kernel stays inside the lengths asserted above.
         unsafe { sse2::downsample2x2_row(r0, r1, out) };
         return;
     }
@@ -354,11 +221,12 @@ pub fn downsample2x2_row(level: SimdLevel, r0: &[u8], r1: &[u8], out: &mut [u8])
 /// 8-bit weight of `row1`). `out.len() == 2 * row0.len()`; the taps match
 /// [`crate::color::upsample`]'s center-aligned mapping at 2×.
 pub fn upsample2x_row(level: SimdLevel, row0: &[u8], row1: &[u8], wy: i32, out: &mut [u8]) {
-    debug_assert_eq!(row0.len(), row1.len());
-    debug_assert_eq!(out.len(), 2 * row0.len());
+    assert_eq!(row0.len(), row1.len());
+    assert_eq!(out.len(), 2 * row0.len());
     #[cfg(target_arch = "x86_64")]
-    if level >= SimdLevel::Sse2 {
-        // SAFETY: SSE2 is part of the x86_64 compile-time baseline.
+    if avx2_ok(level) {
+        // SAFETY: SSE2 is part of the x86_64 compile-time baseline, and the
+        // kernel stays inside the lengths asserted above.
         unsafe { sse2::upsample2x_row(row0, row1, wy, out) };
         return;
     }
@@ -433,11 +301,8 @@ mod tests {
     fn levels() -> Vec<SimdLevel> {
         let mut l = vec![SimdLevel::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            l.push(SimdLevel::Sse2);
-            if std::arch::is_x86_feature_detected!("avx2") {
-                l.push(SimdLevel::Avx2);
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            l.push(SimdLevel::Avx2);
         }
         l
     }
@@ -616,8 +481,11 @@ mod tests {
             for level in levels() {
                 let (mut y0, mut y1) = (vec![0u8; n], vec![0u8; n]);
                 let (mut cb, mut cr) = (vec![0u8; n / 2], vec![0u8; n / 2]);
-                if !rgb_rows2_to_ycbcr420(level, &rgb0, &rgb1, &mut y0, &mut y1, &mut cb, &mut cr) {
-                    continue; // no vector kernel at this level
+                let fused =
+                    rgb_rows2_to_ycbcr420(level, &rgb0, &rgb1, &mut y0, &mut y1, &mut cb, &mut cr);
+                assert_eq!(fused, level == SimdLevel::Avx2, "n={n} {level:?}");
+                if !fused {
+                    continue;
                 }
                 assert_eq!(y0, r[0], "y0 n={n} {level:?}");
                 assert_eq!(y1, s[0], "y1 n={n} {level:?}");
@@ -655,6 +523,39 @@ mod tests {
                     upsample2x_row(level, &row0, &row1, wy, &mut got);
                     assert_eq!(got, want, "w={w} wy={wy} {level:?}");
                 }
+            }
+        }
+    }
+
+    /// The row kernels' loads and stores are sized from one slice: a
+    /// shorter partner must panic in release too, not read past its end.
+    #[test]
+    fn mismatched_row_lengths_panic_at_every_level() {
+        let (long, short) = (vec![0u8; 96], vec![0u8; 48]);
+        for level in levels() {
+            let runs: [Box<dyn Fn()>; 5] = [
+                Box::new(|| downsample2x2_row(level, &long, &short, &mut [0; 48])),
+                Box::new(|| upsample2x_row(level, &long, &short, 64, &mut [0; 192])),
+                Box::new(|| {
+                    rgb_rows_to_ycbcr(level, &short, &mut [0; 32], &mut [0; 32], &mut [0; 8])
+                }),
+                Box::new(|| ycbcr_rows_to_rgb(level, &long, &long, &short, &mut [0; 288])),
+                Box::new(|| {
+                    let (mut y0, mut y1) = ([0; 32], [0; 32]);
+                    let _ = rgb_rows2_to_ycbcr420(
+                        level,
+                        &long,
+                        &long,
+                        &mut y0,
+                        &mut y1,
+                        &mut [0; 16],
+                        &mut [0; 8],
+                    );
+                }),
+            ];
+            for (i, run) in runs.iter().enumerate() {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
+                assert!(caught.is_err(), "kernel {i} at {level:?} accepted a short row");
             }
         }
     }

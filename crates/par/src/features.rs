@@ -16,16 +16,14 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// SIMD dispatch level for the codec kernels, in increasing capability.
-/// On `x86_64`, `Sse2` is the compile-time floor (always available);
-/// `Scalar` is reachable only through the overrides — which is exactly
-/// what keeps the scalar oracle testable in release builds.
+/// SIMD dispatch level for the codec kernels, in increasing capability:
+/// each kernel has one AVX2 implementation and one scalar oracle. A host
+/// without AVX2 runs `Scalar`, and the overrides select it anywhere —
+/// which is what keeps the scalar oracle testable in release builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Pure scalar reference code.
     Scalar,
-    /// 128-bit `std::arch` kernels using only SSE2 (the x86_64 baseline).
-    Sse2,
     /// 256-bit AVX2 kernels (runtime-detected).
     Avx2,
 }
@@ -35,7 +33,6 @@ impl SimdLevel {
     pub fn as_str(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -79,18 +76,11 @@ fn hw_level() -> SimdLevel {
     *HW.get_or_init(detect_level)
 }
 
-#[cfg(target_arch = "x86_64")]
 fn detect_level() -> SimdLevel {
+    #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        SimdLevel::Avx2
-    } else {
-        // SSE2 is part of the x86_64 baseline; no runtime check needed.
-        SimdLevel::Sse2
+        return SimdLevel::Avx2;
     }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_level() -> SimdLevel {
     SimdLevel::Scalar
 }
 
@@ -153,15 +143,17 @@ mod tests {
         assert!(!aes_ni());
         set_force_scalar(false);
         #[cfg(target_arch = "x86_64")]
-        assert!(simd_level() >= SimdLevel::Sse2);
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(simd_level() == SimdLevel::Avx2, avx2);
         // Leave the process in its default env-driven state.
         FORCE.store(0, Ordering::Relaxed);
     }
 
     #[test]
     fn levels_are_ordered() {
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2);
-        assert!(SimdLevel::Sse2 < SimdLevel::Avx2);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
         assert_eq!(SimdLevel::Avx2.as_str(), "avx2");
     }
 }

@@ -2,10 +2,11 @@
 
 //! # p3-par — CPU-feature dispatch for the codec hot path
 //!
-//! [`features`] is runtime SIMD/AES-NI capability detection with a
+//! [`features`] is runtime AVX2/AES-NI capability detection with a
 //! process-wide `P3_FORCE_SCALAR` override, so the scalar reference
 //! paths stay reachable in production builds and tests can pin either
-//! dispatch level. `p3-jpeg` and `p3-crypto` share it.
+//! dispatch level: AVX2 or scalar for the codec, AES-NI or the T-table
+//! cipher for CTR. `p3-jpeg` and `p3-crypto` share it.
 //!
 //! The codec fans nothing out: every stage is a serial loop on the
 //! calling thread, and the serving tier's offload pool is the one level

@@ -18,19 +18,19 @@ use p3_vision::metrics::psnr;
 
 /// Ablation results at one threshold.
 #[derive(Debug, Clone)]
-pub struct AblationResult {
+struct AblationResult {
     /// Threshold used.
-    pub t: u16,
+    t: u16,
     /// Public-part PSNR with the real algorithm.
-    pub public_psnr: f64,
+    public_psnr: f64,
     /// Public-part PSNR if DC stayed public.
-    pub public_psnr_dc_kept: f64,
+    public_psnr_dc_kept: f64,
     /// Public-part PSNR if clipped signs leaked (±T in public).
-    pub public_psnr_sign_leak: f64,
+    public_psnr_sign_leak: f64,
     /// Combined size ratio with optimized tables.
-    pub combined_optimized: f64,
+    combined_optimized: f64,
     /// Combined size ratio with Annex-K default tables.
-    pub combined_default: f64,
+    combined_default: f64,
 }
 
 /// Variant splits used by the ablations.
@@ -60,7 +60,7 @@ fn split_leak_sign(ci: &CoeffImage, t: u16) -> CoeffImage {
 }
 
 /// Run the ablations at one threshold over a corpus.
-pub fn sweep(images: &[PreparedImage], t: u16) -> AblationResult {
+fn sweep(images: &[PreparedImage], t: u16) -> AblationResult {
     let mut real = Vec::new();
     let mut dc_kept = Vec::new();
     let mut sign_leak = Vec::new();
@@ -91,7 +91,7 @@ pub fn sweep(images: &[PreparedImage], t: u16) -> AblationResult {
 }
 
 /// Run and print.
-pub fn run(scale: Scale) -> Vec<AblationResult> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let images = prepare(p3_datasets::usc_sipi_like(scale.usc_count(), 1));
     let results: Vec<AblationResult> = [10u16, 20].iter().map(|&t| sweep(&images, t)).collect();
     let mut table = Table::new(
@@ -109,7 +109,7 @@ pub fn run(scale: Scale) -> Vec<AblationResult> {
         ]);
     }
     table.emit("tbl_ablations");
-    results
+    vec![table]
 }
 
 #[cfg(test)]

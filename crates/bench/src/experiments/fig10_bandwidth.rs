@@ -17,16 +17,16 @@ const RESOLUTIONS: [usize; 3] = [720, 130, 75];
 
 /// One sweep point.
 #[derive(Debug, Clone)]
-pub struct BandwidthPoint {
+struct BandwidthPoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Mean uploaded size (public + secret) in KB.
-    pub uploaded_kb: f64,
+    uploaded_kb: f64,
     /// Mean overhead in KB per ladder resolution (720, 130 and 75 px, in
     /// that order).
-    pub overhead_kb: Vec<f64>,
+    overhead_kb: Vec<f64>,
     /// Std-dev of the overheads.
-    pub overhead_std_kb: Vec<f64>,
+    overhead_std_kb: Vec<f64>,
 }
 
 /// PSP-side resize used for both the P3 and non-P3 downloads.
@@ -41,7 +41,7 @@ fn psp_resize(rgb: &RgbImage, max_side: usize) -> Vec<u8> {
 }
 
 /// Sweep on a prepared corpus.
-pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<BandwidthPoint> {
+fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<BandwidthPoint> {
     // Per-image, per-resolution baseline: size of the resized original.
     let baselines: Vec<Vec<f64>> = images
         .iter()
@@ -73,7 +73,7 @@ pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<BandwidthPoint
 }
 
 /// Run Figure 10 on the INRIA corpus.
-pub fn run(scale: Scale) -> Vec<BandwidthPoint> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let images = prepare(p3_datasets::inria_like(scale.inria_count(), 2));
     let points = sweep(&images, &FIG10_THRESHOLDS);
     let mut table = Table::new(
@@ -93,7 +93,7 @@ pub fn run(scale: Scale) -> Vec<BandwidthPoint> {
         ]);
     }
     table.emit("fig10_bandwidth");
-    points
+    vec![table]
 }
 
 #[cfg(test)]

@@ -12,30 +12,30 @@ use crate::util::{f3, mean_std, Scale, Table, THRESHOLDS};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct SizePoint {
+struct SizePoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Mean public size / original size.
-    pub public: f64,
+    public: f64,
     /// Std-dev of the public ratio.
-    pub public_std: f64,
+    public_std: f64,
     /// Mean secret ratio.
-    pub secret: f64,
+    secret: f64,
     /// Std-dev of the secret ratio.
-    pub secret_std: f64,
+    secret_std: f64,
     /// Mean combined ratio.
-    pub combined: f64,
+    combined: f64,
     /// Std-dev of the combined ratio.
-    pub combined_std: f64,
+    combined_std: f64,
 }
 
 /// Results for one dataset.
 #[derive(Debug, Clone)]
-pub struct SizeSweep {
+struct SizeSweep {
     /// Dataset label.
-    pub dataset: &'static str,
+    dataset: &'static str,
     /// One point per threshold.
-    pub points: Vec<SizePoint>,
+    points: Vec<SizePoint>,
 }
 
 fn sweep(dataset: &'static str, images: &[PreparedImage]) -> SizeSweep {
@@ -68,10 +68,11 @@ fn sweep(dataset: &'static str, images: &[PreparedImage]) -> SizeSweep {
 }
 
 /// Run Figure 5 on both corpora.
-pub fn run(scale: Scale) -> Vec<SizeSweep> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let usc = prepare(p3_datasets::usc_sipi_like(scale.usc_count(), 1));
     let inria = prepare(p3_datasets::inria_like(scale.inria_count(), 2));
-    let sweeps = vec![sweep("USC-SIPI", &usc), sweep("INRIA", &inria)];
+    let sweeps = [sweep("USC-SIPI", &usc), sweep("INRIA", &inria)];
+    let mut tables = Vec::new();
     for s in &sweeps {
         let mut table = Table::new(
             &format!("Fig 5 ({}): threshold vs normalized file size (original = 1.0)", s.dataset),
@@ -89,8 +90,9 @@ pub fn run(scale: Scale) -> Vec<SizeSweep> {
             ]);
         }
         table.emit(&format!("fig5_{}", s.dataset.to_lowercase().replace('-', "_")));
+        tables.push(table);
     }
-    sweeps
+    tables
 }
 
 #[cfg(test)]

@@ -10,26 +10,26 @@ use p3_vision::metrics::psnr;
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct PsnrPoint {
+struct PsnrPoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Mean public-part PSNR (dB, luma).
-    pub public: f64,
+    public: f64,
     /// Std-dev.
-    pub public_std: f64,
+    public_std: f64,
     /// Mean secret-part PSNR.
-    pub secret: f64,
+    secret: f64,
     /// Std-dev.
-    pub secret_std: f64,
+    secret_std: f64,
 }
 
 /// Results for one dataset.
 #[derive(Debug, Clone)]
-pub struct PsnrSweep {
+struct PsnrSweep {
     /// Dataset label.
-    pub dataset: &'static str,
+    dataset: &'static str,
     /// Points per threshold.
-    pub points: Vec<PsnrPoint>,
+    points: Vec<PsnrPoint>,
 }
 
 fn sweep(dataset: &'static str, images: &[PreparedImage]) -> PsnrSweep {
@@ -51,10 +51,11 @@ fn sweep(dataset: &'static str, images: &[PreparedImage]) -> PsnrSweep {
 }
 
 /// Run Figure 6 on both corpora.
-pub fn run(scale: Scale) -> Vec<PsnrSweep> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let usc = prepare(p3_datasets::usc_sipi_like(scale.usc_count(), 1));
     let inria = prepare(p3_datasets::inria_like(scale.inria_count(), 2));
-    let sweeps = vec![sweep("USC-SIPI", &usc), sweep("INRIA", &inria)];
+    let sweeps = [sweep("USC-SIPI", &usc), sweep("INRIA", &inria)];
+    let mut tables = Vec::new();
     for s in &sweeps {
         let mut table = Table::new(
             &format!("Fig 6 ({}): threshold vs PSNR (dB)", s.dataset),
@@ -70,8 +71,9 @@ pub fn run(scale: Scale) -> Vec<PsnrSweep> {
             ]);
         }
         table.emit(&format!("fig6_{}", s.dataset.to_lowercase().replace('-', "_")));
+        tables.push(table);
     }
-    sweeps
+    tables
 }
 
 #[cfg(test)]

@@ -5,14 +5,20 @@
 //! minimal visual information is present in the public part").
 
 use crate::experiments::common::{prepare, split_encoded};
-use crate::util::{output_dir, Scale};
+use crate::util::{output_dir, Scale, Table};
 use std::path::PathBuf;
 
 /// Thresholds shown in the paper's Figure 7.
 const FIG7_THRESHOLDS: [u16; 5] = [1, 5, 10, 15, 20];
 
+/// Write the visual pairs; no table.
+pub fn run(_scale: Scale) -> Vec<Table> {
+    write_pairs();
+    Vec::new()
+}
+
 /// Write the visual pairs; returns the written file paths.
-pub fn run(_scale: Scale) -> Vec<PathBuf> {
+fn write_pairs() -> Vec<PathBuf> {
     let images = prepare(p3_datasets::usc_sipi_like(2, 1));
     let canonical = &images[0];
     let dir = output_dir().join("fig7");
@@ -46,7 +52,7 @@ mod tests {
     fn writes_all_pairs() {
         let tmp = std::env::temp_dir().join("p3_fig7_test");
         std::env::set_var("P3_OUT_DIR", &tmp);
-        let files = run(Scale::Quick);
+        let files = write_pairs();
         std::env::remove_var("P3_OUT_DIR");
         assert_eq!(files.len(), 1 + 2 * FIG7_THRESHOLDS.len());
         for f in &files {

@@ -12,17 +12,17 @@ use p3_vision::canny::{canny, edge_match_ratio, CannyParams};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct EdgePoint {
+struct EdgePoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Mean matching-pixel ratio (percent).
-    pub match_ratio: f64,
+    match_ratio: f64,
     /// Std-dev.
-    pub match_std: f64,
+    match_std: f64,
 }
 
 /// Sweep thresholds over a prepared corpus.
-pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<EdgePoint> {
+fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<EdgePoint> {
     let params = CannyParams::default();
     let mut points = Vec::new();
     for &t in thresholds {
@@ -40,7 +40,7 @@ pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<EdgePoint> {
 }
 
 /// Run Figure 8(a) on the USC corpus.
-pub fn run(scale: Scale) -> Vec<EdgePoint> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let images = prepare(p3_datasets::usc_sipi_like(scale.usc_count(), 1));
     let points = sweep(&images, &THRESHOLDS);
     let mut table = Table::new(
@@ -51,7 +51,7 @@ pub fn run(scale: Scale) -> Vec<EdgePoint> {
         table.row(vec![p.t.to_string(), f1(p.match_ratio), f1(p.match_std)]);
     }
     table.emit("fig8a_edges");
-    points
+    vec![table]
 }
 
 #[cfg(test)]

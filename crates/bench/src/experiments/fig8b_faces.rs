@@ -19,24 +19,24 @@ use p3_vision::facedetect::{Cascade, TrainParams};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct FacePoint {
+struct FacePoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Average faces detected per image on the public part.
-    pub detected_public: f64,
+    detected_public: f64,
     /// Std-dev.
-    pub detected_std: f64,
+    detected_std: f64,
 }
 
 /// Full results.
 #[derive(Debug, Clone)]
-pub struct FaceDetectionResult {
+struct FaceDetectionResult {
     /// Baseline: average faces detected on original images.
-    pub detected_original: f64,
+    detected_original: f64,
     /// Ground-truth average faces per image.
-    pub actual_faces: f64,
+    actual_faces: f64,
     /// Per-threshold results.
-    pub points: Vec<FacePoint>,
+    points: Vec<FacePoint>,
 }
 
 /// Train the attack detector.
@@ -56,7 +56,7 @@ fn train_detector(seed: u64) -> Cascade {
 }
 
 /// Run the sweep on `count` Caltech-like images.
-pub fn sweep(count: usize, thresholds: &[u16], seed: u64) -> FaceDetectionResult {
+fn sweep(count: usize, thresholds: &[u16], seed: u64) -> FaceDetectionResult {
     let cascade = train_detector(seed);
     let dataset = p3_datasets::caltech_like(count, seed.wrapping_add(1));
 
@@ -90,8 +90,9 @@ pub fn sweep(count: usize, thresholds: &[u16], seed: u64) -> FaceDetectionResult
     }
 }
 
-/// Run Figure 8(b).
-pub fn run(scale: Scale) -> FaceDetectionResult {
+/// Run Figure 8(b): the sweep table (saved) and the ground truth it is
+/// read against (printed only).
+pub fn run(scale: Scale) -> Vec<Table> {
     let result = sweep(scale.caltech_count(), &THRESHOLDS, 42);
     let mut table = Table::new(
         "Fig 8b: face detection — avg faces detected per image",
@@ -106,11 +107,11 @@ pub fn run(scale: Scale) -> FaceDetectionResult {
         ]);
     }
     table.emit("fig8b_face_detection");
-    println!(
-        "(ground truth: {:.2} faces/image; detector finds {:.2} on originals)",
-        result.actual_faces, result.detected_original
-    );
-    result
+    let mut truth =
+        Table::new("Fig 8b: faces per original image", &["ground truth", "detector finds"]);
+    truth.row(vec![f3(result.actual_faces), f3(result.detected_original)]);
+    println!("{}", truth.render());
+    vec![table, truth]
 }
 
 #[cfg(test)]

@@ -13,18 +13,18 @@ use p3_vision::sift::{detect, match_features, SiftParams};
 
 /// One sweep point.
 #[derive(Debug, Clone, Copy)]
-pub struct SiftPoint {
+struct SiftPoint {
     /// Threshold.
-    pub t: u16,
+    t: u16,
     /// Features detected on the public part / features on the original.
-    pub detected_norm: f64,
+    detected_norm: f64,
     /// Matched (ratio-test vs original) / features on the original.
-    pub matched_norm: f64,
+    matched_norm: f64,
 }
 
 /// Sweep on a prepared corpus. Lowe's default matching ratio 0.6
 /// (paper footnote 11 also validates 0.8 with similar results).
-pub fn sweep(images: &[PreparedImage], thresholds: &[u16], match_ratio: f32) -> Vec<SiftPoint> {
+fn sweep(images: &[PreparedImage], thresholds: &[u16], match_ratio: f32) -> Vec<SiftPoint> {
     let params = SiftParams::default();
     let originals: Vec<_> =
         images.iter().map(|img| detect(&coeffs_to_luma(&img.coeffs), params)).collect();
@@ -53,7 +53,7 @@ pub fn sweep(images: &[PreparedImage], thresholds: &[u16], match_ratio: f32) -> 
 
 /// Run Figure 8(c) on (a slice of) the USC corpus — the paper skips
 /// INRIA here too ("the SIFT algorithm is computationally expensive").
-pub fn run(scale: Scale) -> Vec<SiftPoint> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let count = match scale {
         Scale::Quick => 4,
         Scale::Full => scale.usc_count(),
@@ -68,7 +68,7 @@ pub fn run(scale: Scale) -> Vec<SiftPoint> {
         table.row(vec![p.t.to_string(), f3(p.detected_norm), f3(p.matched_norm)]);
     }
     table.emit("fig8c_sift");
-    points
+    vec![table]
 }
 
 #[cfg(test)]

@@ -2,12 +2,18 @@
 //! (visual). Writes PGM edge maps for four canonical images.
 
 use crate::experiments::common::{coeffs_to_luma, prepare, split_encoded};
-use crate::util::{output_dir, Scale};
+use crate::util::{output_dir, Scale, Table};
 use p3_vision::canny::{canny, CannyParams};
 use std::path::PathBuf;
 
+/// Write the edge maps; no table.
+pub fn run(_scale: Scale) -> Vec<Table> {
+    write_edge_maps();
+    Vec::new()
+}
+
 /// Write edge maps; returns written paths.
-pub fn run(_scale: Scale) -> Vec<PathBuf> {
+fn write_edge_maps() -> Vec<PathBuf> {
     let images = prepare(p3_datasets::usc_sipi_like(4, 1));
     let dir = output_dir().join("fig9");
     std::fs::create_dir_all(&dir).expect("fig9 dir");
@@ -40,7 +46,7 @@ mod tests {
     fn writes_edge_maps() {
         let tmp = std::env::temp_dir().join("p3_fig9_test");
         std::env::set_var("P3_OUT_DIR", &tmp);
-        let files = run(Scale::Quick);
+        let files = write_edge_maps();
         std::env::remove_var("P3_OUT_DIR");
         assert_eq!(files.len(), 4 * 3);
         let _ = std::fs::remove_dir_all(&tmp);

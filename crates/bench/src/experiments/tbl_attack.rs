@@ -14,23 +14,23 @@ use p3_core::split::split_coeffs;
 
 /// Results per threshold.
 #[derive(Debug, Clone)]
-pub struct AttackPoint {
+struct AttackPoint {
     /// True threshold.
-    pub t: u16,
+    t: u16,
     /// Fraction of images where the spike-detector attacker recovers T.
-    pub guess_rate: f64,
+    guess_rate: f64,
     /// Fraction using the paper's most-frequent heuristic.
-    pub guess_rate_paper: f64,
+    guess_rate_paper: f64,
     /// Mean empirical MSE of zero-replacement on clipped positions.
-    pub mse_zero: f64,
+    mse_zero: f64,
     /// Mean empirical MSE of keeping +T.
-    pub mse_keep: f64,
+    mse_keep: f64,
     /// Mean empirical MSE of random-sign ±T.
-    pub mse_random: f64,
+    mse_random: f64,
 }
 
 /// Run the attack sweep.
-pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<AttackPoint> {
+fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<AttackPoint> {
     let mut out = Vec::new();
     for &t in thresholds {
         let mut hits = 0usize;
@@ -66,7 +66,7 @@ pub fn sweep(images: &[PreparedImage], thresholds: &[u16]) -> Vec<AttackPoint> {
 }
 
 /// Run and print the table.
-pub fn run(scale: Scale) -> Vec<AttackPoint> {
+pub fn run(scale: Scale) -> Vec<Table> {
     let images = prepare(p3_datasets::usc_sipi_like(scale.usc_count(), 1));
     let points = sweep(&images, &[5, 10, 15, 20]);
     let mut table = Table::new(
@@ -95,7 +95,7 @@ pub fn run(scale: Scale) -> Vec<AttackPoint> {
         ]);
     }
     table.emit("tbl_guessing_attack");
-    points
+    vec![table]
 }
 
 #[cfg(test)]

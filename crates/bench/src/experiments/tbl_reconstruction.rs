@@ -20,21 +20,6 @@ use p3_jpeg::image::RgbImage;
 use p3_psp::{reverse_engineer, PspCore, PspProfile, SizeRequest};
 use p3_vision::metrics::psnr;
 
-/// Results of the reconstruction-accuracy experiment.
-#[derive(Debug, Clone)]
-pub struct ReconstructionResult {
-    /// Mean PSNR with known (identity) transforms — paper: 49.2 dB.
-    pub known_db: f64,
-    /// Mean PSNR through the Facebook profile + reverse engineering —
-    /// paper: 34.4 dB.
-    pub facebook_db: f64,
-    /// Mean PSNR through the Flickr profile — paper: 39.8 dB.
-    pub flickr_db: f64,
-    /// Mean PSNR of the served public part alone vs the reference
-    /// (context: what a non-recipient sees).
-    pub public_only_db: f64,
-}
-
 const T: u16 = 15;
 
 fn known_transform_psnr(images: &[PreparedImage]) -> f64 {
@@ -90,23 +75,22 @@ fn psp_profile_psnr(images: &[PreparedImage], profile: PspProfile) -> (f64, f64)
 }
 
 /// Run the reconstruction-accuracy experiment.
-pub fn run(scale: Scale) -> ReconstructionResult {
+pub fn run(scale: Scale) -> Vec<Table> {
     let usc = prepare(p3_datasets::usc_sipi_like(scale.usc_count().min(12), 1));
     let known_db = known_transform_psnr(&usc);
     let (facebook_db, public_only_db) = psp_profile_psnr(&usc, PspProfile::facebook());
     let (flickr_db, _) = psp_profile_psnr(&usc, PspProfile::flickr());
-    let result = ReconstructionResult { known_db, facebook_db, flickr_db, public_only_db };
 
     let mut table = Table::new(
         "Reconstruction accuracy (PSNR dB, luma) — paper: 49.2 / 34.4 / 39.8",
         &["setting", "measured dB", "paper dB"],
     );
-    table.row(vec!["known transforms".into(), f1(result.known_db), "49.2".into()]);
-    table.row(vec!["facebook (reverse-engineered)".into(), f1(result.facebook_db), "34.4".into()]);
-    table.row(vec!["flickr (reverse-engineered)".into(), f1(result.flickr_db), "39.8".into()]);
-    table.row(vec!["public part alone (context)".into(), f1(result.public_only_db), "—".into()]);
+    table.row(vec!["known transforms".into(), f1(known_db), "49.2".into()]);
+    table.row(vec!["facebook (reverse-engineered)".into(), f1(facebook_db), "34.4".into()]);
+    table.row(vec!["flickr (reverse-engineered)".into(), f1(flickr_db), "39.8".into()]);
+    table.row(vec!["public part alone (context)".into(), f1(public_only_db), "—".into()]);
     table.emit("tbl_reconstruction");
-    result
+    vec![table]
 }
 
 #[cfg(test)]

@@ -2,13 +2,15 @@
 
 //! # p3-bench — the experiment harness
 //!
-//! One module per table/figure of the paper's evaluation (§5), each
-//! runnable by name through the `run_all` binary. Every experiment:
+//! One module per table/figure of the paper's evaluation (§5), listed
+//! once in [`experiments::ALL`] and runnable by name through the
+//! `run_all` binary. Every experiment:
 //!
 //! * is deterministic (fixed seeds via `p3-datasets`),
-//! * prints the same rows/series the paper plots,
-//! * returns structured results so `run_all` can regenerate
-//!   `EXPERIMENTS.md` with paper-vs-measured values.
+//! * prints and saves the same rows/series the paper plots, as
+//!   [`util::Table`]s,
+//! * returns those tables, which `run_all` writes into `EXPERIMENTS.md`
+//!   under the paper's claim for that experiment.
 //!
 //! Scale: `P3_SCALE=full` runs paper-sized corpora; the default `quick`
 //! scale uses reduced counts (documented per experiment) so the whole

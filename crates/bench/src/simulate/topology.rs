@@ -137,7 +137,7 @@ impl SimCluster {
             psp_addr: psp.addr(),
             storage_addr: router.addr(),
             master_key: b"p3 simulate master key".to_vec(),
-            codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+            codec: P3Codec::new(P3Config { threshold: 15 }),
             estimator: default_estimator(),
             reencode_quality: 90,
             secret_cache_capacity: 0,

@@ -138,6 +138,21 @@ impl Table {
         out
     }
 
+    /// Render as a bold title line over a markdown table of the same
+    /// header and cells, a `|` inside a cell escaped.
+    pub fn markdown(&self) -> String {
+        let line = |cells: &[String]| -> String {
+            cells.iter().map(|c| format!(" {} |", c.replace('|', "\\|"))).collect()
+        };
+        let mut out = format!("**{}**\n\n|{}\n|", self.title, line(&self.header));
+        out.push_str(&"---|".repeat(self.header.len()));
+        for row in &self.rows {
+            let _ = write!(out, "\n|{}", line(row));
+        }
+        out.push('\n');
+        out
+    }
+
     /// Print to stdout and save under the output dir as `{name}.txt`.
     pub fn emit(&self, name: &str) {
         let rendered = self.render();
@@ -203,6 +218,48 @@ mod tests {
         let r = t.render();
         assert!(r.contains("demo"));
         assert!(r.contains("long_header"));
+    }
+
+    #[test]
+    fn markdown_carries_the_rendered_header_and_cells() {
+        let mut t = Table::new("demo", &["T", "a|b", "±"]);
+        t.row(vec!["1".into(), "x | y".into(), "0.500".into()]);
+        t.row(vec!["20".into(), "—".into(), "|".into()]);
+        // The text rendering's lines after the title, minus the rule.
+        let rendered: Vec<Vec<String>> = t
+            .render()
+            .lines()
+            .skip(1)
+            .filter(|l| !l.starts_with('-'))
+            .map(|l| {
+                l.split("  ").map(str::trim).filter(|c| !c.is_empty()).map(Into::into).collect()
+            })
+            .collect();
+        // The markdown table's lines, split on unescaped `|`, minus the rule.
+        let md = t.markdown();
+        assert!(md.starts_with("**demo**\n\n"), "{md}");
+        let split = |line: &str| {
+            let mut cells = vec![String::new()];
+            let mut chars = line.chars();
+            while let Some(c) = chars.next() {
+                match c {
+                    '\\' => cells.last_mut().unwrap().extend(chars.next()),
+                    '|' => cells.push(String::new()),
+                    c => cells.last_mut().unwrap().push(c),
+                }
+            }
+            assert!(
+                cells.first().unwrap().is_empty() && cells.last().unwrap().is_empty(),
+                "{line}"
+            );
+            cells[1..cells.len() - 1].iter().map(|c| c.trim().to_string()).collect::<Vec<_>>()
+        };
+        let lines: Vec<&str> = md.lines().skip(2).collect();
+        assert_eq!(lines[1], "|---|---|---|");
+        let table: Vec<Vec<String>> =
+            lines.iter().enumerate().filter(|&(i, _)| i != 1).map(|(_, l)| split(l)).collect();
+        assert_eq!(table, rendered);
+        assert_eq!(table[1][1], "x | y");
     }
 
     #[test]

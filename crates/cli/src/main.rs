@@ -66,7 +66,7 @@ fn main() -> ExitCode {
 
 /// Shared: build a codec from parsed args.
 fn codec_from(threshold: u16) -> P3Codec {
-    P3Codec::new(P3Config { threshold, ..Default::default() })
+    P3Codec::new(P3Config { threshold })
 }
 
 /// Shared: derive the envelope key for a (passphrase, context) pair.

@@ -21,7 +21,7 @@
 //! let jpeg = p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).unwrap();
 //!
 //! // Sender side: split + encrypt.
-//! let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+//! let codec = P3Codec::new(P3Config { threshold: 15 });
 //! let key = EnvelopeKey::derive(b"shared group key", b"photo-1");
 //! let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
 //!

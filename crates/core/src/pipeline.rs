@@ -24,25 +24,20 @@ use crate::reconstruct::reconstruct_exact;
 use crate::split::split_coeffs;
 use crate::{P3Error, Result};
 
+/// Entropy-coding mode of both parts. Optimized tables realize the
+/// paper's storage-overhead numbers.
+const PART_MODE: Mode = Mode::BaselineOptimized;
+
 /// P3 configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct P3Config {
     /// The splitting threshold `T` (paper sweet spot: 10–20).
     pub threshold: u16,
-    /// Entropy-coding mode for the public part. Optimized tables realize
-    /// the paper's storage-overhead numbers.
-    pub public_mode: Mode,
-    /// Entropy-coding mode for the secret part.
-    pub secret_mode: Mode,
 }
 
 impl Default for P3Config {
     fn default() -> Self {
-        Self {
-            threshold: 15,
-            public_mode: Mode::BaselineOptimized,
-            secret_mode: Mode::BaselineOptimized,
-        }
+        Self { threshold: 15 }
     }
 }
 
@@ -86,8 +81,8 @@ impl P3Codec {
         }
         let (coeffs, _info) = p3_jpeg::decode_to_coeffs(jpeg)?;
         let (public, secret, stats) = split_coeffs(&coeffs, self.cfg.threshold)?;
-        let public_jpeg = encode_coeffs(&public, self.cfg.public_mode, 0)?;
-        let secret_jpeg = encode_coeffs(&secret, self.cfg.secret_mode, 0)?;
+        let public_jpeg = encode_coeffs(&public, PART_MODE, 0)?;
+        let secret_jpeg = encode_coeffs(&secret, PART_MODE, 0)?;
         let container = SecretContainer {
             threshold: self.cfg.threshold,
             width: coeffs.width as u32,
@@ -158,7 +153,7 @@ mod tests {
     #[test]
     fn roundtrip_is_coefficient_exact() {
         let jpeg = photo(96, 64);
-        let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 15 });
         let key = EnvelopeKey::derive(b"k", b"photo");
         let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
         let restored = codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
@@ -172,7 +167,7 @@ mod tests {
     #[test]
     fn public_part_is_degraded() {
         let jpeg = photo(96, 96);
-        let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 10 });
         let (public_jpeg, _, _) = codec.split_jpeg(&jpeg).unwrap();
         let orig = crate::pixel::rgb_to_luma(&p3_jpeg::decode_to_rgb(&jpeg).unwrap());
         let public = crate::pixel::rgb_to_luma(&p3_jpeg::decode_to_rgb(&public_jpeg).unwrap());
@@ -231,7 +226,7 @@ mod tests {
     #[test]
     fn secret_is_smaller_than_public_at_moderate_t() {
         let jpeg = photo(128, 128);
-        let codec = P3Codec::new(P3Config { threshold: 20, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 20 });
         let key = EnvelopeKey::derive(b"k", b"p");
         let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
         assert!(

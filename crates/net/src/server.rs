@@ -42,17 +42,15 @@ pub struct ServerConfig {
     /// Beyond this the server sheds load with an immediate `503` +
     /// `retry-after`.
     pub queue_depth: usize,
-    /// How long shutdown waits for in-flight requests to finish before
-    /// tearing down sockets.
-    pub drain_timeout: Duration,
     /// How long a connection may sit with no request in progress before
     /// the server closes it. Generous by default: an idle connection
     /// costs one fd and an entry on the timer wheel, not a thread.
     pub idle_timeout: Duration,
-    /// Number of reactor event-loop threads. `0` picks
-    /// `available_parallelism` clamped to `[1, 8]`.
-    pub reactors: usize,
 }
+
+/// How long shutdown waits for in-flight requests to finish before
+/// tearing down sockets.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Default worker count: `4 × available_parallelism` clamped to `[8, 32]`
 /// (workers spend most of their time blocked on I/O, not computing).
@@ -61,8 +59,8 @@ pub fn default_workers() -> usize {
     (cpus * 4).clamp(8, 32)
 }
 
-/// Default reactor count: `available_parallelism` clamped to `[1, 8]`.
-fn default_reactors() -> usize {
+/// Reactor event-loop threads: `available_parallelism` clamped to `[1, 8]`.
+fn reactor_count() -> usize {
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     cpus.clamp(1, 8)
 }
@@ -70,13 +68,7 @@ fn default_reactors() -> usize {
 impl Default for ServerConfig {
     fn default() -> Self {
         let workers = default_workers();
-        ServerConfig {
-            workers,
-            queue_depth: workers * 8,
-            drain_timeout: Duration::from_secs(5),
-            idle_timeout: Duration::from_secs(60),
-            reactors: 0,
-        }
+        ServerConfig { workers, queue_depth: workers * 8, idle_timeout: Duration::from_secs(60) }
     }
 }
 
@@ -108,7 +100,6 @@ pub struct Server {
     reactor_joins: Vec<std::thread::JoinHandle<()>>,
     offload: Arc<OffloadQueue>,
     worker_joins: Vec<std::thread::JoinHandle<()>>,
-    drain_timeout: Duration,
 }
 
 impl std::fmt::Debug for Server {
@@ -147,7 +138,7 @@ impl Server {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let reactors = if cfg.reactors == 0 { default_reactors() } else { cfg.reactors };
+        let reactors = reactor_count();
         let workers = cfg.workers.max(1);
         let queue_depth = cfg.queue_depth.max(1);
 
@@ -245,16 +236,7 @@ impl Server {
             return Err(err);
         }
 
-        Ok(Server {
-            addr,
-            shared,
-            handles,
-            acceptor_tokens,
-            reactor_joins,
-            offload,
-            worker_joins,
-            drain_timeout: cfg.drain_timeout,
-        })
+        Ok(Server { addr, shared, handles, acceptor_tokens, reactor_joins, offload, worker_joins })
     }
 
     /// The bound address (useful with ephemeral ports).
@@ -295,7 +277,7 @@ impl Server {
         for (h, &token) in self.handles.iter().zip(&self.acceptor_tokens) {
             h.spawn(move |r| r.close(token));
         }
-        let deadline = Instant::now() + self.drain_timeout;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         while self.shared.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }

@@ -668,8 +668,7 @@ mod tests {
     #[test]
     fn hostile_profile_rejects_p3_public_parts() {
         let hostile = PspCore::new(PspProfile::hostile());
-        let codec =
-            p3_core::P3Codec::new(p3_core::P3Config { threshold: 10, ..Default::default() });
+        let codec = p3_core::P3Codec::new(p3_core::P3Config { threshold: 10 });
         let (public, _, _) = codec.split_jpeg(&photo_jpeg(128, 128)).unwrap();
         assert_eq!(hostile.upload(&public).unwrap_err(), UploadError::LooksEncrypted);
         // A normal photo still goes through.

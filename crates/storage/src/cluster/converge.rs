@@ -3,7 +3,7 @@
 //! sweep that runs it on a timer.
 
 use super::health::NodeHealth;
-use super::ClusterBackend;
+use super::{ClusterBackend, VNODES};
 use crate::hex_decode;
 use crate::ring::HashRing;
 use crate::{MembershipChange, MembershipView, StatCounters, StorageError, StorageResult};
@@ -31,14 +31,9 @@ pub(super) struct Membership {
 }
 
 impl Membership {
-    pub(super) fn build(
-        epoch: u64,
-        nodes: Vec<SocketAddr>,
-        vnodes: usize,
-        prev: Option<&Membership>,
-    ) -> Self {
+    pub(super) fn build(epoch: u64, nodes: Vec<SocketAddr>, prev: Option<&Membership>) -> Self {
         let ids: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
-        let ring = HashRing::with_ids(&ids, vnodes);
+        let ring = HashRing::with_ids(&ids, VNODES);
         let health = nodes
             .iter()
             .map(|addr| {
@@ -151,7 +146,7 @@ impl ClusterBackend {
         if nodes.is_empty() {
             return Err(StorageError::Unavailable("cannot remove the last node".into()));
         }
-        let next = Arc::new(Membership::build(old.epoch + 1, nodes, self.cfg.vnodes, Some(&old)));
+        let next = Arc::new(Membership::build(old.epoch + 1, nodes, Some(&old)));
         // Publish the new epoch but keep the old one live for reads
         // until the pass has streamed every re-owned blob: a read that
         // hits only not-yet-populated new owners falls back to the old

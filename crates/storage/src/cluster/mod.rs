@@ -29,7 +29,7 @@
 //!   which the service maps to 503 so the proxy fails loudly instead
 //!   of serving the degraded public part;
 //! * **health**: node requests get a bounded number of in-place
-//!   retries (`op_retries`, paced by `retry_pause`) so one dropped
+//!   retries (`op_retries`, paced by `RETRY_PAUSE`) so one dropped
 //!   packet doesn't count as an outage; consecutive *exhausted* ops
 //!   eject the node for a backoff window that grows exponentially with
 //!   jitter (`backoff_base`..`backoff_max`, ±`backoff_jitter`) while
@@ -145,8 +145,6 @@ pub struct ClusterConfig {
     /// every operation, so a cluster grown past R starts replicating R
     /// ways without reconfiguration.
     pub replicas: usize,
-    /// Virtual nodes per physical node on the hash ring.
-    pub vnodes: usize,
     /// Consecutive failures before a node is ejected.
     pub eject_after: u32,
     /// First backoff window after an ejection: how long the node sits
@@ -164,8 +162,6 @@ pub struct ClusterConfig {
     /// one dropped packet doesn't count as an outage. Health
     /// bookkeeping sees only the final outcome.
     pub op_retries: u32,
-    /// Pause between in-place retries of one node request.
-    pub retry_pause: Duration,
     /// Per-request connect deadline for node traffic.
     pub connect_timeout: Duration,
     /// Per-request read/write deadline for node traffic — bounds what a
@@ -178,18 +174,22 @@ pub struct ClusterConfig {
     pub repair_pause: Duration,
 }
 
+/// Virtual nodes per physical node on the hash ring.
+const VNODES: usize = 64;
+
+/// Pause between in-place retries of one node request.
+const RETRY_PAUSE: Duration = Duration::from_millis(20);
+
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: Vec::new(),
             replicas: 2,
-            vnodes: 64,
             eject_after: 3,
             backoff_base: Duration::from_secs(1),
             backoff_max: Duration::from_secs(30),
             backoff_jitter: 0.2,
             op_retries: 1,
-            retry_pause: Duration::from_millis(20),
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(10),
             repair_batch: 64,
@@ -281,10 +281,8 @@ impl ClusterBackend {
             }
         }
         let mut cfg = cfg;
-        cfg.vnodes = cfg.vnodes.max(1);
         cfg.repair_batch = cfg.repair_batch.max(1);
-        let membership =
-            Mutex::new(Arc::new(Membership::build(1, cfg.nodes.clone(), cfg.vnodes, None)));
+        let membership = Mutex::new(Arc::new(Membership::build(1, cfg.nodes.clone(), None)));
         let pool = ClientPool::with_transport(
             DEFAULT_MAX_IDLE_PER_HOST,
             transport,
@@ -377,7 +375,7 @@ impl ClusterBackend {
                 NodeAnswer::Failed if attempt < self.cfg.op_retries => {
                     attempt += 1;
                     self.stats.retry();
-                    std::thread::sleep(self.cfg.retry_pause);
+                    std::thread::sleep(RETRY_PAUSE);
                 }
                 NodeAnswer::Failed => {
                     self.mark_failure(m, node);
@@ -403,7 +401,7 @@ impl ClusterBackend {
             if attempt < self.cfg.op_retries {
                 attempt += 1;
                 self.stats.retry();
-                std::thread::sleep(self.cfg.retry_pause);
+                std::thread::sleep(RETRY_PAUSE);
                 continue;
             }
             self.mark_failure(m, node);

@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn split_reconstruct_roundtrip() {
         let (frames, stream, gop) = setup();
-        let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 10 });
         let key = EnvelopeKey::derive(b"video master", b"clip-1");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
         let restored = reconstruct_video(&public, &secret, &codec, &key).unwrap();
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn public_video_degrades_whole_gops() {
         let (frames, stream, gop) = setup();
-        let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 10 });
         let key = EnvelopeKey::derive(b"video master", b"clip-2");
         let (public, _) = split_video(&stream, &codec, &key).unwrap();
         // Decode the public video WITHOUT the secret stream.
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn wrong_key_fails() {
         let (_, stream, _) = setup();
-        let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 10 });
         let key = EnvelopeKey::derive(b"video master", b"clip-3");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
         let wrong = EnvelopeKey::derive(b"not it", b"clip-3");
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn secret_stream_is_small_relative_to_video() {
         let (_, stream, _) = setup();
-        let codec = P3Codec::new(P3Config { threshold: 20, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: 20 });
         let key = EnvelopeKey::derive(b"video master", b"clip-4");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
         let public_size = public.stream.to_bytes().len();

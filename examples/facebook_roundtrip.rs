@@ -25,7 +25,7 @@ fn main() {
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
         master_key: b"shared out-of-band group key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
         reencode_quality: 95,
         secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,

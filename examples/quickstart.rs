@@ -18,7 +18,7 @@ fn main() {
 
     // 2. Sender side: split at the paper's sweet-spot threshold and
     //    encrypt the secret part. The key is shared out of band.
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 15 });
     let key = EnvelopeKey::derive(b"family album master key", b"photo-0001");
     let parts = codec.encrypt_jpeg(&jpeg, &key).expect("split");
     println!("public part (JPEG): {:>8} bytes  <- uploaded to the PSP", parts.public_jpeg.len());

@@ -24,7 +24,7 @@ fn main() {
         stream.to_bytes().len()
     );
 
-    let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 10 });
     let key = EnvelopeKey::derive(b"video group key", b"clip-0");
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).expect("split");
     println!(

@@ -12,7 +12,7 @@ fn photo_jpeg(subsampling: p3_jpeg::Subsampling) -> Vec<u8> {
 
 #[test]
 fn s422_uploads_roundtrip_through_p3() {
-    let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 10 });
     let key = EnvelopeKey::derive(b"m", b"s422");
     let jpeg = photo_jpeg(p3_jpeg::Subsampling::S422);
     let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
@@ -33,7 +33,7 @@ fn video_extension_end_to_end() {
     let frames = test_clip(55, 64, 48, 10);
     let gop = GopCodec::new(VideoCodecParams { gop: 5, ..Default::default() });
     let stream = gop.encode(&frames).unwrap();
-    let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 10 });
     let key = EnvelopeKey::derive(b"m", b"clip");
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).unwrap();
 
@@ -53,7 +53,7 @@ fn video_extension_end_to_end() {
 #[test]
 fn hostile_psp_blocks_p3_but_not_ladder_of_originals() {
     let hostile = p3_psp::PspCore::new(p3_psp::PspProfile::hostile());
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 15 });
     let jpeg = photo_jpeg(p3_jpeg::Subsampling::S420);
     let (public, _, _) = codec.split_jpeg(&jpeg).unwrap();
     assert!(hostile.upload(&public).is_err(), "hostile PSP must reject the public part");

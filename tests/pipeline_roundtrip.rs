@@ -21,7 +21,7 @@ fn coefficient_exact_roundtrip_across_thresholds() {
     let key = EnvelopeKey::derive(b"k", b"v");
     for jpeg in corpus().iter().take(2) {
         for t in [1u16, 15, 100] {
-            let codec = P3Codec::new(P3Config { threshold: t, ..Default::default() });
+            let codec = P3Codec::new(P3Config { threshold: t });
             let parts = codec.encrypt_jpeg(jpeg, &key).unwrap();
             let restored =
                 codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
@@ -43,7 +43,7 @@ fn privacy_and_storage_tradeoff_moves_with_threshold() {
     let mut secret_sizes = Vec::new();
     let mut public_psnrs = Vec::new();
     for t in [1u16, 10, 40] {
-        let codec = P3Codec::new(P3Config { threshold: t, ..Default::default() });
+        let codec = P3Codec::new(P3Config { threshold: t });
         let parts = codec.encrypt_jpeg(jpeg, &key).unwrap();
         secret_sizes.push(parts.secret_blob.len());
         let public = rgb_to_luma(&p3_jpeg::decode_to_rgb(&parts.public_jpeg).unwrap());
@@ -61,7 +61,7 @@ fn privacy_and_storage_tradeoff_moves_with_threshold() {
 #[test]
 fn public_parts_resist_casual_inspection_across_corpus() {
     let key = EnvelopeKey::derive(b"k", b"v");
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 15 });
     let mut ssims = Vec::new();
     for jpeg in corpus() {
         let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
@@ -106,7 +106,7 @@ fn grayscale_photos_work_end_to_end() {
     let coeffs = p3_jpeg::encoder::gray_to_coeffs(&gray, 90).unwrap();
     let jpeg = encode_coeffs(&coeffs, Mode::BaselineOptimized, 0).unwrap();
     let key = EnvelopeKey::derive(b"k", b"gray");
-    let codec = P3Codec::new(P3Config { threshold: 10, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 10 });
     let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
     let restored = codec.decrypt_jpeg(&parts.public_jpeg, &parts.secret_blob, &key).unwrap();
     let (a, _) = p3_jpeg::decode_to_coeffs(&jpeg).unwrap();
@@ -121,7 +121,7 @@ fn progressive_uploads_split_too() {
     let img = p3_datasets::synth::scene(3, 160, 120, &p3_datasets::synth::SceneParams::default());
     let coeffs = p3_jpeg::encoder::pixels_to_coeffs(&img, 88, p3_jpeg::Subsampling::S420).unwrap();
     let key = EnvelopeKey::derive(b"k", b"prog");
-    let codec = P3Codec::new(P3Config { threshold: 15, ..Default::default() });
+    let codec = P3Codec::new(P3Config { threshold: 15 });
     for restart in [0, 7] {
         let jpeg = encode_coeffs(&coeffs, Mode::Progressive, restart).unwrap();
         let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();

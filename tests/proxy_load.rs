@@ -32,7 +32,7 @@ fn spawn_system(cache_capacity: usize, cache_shards: usize) -> System {
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
         master_key: b"load test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
         reencode_quality: 90,
         secret_cache_capacity: cache_capacity,
@@ -195,7 +195,7 @@ fn failed_storage_put_rolls_back_psp_upload() {
         psp_addr: psp.addr(),
         storage_addr: dead_storage,
         master_key: b"rollback test key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
         reencode_quality: 90,
         secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,

@@ -59,7 +59,7 @@ fn spawn_cluster_system(replicas: usize) -> ClusterSystem {
         psp_addr: psp.addr(),
         storage_addr: router.addr(),
         master_key: b"cluster test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
         reencode_quality: 90,
         // Cache disabled: every download must exercise the storage

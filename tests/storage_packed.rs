@@ -373,7 +373,7 @@ fn uncached_proxy(psp: &PspService, storage: &StorageService) -> P3Proxy {
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
         master_key: b"packed test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
         reencode_quality: 90,
         secret_cache_capacity: 0,

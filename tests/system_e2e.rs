@@ -35,7 +35,7 @@ fn spawn_system_over(storage: StorageService, profile: PspProfile, threshold: u1
         psp_addr: psp.addr(),
         storage_addr: storage.addr(),
         master_key: b"test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold, ..Default::default() }),
+        codec: P3Codec::new(P3Config { threshold }),
         estimator: default_estimator(),
         reencode_quality: 95,
         secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,

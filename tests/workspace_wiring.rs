@@ -243,15 +243,11 @@ fn rust_sources(dir: &std::path::Path, out: &mut Vec<PathBuf>) {
 /// An upper-case `*.md` name in a source file, the README, ARCHITECTURE,
 /// the verify skill or a workflow names a document at the repo root (the
 /// root's convention; one behind a `/` lives somewhere else). It must be
-/// committed there, or be the one `run_all` writes: a citation of a
-/// document nobody wrote sends the reader nowhere.
+/// committed there: a citation of a document nobody wrote sends the
+/// reader nowhere.
 #[test]
 fn sources_and_docs_cite_only_root_documents_that_exist() {
-    const WRITTEN_BY_RUN_ALL: &str = "EXPERIMENTS.md";
     let root = repo_root();
-    let run_all =
-        fs::read_to_string(root.join("crates/bench/src/bin/run_all.rs")).expect("run_all");
-    assert!(run_all.contains(&format!("Path::new(\"{WRITTEN_BY_RUN_ALL}\")")), "run_all moved");
     let mut files = runnable_docs(&root);
     for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
         rust_sources(&root.join(dir), &mut files);
@@ -272,8 +268,8 @@ fn sources_and_docs_cite_only_root_documents_that_exist() {
             }
             let name = format!("{stem}.md");
             assert!(
-                name == WRITTEN_BY_RUN_ALL || root.join(&name).is_file(),
-                "{file:?} cites `{name}`: no such document at the root, and nothing writes one"
+                root.join(&name).is_file(),
+                "{file:?} cites `{name}`: no such document at the root"
             );
             cited.insert(name);
         }

@@ -51,7 +51,7 @@ pub mod transform;
 
 pub use container::SecretContainer;
 pub use pipeline::{P3Codec, P3Config, P3Parts};
-pub use reconstruct::{reconstruct_exact, reconstruct_processed};
+pub use reconstruct::reconstruct_processed;
 pub use split::{recombine_coeffs, split_coeffs, SplitStats};
 pub use transform::TransformSpec;
 

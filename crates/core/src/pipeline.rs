@@ -20,8 +20,7 @@ use p3_crypto::EnvelopeKey;
 use p3_jpeg::encoder::{encode_coeffs, Mode};
 
 use crate::container::SecretContainer;
-use crate::reconstruct::reconstruct_exact;
-use crate::split::split_coeffs;
+use crate::split::{recombine_coeffs, split_coeffs};
 use crate::{P3Error, Result};
 
 /// Entropy-coding mode of both parts. Optimized tables realize the
@@ -117,7 +116,7 @@ impl P3Codec {
                 public.width, public.height, container.width, container.height
             )));
         }
-        let full = reconstruct_exact(&public, &secret, container.threshold)?;
+        let full = recombine_coeffs(&public, &secret, container.threshold)?;
         Ok(encode_coeffs(&full, Mode::BaselineOptimized, 0)?)
     }
 }

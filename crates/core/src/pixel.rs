@@ -6,7 +6,8 @@
 //! the final add (paper footnote 8 — premature rounding is the only
 //! error source when the transform is known).
 
-use p3_jpeg::image::{GrayImage, RgbImage};
+use p3_jpeg::color::Plane;
+use p3_jpeg::image::RgbImage;
 use p3_vision::image::{round_to_u8, ImageF32};
 
 /// Split an interleaved RGB image into three float channels.
@@ -59,13 +60,13 @@ pub fn round_into_channel(samples: &[f32], c: usize, rgb: &mut [u8]) {
 }
 
 /// Grayscale image to float plane.
-pub fn gray_to_image(img: &GrayImage) -> ImageF32 {
+pub fn gray_to_image(img: &Plane) -> ImageF32 {
     ImageF32::from_u8(img.width, img.height, &img.data).expect("consistent buffer")
 }
 
 /// Float plane to grayscale image.
-pub fn image_to_gray(img: &ImageF32) -> GrayImage {
-    GrayImage { width: img.width, height: img.height, data: img.to_u8() }
+pub fn image_to_gray(img: &ImageF32) -> Plane {
+    Plane { width: img.width, height: img.height, data: img.to_u8() }
 }
 
 /// BT.601 luma channel of an RGB image as a float plane — the input the
@@ -115,7 +116,7 @@ mod tests {
 
     #[test]
     fn gray_roundtrip() {
-        let mut img = GrayImage::new(6, 3);
+        let mut img = Plane::new(6, 3);
         for (i, v) in img.data.iter_mut().enumerate() {
             *v = (i * 14) as u8;
         }

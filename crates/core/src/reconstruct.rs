@@ -2,10 +2,10 @@
 //!
 //! Two regimes:
 //!
-//! * **Unprocessed** ([`reconstruct_exact`]): the public part comes back
-//!   byte-identical, so Eq. 1 recombines quantized coefficients exactly
-//!   and the result is bit-exact relative to the sender's original
-//!   coefficients.
+//! * **Unprocessed** ([`crate::recombine_coeffs`]): the public part
+//!   comes back byte-identical, so Eq. 1 recombines quantized
+//!   coefficients exactly and the result is bit-exact relative to the
+//!   sender's original coefficients.
 //! * **Processed** ([`reconstruct_processed`]): the PSP applied some
 //!   transform `A` to the public part. By Eq. 2,
 //!   `A·y = A·xp + A·(xs + corr)`: decode the secret+correction image to
@@ -28,17 +28,8 @@ use p3_jpeg::image::RgbImage;
 use p3_vision::image::{round_to_u8, ImageF32};
 use p3_vision::resize::{apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter};
 
-use crate::split::recombine_coeffs;
 use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
-
-/// Exact coefficient-domain reconstruction (paper Eq. 1).
-///
-/// `public` is the decoded public part (unprocessed), `secret` the
-/// decoded secret part, `t` the split threshold.
-pub fn reconstruct_exact(public: &CoeffImage, secret: &CoeffImage, t: u16) -> Result<CoeffImage> {
-    recombine_coeffs(public, secret, t)
-}
 
 /// Per-thread scratch of [`reconstruct_processed`], reused from view to
 /// view so the hot path faults no fresh pages: one component's

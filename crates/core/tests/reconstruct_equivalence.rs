@@ -13,10 +13,11 @@ use p3_core::pixel::{channels_to_rgb, rgb_to_channels};
 use p3_core::split::{secret_plus_correction, split_coeffs};
 use p3_core::{reconstruct_processed, P3Error, Result, TransformSpec};
 use p3_jpeg::block::CoeffImage;
+use p3_jpeg::color::Plane;
 use p3_jpeg::dct::reference::idct8x8;
 use p3_jpeg::decoder::coeffs_to_rgb;
 use p3_jpeg::encoder::{gray_to_coeffs, pixels_to_coeffs, Subsampling};
-use p3_jpeg::image::{GrayImage, RgbImage};
+use p3_jpeg::image::RgbImage;
 use p3_vision::image::ImageF32;
 use p3_vision::resize::{gamma_correct, ResizeFilter};
 use proptest::prelude::*;
@@ -174,7 +175,7 @@ fn check(w: usize, h: usize, seed: u32, layout: usize, t: u16, spec: &TransformS
     if layout == 3 {
         // A 1-component secret under an RGB public part.
         let gray =
-            GrayImage { width: w, height: h, data: rgb.data.iter().step_by(3).copied().collect() };
+            Plane { width: w, height: h, data: rgb.data.iter().step_by(3).copied().collect() };
         secret = split_coeffs(&gray_to_coeffs(&gray, 90).unwrap(), t).unwrap().1;
     }
     let served = apply_rgb(spec, &coeffs_to_rgb(&public).unwrap());

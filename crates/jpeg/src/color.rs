@@ -16,7 +16,7 @@
 use crate::image::RgbImage;
 
 /// One image plane of `u8` samples with its own geometry (chroma planes are
-/// smaller than luma under subsampling).
+/// smaller than luma under subsampling) — also the codec's grayscale image.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Plane {
     /// Width in samples.
@@ -31,6 +31,30 @@ impl Plane {
     /// Allocate a zero plane.
     pub fn new(width: usize, height: usize) -> Self {
         Self { width, height, data: vec![0; width * height] }
+    }
+
+    /// Build from parts, validating the buffer length.
+    pub fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Option<Self> {
+        (data.len() == width * height).then_some(Self { width, height, data })
+    }
+
+    /// Sample accessor.
+    #[inline]
+    pub fn get(&self, x: usize, y: usize) -> u8 {
+        self.data[y * self.width + x]
+    }
+
+    /// Sample mutator.
+    #[inline]
+    pub fn set(&mut self, x: usize, y: usize, v: u8) {
+        self.data[y * self.width + x] = v;
+    }
+
+    /// Serialize as a binary PGM (P5).
+    pub fn to_pgm(&self) -> Vec<u8> {
+        let mut out = format!("P5\n{} {}\n255\n", self.width, self.height).into_bytes();
+        out.extend_from_slice(&self.data);
+        out
     }
 
     /// Make this a zero `width × height` plane, keeping its allocation.
@@ -260,6 +284,17 @@ pub fn upsample(p: &Plane, width: usize, height: usize) -> Plane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn plane_from_raw_get_set_and_pgm() {
+        assert!(Plane::from_raw(3, 3, vec![0; 8]).is_none());
+        let mut p = Plane::from_raw(3, 3, vec![0; 9]).unwrap();
+        p.set(2, 1, 77);
+        assert_eq!((p.get(2, 1), p.data[5], p.get(0, 0)), (77, 77, 0));
+        let pgm = Plane::new(5, 7).to_pgm();
+        assert!(pgm.starts_with(b"P5\n5 7\n255\n"));
+        assert_eq!(pgm.len(), 11 + 5 * 7);
+    }
 
     #[test]
     fn fused_420_matches_unfused_stages() {

@@ -17,7 +17,7 @@ use crate::bitio::BitReader;
 use crate::block::{Block, CoeffImage, ScanWalk, Step};
 use crate::color::{planes_to_rgb, upsample, Plane};
 use crate::huffman::{HuffDecoder, HuffSpec};
-use crate::image::{GrayImage, RgbImage};
+use crate::image::RgbImage;
 use crate::marker;
 use crate::quant::AanDequantizer;
 use crate::quant::QuantTable;
@@ -668,11 +668,10 @@ pub fn coeffs_to_rgb_into(
 }
 
 /// Luma-only pixel output (used by the vision attacks).
-pub fn coeffs_to_gray(ci: &CoeffImage) -> Result<GrayImage> {
+pub fn coeffs_to_gray(ci: &CoeffImage) -> Result<Plane> {
     let mut planes = Vec::new();
     coeffs_to_planes_into(ci, &mut planes)?;
-    let y = upsample(&planes[0], ci.width, ci.height);
-    Ok(GrayImage { width: ci.width, height: ci.height, data: y.data })
+    Ok(upsample(&planes[0], ci.width, ci.height))
 }
 
 /// Decode straight to RGB pixels.
@@ -780,7 +779,7 @@ mod tests {
 
     #[test]
     fn coefficient_roundtrip_gray_progressive() {
-        let mut img = GrayImage::new(31, 17);
+        let mut img = Plane::new(31, 17);
         for (i, p) in img.data.iter_mut().enumerate() {
             *p = ((i * 7) % 256) as u8;
         }
@@ -842,7 +841,7 @@ mod tests {
     #[test]
     fn progressive_scans_honour_restart_intervals() {
         let rgb = card(0x9e37_79b9 + 1, 75, 56);
-        let mut gray = GrayImage::new(75, 56);
+        let mut gray = Plane::new(75, 56);
         for (g, px) in gray.data.iter_mut().zip(rgb.data.chunks_exact(3)) {
             *g = px[1];
         }
@@ -932,7 +931,7 @@ mod tests {
 
     #[test]
     fn gray_decode() {
-        let mut img = GrayImage::new(16, 16);
+        let mut img = Plane::new(16, 16);
         for (i, p) in img.data.iter_mut().enumerate() {
             *p = if (i / 16 + i % 16) % 2 == 0 { 230 } else { 20 };
         }

@@ -9,6 +9,13 @@
 //! for P3: thresholding lowers the entropy of both parts, and per-image
 //! tables are what keep the combined storage overhead in the paper's
 //! reported 5–10 % range.
+//!
+//! Every mode is a script of scans, each one its SOS parameters: the
+//! sequential script has one scan, the progressive scripts are IJG's.
+//! Every block of a scan is recorded by one band rule, the decoder's run
+//! forwards (`record_block`: DC iff `Ss = 0`, AC over `max(Ss, 1)..=Se`
+//! iff `Se > 0`, a first pass or a refinement by `Ah`), and every scan
+//! becomes bytes the same way (`emit_scan`).
 
 use crate::bitio::{encode_magnitude, BitWriter};
 use crate::block::{Block, CoeffImage, ComponentCoeffs, ScanWalk, Step};
@@ -17,7 +24,7 @@ use crate::huffman::{
     default_ac_chroma, default_ac_luma, default_dc_chroma, default_dc_luma, FreqCounter,
     HuffEncoder, HuffSpec,
 };
-use crate::image::{GrayImage, RgbImage};
+use crate::image::RgbImage;
 use crate::marker::{self, write_jfif_app0, write_segment};
 use crate::quant::AanQuantizer;
 use crate::quant::QuantTable;
@@ -50,26 +57,20 @@ pub enum Mode {
     Progressive,
 }
 
-/// Encoder configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EncodeConfig {
+/// Convenience front-end combining [`pixels_to_coeffs`] and
+/// [`encode_coeffs`].
+#[derive(Debug, Clone)]
+pub struct Encoder {
     /// IJG-style quality, 1..=100.
     quality: u8,
     /// Chroma layout for color input.
     subsampling: Subsampling,
 }
 
-impl Default for EncodeConfig {
+impl Default for Encoder {
     fn default() -> Self {
         Self { quality: 90, subsampling: Subsampling::S420 }
     }
-}
-
-/// Convenience front-end combining [`pixels_to_coeffs`] and
-/// [`encode_coeffs`].
-#[derive(Debug, Clone, Default)]
-pub struct Encoder {
-    cfg: EncodeConfig,
 }
 
 impl Encoder {
@@ -81,19 +82,19 @@ impl Encoder {
 
     /// Set the quality factor.
     pub fn quality(mut self, q: u8) -> Self {
-        self.cfg.quality = q;
+        self.quality = q;
         self
     }
 
     /// Set the chroma subsampling.
     pub fn subsampling(mut self, s: Subsampling) -> Self {
-        self.cfg.subsampling = s;
+        self.subsampling = s;
         self
     }
 
     /// Encode an RGB image (optimized baseline, no restart markers).
     pub fn encode_rgb(&self, img: &RgbImage) -> Result<Vec<u8>> {
-        let ci = pixels_to_coeffs(img, self.cfg.quality, self.cfg.subsampling)?;
+        let ci = pixels_to_coeffs(img, self.quality, self.subsampling)?;
         encode_coeffs(&ci, Mode::BaselineOptimized, 0)
     }
 }
@@ -155,14 +156,13 @@ pub fn pixels_to_coeffs_into(
 }
 
 /// Forward-transform a grayscale image into quantized coefficients.
-pub fn gray_to_coeffs(img: &GrayImage, quality: u8) -> Result<CoeffImage> {
+pub fn gray_to_coeffs(img: &Plane, quality: u8) -> Result<CoeffImage> {
     if img.width == 0 || img.height == 0 {
         return Err(JpegError::Invalid("empty image".into()));
     }
-    let plane = Plane { width: img.width, height: img.height, data: img.data.clone() };
     let qt = QuantTable::luma(quality);
     let mut ci = CoeffImage::zeroed(img.width, img.height, vec![qt.clone()], &[(1, 1)], &[0])?;
-    plane_into_blocks(&plane, &mut ci.components[0], &qt);
+    plane_into_blocks(img, &mut ci.components[0], &qt);
     Ok(ci)
 }
 
@@ -220,10 +220,10 @@ fn plane_into_blocks(plane: &Plane, comp: &mut ComponentCoeffs, qt: &QuantTable)
 
 // ---------------------------------------------------------------------------
 // Scan recording. Every entropy-coded scan of every mode goes the same way:
-// a walker records the scan as an op stream into the per-thread scratch,
-// in the order `ScanWalk` gives (restart markers included), and
-// `emit_scan` builds the tables the scan declares, writes DHT + SOS and
-// replays the ops into the output. No walker writes a bit itself.
+// `record_scan` records it block by block as an op stream into the
+// per-thread scratch, in the order `ScanWalk` gives (restart markers
+// included), and `emit_scan` builds the tables the scan names, writes
+// DHT + SOS and replays the ops into the output. Recording writes no bit.
 // ---------------------------------------------------------------------------
 
 /// Symbol class for table selection; the discriminant is an op's class bit.
@@ -264,12 +264,12 @@ struct ScanRecorder {
     /// restart markers with their padding): with the code lengths, the
     /// scan's size before a byte of it is written.
     extra_bits: usize,
-    /// [`scan_ac_refine`]'s correction bits, deferred until the EOB run
+    /// An AC refinement's correction bits, deferred until the EOB run
     /// they belong to is flushed: `Bits` ops, packed as in `ops`.
     pending: Vec<u64>,
     /// How many bits `pending` holds.
     pending_bits: usize,
-    /// A walker met a coefficient no symbol can code: an AC magnitude
+    /// A block held a coefficient no symbol can code: an AC magnitude
     /// past 15 bits or a DC difference past 11 (T.81 F.1.2.1.1,
     /// F.1.2.2.1). [`emit_scan`] refuses the scan.
     out_of_range: bool,
@@ -376,17 +376,19 @@ impl ScanRecorder {
         self.ops.push((OP_RESTART << OP_SHIFT) | u64::from(idx));
     }
 
-    /// Close a progressive AC scan's EOB run — the EOBn symbol with the
-    /// run length's low bits, then the correction bits deferred behind it.
+    /// Close an AC scan's EOB run — the EOBn symbol with the run length's
+    /// low bits, then the correction bits deferred behind it.
     fn flush_eob(&mut self, tbl: usize, eobrun: &mut u32) {
         if *eobrun > 0 {
             let nbits = 31 - eobrun.leading_zeros();
             self.symbol_bits(Class::Ac, tbl, (nbits as u8) << 4, *eobrun - (1 << nbits), nbits);
             *eobrun = 0;
         }
-        self.extra_bits += std::mem::take(&mut self.pending_bits);
-        for op in self.pending.drain(..) {
-            pack_bits(&mut self.ops, op, ((op >> 32) & 0x3F) as u32);
+        if self.pending_bits > 0 {
+            self.extra_bits += std::mem::take(&mut self.pending_bits);
+            for op in self.pending.drain(..) {
+                pack_bits(&mut self.ops, op, ((op >> 32) & 0x3F) as u32);
+            }
         }
     }
 
@@ -483,7 +485,7 @@ fn emit_ac_first(
 }
 
 // ---------------------------------------------------------------------------
-// Scan walkers
+// Scans and the band rule
 // ---------------------------------------------------------------------------
 
 /// Table index assignment: component 0 uses tables 0 (luma), all other
@@ -492,9 +494,67 @@ fn tbl_for_component(cidx: usize) -> usize {
     usize::from(cidx != 0)
 }
 
-/// Component indices in frame order: a sequential or DC scan takes the
-/// first `ci.components.len()`.
+/// Component indices in frame order, sliced by [`Scan::comps`].
 const ALL: [usize; 4] = [0, 1, 2, 3];
+
+/// One scan's SOS parameters (T.81 B.2.3).
+#[derive(Debug, Clone, Copy)]
+struct Scan {
+    /// The one component the scan codes, or `None` for every component,
+    /// interleaved.
+    comp: Option<usize>,
+    /// Spectral selection `Ss..=Se`.
+    ss: u8,
+    se: u8,
+    /// Successive approximation: the bit position before (`Ah`, 0 on a
+    /// first pass) and after (`Al`) this scan.
+    ah: u8,
+    al: u8,
+}
+
+impl Scan {
+    /// Frame indices of the components the scan codes, in SOS order.
+    fn comps(self, ncomp: usize) -> &'static [usize] {
+        match self.comp {
+            None => &ALL[..ncomp],
+            Some(c) => &ALL[c..=c],
+        }
+    }
+
+    /// Whether each scan component names a DC and an AC table: a DC table
+    /// iff the scan codes DC first passes (a DC refinement is raw bits),
+    /// an AC table iff it codes an AC band.
+    fn tables(self) -> (bool, bool) {
+        (self.ss == 0 && self.ah == 0, self.se > 0)
+    }
+}
+
+/// The one scan of a sequential stream.
+const SEQUENTIAL: &[Scan] = &[Scan { comp: None, ss: 0, se: 63, ah: 0, al: 0 }];
+
+/// The IJG progressive script for one component.
+const PROGRESSIVE_GRAY: &[Scan] = &[
+    Scan { comp: None, ss: 0, se: 0, ah: 0, al: 1 },
+    Scan { comp: Some(0), ss: 1, se: 5, ah: 0, al: 2 },
+    Scan { comp: Some(0), ss: 6, se: 63, ah: 0, al: 2 },
+    Scan { comp: Some(0), ss: 1, se: 63, ah: 2, al: 1 },
+    Scan { comp: None, ss: 0, se: 0, ah: 1, al: 0 },
+    Scan { comp: Some(0), ss: 1, se: 63, ah: 1, al: 0 },
+];
+
+/// The IJG progressive script for three components.
+const PROGRESSIVE_YCC: &[Scan] = &[
+    Scan { comp: None, ss: 0, se: 0, ah: 0, al: 1 },
+    Scan { comp: Some(0), ss: 1, se: 5, ah: 0, al: 2 },
+    Scan { comp: Some(2), ss: 1, se: 63, ah: 0, al: 1 },
+    Scan { comp: Some(1), ss: 1, se: 63, ah: 0, al: 1 },
+    Scan { comp: Some(0), ss: 6, se: 63, ah: 0, al: 2 },
+    Scan { comp: Some(0), ss: 1, se: 63, ah: 2, al: 1 },
+    Scan { comp: None, ss: 0, se: 0, ah: 1, al: 0 },
+    Scan { comp: Some(2), ss: 1, se: 63, ah: 1, al: 0 },
+    Scan { comp: Some(1), ss: 1, se: 63, ah: 1, al: 0 },
+    Scan { comp: Some(0), ss: 1, se: 63, ah: 1, al: 0 },
+];
 
 /// What a restart resets: the DC predictors (by component) and an AC
 /// scan's EOB run.
@@ -504,17 +564,17 @@ struct Carry {
     eobrun: u32,
 }
 
-/// Record the scan over `comps` in the order [`ScanWalk`] gives:
-/// `block` records each block, handed its component index. A restart
-/// closes the EOB run, records the marker and resets the predictors.
+/// Record `scan` in the order [`ScanWalk`] gives, each block by
+/// [`record_block`]. A restart closes the EOB run, records the marker
+/// and resets the predictors.
 fn record_scan(
     ci: &CoeffImage,
-    comps: &[usize],
+    scan: Scan,
     restart_interval: u16,
     rec: &mut ScanRecorder,
-    mut block: impl FnMut(&mut ScanRecorder, &mut Carry, usize, &Block),
 ) -> Result<()> {
-    // Only a one-component AC scan has EOB runs to close.
+    let (level, comps) = (crate::simd::simd_level(), scan.comps(ci.components.len()));
+    // Only a one-component AC scan leaves EOB runs open across blocks.
     let tbl = tbl_for_component(comps[0]);
     let mut carry = Carry::default();
     ScanWalk::new(ci, comps, restart_interval).walk(|step| {
@@ -527,7 +587,7 @@ fn record_scan(
             Step::Blocks(i, y, xs) => {
                 let comp = &ci.components[comps[i]];
                 for b in &comp.blocks[y * comp.padded_w..][xs] {
-                    block(rec, &mut carry, comps[i], b);
+                    record_block(rec, &mut carry, scan, level, comps[i], b);
                 }
             }
         }
@@ -537,129 +597,91 @@ fn record_scan(
     Ok(())
 }
 
-/// Sequential scan: every component, interleaved if more than one.
-fn scan_baseline(ci: &CoeffImage, restart_interval: u16, rec: &mut ScanRecorder) -> Result<()> {
-    let level = crate::simd::simd_level();
-    let comps = &ALL[..ci.components.len()];
-    record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
-        let tbl = tbl_for_component(c);
-        emit_dc(rec, tbl, b[0], &mut carry.last_dc[c]);
-        if emit_ac_first(rec, tbl, b, band_mask(level, b, 1, 1, 63), 0, 0) != 63 {
-            rec.symbol(Class::Ac, tbl, 0x00); // EOB
+/// Record `block` of component `c` under `scan` — the decoder's one band
+/// rule, run forwards: the DC term iff `Ss = 0`, the AC band
+/// `max(Ss, 1)..=Se` iff `Se > 0`, each a first pass when `Ah = 0` and a
+/// refinement otherwise. A sequential scan (DC and AC in one) closes its
+/// EOB run after every block, and a run of one is the sequential EOB.
+fn record_block(
+    rec: &mut ScanRecorder,
+    carry: &mut Carry,
+    scan: Scan,
+    level: SimdLevel,
+    c: usize,
+    block: &Block,
+) {
+    let tbl = tbl_for_component(c);
+    if scan.ss == 0 {
+        if scan.ah == 0 {
+            // DC uses arithmetic shift per spec
+            emit_dc(rec, tbl, block[0] >> scan.al, &mut carry.last_dc[c]);
+        } else {
+            rec.bits(((block[0] >> scan.al) & 1) as u64, 1);
         }
-    })
-}
-
-/// Progressive DC first scan (Ah = 0): interleaved across all components.
-fn scan_dc_first(
-    ci: &CoeffImage,
-    al: u8,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-) -> Result<()> {
-    let comps = &ALL[..ci.components.len()];
-    record_scan(ci, comps, restart_interval, rec, |rec, carry, c, b| {
-        // DC uses arithmetic shift per spec
-        emit_dc(rec, tbl_for_component(c), b[0] >> al, &mut carry.last_dc[c]);
-    })
-}
-
-/// Progressive DC refinement scan (Ah = Al + 1): one raw bit per block.
-fn scan_dc_refine(
-    ci: &CoeffImage,
-    al: u8,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-) -> Result<()> {
-    let comps = &ALL[..ci.components.len()];
-    record_scan(ci, comps, restart_interval, rec, |rec, _, _, b| {
-        rec.bits(((b[0] >> al) & 1) as u64, 1);
-    })
-}
-
-/// Progressive AC first scan over one component (non-interleaved). A
-/// block with nothing to code at this precision only extends the EOB run.
-fn scan_ac_first(
-    ci: &CoeffImage,
-    comp: usize,
-    ss: usize,
-    se: usize,
-    al: u8,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-) -> Result<()> {
-    let (level, tbl) = (crate::simd::simd_level(), tbl_for_component(comp));
-    record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
+    }
+    if scan.se == 0 {
+        return;
+    }
+    let (ss, se, al) = (usize::from(scan.ss.max(1)), usize::from(scan.se), scan.al);
+    let eobrun = &mut carry.eobrun;
+    if scan.ah == 0 {
+        // A block with nothing to code at this precision only extends
+        // the EOB run.
         let zz = band_mask(level, block, 1 << al, ss, se);
         if zz != 0 {
-            rec.flush_eob(tbl, &mut carry.eobrun);
+            rec.flush_eob(tbl, eobrun);
         }
         if emit_ac_first(rec, tbl, block, zz, ss as u32 - 1, al) != se as u32 {
-            carry.eobrun += 1;
-            if carry.eobrun == 0x7FFF {
-                rec.flush_eob(tbl, &mut carry.eobrun);
-            }
-        }
-    })
-}
-
-/// Progressive AC refinement scan (Ah = Al + 1) over one component —
-/// the correction-bit algorithm of ITU T.81 §G.1.2.3 / figure G.7.
-fn scan_ac_refine(
-    ci: &CoeffImage,
-    comp: usize,
-    ss: usize,
-    se: usize,
-    al: u8,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-) -> Result<()> {
-    let (level, tbl) = (crate::simd::simd_level(), tbl_for_component(comp));
-    record_scan(ci, &[comp], restart_interval, rec, |rec, carry, _, block| {
-        let eobrun = &mut carry.eobrun;
-        // Nonzero at this precision: already significant (|v| ≥ 2^(Al+1),
-        // a correction bit each) or newly so (a run/1 symbol each).
-        let nonzero = band_mask(level, block, 1 << al, ss, se);
-        let newly = nonzero & !band_mask(level, block, 2 << al, ss, se);
-        // One past the last newly significant position: ZRLs are coded
-        // only before it; past it, zeros fold into the next EOB.
-        let eob = 64 - newly.leading_zeros();
-        let (mut zz, mut prev, mut run) = (nonzero, ss as u32 - 1, 0);
-        // This block's correction bits not yet recorded, at most 63.
-        let (mut bits, mut nbits) = (0u64, 0);
-        while zz != 0 {
-            let z = zz.trailing_zeros();
-            zz &= zz - 1;
-            run += z - prev - 1;
-            prev = z;
-            while run > 15 && z < eob {
-                rec.flush_eob(tbl, eobrun);
-                rec.symbol(Class::Ac, tbl, 0xF0);
-                rec.bits(bits, nbits);
-                (bits, nbits) = (0, 0);
-                run -= 16;
-            }
-            let v = block[usize::from(UNZIGZAG[z as usize])];
-            if (newly >> z) & 1 == 0 {
-                bits = (bits << 1) | u64::from((v.unsigned_abs() >> al) & 1);
-                nbits += 1;
-                continue;
-            }
-            rec.flush_eob(tbl, eobrun);
-            rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, u32::from(v > 0), 1);
-            rec.bits(bits, nbits);
-            (bits, nbits, run) = (0, 0, 0);
-        }
-        if run + se as u32 - prev > 0 || nbits > 0 {
             *eobrun += 1;
-            rec.pending_bits += nbits as usize;
-            pack_bits(&mut rec.pending, bits, nbits);
-            // Guard the counters like IJG does.
-            if *eobrun == 0x7FFF || rec.pending_bits > 937 {
+            if *eobrun == 0x7FFF || scan.ss == 0 {
                 rec.flush_eob(tbl, eobrun);
             }
         }
-    })
+        return;
+    }
+    // The correction-bit refinement of ITU T.81 §G.1.2.3 / figure G.7.
+    // Nonzero at this precision: already significant (|v| ≥ 2^(Al+1), a
+    // correction bit each) or newly so (a run/1 symbol each).
+    let nonzero = band_mask(level, block, 1 << al, ss, se);
+    let newly = nonzero & !band_mask(level, block, 2 << al, ss, se);
+    // One past the last newly significant position: ZRLs are coded only
+    // before it; past it, zeros fold into the next EOB.
+    let eob = 64 - newly.leading_zeros();
+    let (mut zz, mut prev, mut run) = (nonzero, ss as u32 - 1, 0);
+    // This block's correction bits not yet recorded, at most 63.
+    let (mut bits, mut nbits) = (0u64, 0);
+    while zz != 0 {
+        let z = zz.trailing_zeros();
+        zz &= zz - 1;
+        run += z - prev - 1;
+        prev = z;
+        while run > 15 && z < eob {
+            rec.flush_eob(tbl, eobrun);
+            rec.symbol(Class::Ac, tbl, 0xF0);
+            rec.bits(bits, nbits);
+            (bits, nbits) = (0, 0);
+            run -= 16;
+        }
+        let v = block[usize::from(UNZIGZAG[z as usize])];
+        if (newly >> z) & 1 == 0 {
+            bits = (bits << 1) | u64::from((v.unsigned_abs() >> al) & 1);
+            nbits += 1;
+            continue;
+        }
+        rec.flush_eob(tbl, eobrun);
+        rec.symbol_bits(Class::Ac, tbl, ((run as u8) << 4) | 1, u32::from(v > 0), 1);
+        rec.bits(bits, nbits);
+        (bits, nbits, run) = (0, 0, 0);
+    }
+    if run + se as u32 - prev > 0 || nbits > 0 {
+        *eobrun += 1;
+        rec.pending_bits += nbits as usize;
+        pack_bits(&mut rec.pending, bits, nbits);
+        // Guard the counters like IJG does.
+        if *eobrun == 0x7FFF || rec.pending_bits > 937 {
+            rec.flush_eob(tbl, eobrun);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -697,26 +719,18 @@ fn write_dht(out: &mut Vec<u8>, class: Class, id: u8, spec: &HuffSpec) {
     write_segment(out, marker::DHT, &payload);
 }
 
-/// The parameters of one scan's SOS header.
-struct ScanHeader<'a> {
-    /// `(component id, dc table, ac table)` per component of the scan.
-    comps: &'a [(u8, u8, u8)],
-    ss: u8,
-    se: u8,
-    ah: u8,
-    al: u8,
-}
-
-fn write_sos(out: &mut Vec<u8>, sos: &ScanHeader<'_>) {
-    let mut payload = Vec::with_capacity(4 + 2 * sos.comps.len());
-    payload.push(sos.comps.len() as u8);
-    for &(id, dc, ac) in sos.comps {
-        payload.push(id);
-        payload.push((dc << 4) | ac);
+/// `scan`'s SOS header: each component's id and the tables it names
+/// ([`Scan::tables`]; 0 where it names none), then `Ss`, `Se`, `Ah`/`Al`.
+fn write_sos(out: &mut Vec<u8>, ci: &CoeffImage, scan: Scan) {
+    let (comps, (dc, ac)) = (scan.comps(ci.components.len()), scan.tables());
+    let mut payload = Vec::with_capacity(4 + 2 * comps.len());
+    payload.push(comps.len() as u8);
+    for &c in comps {
+        let tbl = tbl_for_component(c) as u8;
+        payload.push(ci.components[c].id);
+        payload.push((if dc { tbl << 4 } else { 0 }) | if ac { tbl } else { 0 });
     }
-    payload.push(sos.ss);
-    payload.push(sos.se);
-    payload.push((sos.ah << 4) | sos.al);
+    payload.extend_from_slice(&[scan.ss, scan.se, (scan.ah << 4) | scan.al]);
     write_segment(out, marker::SOS, &payload);
 }
 
@@ -725,16 +739,17 @@ fn write_sos(out: &mut Vec<u8>, sos: &ScanHeader<'_>) {
 // ---------------------------------------------------------------------------
 
 /// The one way a recorded scan becomes bytes: a DHT for each table the
-/// SOS parameters declare — built from the recorded symbol counts, or
-/// taken from `fixed` (indexed like [`ScanRecorder::freq`]) — then DRI
-/// if the scan restarts, the SOS header, and the op stream replayed
-/// straight into `out`, which grows once, by the scan's size.
+/// scan names — built from the recorded symbol counts, or taken from
+/// `fixed` (indexed like [`ScanRecorder::freq`]) — then DRI if the scan
+/// restarts, the SOS header, and the op stream replayed straight into
+/// `out`, which grows once, by the scan's size.
 fn emit_scan(
     out: &mut Vec<u8>,
     rec: &mut ScanRecorder,
     fixed: Option<&[HuffSpec; 4]>,
+    ci: &CoeffImage,
+    scan: Scan,
     restart_interval: u16,
-    sos: &ScanHeader<'_>,
 ) -> Result<()> {
     if rec.out_of_range {
         return Err(JpegError::Invalid(
@@ -742,18 +757,16 @@ fn emit_scan(
                 .into(),
         ));
     }
-    // A DC refinement scan (Ah > 0) is raw bits: it declares no table.
-    let (dc, ac) = (sos.ss == 0 && sos.ah == 0, sos.se > 0);
+    let (comps, (dc, ac)) = (scan.comps(ci.components.len()), scan.tables());
     let mut tables: [Option<HuffEncoder>; 4] = [None, None, None, None];
     let mut bits = rec.extra_bits;
     let mut head = std::mem::take(&mut rec.head);
     head.clear();
     for id in 0..2u8 {
-        let declared = [
-            (Class::Dc, dc && sos.comps.iter().any(|c| c.1 == id)),
-            (Class::Ac, ac && sos.comps.iter().any(|c| c.2 == id)),
-        ];
-        for (class, _) in declared.into_iter().filter(|&(_, declared)| declared) {
+        if !comps.iter().any(|&c| tbl_for_component(c) == usize::from(id)) {
+            continue;
+        }
+        for (class, _) in [(Class::Dc, dc), (Class::Ac, ac)].into_iter().filter(|&(_, t)| t) {
             let table = ((class as usize) << 1) | usize::from(id);
             let built;
             let spec = match fixed {
@@ -785,7 +798,7 @@ fn emit_scan(
     if restart_interval > 0 {
         write_segment(&mut head, marker::DRI, &restart_interval.to_be_bytes());
     }
-    write_sos(&mut head, sos);
+    write_sos(&mut head, ci, scan);
     // The scan's exact size but for byte stuffing (about one byte in
     // 256; the `Vec` grows if a stream has more): the caller keeps the
     // stream, so it is handed its bytes and no growth slack.
@@ -809,21 +822,28 @@ pub fn encode_coeffs(ci: &CoeffImage, mode: Mode, restart_interval: u16) -> Resu
     if ci.width > 65_535 || ci.height > 65_535 {
         return Err(JpegError::Invalid("image too large for JPEG".into()));
     }
-    let (ncomp, progressive) = (ci.components.len(), mode == Mode::Progressive);
-    if progressive && ncomp != 1 && ncomp != 3 {
-        return Err(JpegError::Unsupported(format!("{ncomp}-component progressive")));
-    }
+    let script = match (mode, ci.components.len()) {
+        (Mode::Progressive, 1) => PROGRESSIVE_GRAY,
+        (Mode::Progressive, 3) => PROGRESSIVE_YCC,
+        (Mode::Progressive, n) => {
+            return Err(JpegError::Unsupported(format!("{n}-component progressive")))
+        }
+        _ => SEQUENTIAL,
+    };
+    // Every other mode builds each scan's tables from its symbol counts.
+    let annex_k = (mode == Mode::Baseline)
+        .then(|| [default_dc_luma(), default_dc_chroma(), default_ac_luma(), default_ac_chroma()]);
     let mut out = Vec::new();
     out.extend_from_slice(&[0xFF, marker::SOI]);
     write_jfif_app0(&mut out);
     write_dqt_segments(&mut out, ci);
-    write_sof(&mut out, ci, progressive);
+    write_sof(&mut out, ci, mode == Mode::Progressive);
     SCRATCH.with_borrow_mut(|rec| {
-        let done = if progressive {
-            encode_progressive(ci, restart_interval, rec, &mut out)
-        } else {
-            encode_baseline(ci, mode == Mode::BaselineOptimized, restart_interval, rec, &mut out)
-        };
+        let done = script.iter().try_for_each(|&scan| {
+            rec.begin(ci);
+            record_scan(ci, scan, restart_interval, rec)?;
+            emit_scan(&mut out, rec, annex_k.as_ref(), ci, scan, restart_interval)
+        });
         if rec.bytes() > SCRATCH_KEPT {
             *rec = ScanRecorder::default();
         }
@@ -831,105 +851,6 @@ pub fn encode_coeffs(ci: &CoeffImage, mode: Mode, restart_interval: u16) -> Resu
     })?;
     out.extend_from_slice(&[0xFF, marker::EOI]);
     Ok(out)
-}
-
-/// The one sequential scan, under per-image tables or the Annex-K ones.
-fn encode_baseline(
-    ci: &CoeffImage,
-    optimized: bool,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    let annex_k = (!optimized)
-        .then(|| [default_dc_luma(), default_dc_chroma(), default_ac_luma(), default_ac_chroma()]);
-    rec.begin(ci);
-    scan_baseline(ci, restart_interval, rec)?;
-    let comps: Vec<(u8, u8, u8)> = ci
-        .components
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.id, tbl_for_component(i) as u8, tbl_for_component(i) as u8))
-        .collect();
-    let sos = ScanHeader { comps: &comps, ss: 0, se: 63, ah: 0, al: 0 };
-    emit_scan(out, rec, annex_k.as_ref(), restart_interval, &sos)
-}
-
-/// One progressive scan description.
-#[derive(Debug, Clone)]
-enum ProgScan {
-    DcFirst { al: u8 },
-    DcRefine { ah: u8 },
-    AcFirst { comp: usize, ss: usize, se: usize, al: u8 },
-    AcRefine { comp: usize, ss: usize, se: usize, al: u8 },
-}
-
-/// The standard IJG-style scan script.
-fn scan_script(ncomp: usize) -> Vec<ProgScan> {
-    if ncomp == 1 {
-        vec![
-            ProgScan::DcFirst { al: 1 },
-            ProgScan::AcFirst { comp: 0, ss: 1, se: 5, al: 2 },
-            ProgScan::AcFirst { comp: 0, ss: 6, se: 63, al: 2 },
-            ProgScan::AcRefine { comp: 0, ss: 1, se: 63, al: 1 },
-            ProgScan::DcRefine { ah: 1 },
-            ProgScan::AcRefine { comp: 0, ss: 1, se: 63, al: 0 },
-        ]
-    } else {
-        vec![
-            ProgScan::DcFirst { al: 1 },
-            ProgScan::AcFirst { comp: 0, ss: 1, se: 5, al: 2 },
-            ProgScan::AcFirst { comp: 2, ss: 1, se: 63, al: 1 },
-            ProgScan::AcFirst { comp: 1, ss: 1, se: 63, al: 1 },
-            ProgScan::AcFirst { comp: 0, ss: 6, se: 63, al: 2 },
-            ProgScan::AcRefine { comp: 0, ss: 1, se: 63, al: 1 },
-            ProgScan::DcRefine { ah: 1 },
-            ProgScan::AcRefine { comp: 2, ss: 1, se: 63, al: 0 },
-            ProgScan::AcRefine { comp: 1, ss: 1, se: 63, al: 0 },
-            ProgScan::AcRefine { comp: 0, ss: 1, se: 63, al: 0 },
-        ]
-    }
-}
-
-/// The scan script, each scan recorded by its walker and emitted under
-/// its own tables, every one restarting every `restart_interval` MCUs.
-fn encode_progressive(
-    ci: &CoeffImage,
-    restart_interval: u16,
-    rec: &mut ScanRecorder,
-    out: &mut Vec<u8>,
-) -> Result<()> {
-    // A DC scan interleaves every component; the refinement names no table.
-    let dc_comps = |first: bool| -> Vec<(u8, u8, u8)> {
-        let tbl = |i| if first { tbl_for_component(i) as u8 } else { 0 };
-        ci.components.iter().enumerate().map(|(i, c)| (c.id, tbl(i), 0)).collect()
-    };
-    for scan in scan_script(ci.components.len()) {
-        rec.begin(ci);
-        let (dc, ac);
-        let sos = match scan {
-            ProgScan::DcFirst { al } => {
-                scan_dc_first(ci, al, restart_interval, rec)?;
-                dc = dc_comps(true);
-                ScanHeader { comps: &dc, ss: 0, se: 0, ah: 0, al }
-            }
-            ProgScan::DcRefine { ah } => {
-                scan_dc_refine(ci, ah - 1, restart_interval, rec)?;
-                dc = dc_comps(false);
-                ScanHeader { comps: &dc, ss: 0, se: 0, ah, al: ah - 1 }
-            }
-            ProgScan::AcFirst { comp, ss, se, al } | ProgScan::AcRefine { comp, ss, se, al } => {
-                let refine = matches!(scan, ProgScan::AcRefine { .. });
-                let walker = if refine { scan_ac_refine } else { scan_ac_first };
-                walker(ci, comp, ss, se, al, restart_interval, rec)?;
-                ac = [(ci.components[comp].id, 0, tbl_for_component(comp) as u8)];
-                let ah = if refine { al + 1 } else { 0 };
-                ScanHeader { comps: &ac, ss: ss as u8, se: se as u8, ah, al }
-            }
-        };
-        emit_scan(out, rec, None, restart_interval, &sos)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1001,7 +922,7 @@ mod tests {
 
     #[test]
     fn gray_encoding_works() {
-        let mut img = GrayImage::new(24, 24);
+        let mut img = Plane::new(24, 24);
         for (i, p) in img.data.iter_mut().enumerate() {
             *p = (i % 256) as u8;
         }
@@ -1042,9 +963,52 @@ mod tests {
         assert!(encode_coeffs(&ci, Mode::Baseline, 0).is_ok());
     }
 
+    /// Every script is a legal progression (T.81 G.1.1.1), so a typo in
+    /// one fails here with its scan's index rather than as a golden-hash
+    /// mismatch: per component, the DC first pass precedes every AC scan;
+    /// each coefficient is coded by one first pass, then by refinements
+    /// whose `Ah` is the previous `Al` (so no bit twice), down to `Al = 0`;
+    /// and a progressive AC scan names one component.
+    #[test]
+    fn every_script_is_a_legal_progression() {
+        let scripts = [
+            ("sequential", SEQUENTIAL, 1),
+            ("sequential", SEQUENTIAL, 3),
+            ("gray", PROGRESSIVE_GRAY, 1),
+            ("ycc", PROGRESSIVE_YCC, 3),
+        ];
+        for (name, script, ncomp) in scripts {
+            // Per component and zig-zag position: the `Al` coded down to,
+            // `None` until a first pass codes it.
+            let mut coded = vec![[None::<u8>; 64]; ncomp];
+            for (i, s) in script.iter().enumerate() {
+                let at = format!("{name} scan {i} ({s:?})");
+                assert!(s.ss <= s.se && s.se <= 63, "{at}: bad band");
+                assert!(s.comp.is_none_or(|c| c < ncomp), "{at}: no such component");
+                assert!(s.ah == 0 || s.al + 1 == s.ah, "{at}: refines more than one bit");
+                if script.len() > 1 {
+                    assert!(s.ss > 0 || s.se == 0, "{at}: DC and AC in one progressive scan");
+                    assert!(s.ss == 0 || s.comp.is_some(), "{at}: interleaved AC scan");
+                }
+                // The band rule's DC term and AC band together are `Ss..=Se`.
+                for &c in s.comps(ncomp) {
+                    for k in usize::from(s.ss)..=usize::from(s.se) {
+                        assert!(k == 0 || coded[c][0].is_some(), "{at}: AC of {c} before its DC");
+                        let want = (s.ah > 0).then_some(s.ah);
+                        assert_eq!(coded[c][k], want, "{at}: component {c} coefficient {k}");
+                        coded[c][k] = Some(s.al);
+                    }
+                }
+            }
+            for (c, coded) in coded.iter().enumerate() {
+                assert!(coded.iter().all(|&al| al == Some(0)), "{name}: {c} ends at {coded:?}");
+            }
+        }
+    }
+
     /// A refine scan that is nothing but correction bits records a few
     /// ops a block, not one per bit. The ratio does not depend on the
-    /// image size or the machine, so it gates the walker's cost without
+    /// image size or the machine, so it gates the refinement's cost without
     /// a timer.
     #[test]
     fn a_pure_refinement_scan_records_few_ops_per_block() {
@@ -1058,7 +1022,8 @@ mod tests {
         }
         let mut rec = ScanRecorder::default();
         rec.begin(&ci);
-        scan_ac_refine(&ci, 0, 1, 63, 0, 0, &mut rec).unwrap();
+        let refine = Scan { comp: Some(0), ss: 1, se: 63, ah: 1, al: 0 };
+        record_scan(&ci, refine, 0, &mut rec).unwrap();
         let blocks = ci.components[0].blocks.len();
         let ops = rec.ops.len();
         assert!(ops <= 3 * blocks, "{ops} ops for {blocks} blocks of 63 correction bits");

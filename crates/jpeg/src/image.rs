@@ -1,6 +1,6 @@
-//! Minimal owned pixel buffers.
+//! Minimal owned RGB pixel buffer; a gray image is a [`crate::color::Plane`].
 //!
-//! These types are deliberately tiny: the heavy image machinery (filters,
+//! Both are deliberately tiny: the heavy image machinery (filters,
 //! resizing, metrics) lives in `p3-vision`, which keeps this codec crate
 //! dependency-free. Conversions between the two live in downstream crates.
 
@@ -49,48 +49,6 @@ impl RgbImage {
     }
 }
 
-/// Single-channel 8-bit image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GrayImage {
-    /// Width in pixels.
-    pub width: usize,
-    /// Height in pixels.
-    pub height: usize,
-    /// `width * height` bytes, row-major.
-    pub data: Vec<u8>,
-}
-
-impl GrayImage {
-    /// Allocate a black image.
-    pub fn new(width: usize, height: usize) -> Self {
-        Self { width, height, data: vec![0; width * height] }
-    }
-
-    /// Build from parts, validating the buffer length.
-    pub fn from_raw(width: usize, height: usize, data: Vec<u8>) -> Option<Self> {
-        (data.len() == width * height).then_some(Self { width, height, data })
-    }
-
-    /// Pixel accessor.
-    #[inline]
-    pub fn get(&self, x: usize, y: usize) -> u8 {
-        self.data[y * self.width + x]
-    }
-
-    /// Pixel mutator.
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, v: u8) {
-        self.data[y * self.width + x] = v;
-    }
-
-    /// Serialize as a binary PGM (P5).
-    pub fn to_pgm(&self) -> Vec<u8> {
-        let mut out = format!("P5\n{} {}\n255\n", self.width, self.height).into_bytes();
-        out.extend_from_slice(&self.data);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,8 +65,6 @@ mod tests {
     fn from_raw_validates() {
         assert!(RgbImage::from_raw(2, 2, vec![0; 12]).is_some());
         assert!(RgbImage::from_raw(2, 2, vec![0; 11]).is_none());
-        assert!(GrayImage::from_raw(3, 3, vec![0; 9]).is_some());
-        assert!(GrayImage::from_raw(3, 3, vec![0; 8]).is_none());
     }
 
     #[test]
@@ -117,13 +73,5 @@ mod tests {
         let ppm = img.to_ppm();
         assert!(ppm.starts_with(b"P6\n5 7\n255\n"));
         assert_eq!(ppm.len(), 11 + 5 * 7 * 3);
-    }
-
-    #[test]
-    fn pgm_header() {
-        let img = GrayImage::new(5, 7);
-        let pgm = img.to_pgm();
-        assert!(pgm.starts_with(b"P5\n5 7\n255\n"));
-        assert_eq!(pgm.len(), 11 + 5 * 7);
     }
 }

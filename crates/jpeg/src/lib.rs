@@ -40,7 +40,7 @@
 //! | [`block`] | [`CoeffImage`] / [`ComponentCoeffs`] coefficient storage |
 //! | [`encoder`] | baseline & progressive encoding from pixels or coefficients |
 //! | [`decoder`] | baseline & progressive decoding to coefficients or pixels |
-//! | [`image`] | minimal owned RGB/gray pixel buffers |
+//! | [`image`] | minimal owned RGB pixel buffer |
 
 pub mod bitio;
 pub mod block;
@@ -58,7 +58,7 @@ pub mod zigzag;
 pub use block::{Block, CoeffImage, ComponentCoeffs, COEFS_PER_BLOCK};
 pub use decoder::{decode_to_coeffs, decode_to_rgb, DecodedInfo};
 pub use encoder::{Encoder, Mode, Subsampling};
-pub use image::{GrayImage, RgbImage};
+pub use image::RgbImage;
 pub use quant::QuantTable;
 
 use std::fmt;

@@ -25,7 +25,7 @@ pub const UNZIGZAG: [u8; 64] = build_unzigzag();
 /// Byte-wise permutation tables: `MASK_TO_ZIGZAG[k][b]` is the zig-zag-order
 /// bitmask contributed by byte `b` at byte position `k` of a natural-order
 /// 64-bit coefficient mask. ORing the eight lookups permutes the whole
-/// mask in constant time — the encoder's AC walkers use this instead of
+/// mask in constant time — the encoder's AC band rule uses this instead of
 /// scattering one bit per set bit (16 KiB).
 pub static MASK_TO_ZIGZAG: [[u64; 256]; 8] = build_mask_lut();
 

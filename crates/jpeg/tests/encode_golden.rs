@@ -3,19 +3,22 @@
 //!
 //! The public part of a P3 photo is whatever the PSP re-encodes, and the
 //! proxy's reconstruction assumes those bytes, so work on the entropy
-//! coder must not move one of them. The first five columns were
-//! generated from the commit before the encoder's scan sequences became
-//! one emitter; the sixth from the one where progressive scans began to
-//! honour the restart interval, whose streams the decode below checks
-//! (`P3_PRINT_GOLDEN=1 cargo test -p p3-jpeg --test encode_golden --
-//! --nocapture` prints the table; only regenerate from a commit you
-//! trust). CI runs this under `P3_FORCE_SCALAR=0` and `=1`: every AC
-//! walker branches on a SIMD-computed coefficient mask, the bytes must
-//! not.
+//! coder must not move one of them. Every column is one script of scans
+//! recorded by the encoder's one band rule: the sequential script's one
+//! scan, or the progressive script's ten (six in gray). The first five
+//! columns were generated from the commit before the encoder's scan
+//! sequences became one emitter; the sixth from the one where
+//! progressive scans began to honour the restart interval, whose streams
+//! the decode below checks (`P3_PRINT_GOLDEN=1 cargo test -p p3-jpeg
+//! --test encode_golden -- --nocapture` prints the table; only
+//! regenerate from a commit you trust). CI runs this under
+//! `P3_FORCE_SCALAR=0` and `=1`: the band rule branches on a
+//! SIMD-computed coefficient mask in every AC band, the bytes must not.
 
+use p3_jpeg::color::Plane;
 use p3_jpeg::encoder::{encode_coeffs, gray_to_coeffs, pixels_to_coeffs, Mode, Subsampling};
 use p3_jpeg::zigzag::ZIGZAG;
-use p3_jpeg::{decode_to_coeffs, CoeffImage, GrayImage, QuantTable, RgbImage};
+use p3_jpeg::{decode_to_coeffs, CoeffImage, QuantTable, RgbImage};
 
 mod common;
 use common::card;
@@ -68,7 +71,7 @@ const GOLDEN: [[u64; 6]; 16] = [
 fn coeffs(layout: &str, rgb: &RgbImage, quality: u8) -> CoeffImage {
     let sub = match layout {
         "gray" => {
-            let mut gray = GrayImage::new(rgb.width, rgb.height);
+            let mut gray = Plane::new(rgb.width, rgb.height);
             for (g, px) in gray.data.iter_mut().zip(rgb.data.chunks_exact(3)) {
                 *g = px[1];
             }

@@ -169,8 +169,9 @@ proptest! {
         // forced-scalar oracle and the SIMD path must agree on every
         // coefficient, every encoded byte, and every decoded pixel. (On
         // machines without vector units both runs take the scalar path and
-        // the assertions are trivially true.) Every AC walker of both
-        // modes branches on a SIMD-computed coefficient mask.
+        // the assertions are trivially true.) The encoder's band rule
+        // branches on a SIMD-computed coefficient mask in every AC band of
+        // both modes.
         let sub = [Subsampling::S444, Subsampling::S422, Subsampling::S420][sub_ix];
         let mut img = RgbImage::new(w, h);
         let mut state = seed | 1;

@@ -317,7 +317,7 @@ impl PspService {
     pub fn spawn(profile: PspProfile) -> std::io::Result<PspService> {
         let core = Arc::new(PspCore::new(profile));
         let c = Arc::clone(&core);
-        let server = Server::spawn(Arc::new(move |req: &Request| handle(&c, req)))?;
+        let server = Server::spawn(Arc::new(move |req: &Request| handle_http(&c, req)))?;
         Ok(PspService { server, core })
     }
 
@@ -340,10 +340,6 @@ impl PspService {
 /// Route one HTTP request against a [`PspCore`] — exposed so the CLI can
 /// host the simulator on its own server instance.
 pub fn handle_http(core: &PspCore, req: &Request) -> Response {
-    handle(core, req)
-}
-
-fn handle(core: &PspCore, req: &Request) -> Response {
     use p3_net::Method;
     match (req.method, req.path.as_str()) {
         (Method::Post, "/photos") => match core.upload(&req.body) {

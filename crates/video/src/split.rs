@@ -104,8 +104,7 @@ pub fn open_secret_stream(
 pub fn reconstruct_iframe(public_jpeg: &[u8], container: &SecretContainer) -> Result<Vec<u8>> {
     let (public_ci, _) = p3_jpeg::decode_to_coeffs(public_jpeg)?;
     let (secret_ci, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
-    let full =
-        p3_core::reconstruct::reconstruct_exact(&public_ci, &secret_ci, container.threshold)?;
+    let full = p3_core::recombine_coeffs(&public_ci, &secret_ci, container.threshold)?;
     Ok(p3_jpeg::encoder::encode_coeffs(&full, p3_jpeg::encoder::Mode::BaselineOptimized, 0)?)
 }
 

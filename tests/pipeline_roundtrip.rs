@@ -97,7 +97,7 @@ fn public_parts_resist_casual_inspection_across_corpus() {
 
 #[test]
 fn grayscale_photos_work_end_to_end() {
-    let mut gray = p3_jpeg::GrayImage::new(96, 64);
+    let mut gray = p3_jpeg::color::Plane::new(96, 64);
     for y in 0..64 {
         for x in 0..96 {
             gray.set(x, y, ((x * x + y * 3) % 256) as u8);

@@ -6,38 +6,53 @@
 //!   comes back byte-identical, so Eq. 1 recombines quantized
 //!   coefficients exactly and the result is bit-exact relative to the
 //!   sender's original coefficients.
-//! * **Processed** ([`reconstruct_processed`]): the PSP applied some
-//!   transform `A` to the public part. By Eq. 2,
-//!   `A·y = A·xp + A·(xs + corr)`: decode the secret+correction image to
-//!   a *signed fractional delta*, push it through the same linear `A`
-//!   locally, and add pixel-by-pixel. The delta stays in **component
-//!   space at native (subsampled) resolution until after `A`**: chroma
-//!   upsampling is itself a separable linear map, so it folds into `A`'s
-//!   per-axis tap tables, and the 3×3 YCbCr→RGB matrix commutes with any
-//!   per-channel spatial `A`, so it is applied once per *output* pixel,
-//!   fused with the add. Gamma (nonlinear) is handled by the paper's
-//!   one-to-one-mapping trick: invert it on the received image, add the
+//! * **Processed**: the PSP applied some transform `A` to the public
+//!   part. By Eq. 2, `A·y = A·xp + A·(xs + corr)`: decode the
+//!   secret+correction image to a *signed fractional delta*, push it
+//!   through the same linear `A` locally, and add. The delta stays in
+//!   **component space at native (subsampled) resolution until after
+//!   `A`**: chroma upsampling is itself a separable linear map, so it
+//!   folds into `A`'s per-axis tap tables.
+//!
+//! The processed regime has two tails:
+//!
+//! * [`reconstruct_view`], the proxy's, never leaves YCbCr. The served
+//!   rung is decoded to its component planes at their own sampling, each
+//!   plane gets its component's delta at that sampling — for a 4:2:0
+//!   chroma plane the taps end in a box-down to the served grid, the
+//!   average the PSP's own 4:2:0 encode takes, after any unsharp, as the
+//!   PSP sharpens before it encodes — and the planes are encoded again
+//!   at the served frame's sampling. No chroma is upsampled and no pixel
+//!   converted to RGB; a sample is rounded once.
+//! * [`reconstruct_processed`] adds to RGB pixels: the 3×3 YCbCr→RGB
+//!   matrix commutes with any per-channel spatial `A`, so it is applied
+//!   once per *output* pixel, fused with the add. Gamma (nonlinear) acts
+//!   per RGB channel and is handled here only, by the paper's one-to-one
+//!   mapping trick: invert it on the received image, add the
 //!   linearly-transformed delta, re-apply.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use p3_jpeg::block::{CoeffImage, ComponentCoeffs};
+use p3_jpeg::block::{Block, CoeffImage, ComponentCoeffs};
+use p3_jpeg::color::Plane;
 use p3_jpeg::dct::{idct8x8_signed, idct_signed_scales};
+use p3_jpeg::decoder::{coeffs_to_planes_into, decode_to_coeffs_into};
+use p3_jpeg::encoder::{encode_coeffs, planes_to_coeffs_into};
 use p3_jpeg::image::RgbImage;
+use p3_jpeg::Mode;
 use p3_vision::image::{round_to_u8, ImageF32};
 use p3_vision::resize::{apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter};
 
 use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
 
-/// Per-thread scratch of [`reconstruct_processed`], reused from view to
-/// view so the hot path faults no fresh pages: one component's
+/// What [`transformed_delta`] works in: one component's
 /// native-resolution delta plane, the resampler's intermediate rows, the
 /// resampled plane and blurred-row ring of the unsharp, and the
 /// transformed delta per component.
 #[derive(Default)]
-struct Scratch {
+struct DeltaScratch {
     plane: Vec<f32>,
     rows: Vec<f32>,
     stage: ImageF32,
@@ -45,21 +60,52 @@ struct Scratch {
     delta: Vec<ImageF32>,
 }
 
-/// Samples (4 MiB) above which a thread releases its scratch after the
+/// Per-thread scratch of both tails, reused from view to view so the hot
+/// path faults no fresh pages: the delta's planes, and the frames of a
+/// [`reconstruct_view`] — the served rung's coefficients and component
+/// planes, the secret part's coefficients, the re-encoded view's
+/// coefficients.
+#[derive(Default)]
+struct Scratch {
+    work: DeltaScratch,
+    served: CoeffImage,
+    planes: Vec<Plane>,
+    secret: CoeffImage,
+    out: CoeffImage,
+}
+
+/// Bytes (4 MiB) above which a thread releases its scratch after the
 /// view instead of keeping it: one huge photo must not pin its planes
 /// to a worker thread for good.
-const SCRATCH_KEPT: usize = 1 << 20;
+const SCRATCH_KEPT: usize = 4 << 20;
 
 impl Scratch {
-    fn samples(&self) -> usize {
-        let delta: usize = self.delta.iter().map(|d| d.data.capacity()).sum();
-        let unsharp = self.stage.data.capacity() + self.ring.capacity();
-        self.plane.capacity() + self.rows.capacity() + unsharp + delta
+    fn bytes(&self) -> usize {
+        let w = &self.work;
+        let delta: usize = w.delta.iter().map(|d| d.data.capacity()).sum();
+        let samples = w.plane.capacity() + w.rows.capacity() + w.stage.data.capacity();
+        let frames = [&self.served, &self.secret, &self.out];
+        let blocks: usize =
+            frames.iter().flat_map(|f| &f.components).map(|c| c.blocks.capacity()).sum();
+        let planes: usize = self.planes.iter().map(|p| p.data.capacity()).sum();
+        4 * (samples + w.ring.capacity() + delta) + std::mem::size_of::<Block>() * blocks + planes
     }
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Run `view` on this thread's scratch, then release the scratch if the
+/// view left it above [`SCRATCH_KEPT`].
+fn with_scratch<R>(view: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with_borrow_mut(|scratch| {
+        let out = view(scratch);
+        if scratch.bytes() > SCRATCH_KEPT {
+            *scratch = Scratch::default();
+        }
+        out
+    })
 }
 
 /// Decode one component of the secret + correction image — `xs +
@@ -116,18 +162,20 @@ fn decode_delta(
     Ok(stride)
 }
 
-/// One axis of `A ∘ upsample` for a component with `samp` samples along
-/// an axis of `full` pixels: the exact matrix product of the chroma
-/// upsample, crop and resize taps, so a subsampled plane goes to output
-/// resolution in one pass and the full-resolution plane never exists.
+/// One axis of `box · A ∘ upsample` for a component with `samp` samples
+/// along an axis of `full` pixels: the exact matrix product of the
+/// chroma upsample, crop, resize and box-down (by `down`) taps, so a
+/// subsampled plane goes to its target grid in one pass and the
+/// full-resolution plane never exists.
 fn axis_taps(
     samp: usize,
     full: usize,
     crop: Option<(usize, usize)>,
     resize: Option<(usize, ResizeFilter)>,
+    down: usize,
 ) -> Arc<AxisTaps> {
     let mut len = full;
-    let mut stages: Vec<Arc<AxisTaps>> = Vec::with_capacity(3);
+    let mut stages: Vec<Arc<AxisTaps>> = Vec::with_capacity(4);
     if samp != full {
         stages.push(Arc::new(AxisTaps::bilinear(samp, full)));
     }
@@ -138,6 +186,10 @@ fn axis_taps(
     }
     if let Some((dst, filter)) = resize {
         stages.push(AxisTaps::resize(len, dst, filter));
+        len = dst;
+    }
+    if down > 1 {
+        stages.push(Arc::new(AxisTaps::box_down(len, down)));
     }
     stages
         .into_iter()
@@ -145,20 +197,27 @@ fn axis_taps(
         .unwrap_or_else(|| Arc::new(AxisTaps::window(full, 0, full)))
 }
 
-/// Both axes of `A ∘ upsample` for components of one geometry.
+/// The taps of components of one geometry: both axes of `A ∘ upsample`,
+/// and the box-down to the target grid — folded into them, or on its own
+/// when an unsharp must run at output resolution before it.
 struct PlaneTaps {
-    samp: (usize, usize),
+    key: ((usize, usize), (usize, usize)),
     x: Arc<AxisTaps>,
     y: Arc<AxisTaps>,
+    after_unsharp: Option<(AxisTaps, AxisTaps)>,
 }
 
-/// `A·(xs + corr)` per component into `scratch.delta`, at output
-/// resolution, still in the secret's component space (Y, or Y/Cb/Cr).
+/// `A·(xs + corr)` per component into `scratch.delta`, still in the
+/// secret's component space (Y, or Y/Cb/Cr): component `i` at output
+/// resolution box-averaged by `down[i]` — `(1, 1)` is the output grid
+/// itself, a 4:2:0 chroma plane's `(2, 2)` the grid the PSP's encode
+/// downsamples its chroma to.
 fn transformed_delta(
     secret: &CoeffImage,
     t: u16,
     transform: &TransformSpec,
-    scratch: &mut Scratch,
+    down: &[(usize, usize)],
+    scratch: &mut DeltaScratch,
 ) -> Result<()> {
     let (w, h) = (secret.width, secret.height);
     let (h_max, v_max) = (usize::from(secret.h_max()), usize::from(secret.v_max()));
@@ -167,9 +226,10 @@ fn transformed_delta(
     let resize = transform.resize_to.filter(|&dims| dims != (cw, ch));
     let (filter, crop) = (transform.filter, transform.crop);
     let (sigma, amount) = transform.sharpen;
-    scratch.delta.resize_with(secret.components.len(), || ImageF32::new(0, 0));
+    debug_assert_eq!(down.len(), secret.components.len(), "one target grid per component");
+    scratch.delta.resize_with(down.len(), || ImageF32::new(0, 0));
     let mut kept: Option<PlaneTaps> = None;
-    for (comp, delta) in secret.components.iter().zip(&mut scratch.delta) {
+    for ((comp, delta), &down) in secret.components.iter().zip(&mut scratch.delta).zip(down) {
         let samp = (
             (w * usize::from(comp.h_samp)).div_ceil(h_max),
             (h * usize::from(comp.v_samp)).div_ceil(v_max),
@@ -177,35 +237,47 @@ fn transformed_delta(
         let steps = &secret.qtables[comp.quant_idx].table;
         let stride = decode_delta(comp, steps, t, samp, &mut scratch.plane)?;
         // Cb and Cr share a geometry: their taps are composed once.
-        kept.take_if(|kept| kept.samp != samp);
-        let taps = kept.get_or_insert_with(|| PlaneTaps {
-            samp,
-            x: axis_taps(
+        kept.take_if(|kept| kept.key != (samp, down));
+        let taps = kept.get_or_insert_with(|| {
+            // The unsharp runs at output resolution, so a box-down it
+            // precedes cannot fold into the resampling taps.
+            let (folded, after) = if amount == 0.0 { (down, (1, 1)) } else { ((1, 1), down) };
+            let x = axis_taps(
                 samp.0,
                 w,
                 crop.map(|(x, _, cw, _)| (x, cw)),
                 resize.map(|(rw, _)| (rw, filter)),
-            ),
-            y: axis_taps(
+                folded.0,
+            );
+            let y = axis_taps(
                 samp.1,
                 h,
                 crop.map(|(_, y, _, ch)| (y, ch)),
                 resize.map(|(_, rh)| (rh, filter)),
-            ),
+                folded.1,
+            );
+            let after_unsharp = (after != (1, 1)).then(|| {
+                (AxisTaps::box_down(x.dst_len(), after.0), AxisTaps::box_down(y.dst_len(), after.1))
+            });
+            PlaneTaps { key: (samp, down), x, y, after_unsharp }
         });
+        let DeltaScratch { plane, rows, stage, ring, .. } = scratch;
         if amount == 0.0 {
-            apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, delta);
-        } else {
-            let (stage, ring) = (&mut scratch.stage, &mut scratch.ring);
-            apply_separable(&scratch.plane, stride, &taps.x, &taps.y, &mut scratch.rows, stage);
-            sharpen_into(stage, sigma, amount, ring, delta);
+            apply_separable(plane, stride, &taps.x, &taps.y, rows, delta);
+            continue;
+        }
+        apply_separable(plane, stride, &taps.x, &taps.y, rows, stage);
+        sharpen_into(stage, sigma, amount, ring, delta);
+        if let Some((bx, by)) = &taps.after_unsharp {
+            apply_separable(&delta.data, delta.width, bx, by, rows, stage);
+            std::mem::swap(stage, delta);
         }
     }
     Ok(())
 }
 
 /// Reconstruct an image whose public part was processed by `transform`
-/// (paper Eq. 2).
+/// (paper Eq. 2), in RGB pixels.
 ///
 /// * `processed_public` — the RGB pixels downloaded from the PSP
 ///   (already `A·xp`, possibly gamma-adjusted).
@@ -226,19 +298,14 @@ pub fn reconstruct_processed(
         )));
     }
     secret.validate()?;
-    if !matches!(secret.components.len(), 1 | 3) {
-        return Err(P3Error::Mismatch(format!(
-            "{}-component secret part",
-            secret.components.len()
-        )));
-    }
-    SCRATCH.with_borrow_mut(|scratch| {
-        let out = transformed_delta(secret, t, transform, scratch)
-            .map(|()| add_delta(processed_public, &scratch.delta, transform));
-        if scratch.samples() > SCRATCH_KEPT {
-            *scratch = Scratch::default();
-        }
-        out
+    let down: &[(usize, usize)] = match secret.components.len() {
+        1 => &[(1, 1)],
+        3 => &[(1, 1); 3],
+        n => return Err(P3Error::Mismatch(format!("{n}-component secret part"))),
+    };
+    with_scratch(|Scratch { work, .. }| {
+        transformed_delta(secret, t, transform, down, work)
+            .map(|()| add_delta(processed_public, &work.delta, transform))
     })
 }
 
@@ -271,12 +338,104 @@ fn add_delta(public: &RgbImage, delta: &[ImageF32], transform: &TransformSpec) -
     out
 }
 
+/// Eq. 2 on a served rung's own component planes, in place: `planes`
+/// are the decoded planes of the frame `served` (whose size and sampling
+/// factors are all this reads of it), and each gets its component's
+/// `A·(xs + corr)` at its own sampling, rounded once. A gray secret
+/// under a colour rung adds to Y alone — what adding its delta to R, G
+/// and B alike is in YCbCr.
+fn add_delta_planes(
+    served: &CoeffImage,
+    planes: &mut [Plane],
+    secret: &CoeffImage,
+    t: u16,
+    transform: &TransformSpec,
+    scratch: &mut DeltaScratch,
+) -> Result<()> {
+    if !transform.is_linear() {
+        return Err(P3Error::Mismatch(format!(
+            "gamma {} acts per RGB channel, and the planar view has no RGB",
+            transform.gamma
+        )));
+    }
+    let (ew, eh) = transform.output_dims(secret.width, secret.height);
+    if (served.width, served.height) != (ew, eh) {
+        return Err(P3Error::Mismatch(format!(
+            "transform yields {ew}x{eh} but the served rung is {}x{}",
+            served.width, served.height
+        )));
+    }
+    secret.validate()?;
+    let (n, served_n) = (secret.components.len(), served.components.len());
+    if !matches!((n, served_n), (1 | 3, 3) | (1, 1)) || planes.len() != served_n {
+        return Err(P3Error::Mismatch(format!(
+            "{n}-component secret part under a {served_n}-component rung of {} planes",
+            planes.len()
+        )));
+    }
+    let (h_max, v_max) = (served.h_max(), served.v_max());
+    let mut down = [(1, 1); 3];
+    for ((comp, plane), down) in served.components.iter().zip(&*planes).zip(&mut down) {
+        let grid = (h_max % comp.h_samp == 0 && v_max % comp.v_samp == 0)
+            .then(|| (usize::from(h_max / comp.h_samp), usize::from(v_max / comp.v_samp)))
+            .filter(|&(fx, fy)| (plane.width, plane.height) == (ew.div_ceil(fx), eh.div_ceil(fy)));
+        *down = grid.ok_or_else(|| {
+            P3Error::Mismatch(format!(
+                "served component {} is {}x{} at {}x{} sampling, no box-down of {ew}x{eh}",
+                comp.id, plane.width, plane.height, comp.h_samp, comp.v_samp
+            ))
+        })?;
+    }
+    transformed_delta(secret, t, transform, &down[..n], scratch)?;
+    for (plane, delta) in planes.iter_mut().zip(&scratch.delta) {
+        for (p, &d) in plane.data.iter_mut().zip(&delta.data) {
+            *p = round_to_u8(f32::from(*p) + d);
+        }
+    }
+    Ok(())
+}
+
+/// The proxy's view of a processed photo (paper Eq. 2, §4.1), in YCbCr
+/// planes from end to end: the served rung `served_jpeg` is decoded to
+/// its component planes at their own sampling, each plane gets its
+/// component's `A·(xs + corr)` — `A` being `estimate` of the rung's
+/// dimensions — and the planes are encoded again at the rung's sampling
+/// factors and `quality` as an optimized baseline JPEG. `secret_jpeg`
+/// and `t` are the secret container's part and threshold.
+///
+/// A rung the secret's delta has no place in — fewer components than the
+/// secret, a plane no box-down of `A`'s output grid gives — and a
+/// non-linear `A` are [`P3Error::Mismatch`].
+pub fn reconstruct_view(
+    served_jpeg: &[u8],
+    secret_jpeg: &[u8],
+    t: u16,
+    estimate: impl FnOnce((usize, usize)) -> TransformSpec,
+    quality: u8,
+) -> Result<Vec<u8>> {
+    with_scratch(|scratch| {
+        let Scratch { work, served, planes, secret, out } = scratch;
+        decode_to_coeffs_into(served_jpeg, served)?;
+        let transform = estimate((served.width, served.height));
+        decode_to_coeffs_into(secret_jpeg, secret)?;
+        coeffs_to_planes_into(served, planes)?;
+        add_delta_planes(served, planes, secret, t, &transform, work)?;
+        let mut sampling = [(1, 1); 3];
+        for (s, c) in sampling.iter_mut().zip(&served.components) {
+            *s = (c.h_samp, c.v_samp);
+        }
+        let frame = (served.width, served.height);
+        planes_to_coeffs_into(planes, frame, &sampling[..planes.len()], quality, out)?;
+        Ok(encode_coeffs(out, Mode::BaselineOptimized, 0)?)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pixel::{channels_to_rgb, rgb_to_channels};
     use crate::split::split_coeffs;
-    use p3_jpeg::encoder::{pixels_to_coeffs, Subsampling};
+    use p3_jpeg::encoder::{gray_to_coeffs, pixels_to_coeffs, Subsampling};
     use p3_vision::metrics::psnr;
 
     fn test_image(w: usize, h: usize) -> RgbImage {
@@ -396,13 +555,186 @@ mod tests {
     fn all_zero_secret_adds_nothing() {
         // The delta of a real secret part carries the DC, so it is not
         // zero-mean; but an all-zero secret must leave the public part
-        // exactly as served, whatever `A` is.
+        // exactly as served, whatever `A` is — in RGB pixels, and in the
+        // served rung's planes, box-down and unsharp included.
         let ci = pixels_to_coeffs(&test_image(48, 32), 90, Subsampling::S420).unwrap();
         let mut zero = ci.clone();
         zero.for_each_block_mut(|_, b| *b = [0; 64]);
         let t = TransformSpec::resize(20, 14, ResizeFilter::Lanczos3);
         let served = test_image(20, 14);
         assert_eq!(reconstruct_processed(&served, &zero, 10, &t).unwrap().data, served.data);
+        let sharpened = TransformSpec { sharpen: (0.8, 0.5), ..t };
+        for t in [t, sharpened] {
+            let (frame, mut planes) = rung(&served, Subsampling::S420);
+            let before = planes.clone();
+            add_delta_planes(&frame, &mut planes, &zero, 10, &t, &mut DeltaScratch::default())
+                .unwrap();
+            assert_eq!(planes, before, "{t:?}");
+        }
+    }
+
+    /// `img` as a PSP serves it at `sampling`: its frame and its decoded
+    /// component planes.
+    fn rung(img: &RgbImage, sampling: Subsampling) -> (CoeffImage, Vec<Plane>) {
+        let frame = pixels_to_coeffs(img, 85, sampling).unwrap();
+        let mut planes = Vec::new();
+        coeffs_to_planes_into(&frame, &mut planes).unwrap();
+        (frame, planes)
+    }
+
+    #[test]
+    fn hostile_rung_geometry_is_a_mismatch_not_a_panic_or_a_skip() {
+        let ci = pixels_to_coeffs(&test_image(64, 48), 90, Subsampling::S420).unwrap();
+        let (_, secret, _) = split_coeffs(&ci, 10).unwrap();
+        let t = TransformSpec::resize(32, 24, ResizeFilter::Triangle);
+        let served = test_image(32, 24);
+        let planar = |frame: &CoeffImage, planes: &mut [Plane], t: &TransformSpec| {
+            add_delta_planes(frame, planes, &secret, 10, t, &mut DeltaScratch::default())
+        };
+        let mismatch = |r: Result<()>| assert!(matches!(r, Err(P3Error::Mismatch(_))), "{r:?}");
+
+        // A gray rung for a colour photo: the chroma deltas have nowhere
+        // to go. So has a rung that lost a plane on the way.
+        let gray =
+            gray_to_coeffs(&crate::pixel::image_to_gray(&crate::pixel::rgb_to_luma(&served)), 85)
+                .unwrap();
+        let mut gray_planes = Vec::new();
+        coeffs_to_planes_into(&gray, &mut gray_planes).unwrap();
+        mismatch(planar(&gray, &mut gray_planes, &t));
+        let (frame, mut planes) = rung(&served, Subsampling::S420);
+        mismatch(planar(&frame, &mut planes[..2], &t));
+
+        // A plane the composed taps do not reach: full-size chroma under
+        // a 4:2:0 frame, and a luma plane a row short.
+        let (_, full_chroma) = rung(&served, Subsampling::S444);
+        mismatch(planar(&frame, &mut full_chroma.clone(), &t));
+        let mut short = planes.clone();
+        short[0] = Plane::new(32, 23);
+        mismatch(planar(&frame, &mut short, &t));
+        // A sampling no box-down gives (luma at 2, chroma at 3).
+        let mut odd = frame.clone();
+        odd.components[1].h_samp = 3;
+        mismatch(planar(&odd, &mut planes.clone(), &t));
+
+        // Gamma acts per RGB channel.
+        mismatch(planar(&frame, &mut planes.clone(), &TransformSpec { gamma: 1.1, ..t }));
+
+        // The same, end to end through the JPEG entry: an error, never a
+        // view.
+        let gray_jpeg = encode_coeffs(&gray, Mode::BaselineOptimized, 0).unwrap();
+        let secret_jpeg = encode_coeffs(&secret, Mode::BaselineOptimized, 0).unwrap();
+        let view = reconstruct_view(&gray_jpeg, &secret_jpeg, 10, |_| t, 90);
+        assert!(matches!(view, Err(P3Error::Mismatch(_))), "{view:?}");
+        let served_jpeg = encode_coeffs(&frame, Mode::BaselineOptimized, 0).unwrap();
+        let gamma = TransformSpec { gamma: 2.2, ..t };
+        let view = reconstruct_view(&served_jpeg, &secret_jpeg, 10, |_| gamma, 90);
+        assert!(matches!(view, Err(P3Error::Mismatch(_))), "{view:?}");
+        assert!(reconstruct_view(&served_jpeg, &secret_jpeg, 10, |_| t, 90).is_ok());
+    }
+
+    #[test]
+    fn planar_view_keeps_the_rung_sampling_and_beats_the_public_part() {
+        let img = test_image(128, 96);
+        let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
+        let (public, secret, _) = split_coeffs(&ci, 10).unwrap();
+        let t = TransformSpec {
+            sharpen: (0.8, 0.5),
+            ..TransformSpec::resize(64, 48, ResizeFilter::Lanczos3)
+        };
+        // PSP side: decode, transform per RGB channel, serve as 4:2:0.
+        let apply = |ci: &CoeffImage| {
+            let ch = rgb_to_channels(&p3_jpeg::decoder::coeffs_to_rgb(ci).unwrap());
+            channels_to_rgb(&[t.apply(&ch[0]), t.apply(&ch[1]), t.apply(&ch[2])])
+        };
+        let reference = apply(&ci);
+        let served = pixels_to_coeffs(&apply(&public), 85, Subsampling::S420).unwrap();
+        let served_jpeg = encode_coeffs(&served, Mode::Progressive, 0).unwrap();
+        let secret_jpeg = encode_coeffs(&secret, Mode::BaselineOptimized, 0).unwrap();
+        let view = reconstruct_view(
+            &served_jpeg,
+            &secret_jpeg,
+            10,
+            |dims| {
+                assert_eq!(dims, (64, 48));
+                t
+            },
+            95,
+        )
+        .unwrap();
+        let (frame, _) = p3_jpeg::decode_to_coeffs(&view).unwrap();
+        let sampling: Vec<_> = frame.components.iter().map(|c| (c.h_samp, c.v_samp)).collect();
+        assert_eq!(sampling, [(2, 2), (1, 1), (1, 1)]);
+        let view = p3_jpeg::decode_to_rgb(&view).unwrap();
+        let rec = luma_psnr(&view, &reference);
+        let public = luma_psnr(&p3_jpeg::decoder::coeffs_to_rgb(&served).unwrap(), &reference);
+        assert!(rec > 30.0 && rec > public + 10.0, "view {rec:.1} dB, public part {public:.1} dB");
+    }
+
+    #[test]
+    fn a_gray_secret_under_a_colour_rung_adds_to_luma_alone() {
+        // A gray upload's public part comes back in colour: the PSP
+        // re-encodes every rendition as 4:2:0.
+        let gray = crate::pixel::image_to_gray(&crate::pixel::rgb_to_luma(&test_image(48, 40)));
+        let ci = gray_to_coeffs(&gray, 90).unwrap();
+        let (_, secret, _) = split_coeffs(&ci, 10).unwrap();
+        let t = TransformSpec::resize(24, 20, ResizeFilter::Triangle);
+        let (frame, mut planes) = rung(&test_image(24, 20), Subsampling::S420);
+        let before = planes.clone();
+        add_delta_planes(&frame, &mut planes, &secret, 10, &t, &mut DeltaScratch::default())
+            .unwrap();
+        assert_ne!(planes[0], before[0]);
+        assert_eq!(planes[1..], before[1..]);
+    }
+
+    #[test]
+    fn box_down_is_the_chroma_downsample_before_rounding() {
+        for (w, h) in [(8, 6), (9, 7), (1, 1), (16, 5)] {
+            let mut plane = Plane::new(w, h);
+            for (i, v) in plane.data.iter_mut().enumerate() {
+                *v = (i * 37 % 251) as u8;
+            }
+            let samples: Vec<f32> = plane.data.iter().map(|&v| f32::from(v)).collect();
+            for (fx, fy) in [(1, 1), (2, 1), (1, 2), (2, 2)] {
+                let (xt, yt) = (AxisTaps::box_down(w, fx), AxisTaps::box_down(h, fy));
+                let mut out = ImageF32::default();
+                apply_separable(&samples, w, &xt, &yt, &mut Vec::new(), &mut out);
+                let want = p3_jpeg::color::downsample(&plane, fx, fy);
+                assert_eq!(
+                    (out.width, out.height),
+                    (want.width, want.height),
+                    "{w}x{h} / {fx}x{fy}"
+                );
+                for (&got, &want) in out.data.iter().zip(&want.data) {
+                    assert!(
+                        (got - f32::from(want)).abs() <= 0.5,
+                        "{w}x{h} / {fx}x{fy}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+        // `then` composes the box-down behind a resize: one table, the
+        // two stages in sequence.
+        let resize = AxisTaps::resize(37, 19, ResizeFilter::Lanczos3);
+        let boxed = AxisTaps::box_down(19, 2);
+        let composed = resize.then(&boxed);
+        assert_eq!(composed.dst_len(), 10);
+        let src: Vec<f32> = (0..37).map(|i| (i * i % 41) as f32).collect();
+        let run = |xt: &AxisTaps, src: &[f32]| {
+            let mut out = ImageF32::default();
+            apply_separable(
+                src,
+                src.len(),
+                xt,
+                &AxisTaps::window(1, 0, 1),
+                &mut Vec::new(),
+                &mut out,
+            );
+            out.data
+        };
+        let staged = run(&boxed, &run(&resize, &src));
+        for (a, b) in run(&composed, &src).iter().zip(&staged) {
+            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
+        }
     }
 
     #[test]

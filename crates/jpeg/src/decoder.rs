@@ -542,9 +542,10 @@ pub fn decode_to_coeffs_into(data: &[u8], frame: &mut CoeffImage) -> Result<Deco
 }
 
 /// Reconstruct the sample planes of each component (dequantize + IDCT),
-/// cropped to real component dimensions, into a caller's planes,
-/// overwritten whatever they held.
-fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()> {
+/// cropped to real component dimensions — each at its own sampling, no
+/// chroma upsampled — into a caller's planes, overwritten whatever they
+/// held.
+pub fn coeffs_to_planes_into(ci: &CoeffImage, planes: &mut Vec<Plane>) -> Result<()> {
     ci.validate()?;
     let h_max = ci.h_max() as usize;
     let v_max = ci.v_max() as usize;

@@ -143,14 +143,43 @@ pub fn pixels_to_coeffs_into(
             [(2, 2), (1, 1), (1, 1)]
         }
     };
-    let qtables = vec![QuantTable::luma(quality), QuantTable::chroma(quality)];
-    ci.reset(img.width, img.height, qtables, &sampling, &[0, 1, 1])?;
-    for (comp, plane) in ci.components.iter_mut().zip(planes.iter()) {
-        plane_into_blocks(
-            plane,
-            comp,
-            &[QuantTable::luma(quality), QuantTable::chroma(quality)][comp.quant_idx.min(1)],
-        );
+    planes_to_coeffs_into(planes, (img.width, img.height), &sampling, quality, ci)
+}
+
+/// Forward-transform component planes — Y (or gray) first, each at the
+/// sampling `(h, v)` it is listed with — into a caller's coefficient
+/// image of a `width × height` frame, overwritten whatever it held. The
+/// first plane is coded with the luma table, the others with the chroma
+/// one. A plane whose size is not its component's sampled size is
+/// `Invalid`.
+pub fn planes_to_coeffs_into(
+    planes: &[Plane],
+    (width, height): (usize, usize),
+    sampling: &[(u8, u8)],
+    quality: u8,
+    ci: &mut CoeffImage,
+) -> Result<()> {
+    let mut qtables = vec![QuantTable::luma(quality)];
+    if sampling.len() > 1 {
+        qtables.push(QuantTable::chroma(quality));
+    }
+    const QUANT_MAP: [usize; 4] = [0, 1, 1, 1];
+    ci.reset(width, height, qtables, sampling, &QUANT_MAP[..sampling.len().min(4)])?;
+    if planes.len() != sampling.len() {
+        return Err(JpegError::Invalid("one plane per component".into()));
+    }
+    let (h_max, v_max) = (usize::from(ci.h_max()), usize::from(ci.v_max()));
+    let CoeffImage { qtables, components, .. } = ci;
+    for (comp, plane) in components.iter_mut().zip(planes) {
+        let samp_w = (width * usize::from(comp.h_samp)).div_ceil(h_max);
+        let samp_h = (height * usize::from(comp.v_samp)).div_ceil(v_max);
+        if (plane.width, plane.height) != (samp_w, samp_h) {
+            return Err(JpegError::Invalid(format!(
+                "component {} plane is {}x{}, its sampling needs {samp_w}x{samp_h}",
+                comp.id, plane.width, plane.height
+            )));
+        }
+        plane_into_blocks(plane, comp, &qtables[comp.quant_idx]);
     }
     Ok(())
 }
@@ -1027,6 +1056,25 @@ mod tests {
         let blocks = ci.components[0].blocks.len();
         let ops = rec.ops.len();
         assert!(ops <= 3 * blocks, "{ops} ops for {blocks} blocks of 63 correction bits");
+    }
+
+    /// Planes encode at the sampling they are listed with — the decoder's
+    /// planes of a 4:2:0 frame give back its coefficients — and a plane of
+    /// another size, or a missing one, is refused, not read past.
+    #[test]
+    fn planes_encode_at_their_listed_sampling() {
+        let ci = pixels_to_coeffs(&test_rgb(37, 21), 85, Subsampling::S420).unwrap();
+        let mut planes = Vec::new();
+        crate::decoder::coeffs_to_planes_into(&ci, &mut planes).unwrap();
+        let sampling = [(2, 2), (1, 1), (1, 1)];
+        let mut again = CoeffImage::default();
+        planes_to_coeffs_into(&planes, (37, 21), &sampling, 85, &mut again).unwrap();
+        assert_eq!(again.components.len(), 3);
+        assert_eq!((again.components[1].blocks_w, again.components[1].blocks_h), (3, 2));
+        let invalid = |r: Result<()>| assert!(matches!(r, Err(JpegError::Invalid(_))), "{r:?}");
+        invalid(planes_to_coeffs_into(&planes, (37, 21), &[(1, 1); 3], 85, &mut again));
+        invalid(planes_to_coeffs_into(&planes[..2], (37, 21), &sampling, 85, &mut again));
+        invalid(planes_to_coeffs_into(&planes, (38, 21), &sampling, 85, &mut again));
     }
 
     /// A coefficient the format cannot carry is an encode error in every

@@ -39,6 +39,7 @@ use crate::http::{Method, Request, Response, StatusCode};
 use crate::server::{Server, ServerConfig, ServerStats};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
+use p3_core::reconstruct::reconstruct_view;
 use p3_core::transform::TransformSpec;
 use p3_core::P3Error;
 use p3_crypto::EnvelopeKey;
@@ -70,7 +71,9 @@ pub struct ProxyConfig {
     pub codec: P3Codec,
     /// Transform estimator for the download path.
     pub estimator: TransformEstimator,
-    /// Quality for re-encoding reconstructed images served to the app.
+    /// Quality of the reconstructed view's JPEG. The view is encoded at
+    /// the served rung's own sampling factors (4:2:0 from both shipping
+    /// PSP profiles), as an optimized baseline stream.
     pub reencode_quality: u8,
     /// Maximum number of secret blobs kept in the download cache. A
     /// long-running proxy sees unboundedly many photo IDs, so the cache
@@ -646,32 +649,26 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
         }
     };
     let key = EnvelopeKey::derive(&cfg.master_key, id.as_bytes());
-    let reconstructed = (|| -> p3_core::Result<Vec<u8>> {
-        let container = SecretContainer::open(&blob, &key)?;
-        let served = p3_jpeg::decode_to_rgb(&psp_resp.body)?;
+    let reconstructed = SecretContainer::open(&blob, &key).and_then(|container| {
         let orig = (container.width as usize, container.height as usize);
         // Dynamic crops advertise their geometry in the URL (paper §4.1:
         // "the cropping geometry … encoded in the HTTP get URL, so the
         // proxy is able to determine those parameters").
         let crop = req.query_param("crop").and_then(parse_crop);
-        let transform = match crop {
-            Some((x, y, w, h)) if (w, h) == (served.width, served.height) => {
+        let estimate = |served: (usize, usize)| match crop {
+            Some((x, y, w, h)) if (w, h) == served => {
                 TransformSpec { crop: Some((x, y, w, h)), ..TransformSpec::identity() }
             }
-            _ => (cfg.estimator)(orig, (served.width, served.height)),
+            _ => (cfg.estimator)(orig, served),
         };
-        let (secret, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
-        let rgb = p3_core::reconstruct::reconstruct_processed(
-            &served,
-            &secret,
+        reconstruct_view(
+            &psp_resp.body,
+            &container.jpeg,
             container.threshold,
-            &transform,
-        )?;
-        Ok(p3_jpeg::Encoder::new()
-            .quality(cfg.reencode_quality)
-            .subsampling(p3_jpeg::Subsampling::S444)
-            .encode_rgb(&rgb)?)
-    })();
+            estimate,
+            cfg.reencode_quality,
+        )
+    });
     match reconstructed {
         Ok(jpeg) => {
             stats.downloads_reconstructed.fetch_add(1, Ordering::Relaxed);

@@ -248,6 +248,26 @@ impl AxisTaps {
         out
     }
 
+    /// Box-filter decimation of a `src_len` axis by `factor`: output `d`
+    /// is the mean of samples `d·factor ..` up to `factor` of them, the
+    /// last output averaging only what is left — `ceil(src_len / factor)`
+    /// outputs, the average JPEG chroma downsampling takes (before it
+    /// rounds).
+    pub fn box_down(src_len: usize, factor: usize) -> AxisTaps {
+        assert!(factor > 0, "zero box factor");
+        let dst_len = src_len.div_ceil(factor);
+        let mut out = Self::with_capacity(src_len, dst_len, src_len);
+        for d in 0..dst_len {
+            let run = d * factor..((d + 1) * factor).min(src_len);
+            let weight = 1.0 / run.len() as f32;
+            for s in run {
+                out.push_tap(s, weight);
+            }
+            out.end_output();
+        }
+        out
+    }
+
     /// The product `outer · self`: one table that maps `self`'s source
     /// straight to `outer`'s outputs, taps on the same source sample
     /// merged.

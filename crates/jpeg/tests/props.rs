@@ -2,15 +2,74 @@
 //! equivalence of the scaled integer AAN fast path against the
 //! `dct::reference` ground truth (the invariant P3's Eq. 1 reconstruction
 //! rests on: coefficients survive entropy coding bit-exactly, and the
-//! fast DCT stays within ±1 of the reference after quantization).
+//! fast DCT stays within ±1 of the reference after quantization), and
+//! for the agreement of every reader of a JPEG's segment structure.
 
 use p3_jpeg::bitio::{encode_magnitude, BitReader, BitWriter};
 use p3_jpeg::dct;
 use p3_jpeg::encoder::{encode_coeffs, pixels_to_coeffs, Mode, Subsampling};
 use p3_jpeg::huffman::{FreqCounter, HuffDecoder, HuffEncoder};
+use p3_jpeg::marker::{strip_app_markers, summarize};
 use p3_jpeg::quant::{AanDequantizer, AanQuantizer, QuantTable};
 use p3_jpeg::RgbImage;
 use proptest::prelude::*;
+
+/// Why the readers of `s` disagree, if they do: a stream the decoder
+/// accepts must strip, decode to the same coefficients once stripped,
+/// and summarize to the size it decodes at.
+fn walkers_disagree(s: &[u8]) -> Option<String> {
+    let Ok((coeffs, _)) = p3_jpeg::decode_to_coeffs(s) else { return None };
+    let stripped = match strip_app_markers(s) {
+        Ok(stripped) => stripped,
+        Err(e) => return Some(format!("decodes, but strip refuses it: {e}")),
+    };
+    match p3_jpeg::decode_to_coeffs(&stripped) {
+        Ok((back, _)) if back == coeffs => {}
+        Ok(_) => return Some("stripped stream decodes to other coefficients".into()),
+        Err(e) => return Some(format!("stripped stream does not decode: {e}")),
+    }
+    match summarize(s) {
+        Ok(h) if (h.width, h.height) == (coeffs.width, coeffs.height) => None,
+        Ok(h) => Some(format!(
+            "summary {}x{}, decoded {}x{}",
+            h.width, h.height, coeffs.width, coeffs.height
+        )),
+        Err(e) => Some(format!("decodes, but summarize refuses it: {e}")),
+    }
+}
+
+/// Baseline, progressive, and baseline with a restart interval, of one
+/// noise image.
+fn encoder_outputs(seed: u64) -> [Vec<u8>; 3] {
+    let mut img = RgbImage::new(37, 29);
+    let mut state = seed | 1;
+    for px in img.data.iter_mut() {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *px = (state >> 56) as u8;
+    }
+    let ci = pixels_to_coeffs(&img, 80, Subsampling::S420).unwrap();
+    [(Mode::BaselineOptimized, 0), (Mode::Progressive, 0), (Mode::BaselineOptimized, 3)]
+        .map(|(mode, restart)| encode_coeffs(&ci, mode, restart).unwrap())
+}
+
+/// Offsets of the markers an encoder wrote: every `FF` that is not a
+/// stuffed zero's, a fill byte or an RSTn.
+fn segment_starts(s: &[u8]) -> Vec<usize> {
+    (0..s.len() - 1)
+        .filter(|&i| s[i] == 0xFF && !matches!(s[i + 1], 0x00 | 0xFF | 0xD0..=0xD7))
+        .collect()
+}
+
+#[test]
+fn walkers_agree_on_a_stray_soi_and_on_junk_between_segments() {
+    for (n, s) in encoder_outputs(7).into_iter().enumerate() {
+        for (what, insert) in [("stray SOI", [0xFF, 0xD8]), ("junk", [0x12, 0x34])] {
+            let mut edited = s.clone();
+            edited.splice(2..2, insert);
+            assert_eq!(walkers_disagree(&edited), None, "stream {n}, {what} after SOI");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -193,5 +252,32 @@ proptest! {
         prop_assert_eq!(&jpeg_scalar, &jpeg_simd, "encoded bytes differ");
         let px_simd = p3_jpeg::decode_to_rgb(&jpeg_simd[0]).unwrap();
         prop_assert_eq!(&px_scalar.data, &px_simd.data, "decoded pixels differ");
+    }
+
+    #[test]
+    fn walkers_agree_on_edits_at_segment_boundaries(
+        seed in any::<u64>(),
+        stream in 0usize..3,
+        edits in prop::collection::vec((any::<u16>(), 0usize..4, 0usize..8, 0usize..4), 1..4),
+    ) {
+        // Each edit lands at or just after a marker (its FF, its code,
+        // its length): it overwrites a byte, or inserts one to three.
+        const PALETTE: [u8; 8] = [0x00, 0x12, 0xFF, 0xD8, 0xD9, 0xD0, 0xE1, 0x01];
+        let mut s = encoder_outputs(seed)[stream].clone();
+        for &(at, off, byte, inserted) in &edits {
+            let starts = segment_starts(&s);
+            if starts.is_empty() {
+                break;
+            }
+            let pos = (starts[usize::from(at) % starts.len()] + off).min(s.len() - 1);
+            let bytes = (0..inserted.max(1)).map(|k| PALETTE[(byte + k * 3) % PALETTE.len()]);
+            if inserted == 0 {
+                s[pos] = PALETTE[byte];
+            } else {
+                s.splice(pos..pos, bytes);
+            }
+        }
+        let disagreement = walkers_disagree(&s);
+        prop_assert!(disagreement.is_none(), "{:?} after edits {:?}", disagreement, edits);
     }
 }

@@ -467,6 +467,55 @@ mod tests {
         svc.shutdown();
     }
 
+    /// Photo `a` with photo `b`'s segments hidden in an APP3 payload,
+    /// behind a stray SOI. A reader that takes the two bytes after the
+    /// stray SOI (`FF E2`, the APP2 marker) as a length lands on `b`.
+    fn polyglot(a: &[u8], b: &[u8]) -> Vec<u8> {
+        const APP2: u8 = 0xE2;
+        const APP3: u8 = 0xE3;
+        let mut out = vec![0xFF, 0xD8, 0xFF, 0xD8];
+        let land = out.len() + usize::from(u16::from_be_bytes([0xFF, APP2]));
+        let app3_at = land - 16;
+        let app2 = vec![0; app3_at - out.len() - 4];
+        p3_jpeg::marker::write_segment(&mut out, APP2, &app2);
+        let mut app3 = vec![0; land - app3_at - 4];
+        app3.extend_from_slice(&b[2..]);
+        p3_jpeg::marker::write_segment(&mut out, APP3, &app3);
+        out.extend_from_slice(&a[2..]);
+        out
+    }
+
+    /// The frame the header check reads is the frame the ladder is
+    /// built from: an upload hiding a second photo in an APP payload is
+    /// photo A to every reader, or it is refused.
+    #[test]
+    fn a_photo_hidden_in_an_app_segment_is_never_the_one_served() {
+        let (a, b) = (photo_jpeg(64, 48), photo_jpeg(40, 24));
+        let poly = polyglot(&a, &b);
+        let summary = p3_jpeg::marker::summarize(&poly).unwrap();
+        assert_eq!((summary.width, summary.height), (64, 48));
+        let alone = PspCore::new(PspProfile::facebook());
+        let a_id = alone.upload(&a).unwrap();
+        let core = PspCore::new(PspProfile::facebook());
+        match core.upload(&poly) {
+            Err(e) => assert_eq!(e, UploadError::NotJpeg),
+            Ok(id) => {
+                let requests = [
+                    SizeRequest::Full,
+                    SizeRequest::Big,
+                    SizeRequest::Small,
+                    SizeRequest::Thumb,
+                    SizeRequest::Fit(50, 40),
+                    SizeRequest::Crop(4, 4, 32, 24),
+                ];
+                for req in requests {
+                    let same = core.fetch(id, req) == alone.fetch(a_id, req);
+                    assert!(same, "{req:?} is not photo A's rendition");
+                }
+            }
+        }
+    }
+
     #[test]
     fn scratch_pool_is_bounded() {
         // One rung, no unsharp: the test is about the planes, and a

@@ -38,9 +38,8 @@ pub struct DecodedInfo {
     pub scans: usize,
 }
 
-struct Decoder<'a> {
-    data: &'a [u8],
-    pos: usize,
+#[derive(Default)]
+struct Decoder {
     qtables: [Option<QuantTable>; 4],
     dc_tables: [Option<HuffDecoder>; 4],
     ac_tables: [Option<HuffDecoder>; 4],
@@ -52,135 +51,66 @@ struct Decoder<'a> {
     scans: usize,
 }
 
-impl<'a> Decoder<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self {
-            data,
-            pos: 0,
-            qtables: [None, None, None, None],
-            dc_tables: [None, None, None, None],
-            ac_tables: [None, None, None, None],
-            frame: None,
-            recycled: CoeffImage::default(),
-            progressive: false,
-            restart_interval: 0,
-            scans: 0,
-        }
-    }
+/// A segment too short, or too long, for the fields it declares.
+fn mismatch(segment: &str) -> JpegError {
+    JpegError::Format(format!("{segment} length mismatch"))
+}
 
-    fn take_u8(&mut self) -> Result<u8> {
-        let b = *self.data.get(self.pos).ok_or(JpegError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take_u16(&mut self) -> Result<u16> {
-        let hi = self.take_u8()?;
-        let lo = self.take_u8()?;
-        Ok(u16::from_be_bytes([hi, lo]))
-    }
-
-    fn next_marker(&mut self) -> Result<u8> {
-        // Skip any non-FF garbage (robustness over strictness, like libjpeg).
-        while self.pos < self.data.len() && self.data[self.pos] != 0xFF {
-            self.pos += 1;
-        }
-        while self.pos < self.data.len() && self.data[self.pos] == 0xFF {
-            self.pos += 1;
-        }
-        if self.pos >= self.data.len() {
-            return Err(JpegError::Truncated);
-        }
-        let m = self.data[self.pos];
-        self.pos += 1;
-        Ok(m)
-    }
-
-    fn run(&mut self) -> Result<()> {
-        if self.data.len() < 2 || self.data[0] != 0xFF || self.data[1] != marker::SOI {
-            return Err(JpegError::Format("missing SOI".into()));
-        }
-        self.pos = 2;
-        loop {
-            let m = self.next_marker()?;
+impl Decoder {
+    /// Read every segment [`marker::segments`] walks, up to EOI.
+    fn run(&mut self, data: &[u8]) -> Result<()> {
+        let mut walk = marker::segments(data);
+        while let Some(segment) = walk.next() {
+            let (m, payload) = segment?;
             match m {
-                marker::EOI => {
-                    if self.frame.is_none() {
-                        return Err(JpegError::Format("EOI before any frame".into()));
-                    }
-                    return Ok(());
+                marker::EOI if self.frame.is_none() => {
+                    return Err(JpegError::Format("EOI before any frame".into()));
                 }
+                marker::EOI => return Ok(()),
                 marker::SOF0 | marker::SOF1 | marker::SOF2 => {
                     self.progressive = m == marker::SOF2;
-                    self.parse_sof()?;
+                    self.parse_sof(payload)?;
                 }
                 0xC3 | 0xC5..=0xC7 | 0xC9..=0xCB | 0xCD..=0xCF => {
                     return Err(JpegError::Unsupported(format!("SOF marker FF{m:02X}")));
                 }
-                marker::DHT => self.parse_dht()?,
-                marker::DQT => self.parse_dqt()?,
+                marker::DHT => self.parse_dht(payload)?,
+                marker::DQT => self.parse_dqt(payload)?,
                 marker::DRI => {
-                    let len = self.take_u16()?;
-                    if len != 4 {
+                    let &[hi, lo] = payload else {
                         return Err(JpegError::Format("bad DRI length".into()));
-                    }
-                    self.restart_interval = self.take_u16()?;
+                    };
+                    self.restart_interval = u16::from_be_bytes([hi, lo]);
                 }
                 marker::SOS => {
-                    self.parse_and_decode_scan()?;
+                    let consumed = self.decode_scan(payload, walk.scan_data())?;
+                    walk.resume(consumed);
                 }
-                0x01 | 0xD0..=0xD7 => { /* stray standalone markers: ignore */ }
-                _ => {
-                    // Skip unknown segments (APPn, COM, DNL, ...).
-                    let len = usize::from(self.take_u16()?);
-                    if len < 2 || self.pos + len - 2 > self.data.len() {
-                        return Err(JpegError::Truncated);
-                    }
-                    self.pos += len - 2;
-                }
+                // APPn, COM, DNL, stray standalone markers: nothing the
+                // decoder reads.
+                _ => {}
             }
         }
+        Err(JpegError::Truncated) // not reached: the walk ends at EOI or an error
     }
 
-    fn parse_sof(&mut self) -> Result<()> {
+    fn parse_sof(&mut self, payload: &[u8]) -> Result<()> {
         if self.frame.is_some() {
             return Err(JpegError::Unsupported("multiple frames".into()));
         }
-        let len = usize::from(self.take_u16()?);
-        let end = self.pos + len - 2;
-        let precision = self.take_u8()?;
-        if precision != 8 {
-            return Err(JpegError::Unsupported(format!("{precision}-bit precision")));
+        let header = marker::FrameHeader::parse(payload)?;
+        let (width, height) = (header.width, header.height);
+        if header.precision != 8 {
+            return Err(JpegError::Unsupported(format!("{}-bit precision", header.precision)));
         }
-        let height = usize::from(self.take_u16()?);
-        let width = usize::from(self.take_u16()?);
         if width == 0 || height == 0 {
             return Err(JpegError::Unsupported("DNL-deferred dimensions".into()));
         }
         if width > MAX_SIDE || height > MAX_SIDE {
             return Err(JpegError::TooLarge { width, height });
         }
-        let ncomp = usize::from(self.take_u8()?);
-        if ncomp == 0 || ncomp > 4 {
-            return Err(JpegError::Format(format!("{ncomp} components")));
-        }
-        let mut ids = Vec::new();
-        let mut sampling = Vec::new();
-        let mut quant_map = Vec::new();
-        for _ in 0..ncomp {
-            let id = self.take_u8()?;
-            let hv = self.take_u8()?;
-            let tq = usize::from(self.take_u8()?);
-            if tq > 3 {
-                return Err(JpegError::Format(format!("SOF names quant table {tq}")));
-            }
-            ids.push(id);
-            sampling.push((hv >> 4, hv & 0x0F));
-            quant_map.push(tq);
-        }
-        if self.pos != end {
-            return Err(JpegError::Format("SOF length mismatch".into()));
-        }
+        let sampling: Vec<(u8, u8)> = header.components().map(|(_, hv, _)| hv).collect();
+        let quant_map: Vec<usize> = header.components().map(|(_, _, tq)| tq).collect();
         // Materialize quant tables referenced so far; tables defined after
         // SOF (legal) are patched into the CoeffImage lazily at scan time —
         // we instead require them pre-SOS which all real encoders satisfy.
@@ -191,39 +121,32 @@ impl<'a> Decoder<'a> {
         }
         let mut frame = std::mem::take(&mut self.recycled);
         frame.reset(width, height, qtables, &sampling, &quant_map)?;
-        for (c, &id) in frame.components.iter_mut().zip(ids.iter()) {
+        for (c, (id, _, _)) in frame.components.iter_mut().zip(header.components()) {
             c.id = id;
         }
         self.frame = Some(frame);
         Ok(())
     }
 
-    fn parse_dqt(&mut self) -> Result<()> {
-        let len = usize::from(self.take_u16()?);
-        let end = self.pos + len - 2;
-        while self.pos < end {
-            let pq_tq = self.take_u8()?;
+    fn parse_dqt(&mut self, mut payload: &[u8]) -> Result<()> {
+        while let Some((&pq_tq, rest)) = payload.split_first() {
             let pq = pq_tq >> 4;
             let tq = usize::from(pq_tq & 0x0F);
             if tq > 3 {
                 return Err(JpegError::Format("DQT table id > 3".into()));
             }
-            let table = match pq {
-                0 => {
-                    let mut zz = [0u8; 64];
-                    for v in zz.iter_mut() {
-                        *v = self.take_u8()?;
-                    }
-                    QuantTable::from_zigzag_bytes(&zz)
+            if pq > 1 {
+                return Err(JpegError::Format("DQT precision > 1".into()));
+            }
+            let (zz, rest) = rest.split_at_checked(64 << pq).ok_or_else(|| mismatch("DQT"))?;
+            let table = if pq == 0 {
+                QuantTable::from_zigzag_bytes(zz.try_into().expect("64 bytes"))
+            } else {
+                let mut words = [0u16; 64];
+                for (w, b) in words.iter_mut().zip(zz.chunks_exact(2)) {
+                    *w = u16::from_be_bytes([b[0], b[1]]);
                 }
-                1 => {
-                    let mut zz = [0u16; 64];
-                    for v in zz.iter_mut() {
-                        *v = self.take_u16()?;
-                    }
-                    QuantTable::from_zigzag_words(&zz)
-                }
-                _ => return Err(JpegError::Format("DQT precision > 1".into())),
+                QuantTable::from_zigzag_words(&words)
             };
             // Keep the CoeffImage's copy in sync if the frame exists already.
             if let Some(frame) = self.frame.as_mut() {
@@ -233,64 +156,49 @@ impl<'a> Decoder<'a> {
                 frame.qtables[tq] = table.clone();
             }
             self.qtables[tq] = Some(table);
-        }
-        if self.pos != end {
-            return Err(JpegError::Format("DQT length mismatch".into()));
+            payload = rest;
         }
         Ok(())
     }
 
-    fn parse_dht(&mut self) -> Result<()> {
-        let len = usize::from(self.take_u16()?);
-        let end = self.pos + len - 2;
-        while self.pos < end {
-            let tc_th = self.take_u8()?;
+    fn parse_dht(&mut self, mut payload: &[u8]) -> Result<()> {
+        while let Some((&tc_th, rest)) = payload.split_first() {
             let tc = tc_th >> 4;
             let th = usize::from(tc_th & 0x0F);
             if tc > 1 || th > 3 {
                 return Err(JpegError::Format("bad DHT class/id".into()));
             }
-            let mut bits = [0u8; 16];
-            for b in bits.iter_mut() {
-                *b = self.take_u8()?;
-            }
+            let (bits, rest) = rest.split_first_chunk::<16>().ok_or_else(|| mismatch("DHT"))?;
             let total: usize = bits.iter().map(|&b| b as usize).sum();
-            let mut values = Vec::with_capacity(total);
-            for _ in 0..total {
-                values.push(self.take_u8()?);
-            }
-            let spec = HuffSpec { bits, values };
+            let (values, rest) = rest.split_at_checked(total).ok_or_else(|| mismatch("DHT"))?;
+            let spec = HuffSpec { bits: *bits, values: values.to_vec() };
             let dec = HuffDecoder::from_spec(&spec)?;
             if tc == 0 {
                 self.dc_tables[th] = Some(dec);
             } else {
                 self.ac_tables[th] = Some(dec);
             }
-        }
-        if self.pos != end {
-            return Err(JpegError::Format("DHT length mismatch".into()));
+            payload = rest;
         }
         Ok(())
     }
 
-    fn parse_and_decode_scan(&mut self) -> Result<()> {
-        let len = usize::from(self.take_u16()?);
-        let end = self.pos + len - 2;
-        let ns = usize::from(self.take_u8()?);
+    /// Decode the scan an SOS `header` opens from `data`, its
+    /// entropy-coded segment and whatever follows; returns the bytes read.
+    fn decode_scan(&mut self, header: &[u8], data: &[u8]) -> Result<usize> {
+        let (&ns, rest) = header.split_first().ok_or_else(|| mismatch("SOS"))?;
+        let ns = usize::from(ns);
         if ns == 0 || ns > 4 {
             return Err(JpegError::Format(format!("{ns} scan components")));
         }
-        let mut specs = [(0u8, 0u8); 4];
-        for spec in &mut specs[..ns] {
-            *spec = (self.take_u8()?, self.take_u8()?);
+        let &[ref specs @ .., ss, se, ah_al] = rest else {
+            return Err(mismatch("SOS"));
+        };
+        if specs.len() != 2 * ns {
+            return Err(mismatch("SOS"));
         }
-        let ss = usize::from(self.take_u8()?);
-        let se = usize::from(self.take_u8()?);
-        let ah_al = self.take_u8()?;
+        let (ss, se) = (usize::from(ss), usize::from(se));
         let (ah, al) = (ah_al >> 4, ah_al & 0x0F);
-        if self.pos != end {
-            return Err(JpegError::Format("SOS length mismatch".into()));
-        }
         if ss > 63 || se > 63 || ss > se {
             return Err(JpegError::Format("bad spectral selection".into()));
         }
@@ -320,8 +228,9 @@ impl<'a> Decoder<'a> {
             last_dc: [0; 4],
             eobrun: 0,
         };
-        let scan = comps.iter_mut().zip(&mut band.tables).zip(&specs[..ns]);
-        for ((comp, tables), &(cs, tt)) in scan {
+        let scan = comps.iter_mut().zip(&mut band.tables).zip(specs.chunks_exact(2));
+        for ((comp, tables), spec) in scan {
+            let (cs, tt) = (spec[0], spec[1]);
             *comp = frame.components.iter().position(|c| c.id == cs).ok_or_else(|| {
                 JpegError::Format(format!("scan references unknown component {cs}"))
             })?;
@@ -335,8 +244,7 @@ impl<'a> Decoder<'a> {
 
         // One restart rule: the marker, its index, then the DC
         // predictors and the EOB run start over.
-        let data = self.data;
-        let mut r = BitReader::new(&data[self.pos..]);
+        let mut r = BitReader::new(data);
         ScanWalk::new(frame, &comps[..ns], self.restart_interval).walk(|step| match step {
             Step::Restart(n) => {
                 let got = r.read_restart()?;
@@ -356,9 +264,7 @@ impl<'a> Decoder<'a> {
                 Ok(())
             }
         })?;
-        // Resume segment parsing at the terminating marker.
-        self.pos += r.resume_position();
-        Ok(())
+        Ok(r.resume_position())
     }
 }
 
@@ -534,9 +440,8 @@ pub fn decode_to_coeffs(data: &[u8]) -> Result<(CoeffImage, DecodedInfo)> {
 /// allocations the decoded frame takes over. On an error the image is
 /// left empty.
 pub fn decode_to_coeffs_into(data: &[u8], frame: &mut CoeffImage) -> Result<DecodedInfo> {
-    let mut d = Decoder::new(data);
-    d.recycled = std::mem::take(frame);
-    d.run()?;
+    let mut d = Decoder { recycled: std::mem::take(frame), ..Decoder::default() };
+    d.run(data)?;
     *frame = d.frame.take().expect("run() guarantees a frame");
     Ok(DecodedInfo { progressive: d.progressive, scans: d.scans })
 }
@@ -853,15 +758,18 @@ mod tests {
         for (layout, ci) in &layouts {
             for ri in [1u16, 3, 7] {
                 let jpeg = encode_coeffs(ci, Mode::Progressive, ri).unwrap();
-                let segs = marker::segments(&jpeg).unwrap();
-                let dri =
-                    segs.iter().any(|s| s.marker == marker::DRI && s.payload == ri.to_be_bytes());
-                assert!(dri, "{layout} DRI {ri}: no DRI segment");
-                for (n, scan) in segs.iter().filter(|s| s.marker == marker::SOS).enumerate() {
-                    let rst = |w: &[u8]| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]);
-                    let rst = scan.entropy.windows(2).any(rst);
-                    assert!(rst, "{layout} DRI {ri}: scan {n} has no RST marker");
+                let (mut walk, mut dri, mut n) = (marker::segments(&jpeg), false, 0);
+                while let Some(segment) = walk.next() {
+                    let (m, payload) = segment.unwrap();
+                    dri |= m == marker::DRI && payload == ri.to_be_bytes();
+                    if m == marker::SOS {
+                        let rst = |w: &[u8]| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]);
+                        let rst = walk.entropy().unwrap().windows(2).any(rst);
+                        assert!(rst, "{layout} DRI {ri}: scan {n} has no RST marker");
+                        n += 1;
+                    }
                 }
+                assert!(dri, "{layout} DRI {ri}: no DRI segment");
                 let (back, info) = decode_to_coeffs(&jpeg).unwrap();
                 assert!(info.progressive);
                 for (a, b) in ci.components.iter().zip(&back.components) {

@@ -980,9 +980,10 @@ mod tests {
         let img = test_rgb(64, 64);
         let ci = pixels_to_coeffs(&img, 90, Subsampling::S420).unwrap();
         let jpg = encode_coeffs(&ci, Mode::BaselineOptimized, 2).unwrap();
-        let segs = crate::marker::segments(&jpg).unwrap();
-        let sos = segs.iter().find(|s| s.marker == crate::marker::SOS).unwrap();
-        let has_rst = sos.entropy.windows(2).any(|w| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]));
+        let mut walk = crate::marker::segments(&jpg);
+        walk.find(|s| s.as_ref().unwrap().0 == crate::marker::SOS).unwrap().unwrap();
+        let entropy = walk.entropy().unwrap();
+        let has_rst = entropy.windows(2).any(|w| w[0] == 0xFF && (0xD0..=0xD7).contains(&w[1]));
         assert!(has_rst, "no restart markers in entropy data");
     }
 

@@ -196,8 +196,10 @@ impl PspCore {
         p3_jpeg::marker::summarize(body).map_err(|_| UploadError::NotJpeg)?;
         let stripped =
             p3_jpeg::marker::strip_app_markers(body).map_err(|_| UploadError::NotJpeg)?;
+        // The ladder is built from the bytes stored, so what a dynamic
+        // fetch decodes later is what this decode accepted.
         let renditions = self.with_scratch(|scratch| {
-            let (w, h) = scratch.decode(body).map_err(|e| match e {
+            let (w, h) = scratch.decode(&stripped).map_err(|e| match e {
                 p3_jpeg::JpegError::TooLarge { .. } => UploadError::TooLarge,
                 _ => UploadError::NotJpeg,
             })?;

@@ -97,28 +97,34 @@ impl P3Codec {
         Ok(P3Parts { public_jpeg, secret_blob: container.seal(key), stats })
     }
 
-    /// Recipient side, unprocessed public part: recover a JPEG whose
-    /// quantized coefficients are **bit-exact** with the sender's
-    /// original.
+    /// Recipient side, unprocessed public part: open the secret blob and
+    /// [`rejoin`] the parts.
     pub fn decrypt_jpeg(
         &self,
         public_jpeg: &[u8],
         secret_blob: &[u8],
         key: &EnvelopeKey,
     ) -> Result<Vec<u8>> {
-        let container = SecretContainer::open(secret_blob, key)?;
-        let (public, _) = p3_jpeg::decode_to_coeffs(public_jpeg)?;
-        let (secret, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
-        if (public.width, public.height) != (container.width as usize, container.height as usize) {
-            return Err(P3Error::Mismatch(format!(
-                "public part is {}x{}, container says {}x{} — was the public part processed? \
-                 reconstruct it with reconstruct_processed instead",
-                public.width, public.height, container.width, container.height
-            )));
-        }
-        let full = recombine_coeffs(&public, &secret, container.threshold)?;
-        Ok(encode_coeffs(&full, Mode::BaselineOptimized, 0)?)
+        rejoin(public_jpeg, &SecretContainer::open(secret_blob, key)?)
     }
+}
+
+/// Rejoin an unprocessed public part with its opened secret container
+/// (Eq. 1's exact inverse): a JPEG whose quantized coefficients are
+/// **bit-exact** with the sender's original. A public part of another
+/// size than the container records is a `Mismatch`.
+pub fn rejoin(public_jpeg: &[u8], container: &SecretContainer) -> Result<Vec<u8>> {
+    let (public, _) = p3_jpeg::decode_to_coeffs(public_jpeg)?;
+    let (secret, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
+    if (public.width, public.height) != (container.width as usize, container.height as usize) {
+        return Err(P3Error::Mismatch(format!(
+            "public part is {}x{}, container says {}x{} — was the public part processed? \
+             reconstruct it with reconstruct_processed instead",
+            public.width, public.height, container.width, container.height
+        )));
+    }
+    let full = recombine_coeffs(&public, &secret, container.threshold)?;
+    Ok(encode_coeffs(&full, Mode::BaselineOptimized, 0)?)
 }
 
 #[cfg(test)]

@@ -213,22 +213,48 @@ impl ShardedCache {
     }
 }
 
-/// Outcome of a secret-blob fetch. The distinction matters: only a
+/// Outcome of a storage GET. The distinction matters: only a
 /// definitive "storage has no blob for this ID" may be treated as a
 /// non-P3 photo and passed through — a transport failure must surface
 /// as an error, or an overloaded storage provider would make the proxy
 /// silently serve the privacy-degraded public part as if it were the
 /// real photo.
 #[derive(Clone)]
-enum SecretFetch {
-    /// Blob present (from cache or storage).
-    Found(Arc<Vec<u8>>),
-    /// Storage definitively has no blob under this ID — not a P3 photo.
-    NotP3,
+pub(crate) enum Fetch<T> {
+    /// Blob present (for a secret, from cache or storage).
+    Found(T),
+    /// Storage definitively has no blob under this ID — for a photo's
+    /// secret, not a P3 photo.
+    Absent,
     /// Storage unreachable or erroring; existence unknown. Carries the
     /// upstream's `retry-after` hint (if it sent one) so the client's
     /// backoff can follow the storage tier's, not a proxy guess.
     Failed(Option<String>),
+}
+
+/// A secret blob's fetch.
+type SecretFetch = Fetch<Arc<Vec<u8>>>;
+
+/// One storage GET, classified.
+pub(crate) fn storage_get(ctx: &ProxyCtx, req: Request) -> Fetch<Response> {
+    match ctx.pool.send(ctx.cfg.storage_addr, req) {
+        Ok(r) if r.status.is_success() => Fetch::Found(r),
+        Ok(r) if r.status == StatusCode::NOT_FOUND => Fetch::Absent,
+        // 5xx or unexpected statuses: existence unknown, must not be
+        // mistaken for "no such blob". A sub-quorum storage tier answers
+        // 503 + retry-after; keep its backoff hint.
+        Ok(r) => Fetch::Failed(r.headers.get("retry-after").map(str::to_string)),
+        // Transport errors carry no upstream hint.
+        Err(_) => Fetch::Failed(None),
+    }
+}
+
+/// A 502 the client should retry — on the storage tier's own backoff
+/// hint when it gave one.
+pub(crate) fn bad_gateway(msg: &str, retry_after: Option<&str>) -> Response {
+    let mut resp = Response::text(StatusCode::BAD_GATEWAY, msg);
+    resp.headers.set("retry-after", retry_after.unwrap_or("1"));
+    resp
 }
 
 /// One in-flight secret fetch that duplicate requests wait on.
@@ -336,18 +362,6 @@ pub(crate) struct ProxyCtx {
     /// Serving-tier counters the listening server counts into, so
     /// `/stats` can report them without a back-reference.
     server_stats: Arc<ServerStats>,
-}
-
-impl ProxyCtx {
-    /// Secret-blob cache lookup (shared between photo and video paths).
-    pub(crate) fn cache_get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
-        self.cache.get(key)
-    }
-
-    /// Secret-blob cache insert; returns true if an entry was evicted.
-    pub(crate) fn cache_insert(&self, key: String, blob: Arc<Vec<u8>>) -> bool {
-        self.cache.insert(key, blob)
-    }
 }
 
 /// A running P3 proxy.
@@ -579,31 +593,40 @@ fn handle_upload(req: &Request, ctx: &ProxyCtx) -> Response {
     psp_resp
 }
 
-/// Fetch the secret blob for `id` after a cache miss: singleflighted so
-/// concurrent misses on one ID share a single storage GET.
-fn fetch_secret_uncached(id: &str, ctx: &ProxyCtx) -> SecretFetch {
+/// The secret blob stored under `key` (a photo ID, or a video's
+/// `vid:{id}:sec`): the cache, then one storage GET that concurrent
+/// misses on `key` share.
+pub(crate) fn fetch_secret(key: &str, ctx: &ProxyCtx) -> SecretFetch {
+    match ctx.cache.get(key) {
+        Some(blob) => {
+            ctx.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            Fetch::Found(blob)
+        }
+        None => fetch_secret_uncached(key, ctx),
+    }
+}
+
+/// [`fetch_secret`] after a cache miss: singleflighted so concurrent
+/// misses on one key share a single storage GET.
+fn fetch_secret_uncached(key: &str, ctx: &ProxyCtx) -> SecretFetch {
     ctx.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    ctx.flights.run(id, || {
+    ctx.flights.run(key, || {
         // Double-check the cache under the flight: we may have raced a
         // just-completed fetch that already populated it.
-        if let Some(blob) = ctx.cache.get(id) {
-            return SecretFetch::Found(blob);
+        if let Some(blob) = ctx.cache.get(key) {
+            return Fetch::Found(blob);
         }
-        match ctx.pool.get(ctx.cfg.storage_addr, &format!("/blobs/{id}")) {
-            Ok(r) if r.status.is_success() => {
+        let req = Request::new(Method::Get, &format!("/blobs/{key}"), Vec::new());
+        match storage_get(ctx, req) {
+            Fetch::Found(r) => {
                 let blob = Arc::new(r.body);
-                if ctx.cache.insert(id.to_string(), Arc::clone(&blob)) {
+                if ctx.cache.insert(key.to_string(), Arc::clone(&blob)) {
                     ctx.stats.cache_evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                SecretFetch::Found(blob)
+                Fetch::Found(blob)
             }
-            Ok(r) if r.status == StatusCode::NOT_FOUND => SecretFetch::NotP3,
-            // 5xx or unexpected statuses: existence unknown, must not
-            // be mistaken for "not a P3 photo". A sub-quorum storage
-            // tier answers 503 + retry-after; keep its backoff hint.
-            Ok(r) => SecretFetch::Failed(r.headers.get("retry-after").map(str::to_string)),
-            // Transport errors carry no upstream hint.
-            Err(_) => SecretFetch::Failed(None),
+            Fetch::Absent => Fetch::Absent,
+            Fetch::Failed(retry_after) => Fetch::Failed(retry_after),
         }
     })
 }
@@ -617,12 +640,12 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
     let (psp_resp, fetch) = match ctx.cache.get(id) {
         Some(blob) => {
             stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            (forward(req, ctx), SecretFetch::Found(blob))
+            (forward(req, ctx), Fetch::Found(blob))
         }
         None => std::thread::scope(|s| {
             let fetch = s.spawn(|| fetch_secret_uncached(id, ctx));
             let psp_resp = forward(req, ctx);
-            (psp_resp, fetch.join().unwrap_or(SecretFetch::Failed(None)))
+            (psp_resp, fetch.join().unwrap_or(Fetch::Failed(None)))
         }),
     };
     if !psp_resp.status.is_success()
@@ -631,21 +654,17 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
         return psp_resp;
     }
     let blob = match fetch {
-        SecretFetch::Found(blob) => blob,
-        SecretFetch::NotP3 => {
+        Fetch::Found(blob) => blob,
+        Fetch::Absent => {
             // Not a P3 photo — transparent passthrough.
             stats.downloads_passthrough.fetch_add(1, Ordering::Relaxed);
             return psp_resp;
         }
-        SecretFetch::Failed(retry_after) => {
-            // Serving the degraded public part as if it were the photo
-            // would silently hand every client the wrong image; fail
-            // loudly and let them retry — on the storage tier's own
-            // backoff hint when it gave one.
-            let mut resp =
-                Response::text(StatusCode::BAD_GATEWAY, "secret part temporarily unavailable");
-            resp.headers.set("retry-after", retry_after.as_deref().unwrap_or("1"));
-            return resp;
+        // Serving the degraded public part as if it were the photo
+        // would silently hand every client the wrong image; fail loudly
+        // and let them retry.
+        Fetch::Failed(retry_after) => {
+            return bad_gateway("secret part temporarily unavailable", retry_after.as_deref());
         }
     };
     let key = EnvelopeKey::derive(&cfg.master_key, id.as_bytes());

@@ -17,12 +17,13 @@
 //! (`Range: bytes=a-b` → `206`) against the public blob — so the first
 //! GOP is on screen after transferring only its slice of the video
 //! (`tests/system_e2e.rs` pins every GOP read as a partial fetch). The
-//! sealed secret stream rides the proxy's existing sharded LRU, so
-//! successive GOPs of one clip decrypt from cache. `GET /videos/{id}`
+//! sealed secret stream is fetched the way a photo's secret part is —
+//! the proxy's sharded LRU, then one storage GET that concurrent misses
+//! share — so successive GOPs of one clip decrypt from cache. `GET /videos/{id}`
 //! (no query) reconstructs the whole clip.
 
 use crate::http::{Method, Request, Response, StatusCode};
-use crate::proxy::ProxyCtx;
+use crate::proxy::{bad_gateway, fetch_secret, storage_get, Fetch, ProxyCtx};
 use p3_crypto::EnvelopeKey;
 use p3_video::{FrameKind, SecretVideoStream, VideoStream};
 use std::sync::atomic::Ordering;
@@ -157,12 +158,6 @@ fn video_key(ctx: &ProxyCtx, id: &str) -> EnvelopeKey {
     EnvelopeKey::derive(&ctx.cfg.master_key, format!("vid:{id}").as_bytes())
 }
 
-fn bad_gateway(msg: &str) -> Response {
-    let mut resp = Response::text(StatusCode::BAD_GATEWAY, msg);
-    resp.headers.set("retry-after", "1");
-    resp
-}
-
 /// `POST /videos` with a `P3V1` body: split, store public + secret +
 /// index, answer with the assigned ID.
 pub(crate) fn handle_video_upload(req: &Request, ctx: &ProxyCtx) -> Response {
@@ -203,7 +198,7 @@ pub(crate) fn handle_video_upload(req: &Request, ctx: &ProxyCtx) -> Response {
             for (part, _) in parts.iter().take(i) {
                 let _ = ctx.pool.delete(ctx.cfg.storage_addr, &storage_blob_path(&id, part));
             }
-            return bad_gateway(&err);
+            return bad_gateway(&err, None);
         }
     }
     ctx.stats.videos_split.fetch_add(1, Ordering::Relaxed);
@@ -212,47 +207,29 @@ pub(crate) fn handle_video_upload(req: &Request, ctx: &ProxyCtx) -> Response {
     resp
 }
 
-/// Outcome of a storage GET on the video path.
-enum BlobFetch {
-    Found(Response),
-    Absent,
-    Failed(String),
+/// The 502 for a storage GET that failed.
+fn unavailable(retry_after: Option<String>) -> Response {
+    bad_gateway("storage unavailable", retry_after.as_deref())
 }
 
-fn fetch_blob(ctx: &ProxyCtx, path: &str, range: Option<(u64, u64)>) -> BlobFetch {
+fn fetch_blob(ctx: &ProxyCtx, path: &str, range: Option<(u64, u64)>) -> Fetch<Response> {
     let mut req = Request::new(Method::Get, path, Vec::new());
     if let Some((a, b)) = range {
         req.headers.set("range", format!("bytes={a}-{b}"));
     }
-    match ctx.pool.send(ctx.cfg.storage_addr, req) {
-        Ok(r) if r.status.is_success() => BlobFetch::Found(r),
-        Ok(r) if r.status == StatusCode::NOT_FOUND => BlobFetch::Absent,
-        Ok(r) => BlobFetch::Failed(format!("storage: {}", r.status.0)),
-        Err(e) => BlobFetch::Failed(format!("storage: {e}")),
-    }
+    storage_get(ctx, req)
 }
 
-/// Fetch the sealed secret stream, riding the proxy's secret-part LRU.
-fn fetch_secret(ctx: &ProxyCtx, id: &str) -> Result<Arc<Vec<u8>>, Response> {
-    let cache_key = format!("vid:{id}:sec");
-    if let Some(blob) = ctx.cache_get(&cache_key) {
-        ctx.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(blob);
-    }
-    ctx.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-    match fetch_blob(ctx, &storage_blob_path(id, "sec"), None) {
-        BlobFetch::Found(r) => {
-            let blob = Arc::new(r.body);
-            if ctx.cache_insert(cache_key, Arc::clone(&blob)) {
-                ctx.stats.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(blob)
-        }
+/// The sealed secret stream, through the photo path's secret fetch
+/// (cache, then a singleflighted storage GET).
+fn fetch_video_secret(ctx: &ProxyCtx, id: &str) -> Result<Arc<Vec<u8>>, Response> {
+    match fetch_secret(&format!("vid:{id}:sec"), ctx) {
+        Fetch::Found(blob) => Ok(blob),
         // An index exists but its secret stream does not: inconsistent
         // storage, not a definitive "no such video" — never serve the
         // degraded public part in its place.
-        BlobFetch::Absent => Err(bad_gateway("video secret stream missing")),
-        BlobFetch::Failed(e) => Err(bad_gateway(&e)),
+        Fetch::Absent => Err(bad_gateway("video secret stream missing", None)),
+        Fetch::Failed(retry_after) => Err(unavailable(retry_after)),
     }
 }
 
@@ -260,12 +237,12 @@ fn fetch_secret(ctx: &ProxyCtx, id: &str) -> Result<Arc<Vec<u8>>, Response> {
 /// fragment fetched with a ranged storage read.
 pub(crate) fn handle_video_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
     let index = match fetch_blob(ctx, &storage_blob_path(id, "idx"), None) {
-        BlobFetch::Found(r) => match VideoIndex::parse(&String::from_utf8_lossy(&r.body)) {
+        Fetch::Found(r) => match VideoIndex::parse(&String::from_utf8_lossy(&r.body)) {
             Some(idx) => idx,
-            None => return bad_gateway("corrupt video index"),
+            None => return bad_gateway("corrupt video index", None),
         },
-        BlobFetch::Absent => return Response::text(StatusCode::NOT_FOUND, "no such video"),
-        BlobFetch::Failed(e) => return bad_gateway(&e),
+        Fetch::Absent => return Response::text(StatusCode::NOT_FOUND, "no such video"),
+        Fetch::Failed(retry_after) => return unavailable(retry_after),
     };
     match req.query_param("gop") {
         Some(k) => match k.parse::<usize>() {
@@ -283,33 +260,33 @@ fn open_containers(
 ) -> Result<Vec<p3_core::container::SecretContainer>, Response> {
     let secret = SecretVideoStream { blob: blob.to_vec() };
     p3_video::open_secret_stream(&secret, &video_key(ctx, id))
-        .map_err(|e| bad_gateway(&format!("secret stream rejected: {e}")))
+        .map_err(|e| bad_gateway(&format!("secret stream rejected: {e}"), None))
 }
 
 fn serve_full(id: &str, index: &VideoIndex, ctx: &ProxyCtx) -> Response {
     let public_bytes = match fetch_blob(ctx, &storage_blob_path(id, "pub"), None) {
-        BlobFetch::Found(r) => r.body,
-        BlobFetch::Absent => return bad_gateway("video public stream missing"),
-        BlobFetch::Failed(e) => return bad_gateway(&e),
+        Fetch::Found(r) => r.body,
+        Fetch::Absent => return bad_gateway("video public stream missing", None),
+        Fetch::Failed(retry_after) => return unavailable(retry_after),
     };
-    let secret_blob = match fetch_secret(ctx, id) {
+    let secret_blob = match fetch_video_secret(ctx, id) {
         Ok(b) => b,
         Err(resp) => return resp,
     };
     let stream = match VideoStream::from_bytes(&public_bytes) {
         Ok(s) => s,
-        Err(e) => return bad_gateway(&format!("corrupt public stream: {e}")),
+        Err(e) => return bad_gateway(&format!("corrupt public stream: {e}"), None),
     };
     let public = p3_video::PublicVideo { stream };
     let secret = SecretVideoStream { blob: secret_blob.to_vec() };
-    match p3_video::reconstruct_video(&public, &secret, &ctx.cfg.codec, &video_key(ctx, id)) {
+    match p3_video::reconstruct_video(&public, &secret, &video_key(ctx, id)) {
         Ok(restored) => {
             ctx.stats.video_fulls_served.fetch_add(1, Ordering::Relaxed);
             let mut resp = Response::ok("video/p3v", restored.to_bytes());
             resp.headers.set("x-p3-video-gops", index.gop_starts().len().to_string());
             resp
         }
-        Err(e) => bad_gateway(&format!("video reconstruction failed: {e}")),
+        Err(e) => bad_gateway(&format!("video reconstruction failed: {e}"), None),
     }
 }
 
@@ -324,21 +301,21 @@ fn serve_gop(id: &str, index: &VideoIndex, k: usize, ctx: &ProxyCtx) -> Response
     // the wire — playback starts before the rest of the clip exists
     // locally.
     let fragment = match fetch_blob(ctx, &storage_blob_path(id, "pub"), Some((start, end))) {
-        BlobFetch::Found(r) if r.status == StatusCode::PARTIAL_CONTENT => r.body,
+        Fetch::Found(r) if r.status == StatusCode::PARTIAL_CONTENT => r.body,
         // A storage tier without range support answers 200-whole; slice
         // locally so the client contract holds either way.
-        BlobFetch::Found(r) => {
+        Fetch::Found(r) => {
             let (a, b) = (start as usize, (end + 1) as usize);
             if b > r.body.len() {
-                return bad_gateway("public stream shorter than its index");
+                return bad_gateway("public stream shorter than its index", None);
             }
             r.body[a..b].to_vec()
         }
-        BlobFetch::Absent => return bad_gateway("video public stream missing"),
-        BlobFetch::Failed(e) => return bad_gateway(&e),
+        Fetch::Absent => return bad_gateway("video public stream missing", None),
+        Fetch::Failed(retry_after) => return unavailable(retry_after),
     };
     if fragment.len() as u64 != end - start + 1 {
-        return bad_gateway("ranged read returned wrong slice");
+        return bad_gateway("ranged read returned wrong slice", None);
     }
     // Parse the fragment's frame records against the index.
     let locs = &index.frames[span.clone()];
@@ -347,11 +324,11 @@ fn serve_gop(id: &str, index: &VideoIndex, k: usize, ctx: &ProxyCtx) -> Response
         let a = (loc.offset - start) as usize;
         let b = a + loc.len as usize;
         if b > fragment.len() || loc.len < 5 {
-            return bad_gateway("index and fragment disagree");
+            return bad_gateway("index and fragment disagree", None);
         }
         frames.push((loc.kind, fragment[a + 5..b].to_vec()));
     }
-    let secret_blob = match fetch_secret(ctx, id) {
+    let secret_blob = match fetch_video_secret(ctx, id) {
         Ok(b) => b,
         Err(resp) => return resp,
     };
@@ -360,13 +337,13 @@ fn serve_gop(id: &str, index: &VideoIndex, k: usize, ctx: &ProxyCtx) -> Response
         Err(resp) => return resp,
     };
     let Some(container) = containers.get(k) else {
-        return bad_gateway("secret stream has no container for this gop");
+        return bad_gateway("secret stream has no container for this gop", None);
     };
     // GOP fragment: reconstruct the leading I-frame, keep P-frames.
     let Some((FrameKind::I, iframe_jpeg)) = frames.first() else {
-        return bad_gateway("gop fragment does not start with an I-frame");
+        return bad_gateway("gop fragment does not start with an I-frame", None);
     };
-    match p3_video::reconstruct_iframe(iframe_jpeg, container) {
+    match p3_core::pipeline::rejoin(iframe_jpeg, container) {
         Ok(rejoined) => {
             frames[0] = (FrameKind::I, rejoined);
             ctx.stats.video_gops_served.fetch_add(1, Ordering::Relaxed);
@@ -378,7 +355,7 @@ fn serve_gop(id: &str, index: &VideoIndex, k: usize, ctx: &ProxyCtx) -> Response
             resp.headers.set("x-p3-range-bytes", (end - start + 1).to_string());
             resp
         }
-        Err(e) => bad_gateway(&format!("gop reconstruction failed: {e}")),
+        Err(e) => bad_gateway(&format!("gop reconstruction failed: {e}"), None),
     }
 }
 

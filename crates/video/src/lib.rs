@@ -28,8 +28,7 @@ pub mod split;
 pub use codec::{GopCodec, VideoCodecParams};
 pub use container::{FrameKind, VideoStream};
 pub use split::{
-    open_secret_stream, reconstruct_iframe, reconstruct_video, split_video, PublicVideo,
-    SecretVideoStream,
+    open_secret_stream, reconstruct_video, split_video, PublicVideo, SecretVideoStream,
 };
 
 use std::fmt;

@@ -99,22 +99,12 @@ pub fn open_secret_stream(
     Ok(containers)
 }
 
-/// Rejoin one public I-frame with its secret container (Eq. 1's exact
-/// inverse), returning the reconstructed JPEG bytes.
-pub fn reconstruct_iframe(public_jpeg: &[u8], container: &SecretContainer) -> Result<Vec<u8>> {
-    let (public_ci, _) = p3_jpeg::decode_to_coeffs(public_jpeg)?;
-    let (secret_ci, _) = p3_jpeg::decode_to_coeffs(&container.jpeg)?;
-    let full = p3_core::recombine_coeffs(&public_ci, &secret_ci, container.threshold)?;
-    Ok(p3_jpeg::encoder::encode_coeffs(&full, p3_jpeg::encoder::Mode::BaselineOptimized, 0)?)
-}
-
 /// Reconstruct the original stream from a public video and its secret
 /// stream (unprocessed case: the service stored the public video
 /// as-is).
 pub fn reconstruct_video(
     public: &PublicVideo,
     secret: &SecretVideoStream,
-    codec: &P3Codec,
     key: &EnvelopeKey,
 ) -> Result<VideoStream> {
     let containers = open_secret_stream(secret, key)?;
@@ -126,12 +116,11 @@ pub fn reconstruct_video(
                 let container = next_secret
                     .next()
                     .ok_or_else(|| VideoError::Stream(format!("missing secret for I-frame {i}")))?;
-                out_frames.push((FrameKind::I, reconstruct_iframe(jpeg, &container)?));
+                out_frames.push((FrameKind::I, p3_core::pipeline::rejoin(jpeg, &container)?));
             }
             FrameKind::P => out_frames.push((FrameKind::P, jpeg.clone())),
         }
     }
-    let _ = codec;
     Ok(VideoStream {
         width: public.stream.width,
         height: public.stream.height,
@@ -161,7 +150,7 @@ mod tests {
         let codec = P3Codec::new(P3Config { threshold: 10 });
         let key = EnvelopeKey::derive(b"video master", b"clip-1");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
-        let restored = reconstruct_video(&public, &secret, &codec, &key).unwrap();
+        let restored = reconstruct_video(&public, &secret, &key).unwrap();
         let decoded = gop.decode(&restored).unwrap();
         for (orig, dec) in frames.iter().zip(decoded.iter()) {
             let db = psnr(&rgb_to_luma(orig), &rgb_to_luma(dec));
@@ -193,7 +182,7 @@ mod tests {
         let key = EnvelopeKey::derive(b"video master", b"clip-3");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
         let wrong = EnvelopeKey::derive(b"not it", b"clip-3");
-        assert!(reconstruct_video(&public, &secret, &codec, &wrong).is_err());
+        assert!(reconstruct_video(&public, &secret, &wrong).is_err());
     }
 
     #[test]

@@ -36,8 +36,7 @@ fn main() {
 
     // What an eavesdropper sees vs what a recipient reconstructs.
     let leaked = gop.decode(&public.stream).expect("decode public");
-    let restored =
-        p3_video::reconstruct_video(&public, &secret, &codec, &key).expect("reconstruct");
+    let restored = p3_video::reconstruct_video(&public, &secret, &key).expect("reconstruct");
     let restored_frames = gop.decode(&restored).expect("decode restored");
 
     println!("frame  kind  public-only dB  reconstructed dB");

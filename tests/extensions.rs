@@ -43,7 +43,7 @@ fn video_extension_end_to_end() {
     assert_eq!(parsed.iframe_indices(), stream.iframe_indices());
 
     // Reconstruction restores watchable quality.
-    let restored = p3_video::reconstruct_video(&public, &secret, &codec, &key).unwrap();
+    let restored = p3_video::reconstruct_video(&public, &secret, &key).unwrap();
     let decoded = gop.decode(&restored).unwrap();
     let orig_luma = p3_core::pixel::rgb_to_luma(&frames[7]);
     let rec_luma = p3_core::pixel::rgb_to_luma(&decoded[7]);

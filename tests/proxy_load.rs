@@ -5,7 +5,8 @@
 //! What must hold under concurrency:
 //! * no lost responses — every request gets a success back;
 //! * the secret cache stays within its configured bound;
-//! * singleflight + cache keep storage GETs at ≤ one per distinct ID;
+//! * singleflight + cache keep storage GETs at ≤ one per distinct ID,
+//!   photo secret or video secret stream;
 //! * graceful shutdown drains an in-flight request instead of dropping
 //!   it;
 //! * a failed storage PUT rolls the PSP upload back (no orphaned public
@@ -122,6 +123,32 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
     // All requests were answered by the pooled server.
     let served = sys.proxy.server_stats().requests_served.load(Ordering::Relaxed);
     assert_eq!(served, (DISTINCT + CLIENTS * PER_CLIENT) as u64);
+
+    // A herd on one clip's GOPs: each request reads the index and its
+    // GOP's range, and all of them share one fetch of the secret stream.
+    let clip = p3_video::codec::test_clip(5, 48, 32, 12);
+    let params = p3_video::VideoCodecParams { gop: 4, ..Default::default() };
+    let clip = p3_video::GopCodec::new(params).encode(&clip).expect("encode clip").to_bytes();
+    let up = http_post(addr, "/videos", "video/p3v", clip).expect("video upload");
+    assert_eq!(up.status, StatusCode::CREATED);
+    let id = String::from_utf8_lossy(&up.body).trim().to_string();
+    let baseline_gets = sys.storage.core().get_count();
+    std::thread::scope(|s| {
+        for c in 0..CLIENTS {
+            let id = &id;
+            s.spawn(move || {
+                let resp = http_get(addr, &format!("/videos/{id}?gop={}", c % 3)).expect("gop");
+                assert!(resp.status.is_success(), "gop {} failed: {:?}", c % 3, resp.status);
+            });
+        }
+    });
+    assert_eq!(stats.video_gops_served.load(Ordering::Relaxed), CLIENTS as u64);
+    let gets = sys.storage.core().get_count() - baseline_gets;
+    assert!(
+        gets <= 2 * CLIENTS as u64 + 1,
+        "{gets} storage GETs for {CLIENTS} GOP requests on one clip — the secret stream \
+         was fetched more than once"
+    );
 }
 
 #[test]

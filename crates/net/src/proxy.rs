@@ -597,13 +597,17 @@ fn handle_upload(req: &Request, ctx: &ProxyCtx) -> Response {
 /// `vid:{id}:sec`): the cache, then one storage GET that concurrent
 /// misses on `key` share.
 pub(crate) fn fetch_secret(key: &str, ctx: &ProxyCtx) -> SecretFetch {
-    match ctx.cache.get(key) {
-        Some(blob) => {
-            ctx.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            Fetch::Found(blob)
-        }
+    match cached_secret(key, ctx) {
+        Some(blob) => Fetch::Found(blob),
         None => fetch_secret_uncached(key, ctx),
     }
+}
+
+/// The secret blob the cache holds under `key`, counted as a hit.
+fn cached_secret(key: &str, ctx: &ProxyCtx) -> Option<Arc<Vec<u8>>> {
+    let blob = ctx.cache.get(key)?;
+    ctx.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+    Some(blob)
 }
 
 /// [`fetch_secret`] after a cache miss: singleflighted so concurrent
@@ -637,11 +641,8 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
     // Secret blob and PSP response, fetched concurrently as the paper
     // specifies (§4.1). A cache hit skips the extra thread entirely; on
     // a miss the storage GET overlaps the PSP round-trip.
-    let (psp_resp, fetch) = match ctx.cache.get(id) {
-        Some(blob) => {
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            (forward(req, ctx), Fetch::Found(blob))
-        }
+    let (psp_resp, fetch) = match cached_secret(id, ctx) {
+        Some(blob) => (forward(req, ctx), Fetch::Found(blob)),
         None => std::thread::scope(|s| {
             let fetch = s.spawn(|| fetch_secret_uncached(id, ctx));
             let psp_resp = forward(req, ctx);

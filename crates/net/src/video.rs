@@ -19,8 +19,8 @@
 //! (`tests/system_e2e.rs` pins every GOP read as a partial fetch). The
 //! sealed secret stream is fetched the way a photo's secret part is —
 //! the proxy's sharded LRU, then one storage GET that concurrent misses
-//! share — so successive GOPs of one clip decrypt from cache. `GET /videos/{id}`
-//! (no query) reconstructs the whole clip.
+//! share — so successive GOPs of one clip decrypt from cache.
+//! `GET /videos/{id}` (no query) reconstructs the whole clip.
 
 use crate::http::{Method, Request, Response, StatusCode};
 use crate::proxy::{bad_gateway, fetch_secret, storage_get, Fetch, ProxyCtx};

@@ -1,7 +1,8 @@
 //! Blocking HTTP client: one-shot helpers and a keep-alive
 //! [`ClientPool`] that reuses TCP connections per upstream address.
-//! Every outbound request in the system goes through one of the two and
-//! reads its reply with [`Response::read_from`].
+//! Every outbound request in the system goes through one exchange —
+//! write the request, read the reply with [`Response::read_from`], the
+//! same push parser the reactors run on requests.
 
 use crate::http::{HttpError, Method, Request, Response};
 use crate::transport::{Connection, Deadlines, TcpTransport, Transport};
@@ -45,9 +46,7 @@ pub fn send(addr: SocketAddr, mut request: Request) -> Result<Response, ClientEr
     let stream = TcpTransport.connect(addr, Deadlines::default()).map_err(ClientError::Connect)?;
     request.headers.set("connection", "close");
     request.headers.set("host", addr.to_string());
-    let mut reader = BufReader::new(stream);
-    request.write_to(reader.get_mut()).map_err(HttpError::Io)?;
-    Ok(Response::read_from(&mut reader)?)
+    ClientPool::exchange(&mut BufReader::new(stream), &request)
 }
 
 /// GET `path` from `addr`.
@@ -188,9 +187,14 @@ impl ClientPool {
         }
     }
 
-    fn exchange(conn: &mut PooledConn, request: &Request) -> Result<Response, ClientError> {
-        request.write_to(conn.stream.get_mut()).map_err(HttpError::Io)?;
-        Ok(Response::read_from(&mut conn.stream)?)
+    /// Write `request` on `stream` and read its reply: the one exchange
+    /// every outbound call makes.
+    fn exchange(
+        stream: &mut BufReader<Box<dyn Connection>>,
+        request: &Request,
+    ) -> Result<Response, ClientError> {
+        request.write_to(stream.get_mut()).map_err(HttpError::Io)?;
+        Ok(Response::read_from(stream)?)
     }
 
     /// Send `request` to `addr`, reusing a pooled connection when one is
@@ -210,7 +214,7 @@ impl ClientPool {
         let idempotent = !matches!(request.method, Method::Post);
         if idempotent {
             if let Some(mut conn) = self.checkout(addr) {
-                match Self::exchange(&mut conn, &request) {
+                match Self::exchange(&mut conn.stream, &request) {
                     Ok(resp) => {
                         self.reuses.fetch_add(1, Ordering::Relaxed);
                         self.recycle(addr, conn, &resp);
@@ -225,7 +229,7 @@ impl ClientPool {
         let stream = self.transport.connect(addr, self.deadlines).map_err(ClientError::Connect)?;
         self.connects.fetch_add(1, Ordering::Relaxed);
         let mut conn = PooledConn { stream: BufReader::new(stream), idle_since: Instant::now() };
-        let resp = Self::exchange(&mut conn, &request)?;
+        let resp = Self::exchange(&mut conn.stream, &request)?;
         self.recycle(addr, conn, &resp);
         Ok(resp)
     }

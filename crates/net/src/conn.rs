@@ -26,7 +26,7 @@
 //! disk fsync, upstream round-trips) happens on the offload workers,
 //! which hand the serialized response back via [`Handle::wake_source`].
 
-use crate::http::{HttpError, Request, RequestParser, Response, StatusCode};
+use crate::http::{Request, RequestParser, Response, StatusCode};
 use crate::server::{Handler, ServerStats, IO_TIMEOUT};
 use p3_reactor::{Handle, Reactor, Source, Token};
 use std::cell::RefCell;
@@ -378,10 +378,6 @@ impl Conn {
                 }
                 Ok((n, None)) => {
                     self.pending.drain(..n);
-                    return;
-                }
-                Err(HttpError::Closed) | Err(HttpError::Io(_)) => {
-                    self.close_conn(r);
                     return;
                 }
                 Err(e) => {

@@ -5,15 +5,15 @@
 //! bounded message sizes. Chunked transfer encoding is intentionally not
 //! implemented — both ends of every connection in this system are ours.
 //!
-//! One parser per direction, sharing the line parsers and size guards:
-//! the push [`RequestParser`] reads every request (reactors feed it
-//! whatever the socket produced), and the blocking
-//! [`Response::read_from`] reads every response — each outbound call in
-//! the system reads its reply through it.
+//! One framing in both directions: the push [`Parser`], generic over the
+//! start line ([`Message`]), reads every request (the reactors feed a
+//! [`RequestParser`] whatever the socket produced) and every reply
+//! ([`Response::read_from`] feeds it a blocking socket's buffer), so hostile
+//! bytes from a client, the PSP or a storage node meet one set of rules.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 
 /// Maximum accepted header block (DoS guard).
 pub const MAX_HEADER_BYTES: usize = 64 * 1024;
@@ -388,22 +388,11 @@ impl Request {
         }
     }
 
-    /// Serialize onto a writer. The head is assembled in one buffer and
-    /// written with a single call (one small write per header line would
-    /// mean one TCP segment each and Nagle/delayed-ACK stalls on
-    /// keep-alive connections).
+    /// Serialize onto a writer: the head in one write, then the body.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut head = Vec::with_capacity(256);
-        write!(head, "{} {} {}\r\n", self.method.as_str(), self.target(), self.version.as_str())?;
-        for (k, v) in self.headers.iter() {
-            if k != "content-length" {
-                write!(head, "{k}: {v}\r\n")?;
-            }
-        }
-        write!(head, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&head)?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let (method, target, version) = (self.method.as_str(), self.target(), self.version);
+        let start = format_args!("{method} {target} {}", version.as_str());
+        write_message(w, start, &self.headers, &self.body)
     }
 }
 
@@ -433,33 +422,51 @@ impl Response {
         Response { status, headers, body: msg.as_bytes().to_vec() }
     }
 
-    /// Serialize onto a writer (single-buffered head; see
-    /// [`Request::write_to`]).
+    /// Serialize onto a writer: the head in one write, then the body.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut head = Vec::with_capacity(256);
-        write!(head, "HTTP/1.1 {} {}\r\n", self.status.0, self.status.reason())?;
-        for (k, v) in self.headers.iter() {
-            if k != "content-length" {
-                write!(head, "{k}: {v}\r\n")?;
-            }
-        }
-        write!(head, "content-length: {}\r\n\r\n", self.body.len())?;
-        w.write_all(&head)?;
-        w.write_all(&self.body)?;
-        w.flush()
+        let start = format_args!("HTTP/1.1 {} {}", self.status.0, self.status.reason());
+        write_message(w, start, &self.headers, &self.body)
     }
 
-    /// Parse one response from a buffered reader.
+    /// Read one response off a buffered stream through a [`Parser`],
+    /// consuming exactly its bytes. End of stream before its first byte is
+    /// [`HttpError::Closed`], anywhere after it [`HttpError::Parse`].
     pub fn read_from<R: Read>(r: &mut BufReader<R>) -> Result<Response, HttpError> {
-        let line = read_line_within(r, MAX_HEADER_BYTES)?;
-        if line.is_empty() {
-            return Err(HttpError::Closed);
+        let mut parser = Parser::new();
+        loop {
+            let input = match r.fill_buf() {
+                Ok([]) => return Err(parser.eof()),
+                Ok(input) => input,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(HttpError::Io(e)),
+            };
+            let (n, reply) = parser.feed(input)?;
+            r.consume(n);
+            if let Some(reply) = reply {
+                return Ok(reply);
+            }
         }
-        let status = parse_status_line(line.trim_end())?;
-        let headers = read_headers(r)?;
-        let body = read_body(r, &headers)?;
-        Ok(Response { status, headers, body })
     }
+}
+
+/// Serialize one message: start line, headers, then `content-length`, in
+/// one buffer and one write (a write per header line would cost a TCP
+/// segment each and Nagle/delayed-ACK stalls), then the body.
+fn write_message<W: Write>(
+    w: &mut W,
+    start: fmt::Arguments<'_>,
+    headers: &Headers,
+    body: &[u8],
+) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(256);
+    write!(head, "{start}\r\n")?;
+    for (k, v) in headers.iter().filter(|&(k, _)| k != "content-length") {
+        write!(head, "{k}: {v}\r\n")?;
+    }
+    write!(head, "content-length: {}\r\n\r\n", body.len())?;
+    w.write_all(&head)?;
+    w.write_all(body)?;
+    w.flush()
 }
 
 fn split_target(target: &str) -> (String, Vec<(String, String)>) {
@@ -477,37 +484,6 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
             (path.to_string(), query)
         }
     }
-}
-
-/// Parsed request line: method, path, query pairs, version.
-type RequestLine = (Method, String, Vec<(String, String)>, Version);
-
-fn parse_request_line(line: &str) -> Result<RequestLine, HttpError> {
-    let mut parts = line.split(' ');
-    let method = parts
-        .next()
-        .and_then(Method::parse)
-        .ok_or_else(|| HttpError::Parse(format!("bad method in {line:?}")))?;
-    let target = parts.next().ok_or_else(|| HttpError::Parse("missing target".into()))?;
-    let version = parts
-        .next()
-        .and_then(Version::parse)
-        .ok_or_else(|| HttpError::Parse(format!("unsupported version in {line:?}")))?;
-    let (path, query) = split_target(target);
-    Ok((method, path, query, version))
-}
-
-fn parse_status_line(line: &str) -> Result<StatusCode, HttpError> {
-    let mut parts = line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Parse(format!("bad status line {line:?}")));
-    }
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| HttpError::Parse("bad status code".into()))?;
-    Ok(StatusCode(code))
 }
 
 fn parse_header_line(line: &str, headers: &mut Headers) -> Result<(), HttpError> {
@@ -544,46 +520,62 @@ fn body_len(headers: &Headers) -> Result<usize, HttpError> {
     Ok(len)
 }
 
-/// Read one line (through its `\n`, or to EOF) of at most `budget`
-/// bytes. The peer is untrusted: a line that spends the budget without
-/// terminating is [`HttpError::TooLarge`] after `budget + 1` bytes, not
-/// a `String` grown until the stream ends. Empty means EOF.
-fn read_line_within<R: Read>(r: &mut BufReader<R>, budget: usize) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let n = r.by_ref().take(budget as u64 + 1).read_line(&mut line)?;
-    if n > budget {
-        return Err(HttpError::TooLarge);
+/// A message the one [`Parser`] frames: requests and responses differ on
+/// the wire in their start line alone.
+pub trait Message: Sized {
+    /// What the start line parses to.
+    type Start;
+    /// Parse the start line (its line ending trimmed).
+    fn parse_start(line: &str) -> Result<Self::Start, HttpError>;
+    /// The whole message from its parsed parts.
+    fn assemble(start: Self::Start, headers: Headers, body: Vec<u8>) -> Self;
+}
+
+impl Message for Request {
+    /// Method, path, query pairs, version.
+    type Start = (Method, String, Vec<(String, String)>, Version);
+
+    fn parse_start(line: &str) -> Result<Self::Start, HttpError> {
+        let mut parts = line.split(' ');
+        let method = parts
+            .next()
+            .and_then(Method::parse)
+            .ok_or_else(|| HttpError::Parse(format!("bad method in {line:?}")))?;
+        let target = parts.next().ok_or_else(|| HttpError::Parse("missing target".into()))?;
+        let version = parts
+            .next()
+            .and_then(Version::parse)
+            .ok_or_else(|| HttpError::Parse(format!("unsupported version in {line:?}")))?;
+        let (path, query) = split_target(target);
+        Ok((method, path, query, version))
     }
-    Ok(line)
-}
 
-fn read_headers<R: Read>(r: &mut BufReader<R>) -> Result<Headers, HttpError> {
-    let mut headers = Headers::new();
-    let mut total = 0usize;
-    loop {
-        let line = read_line_within(r, MAX_HEADER_BYTES - total)?;
-        if line.is_empty() {
-            return Err(HttpError::Parse("eof in headers".into()));
-        }
-        total += line.len();
-        let line = line.trim_end();
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        parse_header_line(line, &mut headers)?;
+    fn assemble(start: Self::Start, headers: Headers, body: Vec<u8>) -> Request {
+        let (method, path, query, version) = start;
+        Request { method, path, query, version, headers, body }
     }
 }
 
-fn read_body<R: Read>(r: &mut BufReader<R>, headers: &Headers) -> Result<Vec<u8>, HttpError> {
-    let len = body_len(headers)?;
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(body)
-}
+impl Message for Response {
+    type Start = StatusCode;
 
-// ---------------------------------------------------------------------
-// Incremental (resumable) parsing for the epoll serving tier
-// ---------------------------------------------------------------------
+    /// `HTTP/1.0` or `HTTP/1.1`, then a three-digit code in 100–599,
+    /// then an optional reason phrase (ignored).
+    fn parse_start(line: &str) -> Result<StatusCode, HttpError> {
+        let bad = || HttpError::Parse(format!("bad status line {line:?}"));
+        let mut parts = line.splitn(3, ' ');
+        parts.next().and_then(Version::parse).ok_or_else(bad)?;
+        let code = parts.next().filter(|c| c.len() == 3 && c.bytes().all(|b| b.is_ascii_digit()));
+        match code.and_then(|c| c.parse().ok()) {
+            Some(code @ 100..=599) => Ok(StatusCode(code)),
+            _ => Err(bad()),
+        }
+    }
+
+    fn assemble(status: StatusCode, headers: Headers, body: Vec<u8>) -> Response {
+        Response { status, headers, body }
+    }
+}
 
 enum Phase {
     FirstLine,
@@ -591,65 +583,71 @@ enum Phase {
     Body { need: usize },
 }
 
-/// Resumable push parser for requests (the epoll server's per-connection
-/// parse state). `feed` never blocks: hand it whatever bytes the socket
-/// produced and it returns how many it consumed plus a complete request
-/// once one is assembled, leaving any pipelined remainder unconsumed.
-/// It applies the same line parsers and size guards as the blocking
-/// [`Response::read_from`], and like it rejects an unterminated line
-/// with [`HttpError::TooLarge`] as soon as the header budget is spent
-/// rather than buffering without bound.
-pub struct RequestParser {
+/// Resumable push parser: the epoll server's per-connection state
+/// ([`RequestParser`]) and every read of a reply ([`Response::read_from`]).
+/// `feed` never blocks: it takes whatever bytes arrived, returns how many it
+/// consumed and a message once one is whole, and leaves a pipelined rest
+/// unconsumed. An unterminated line is [`HttpError::TooLarge`] as soon as
+/// the header budget is spent; a declared body reserves at most 1 MiB.
+pub struct Parser<M: Message> {
     phase: Phase,
     /// Bytes of the current, not-yet-terminated line (sans `\n`).
     line: Vec<u8>,
     header_bytes: usize,
-    /// The parsed request line, once [`Phase::FirstLine`] is past.
-    head: Option<RequestLine>,
+    /// The parsed start line, once [`Phase::FirstLine`] is past.
+    start: Option<M::Start>,
     headers: Headers,
     body: Vec<u8>,
 }
 
-impl Default for RequestParser {
+/// The reactor's per-connection request parser.
+pub type RequestParser = Parser<Request>;
+
+impl<M: Message> Default for Parser<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl RequestParser {
-    /// A parser expecting the start of a request.
-    pub fn new() -> RequestParser {
-        RequestParser {
+impl<M: Message> Parser<M> {
+    /// A parser expecting the start of a message.
+    pub fn new() -> Self {
+        Parser {
             phase: Phase::FirstLine,
             line: Vec::new(),
             header_bytes: 0,
-            head: None,
+            start: None,
             headers: Headers::new(),
             body: Vec::new(),
         }
     }
 
-    /// True when no bytes of the next request have arrived yet —
-    /// i.e. the connection is between requests (idle-timeout eligible).
+    /// True when no bytes of the next message have arrived yet —
+    /// i.e. the connection is between messages (idle-timeout eligible).
     pub fn is_idle(&self) -> bool {
         matches!(self.phase, Phase::FirstLine) && self.line.is_empty()
     }
 
-    fn finish(&mut self) -> Request {
-        let headers = std::mem::take(&mut self.headers);
-        let body = std::mem::take(&mut self.body);
-        let (method, path, query, version) =
-            self.head.take().expect("finish without a parsed request line");
-        self.phase = Phase::FirstLine;
-        self.header_bytes = 0;
-        self.line.clear();
-        Request { method, path, query, version, headers, body }
+    /// What the end of the stream means now: a clean close between
+    /// messages, a truncated message inside one.
+    fn eof(&self) -> HttpError {
+        if self.is_idle() {
+            HttpError::Closed
+        } else {
+            HttpError::Parse("eof in a message".into())
+        }
     }
 
-    /// Feed socket bytes; returns `(consumed, maybe-complete-request)`.
+    /// Hand back the assembled message and reset for the next one.
+    fn finish(&mut self) -> M {
+        let done = std::mem::take(self);
+        M::assemble(done.start.expect("finish without a start line"), done.headers, done.body)
+    }
+
+    /// Feed input bytes; returns `(consumed, maybe-complete-message)`.
     /// On completion, unused input is left for the caller (pipelining)
-    /// and the parser resets for the next request.
-    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<Request>), HttpError> {
+    /// and the parser resets for the next message.
+    pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Option<M>), HttpError> {
         let mut consumed = 0;
         while consumed < input.len() {
             match self.phase {
@@ -673,7 +671,7 @@ impl RequestParser {
                         .map_err(|_| HttpError::Parse("non-utf8 header line".into()))?;
                     let line = text.trim_end();
                     if matches!(self.phase, Phase::FirstLine) {
-                        self.head = Some(parse_request_line(line)?);
+                        self.start = Some(M::parse_start(line)?);
                         self.phase = Phase::Headers;
                         continue;
                     }
@@ -801,6 +799,60 @@ mod tests {
             let raw = format!("HTTP/1.1 200 OK\r\n{headers}\r\n{body}");
             let err = Response::read_from(&mut BufReader::new(Cursor::new(raw))).unwrap_err();
             assert!(matches!(err, HttpError::Parse(_)), "{what}: {err}");
+        }
+    }
+
+    /// A request stream through the push parser, then end of stream, as
+    /// the reactor's socket delivers it.
+    fn request_then_eof(raw: &[u8]) -> Result<Request, HttpError> {
+        let mut p = RequestParser::new();
+        match p.feed(raw)? {
+            (_, Some(req)) => Ok(req),
+            (_, None) => Err(p.eof()),
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_are_the_same_parse_error_in_both_directions() {
+        for (what, after_start) in [
+            ("non-utf8 header line", &b"x-bad: \xff\xfe\r\ncontent-length: 0\r\n\r\n"[..]),
+            ("eof inside the head", b"content-length: 5\r\nx-cut: ab"),
+            ("eof inside the body", b"content-length: 5\r\n\r\nhel"),
+        ] {
+            let raw = [&b"POST /blobs/x HTTP/1.1\r\n"[..], after_start].concat();
+            let err = request_then_eof(&raw).unwrap_err();
+            assert!(matches!(err, HttpError::Parse(_)), "request, {what}: {err}");
+            let raw = [&b"HTTP/1.1 200 OK\r\n"[..], after_start].concat();
+            let err = Response::read_from(&mut BufReader::new(Cursor::new(raw))).unwrap_err();
+            assert!(matches!(err, HttpError::Parse(_)), "response, {what}: {err}");
+        }
+    }
+
+    #[test]
+    fn status_line_is_as_strict_as_the_request_line() {
+        for (line, want) in [
+            ("HTTP/1.1 200 OK", Some(200)),
+            ("HTTP/1.0 404 Not Found", Some(404)),
+            ("HTTP/1.1 100", Some(100)),
+            ("HTTP/1.1 599 Anything At All", Some(599)),
+            ("HTTP/1.9 200 OK", None), // the version `unknown_minor_versions_rejected` refuses
+            ("HTTP/2 200 OK", None),
+            ("http/1.1 200 OK", None),
+            ("HTTP/1.1 65535 X", None),
+            ("HTTP/1.1 2000 OK", None),
+            ("HTTP/1.1 20 OK", None),
+            ("HTTP/1.1 +20 OK", None),
+            ("HTTP/1.1 099 X", None),
+            ("HTTP/1.1 600 X", None),
+            ("HTTP/1.1  200 OK", None),
+            ("HTTP/1.1", None),
+        ] {
+            let raw = format!("{line}\r\ncontent-length: 0\r\n\r\n");
+            match (Response::read_from(&mut BufReader::new(Cursor::new(raw))), want) {
+                (Ok(resp), Some(code)) => assert_eq!(resp.status.0, code, "{line:?}"),
+                (Err(HttpError::Parse(_)), None) => {}
+                (got, _) => panic!("{line:?}: {got:?}"),
+            }
         }
     }
 

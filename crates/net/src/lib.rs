@@ -8,10 +8,10 @@
 //! way in, with no modification to either the PSP or the client app.
 //! This crate provides that plumbing:
 //!
-//! * [`http`] — request/response types, serialization, a strict
-//!   incremental request parser for the serving side and a blocking
-//!   response reader for the calling side (HTTP/1.0 and 1.1,
-//!   `Content-Length` framing);
+//! * [`http`] — request/response types, one head writer, and one strict
+//!   incremental parser generic over the start line: the reactors feed
+//!   it requests, the blocking client reads every reply through it
+//!   (HTTP/1.0 and 1.1, `Content-Length` framing);
 //! * [`server`] — the serving tier: epoll reactor event loops (the
 //!   vendored `p3-reactor` runtime) multiplexing nonblocking connections
 //!   with per-connection incremental parse state machines, a bounded

@@ -25,51 +25,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// A bidirectional byte stream produced by a [`Transport`].
+/// A bidirectional byte stream produced by a [`Transport`]: anything
+/// `Read + Write + Send` ([`TcpStream`] in production, fault-wrapped
+/// streams in tests). A `Box<dyn Connection>` is itself `Read + Write`
+/// through the supertraits, so the client wraps it straight in a
+/// `BufReader` and reads replies through [`Response::read_from`].
 ///
-/// Implemented for free by anything `Read + Write + Send`
-/// ([`TcpStream`] in production, fault-wrapped streams in tests). The
-/// methods mirror `Read`/`Write` (rather than supertraits) so `dyn
-/// Connection` itself can implement both and slot straight into a
-/// `BufReader`.
-pub trait Connection: Send {
-    /// Read into `buf`; semantics of [`Read::read`].
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-    /// Write from `buf`; semantics of [`Write::write`].
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize>;
-    /// Flush buffered writes; semantics of [`Write::flush`].
-    fn flush(&mut self) -> io::Result<()>;
-}
+/// [`Response::read_from`]: crate::http::Response::read_from
+pub trait Connection: Read + Write + Send {}
 
-impl<T: Read + Write + Send> Connection for T {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Read::read(self, buf)
-    }
-
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Write::write(self, buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Write::flush(self)
-    }
-}
-
-impl Read for dyn Connection {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        Connection::read(self, buf)
-    }
-}
-
-impl Write for dyn Connection {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        Connection::write(self, buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Connection::flush(self)
-    }
-}
+impl<T: Read + Write + Send> Connection for T {}
 
 /// Per-request connect/read deadlines a [`Transport`] must honor, so a
 /// black-holed peer costs one deadline instead of a hung worker.
@@ -288,7 +253,7 @@ impl Read for FaultConn {
             self.plan.delayed.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(rule.latency);
         }
-        let n = Connection::read(&mut *self.inner, buf)?;
+        let n = self.inner.read(buf)?;
         if rule.flip_body_byte {
             self.flip_payload(&mut buf[..n]);
         }
@@ -304,11 +269,11 @@ impl Write for FaultConn {
             std::thread::sleep(self.read_deadline);
             return Err(io::Error::new(io::ErrorKind::TimedOut, "fault: black hole"));
         }
-        Connection::write(&mut *self.inner, buf)
+        self.inner.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        Connection::flush(&mut *self.inner)
+        self.inner.flush()
     }
 }
 

@@ -1,20 +1,23 @@
 //! Property tests for the HTTP layer: roundtrips, parser robustness,
-//! and split-invariance of the incremental (reactor-side) parser.
+//! and split-invariance of the one incremental parser in both
+//! directions (the reactors' requests, the client's replies).
 
-use p3_net::http::{HttpError, Method, Request, Response, StatusCode, MAX_HEADER_BYTES};
+use p3_net::http::{
+    HttpError, Message, Method, Parser, Request, Response, StatusCode, MAX_HEADER_BYTES,
+};
 use p3_net::RequestParser;
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor};
 
 /// Drive `wire` through `parser` in `sizes`-shaped chunks exactly the
 /// way the epoll server does: append a chunk to the pending buffer,
-/// feed, drop what was consumed, repeat until a request (or an error)
+/// feed, drop what was consumed, repeat until a message (or an error)
 /// falls out.
-fn split_feed(
-    parser: &mut RequestParser,
+fn split_feed<M: Message>(
+    parser: &mut Parser<M>,
     wire: &[u8],
     sizes: &[usize],
-) -> Result<Option<Request>, HttpError> {
+) -> Result<Option<M>, HttpError> {
     let mut pending: Vec<u8> = Vec::new();
     let mut offset = 0;
     let mut turn = 0;
@@ -113,6 +116,65 @@ proptest! {
         prop_assert_eq!(&split.path, &one_shot.path);
         prop_assert_eq!(split.headers.get("x-prop"), one_shot.headers.get("x-prop"));
         prop_assert_eq!(split.body, one_shot.body);
+    }
+
+    /// The same holds for replies: the client reads them through the
+    /// same parser, whatever segmentation the upstream's socket produced.
+    #[test]
+    fn split_response_parses_like_one_shot(code in 100u16..600,
+                                           body in prop::collection::vec(any::<u8>(), 0..4096),
+                                           hv in "[a-zA-Z0-9 ,;=/-]{0,40}",
+                                           sizes in prop::collection::vec(1usize..97, 1..12)) {
+        let mut resp = Response::ok("application/octet-stream", body);
+        resp.status = StatusCode(code);
+        resp.headers.set("x-prop", &hv);
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire).unwrap();
+
+        let (n, one_shot) = Parser::<Response>::new().feed(&wire).unwrap();
+        prop_assert_eq!(n, wire.len());
+        let one_shot = one_shot.expect("one-shot parse must complete");
+
+        let mut parser = Parser::new();
+        let split: Response = split_feed(&mut parser, &wire, &sizes)
+            .unwrap()
+            .expect("split parse must complete");
+        prop_assert!(parser.is_idle());
+        prop_assert_eq!(split.status, one_shot.status);
+        prop_assert_eq!(&split.headers, &one_shot.headers);
+        prop_assert_eq!(split.body, one_shot.body);
+    }
+
+    /// No strict prefix of a message is one: the parser waits for more
+    /// and the blocking reader, at end of stream, errs — `Closed` before
+    /// the first byte, `Parse` after it.
+    #[test]
+    fn no_strict_prefix_yields_a_message(code in 100u16..600,
+                                         body in prop::collection::vec(any::<u8>(), 0..64),
+                                         seg in "[a-zA-Z0-9_-]{1,20}") {
+        let mut request = Vec::new();
+        Request::new(Method::Put, &format!("/blobs/{seg}"), body.clone())
+            .write_to(&mut request)
+            .unwrap();
+        let mut reply = Vec::new();
+        let mut resp = Response::ok("application/octet-stream", body);
+        resp.status = StatusCode(code);
+        resp.write_to(&mut reply).unwrap();
+
+        for cut in 0..request.len() {
+            let (n, msg) = RequestParser::new().feed(&request[..cut]).unwrap();
+            prop_assert_eq!(n, cut);
+            prop_assert!(msg.is_none(), "a request from {} of {} bytes", cut, request.len());
+        }
+        for cut in 0..reply.len() {
+            let (_, msg) = Parser::<Response>::new().feed(&reply[..cut]).unwrap();
+            prop_assert!(msg.is_none(), "a reply from {} of {} bytes", cut, reply.len());
+            let read = Response::read_from(&mut BufReader::new(Cursor::new(&reply[..cut])));
+            match (cut, read) {
+                (0, Err(HttpError::Closed)) | (1.., Err(HttpError::Parse(_))) => {}
+                (_, other) => prop_assert!(false, "{} of {} bytes: {:?}", cut, reply.len(), other),
+            }
+        }
     }
 
     /// Oversized headers must be rejected no matter how the bytes are

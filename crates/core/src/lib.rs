@@ -62,6 +62,8 @@ use std::fmt;
 pub enum P3Error {
     /// Underlying JPEG codec error.
     Jpeg(p3_jpeg::JpegError),
+    /// The view a PSP served does not decode: its fault, not the secret's.
+    Served(p3_jpeg::JpegError),
     /// Secret-part envelope failure (tampering, wrong key, truncation).
     Envelope(p3_crypto::EnvelopeError),
     /// Secret container malformed.
@@ -76,6 +78,7 @@ impl fmt::Display for P3Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             P3Error::Jpeg(e) => write!(f, "jpeg: {e}"),
+            P3Error::Served(e) => write!(f, "served view: {e}"),
             P3Error::Envelope(e) => write!(f, "envelope: {e}"),
             P3Error::Container(m) => write!(f, "container: {m}"),
             P3Error::Mismatch(m) => write!(f, "part mismatch: {m}"),

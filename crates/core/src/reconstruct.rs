@@ -7,12 +7,16 @@
 //!   coefficients exactly and the result is bit-exact relative to the
 //!   sender's original coefficients.
 //! * **Processed**: the PSP applied some transform `A` to the public
-//!   part. By Eq. 2, `A·y = A·xp + A·(xs + corr)`: decode the
-//!   secret+correction image to a *signed fractional delta*, push it
-//!   through the same linear `A` locally, and add. The delta stays in
-//!   **component space at native (subsampled) resolution until after
-//!   `A`**: chroma upsampling is itself a separable linear map, so it
-//!   folds into `A`'s per-axis tap tables.
+//!   part. By Eq. 2, `A·y = A·xp + A·(xs + corr)`: push the
+//!   secret+correction image, a *signed fractional delta*, through the
+//!   same linear `A` locally, and add. The inverse DCT, the chroma
+//!   upsample and `A` are all linear and separable, so per axis they
+//!   multiply out into one table from a block's frequency to the output
+//!   grid, and `A·(xs + corr)` is evaluated **per nonzero secret
+//!   coefficient**, straight into output-resolution planes in the
+//!   secret's component space: no sample plane at the secret's
+//!   resolution is ever decoded, and a view costs what its size and the
+//!   secret's nonzeros cost.
 //!
 //! The processed regime has two tails:
 //!
@@ -36,28 +40,37 @@ use std::sync::Arc;
 
 use p3_jpeg::block::{Block, CoeffImage, ComponentCoeffs};
 use p3_jpeg::color::Plane;
-use p3_jpeg::dct::{idct8x8_signed, idct_signed_scales};
+use p3_jpeg::dct::basis;
 use p3_jpeg::decoder::{coeffs_to_planes_into, decode_to_coeffs_into};
 use p3_jpeg::encoder::{encode_coeffs, planes_to_coeffs_into};
 use p3_jpeg::image::RgbImage;
 use p3_jpeg::Mode;
 use p3_vision::image::{round_to_u8, ImageF32};
-use p3_vision::resize::{apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter};
+use p3_vision::resize::{
+    apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter, TapCache,
+};
 
 use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
 
-/// What [`transformed_delta`] works in: one component's
-/// native-resolution delta plane, the resampler's intermediate rows, the
-/// resampled plane and blurred-row ring of the unsharp, and the
-/// transformed delta per component.
+/// What [`transformed_delta`] works in: eight output-wide frequency rows
+/// of one block row (also the box-down's intermediate rows after an
+/// unsharp), the projected plane and blurred-row ring of the unsharp, and
+/// the transformed delta per component. All of it is at output
+/// resolution: nothing here grows with the secret's size.
 #[derive(Default)]
 struct DeltaScratch {
-    plane: Vec<f32>,
     rows: Vec<f32>,
     stage: ImageF32,
     ring: Vec<f32>,
     delta: Vec<ImageF32>,
+}
+
+impl DeltaScratch {
+    fn bytes(&self) -> usize {
+        let delta: usize = self.delta.iter().map(|d| d.data.capacity()).sum();
+        4 * (self.rows.capacity() + self.stage.data.capacity() + self.ring.capacity() + delta)
+    }
 }
 
 /// Per-thread scratch of both tails, reused from view to view so the hot
@@ -81,14 +94,11 @@ const SCRATCH_KEPT: usize = 4 << 20;
 
 impl Scratch {
     fn bytes(&self) -> usize {
-        let w = &self.work;
-        let delta: usize = w.delta.iter().map(|d| d.data.capacity()).sum();
-        let samples = w.plane.capacity() + w.rows.capacity() + w.stage.data.capacity();
         let frames = [&self.served, &self.secret, &self.out];
         let blocks: usize =
             frames.iter().flat_map(|f| &f.components).map(|c| c.blocks.capacity()).sum();
         let planes: usize = self.planes.iter().map(|p| p.data.capacity()).sum();
-        4 * (samples + w.ring.capacity() + delta) + std::mem::size_of::<Block>() * blocks + planes
+        self.work.bytes() + std::mem::size_of::<Block>() * blocks + planes
     }
 }
 
@@ -108,103 +118,126 @@ fn with_scratch<R>(view: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// Decode one component of the secret + correction image — `xs +
-/// (Ss − Ss²)·w`, i.e. `−2T` on every negative AC coefficient, fused into
-/// dequantization — to signed samples at the component's native
-/// resolution: no +128 level shift, no chroma offset, nothing rounded.
-/// Returns the plane's row stride.
-fn decode_delta(
-    comp: &ComponentCoeffs,
-    steps: &[u16; 64],
-    t: u16,
-    (samp_w, samp_h): (usize, usize),
-    plane: &mut Vec<f32>,
-) -> Result<usize> {
-    let (bw, bh) = (samp_w.div_ceil(8), samp_h.div_ceil(8));
-    if bw > comp.padded_w || bh > comp.padded_h {
-        return Err(P3Error::Mismatch(format!(
-            "component {} needs {bw}x{bh} blocks but carries {}x{}",
-            comp.id, comp.padded_w, comp.padded_h
-        )));
-    }
-    let scales = idct_signed_scales();
-    let mult: [f32; 64] = std::array::from_fn(|i| f32::from(steps[i]) * scales[i]);
-    let correction = -2 * i32::from(t);
-    let stride = bw * 8;
-    plane.clear();
-    plane.resize(stride * bh * 8, 0.0);
-    for by in 0..bh {
-        let band = &mut plane[by * 8 * stride..(by + 1) * 8 * stride];
-        for bx in 0..bw {
-            let block = comp.block(bx, by);
-            if block[1..].iter().all(|&c| c == 0) {
-                // DC only (most of a secret part): a flat block.
-                let flat = block[0] as f32 * mult[0];
-                if flat != 0.0 {
-                    for row in band.chunks_exact_mut(stride) {
-                        row[bx * 8..bx * 8 + 8].fill(flat);
-                    }
-                }
-                continue;
-            }
-            let mut ws = [[0f32; 8]; 8];
-            ws[0][0] = block[0] as f32 * mult[0];
-            for k in 1..64 {
-                let c = block[k].saturating_add(if block[k] < 0 { correction } else { 0 });
-                ws[k / 8][k % 8] = c as f32 * mult[k];
-            }
-            idct8x8_signed(&mut ws);
-            for (row, px) in band.chunks_exact_mut(stride).zip(&ws) {
-                row[bx * 8..bx * 8 + 8].copy_from_slice(px);
-            }
-        }
-    }
-    Ok(stride)
-}
-
-/// One axis of `box · A ∘ upsample` for a component with `samp` samples
-/// along an axis of `full` pixels: the exact matrix product of the
-/// chroma upsample, crop, resize and box-down (by `down`) taps, so a
-/// subsampled plane goes to its target grid in one pass and the
-/// full-resolution plane never exists.
-fn axis_taps(
+/// One axis of a component's delta: `samp` samples (in blocks of eight)
+/// along an axis of `full` pixels, then chroma upsample, crop, resize and
+/// box-down by `down`.
+#[derive(Clone, Copy, PartialEq)]
+struct AxisKey {
     samp: usize,
     full: usize,
     crop: Option<(usize, usize)>,
     resize: Option<(usize, ResizeFilter)>,
     down: usize,
-) -> Arc<AxisTaps> {
-    let mut len = full;
-    let mut stages: Vec<Arc<AxisTaps>> = Vec::with_capacity(4);
-    if samp != full {
-        stages.push(Arc::new(AxisTaps::bilinear(samp, full)));
-    }
-    if let Some((start, want)) = crop {
-        let window = AxisTaps::window(len, start, want);
-        len = window.dst_len();
-        stages.push(Arc::new(window));
-    }
-    if let Some((dst, filter)) = resize {
-        stages.push(AxisTaps::resize(len, dst, filter));
-        len = dst;
-    }
-    if down > 1 {
-        stages.push(Arc::new(AxisTaps::box_down(len, down)));
-    }
-    stages
-        .into_iter()
-        .reduce(|inner, outer| Arc::new(inner.then(&outer)))
-        .unwrap_or_else(|| Arc::new(AxisTaps::window(full, 0, full)))
 }
 
-/// The taps of components of one geometry: both axes of `A ∘ upsample`,
-/// and the box-down to the target grid — folded into them, or on its own
-/// when an unsharp must run at output resolution before it.
-struct PlaneTaps {
-    key: ((usize, usize), (usize, usize)),
-    x: Arc<AxisTaps>,
-    y: Arc<AxisTaps>,
-    after_unsharp: Option<(AxisTaps, AxisTaps)>,
+/// The last few [`spread`]s: a view's four (luma and chroma, two axes)
+/// are the same for every photo of one size viewed at one rung, and a
+/// size's three rungs fit. Bounded by count: one for an axis of 8 192
+/// samples is about a megabyte at most.
+static SPREADS: TapCache<AxisKey> = TapCache::new(16);
+
+/// One axis of `box · A ∘ upsample ∘ IDCT`, source-major: the exact
+/// matrix product of the 8-point inverse DCT basis of each block and the
+/// chroma upsample, crop, resize and box-down taps, transposed so that
+/// output `8·b + u` lists what frequency `u` of block `b` adds to each
+/// target position. No sample plane exists at any stage.
+fn spread(key: AxisKey) -> Arc<AxisTaps> {
+    SPREADS.get_or_build(key, || {
+        let AxisKey { samp, full, crop, resize, down } = key;
+        let b = basis();
+        let idct = AxisTaps::from_fn(samp.div_ceil(8) * 8, samp, |x| {
+            (0..8).map(move |u| (x / 8 * 8 + u, b[u][x % 8]))
+        });
+        let mut len = full;
+        let mut taps = if samp != full { idct.then(&AxisTaps::bilinear(samp, full)) } else { idct };
+        if let Some((start, want)) = crop {
+            let window = AxisTaps::window(len, start, want);
+            len = window.dst_len();
+            taps = taps.then(&window);
+        }
+        if let Some((dst, filter)) = resize {
+            taps = taps.then(&AxisTaps::resize(len, dst, filter));
+            len = dst;
+        }
+        if down > 1 {
+            taps = taps.then(&AxisTaps::box_down(len, down));
+        }
+        taps.transpose()
+    })
+}
+
+/// `yt ⊗ xt` of one component of the secret + correction image — `xs +
+/// (Ss − Ss²)·w`, i.e. `−2T` on every negative AC coefficient, fused into
+/// dequantization — into `out`, with `xt` / `yt` its [`spread`]s. Block
+/// row by block row, each nonzero coefficient `(u, v)` of a block is
+/// scattered along `xt` into output-wide frequency row `v`, and each run
+/// of a frequency row the coefficients reached is added along `yt` into
+/// the output rows: the cost is the secret's nonzeros and the output's
+/// size, not the secret's.
+fn project(
+    comp: &ComponentCoeffs,
+    steps: &[u16; 64],
+    t: u16,
+    (xt, yt): (&AxisTaps, &AxisTaps),
+    rows: &mut Vec<f32>,
+    out: &mut ImageF32,
+) {
+    let (w, h) = (xt.src_len(), yt.src_len());
+    let correction = -2 * i32::from(t);
+    (out.width, out.height) = (w, h);
+    out.data.clear();
+    out.data.resize(w * h, 0.0);
+    rows.clear();
+    rows.resize(8 * w, 0.0);
+    for by in 0..yt.dst_len() / 8 {
+        // Per frequency row, the run written since it was last added.
+        let mut open = [(usize::MAX, 0); 8];
+        for bx in 0..xt.dst_len() / 8 {
+            let block = comp.block(bx, by);
+            // An OR, not `all`: no early exit, so it vectorizes.
+            let last = if block[1..].iter().fold(0, |a, &c| a | c) == 0 { 1 } else { 64 };
+            for (k, &c) in block.iter().enumerate().take(last).filter(|&(_, &c)| c != 0) {
+                let c = if k > 0 && c < 0 { c.saturating_add(correction) } else { c };
+                let c = c as f32 * f32::from(steps[k]);
+                let (index, weight) = xt.taps(bx * 8 + k % 8);
+                let (Some(&lo), Some(&hi)) = (index.first(), index.last()) else { continue };
+                let (lo, hi, v) = (lo as usize, hi as usize + 1, k / 8);
+                let row = &mut rows[v * w..][..w];
+                for (&x, &wt) in index.iter().zip(weight) {
+                    row[x as usize] += c * wt;
+                }
+                // A reach past a gap closes the run before it.
+                let run = &mut open[v];
+                if run.0 < run.1 && lo > run.1 {
+                    add_row(row, yt.taps(by * 8 + v), *run, &mut out.data);
+                    *run = (lo, hi);
+                } else {
+                    *run = (run.0.min(lo), run.1.max(hi));
+                }
+            }
+        }
+        for (v, &run) in open.iter().enumerate().filter(|(_, &(lo, hi))| lo < hi) {
+            add_row(&mut rows[v * w..][..w], yt.taps(by * 8 + v), run, &mut out.data);
+        }
+    }
+}
+
+/// Add `row[lo..hi]` into the rows of `out` (as wide as `row`) that
+/// `(index, weight)` name, by those weights, and clear it.
+fn add_row(
+    row: &mut [f32],
+    (index, weight): (&[u32], &[f32]),
+    (lo, hi): (usize, usize),
+    out: &mut [f32],
+) {
+    let w = row.len();
+    let row = &mut row[lo..hi];
+    for (&y, &wt) in index.iter().zip(weight) {
+        for (o, &r) in out[y as usize * w..][lo..hi].iter_mut().zip(&*row) {
+            *o += wt * r;
+        }
+    }
+    row.fill(0.0);
 }
 
 /// `A·(xs + corr)` per component into `scratch.delta`, still in the
@@ -228,48 +261,38 @@ fn transformed_delta(
     let (sigma, amount) = transform.sharpen;
     debug_assert_eq!(down.len(), secret.components.len(), "one target grid per component");
     scratch.delta.resize_with(down.len(), || ImageF32::new(0, 0));
-    let mut kept: Option<PlaneTaps> = None;
+    let axis = |samp, full, crop, resize: Option<usize>, down| {
+        spread(AxisKey { samp, full, crop, resize: resize.map(|n| (n, filter)), down })
+    };
     for ((comp, delta), &down) in secret.components.iter().zip(&mut scratch.delta).zip(down) {
         let samp = (
             (w * usize::from(comp.h_samp)).div_ceil(h_max),
             (h * usize::from(comp.v_samp)).div_ceil(v_max),
         );
+        let (bw, bh) = (samp.0.div_ceil(8), samp.1.div_ceil(8));
+        if bw > comp.padded_w || bh > comp.padded_h {
+            return Err(P3Error::Mismatch(format!(
+                "component {} needs {bw}x{bh} blocks but carries {}x{}",
+                comp.id, comp.padded_w, comp.padded_h
+            )));
+        }
+        // The unsharp runs at output resolution, so a box-down it
+        // precedes cannot fold into the spreads.
+        let (folded, after) = if amount == 0.0 { (down, (1, 1)) } else { ((1, 1), down) };
+        let xt = axis(samp.0, w, crop.map(|(x, _, cw, _)| (x, cw)), resize.map(|r| r.0), folded.0);
+        let yt = axis(samp.1, h, crop.map(|(_, y, _, ch)| (y, ch)), resize.map(|r| r.1), folded.1);
         let steps = &secret.qtables[comp.quant_idx].table;
-        let stride = decode_delta(comp, steps, t, samp, &mut scratch.plane)?;
-        // Cb and Cr share a geometry: their taps are composed once.
-        kept.take_if(|kept| kept.key != (samp, down));
-        let taps = kept.get_or_insert_with(|| {
-            // The unsharp runs at output resolution, so a box-down it
-            // precedes cannot fold into the resampling taps.
-            let (folded, after) = if amount == 0.0 { (down, (1, 1)) } else { ((1, 1), down) };
-            let x = axis_taps(
-                samp.0,
-                w,
-                crop.map(|(x, _, cw, _)| (x, cw)),
-                resize.map(|(rw, _)| (rw, filter)),
-                folded.0,
-            );
-            let y = axis_taps(
-                samp.1,
-                h,
-                crop.map(|(_, y, _, ch)| (y, ch)),
-                resize.map(|(_, rh)| (rh, filter)),
-                folded.1,
-            );
-            let after_unsharp = (after != (1, 1)).then(|| {
-                (AxisTaps::box_down(x.dst_len(), after.0), AxisTaps::box_down(y.dst_len(), after.1))
-            });
-            PlaneTaps { key: (samp, down), x, y, after_unsharp }
-        });
-        let DeltaScratch { plane, rows, stage, ring, .. } = scratch;
+        let DeltaScratch { rows, stage, ring, .. } = scratch;
         if amount == 0.0 {
-            apply_separable(plane, stride, &taps.x, &taps.y, rows, delta);
+            project(comp, steps, t, (&xt, &yt), rows, delta);
             continue;
         }
-        apply_separable(plane, stride, &taps.x, &taps.y, rows, stage);
+        project(comp, steps, t, (&xt, &yt), rows, stage);
         sharpen_into(stage, sigma, amount, ring, delta);
-        if let Some((bx, by)) = &taps.after_unsharp {
-            apply_separable(&delta.data, delta.width, bx, by, rows, stage);
+        if after != (1, 1) {
+            let bx = AxisTaps::box_down(delta.width, after.0);
+            let by = AxisTaps::box_down(delta.height, after.1);
+            apply_separable(&delta.data, delta.width, &bx, &by, rows, stage);
             std::mem::swap(stage, delta);
         }
     }
@@ -403,9 +426,11 @@ fn add_delta_planes(
 /// factors and `quality` as an optimized baseline JPEG. `secret_jpeg`
 /// and `t` are the secret container's part and threshold.
 ///
-/// A rung the secret's delta has no place in — fewer components than the
-/// secret, a plane no box-down of `A`'s output grid gives — and a
-/// non-linear `A` are [`P3Error::Mismatch`].
+/// A served rung that does not decode is [`P3Error::Served`], apart from
+/// a secret part that does not ([`P3Error::Jpeg`]). A rung the secret's
+/// delta has no place in — fewer components than the secret, a plane no
+/// box-down of `A`'s output grid gives — and a non-linear `A` are
+/// [`P3Error::Mismatch`].
 pub fn reconstruct_view(
     served_jpeg: &[u8],
     secret_jpeg: &[u8],
@@ -415,10 +440,11 @@ pub fn reconstruct_view(
 ) -> Result<Vec<u8>> {
     with_scratch(|scratch| {
         let Scratch { work, served, planes, secret, out } = scratch;
-        decode_to_coeffs_into(served_jpeg, served)?;
+        decode_to_coeffs_into(served_jpeg, served)
+            .and_then(|_| coeffs_to_planes_into(served, planes))
+            .map_err(P3Error::Served)?;
         let transform = estimate((served.width, served.height));
         decode_to_coeffs_into(secret_jpeg, secret)?;
-        coeffs_to_planes_into(served, planes)?;
         add_delta_planes(served, planes, secret, t, &transform, work)?;
         let mut sampling = [(1, 1); 3];
         for (s, c) in sampling.iter_mut().zip(&served.components) {
@@ -437,6 +463,219 @@ mod tests {
     use crate::split::split_coeffs;
     use p3_jpeg::encoder::{gray_to_coeffs, pixels_to_coeffs, Subsampling};
     use p3_vision::metrics::psnr;
+    use proptest::prelude::*;
+
+    /// The dense evaluation of [`transformed_delta`] the projection
+    /// replaced, kept as its oracle: every block inverse-transformed into
+    /// a zero-filled plane at the component's native resolution, the
+    /// plane resampled by the composed taps, then the unsharp and the
+    /// box-down after it. The textbook `f32` IDCT stands in for the AAN
+    /// one it ran on, which had no other caller and is gone.
+    mod dense {
+        use super::super::*;
+        use p3_jpeg::dct::reference::idct8x8;
+
+        fn decode_delta(
+            comp: &ComponentCoeffs,
+            steps: &[u16; 64],
+            t: u16,
+            (samp_w, samp_h): (usize, usize),
+            plane: &mut Vec<f32>,
+        ) -> Result<usize> {
+            let (bw, bh) = (samp_w.div_ceil(8), samp_h.div_ceil(8));
+            if bw > comp.padded_w || bh > comp.padded_h {
+                return Err(P3Error::Mismatch(format!(
+                    "component {} needs {bw}x{bh} blocks but carries {}x{}",
+                    comp.id, comp.padded_w, comp.padded_h
+                )));
+            }
+            let correction = -2 * i32::from(t);
+            let stride = bw * 8;
+            plane.clear();
+            plane.resize(stride * bh * 8, 0.0);
+            for by in 0..bh {
+                let band = &mut plane[by * 8 * stride..(by + 1) * 8 * stride];
+                for bx in 0..bw {
+                    let block = comp.block(bx, by);
+                    let mut coeffs = [0f32; 64];
+                    coeffs[0] = block[0] as f32 * f32::from(steps[0]);
+                    for k in 1..64 {
+                        let c = block[k].saturating_add(if block[k] < 0 { correction } else { 0 });
+                        coeffs[k] = c as f32 * f32::from(steps[k]);
+                    }
+                    let px = idct8x8(&coeffs);
+                    for (row, px) in band.chunks_exact_mut(stride).zip(px.chunks_exact(8)) {
+                        row[bx * 8..bx * 8 + 8].copy_from_slice(px);
+                    }
+                }
+            }
+            Ok(stride)
+        }
+
+        fn axis_taps(
+            samp: usize,
+            full: usize,
+            crop: Option<(usize, usize)>,
+            resize: Option<(usize, ResizeFilter)>,
+            down: usize,
+        ) -> Arc<AxisTaps> {
+            let mut len = full;
+            let mut stages: Vec<Arc<AxisTaps>> = Vec::with_capacity(4);
+            if samp != full {
+                stages.push(Arc::new(AxisTaps::bilinear(samp, full)));
+            }
+            if let Some((start, want)) = crop {
+                let window = AxisTaps::window(len, start, want);
+                len = window.dst_len();
+                stages.push(Arc::new(window));
+            }
+            if let Some((dst, filter)) = resize {
+                stages.push(AxisTaps::resize(len, dst, filter));
+                len = dst;
+            }
+            if down > 1 {
+                stages.push(Arc::new(AxisTaps::box_down(len, down)));
+            }
+            stages
+                .into_iter()
+                .reduce(|inner, outer| Arc::new(inner.then(&outer)))
+                .unwrap_or_else(|| Arc::new(AxisTaps::window(full, 0, full)))
+        }
+
+        pub fn transformed_delta(
+            secret: &CoeffImage,
+            t: u16,
+            transform: &TransformSpec,
+            down: &[(usize, usize)],
+        ) -> Result<Vec<ImageF32>> {
+            let (w, h) = (secret.width, secret.height);
+            let (h_max, v_max) = (usize::from(secret.h_max()), usize::from(secret.v_max()));
+            let (cw, ch) = TransformSpec { resize_to: None, ..*transform }.output_dims(w, h);
+            let resize = transform.resize_to.filter(|&dims| dims != (cw, ch));
+            let (filter, crop) = (transform.filter, transform.crop);
+            let (sigma, amount) = transform.sharpen;
+            let (mut plane, mut rows, mut stage, mut out) =
+                (Vec::new(), Vec::new(), ImageF32::default(), Vec::new());
+            for (comp, &down) in secret.components.iter().zip(down) {
+                let samp = (
+                    (w * usize::from(comp.h_samp)).div_ceil(h_max),
+                    (h * usize::from(comp.v_samp)).div_ceil(v_max),
+                );
+                let steps = &secret.qtables[comp.quant_idx].table;
+                let stride = decode_delta(comp, steps, t, samp, &mut plane)?;
+                let (folded, after) = if amount == 0.0 { (down, (1, 1)) } else { ((1, 1), down) };
+                let x = axis_taps(
+                    samp.0,
+                    w,
+                    crop.map(|(x, _, cw, _)| (x, cw)),
+                    resize.map(|(rw, _)| (rw, filter)),
+                    folded.0,
+                );
+                let y = axis_taps(
+                    samp.1,
+                    h,
+                    crop.map(|(_, y, _, ch)| (y, ch)),
+                    resize.map(|(_, rh)| (rh, filter)),
+                    folded.1,
+                );
+                let mut delta = ImageF32::default();
+                if amount == 0.0 {
+                    apply_separable(&plane, stride, &x, &y, &mut rows, &mut delta);
+                    out.push(delta);
+                    continue;
+                }
+                apply_separable(&plane, stride, &x, &y, &mut rows, &mut stage);
+                sharpen_into(&stage, sigma, amount, &mut Vec::new(), &mut delta);
+                if after != (1, 1) {
+                    let bx = AxisTaps::box_down(delta.width, after.0);
+                    let by = AxisTaps::box_down(delta.height, after.1);
+                    apply_separable(&delta.data, delta.width, &bx, &by, &mut rows, &mut stage);
+                    std::mem::swap(&mut stage, &mut delta);
+                }
+                out.push(delta);
+            }
+            Ok(out)
+        }
+    }
+
+    /// A coefficient image of `w`×`h` at `layout` (gray, 4:4:4, 4:2:2,
+    /// 4:2:0): the secret part of a test card split at `t`, or — `whole`
+    /// — the card's own coefficients, whose AC magnitudes no secret part
+    /// carries.
+    fn secret_of(w: usize, h: usize, layout: usize, t: u16, whole: bool) -> CoeffImage {
+        let img = test_image(w, h);
+        let ci = match layout {
+            0 => gray_to_coeffs(&crate::pixel::image_to_gray(&crate::pixel::rgb_to_luma(&img)), 90),
+            1 => pixels_to_coeffs(&img, 90, Subsampling::S444),
+            2 => pixels_to_coeffs(&img, 90, Subsampling::S422),
+            _ => pixels_to_coeffs(&img, 90, Subsampling::S420),
+        }
+        .unwrap();
+        if whole {
+            ci
+        } else {
+            split_coeffs(&ci, t).unwrap().1
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The projection evaluates the operator the dense path did, to
+        /// within `f32` rounding, on every kind of `A` a view meets.
+        #[test]
+        fn projection_matches_the_dense_delta(
+            (w, h) in (1usize..=70, 1usize..=60), layout in 0usize..4, whole in any::<bool>(),
+            t in 1u16..=20, scale in (1usize..=90, 1usize..=90), filter in 0usize..6,
+            cropped in any::<bool>(), crop in (0usize..=40, 0usize..=40, 1usize..=60, 1usize..=60),
+            resized in any::<bool>(), sharpened in any::<bool>(), boxed in 0usize..4,
+        ) {
+            let secret = secret_of(w, h, layout, t, whole);
+            let transform = TransformSpec {
+                crop: cropped.then_some(crop),
+                resize_to: resized.then(|| ((w * scale.0).div_ceil(40), (h * scale.1).div_ceil(40))),
+                filter: ResizeFilter::all()[filter],
+                sharpen: if sharpened { (0.8, 0.5) } else { (1.0, 0.0) },
+                gamma: 1.0,
+            };
+            let grid = [(1, 1), (2, 1), (1, 2), (2, 2)][boxed];
+            let down: Vec<_> = (0..secret.components.len())
+                .map(|i| if i == 0 { (1, 1) } else { grid })
+                .collect();
+            let mut scratch = DeltaScratch::default();
+            transformed_delta(&secret, t, &transform, &down, &mut scratch).unwrap();
+            let want = dense::transformed_delta(&secret, t, &transform, &down).unwrap();
+            for (i, (got, want)) in scratch.delta.iter().zip(&want).enumerate() {
+                prop_assert_eq!((got.width, got.height), (want.width, want.height));
+                let worst = got.data.iter().zip(&want.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max);
+                prop_assert!(worst <= 1e-3, "component {}: {} apart, {:?}", i, worst, transform);
+            }
+        }
+    }
+
+    #[test]
+    fn a_thumb_of_a_big_secret_keeps_no_original_sized_plane() {
+        // A 1600×1200 gray secret with AC in every fourth block: the
+        // projection's scratch is the thumb's size, not the secret's.
+        let (w, h) = (1600, 1200);
+        let mut secret = gray_to_coeffs(&Plane::new(w, h), 90).unwrap();
+        secret.for_each_block_mut(|_, b| *b = [0; 64]);
+        for (i, b) in secret.components[0].blocks.iter_mut().enumerate() {
+            b[0] = (i % 7) as i32 - 3;
+            if i % 4 == 0 {
+                b[9] = -2;
+            }
+        }
+        let thumb = TransformSpec::resize(75, 56, ResizeFilter::Lanczos3);
+        let public = test_image(75, 56);
+        reconstruct_processed(&public, &secret, 10, &thumb).unwrap();
+        let bytes = SCRATCH.with_borrow(|s| s.work.bytes());
+        let plane = 4 * w * h;
+        assert!(bytes < plane, "a 75x56 view left {bytes} B of delta scratch (plane {plane} B)");
+        let mut scratch = DeltaScratch::default();
+        transformed_delta(&secret, 10, &thumb, &[(1, 1)], &mut scratch).unwrap();
+        assert!(scratch.bytes() < 75 * 56 * 4 * 4, "{} B", scratch.bytes());
+    }
 
     fn test_image(w: usize, h: usize) -> RgbImage {
         let mut img = RgbImage::new(w, h);

@@ -211,87 +211,58 @@ impl FreqCounter {
         self.freq[sym as usize] += 1;
     }
 
-    /// Build the optimal table. Returns `None` if no symbol was counted.
+    /// Build the optimal table; a counter with nothing counted gets a
+    /// one-code dummy table.
+    ///
+    /// IJG's `jpeg_gen_optimal_table`, table for table: Huffman's merge
+    /// of the two least frequent trees, ties going to the higher symbol
+    /// — a heap keyed on `(count, −symbol)` pops them in the order IJG's
+    /// rescans find them — then Annex K.2's limit of 16 bits, and the
+    /// values in `(length, symbol)` order by a counting sort.
     pub fn build_spec(&self) -> Option<HuffSpec> {
-        let mut freq = self.freq;
-        freq[256] = 1; // ensure a pseudo-symbol so no real code is all-ones
-        if freq.iter().take(256).all(|&f| f == 0) {
+        if self.freq.iter().take(256).all(|&f| f == 0) {
             // Degenerate but legal: emit a table with one dummy symbol so a
             // scan with no data of this class still has a valid DHT.
-            return Some(HuffSpec {
-                bits: {
-                    let mut b = [0u8; 16];
-                    b[0] = 1;
-                    b
-                },
-                values: vec![0],
-            });
+            let mut bits = [0u8; 16];
+            bits[0] = 1;
+            return Some(HuffSpec { bits, values: vec![0] });
         }
-        let mut codesize = [0i32; 257];
-        let mut others = [-1i32; 257];
-
-        loop {
-            // Find the two least-frequent nonzero entries (c1 smallest).
-            let (mut c1, mut c2) = (-1i64, -1i64);
-            let mut v1 = u32::MAX;
-            let mut v2 = u32::MAX;
-            for (i, &f) in freq.iter().enumerate() {
-                if f == 0 {
-                    continue;
-                }
-                if f <= v1 {
-                    v2 = v1;
-                    c2 = c1;
-                    v1 = f;
-                    c1 = i as i64;
-                } else if f <= v2 {
-                    v2 = f;
-                    c2 = i as i64;
-                }
+        // A tree is named by its root symbol: `count << 9 | (511 − symbol)`
+        // orders by count, then higher symbol first. Slot 256 is the
+        // pseudo-symbol, so no real code is all ones.
+        let key = |count: u64, sym: usize| count << 9 | (511 - sym) as u64;
+        let mut heap = Heap { keys: [0; 257], len: 0 };
+        for (sym, &f) in self.freq.iter().enumerate().take(256).filter(|(_, &f)| f > 0) {
+            heap.push(key(u64::from(f), sym));
+        }
+        heap.push(key(1, 256));
+        let mut codesize = [0u8; 257];
+        let mut others = [u16::MAX; 257];
+        // One more bit for every symbol of the tree whose root is `n`;
+        // returns the last symbol of its chain.
+        let deepen = |codesize: &mut [u8; 257], others: &[u16; 257], mut n: usize| loop {
+            codesize[n] = codesize[n].saturating_add(1);
+            match others[n] {
+                u16::MAX => return n,
+                next => n = usize::from(next),
             }
-            if c2 < 0 {
-                break; // only one tree left
-            }
-            let (c1, c2) = (c1 as usize, c2 as usize);
-            freq[c1] += freq[c2];
-            freq[c2] = 0;
-            // Increment the codesize of everything in c1's tree.
-            let mut n = c1 as i32;
-            loop {
-                codesize[n as usize] += 1;
-                if others[n as usize] < 0 {
-                    break;
-                }
-                n = others[n as usize];
-            }
-            others[n as usize] = c2 as i32;
-            let mut n = c2 as i32;
-            loop {
-                codesize[n as usize] += 1;
-                if others[n as usize] < 0 {
-                    break;
-                }
-                n = others[n as usize];
-            }
+        };
+        while heap.len > 1 {
+            let (a, b) = (heap.pop(), heap.pop());
+            let (c1, c2) = (511 - (a & 511) as usize, 511 - (b & 511) as usize);
+            let tail = deepen(&mut codesize, &others, c1);
+            others[tail] = c2 as u16;
+            deepen(&mut codesize, &others, c2);
+            heap.push(key((a >> 9) + (b >> 9), c1));
         }
 
-        // Count codes per length (may exceed 32 in pathological cases).
+        // Codes per length (lengths above 32 counted at 32).
         let mut bits = [0i32; 33];
-        for (i, &cs) in codesize.iter().enumerate() {
-            if cs > 0 {
-                if cs > 32 {
-                    // Flatten absurd lengths to 32; will be fixed below.
-                    bits[32] += 1;
-                } else {
-                    bits[cs as usize] += 1;
-                }
-                let _ = i;
-            }
+        for &cs in codesize.iter().filter(|&&cs| cs > 0) {
+            bits[usize::from(cs.min(32))] += 1;
         }
-
         // JPEG limits code length to 16: push overflow up (Annex K.2).
-        let mut i = 32;
-        while i > 16 {
+        for i in (17..=32).rev() {
             while bits[i] > 0 {
                 let mut j = i - 2;
                 while bits[j] == 0 {
@@ -302,29 +273,69 @@ impl FreqCounter {
                 bits[j + 1] += 2;
                 bits[j] -= 1;
             }
-            i -= 1;
         }
         // Remove the pseudo-symbol's code (the longest one).
-        let mut i = 16;
-        while bits[i] == 0 {
-            i -= 1;
-        }
-        bits[i] -= 1;
+        let longest = (1..=16).rev().find(|&i| bits[i] > 0).expect("a code");
+        bits[longest] -= 1;
 
-        let mut out_bits = [0u8; 16];
-        for l in 1..=16 {
-            out_bits[l - 1] = bits[l] as u8;
+        // Symbols sorted by (codesize, symbol value): a counting sort.
+        // `start[len]` is where the codes of `len` bits begin.
+        let mut start = [0usize; 34];
+        for &cs in codesize[..256].iter().filter(|&&cs| cs > 0) {
+            start[usize::from(cs.min(32)) + 1] += 1;
         }
-        // Emit symbols sorted by (codesize, symbol value).
-        let mut values = Vec::with_capacity(256);
-        for len in 1..=32 {
-            for (sym, &size) in codesize.iter().enumerate().take(256) {
-                if size == len {
-                    values.push(sym as u8);
-                }
+        for len in 1..33 {
+            start[len + 1] += start[len];
+        }
+        let mut values = vec![0u8; start[33]];
+        for (sym, &cs) in codesize[..256].iter().enumerate().filter(|(_, &cs)| cs > 0) {
+            let slot = &mut start[usize::from(cs.min(32))];
+            values[*slot] = sym as u8;
+            *slot += 1;
+        }
+        Some(HuffSpec { bits: std::array::from_fn(|l| bits[l + 1] as u8), values })
+    }
+}
+
+/// A binary min-heap of at most 257 distinct keys, on the stack: the
+/// table builder runs per scan and allocates nothing but the values.
+struct Heap {
+    keys: [u64; 257],
+    len: usize,
+}
+
+impl Heap {
+    fn push(&mut self, key: u64) {
+        let mut i = self.len;
+        self.len += 1;
+        while i > 0 && self.keys[(i - 1) / 2] > key {
+            self.keys[i] = self.keys[(i - 1) / 2];
+            i = (i - 1) / 2;
+        }
+        self.keys[i] = key;
+    }
+
+    fn pop(&mut self) -> u64 {
+        let top = self.keys[0];
+        self.len -= 1;
+        let last = self.keys[self.len];
+        let mut i = 0;
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= self.len {
+                break;
             }
+            if child + 1 < self.len && self.keys[child + 1] < self.keys[child] {
+                child += 1;
+            }
+            if last < self.keys[child] {
+                break;
+            }
+            self.keys[i] = self.keys[child];
+            i = child;
         }
-        Some(HuffSpec { bits: out_bits, values })
+        self.keys[i] = last;
+        top
     }
 }
 
@@ -389,6 +400,179 @@ pub fn default_ac_chroma() -> HuffSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `build_spec` as it was before the heap: two rescans of every slot
+    /// per merge and one per code length. Kept as the bit-identity
+    /// oracle.
+    fn build_spec_old(counter: &FreqCounter) -> Option<HuffSpec> {
+        let mut freq = counter.freq;
+        freq[256] = 1; // ensure a pseudo-symbol so no real code is all-ones
+        if freq.iter().take(256).all(|&f| f == 0) {
+            return Some(HuffSpec {
+                bits: {
+                    let mut b = [0u8; 16];
+                    b[0] = 1;
+                    b
+                },
+                values: vec![0],
+            });
+        }
+        let mut codesize = [0i32; 257];
+        let mut others = [-1i32; 257];
+
+        loop {
+            // Find the two least-frequent nonzero entries (c1 smallest).
+            let (mut c1, mut c2) = (-1i64, -1i64);
+            let mut v1 = u32::MAX;
+            let mut v2 = u32::MAX;
+            for (i, &f) in freq.iter().enumerate() {
+                if f == 0 {
+                    continue;
+                }
+                if f <= v1 {
+                    v2 = v1;
+                    c2 = c1;
+                    v1 = f;
+                    c1 = i as i64;
+                } else if f <= v2 {
+                    v2 = f;
+                    c2 = i as i64;
+                }
+            }
+            if c2 < 0 {
+                break; // only one tree left
+            }
+            let (c1, c2) = (c1 as usize, c2 as usize);
+            freq[c1] += freq[c2];
+            freq[c2] = 0;
+            // Increment the codesize of everything in c1's tree.
+            let mut n = c1 as i32;
+            loop {
+                codesize[n as usize] += 1;
+                if others[n as usize] < 0 {
+                    break;
+                }
+                n = others[n as usize];
+            }
+            others[n as usize] = c2 as i32;
+            let mut n = c2 as i32;
+            loop {
+                codesize[n as usize] += 1;
+                if others[n as usize] < 0 {
+                    break;
+                }
+                n = others[n as usize];
+            }
+        }
+
+        // Count codes per length (may exceed 32 in pathological cases).
+        let mut bits = [0i32; 33];
+        for &cs in codesize.iter() {
+            if cs > 0 {
+                if cs > 32 {
+                    // Flatten absurd lengths to 32; will be fixed below.
+                    bits[32] += 1;
+                } else {
+                    bits[cs as usize] += 1;
+                }
+            }
+        }
+
+        // JPEG limits code length to 16: push overflow up (Annex K.2).
+        let mut i = 32;
+        while i > 16 {
+            while bits[i] > 0 {
+                let mut j = i - 2;
+                while bits[j] == 0 {
+                    j -= 1;
+                }
+                bits[i] -= 2;
+                bits[i - 1] += 1;
+                bits[j + 1] += 2;
+                bits[j] -= 1;
+            }
+            i -= 1;
+        }
+        // Remove the pseudo-symbol's code (the longest one).
+        let mut i = 16;
+        while bits[i] == 0 {
+            i -= 1;
+        }
+        bits[i] -= 1;
+
+        let mut out_bits = [0u8; 16];
+        for l in 1..=16 {
+            out_bits[l - 1] = bits[l] as u8;
+        }
+        // Emit symbols sorted by (codesize, symbol value).
+        let mut values = Vec::with_capacity(256);
+        for len in 1..=32 {
+            for (sym, &size) in codesize.iter().enumerate().take(256) {
+                if size == len {
+                    values.push(sym as u8);
+                }
+            }
+        }
+        Some(HuffSpec { bits: out_bits, values })
+    }
+
+    /// A count table of one of four shapes: sparse small counts (ties
+    /// everywhere), one symbol, all 256 symbols with few distinct counts,
+    /// and Fibonacci-like counts that build codes far past 16 bits
+    /// (below 32, where the old loop still wrote a valid table).
+    fn counts(shape: usize, seed: u64) -> FreqCounter {
+        let mut state = seed | 1;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut fc = FreqCounter::new();
+        match shape {
+            0 => {
+                for f in fc.freq.iter_mut().take(256) {
+                    *f = if next(3) == 0 { next(4) as u32 } else { 0 };
+                }
+            }
+            1 => fc.freq[next(256) as usize] = 1 + next(1000) as u32,
+            2 => fc.freq.iter_mut().take(256).for_each(|f| *f = 1 + next(8) as u32),
+            _ => {
+                let (mut a, mut b) = (1u32, 1u32);
+                for _ in 0..8 + next(22) {
+                    fc.freq[next(256) as usize] = a;
+                    (a, b) = (b, a + b);
+                }
+                fc.freq[next(256) as usize] += next(3) as u32;
+            }
+        }
+        fc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3000))]
+
+        #[test]
+        fn optimal_tables_are_bit_identical_to_the_old_loop(shape in 0usize..4, seed in any::<u64>()) {
+            let fc = counts(shape, seed);
+            prop_assert_eq!(fc.build_spec(), build_spec_old(&fc), "shape {} seed {}", shape, seed);
+        }
+    }
+
+    #[test]
+    fn fibonacci_counts_are_limited_to_sixteen_bits() {
+        let mut fc = FreqCounter::new();
+        let (mut a, mut b) = (1u32, 1u32);
+        for sym in 0..30 {
+            fc.freq[sym] = a;
+            (a, b) = (b, a + b);
+        }
+        let spec = fc.build_spec().unwrap();
+        spec.validate().unwrap();
+        assert!(spec.bits[15] > 0, "no 16-bit code: {:?}", spec.bits);
+        assert_eq!(Some(spec), build_spec_old(&fc));
+    }
 
     #[test]
     fn default_tables_validate() {

@@ -694,6 +694,9 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
             stats.downloads_reconstructed.fetch_add(1, Ordering::Relaxed);
             Response::ok("image/jpeg", jpeg)
         }
+        // The PSP answered `image/jpeg` with bytes that are not one:
+        // its fault, and perhaps a passing one — not the proxy's.
+        Err(P3Error::Served(_)) => bad_gateway("served view does not decode", None),
         Err(e) => Response::text(StatusCode::INTERNAL, &format!("reconstruction failed: {e}")),
     }
 }

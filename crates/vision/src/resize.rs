@@ -134,12 +134,40 @@ pub struct AxisTaps {
     weight: Vec<f32>,
 }
 
-/// Resize tap tables are pure functions of their key and cost a kernel
-/// evaluation per tap (Lanczos: two `sin`s), so the last few are kept
-/// process-wide: a photo's ladder and every view of it reuse them.
-type ResizeKey = (usize, usize, ResizeFilter);
-static RESIZE_TAPS: Mutex<Vec<(ResizeKey, Arc<AxisTaps>)>> = Mutex::new(Vec::new());
+/// The last few tap tables built, by key, kept process-wide for tables
+/// that are pure functions of their key and cost more to build than to
+/// look up: the oldest goes when a new one would exceed `kept`.
+pub struct TapCache<K> {
+    tables: Mutex<Vec<(K, Arc<AxisTaps>)>>,
+    kept: usize,
+}
+
+impl<K: PartialEq> TapCache<K> {
+    /// An empty cache that keeps `kept` tables.
+    pub const fn new(kept: usize) -> Self {
+        Self { tables: Mutex::new(Vec::new()), kept }
+    }
+
+    /// The table kept under `key`, or `build()` kept under it.
+    pub fn get_or_build(&self, key: K, build: impl FnOnce() -> AxisTaps) -> Arc<AxisTaps> {
+        let tables = || self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, taps)) = tables().iter().find(|(k, _)| *k == key) {
+            return Arc::clone(taps);
+        }
+        let taps = Arc::new(build());
+        let mut kept = tables();
+        if kept.len() == self.kept {
+            kept.remove(0);
+        }
+        kept.push((key, Arc::clone(&taps)));
+        taps
+    }
+}
+
+/// Resize tap tables cost a kernel evaluation per tap (Lanczos: two
+/// `sin`s), so a photo's ladder and every view of it share them.
 const RESIZE_TAPS_KEPT: usize = 16;
+static RESIZE_TAPS: TapCache<(usize, usize, ResizeFilter)> = TapCache::new(RESIZE_TAPS_KEPT);
 
 /// Source rows [`apply_separable`]'s horizontal pass resamples together.
 const ROW_GROUP: usize = 16;
@@ -162,6 +190,11 @@ impl AxisTaps {
         self.bounds.push(self.index.len() as u32);
     }
 
+    /// Number of source positions.
+    pub fn src_len(&self) -> usize {
+        self.src_len
+    }
+
     /// Number of output positions.
     pub fn dst_len(&self) -> usize {
         self.bounds.len() - 1
@@ -169,26 +202,59 @@ impl AxisTaps {
 
     /// `(indices, weights)` of output position `d`.
     #[inline]
-    fn taps(&self, d: usize) -> (&[u32], &[f32]) {
+    pub fn taps(&self, d: usize) -> (&[u32], &[f32]) {
         let run = self.bounds[d] as usize..self.bounds[d + 1] as usize;
         (&self.index[run.clone()], &self.weight[run])
+    }
+
+    /// The map whose output `d`, for `d` in `0..dst_len`, is the sum of
+    /// `weight · src[index]` over the `(index, weight)` pairs `taps(d)`
+    /// yields, in that order.
+    pub fn from_fn<I: IntoIterator<Item = (usize, f32)>>(
+        src_len: usize,
+        dst_len: usize,
+        mut taps: impl FnMut(usize) -> I,
+    ) -> AxisTaps {
+        let mut out = Self::with_capacity(src_len, dst_len, dst_len);
+        for d in 0..dst_len {
+            for (index, weight) in taps(d) {
+                out.push_tap(index, weight);
+            }
+            out.end_output();
+        }
+        out
+    }
+
+    /// The transposed map, source-major: its output `s` lists every
+    /// output of `self` that reads source `s`, in output order, with the
+    /// weight it reads it by.
+    pub fn transpose(&self) -> AxisTaps {
+        let mut bounds = vec![0u32; self.src_len + 1];
+        for &s in &self.index {
+            bounds[s as usize + 1] += 1;
+        }
+        for s in 0..self.src_len {
+            bounds[s + 1] += bounds[s];
+        }
+        let mut next = bounds.clone();
+        let (mut index, mut weight) = (vec![0; self.index.len()], vec![0.0; self.index.len()]);
+        for d in 0..self.dst_len() {
+            let (srcs, weights) = self.taps(d);
+            for (&s, &w) in srcs.iter().zip(weights) {
+                let slot = &mut next[s as usize];
+                (index[*slot as usize], weight[*slot as usize]) = (d as u32, w);
+                *slot += 1;
+            }
+        }
+        AxisTaps { src_len: self.dst_len(), bounds, index, weight }
     }
 
     /// The resampling taps of [`resize`] along one axis (kernel widened
     /// when minifying so it antialiases; weights normalized per output).
     pub fn resize(src_len: usize, dst_len: usize, filter: ResizeFilter) -> Arc<AxisTaps> {
-        let key = (src_len, dst_len, filter);
-        let cache = || RESIZE_TAPS.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some((_, taps)) = cache().iter().find(|(k, _)| *k == key) {
-            return Arc::clone(taps);
-        }
-        let taps = Arc::new(Self::build_resize(src_len, dst_len, filter));
-        let mut kept = cache();
-        if kept.len() == RESIZE_TAPS_KEPT {
-            kept.remove(0);
-        }
-        kept.push((key, Arc::clone(&taps)));
-        taps
+        RESIZE_TAPS.get_or_build((src_len, dst_len, filter), || {
+            Self::build_resize(src_len, dst_len, filter)
+        })
     }
 
     fn build_resize(src_len: usize, dst_len: usize, filter: ResizeFilter) -> AxisTaps {
@@ -729,7 +795,7 @@ mod tests {
         for dst in 1..=2 * RESIZE_TAPS_KEPT {
             AxisTaps::resize(313, dst, ResizeFilter::Box);
         }
-        let kept = RESIZE_TAPS.lock().unwrap().len();
+        let kept = RESIZE_TAPS.tables.lock().unwrap().len();
         assert!(kept <= RESIZE_TAPS_KEPT, "{kept} tables kept");
         assert_eq!(*a, *AxisTaps::resize(311, 97, ResizeFilter::Mitchell), "rebuilt equal");
     }

@@ -10,11 +10,13 @@
 //! * graceful shutdown drains an in-flight request instead of dropping
 //!   it;
 //! * a failed storage PUT rolls the PSP upload back (no orphaned public
-//!   photo).
+//!   photo);
+//! * a PSP that serves a view that does not decode gets the blame (502),
+//!   not the proxy (500).
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
-use p3_net::{http_get, http_post, ServerConfig, StatusCode};
+use p3_net::{http_get, http_post, Request, Response, Server, ServerConfig, StatusCode};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::StorageService;
 use std::net::SocketAddr;
@@ -29,9 +31,19 @@ struct System {
 fn spawn_system(cache_capacity: usize, cache_shards: usize) -> System {
     let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
     let storage = StorageService::spawn().expect("storage");
-    let proxy = P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: storage.addr(),
+    let proxy = spawn_proxy(psp.addr(), storage.addr(), cache_capacity, cache_shards);
+    System { _psp: psp, storage, proxy }
+}
+
+fn spawn_proxy(
+    psp_addr: SocketAddr,
+    storage_addr: SocketAddr,
+    cache_capacity: usize,
+    cache_shards: usize,
+) -> P3Proxy {
+    P3Proxy::spawn(ProxyConfig {
+        psp_addr,
+        storage_addr,
         master_key: b"load test master key".to_vec(),
         codec: P3Codec::new(P3Config { threshold: 15 }),
         estimator: default_estimator(),
@@ -40,8 +52,7 @@ fn spawn_system(cache_capacity: usize, cache_shards: usize) -> System {
         cache_shards,
         server: ServerConfig::default(),
     })
-    .expect("proxy");
-    System { _psp: psp, storage, proxy }
+    .expect("proxy")
 }
 
 /// Small photos keep the codec work per request cheap; the point here is
@@ -267,4 +278,24 @@ fn malformed_crop_spec_is_not_misparsed() {
     let resp = http_get(addr, &format!("/photos/{id}?crop=8,zz,16,64,48")).expect("download");
     assert!(resp.status.is_success(), "malformed crop must not break the download");
     assert!(p3_jpeg::decode_to_rgb(&resp.body).is_ok());
+}
+
+#[test]
+fn a_served_view_that_does_not_decode_is_a_bad_gateway() {
+    let sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let id = upload(sys.proxy.addr(), photo(700));
+    // A second proxy over the same storage, in front of a PSP that
+    // answers every fetch with junk labelled `image/jpeg`. The secret
+    // part is sound; the served view is what does not decode.
+    let junk = Server::spawn(std::sync::Arc::new(|_: &Request| {
+        Response::ok("image/jpeg", b"\xFF\xD8 not a photo".to_vec())
+    }))
+    .expect("stub psp");
+    let proxy = spawn_proxy(junk.addr(), sys.storage.addr(), 4, 1);
+    let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("request");
+    assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.headers.get("retry-after"), Some("1"));
+    assert_eq!(resp.body, b"served view does not decode");
+    assert_eq!(proxy.stats().downloads_reconstructed.load(Ordering::Relaxed), 0);
+    assert_eq!(proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 0);
 }

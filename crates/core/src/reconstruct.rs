@@ -144,12 +144,14 @@ static SPREADS: TapCache<AxisKey> = TapCache::new(16);
 fn spread(key: AxisKey) -> Arc<AxisTaps> {
     SPREADS.get_or_build(key, || {
         let AxisKey { samp, full, crop, resize, down } = key;
-        let b = basis();
-        let idct = AxisTaps::from_fn(samp.div_ceil(8) * 8, samp, |x| {
-            (0..8).map(move |u| (x / 8 * 8 + u, b[u][x % 8]))
-        });
+        // The sample-domain stages first, so the basis, eight taps a
+        // sample, multiplies in once instead of widening every stage.
         let mut len = full;
-        let mut taps = if samp != full { idct.then(&AxisTaps::bilinear(samp, full)) } else { idct };
+        let mut taps = if samp != full {
+            AxisTaps::bilinear(samp, full)
+        } else {
+            AxisTaps::window(samp, 0, samp)
+        };
         if let Some((start, want)) = crop {
             let window = AxisTaps::window(len, start, want);
             len = window.dst_len();
@@ -162,7 +164,11 @@ fn spread(key: AxisKey) -> Arc<AxisTaps> {
         if down > 1 {
             taps = taps.then(&AxisTaps::box_down(len, down));
         }
-        taps.transpose()
+        let b = basis();
+        let idct = AxisTaps::from_fn(samp.div_ceil(8) * 8, samp, |x| {
+            (0..8).map(move |u| (x / 8 * 8 + u, b[u][x % 8]))
+        });
+        idct.then(&taps).transpose()
     })
 }
 
@@ -170,8 +176,8 @@ fn spread(key: AxisKey) -> Arc<AxisTaps> {
 /// (Ss − Ss²)·w`, i.e. `−2T` on every negative AC coefficient, fused into
 /// dequantization — into `out`, with `xt` / `yt` its [`spread`]s. Block
 /// row by block row, each nonzero coefficient `(u, v)` of a block is
-/// scattered along `xt` into output-wide frequency row `v`, and each run
-/// of a frequency row the coefficients reached is added along `yt` into
+/// scattered along `xt` into output-wide frequency row `v`, and the span
+/// of each frequency row the block row reached is added along `yt` into
 /// the output rows: the cost is the secret's nonzeros and the output's
 /// size, not the secret's.
 fn project(
@@ -190,34 +196,26 @@ fn project(
     rows.clear();
     rows.resize(8 * w, 0.0);
     for by in 0..yt.dst_len() / 8 {
-        // Per frequency row, the run written since it was last added.
-        let mut open = [(usize::MAX, 0); 8];
+        // Per frequency row, the span this block row wrote.
+        let mut reach = [(usize::MAX, 0); 8];
         for bx in 0..xt.dst_len() / 8 {
             let block = comp.block(bx, by);
-            // An OR, not `all`: no early exit, so it vectorizes.
-            let last = if block[1..].iter().fold(0, |a, &c| a | c) == 0 { 1 } else { 64 };
+            let last = if block[1..] == [0; 63] { 1 } else { 64 };
             for (k, &c) in block.iter().enumerate().take(last).filter(|&(_, &c)| c != 0) {
                 let c = if k > 0 && c < 0 { c.saturating_add(correction) } else { c };
                 let c = c as f32 * f32::from(steps[k]);
                 let (index, weight) = xt.taps(bx * 8 + k % 8);
                 let (Some(&lo), Some(&hi)) = (index.first(), index.last()) else { continue };
-                let (lo, hi, v) = (lo as usize, hi as usize + 1, k / 8);
-                let row = &mut rows[v * w..][..w];
+                let row = &mut rows[k / 8 * w..][..w];
                 for (&x, &wt) in index.iter().zip(weight) {
                     row[x as usize] += c * wt;
                 }
-                // A reach past a gap closes the run before it.
-                let run = &mut open[v];
-                if run.0 < run.1 && lo > run.1 {
-                    add_row(row, yt.taps(by * 8 + v), *run, &mut out.data);
-                    *run = (lo, hi);
-                } else {
-                    *run = (run.0.min(lo), run.1.max(hi));
-                }
+                let span = &mut reach[k / 8];
+                *span = (span.0.min(lo as usize), span.1.max(hi as usize + 1));
             }
         }
-        for (v, &run) in open.iter().enumerate().filter(|(_, &(lo, hi))| lo < hi) {
-            add_row(&mut rows[v * w..][..w], yt.taps(by * 8 + v), run, &mut out.data);
+        for (v, &span) in reach.iter().enumerate().filter(|(_, &(lo, hi))| lo < hi) {
+            add_row(&mut rows[v * w..][..w], yt.taps(by * 8 + v), span, &mut out.data);
         }
     }
 }
@@ -667,14 +665,15 @@ mod tests {
             }
         }
         let thumb = TransformSpec::resize(75, 56, ResizeFilter::Lanczos3);
-        let public = test_image(75, 56);
-        reconstruct_processed(&public, &secret, 10, &thumb).unwrap();
-        let bytes = SCRATCH.with_borrow(|s| s.work.bytes());
-        let plane = 4 * w * h;
-        assert!(bytes < plane, "a 75x56 view left {bytes} B of delta scratch (plane {plane} B)");
         let mut scratch = DeltaScratch::default();
         transformed_delta(&secret, 10, &thumb, &[(1, 1)], &mut scratch).unwrap();
-        assert!(scratch.bytes() < 75 * 56 * 4 * 4, "{} B", scratch.bytes());
+        // Under four thumb-sized planes: not a hundredth of one of the
+        // secret's.
+        let (bytes, plane) = (scratch.bytes(), 4 * w * h);
+        assert!(
+            bytes < 4 * 75 * 56 * 4,
+            "a 75x56 view grew {bytes} B of scratch (plane {plane} B)"
+        );
     }
 
     fn test_image(w: usize, h: usize) -> RgbImage {

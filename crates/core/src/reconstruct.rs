@@ -30,10 +30,7 @@
 //!   converted to RGB; a sample is rounded once.
 //! * [`reconstruct_processed`] adds to RGB pixels: the 3×3 YCbCr→RGB
 //!   matrix commutes with any per-channel spatial `A`, so it is applied
-//!   once per *output* pixel, fused with the add. Gamma (nonlinear) acts
-//!   per RGB channel and is handled here only, by the paper's one-to-one
-//!   mapping trick: invert it on the received image, add the
-//!   linearly-transformed delta, re-apply.
+//!   once per *output* pixel, fused with the add.
 
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -46,9 +43,7 @@ use p3_jpeg::encoder::{encode_coeffs, planes_to_coeffs_into};
 use p3_jpeg::image::RgbImage;
 use p3_jpeg::Mode;
 use p3_vision::image::{round_to_u8, ImageF32};
-use p3_vision::resize::{
-    apply_separable, gamma_sample, sharpen_into, AxisTaps, ResizeFilter, TapCache,
-};
+use p3_vision::resize::{apply_separable, sharpen_into, AxisTaps, ResizeFilter, TapCache};
 
 use crate::transform::TransformSpec;
 use crate::{P3Error, Result};
@@ -301,7 +296,7 @@ fn transformed_delta(
 /// (paper Eq. 2), in RGB pixels.
 ///
 /// * `processed_public` — the RGB pixels downloaded from the PSP
-///   (already `A·xp`, possibly gamma-adjusted).
+///   (already `A·xp`).
 /// * `secret` — the decoded secret part at **original** resolution.
 /// * `t` — the split threshold from the secret container.
 /// * `transform` — the known or reverse-engineered pipeline `A`.
@@ -326,25 +321,19 @@ pub fn reconstruct_processed(
     };
     with_scratch(|Scratch { work, .. }| {
         transformed_delta(secret, t, transform, down, work)
-            .map(|()| add_delta(processed_public, &work.delta, transform))
+            .map(|()| add_delta(processed_public, &work.delta))
     })
 }
 
 /// The fused tail of Eq. 2, once per output pixel: `clamp(round(public +
 /// M·(dY, dCb, dCr)))` with `M` the linear part of the JFIF YCbCr→RGB
 /// map (offsets cancel in deltas; a 1-component secret adds its luma
-/// delta to all three channels), wrapped in the inverse/forward gamma
-/// when `A` ends in one.
-fn add_delta(public: &RgbImage, delta: &[ImageF32], transform: &TransformSpec) -> RgbImage {
+/// delta to all three channels).
+fn add_delta(public: &RgbImage, delta: &[ImageF32]) -> RgbImage {
     let mut out = RgbImage::new(public.width, public.height);
     let dy = &delta[0].data;
     let (dcb, dcr) = if delta.len() == 3 { (&delta[1].data, &delta[2].data) } else { (dy, dy) };
     let gray = delta.len() == 1;
-    let (gamma, linear) = (transform.gamma, transform.is_linear());
-    let ungamma = |v: f32| if linear { v } else { gamma_sample(v, 1.0 / gamma) };
-    let regamma = |v: f32| if linear { v } else { gamma_sample(v, gamma) };
-    // A received sample is one of 256 values: invert gamma by table.
-    let received: [f32; 256] = std::array::from_fn(|v| ungamma(v as f32));
     let pixels = out.data.chunks_exact_mut(3).zip(public.data.chunks_exact(3));
     for ((o, p), ((&y, &cb), &cr)) in pixels.zip(dy.iter().zip(dcb).zip(dcr)) {
         let d = if gray {
@@ -353,7 +342,7 @@ fn add_delta(public: &RgbImage, delta: &[ImageF32], transform: &TransformSpec) -
             [y + 1.402 * cr, y - 0.344_136_3 * cb - 0.714_136_3 * cr, y + 1.772 * cb]
         };
         for c in 0..3 {
-            o[c] = round_to_u8(regamma(received[usize::from(p[c])] + d[c]));
+            o[c] = round_to_u8(f32::from(p[c]) + d[c]);
         }
     }
     out
@@ -373,12 +362,6 @@ fn add_delta_planes(
     transform: &TransformSpec,
     scratch: &mut DeltaScratch,
 ) -> Result<()> {
-    if !transform.is_linear() {
-        return Err(P3Error::Mismatch(format!(
-            "gamma {} acts per RGB channel, and the planar view has no RGB",
-            transform.gamma
-        )));
-    }
     let (ew, eh) = transform.output_dims(secret.width, secret.height);
     if (served.width, served.height) != (ew, eh) {
         return Err(P3Error::Mismatch(format!(
@@ -634,7 +617,6 @@ mod tests {
                 resize_to: resized.then(|| ((w * scale.0).div_ceil(40), (h * scale.1).div_ceil(40))),
                 filter: ResizeFilter::all()[filter],
                 sharpen: if sharpened { (0.8, 0.5) } else { (1.0, 0.0) },
-                gamma: 1.0,
             };
             let grid = [(1, 1), (2, 1), (1, 2), (2, 2)][boxed];
             let down: Vec<_> = (0..secret.components.len())
@@ -756,31 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn gamma_pipeline_roundtrips_approximately() {
-        let img = test_image(64, 64);
-        let ci = pixels_to_coeffs(&img, 92, Subsampling::S444).unwrap();
-        let (public, secret, _) = split_coeffs(&ci, 10).unwrap();
-        let t = TransformSpec { gamma: 1.1, resize_to: Some((32, 32)), ..TransformSpec::default() };
-
-        let public_rgb = p3_jpeg::decoder::coeffs_to_rgb(&public).unwrap();
-        let pub_ch = rgb_to_channels(&public_rgb);
-        let served_rgb =
-            channels_to_rgb(&[t.apply(&pub_ch[0]), t.apply(&pub_ch[1]), t.apply(&pub_ch[2])]);
-
-        let orig_rgb = p3_jpeg::decoder::coeffs_to_rgb(&ci).unwrap();
-        let orig_ch = rgb_to_channels(&orig_rgb);
-        let reference =
-            channels_to_rgb(&[t.apply(&orig_ch[0]), t.apply(&orig_ch[1]), t.apply(&orig_ch[2])]);
-
-        let rec = reconstruct_processed(&served_rgb, &secret, 10, &t).unwrap();
-        let p = luma_psnr(&rec, &reference);
-        // The paper expects "some loss" here; it should still be far above
-        // the public part alone.
-        let pub_only = luma_psnr(&served_rgb, &reference);
-        assert!(p > pub_only + 8.0, "gamma rec {p:.1} vs public {pub_only:.1}");
-    }
-
-    #[test]
     fn dimension_mismatch_rejected() {
         let img = test_image(32, 32);
         let ci = pixels_to_coeffs(&img, 90, Subsampling::S444).unwrap();
@@ -854,9 +811,6 @@ mod tests {
         odd.components[1].h_samp = 3;
         mismatch(planar(&odd, &mut planes.clone(), &t));
 
-        // Gamma acts per RGB channel.
-        mismatch(planar(&frame, &mut planes.clone(), &TransformSpec { gamma: 1.1, ..t }));
-
         // The same, end to end through the JPEG entry: an error, never a
         // view.
         let gray_jpeg = encode_coeffs(&gray, Mode::BaselineOptimized, 0).unwrap();
@@ -864,9 +818,6 @@ mod tests {
         let view = reconstruct_view(&gray_jpeg, &secret_jpeg, 10, |_| t, 90);
         assert!(matches!(view, Err(P3Error::Mismatch(_))), "{view:?}");
         let served_jpeg = encode_coeffs(&frame, Mode::BaselineOptimized, 0).unwrap();
-        let gamma = TransformSpec { gamma: 2.2, ..t };
-        let view = reconstruct_view(&served_jpeg, &secret_jpeg, 10, |_| gamma, 90);
-        assert!(matches!(view, Err(P3Error::Mismatch(_))), "{view:?}");
         assert!(reconstruct_view(&served_jpeg, &secret_jpeg, 10, |_| t, 90).is_ok());
     }
 

@@ -3,16 +3,12 @@
 //! "Many interesting image transformations such as filtering, cropping,
 //! scaling (resizing), and overlapping can be expressed by linear
 //! operators" — a [`TransformSpec`] is one concrete `A`: an optional
-//! crop, a resize with a chosen filter, optional unsharp sharpening, and
-//! a gamma correction. All stages except gamma are linear; gamma is the
-//! paper's example of a one-to-one nonlinear mapping that must be
-//! inverted around the linear reconstruction instead (§3.3, "Extensions"
-//! discussion of color remapping).
+//! crop, a resize with a chosen filter, and optional unsharp sharpening.
+//! Every stage is linear, so every `TransformSpec` is an `A` Eq. 2 holds
+//! for.
 
 use p3_vision::image::{ImageF32, Sample, View};
-use p3_vision::resize::{
-    apply_separable_rows, clamp_window, gamma_sample, sharpen_rows, AxisTaps, ResizeFilter,
-};
+use p3_vision::resize::{apply_separable_rows, clamp_window, sharpen_rows, AxisTaps, ResizeFilter};
 
 /// A concrete server-side processing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,8 +22,6 @@ pub struct TransformSpec {
     pub filter: ResizeFilter,
     /// Unsharp mask `(sigma, amount)`; `amount = 0` disables.
     pub sharpen: (f32, f32),
-    /// Gamma correction; `1.0` disables (the only nonlinear stage).
-    pub gamma: f32,
 }
 
 /// What a [`TransformSpec`] works in between its stages, reusable from
@@ -38,7 +32,7 @@ pub struct TransformScratch {
     rows: Vec<f32>,
     /// The geometry stage's output when a sharpen follows it.
     stage: ImageF32,
-    /// The unsharp's ring of blurred rows (the row in flight when no
+    /// The unsharp's ring of blurred rows (a widened source row when no
     /// stage runs).
     ring: Vec<f32>,
 }
@@ -52,13 +46,7 @@ impl TransformScratch {
 
 impl Default for TransformSpec {
     fn default() -> Self {
-        Self {
-            crop: None,
-            resize_to: None,
-            filter: ResizeFilter::Triangle,
-            sharpen: (1.0, 0.0),
-            gamma: 1.0,
-        }
+        Self { crop: None, resize_to: None, filter: ResizeFilter::Triangle, sharpen: (1.0, 0.0) }
     }
 }
 
@@ -73,20 +61,10 @@ impl TransformSpec {
         Self { resize_to: Some((w, h)), filter, ..Self::default() }
     }
 
-    /// Apply the full pipeline (including gamma) to one channel.
+    /// Apply the pipeline (crop → resize → sharpen) to one channel.
     pub fn apply(&self, ch: &ImageF32) -> ImageF32 {
         let mut out = ImageF32::default();
         self.apply_into(ch, &mut TransformScratch::default(), &mut out);
-        out
-    }
-
-    /// Apply only the linear stages (crop → resize → sharpen). This is
-    /// the `A` of paper Eq. 2 — what the recipient applies to the
-    /// secret + correction delta.
-    pub fn apply_linear(&self, ch: &ImageF32) -> ImageF32 {
-        let mut out = ImageF32::default();
-        let linear = TransformSpec { gamma: 1.0, ..*self };
-        linear.apply_into(ch, &mut TransformScratch::default(), &mut out);
         out
     }
 
@@ -102,25 +80,15 @@ impl TransformSpec {
     /// caller's scratch: `emit(y, row)` is handed each row of the output
     /// ([`Self::output_dims`]), top to bottom, while it is still in
     /// cache. A crop is a window on the source, not a copy; whichever
-    /// linear stage runs last emits, with the gamma applied to its rows;
-    /// so the only plane between stages is a resize's output when an
-    /// unsharp follows it, and a caller that runs many transforms
-    /// allocates for none of them.
+    /// stage runs last emits; so the only plane between stages is a
+    /// resize's output when an unsharp follows it, and a caller that runs
+    /// many transforms allocates for none of them.
     pub fn apply_rows<T: Sample>(
         &self,
         ch: &View<'_, T>,
         scratch: &mut TransformScratch,
         mut emit: impl FnMut(usize, &[f32]),
     ) {
-        let (gamma, linear) = (self.gamma, self.is_linear());
-        let mut emit = |y: usize, row: &mut [f32]| {
-            if !linear {
-                for v in row.iter_mut() {
-                    *v = gamma_sample(*v, gamma);
-                }
-            }
-            emit(y, row);
-        };
         let ch = match self.crop {
             Some((x, y, w, h)) => {
                 let ((x0, w), (y0, h)) =
@@ -148,11 +116,9 @@ impl TransformSpec {
             (None, true) => sharpen_rows(&ch, sigma, amount, ring, emit),
             (None, false) => {
                 ring.clear();
-                ring.resize(2 * w, 0.0);
-                let (row, widened) = ring.split_at_mut(w);
+                ring.resize(w, 0.0);
                 for y in 0..h {
-                    row.copy_from_slice(ch.row(y, widened));
-                    emit(y, row);
+                    emit(y, ch.row(y, ring));
                 }
             }
         }
@@ -171,17 +137,11 @@ impl TransformSpec {
             None => (w, h),
         }
     }
-
-    /// True if the whole pipeline is linear (gamma = 1).
-    pub fn is_linear(&self) -> bool {
-        (self.gamma - 1.0).abs() < 1e-6
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3_vision::resize::gamma_correct;
 
     fn probe(w: usize, h: usize, seed: u32) -> ImageF32 {
         let mut img = ImageF32::new(w, h);
@@ -198,7 +158,6 @@ mod tests {
         let img = probe(20, 16, 1);
         let t = TransformSpec::identity();
         assert_eq!(t.apply(&img).data, img.data);
-        assert!(t.is_linear());
     }
 
     #[test]
@@ -210,10 +169,9 @@ mod tests {
             resize_to: Some((11, 13)),
             filter: ResizeFilter::Lanczos3,
             sharpen: (1.0, 0.8),
-            gamma: 1.0,
         };
-        let lhs = t.apply_linear(&a.add(&b));
-        let rhs = t.apply_linear(&a).add(&t.apply_linear(&b));
+        let lhs = t.apply(&a.add(&b));
+        let rhs = t.apply(&a).add(&t.apply(&b));
         for i in 0..lhs.data.len() {
             assert!((lhs.data[i] - rhs.data[i]).abs() < 1e-2, "at {i}");
         }
@@ -236,9 +194,8 @@ mod tests {
                 resize_to: Some((11, 13)),
                 filter: ResizeFilter::Lanczos3,
                 sharpen: (1.0, 0.8),
-                gamma: 1.1,
             },
-            TransformSpec { gamma: 2.2, ..TransformSpec::resize(50, 9, ResizeFilter::Mitchell) },
+            TransformSpec::resize(50, 9, ResizeFilter::Mitchell),
             TransformSpec {
                 crop: Some((1, 1, 20, 10)),
                 ..TransformSpec::resize(20, 10, ResizeFilter::Box)
@@ -256,29 +213,12 @@ mod tests {
             if let Some((w, h)) = t.resize_to {
                 want = resize(&want, w, h, t.filter);
             }
-            want = gamma_correct(&sharpen(&want, t.sharpen.0, t.sharpen.1), t.gamma);
+            want = sharpen(&want, t.sharpen.0, t.sharpen.1);
             t.apply_into(&img, &mut scratch, &mut out);
             assert_eq!((out.width, out.height), t.output_dims(img.width, img.height), "spec {i}");
             let bits = |i: &ImageF32| i.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&want), "spec {i}");
             assert_eq!(bits(&t.apply(&img)), bits(&want), "spec {i}");
-        }
-    }
-
-    #[test]
-    fn gamma_breaks_linearity_but_inverts() {
-        let a = probe(16, 16, 5);
-        let t = TransformSpec { gamma: 2.2, ..TransformSpec::default() };
-        assert!(!t.is_linear());
-        let fwd = t.apply(&a);
-        let back = gamma_correct(&fwd, 1.0 / t.gamma);
-        for i in 0..a.data.len() {
-            assert!(
-                (back.data[i] - a.data[i]).abs() < 0.75,
-                "at {i}: {} vs {}",
-                back.data[i],
-                a.data[i]
-            );
         }
     }
 

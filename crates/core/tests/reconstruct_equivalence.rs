@@ -3,7 +3,7 @@
 //! The oracle below is the former implementation, kept verbatim as test
 //! code: decode secret + correction with the textbook IDCT, upsample
 //! chroma to full resolution per pixel, convert the delta to RGB, push
-//! three full-resolution channels through `TransformSpec::apply_linear`,
+//! three full-resolution channels through `TransformSpec::apply`,
 //! add. The planar pipeline evaluates the same linear operator in a
 //! different order (colour conversion and chroma upsampling commute with
 //! `A`), so the two may differ only by `f32` rounding: at most 1 LSB on
@@ -19,7 +19,7 @@ use p3_jpeg::decoder::coeffs_to_rgb;
 use p3_jpeg::encoder::{gray_to_coeffs, pixels_to_coeffs, Subsampling};
 use p3_jpeg::image::RgbImage;
 use p3_vision::image::ImageF32;
-use p3_vision::resize::{gamma_correct, ResizeFilter};
+use p3_vision::resize::ResizeFilter;
 use proptest::prelude::*;
 
 fn delta_rgb_channels(secret: &CoeffImage, t: u16) -> Result<[ImageF32; 3]> {
@@ -120,19 +120,8 @@ fn reconstruct_oracle(
     }
     let delta = delta_rgb_channels(secret, t)?;
     let received = rgb_to_channels(processed_public);
-    let out: Vec<ImageF32> = received
-        .iter()
-        .zip(&delta)
-        .map(|(recv, d)| {
-            let dt = transform.apply_linear(d);
-            if transform.is_linear() {
-                recv.add(&dt)
-            } else {
-                let lin = gamma_correct(recv, 1.0 / transform.gamma);
-                gamma_correct(&lin.add(&dt), transform.gamma)
-            }
-        })
-        .collect();
+    let out: Vec<ImageF32> =
+        received.iter().zip(&delta).map(|(recv, d)| recv.add(&transform.apply(d))).collect();
     Ok(channels_to_rgb(&[out[0].clone(), out[1].clone(), out[2].clone()]))
 }
 
@@ -205,7 +194,6 @@ fn spec_for(
     resize: Option<(usize, usize)>,
     filter: usize,
     sharpen: bool,
-    gamma: usize,
 ) -> TransformSpec {
     TransformSpec {
         // Origins inside the photo; extents may overhang and get clamped.
@@ -213,7 +201,6 @@ fn spec_for(
         resize_to: resize,
         filter: ResizeFilter::all()[filter],
         sharpen: if sharpen { (0.8, 0.5) } else { (1.0, 0.0) },
-        gamma: [1.0, 1.1, 2.2][gamma],
     }
 }
 
@@ -224,10 +211,9 @@ fn awkward_sizes_match_the_oracle() {
     for (w, h) in [(321, 243), (17, 9), (8, 8)] {
         for layout in 0..4 {
             check(w, h, 7, layout, 15, &TransformSpec::identity());
-            let down = spec_for((w, h), None, Some((w.div_ceil(3), h.div_ceil(2))), 5, true, 0);
+            let down = spec_for((w, h), None, Some((w.div_ceil(3), h.div_ceil(2))), 5, true);
             check(w, h, 8, layout, 15, &down);
-            let up =
-                spec_for((w, h), Some((3, 2, w / 2, h / 2)), Some((w + 5, h + 3)), 2, false, 1);
+            let up = spec_for((w, h), Some((3, 2, w / 2, h / 2)), Some((w + 5, h + 3)), 2, false);
             check(w, h, 9, layout, 10, &up);
         }
     }
@@ -242,11 +228,11 @@ proptest! {
         t in 1u16..40,
         crop in (any::<bool>(), 0usize..64, 0usize..64, 0usize..64, 0usize..64),
         resize in (any::<bool>(), 1usize..96, 1usize..96),
-        filter in 0usize..6, sharpen in any::<bool>(), gamma in 0usize..3,
+        filter in 0usize..6, sharpen in any::<bool>(),
     ) {
         let crop = crop.0.then_some((crop.1, crop.2, crop.3, crop.4));
         let resize = resize.0.then_some((resize.1, resize.2));
-        check(w, h, seed, layout, t, &spec_for((w, h), crop, resize, filter, sharpen, gamma));
+        check(w, h, seed, layout, t, &spec_for((w, h), crop, resize, filter, sharpen));
     }
 }
 

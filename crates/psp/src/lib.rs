@@ -11,7 +11,7 @@
 //! * **marker stripping** — application segments (where one might hide a
 //!   secret part) are removed;
 //! * **static resize ladder** — e.g. Facebook's 720/130/75 renditions,
-//!   built with a *hidden* pipeline (filter, sharpening, gamma, progressive
+//!   built with a *hidden* pipeline (filter, sharpening, progressive
 //!   re-encode) the client cannot observe directly;
 //! * **dynamic transforms** — resize/crop parameters in the GET URL;
 //! * an optional **countermeasure mode** (§4.2) where the PSP detects
@@ -21,7 +21,8 @@
 //! parameter search the paper uses to approximate the hidden pipeline
 //! ("we select several candidate settings for colorspace conversion,
 //! filtering, sharpening, enhancing, and gamma corrections, and then
-//! compare the output of these with that produced by the PSP").
+//! compare the output of these with that produced by the PSP"), over the
+//! filter and sharpening stages the profiles hide.
 //!
 //! The untrusted blob store (the paper used Dropbox) that holds the
 //! encrypted secret parts, addressed by PSP photo ID, is the

@@ -4,8 +4,8 @@
 //! the outside world. For example, the process of resizing an image
 //! using down sampling is often accompanied by a filtering step for
 //! antialiasing and may be followed by a sharpening step, together with
-//! a color adjustment step" (§4.1). The two stock profiles differ in all
-//! of those, plus output format, the way the real providers did:
+//! a color adjustment step" (§4.1). The two stock profiles differ in
+//! filter, sharpening and output format, the way the real providers did:
 //! Facebook re-encodes to progressive and caps at 720 px; Flickr keeps
 //! baseline and a deeper ladder.
 
@@ -44,8 +44,6 @@ pub struct PspProfile {
     pub filter: ResizeFilter,
     /// Hidden unsharp parameters (sigma, amount).
     pub sharpen: (f32, f32),
-    /// Hidden gamma adjustment.
-    pub gamma: f32,
     /// Re-encode quality.
     pub quality: u8,
     /// Output entropy-coding mode (Facebook: progressive).
@@ -63,7 +61,6 @@ impl PspProfile {
             ladder: vec![720, 130, 75],
             filter: ResizeFilter::Lanczos3,
             sharpen: (0.8, 0.5),
-            gamma: 1.0,
             quality: 85,
             output_mode: Mode::Progressive,
             detect_p3_uploads: false,
@@ -79,7 +76,6 @@ impl PspProfile {
             ladder: vec![1024, 500, 240, 75],
             filter: ResizeFilter::Mitchell,
             sharpen: (1.0, 0.0),
-            gamma: 1.0,
             quality: 90,
             output_mode: Mode::BaselineOptimized,
             detect_p3_uploads: false,
@@ -116,13 +112,7 @@ impl PspProfile {
                 ((h as f64 * scale).round() as usize).max(1),
             ))
         };
-        TransformSpec {
-            crop: None,
-            resize_to,
-            filter: self.filter,
-            sharpen: self.sharpen,
-            gamma: self.gamma,
-        }
+        TransformSpec { crop: None, resize_to, filter: self.filter, sharpen: self.sharpen }
     }
 
     /// Parse a request's query into a [`SizeRequest`].

@@ -10,7 +10,10 @@
 //! The proxy holds the public part it uploaded and the transformed
 //! public part the PSP served; [`reverse_engineer`] scores every
 //! candidate pipeline by PSNR between `candidate(uploaded)` and
-//! `served`, and returns the best. The paper notes "this reverse
+//! `served`, and returns the best. The grid spans the resampling filter
+//! and the unsharp, the stages [`TransformSpec`] models, so whatever it
+//! picks is a linear `A` that Eq. 2 can push a delta through. The paper
+//! notes "this reverse
 //! engineering need only be done when a PSP re-jiggers its image
 //! transformation pipeline" — in the system flow it runs once per
 //! profile and is cached.
@@ -32,21 +35,18 @@ pub struct ReverseReport {
     pub candidates: usize,
 }
 
-/// Candidate grid: every filter × sharpening level × gamma level, at the
-/// served output dimensions.
+/// Candidate grid: every filter × sharpening level, at the served output
+/// dimensions.
 fn candidates(out_w: usize, out_h: usize) -> Vec<TransformSpec> {
     let mut out = Vec::new();
     for &filter in ResizeFilter::all() {
         for &(s_sigma, s_amount) in &[(0.8f32, 0.0f32), (0.8, 0.5), (0.8, 1.0), (1.5, 0.5)] {
-            for &gamma in &[0.9f32, 1.0, 1.1] {
-                out.push(TransformSpec {
-                    crop: None,
-                    resize_to: Some((out_w, out_h)),
-                    filter,
-                    sharpen: (s_sigma, s_amount),
-                    gamma,
-                });
-            }
+            out.push(TransformSpec {
+                crop: None,
+                resize_to: Some((out_w, out_h)),
+                filter,
+                sharpen: (s_sigma, s_amount),
+            });
         }
     }
     out
@@ -124,7 +124,6 @@ mod tests {
                 resize_to: Some((96, 72)),
                 filter,
                 sharpen: (0.8, 0.0),
-                gamma: 1.0,
                 crop: None,
             };
             let served = apply_rgb(&truth, &src);
@@ -135,19 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn recovers_sharpening_and_gamma() {
+    fn recovers_sharpening() {
         let src = photo(200, 150);
         let truth = TransformSpec {
             resize_to: Some((100, 75)),
             filter: ResizeFilter::Mitchell,
             sharpen: (0.8, 1.0),
-            gamma: 1.1,
             crop: None,
         };
         let served = apply_rgb(&truth, &src);
         let report = reverse_engineer(&src, &served);
         assert_eq!(report.spec.sharpen.1, 1.0);
-        assert!((report.spec.gamma - 1.1).abs() < 1e-6);
     }
 
     #[test]
@@ -160,7 +157,6 @@ mod tests {
             resize_to: Some((120, 90)),
             filter: ResizeFilter::CatmullRom,
             sharpen: (1.1, 0.35),
-            gamma: 1.0,
             crop: None,
         };
         let served = apply_rgb(&truth, &src);
@@ -173,6 +169,6 @@ mod tests {
         let src = photo(64, 48);
         let served = apply_rgb(&TransformSpec::resize(32, 24, ResizeFilter::Triangle), &src);
         let report = reverse_engineer(&src, &served);
-        assert_eq!(report.candidates, 6 * 4 * 3);
+        assert_eq!(report.candidates, 6 * 4);
     }
 }

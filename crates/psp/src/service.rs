@@ -281,7 +281,6 @@ impl PspCore {
                     resize_to: None,
                     filter: self.profile.filter,
                     sharpen: (1.0, 0.0),
-                    gamma: 1.0,
                 };
                 Some(self.render(self.ceiling_rgb(&photo), &spec))
             }

@@ -14,7 +14,7 @@
 //! | [`metrics`] | PSNR (Fig. 6), MSE, SSIM |
 //! | [`filter`] | convolution, Gaussian, Sobel (building blocks) |
 //! | [`canny`] | Canny edge detection + matching-pixel ratio (Fig. 8a, 9) |
-//! | [`resize`] | the PSP transform zoo: resample filters, crop, sharpen, gamma (Fig. 10, §5.3 reconstruction) |
+//! | [`resize`] | the PSP transform zoo: resample filters, crop, sharpen (Fig. 10, §5.3 reconstruction) |
 //! | [`sift`] | SIFT keypoints/descriptors + ratio-test matching (Fig. 8c) |
 //! | [`eigenface`] | Eigenfaces PCA recognition + CMC curves (Fig. 8d) |
 //! | [`facedetect`] | Haar + AdaBoost cascade face detector (Fig. 8b) |

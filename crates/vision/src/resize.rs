@@ -1,5 +1,5 @@
-//! Image resampling, cropping, sharpening, gamma — the transform zoo a
-//! PSP applies server-side.
+//! Image resampling, cropping, sharpening — the transform zoo a PSP
+//! applies server-side.
 //!
 //! The paper (§4.1) observes that a PSP resize is "often accompanied by a
 //! filtering step for antialiasing and may be followed by a sharpening
@@ -13,8 +13,7 @@
 //! Resampling and cropping are **linear** operators: `A(αa + βb) =
 //! αA(a) + βA(b)`. That property (verified by property tests downstream)
 //! is what makes P3's Eq. 2 reconstruction exact. Sharpening is also
-//! linear; gamma correction is not, which is exactly why the paper's
-//! exhaustive search must try gamma candidates rather than commute them.
+//! linear, so every pipeline built from this module commutes with Eq. 2.
 
 use crate::filter::{accumulate_h, accumulate_v, gaussian_kernel};
 use crate::image::{ImageF32, Sample, View};
@@ -398,7 +397,7 @@ pub fn apply_separable_rows<T: Sample>(
     xt: &AxisTaps,
     yt: &AxisTaps,
     rows: &mut Vec<f32>,
-    mut emit: impl FnMut(usize, &mut [f32]),
+    mut emit: impl FnMut(usize, &[f32]),
 ) {
     let (w, h) = (xt.dst_len(), yt.dst_len());
     let first = resample_h(src, xt, yt, rows);
@@ -560,7 +559,7 @@ pub fn sharpen_rows<T: Sample>(
     sigma: f32,
     amount: f32,
     ring: &mut Vec<f32>,
-    mut emit: impl FnMut(usize, &mut [f32]),
+    mut emit: impl FnMut(usize, &[f32]),
 ) {
     let (w, h) = (img.width, img.height);
     if w == 0 {
@@ -589,27 +588,6 @@ pub fn sharpen_rows<T: Sample>(
         }
         emit(y, acc);
     }
-}
-
-/// Gamma correction on the nominal \[0,255\] range. **Nonlinear** for
-/// `gamma != 1.0` — the one pipeline stage Eq. 2 cannot commute through,
-/// which the reverse-engineering search must therefore identify exactly.
-pub fn gamma_correct(img: &ImageF32, gamma: f32) -> ImageF32 {
-    if (gamma - 1.0).abs() < 1e-6 {
-        return img.clone();
-    }
-    let mut out = ImageF32::new(img.width, img.height);
-    for (o, &v) in out.data.iter_mut().zip(img.data.iter()) {
-        *o = gamma_sample(v, gamma);
-    }
-    out
-}
-
-/// [`gamma_correct`] of one sample, for callers that fuse it into a
-/// pass of their own.
-#[inline]
-pub fn gamma_sample(v: f32, gamma: f32) -> f32 {
-    (v / 255.0).clamp(0.0, 1.0).powf(1.0 / gamma) * 255.0
 }
 
 #[cfg(test)]
@@ -669,7 +647,7 @@ mod tests {
     }
 
     /// The plane a row kernel emits, top to bottom, into `out`.
-    fn gather(out: &mut ImageF32) -> impl FnMut(usize, &mut [f32]) + '_ {
+    fn gather(out: &mut ImageF32) -> impl FnMut(usize, &[f32]) + '_ {
         |y, row| {
             assert_eq!(y, out.height, "rows out of order");
             (out.width, out.height) = (row.len(), y + 1);
@@ -893,23 +871,6 @@ mod tests {
         // Overshoot on the bright side of the edge.
         assert!(out.get(8, 8) > img.get(8, 8));
         assert!(out.get(7, 8) < img.get(7, 8));
-    }
-
-    #[test]
-    fn gamma_identity_and_monotone() {
-        let img = gradient(8, 8);
-        assert_eq!(gamma_correct(&img, 1.0).data, img.data);
-        let g = gamma_correct(&img, 2.2);
-        // Gamma > 1 brightens midtones.
-        let mid = ImageF32::from_raw(1, 1, vec![128.0]).unwrap();
-        assert!(gamma_correct(&mid, 2.2).data[0] > 128.0);
-        assert!(gamma_correct(&mid, 0.5).data[0] < 128.0);
-        // Endpoints fixed.
-        assert!((g.data[0] - img.data[0]).abs() < 0.5 || img.data[0] > 0.0);
-        let ends = ImageF32::from_raw(2, 1, vec![0.0, 255.0]).unwrap();
-        let ge = gamma_correct(&ends, 2.2);
-        assert!(ge.data[0].abs() < 1e-3);
-        assert!((ge.data[1] - 255.0).abs() < 1e-3);
     }
 
     #[test]

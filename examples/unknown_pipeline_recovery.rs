@@ -1,8 +1,7 @@
 //! Reverse-engineering a PSP's hidden pipeline (paper §4.1) and
 //! reconstructing through it (Eq. 2).
 //!
-//! The PSP resizes with a filter, sharpening and gamma the client cannot
-//! see. The recipient proxy searches candidate pipelines against the
+//! The PSP resizes with a filter and sharpening the client cannot see. The recipient proxy searches candidate pipelines against the
 //! served image, then applies the winner to the secret delta.
 //!
 //! ```text
@@ -26,8 +25,8 @@ fn main() {
     for profile in [PspProfile::facebook(), PspProfile::flickr()] {
         println!("--- {} profile ---", profile.name);
         println!(
-            "hidden pipeline: filter {:?}, sharpen {:?}, gamma {}, quality {}, {:?}",
-            profile.filter, profile.sharpen, profile.gamma, profile.quality, profile.output_mode
+            "hidden pipeline: filter {:?}, sharpen {:?}, quality {}, {:?}",
+            profile.filter, profile.sharpen, profile.quality, profile.output_mode
         );
         let psp = PspCore::new(profile.clone());
         let id = psp.upload(&public_jpeg).expect("upload");
@@ -46,12 +45,8 @@ fn main() {
         let uploaded = p3_jpeg::decode_to_rgb(&public_jpeg).expect("decode");
         let report = reverse_engineer(&uploaded, &served);
         println!(
-            "search over {} candidates -> filter {:?}, sharpen {:?}, gamma {} (match {:.1} dB)",
-            report.candidates,
-            report.spec.filter,
-            report.spec.sharpen,
-            report.spec.gamma,
-            report.match_psnr
+            "search over {} candidates -> filter {:?}, sharpen {:?} (match {:.1} dB)",
+            report.candidates, report.spec.filter, report.spec.sharpen, report.match_psnr
         );
 
         // Reconstruct with the estimated pipeline.

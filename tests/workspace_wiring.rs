@@ -349,8 +349,6 @@ fn is_flag_char(c: char) -> bool {
 const ALLOWED: &[(&str, &str, &str)] = &[
     ("crates/core/src/split.rs", "secret_plus_correction",
         "test oracle: Eq. 1's secret-side delta"),
-    ("crates/core/src/transform.rs", "apply_linear",
-        "test oracle: the `A` of Eq. 2 on its own"),
     ("crates/jpeg/src/dct.rs", "fdct_from_u8",
         "test oracle: the f32 DCT the AAN path is gated on"),
     ("crates/jpeg/src/dct.rs", "idct8x8",
@@ -361,8 +359,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "test oracle: the f32 dequantizer feeding those IDCTs"),
     ("crates/vision/src/metrics.rs", "ssim",
         "test oracle: the yardstick privacy tests grade parts with"),
-    ("crates/vision/src/resize.rs", "gamma_correct",
-        "test oracle: the per-image gamma the LUT must match"),
     ("crates/par/src/features.rs", "set_force_scalar",
         "test seam: both dispatch paths in one process"),
     ("crates/storage/src/fault.rs", "tamper",

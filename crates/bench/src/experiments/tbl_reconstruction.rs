@@ -22,6 +22,10 @@ use p3_vision::metrics::psnr;
 
 const T: u16 = 15;
 
+/// The rung the PSP serves: the small one, which every corpus photo is
+/// larger than, so the PSP resizes and the search has a filter to find.
+const RUNG: SizeRequest = SizeRequest::Small;
+
 fn known_transform_psnr(images: &[PreparedImage]) -> f64 {
     let mut values = Vec::new();
     for img in images {
@@ -49,7 +53,7 @@ fn psp_profile_psnr(images: &[PreparedImage], profile: PspProfile) -> (f64, f64)
         let (public_jpeg, _, _, secret) = split_encoded(img, T);
         let uploaded_public = p3_jpeg::decode_to_rgb(&public_jpeg).expect("decode");
         let id = psp.upload(&public_jpeg).expect("PSP accepts public part");
-        let served_jpeg = psp.fetch(id, SizeRequest::Big).expect("served");
+        let served_jpeg = psp.fetch(id, RUNG).expect("served");
         let served = p3_jpeg::decode_to_rgb(&served_jpeg).expect("decode served");
 
         // Recipient: estimate the hidden pipeline from (uploaded, served).
@@ -58,16 +62,11 @@ fn psp_profile_psnr(images: &[PreparedImage], profile: PspProfile) -> (f64, f64)
 
         // Reference: the original pushed through the PSP's *true* hidden
         // pipeline (what a non-P3 user would have received).
-        let truth = profile.transform_to_side(
-            img.rgb.width,
-            img.rgb.height,
-            *profile.ladder.first().unwrap(),
-        );
+        let side = profile.ladder_side(RUNG).expect("ladder has the rung");
+        let truth = profile.transform_to_side(img.rgb.width, img.rgb.height, side);
         let reference =
             apply_rgb(&truth, &p3_jpeg::decoder::coeffs_to_rgb(&img.coeffs).expect("decode"));
-        if (reference.width, reference.height) != (rec.width, rec.height) {
-            continue; // image smaller than the ladder cap: skip
-        }
+        assert_eq!((reference.width, reference.height), (rec.width, rec.height));
         rec_values.push(psnr(&rgb_to_luma(&reference), &rgb_to_luma(&rec)));
         pub_values.push(psnr(&rgb_to_luma(&reference), &rgb_to_luma(&served)));
     }
@@ -110,5 +109,22 @@ mod tests {
         let (rec, public) = psp_profile_psnr(&usc, PspProfile::flickr());
         assert!(rec > 25.0, "reconstruction {rec:.1} dB too low");
         assert!(rec > public + 8.0, "reconstruction {rec:.1} vs public alone {public:.1}");
+    }
+
+    /// A rung served at the upload's own size was never resized, and its
+    /// reverse search has no filter to tell apart.
+    #[test]
+    fn the_measured_rung_is_resized() {
+        let usc = prepare(p3_datasets::usc_sipi_like(2, 1));
+        for profile in [PspProfile::facebook(), PspProfile::flickr()] {
+            let psp = PspCore::new(profile);
+            for img in &usc {
+                let (public_jpeg, ..) = split_encoded(img, T);
+                let id = psp.upload(&public_jpeg).unwrap();
+                let served = p3_jpeg::marker::summarize(&psp.fetch(id, RUNG).unwrap()).unwrap();
+                let upload = (img.rgb.width, img.rgb.height);
+                assert_ne!((served.width, served.height), upload, "{}", psp.profile().name);
+            }
+        }
     }
 }

@@ -25,7 +25,7 @@
 use crate::http::{Method, Request, Response, StatusCode};
 use crate::proxy::{bad_gateway, fetch_secret, storage_get, Fetch, ProxyCtx};
 use p3_crypto::EnvelopeKey;
-use p3_video::{FrameKind, SecretVideoStream, VideoStream};
+use p3_video::{FrameKind, VideoStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -174,12 +174,9 @@ pub(crate) fn handle_video_upload(req: &Request, ctx: &ProxyCtx) -> Response {
         Ok(parts) => parts,
         Err(e) => return Response::text(StatusCode::BAD_REQUEST, &format!("unsplittable: {e}")),
     };
-    let index = VideoIndex::build(&public.stream);
-    let parts: [(&str, Vec<u8>); 3] = [
-        ("pub", public.stream.to_bytes()),
-        ("sec", secret.blob),
-        ("idx", index.to_text().into_bytes()),
-    ];
+    let index = VideoIndex::build(&public);
+    let parts: [(&str, Vec<u8>); 3] =
+        [("pub", public.to_bytes()), ("sec", secret), ("idx", index.to_text().into_bytes())];
     for (i, (part, bytes)) in parts.iter().enumerate() {
         let put = ctx.pool.put(
             ctx.cfg.storage_addr,
@@ -258,8 +255,7 @@ fn open_containers(
     id: &str,
     blob: &[u8],
 ) -> Result<Vec<p3_core::container::SecretContainer>, Response> {
-    let secret = SecretVideoStream { blob: blob.to_vec() };
-    p3_video::open_secret_stream(&secret, &video_key(ctx, id))
+    p3_video::open_secret_stream(blob, &video_key(ctx, id))
         .map_err(|e| bad_gateway(&format!("secret stream rejected: {e}"), None))
 }
 
@@ -277,9 +273,7 @@ fn serve_full(id: &str, index: &VideoIndex, ctx: &ProxyCtx) -> Response {
         Ok(s) => s,
         Err(e) => return bad_gateway(&format!("corrupt public stream: {e}"), None),
     };
-    let public = p3_video::PublicVideo { stream };
-    let secret = SecretVideoStream { blob: secret_blob.to_vec() };
-    match p3_video::reconstruct_video(&public, &secret, &video_key(ctx, id)) {
+    match p3_video::reconstruct_video(&stream, &secret_blob, &video_key(ctx, id)) {
         Ok(restored) => {
             ctx.stats.video_fulls_served.fetch_add(1, Ordering::Relaxed);
             let mut resp = Response::ok("video/p3v", restored.to_bytes());

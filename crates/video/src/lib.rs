@@ -27,9 +27,7 @@ pub mod split;
 
 pub use codec::{GopCodec, VideoCodecParams};
 pub use container::{FrameKind, VideoStream};
-pub use split::{
-    open_secret_stream, reconstruct_video, split_video, PublicVideo, SecretVideoStream,
-};
+pub use split::{open_secret_stream, reconstruct_video, split_video};
 
 use std::fmt;
 

@@ -9,29 +9,18 @@ use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
 use p3_crypto::EnvelopeKey;
 
-/// The public video: safe to hand to an untrusted video-sharing service.
-#[derive(Debug, Clone)]
-pub struct PublicVideo {
-    /// Stream whose I-frames are P3 public parts.
-    pub stream: VideoStream,
-}
-
-/// The sealed secret stream for a split video.
-#[derive(Debug, Clone)]
-pub struct SecretVideoStream {
-    /// Encrypted blob: concatenated per-I-frame secret containers.
-    pub blob: Vec<u8>,
-}
-
 const MAGIC: &[u8; 4] = b"P3VS";
 
 /// Split a video: each I-frame becomes (public part, secret part); the
-/// secret parts are framed together and sealed under `key`.
+/// secret parts are framed together and sealed under `key`. Returns the
+/// public video, whose I-frames are P3 public parts and which is safe to
+/// hand to an untrusted video-sharing service, and the sealed secret
+/// stream.
 pub fn split_video(
     stream: &VideoStream,
     codec: &P3Codec,
     key: &EnvelopeKey,
-) -> Result<(PublicVideo, SecretVideoStream)> {
+) -> Result<(VideoStream, Vec<u8>)> {
     let mut public_frames = Vec::with_capacity(stream.frames.len());
     let mut secret_payload = Vec::new();
     secret_payload.extend_from_slice(MAGIC);
@@ -49,27 +38,21 @@ pub fn split_video(
             FrameKind::P => public_frames.push((FrameKind::P, jpeg.clone())),
         }
     }
-    let public = PublicVideo {
-        stream: VideoStream {
-            width: stream.width,
-            height: stream.height,
-            fps: stream.fps,
-            frames: public_frames,
-        },
+    let public = VideoStream {
+        width: stream.width,
+        height: stream.height,
+        fps: stream.fps,
+        frames: public_frames,
     };
-    let blob = p3_crypto::seal(key, &secret_payload);
-    Ok((public, SecretVideoStream { blob }))
+    Ok((public, p3_crypto::seal(key, &secret_payload)))
 }
 
 /// Open a sealed secret stream into its per-I-frame containers, in
 /// I-frame order. Exposed so a GOP-granular consumer (the proxy's
 /// ranged video path) can pick container *k* without reconstructing the
 /// whole clip.
-pub fn open_secret_stream(
-    secret: &SecretVideoStream,
-    key: &EnvelopeKey,
-) -> Result<Vec<SecretContainer>> {
-    let payload = p3_crypto::open(key, &secret.blob).map_err(p3_core::P3Error::Envelope)?;
+pub fn open_secret_stream(secret: &[u8], key: &EnvelopeKey) -> Result<Vec<SecretContainer>> {
+    let payload = p3_crypto::open(key, secret).map_err(p3_core::P3Error::Envelope)?;
     if payload.len() < 8 || &payload[..4] != MAGIC {
         return Err(VideoError::Container("bad secret stream header".into()));
     }
@@ -103,14 +86,14 @@ pub fn open_secret_stream(
 /// stream (unprocessed case: the service stored the public video
 /// as-is).
 pub fn reconstruct_video(
-    public: &PublicVideo,
-    secret: &SecretVideoStream,
+    public: &VideoStream,
+    secret: &[u8],
     key: &EnvelopeKey,
 ) -> Result<VideoStream> {
     let containers = open_secret_stream(secret, key)?;
-    let mut out_frames = Vec::with_capacity(public.stream.frames.len());
+    let mut out_frames = Vec::with_capacity(public.frames.len());
     let mut next_secret = containers.into_iter();
-    for (i, (kind, jpeg)) in public.stream.frames.iter().enumerate() {
+    for (i, (kind, jpeg)) in public.frames.iter().enumerate() {
         match kind {
             FrameKind::I => {
                 let container = next_secret
@@ -122,9 +105,9 @@ pub fn reconstruct_video(
         }
     }
     Ok(VideoStream {
-        width: public.stream.width,
-        height: public.stream.height,
-        fps: public.stream.fps,
+        width: public.width,
+        height: public.height,
+        fps: public.fps,
         frames: out_frames,
     })
 }
@@ -165,7 +148,7 @@ mod tests {
         let key = EnvelopeKey::derive(b"video master", b"clip-2");
         let (public, _) = split_video(&stream, &codec, &key).unwrap();
         // Decode the public video WITHOUT the secret stream.
-        let decoded = gop.decode(&public.stream).unwrap();
+        let decoded = gop.decode(&public).unwrap();
         // Every frame — including P-frames that were left in the clear —
         // must be badly degraded, because the GOP predicts from a
         // destroyed I-frame (the paper's propagation argument).
@@ -191,13 +174,8 @@ mod tests {
         let codec = P3Codec::new(P3Config { threshold: 20 });
         let key = EnvelopeKey::derive(b"video master", b"clip-4");
         let (public, secret) = split_video(&stream, &codec, &key).unwrap();
-        let public_size = public.stream.to_bytes().len();
+        let public_size = public.to_bytes().len();
         // Only I-frames contribute secrets; the stream is mostly P-frames.
-        assert!(
-            secret.blob.len() < public_size,
-            "secret {} >= public {}",
-            secret.blob.len(),
-            public_size
-        );
+        assert!(secret.len() < public_size, "secret {} >= public {}", secret.len(), public_size);
     }
 }

@@ -29,13 +29,13 @@ fn main() {
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).expect("split");
     println!(
         "split: public video {} bytes (+{} byte encrypted secret stream for {} I-frames)\n",
-        public.stream.to_bytes().len(),
-        secret.blob.len(),
+        public.to_bytes().len(),
+        secret.len(),
         stream.iframe_indices().len()
     );
 
     // What an eavesdropper sees vs what a recipient reconstructs.
-    let leaked = gop.decode(&public.stream).expect("decode public");
+    let leaked = gop.decode(&public).expect("decode public");
     let restored = p3_video::reconstruct_video(&public, &secret, &key).expect("reconstruct");
     let restored_frames = gop.decode(&restored).expect("decode restored");
 

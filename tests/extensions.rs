@@ -38,7 +38,7 @@ fn video_extension_end_to_end() {
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).unwrap();
 
     // Container roundtrip of the public video (what a service would store).
-    let bytes = public.stream.to_bytes();
+    let bytes = public.to_bytes();
     let parsed = p3_video::VideoStream::from_bytes(&bytes).unwrap();
     assert_eq!(parsed.iframe_indices(), stream.iframe_indices());
 

@@ -52,9 +52,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Chooses the [`TransformSpec`] the PSP most likely applied, given the
-/// original and served dimensions. The system example wires this to the
-/// reverse-engineering search from `p3-psp`; the default assumes a plain
-/// bilinear fit-resize.
+/// original and served dimensions. Every caller passes
+/// [`default_estimator`], a plain bilinear fit-resize: the
+/// reverse-engineering search in `p3-psp` needs the pixels of both
+/// images, which this signature does not carry.
 pub type TransformEstimator =
     Arc<dyn Fn((usize, usize), (usize, usize)) -> TransformSpec + Send + Sync>;
 

@@ -7,7 +7,6 @@
 
 use crate::experiments::common::{prepare, split_encoded, PreparedImage};
 use crate::util::{f1, mean_std, Scale, Table};
-use p3_core::pixel::{channels_to_rgb, rgb_to_channels};
 use p3_jpeg::image::RgbImage;
 
 /// Thresholds plotted in the paper's Figure 10.
@@ -33,8 +32,7 @@ struct BandwidthPoint {
 fn psp_resize(rgb: &RgbImage, max_side: usize) -> Vec<u8> {
     let profile = p3_psp::PspProfile::facebook();
     let spec = profile.transform_to_side(rgb.width, rgb.height, max_side);
-    let ch = rgb_to_channels(rgb);
-    let out = channels_to_rgb(&[spec.apply(&ch[0]), spec.apply(&ch[1]), spec.apply(&ch[2])]);
+    let out = spec.apply_rgb(rgb);
     let ci = p3_jpeg::encoder::pixels_to_coeffs(&out, profile.quality, p3_jpeg::Subsampling::S420)
         .expect("psp re-encode");
     p3_jpeg::encoder::encode_coeffs(&ci, profile.output_mode, 0).expect("psp re-encode")

@@ -13,10 +13,9 @@
 
 use crate::experiments::common::{prepare, split_encoded, PreparedImage};
 use crate::util::{f1, mean_std, Scale, Table};
-use p3_core::pixel::{channels_to_rgb, rgb_to_channels, rgb_to_luma};
+use p3_core::pixel::rgb_to_luma;
 use p3_core::reconstruct::reconstruct_processed;
 use p3_core::transform::TransformSpec;
-use p3_jpeg::image::RgbImage;
 use p3_psp::{reverse_engineer, PspCore, PspProfile, SizeRequest};
 use p3_vision::metrics::psnr;
 
@@ -39,12 +38,6 @@ fn known_transform_psnr(images: &[PreparedImage]) -> f64 {
     mean_std(&values).0
 }
 
-/// Push an RGB image through a ground-truth transform (for references).
-fn apply_rgb(spec: &TransformSpec, img: &RgbImage) -> RgbImage {
-    let ch = rgb_to_channels(img);
-    channels_to_rgb(&[spec.apply(&ch[0]), spec.apply(&ch[1]), spec.apply(&ch[2])])
-}
-
 fn psp_profile_psnr(images: &[PreparedImage], profile: PspProfile) -> (f64, f64) {
     let psp = PspCore::new(profile.clone());
     let mut rec_values = Vec::new();
@@ -65,7 +58,7 @@ fn psp_profile_psnr(images: &[PreparedImage], profile: PspProfile) -> (f64, f64)
         let side = profile.ladder_side(RUNG).expect("ladder has the rung");
         let truth = profile.transform_to_side(img.rgb.width, img.rgb.height, side);
         let reference =
-            apply_rgb(&truth, &p3_jpeg::decoder::coeffs_to_rgb(&img.coeffs).expect("decode"));
+            truth.apply_rgb(&p3_jpeg::decoder::coeffs_to_rgb(&img.coeffs).expect("decode"));
         assert_eq!((reference.width, reference.height), (rec.width, rec.height));
         rec_values.push(psnr(&rgb_to_luma(&reference), &rgb_to_luma(&rec)));
         pub_values.push(psnr(&rgb_to_luma(&reference), &rgb_to_luma(&served)));

@@ -215,10 +215,8 @@ mod tests {
         let key = EnvelopeKey::derive(b"k", b"p");
         let parts = codec.encrypt_jpeg(&jpeg, &key).unwrap();
         let small = p3_jpeg::decode_to_rgb(&parts.public_jpeg).unwrap();
-        let ch = crate::pixel::rgb_to_channels(&small);
         let t = TransformSpec::resize(32, 32, p3_vision::resize::ResizeFilter::Triangle);
-        let resized =
-            crate::pixel::channels_to_rgb(&[t.apply(&ch[0]), t.apply(&ch[1]), t.apply(&ch[2])]);
+        let resized = t.apply_rgb(&small);
         let resized_jpeg = p3_jpeg::Encoder::new().quality(90).encode_rgb(&resized).unwrap();
         assert!(codec.decrypt_jpeg(&resized_jpeg, &parts.secret_blob, &key).is_err());
         // ... but Eq. 2 reconstructs it.

@@ -440,7 +440,6 @@ pub fn reconstruct_view(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::{channels_to_rgb, rgb_to_channels};
     use crate::split::split_coeffs;
     use p3_jpeg::encoder::{gray_to_coeffs, pixels_to_coeffs, Subsampling};
     use p3_vision::metrics::psnr;
@@ -698,15 +697,11 @@ mod tests {
 
         // PSP side: decode public, resize, serve.
         let public_rgb = p3_jpeg::decoder::coeffs_to_rgb(&public).unwrap();
-        let pub_ch = rgb_to_channels(&public_rgb);
-        let served: [ImageF32; 3] = [t.apply(&pub_ch[0]), t.apply(&pub_ch[1]), t.apply(&pub_ch[2])];
-        let served_rgb = channels_to_rgb(&served);
+        let served_rgb = t.apply_rgb(&public_rgb);
 
         // Reference: the original, resized by the same pipeline.
         let orig_rgb = p3_jpeg::decoder::coeffs_to_rgb(&ci).unwrap();
-        let orig_ch = rgb_to_channels(&orig_rgb);
-        let reference =
-            channels_to_rgb(&[t.apply(&orig_ch[0]), t.apply(&orig_ch[1]), t.apply(&orig_ch[2])]);
+        let reference = t.apply_rgb(&orig_rgb);
 
         let rec = reconstruct_processed(&served_rgb, &secret, 10, &t).unwrap();
         let rec_psnr = luma_psnr(&rec, &reference);
@@ -723,14 +718,10 @@ mod tests {
         let t = TransformSpec { crop: Some((16, 24, 48, 40)), ..TransformSpec::default() };
 
         let public_rgb = p3_jpeg::decoder::coeffs_to_rgb(&public).unwrap();
-        let pub_ch = rgb_to_channels(&public_rgb);
-        let served_rgb =
-            channels_to_rgb(&[t.apply(&pub_ch[0]), t.apply(&pub_ch[1]), t.apply(&pub_ch[2])]);
+        let served_rgb = t.apply_rgb(&public_rgb);
 
         let orig_rgb = p3_jpeg::decoder::coeffs_to_rgb(&ci).unwrap();
-        let orig_ch = rgb_to_channels(&orig_rgb);
-        let reference =
-            channels_to_rgb(&[t.apply(&orig_ch[0]), t.apply(&orig_ch[1]), t.apply(&orig_ch[2])]);
+        let reference = t.apply_rgb(&orig_rgb);
 
         let rec = reconstruct_processed(&served_rgb, &secret, 15, &t).unwrap();
         let p = luma_psnr(&rec, &reference);
@@ -831,10 +822,7 @@ mod tests {
             ..TransformSpec::resize(64, 48, ResizeFilter::Lanczos3)
         };
         // PSP side: decode, transform per RGB channel, serve as 4:2:0.
-        let apply = |ci: &CoeffImage| {
-            let ch = rgb_to_channels(&p3_jpeg::decoder::coeffs_to_rgb(ci).unwrap());
-            channels_to_rgb(&[t.apply(&ch[0]), t.apply(&ch[1]), t.apply(&ch[2])])
-        };
+        let apply = |ci: &CoeffImage| t.apply_rgb(&p3_jpeg::decoder::coeffs_to_rgb(ci).unwrap());
         let reference = apply(&ci);
         let served = pixels_to_coeffs(&apply(&public), 85, Subsampling::S420).unwrap();
         let served_jpeg = encode_coeffs(&served, Mode::Progressive, 0).unwrap();

@@ -7,6 +7,8 @@
 //! Every stage is linear, so every `TransformSpec` is an `A` Eq. 2 holds
 //! for.
 
+use crate::pixel::{channels_to_rgb, rgb_to_channels};
+use p3_jpeg::image::RgbImage;
 use p3_vision::image::{ImageF32, Sample, View};
 use p3_vision::resize::{apply_separable_rows, clamp_window, sharpen_rows, AxisTaps, ResizeFilter};
 
@@ -66,6 +68,12 @@ impl TransformSpec {
         let mut out = ImageF32::default();
         self.apply_into(ch, &mut TransformScratch::default(), &mut out);
         out
+    }
+
+    /// Apply the pipeline to each channel of an RGB image.
+    pub fn apply_rgb(&self, img: &RgbImage) -> RgbImage {
+        let ch = rgb_to_channels(img);
+        channels_to_rgb(&[self.apply(&ch[0]), self.apply(&ch[1]), self.apply(&ch[2])])
     }
 
     /// [`Self::apply`] into a caller's plane through a caller's scratch,

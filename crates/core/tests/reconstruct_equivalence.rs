@@ -143,11 +143,6 @@ fn photo(w: usize, h: usize, seed: u32) -> RgbImage {
     img
 }
 
-fn apply_rgb(spec: &TransformSpec, img: &RgbImage) -> RgbImage {
-    let ch = rgb_to_channels(img);
-    channels_to_rgb(&[spec.apply(&ch[0]), spec.apply(&ch[1]), spec.apply(&ch[2])])
-}
-
 fn psnr(a: &RgbImage, b: &RgbImage) -> f64 {
     let se: f64 =
         a.data.iter().zip(&b.data).map(|(&x, &y)| (f64::from(x) - f64::from(y)).powi(2)).sum();
@@ -167,8 +162,8 @@ fn check(w: usize, h: usize, seed: u32, layout: usize, t: u16, spec: &TransformS
             Plane { width: w, height: h, data: rgb.data.iter().step_by(3).copied().collect() };
         secret = split_coeffs(&gray_to_coeffs(&gray, 90).unwrap(), t).unwrap().1;
     }
-    let served = apply_rgb(spec, &coeffs_to_rgb(&public).unwrap());
-    let reference = apply_rgb(spec, &coeffs_to_rgb(&ci).unwrap());
+    let served = spec.apply_rgb(&coeffs_to_rgb(&public).unwrap());
+    let reference = spec.apply_rgb(&coeffs_to_rgb(&ci).unwrap());
 
     let got = reconstruct_processed(&served, &secret, t, spec).unwrap();
     let want = reconstruct_oracle(&served, &secret, t, spec).unwrap();

@@ -76,7 +76,6 @@ pub fn reverse_engineer(uploaded: &RgbImage, served: &RgbImage) -> ReverseReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p3_core::pixel::{channels_to_rgb, rgb_to_channels};
 
     fn photo(w: usize, h: usize) -> RgbImage {
         let mut img = RgbImage::new(w, h);
@@ -90,11 +89,6 @@ mod tests {
             }
         }
         img
-    }
-
-    fn apply_rgb(spec: &TransformSpec, img: &RgbImage) -> RgbImage {
-        let ch = rgb_to_channels(img);
-        channels_to_rgb(&[spec.apply(&ch[0]), spec.apply(&ch[1]), spec.apply(&ch[2])])
     }
 
     /// Textured image: filters only differ measurably on high-frequency
@@ -126,7 +120,7 @@ mod tests {
                 sharpen: (0.8, 0.0),
                 crop: None,
             };
-            let served = apply_rgb(&truth, &src);
+            let served = truth.apply_rgb(&src);
             let report = reverse_engineer(&src, &served);
             assert_eq!(report.spec.filter, filter, "wrong filter recovered");
             assert!(report.match_psnr > 40.0, "match PSNR {:.1}", report.match_psnr);
@@ -142,7 +136,7 @@ mod tests {
             sharpen: (0.8, 1.0),
             crop: None,
         };
-        let served = apply_rgb(&truth, &src);
+        let served = truth.apply_rgb(&src);
         let report = reverse_engineer(&src, &served);
         assert_eq!(report.spec.sharpen.1, 1.0);
     }
@@ -159,7 +153,7 @@ mod tests {
             sharpen: (1.1, 0.35),
             crop: None,
         };
-        let served = apply_rgb(&truth, &src);
+        let served = truth.apply_rgb(&src);
         let report = reverse_engineer(&src, &served);
         assert!(report.match_psnr > 30.0, "match PSNR {:.1}", report.match_psnr);
     }
@@ -167,7 +161,7 @@ mod tests {
     #[test]
     fn candidate_count_is_reported() {
         let src = photo(64, 48);
-        let served = apply_rgb(&TransformSpec::resize(32, 24, ResizeFilter::Triangle), &src);
+        let served = TransformSpec::resize(32, 24, ResizeFilter::Triangle).apply_rgb(&src);
         let report = reverse_engineer(&src, &served);
         assert_eq!(report.candidates, 6 * 4);
     }

@@ -13,8 +13,12 @@
 //! ```
 
 use crate::{Result, VideoError};
+use std::ops::Range;
 
 const MAGIC: &[u8; 4] = b"P3V1";
+
+/// Length of the `P3V1` header; the first frame record starts here.
+pub(crate) const HEADER_LEN: usize = 14;
 
 /// Frame type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +46,7 @@ impl VideoStream {
     /// Serialize.
     pub fn to_bytes(&self) -> Vec<u8> {
         let body: usize = self.frames.iter().map(|(_, d)| 5 + d.len()).sum();
-        let mut out = Vec::with_capacity(14 + body);
+        let mut out = Vec::with_capacity(HEADER_LEN + body);
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&self.width.to_be_bytes());
         out.extend_from_slice(&self.height.to_be_bytes());
@@ -61,44 +65,22 @@ impl VideoStream {
 
     /// Parse with validation.
     pub fn from_bytes(data: &[u8]) -> Result<VideoStream> {
-        if data.len() < 14 {
+        let Some((header, records)) = data.split_at_checked(HEADER_LEN) else {
             return Err(VideoError::Container("too short".into()));
-        }
-        if &data[..4] != MAGIC {
+        };
+        if &header[..4] != MAGIC {
             return Err(VideoError::Container("bad magic".into()));
         }
-        let width = u16::from_be_bytes([data[4], data[5]]);
-        let height = u16::from_be_bytes([data[6], data[7]]);
-        let fps = u16::from_be_bytes([data[8], data[9]]);
-        let n = u32::from_be_bytes([data[10], data[11], data[12], data[13]]) as usize;
-        let mut frames = Vec::with_capacity(n.min(4096));
-        let mut pos = 14usize;
-        for i in 0..n {
-            if pos + 5 > data.len() {
-                return Err(VideoError::Container(format!("frame {i} header truncated")));
-            }
-            let kind = match data[pos] {
-                0 => FrameKind::I,
-                1 => FrameKind::P,
-                k => return Err(VideoError::Container(format!("frame {i}: bad kind {k}"))),
-            };
-            let len =
-                u32::from_be_bytes([data[pos + 1], data[pos + 2], data[pos + 3], data[pos + 4]])
-                    as usize;
-            pos += 5;
-            if pos + len > data.len() {
-                return Err(VideoError::Container(format!("frame {i} body truncated")));
-            }
-            frames.push((kind, data[pos..pos + len].to_vec()));
-            pos += len;
-        }
-        if pos != data.len() {
-            return Err(VideoError::Container("trailing bytes".into()));
+        let be16 = |i: usize| u16::from_be_bytes([header[i], header[i + 1]]);
+        let n = u32::from_be_bytes([header[10], header[11], header[12], header[13]]) as usize;
+        let frames = parse_records(records)?;
+        if frames.len() != n {
+            return Err(VideoError::Container("frame count disagrees with the header".into()));
         }
         if frames.first().map(|(k, _)| *k) == Some(FrameKind::P) {
             return Err(VideoError::Stream("stream starts with a P-frame".into()));
         }
-        Ok(VideoStream { width, height, fps, frames })
+        Ok(VideoStream { width: be16(4), height: be16(6), fps: be16(8), frames })
     }
 
     /// Indices of the I-frames.
@@ -110,6 +92,47 @@ impl VideoStream {
             .map(|(i, _)| i)
             .collect()
     }
+
+    /// Byte range of each GOP's frame records in [`to_bytes`](Self::to_bytes),
+    /// in order: a GOP starts at each I-frame (and at frame 0), and the
+    /// ranges tile everything after the header.
+    pub fn gop_ranges(&self) -> Vec<Range<usize>> {
+        let mut ranges: Vec<Range<usize>> = Vec::new();
+        let mut pos = HEADER_LEN;
+        for (kind, data) in &self.frames {
+            let end = pos + 5 + data.len();
+            match ranges.last_mut() {
+                Some(gop) if *kind == FrameKind::P => gop.end = end,
+                _ => ranges.push(pos..end),
+            }
+            pos = end;
+        }
+        ranges
+    }
+}
+
+/// Parse a run of frame records that fills `data` exactly — the body of
+/// a `P3V1` stream, or one GOP's slice of it.
+pub(crate) fn parse_records(mut data: &[u8]) -> Result<Vec<(FrameKind, Vec<u8>)>> {
+    let mut frames = Vec::new();
+    while !data.is_empty() {
+        let i = frames.len();
+        let Some((&[kind, l0, l1, l2, l3], rest)) = data.split_first_chunk::<5>() else {
+            return Err(VideoError::Container(format!("frame {i} header truncated")));
+        };
+        let kind = match kind {
+            0 => FrameKind::I,
+            1 => FrameKind::P,
+            k => return Err(VideoError::Container(format!("frame {i}: bad kind {k}"))),
+        };
+        let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
+        let Some((payload, rest)) = rest.split_at_checked(len) else {
+            return Err(VideoError::Container(format!("frame {i} body truncated")));
+        };
+        frames.push((kind, payload.to_vec()));
+        data = rest;
+    }
+    Ok(frames)
 }
 
 #[cfg(test)]
@@ -139,6 +162,20 @@ mod tests {
     #[test]
     fn iframe_indices() {
         assert_eq!(sample().iframe_indices(), vec![0, 3]);
+    }
+
+    #[test]
+    fn gop_ranges_tile_the_stream() {
+        let v = sample();
+        let bytes = v.to_bytes();
+        let ranges = v.gop_ranges();
+        assert_eq!(ranges.len(), 2);
+        assert_eq!(ranges[0].start, HEADER_LEN, "first gop starts right after the header");
+        assert_eq!(ranges[0].end, ranges[1].start, "gops tile with no gap");
+        assert_eq!(ranges[1].end, bytes.len(), "last gop runs to the end of the stream");
+        // Each range holds exactly its GOP's frame records.
+        assert_eq!(parse_records(&bytes[ranges[0].clone()]).unwrap(), v.frames[..3]);
+        assert_eq!(parse_records(&bytes[ranges[1].clone()]).unwrap(), v.frames[3..]);
     }
 
     #[test]

@@ -17,9 +17,12 @@
 //! * [`container`] — a minimal framed container (`P3V1`);
 //! * [`split`] — P3 applied to I-frames only: the public video keeps the
 //!   P-frames intact but every I-frame is a P3 public part; the secret
-//!   stream carries the per-I-frame secret parts, sealed as one
-//!   envelope. Degradation measurably propagates through each GOP (see
-//!   the tests), which is what makes I-frame-only splitting sufficient.
+//!   stream, sealed as one envelope, is the clip's GOP table — per GOP,
+//!   the byte length and SHA-256 of its records in the public stream and
+//!   its I-frame's secret part — so one GOP reconstructs from a ranged
+//!   read, and public bytes that do not match fail instead of playing.
+//!   Degradation measurably propagates through each GOP (see the tests),
+//!   which is what makes I-frame-only splitting sufficient.
 
 pub mod codec;
 pub mod container;
@@ -27,7 +30,7 @@ pub mod split;
 
 pub use codec::{GopCodec, VideoCodecParams};
 pub use container::{FrameKind, VideoStream};
-pub use split::{open_secret_stream, reconstruct_video, split_video};
+pub use split::{open_secret_stream, reconstruct_gop, reconstruct_video, split_video, GopTable};
 
 use std::fmt;
 

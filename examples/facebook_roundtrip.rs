@@ -63,19 +63,12 @@ fn main() {
 
         // Reference: the original pushed through a plain fit-resize (what a
         // non-P3 user would see, modulo the PSP's hidden pipeline details).
-        let reference = {
-            let ch = p3_core::pixel::rgb_to_channels(&photo);
-            let spec = p3_core::transform::TransformSpec::resize(
-                img.width,
-                img.height,
-                p3_vision::resize::ResizeFilter::Triangle,
-            );
-            p3_core::pixel::channels_to_rgb(&[
-                spec.apply(&ch[0]),
-                spec.apply(&ch[1]),
-                spec.apply(&ch[2]),
-            ])
-        };
+        let reference = p3_core::transform::TransformSpec::resize(
+            img.width,
+            img.height,
+            p3_vision::resize::ResizeFilter::Triangle,
+        )
+        .apply_rgb(&photo);
         let db = psnr(&rgb_to_luma(&reference), &rgb_to_luma(&img));
         let leak_db = if (stored.width, stored.height) == (img.width, img.height) {
             psnr(&rgb_to_luma(&reference), &rgb_to_luma(&stored))

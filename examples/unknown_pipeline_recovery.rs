@@ -54,13 +54,7 @@ fn main() {
 
         // Reference: the original through the true hidden pipeline.
         let truth = profile.transform_to_side(photo.width, photo.height, profile.ladder[0]);
-        let ch =
-            p3_core::pixel::rgb_to_channels(&p3_jpeg::decoder::coeffs_to_rgb(&coeffs).unwrap());
-        let reference = p3_core::pixel::channels_to_rgb(&[
-            truth.apply(&ch[0]),
-            truth.apply(&ch[1]),
-            truth.apply(&ch[2]),
-        ]);
+        let reference = truth.apply_rgb(&p3_jpeg::decoder::coeffs_to_rgb(&coeffs).unwrap());
 
         let rec_db = psnr(&rgb_to_luma(&reference), &rgb_to_luma(&rec));
         let pub_db = psnr(&rgb_to_luma(&reference), &rgb_to_luma(&served));

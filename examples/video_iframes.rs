@@ -9,6 +9,7 @@ use p3_core::pipeline::{P3Codec, P3Config};
 use p3_core::pixel::rgb_to_luma;
 use p3_crypto::EnvelopeKey;
 use p3_video::codec::{test_clip, GopCodec, VideoCodecParams};
+use p3_video::VideoStream;
 use p3_vision::metrics::psnr;
 
 fn main() {
@@ -29,13 +30,15 @@ fn main() {
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).expect("split");
     println!(
         "split: public video {} bytes (+{} byte encrypted secret stream for {} I-frames)\n",
-        public.to_bytes().len(),
+        public.len(),
         secret.len(),
         stream.iframe_indices().len()
     );
 
     // What an eavesdropper sees vs what a recipient reconstructs.
-    let leaked = gop.decode(&public).expect("decode public");
+    let leaked = gop
+        .decode(&VideoStream::from_bytes(&public).expect("parse public"))
+        .expect("decode public");
     let restored = p3_video::reconstruct_video(&public, &secret, &key).expect("reconstruct");
     let restored_frames = gop.decode(&restored).expect("decode restored");
 
@@ -46,6 +49,9 @@ fn main() {
         let leak_db = psnr(&orig, &rgb_to_luma(&leaked[i]));
         let rec_db = psnr(&orig, &rgb_to_luma(&restored_frames[i]));
         println!("{i:>5}  {kind:>4}  {leak_db:>13.1}  {rec_db:>15.1}");
+        // The same bars `p3_video::split`'s tests use.
+        assert!(leak_db < 22.0, "frame {i}: the public video shows too much ({leak_db:.1} dB)");
+        assert!(rec_db > 28.0, "frame {i}: reconstruction too poor ({rec_db:.1} dB)");
     }
     println!(
         "\nreading: every frame of the public video is degraded — including the\n\

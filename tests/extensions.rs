@@ -37,9 +37,8 @@ fn video_extension_end_to_end() {
     let key = EnvelopeKey::derive(b"m", b"clip");
     let (public, secret) = p3_video::split_video(&stream, &codec, &key).unwrap();
 
-    // Container roundtrip of the public video (what a service would store).
-    let bytes = public.to_bytes();
-    let parsed = p3_video::VideoStream::from_bytes(&bytes).unwrap();
+    // The public video parses as a clip (what a service would store).
+    let parsed = p3_video::VideoStream::from_bytes(&public).unwrap();
     assert_eq!(parsed.iframe_indices(), stream.iframe_indices());
 
     // Reconstruction restores watchable quality.

@@ -81,17 +81,12 @@ fn upload_download_roundtrip_through_proxy() {
     let direct = http_get(sys.psp.addr(), &format!("/photos/{id}?size=big")).expect("direct");
     let psp_view = p3_jpeg::decode_to_rgb(&direct.body).expect("decode");
     // Reference: plain resize of the original to the same dims.
-    let ch = p3_core::pixel::rgb_to_channels(&original);
-    let spec = p3_core::transform::TransformSpec::resize(
+    let reference = p3_core::transform::TransformSpec::resize(
         psp_view.width,
         psp_view.height,
         p3_vision::resize::ResizeFilter::Triangle,
-    );
-    let reference = p3_core::pixel::channels_to_rgb(&[
-        spec.apply(&ch[0]),
-        spec.apply(&ch[1]),
-        spec.apply(&ch[2]),
-    ]);
+    )
+    .apply_rgb(&original);
     let psp_psnr = psnr(&rgb_to_luma(&reference), &rgb_to_luma(&psp_view));
     assert!(psp_psnr < 20.0, "PSP sees too much: {psp_psnr:.1} dB");
 
@@ -260,16 +255,11 @@ fn dynamic_crop_reconstructs_through_proxy() {
     assert_eq!((rec.width, rec.height), (cw, ch_));
 
     // Reference: the same crop of the original.
-    let ch = p3_core::pixel::rgb_to_channels(&original);
     let spec = p3_core::transform::TransformSpec {
         crop: Some((cx, cy, cw, ch_)),
         ..p3_core::transform::TransformSpec::identity()
     };
-    let reference = p3_core::pixel::channels_to_rgb(&[
-        spec.apply(&ch[0]),
-        spec.apply(&ch[1]),
-        spec.apply(&ch[2]),
-    ]);
+    let reference = spec.apply_rgb(&original);
     let db = psnr(&rgb_to_luma(&reference), &rgb_to_luma(&rec));
     assert!(db > 30.0, "cropped reconstruction {db:.1} dB");
 }
@@ -302,20 +292,35 @@ fn video_gops_stream_through_proxy_with_ranged_reads() {
     let stream = GopCodec::new(params).encode(&clip).expect("encode clip");
     let clip_bytes = stream.to_bytes();
 
-    // Upload: split + three blobs stored behind one content-derived id.
+    // Upload: split, and two blobs (public and sealed secret stream)
+    // stored behind one id that is not the clip's bare hash.
+    let blobs_before = sys.storage.core().len();
     let up =
         http_post(sys.proxy.addr(), "/videos", "video/p3v", clip_bytes.clone()).expect("upload");
     assert_eq!(up.status.0, 201, "upload failed: {:?}", up.status);
     let id = String::from_utf8_lossy(&up.body).trim().to_string();
     let gops: usize = up.headers.get("x-p3-video-gops").unwrap().parse().unwrap();
     assert_eq!(gops, 3);
+    assert_eq!(sys.storage.core().len(), blobs_before + 2, "one upload stores two blobs");
+    let bare: String =
+        p3_crypto::sha256(&clip_bytes)[..12].iter().map(|b| format!("{b:02x}")).collect();
+    assert_ne!(id, bare, "the id must not let the store test a guessed clip");
+    let again = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip_bytes.clone())
+        .expect("upload again");
+    assert_eq!(String::from_utf8_lossy(&again.body).trim(), id, "a retried upload keeps its id");
+    assert_eq!(sys.storage.core().len(), blobs_before + 2, "a retry overwrites its own blobs");
 
     // Every GOP arrives as a playable fragment via a partial fetch, and
-    // together they tile the whole clip.
+    // together they tile the whole clip. Once GOP 0 has warmed the secret
+    // cache, a GOP view is one storage GET: its ranged read.
     let mut tiled = 0usize;
     for k in 0..gops {
+        let gets = sys.storage.core().get_count();
         let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}?gop={k}")).expect("gop fetch");
         assert!(resp.status.is_success(), "gop {k} failed: {:?}", resp.status);
+        if k > 0 {
+            assert_eq!(sys.storage.core().get_count() - gets, 1, "gop {k}: a warm view, one GET");
+        }
         let ranged: usize = resp
             .headers
             .get("x-p3-range-bytes")
@@ -345,4 +350,34 @@ fn video_gops_stream_through_proxy_with_ranged_reads() {
     let bad = http_post(sys.proxy.addr(), "/videos", "video/p3v", b"not a clip".to_vec())
         .expect("bad upload");
     assert_eq!(bad.status.0, 400);
+}
+
+/// The store holds the public stream but not its trust: a flipped byte
+/// inside one P-frame of the stored public clip fails that GOP and the
+/// full clip closed (502), and leaves every other GOP playable.
+#[test]
+fn tampered_public_video_bytes_fail_closed() {
+    use p3_video::codec::test_clip;
+    use p3_video::{GopCodec, VideoCodecParams, VideoStream};
+
+    let sys = spawn_system(PspProfile::facebook(), 15);
+    let params = VideoCodecParams { gop: 6, ..Default::default() };
+    let clip = GopCodec::new(params).encode(&test_clip(12, 64, 48, 18)).expect("encode clip");
+    let up = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip.to_bytes()).expect("upload");
+    assert_eq!(up.status.0, 201, "upload failed: {:?}", up.status);
+    let id = String::from_utf8_lossy(&up.body).trim().to_string();
+
+    // Flip a byte in the middle of frame 8's payload: a P-frame of GOP 1.
+    let blob_id = format!("vid:{id}:pub");
+    let mut public = sys.storage.core().get(&blob_id).expect("get").expect("public blob").to_vec();
+    let frames = VideoStream::from_bytes(&public).expect("public parses").frames;
+    assert_eq!(frames[8].0, p3_video::FrameKind::P);
+    let record: usize = frames[..8].iter().map(|(_, jpeg)| 5 + jpeg.len()).sum();
+    public[14 + record + 5 + frames[8].1.len() / 2] ^= 0x20;
+    sys.storage.core().put(&blob_id, &public).expect("put tampered");
+
+    for (path, want) in [("?gop=1", 502), ("", 502), ("?gop=0", 200), ("?gop=2", 200)] {
+        let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}{path}")).expect("fetch");
+        assert_eq!(resp.status.0, want, "/videos/{id}{path}");
+    }
 }

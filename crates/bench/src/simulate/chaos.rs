@@ -259,17 +259,14 @@ pub fn run_phase<T>(
 /// router, so tombstones propagate across changing membership and the
 /// nodes' compactors get dead frames to reclaim. Runs until `stop`.
 ///
-/// A change made while a fault is armed converges only partly, and the
-/// router refuses the next one until a sweep over every node of the
-/// previous epoch has proved convergence. So each change first waits
-/// for that proof, and a drained node is kept serving until its own
-/// removal has it. The proof can stay out for the rest of the run: an
-/// upload that reached only node1 while node0 was down, and then rotted
-/// there, has no intact copy to converge from.
+/// A change that cannot copy what it moves while a fault is armed is
+/// refused with the membership unchanged, so each change is retried
+/// until the router's membership shows it took. A drained node holds
+/// nothing the cluster needs and is dropped at once.
 ///
 /// Returns completed add→drain cycles, churn deletes, and the node the
-/// stop caught still a member or a read fallback, if any — handed back
-/// alive, as killing it would fabricate an outage nobody scheduled.
+/// stop caught still a member, if any — handed back alive, as killing
+/// it would fabricate an outage nobody scheduled.
 pub fn run_churn(
     router: SocketAddr,
     backend: Arc<ClusterBackend>,
@@ -279,20 +276,13 @@ pub fn run_churn(
     const CHURN_BLOB_BYTES: usize = 16 << 10;
     const POLL: Duration = Duration::from_millis(100);
     let stopped = || stop.load(Ordering::Relaxed);
-    // Wait out the window the last change left open; false on `stop`.
-    let converged = || {
-        while !stopped() && backend.rebalance_window_open() {
-            backend.sweep_once();
-            std::thread::sleep(POLL);
-        }
-        !stopped()
-    };
-    // Apply one membership change once the router will take it.
-    let change = |op: &str, addr: SocketAddr| {
-        while converged() {
+    // Apply one membership change, retrying until `addr`'s membership
+    // is `member`; false on `stop`.
+    let change = |op: &str, addr: SocketAddr, member: bool| {
+        while !stopped() {
             let body = format!("{op} {addr}\n").into_bytes();
-            let resp = p3_net::client::http_post(router, "/admin/membership", "text/plain", body);
-            if matches!(resp, Ok(r) if r.status.is_success()) {
+            let _ = p3_net::client::http_post(router, "/admin/membership", "text/plain", body);
+            if backend.membership().is_some_and(|view| view.nodes.contains(&addr) == member) {
                 return true;
             }
             std::thread::sleep(POLL);
@@ -309,18 +299,15 @@ pub fn run_churn(
             }
         }
         let Ok(extra) = StorageService::spawn() else { break };
-        if !change("add", extra.addr()) {
+        if !change("add", extra.addr(), true) {
             break;
         }
         // Let the new member serve for a moment.
         std::thread::sleep(10 * POLL);
-        if !change("remove", extra.addr()) {
+        if !change("remove", extra.addr(), false) {
             return (churns, deletes, Some(extra));
         }
         churns += 1;
-        if !converged() {
-            return (churns, deletes, Some(extra));
-        }
     }
     (churns, deletes, None)
 }

@@ -334,13 +334,14 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
 /// p3 storage-admin remove <node-addr> --router <addr>
 /// ```
 ///
-/// `add`/`remove` bump the membership epoch and run the rebalancer
-/// before the command returns; the printed `rebalanced_blobs` is the
-/// number of blob copies streamed to their new owners. On a cluster
-/// holding a lot of data the synchronous rebalance can outlive the
-/// HTTP client's 20 s read timeout — the change still applies
-/// server-side; confirm with `storage-admin show` (the epoch will have
-/// bumped) rather than retrying the add.
+/// `add`/`remove` copy every blob the change moves to its new owners,
+/// then switch the router to the new epoch, before the command returns;
+/// the printed `rebalanced_blobs` is the number of copies streamed. A
+/// change that cannot copy (a node down or unwalkable) is refused with
+/// the membership unchanged (503). On a cluster holding a lot of data
+/// the copy can outlive the HTTP client's 20 s read timeout; it goes on
+/// server-side, `storage-admin show` tells whether the switch happened
+/// (the epoch will have bumped), and a retry is safe either way.
 pub fn storage_admin(argv: &[String]) -> Result<(), String> {
     let args = Args::parse("storage-admin", &["router"], argv)?;
     let verb = args.pos(0, "show|add|remove")?;

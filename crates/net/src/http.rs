@@ -389,8 +389,19 @@ impl Request {
     }
 
     /// Serialize onto a writer: the head in one write, then the body.
+    /// A target that is not one request-line token — it holds a space,
+    /// a control byte or DEL — is refused with `InvalidInput` before a
+    /// byte is written: such a target (a photo ID an untrusted PSP
+    /// chose, a blob ID an untrusted node listed) would end the request
+    /// line early and smuggle a second request in behind it.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
         let (method, target, version) = (self.method.as_str(), self.target(), self.version);
+        if !is_target_token(&target) {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("request target {target:?} is not one token"),
+            ));
+        }
         let start = format_args!("{method} {target} {}", version.as_str());
         write_message(w, start, &self.headers, &self.body)
     }
@@ -467,6 +478,12 @@ fn write_message<W: Write>(
     w.write_all(&head)?;
     w.write_all(body)?;
     w.flush()
+}
+
+/// Whether `target` can stand in a request line as one token: no byte
+/// of it is a space, a control byte or DEL.
+pub(crate) fn is_target_token(target: &str) -> bool {
+    !target.bytes().any(|b| b <= b' ' || b == 0x7F)
 }
 
 fn split_target(target: &str) -> (String, Vec<(String, String)>) {
@@ -734,6 +751,21 @@ mod tests {
         assert_eq!(back.query_param("mode"), Some("fit"));
         assert_eq!(back.headers.get("content-type"), Some("image/jpeg"));
         assert_eq!(back.body, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn a_target_that_is_not_one_token_is_never_written() {
+        for bad in ["/blobs/7\r", "/blobs/7\n", "/blobs/7 HTTP/1.1", "/blobs/\x7f", "/a?k=\r\nx"] {
+            let mut out = Vec::new();
+            let err = Request::new(Method::Put, bad, b"x".to_vec()).write_to(&mut out).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{bad:?}");
+            assert!(out.is_empty(), "{bad:?}: wrote {} bytes", out.len());
+        }
+        let mut out = Vec::new();
+        Request::new(Method::Get, "/blobs/vid:ab12:sec?after=6869&limit=2", vec![])
+            .write_to(&mut out)
+            .unwrap();
+        assert!(out.starts_with(b"GET /blobs/vid:ab12:sec?after=6869&limit=2 HTTP/1.1\r\n"));
     }
 
     #[test]

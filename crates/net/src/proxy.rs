@@ -35,7 +35,7 @@
 //! photo-ID hash so concurrent downloads contend on independent locks.
 
 use crate::client::ClientPool;
-use crate::http::{Method, Request, Response, StatusCode};
+use crate::http::{is_target_token, Method, Request, Response, StatusCode};
 use crate::server::{Server, ServerConfig, ServerStats};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
@@ -565,8 +565,12 @@ fn handle_upload(req: &Request, ctx: &ProxyCtx) -> Response {
     }
     // The PSP's response body is the assigned photo ID.
     let id = String::from_utf8_lossy(&psp_resp.body).trim().to_string();
-    if id.is_empty() {
-        return Response::text(StatusCode::BAD_GATEWAY, "psp returned empty photo id");
+    // The ID goes into storage and PSP request lines: one that is not a
+    // single token would smuggle a request of the PSP's choosing into
+    // the storage tier. Nothing is sent for it — not even the rollback
+    // DELETE, whose target would carry the same bytes.
+    if id.is_empty() || !is_target_token(&id) {
+        return Response::text(StatusCode::BAD_GATEWAY, "psp returned a malformed photo id");
     }
     let key = EnvelopeKey::derive(&cfg.master_key, id.as_bytes());
     let blob = container.seal(&key);

@@ -71,13 +71,13 @@ pub(crate) fn handle_video_upload(req: &Request, ctx: &ProxyCtx) -> Response {
             }
         };
     // The public stream first: a clip exists once its secret stream
-    // does, and a failed secret PUT takes the public stream back out.
-    let public_path = storage_blob_path(&id, "pub");
-    if let Err(err) = put_blob(ctx, &public_path, public) {
+    // does. A failed secret PUT leaves the public stream where it is:
+    // the ID is stable, so that blob may be an earlier, complete
+    // upload's, and without a secret stream it is unreachable anyway.
+    if let Err(err) = put_blob(ctx, &storage_blob_path(&id, "pub"), public) {
         return bad_gateway(&err, None);
     }
     if let Err(err) = put_blob(ctx, &storage_blob_path(&id, "sec"), secret) {
-        let _ = ctx.pool.delete(ctx.cfg.storage_addr, &public_path);
         return bad_gateway(&err, None);
     }
     ctx.stats.videos_split.fetch_add(1, Ordering::Relaxed);

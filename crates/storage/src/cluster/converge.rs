@@ -1,6 +1,6 @@
 //! Membership epochs and the one convergence pass: the membership
-//! table, `update_membership`, the pass itself, and the anti-entropy
-//! sweep that runs it on a timer.
+//! table, `update_membership` (copy, then switch), the pass itself, and
+//! the anti-entropy sweep that runs it on a timer.
 
 use super::health::NodeHealth;
 use super::{ClusterBackend, VNODES};
@@ -61,6 +61,22 @@ impl Membership {
     }
 }
 
+/// What the data path routes by: the epoch reads use and, while a
+/// membership change copies, the epoch it may switch to, which writes
+/// reach too.
+#[derive(Debug)]
+pub(super) struct Placement {
+    pub(super) current: Arc<Membership>,
+    pub(super) next: Option<Arc<Membership>>,
+}
+
+impl Placement {
+    /// Every epoch a write must reach, current first.
+    pub(super) fn epochs(&self) -> impl Iterator<Item = &Membership> {
+        std::iter::once(&*self.current).chain(self.next.as_deref())
+    }
+}
+
 impl ClusterBackend {
     /// Walk one node's full id listing at `route` — `/index` (blobs
     /// held) or `/tombstones` (durable deletes; backends without
@@ -108,25 +124,21 @@ impl ClusterBackend {
 
     // ---- membership admin -------------------------------------------
 
-    /// Apply `add` then `remove` as one epoch bump, swap the new
-    /// membership in, and run the convergence pass. Serialized with
-    /// other admin operations; data-path traffic keeps flowing
-    /// throughout.
+    /// Apply `add` then `remove` as one epoch bump: copy, then switch.
+    /// Writes reach both epochs while the convergence pass copies; reads
+    /// move to the next epoch only once the pass walked every next
+    /// member and landed every copy the change needs. Otherwise the
+    /// membership is left as it was and the change answers
+    /// `Unavailable`, safe to retry. Serialized with other admin
+    /// operations; data-path traffic keeps flowing throughout.
     pub fn update_membership(
         &self,
         add: &[SocketAddr],
         remove: &[SocketAddr],
     ) -> StorageResult<MembershipChange> {
         let _admin = self.admin.lock();
-        if self.prev_epoch.lock().is_some() {
-            return Err(StorageError::Unavailable(
-                "previous membership change has not fully converged; run an anti-entropy \
-                 sweep (or wait for the sweeper) and retry"
-                    .into(),
-            ));
-        }
-        let old = self.snapshot();
-        let mut nodes = old.nodes.clone();
+        let current = self.snapshot();
+        let mut nodes = current.nodes.clone();
         for a in add {
             if nodes.contains(a) {
                 return Err(StorageError::Unavailable(format!("{a} is already a member")));
@@ -146,34 +158,26 @@ impl ClusterBackend {
         if nodes.is_empty() {
             return Err(StorageError::Unavailable("cannot remove the last node".into()));
         }
-        let next = Arc::new(Membership::build(old.epoch + 1, nodes, Some(&old)));
-        // Publish the new epoch but keep the old one live for reads
-        // until the pass has streamed every re-owned blob: a read that
-        // hits only not-yet-populated new owners falls back to the old
-        // placement instead of reporting a false definitive miss.
-        *self.prev_epoch.lock() = Some(Arc::clone(&old));
-        *self.membership.lock() = Arc::clone(&next);
-        let (rebalanced, failed, _) =
-            self.converge(&next, Some(&old), StatCounters::rebalanced_blob);
-        // A partial pass (a stream failed, or a current member could
-        // not be walked) leaves the fallback window open: reads stay
-        // correct via the old placement, and the anti-entropy sweep
-        // closes the window once a pass proves the cluster converged.
-        // An unwalkable *ex*-member does not count: removing a dead
-        // node is the primary use of `remove`, and a dead node's data
-        // cannot be saved by refusing the operation — at R≥2 the
-        // survivors hold copies and re-replicate normally.
-        if failed == 0 {
-            *self.prev_epoch.lock() = None;
+        let next = Arc::new(Membership::build(current.epoch + 1, nodes, Some(&current)));
+        let writing = Placement { current: Arc::clone(&current), next: Some(Arc::clone(&next)) };
+        let before = std::mem::replace(&mut *self.placement.lock(), Arc::new(writing));
+        // A write that routed by the current epoch alone may not have
+        // reached its nodes yet; the pass must not walk before it has.
+        while Arc::strong_count(&before) > 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let (rebalanced, failed) =
+            self.converge(&next, Some(&current), StatCounters::rebalanced_blob);
+        let switch = failed == 0;
+        let current = if switch { Arc::clone(&next) } else { current };
+        *self.placement.lock() = Arc::new(Placement { current, next: None });
+        if !switch {
+            return Err(StorageError::Unavailable(format!(
+                "membership unchanged: {failed} next member(s) unwalked or copies the change \
+                 needs not landed; retry once every node answers"
+            )));
         }
         Ok(MembershipChange { view: next.view(), rebalanced_blobs: rebalanced })
-    }
-
-    /// True while reads are still falling back to the previous epoch's
-    /// placement — set during a rebalance, and kept after a *partial*
-    /// one until an anti-entropy sweep proves convergence.
-    pub fn rebalance_window_open(&self) -> bool {
-        self.prev_epoch.lock().is_some()
     }
 
     // ---- convergence -------------------------------------------------
@@ -182,23 +186,24 @@ impl ClusterBackend {
     /// anti-entropy sweep: make every replica of `m` hold what it
     /// should, from any verified holder. It walks the index and the
     /// tombstones of every member of `m` and of every node only `prev`
-    /// lists (a drained-but-alive ex-member can still hand its blobs
-    /// off), pushes each learned delete across the blob's current
-    /// replica set, then streams every other blob seen anywhere to each
-    /// current replica whose index is known to lack it — one verified
-    /// GET, throttled PUTs, `count`ed per copy that landed. Never
-    /// issues a client read (`gets` stays untouched).
+    /// lists (a node a change removes can still hand its blobs off),
+    /// pushes each learned delete across the blob's replica set under
+    /// `m`, then streams every other blob seen anywhere to each replica
+    /// whose index is known to lack it — one verified GET, throttled
+    /// PUTs, `count`ed per copy that landed. Never issues a client read
+    /// (`gets` stays untouched).
     ///
-    /// Returns `(copies streamed, failures, every node walked)`. A
-    /// failure is a stream that found no verified source or whose PUT
-    /// was refused, or a *member* that could not be walked: its
-    /// contents are unknown, so nothing proves its replicas whole.
+    /// Returns `(copies streamed, failures)`. A failure is a member of
+    /// `m` that could not be walked (its contents are unknown), or a
+    /// copy to a replica `m` adds over `prev` that found no verified
+    /// source or whose PUT was refused. Any other gap predates the
+    /// change and is not charged to it.
     fn converge(
         &self,
         m: &Membership,
         prev: Option<&Membership>,
         count: fn(&StatCounters),
-    ) -> (u64, u64, bool) {
+    ) -> (u64, u64) {
         let r = self.r_eff(m);
         // Members first, so a member's position here is its ring index.
         let mut nodes = m.nodes.clone();
@@ -212,14 +217,13 @@ impl ClusterBackend {
             sets[n].as_ref().map(|ids| ids.contains(id))
         };
         let mut failed = (0..m.nodes.len()).filter(|&n| unwalked(n)).count() as u64;
-        let all_walked = !(0..nodes.len()).any(unwalked);
         // Tombstones outrank live copies: every delete is learned
         // *before* any index is diffed, or the streams below would
         // faithfully resurrect a deleted blob from whichever replica
-        // missed the delete. Each goes to the current replicas that
-        // still hold a live copy or lack the tombstone (a DELETE writes
-        // one even on a node that never held the blob), so delete
-        // knowledge survives membership churn.
+        // missed the delete. Each goes to the replicas that still hold
+        // a live copy or lack the tombstone (a DELETE writes one even
+        // on a node that never held the blob), so delete knowledge
+        // survives membership churn.
         let tombstoned: BTreeSet<&String> = tombs.iter().flatten().flatten().collect();
         for &id in &tombstoned {
             let lagging = m.replica_nodes(id, r).into_iter().filter(|&n| {
@@ -239,19 +243,21 @@ impl ClusterBackend {
             if targets.is_empty() {
                 continue;
             }
+            let owners_before = prev.map(|p| p.replica_addrs(id, self.r_eff(p)));
+            let added = |n: usize| owners_before.as_ref().is_none_or(|o| !o.contains(&m.nodes[n]));
             let holders: Vec<SocketAddr> = (0..nodes.len())
                 .filter(|&n| lists(&indexes, n, id) == Some(true))
                 .map(|n| nodes[n])
                 .collect();
             let Some(body) = self.direct_get(&holders, id) else {
-                failed += targets.len() as u64;
+                failed += targets.into_iter().filter(|&n| added(n)).count() as u64;
                 continue;
             };
             for n in targets {
                 if self.direct_put(m.nodes[n], id, &body) {
                     streamed += 1;
                     count(&self.stats);
-                } else {
+                } else if added(n) {
                     failed += 1;
                 }
                 since_pause += 1;
@@ -261,7 +267,7 @@ impl ClusterBackend {
                 }
             }
         }
-        (streamed, failed, all_walked)
+        (streamed, failed)
     }
 
     /// One anti-entropy pass: re-replicate every blob a live replica is
@@ -269,22 +275,8 @@ impl ClusterBackend {
     /// `sweep_repairs`).
     pub fn sweep_once(&self) -> u64 {
         let _admin = self.admin.lock();
-        let m = self.snapshot();
-        // While a fallback window is open, *ex-members* of the previous
-        // epoch may still hold the only copy of a blob a partial pass
-        // failed to stream: they are repair sources too.
-        let prev = self.prev_epoch.lock().clone();
-        let (repairs, failed, all_walked) =
-            self.converge(&m, prev.as_deref(), StatCounters::sweep_repair);
+        let (repairs, _) = self.converge(&self.snapshot(), None, StatCounters::sweep_repair);
         self.stats.sweep_run();
-        // A clean pass over a fully-walked topology — every member AND
-        // every windowed ex-member answered — proves the cluster
-        // converged: the fallback window can close now. (Serialized
-        // with membership changes by the admin lock, so this cannot
-        // race a new one.)
-        if repairs == 0 && failed == 0 && all_walked {
-            *self.prev_epoch.lock() = None;
-        }
         repairs
     }
 
@@ -473,13 +465,15 @@ mod tests {
 
     #[test]
     fn reads_never_false_miss_during_rebalance_window() {
-        // R=1 is the worst case: a re-owned blob's *only* current
-        // replica is the new (still-empty) node, whose authoritative
-        // 404 meets the miss quorum alone. Throttle the rebalancer hard
-        // so the window is wide, and hammer reads from another thread —
-        // every read must find every blob (via the previous-epoch
-        // fallback) for the whole duration; a false Ok(None) here is
-        // the proxy serving the privacy-degraded public part.
+        // R=1 is the worst case: a re-owned blob's *only* replica after
+        // the switch is the new node, whose authoritative 404 would meet
+        // the miss quorum alone. Throttle the copy hard so it is slow,
+        // hammer reads from one thread and writes from another: every
+        // read must find every blob for the whole change (reads stay on
+        // the old placement until the copy is done), and every write
+        // made mid-copy must read back after the switch. A false
+        // Ok(None) here is the proxy serving the privacy-degraded
+        // public part.
         let node_a = spawn_nodes(1);
         let cluster = Arc::new(
             ClusterBackend::new(ClusterConfig {
@@ -496,38 +490,45 @@ mod tests {
             cluster.put(id, id.as_bytes()).unwrap();
         }
         let node_b = StorageService::spawn().unwrap();
-        std::thread::scope(|s| {
-            let reader_cluster = Arc::clone(&cluster);
-            let reader_ids = ids.clone();
-            let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-            s.spawn(move || loop {
-                for id in &reader_ids {
-                    let got = reader_cluster.get(id).unwrap();
-                    assert!(got.is_some(), "{id} read as absent mid-rebalance");
-                }
-                if done_rx.try_recv().is_ok() {
-                    return;
+        let done = AtomicBool::new(false);
+        let written = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for id in &ids {
+                        let got = cluster.get(id).unwrap();
+                        assert!(got.is_some(), "{id} read as absent mid-rebalance");
+                    }
                 }
             });
+            let writer = s.spawn(|| {
+                let mut written = Vec::new();
+                while !done.load(Ordering::Relaxed) {
+                    let id = format!("mid-copy-{}", written.len());
+                    cluster.put(&id, id.as_bytes()).unwrap();
+                    written.push(id);
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                written
+            });
             // ~half the blobs re-own to node B; at 40 ms per streamed
-            // copy the reader laps the ID space many times mid-window.
+            // copy both threads lap many times mid-copy.
             cluster.update_membership(&[node_b.addr()], &[]).unwrap();
-            done_tx.send(()).unwrap();
+            done.store(true, Ordering::Relaxed);
+            writer.join().unwrap()
         });
-        // Window closed: the fallback epoch is gone, yet everything
-        // still reads (repaired/streamed to its new home).
-        for id in &ids {
-            assert!(cluster.get(id).unwrap().is_some(), "{id} lost after rebalance");
+        assert!(!written.is_empty());
+        for id in ids.iter().chain(&written) {
+            let got = cluster.get(id).unwrap();
+            assert_eq!(got.as_deref(), Some(id.as_bytes()), "{id} lost after the switch");
         }
     }
 
     #[test]
-    fn partial_rebalance_keeps_fallback_window_open_until_sweep_converges() {
-        // Add a node that is *down* during the rebalance: every stream
-        // to it fails, so the previous-epoch fallback must stay open —
-        // reads of re-owned blobs answer loudly (found via fallback, or
-        // Unavailable), never a false definitive miss — until a sweep
-        // over the healthy topology proves convergence and closes it.
+    fn a_change_that_cannot_copy_leaves_the_membership_unchanged() {
+        // Add a node that is *down*: the pass cannot walk it, so the
+        // change must not switch — epoch, members and reads stay as
+        // they were — and the same change goes through once the node
+        // answers.
         let node_a = spawn_nodes(1);
         let cluster = cluster(&node_a, 1);
         let ids: Vec<String> = (0..10).map(|i| format!("partial-{i}")).collect();
@@ -535,99 +536,35 @@ mod tests {
             cluster.put(id, id.as_bytes()).unwrap();
         }
         // Reserve an address, then free it: the "new node" is dead.
-        let dead_addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let change = cluster.update_membership(&[dead_addr], &[]).unwrap();
-        assert_eq!(change.rebalanced_blobs, 0, "nothing can stream to a dead node");
-        assert!(cluster.rebalance_window_open(), "failed streams must keep the window open");
-        // Further churn is refused until the cluster converges — a
-        // second epoch bump would overwrite the only fallback epoch
-        // still protecting the unstreamed blobs.
-        assert!(
-            cluster.update_membership(&["127.0.0.1:1".parse().unwrap()], &[]).is_err(),
-            "membership changes must be refused while the window is open"
-        );
-        // Reads stay honest: blobs still owned by the live node serve;
-        // blobs re-owned by the dead node either serve via the fallback
-        // or surface Unavailable — never Ok(None).
-        for id in &ids {
-            match cluster.get(id) {
-                Ok(Some(body)) => assert_eq!(&body[..], id.as_bytes()),
-                Err(StorageError::Unavailable(_)) => {}
-                other => panic!("{id}: false miss or unexpected answer: {other:?}"),
-            }
+        let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        match cluster.update_membership(&[dead], &[]) {
+            Err(StorageError::Unavailable(msg)) => assert!(msg.contains("membership unchanged")),
+            other => panic!("a change that cannot copy must be refused, got {other:?}"),
         }
-        // The node comes up (empty); sweeps repair it and then a clean
-        // pass closes the window.
+        assert_eq!(cluster.epoch(), 1);
+        assert_eq!(cluster.membership().unwrap().nodes, vec![node_a[0].addr()]);
+        for id in &ids {
+            assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
+        }
+        // The node comes up (empty): the retry copies and switches.
         let reborn = Arc::new(StorageCore::new());
-        let _svc = respawn_on(dead_addr, Arc::clone(&reborn));
-        let healed = cluster.sweep_once();
-        assert!(healed > 0, "sweep must stream the re-owned blobs");
-        assert!(cluster.rebalance_window_open(), "window stays open until a *clean* pass");
-        assert_eq!(cluster.sweep_once(), 0, "second pass must be clean");
-        assert!(!cluster.rebalance_window_open(), "clean converged pass closes the window");
+        let _svc = respawn_on(dead, Arc::clone(&reborn));
+        let change = cluster.update_membership(&[dead], &[]).unwrap();
+        assert_eq!(change.view.epoch, 2);
+        assert_eq!(change.rebalanced_blobs as usize, reborn.len());
         for id in &ids {
             assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
         }
     }
 
     #[test]
-    fn corrupt_copy_mid_window_falls_back_to_the_previous_epoch() {
-        // R=2 over {a, b}, then a third node joins while down, holding
-        // the window open. A blob re-owned to {new, b} then meets a 404
-        // from its (empty) new owner and a rotten copy on b: the intact
-        // copy at its previous-epoch home a must serve it, and the read
-        // must heal both current replicas.
-        let dir = std::env::temp_dir().join(format!("p3-window-rot-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let disk = Arc::new(crate::PackedBackend::open(&dir).unwrap());
-        let nodes = [
-            StorageService::spawn().unwrap(),
-            StorageService::spawn_with(Arc::new(StorageCore::with_backend(disk.clone()))).unwrap(),
-        ];
-        let cluster = cluster(&nodes, 2);
-        let ids: Vec<String> = (0..32).map(|i| format!("rot-{i}")).collect();
-        for id in &ids {
-            cluster.put(id, id.as_bytes()).unwrap();
-        }
-        let dead_addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        cluster.update_membership(&[dead_addr], &[]).unwrap();
-        assert!(cluster.rebalance_window_open());
-        let reborn = Arc::new(StorageCore::new());
-        let _svc = respawn_on(dead_addr, Arc::clone(&reborn));
-        let id = ids
-            .iter()
-            .find(|id| {
-                let owners = cluster.replicas_for(id);
-                owners.contains(&dead_addr) && owners.contains(&nodes[1].addr())
-            })
-            .expect("32 blobs over 3 nodes: some re-own to {new, b}");
-        assert!(disk.corrupt_live_needles().unwrap() > 0);
-
-        match cluster.get(id) {
-            Ok(Some(body)) => assert_eq!(&body[..], id.as_bytes()),
-            other => panic!("{id}: the previous epoch holds it intact, got {other:?}"),
-        }
-        assert_eq!(reborn.get(id).unwrap().unwrap().as_ref(), id.as_bytes(), "new owner healed");
-        assert_eq!(disk.get(id).unwrap().unwrap().as_ref(), id.as_bytes(), "rotten copy healed");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sweep_drains_removed_member_before_closing_the_window() {
-        // R=1 drain gone wrong: remove the node holding every blob
-        // while the remaining member is *down*, so the rebalancer can
-        // stream nothing. The ex-member then holds the only copies —
-        // the sweep must use it as a repair source and must not close
-        // the fallback window until those blobs live on a current
-        // member.
-        let keeper = spawn_nodes(1); // will hold the data (then be removed)
-        let mut other = spawn_nodes(1); // will be the sole survivor
+    fn a_removal_waits_for_the_survivor_then_moves_the_keepers_blobs() {
+        // R=1 drain: remove the node holding half the blobs while the
+        // remaining member is *down*. Nothing can be copied, so the
+        // removal is refused and the keeper stays a member. Once the
+        // survivor is back, the retry moves exactly the keeper's blobs.
+        let keeper = spawn_nodes(1); // holds data, then is removed
+        let mut other = spawn_nodes(1); // the sole survivor
         let cluster = ClusterBackend::new(ClusterConfig {
             nodes: vec![keeper[0].addr(), other[0].addr()],
             replicas: 1,
@@ -641,35 +578,89 @@ mod tests {
         for id in &ids {
             cluster.put(id, id.as_bytes()).unwrap();
         }
-        // R=1 split the blobs between the two nodes; only the keeper's
-        // share is at stake here (the survivor's own single-copy blobs
-        // die with its disk below — inherent at R=1, not the sweep's
-        // problem).
         let keeper_ids: Vec<&String> =
             ids.iter().filter(|id| keeper[0].core().get(id).unwrap().is_some()).collect();
         assert!(!keeper_ids.is_empty(), "16 blobs over 2 nodes: keeper owns some");
         let survivor_addr = other[0].addr();
+        let survivor_core = Arc::clone(other[0].core());
         other[0].shutdown();
-        // Remove the (alive, data-holding) node: every stream to the
-        // dead survivor fails, so the window stays open.
-        cluster.update_membership(&[], &[keeper[0].addr()]).unwrap();
-        assert!(cluster.rebalance_window_open());
-        // The survivor returns empty. The first sweep must find the
-        // ex-member's copies and stream them over; only the clean
-        // second pass may close the window.
-        let reborn = Arc::new(StorageCore::new());
-        let _svc = respawn_on(survivor_addr, Arc::clone(&reborn));
-        let healed = cluster.sweep_once();
-        assert_eq!(healed as usize, keeper_ids.len(), "sweep must drain the ex-member");
-        assert!(cluster.rebalance_window_open(), "window stays open until a clean pass");
-        assert_eq!(cluster.sweep_once(), 0);
-        assert!(!cluster.rebalance_window_open());
-        // Every keeper-held blob now lives on (and reads from) the
-        // current member.
-        assert_eq!(reborn.len(), keeper_ids.len());
-        for id in &keeper_ids {
+        assert!(cluster.update_membership(&[], &[keeper[0].addr()]).is_err());
+        assert_eq!(cluster.epoch(), 1, "a refused removal keeps the keeper a member");
+        let _svc = respawn_on(survivor_addr, Arc::clone(&survivor_core));
+        let change = cluster.update_membership(&[], &[keeper[0].addr()]).unwrap();
+        assert_eq!(change.rebalanced_blobs as usize, keeper_ids.len(), "the keeper's blobs move");
+        assert_eq!(survivor_core.len(), ids.len());
+        for id in &ids {
             assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
         }
+    }
+
+    #[test]
+    fn a_decommissioned_node_never_strands_the_membership() {
+        // R=2 over {a, y, x}. x's removal is tried while y is down; then
+        // y returns, x shuts down for good, and the operator sweeps and
+        // retries the removal. Neither the dead ex-member nor the tried
+        // removal may block the next change.
+        let mut nodes = spawn_nodes(3);
+        let cluster = cluster(&nodes, 2);
+        let ids: Vec<String> = (0..24).map(|i| format!("decom-{i}")).collect();
+        for id in &ids {
+            cluster.put(id, id.as_bytes()).unwrap();
+        }
+        let (y, x) = (nodes[1].addr(), nodes[2].addr());
+        let y_core = Arc::clone(nodes[1].core());
+        nodes[1].shutdown();
+        let _ = cluster.update_membership(&[], &[x]);
+        let _y = respawn_on(y, y_core);
+        nodes[2].shutdown();
+        for _ in 0..3 {
+            cluster.sweep_once();
+        }
+        if cluster.membership().unwrap().nodes.contains(&x) {
+            cluster.update_membership(&[], &[x]).unwrap();
+        }
+        let z = StorageService::spawn().unwrap();
+        cluster.update_membership(&[z.addr()], &[]).unwrap();
+        for id in &ids {
+            assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_rotten_copy_the_change_does_not_move_does_not_stop_membership_changes() {
+        // R=2. b holds an orphan X alone — a write that reached only b
+        // — and its copy rots. Adding d leaves X's replica set as it
+        // was, so X has nothing to do with the change: adding d and
+        // removing it again must both go through.
+        let dir = std::env::temp_dir().join(format!("p3-orphan-rot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Arc::new(crate::PackedBackend::open(&dir).unwrap());
+        let nodes = [
+            StorageService::spawn().unwrap(),
+            StorageService::spawn_with(Arc::new(StorageCore::with_backend(disk.clone()))).unwrap(),
+            StorageService::spawn().unwrap(),
+        ];
+        let cluster = cluster(&nodes, 2);
+        let d = StorageService::spawn().unwrap();
+        let with_d = ClusterBackend::new(ClusterConfig {
+            nodes: nodes.iter().map(StorageService::addr).chain([d.addr()]).collect(),
+            replicas: 2,
+            ..ClusterConfig::default()
+        })
+        .unwrap();
+        let orphan = (0..64)
+            .map(|i| format!("orphan-{i}"))
+            .find(|id| {
+                let owners = cluster.replicas_for(id);
+                owners.contains(&nodes[1].addr()) && owners == with_d.replicas_for(id)
+            })
+            .expect("64 ids over 3 nodes: some stay on b when d joins");
+        disk.put(&orphan, b"reached only b").unwrap();
+        assert_eq!(disk.corrupt_live_needles().unwrap(), 1);
+        cluster.update_membership(&[d.addr()], &[]).expect("d joins");
+        cluster.update_membership(&[], &[d.addr()]).expect("d leaves");
+        assert_eq!(cluster.epoch(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ---- anti-entropy ------------------------------------------------
@@ -736,19 +727,20 @@ mod tests {
         let walker = Arc::clone(&cluster);
         let hostile_addr = hostile.addr();
         std::thread::spawn(move || {
-            let change = walker.update_membership(&[hostile_addr], &[]).unwrap();
+            let joined = walker.update_membership(&[hostile_addr], &[]).is_ok();
             let swept = walker.sweep_once();
-            let _ = done_tx.send((change.rebalanced_blobs, swept));
+            let _ = done_tx.send((joined, swept));
         });
-        let (rebalanced, swept) = done_rx
+        let (joined, swept) = done_rx
             .recv_timeout(Duration::from_secs(20))
             .expect("convergence pass hung on a node replaying its index pages");
         // Contents unknown, never "empty" and never trusted: nothing is
-        // streamed to the node or from its listing, and the window a
-        // clean pass would close stays open.
-        assert_eq!((rebalanced, swept), (0, 0));
+        // streamed from its listing, and a node that cannot be walked
+        // never joins.
+        assert!(!joined, "an unwalkable node must not join");
+        assert_eq!(swept, 0);
+        assert_eq!(cluster.epoch(), 1);
         assert_eq!(honest[0].core().len(), 1, "nothing the hostile index named may be streamed");
-        assert!(cluster.rebalance_window_open(), "an unwalked member must keep the window open");
     }
 
     #[test]

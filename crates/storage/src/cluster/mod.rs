@@ -50,40 +50,41 @@
 //!   unreachable the read surfaces `Err(Corrupt)` (a 503), never a
 //!   false definitive miss.
 //!
-//! # Dynamic membership
+//! # Dynamic membership: copy, then switch
 //!
 //! The node list lives in an epoch-numbered membership snapshot
 //! (epoch 1 is the boot topology). [`ClusterBackend::update_membership`]
-//! applies adds and removes atomically as one epoch bump, then runs the
-//! **convergence pass** (below), counting the copies it streams in
-//! `rebalanced_blobs`. Data-path operations snapshot the membership per
-//! call, so traffic keeps flowing during a change — and while the pass
-//! is in flight the *previous* epoch stays live for reads: a definitive
-//! miss at the new placement falls back to the old replica set (writing
-//! any find through to the new owners), so a re-owned but
-//! not-yet-streamed blob can never read as falsely absent. A *partial*
-//! pass (a stream failed, or a current member could not be walked)
-//! keeps that fallback window open — with reachable ex-members still
-//! serving as read-fallback and repair sources, and further membership
-//! changes refused — until a sweep proves the cluster converged.
+//! applies adds and removes as one epoch bump in four steps. It
+//! publishes the next epoch *for writes only*: puts and deletes reach
+//! both epochs' replica sets, one request per node, and need a write
+//! quorum in each. It waits until every write that routed by the
+//! current epoch alone has returned. It runs the **convergence pass**
+//! (below) against the next epoch, counting the copies it streams in
+//! `rebalanced_blobs`. And it switches reads to the next epoch only if
+//! the pass walked every next member and landed every copy the change
+//! needs — each blob on each node the change makes one of its
+//! replicas. Otherwise the current epoch stays, and the change answers
+//! `Unavailable` ("membership unchanged") for the operator to retry.
+//! Reads therefore only ever see one placement, and that placement
+//! holds everything: a re-owned blob can never read as falsely absent.
 //!
 //! # One convergence pass
 //!
 //! Read-repair only heals blobs that get read; a node that died and
 //! returned empty would stay under-replicated on its cold blobs
 //! forever. The router has exactly one mechanism that moves replicas
-//! without a client asking, run after every membership change and by
+//! without a client asking, run by every membership change and by
 //! [`ClusterBackend::sweep_once`] (periodically, via
 //! [`ClusterBackend::spawn_sweeper`]; counted in `sweep_repairs`): walk
-//! the paginated `/index` and `/tombstones` of every member and every
-//! previous-epoch ex-member, push each learned delete across the
-//! blob's current replica set, then stream every other blob seen
-//! anywhere to each current replica whose index lacks it, from any
-//! holder whose copy verifies. A node that cannot be walked — down, or
-//! paging dishonestly — has *unknown* contents, never empty ones. The
-//! sweep closes the fallback window only after a pass that streamed
-//! nothing, failed nothing and walked every node. The pass issues
-//! **zero client reads**: it talks straight to the nodes' `/index` and
+//! the paginated `/index` and `/tombstones` of every member and, during
+//! a change, of every node the change removes, push each learned delete
+//! across the blob's replica set, then stream every other blob seen
+//! anywhere to each replica whose index lacks it, from any holder whose
+//! copy verifies. A node that cannot be walked — down, or paging
+//! dishonestly — has *unknown* contents, never empty ones. A gap the
+//! change does not cause (a copy a replica lost before it) never holds
+//! a change back: it is the sweep's to close. The pass issues **zero
+//! client reads**: it talks straight to the nodes' `/index` and
 //! `/blobs` routes and never touches the router's get path.
 //!
 //! # Tombstones make deletes real
@@ -126,11 +127,11 @@ use crate::{
     BackendStats, MembershipChange, MembershipView, StatCounters, StorageBackend, StorageError,
     StorageResult,
 };
-use converge::Membership;
+use converge::{Membership, Placement};
 use p3_net::client::{ClientError, ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
 use p3_net::{Deadlines, Response, StatusCode, TcpTransport, Transport};
 use parking_lot::Mutex;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -214,16 +215,9 @@ fn wire_crc_ok(r: &Response) -> bool {
 #[derive(Debug)]
 pub struct ClusterBackend {
     cfg: ClusterConfig,
-    /// Current membership; data-path calls clone the `Arc` and work on
+    /// What the data path routes by; calls clone the `Arc` and work on
     /// an immutable snapshot.
-    membership: Mutex<Arc<Membership>>,
-    /// The immediately-previous epoch, set only while its successor's
-    /// rebalance is in flight. Reads that would otherwise report a
-    /// definitive miss fall back to the old placement during that
-    /// window: a blob re-owned by the new ring but not yet streamed
-    /// must never read as "absent" — the proxy would pass the
-    /// privacy-degraded public part through as a non-P3 photo.
-    prev_epoch: Mutex<Option<Arc<Membership>>>,
+    placement: Mutex<Arc<Placement>>,
     /// Serializes admin operations (membership changes, sweeps) so two
     /// convergence passes never interleave their repair streams.
     admin: Mutex<()>,
@@ -282,15 +276,15 @@ impl ClusterBackend {
         }
         let mut cfg = cfg;
         cfg.repair_batch = cfg.repair_batch.max(1);
-        let membership = Mutex::new(Arc::new(Membership::build(1, cfg.nodes.clone(), None)));
+        let current = Arc::new(Membership::build(1, cfg.nodes.clone(), None));
+        let placement = Mutex::new(Arc::new(Placement { current, next: None }));
         let pool = ClientPool::with_transport(
             DEFAULT_MAX_IDLE_PER_HOST,
             transport,
             Deadlines { connect: cfg.connect_timeout, read: cfg.read_timeout },
         );
         Ok(ClusterBackend {
-            membership,
-            prev_epoch: Mutex::new(None),
+            placement,
             admin: Mutex::new(()),
             pool,
             stats: StatCounters::default(),
@@ -298,8 +292,10 @@ impl ClusterBackend {
         })
     }
 
+    /// The epoch reads route by. A clone of the membership alone, so a
+    /// read never holds up a change waiting out the writes in flight.
     fn snapshot(&self) -> Arc<Membership> {
-        Arc::clone(&self.membership.lock())
+        Arc::clone(&self.placement.lock().current)
     }
 
     /// Effective replication factor under `m`: the configured R capped
@@ -436,51 +432,6 @@ impl ClusterBackend {
         }
     }
 
-    /// During a rebalance window, probe the previous epoch's replica
-    /// set for a blob the current placement reported absent — it may
-    /// simply not have been streamed to its new owners yet. Found blobs
-    /// are written through to the current replicas (counted as read
-    /// repairs) so the next read finds them at their new home.
-    ///
-    /// `Ok(None)` means every previous-epoch replica *authoritatively*
-    /// answered 404; an unreachable old replica makes the answer
-    /// unknowable and surfaces as `Err` — the fallback must not turn a
-    /// transient old-holder outage into a false definitive miss, any
-    /// more than the primary read path would.
-    fn get_from_prev_epoch(
-        &self,
-        id: &str,
-        current_replicas: &[SocketAddr],
-    ) -> StorageResult<Option<Vec<u8>>> {
-        let Some(prev) = self.prev_epoch.lock().clone() else {
-            return Ok(None);
-        };
-        let mut unreachable = 0usize;
-        for addr in prev.replica_addrs(id, self.r_eff(&prev)) {
-            match self.ask(addr, id) {
-                NodeAnswer::Found(body) => {
-                    for &cur in current_replicas {
-                        if self.direct_put(cur, id, &body) {
-                            self.stats.read_repair();
-                        }
-                    }
-                    return Ok(Some(body));
-                }
-                NodeAnswer::Absent | NodeAnswer::Deleted => {}
-                // A rotten old copy can't serve — but it proves the
-                // blob exists, so it must not count toward "every old
-                // replica said 404" either.
-                NodeAnswer::Corrupt | NodeAnswer::Failed => unreachable += 1,
-            }
-        }
-        if unreachable > 0 {
-            return Err(StorageError::Unavailable(format!(
-                "rebalance in flight and {unreachable} previous-epoch replica(s) unreachable"
-            )));
-        }
-        Ok(None)
-    }
-
     /// Push a delete of `id` to each of `targets` — the one place the
     /// router propagates a tombstone, for a read that saw one and for
     /// the convergence pass alike. Best-effort: a node still holding a
@@ -508,6 +459,39 @@ impl ClusterBackend {
             _ => None,
         })
     }
+
+    /// Send one write of `id` to every replica set the placement routes
+    /// it to — the current epoch's and, while a change copies, the next
+    /// one's — one request per node (`send` says whether node `n` of
+    /// epoch `m` acked). Returns each set's `(acks, size)`.
+    fn write_replicas(
+        &self,
+        id: &str,
+        mut send: impl FnMut(&Membership, usize) -> bool,
+    ) -> Vec<(usize, usize)> {
+        let placement = Arc::clone(&self.placement.lock());
+        let mut acked: HashMap<SocketAddr, bool> = HashMap::new();
+        let sets = placement.epochs().map(|m| {
+            let replicas = m.replica_nodes(id, self.r_eff(m));
+            let acks = replicas
+                .iter()
+                .filter(|&&n| *acked.entry(m.nodes[n]).or_insert_with(|| send(m, n)))
+                .count();
+            (acks, replicas.len())
+        });
+        sets.collect()
+    }
+
+    /// `Ok` when every replica set a write reached met its quorum.
+    fn quorum_met(sets: &[(usize, usize)], what: &str) -> StorageResult<()> {
+        match sets.iter().find(|&&(acks, of)| acks < Self::write_quorum(of)) {
+            None => Ok(()),
+            Some((acks, of)) => Err(StorageError::Unavailable(format!(
+                "{what} quorum not met: {acks}/{of} acks (need {})",
+                Self::write_quorum(*of)
+            ))),
+        }
+    }
 }
 
 impl StorageBackend for ClusterBackend {
@@ -516,33 +500,17 @@ impl StorageBackend for ClusterBackend {
     }
 
     fn put(&self, id: &str, data: &[u8]) -> StorageResult<()> {
-        let m = self.snapshot();
-        let r = self.r_eff(&m);
-        let replicas = m.replica_nodes(id, r);
-        let acks = replicas.iter().filter(|&&n| self.node_put(&m, n, id, data)).count();
-        if acks < replicas.len() && acks > 0 {
+        let sets = self.write_replicas(id, |m, n| self.node_put(m, n, id, data));
+        if sets.iter().any(|&(acks, of)| acks > 0 && acks < of) {
             self.stats.partial_write();
         }
-        if acks >= Self::write_quorum(r) {
-            self.stats.put(data.len());
-            Ok(())
-        } else {
-            Err(StorageError::Unavailable(format!(
-                "write quorum not met: {acks}/{} acks (need {})",
-                replicas.len(),
-                Self::write_quorum(r)
-            )))
-        }
+        Self::quorum_met(&sets, "write")?;
+        self.stats.put(data.len());
+        Ok(())
     }
 
     fn get(&self, id: &str) -> StorageResult<Option<Arc<[u8]>>> {
         let m = self.snapshot();
-        // Whether a rebalance window was open when this read began: if
-        // it closes mid-read, the 404s collected below may predate the
-        // blob arriving at its new home, and the miss path must
-        // re-probe before answering. Captured up front so the common
-        // case (no rebalance anywhere near this read) stays zero-cost.
-        let rebalance_at_start = self.prev_epoch.lock().is_some();
         let r = self.r_eff(&m);
         let replicas = m.replica_nodes(id, r);
         let mut stale: Vec<usize> = Vec::new();
@@ -607,42 +575,12 @@ impl StorageBackend for ClusterBackend {
             // copy reachable the read fails loudly (503 + corrupt
             // marker) for the client to retry — never a definitive
             // miss, which would hand the proxy the privacy-degraded
-            // public part to serve as a non-P3 photo. Mid-rebalance the
-            // previous epoch's home may still hold an intact copy: the
-            // probe serves it and writes it through to every current
-            // replica, the rotten one included.
-            None if !corrupt.is_empty() => {
-                let current: Vec<SocketAddr> = replicas.iter().map(|&n| m.nodes[n]).collect();
-                if let Ok(Some(body)) = self.get_from_prev_epoch(id, &current) {
-                    self.stats.get_hit(body.len());
-                    return Ok(Some(Arc::from(body)));
-                }
-                Err(StorageError::Corrupt(format!(
-                    "{} replica(s) hold only corrupt copies of {id}; no intact copy reachable",
-                    corrupt.len()
-                )))
-            }
+            // public part to serve as a non-P3 photo.
+            None if !corrupt.is_empty() => Err(StorageError::Corrupt(format!(
+                "{} replica(s) hold only corrupt copies of {id}; no intact copy reachable",
+                corrupt.len()
+            ))),
             None if absent >= Self::miss_quorum(r) => {
-                // A met miss quorum is only definitive when placement
-                // is stable: mid-rebalance, the blob may live at its
-                // previous-epoch home and simply not be streamed yet.
-                let current: Vec<SocketAddr> = replicas.iter().map(|&n| m.nodes[n]).collect();
-                if let Some(body) = self.get_from_prev_epoch(id, &current)? {
-                    self.stats.get_hit(body.len());
-                    return Ok(Some(Arc::from(body)));
-                }
-                // The window can also *close* between our replica walk
-                // and the fallback probe: the 404s above may predate
-                // the pass streaming the blob to exactly the
-                // replicas that answered them. One re-probe of the
-                // current placement settles it; a read that never saw
-                // an open window skips this entirely.
-                if rebalance_at_start && self.prev_epoch.lock().is_none() {
-                    if let Some(body) = self.direct_get(&current, id) {
-                        self.stats.get_hit(body.len());
-                        return Ok(Some(Arc::from(body)));
-                    }
-                }
                 self.stats.get_miss();
                 Ok(None)
             }
@@ -655,33 +593,22 @@ impl StorageBackend for ClusterBackend {
 
     fn delete(&self, id: &str) -> StorageResult<bool> {
         self.stats.delete();
-        let m = self.snapshot();
-        let r = self.r_eff(&m);
-        let replicas = m.replica_nodes(id, r);
-        let mut acks = 0usize;
         let mut existed = false;
-        for &n in &replicas {
+        let sets = self.write_replicas(id, |m, n| {
             match self.pool.delete(m.nodes[n], &format!("/blobs/{id}")) {
-                Ok(resp) if resp.status.is_success() => {
-                    self.mark_ok(&m, n);
-                    acks += 1;
-                    existed = true;
+                Ok(resp) if resp.status.is_success() || resp.status == StatusCode::NOT_FOUND => {
+                    self.mark_ok(m, n);
+                    existed |= resp.status.is_success();
+                    true
                 }
-                Ok(resp) if resp.status == StatusCode::NOT_FOUND => {
-                    self.mark_ok(&m, n);
-                    acks += 1;
+                _ => {
+                    self.mark_failure(m, n);
+                    false
                 }
-                _ => self.mark_failure(&m, n),
             }
-        }
-        if acks >= Self::write_quorum(r) {
-            Ok(existed)
-        } else {
-            Err(StorageError::Unavailable(format!(
-                "delete quorum not met: {acks}/{} acks",
-                replicas.len()
-            )))
-        }
+        });
+        Self::quorum_met(&sets, "delete")?;
+        Ok(existed)
     }
 
     /// Healthy-node estimate: every blob is held by `replicas` nodes, so

@@ -26,8 +26,8 @@
 //!   quorum writes, first-healthy-replica reads with read-repair,
 //!   per-node health/ejection so reads survive a node failure, plus an
 //!   epoch-numbered dynamic membership table and one convergence pass
-//!   — run after every membership change and by the background
-//!   anti-entropy sweep — that streams each blob to the current
+//!   — run by every membership change before it switches, and by the
+//!   background anti-entropy sweep — that streams each blob to the
 //!   replicas lacking it (re-owned blobs to their new owners, cold
 //!   blobs to a node that returned empty).
 //!
@@ -590,8 +590,8 @@ fn handle_id_page(
 }
 
 /// `POST /admin/membership` body: one `add <addr>` or `remove <addr>`
-/// per line, all applied atomically as a single epoch bump followed by
-/// one rebalance pass.
+/// per line, all applied as a single epoch bump once the blobs it moves
+/// are copied — or not at all (503, membership unchanged).
 fn handle_membership(core: &StorageCore, req: &Request) -> Response {
     let body = String::from_utf8_lossy(&req.body);
     let mut add = Vec::new();

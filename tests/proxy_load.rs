@@ -12,7 +12,9 @@
 //! * a failed storage PUT rolls the PSP upload back (no orphaned public
 //!   photo);
 //! * a PSP that serves a view that does not decode gets the blame (502),
-//!   not the proxy (500).
+//!   not the proxy (500);
+//! * a photo ID the PSP chose never reaches a request line unless it is
+//!   one token, so it cannot smuggle a request into storage.
 
 use p3_core::pipeline::{P3Codec, P3Config};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
@@ -298,4 +300,27 @@ fn a_served_view_that_does_not_decode_is_a_bad_gateway() {
     assert_eq!(resp.body, b"served view does not decode");
     assert_eq!(proxy.stats().downloads_reconstructed.load(Ordering::Relaxed), 0);
     assert_eq!(proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn a_psp_photo_id_cannot_smuggle_a_request_into_storage() {
+    let sys = spawn_system(0, 1);
+    let victim = upload(sys.proxy.addr(), photo(800));
+    // A second proxy over the same storage, in front of a PSP that
+    // answers an upload with an "ID" carrying a second request line.
+    let smuggled = format!("7 HTTP/1.1\r\nhost: x\r\n\r\nDELETE /blobs/{victim}");
+    let hostile = Server::spawn(std::sync::Arc::new(move |_: &Request| {
+        Response::ok("text/plain", smuggled.clone().into_bytes())
+    }))
+    .expect("stub psp");
+    let proxy = spawn_proxy(hostile.addr(), sys.storage.addr(), 4, 1);
+    let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo(801)).expect("request");
+    assert!(sys.storage.core().get(&victim).expect("get").is_some(), "the victim's secret is gone");
+    assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.body, b"psp returned a malformed photo id");
+    // The victim's view still reconstructs: never the degraded public part.
+    let view = http_get(sys.proxy.addr(), &format!("/photos/{victim}?size=small")).expect("view");
+    assert!(view.status.is_success(), "{:?}", view.status);
+    assert_eq!(sys.proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 0);
+    assert_eq!(sys.proxy.stats().downloads_reconstructed.load(Ordering::Relaxed), 1);
 }

@@ -14,9 +14,12 @@ use p3_jpeg::{CoeffImage, QuantTable};
 use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
 use p3_psp::{PspProfile, PspService};
-use p3_storage::{FaultBackend, MemBackend, StorageCore, StorageService};
+use p3_storage::{
+    BackendStats, FaultBackend, MemBackend, StorageBackend, StorageCore, StorageError,
+    StorageResult, StorageService,
+};
 use p3_vision::metrics::psnr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 struct System {
@@ -379,5 +382,75 @@ fn tampered_public_video_bytes_fail_closed() {
     for (path, want) in [("?gop=1", 502), ("", 502), ("?gop=0", 200), ("?gop=2", 200)] {
         let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}{path}")).expect("fetch");
         assert_eq!(resp.status.0, want, "/videos/{id}{path}");
+    }
+}
+
+/// A store that refuses every secret-stream PUT (`vid:*:sec`) while
+/// armed.
+#[derive(Debug, Default)]
+struct RefusesSecretStreams {
+    inner: MemBackend,
+    armed: AtomicBool,
+}
+
+impl StorageBackend for RefusesSecretStreams {
+    fn kind(&self) -> &'static str {
+        "refuses-secret-streams"
+    }
+    fn put(&self, id: &str, data: &[u8]) -> StorageResult<()> {
+        if self.armed.load(Ordering::Relaxed) && id.ends_with(":sec") {
+            return Err(StorageError::Unavailable("secret streams refused".into()));
+        }
+        self.inner.put(id, data)
+    }
+    fn get(&self, id: &str) -> StorageResult<Option<Arc<[u8]>>> {
+        self.inner.get(id)
+    }
+    fn delete(&self, id: &str) -> StorageResult<bool> {
+        self.inner.delete(id)
+    }
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn stats(&self) -> BackendStats {
+        self.inner.stats()
+    }
+}
+
+/// A retried upload of a stored clip whose secret PUT fails answers
+/// 502 and leaves the stored clip playable: the public stream it
+/// overwrote with the same bytes is not taken back out.
+#[test]
+fn a_failed_retry_of_a_stored_clip_keeps_it_playable() {
+    use p3_video::codec::test_clip;
+    use p3_video::{GopCodec, VideoCodecParams};
+
+    let store = Arc::new(RefusesSecretStreams::default());
+    let core = Arc::new(StorageCore::with_backend(Arc::clone(&store) as Arc<_>));
+    let sys = spawn_system_over(
+        StorageService::spawn_with(core).expect("storage"),
+        PspProfile::facebook(),
+        15,
+    );
+    let params = VideoCodecParams { gop: 6, ..Default::default() };
+    let clip = GopCodec::new(params).encode(&test_clip(13, 64, 48, 12)).expect("encode clip");
+    let up = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip.to_bytes()).expect("upload");
+    assert_eq!(up.status.0, 201, "upload failed: {:?}", up.status);
+    let id = String::from_utf8_lossy(&up.body).trim().to_string();
+
+    store.armed.store(true, Ordering::Relaxed);
+    let retry =
+        http_post(sys.proxy.addr(), "/videos", "video/p3v", clip.to_bytes()).expect("retry");
+    assert_eq!(retry.status.0, 502, "the failed secret PUT must surface");
+    store.armed.store(false, Ordering::Relaxed);
+
+    for path in ["?gop=0", ""] {
+        let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}{path}")).expect("fetch");
+        assert_eq!(
+            resp.status.0,
+            200,
+            "/videos/{id}{path}: {}",
+            String::from_utf8_lossy(&resp.body)
+        );
     }
 }

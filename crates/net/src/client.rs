@@ -209,7 +209,12 @@ impl ClientPool {
     /// response was lost) could duplicate its side effects. `POST`s
     /// therefore always open a fresh connection — which still joins the
     /// pool afterwards — and surface any failure to the caller.
+    ///
+    /// A target `write_to` would refuse is refused here, before a pooled
+    /// socket is taken or a fresh one opened: that refusal is no sign
+    /// of a stale socket, and a retry would meet it again.
     pub fn send(&self, addr: SocketAddr, mut request: Request) -> Result<Response, ClientError> {
+        request.check_target().map_err(HttpError::Io)?;
         request.headers.set("host", addr.to_string());
         let idempotent = !matches!(request.method, Method::Post);
         if idempotent {
@@ -304,6 +309,24 @@ mod tests {
         }
         assert_eq!(pool.connects(), 1, "sequential requests must share one socket");
         assert_eq!(pool.reuses(), 9);
+    }
+
+    #[test]
+    fn a_refused_target_keeps_the_pooled_socket_and_opens_none() {
+        let server = ok_server();
+        let pool = ClientPool::default();
+        assert!(pool.get(server.addr(), "/before").is_ok());
+        for bad in ["/blobs/7 HTTP/1.1", "/blobs/7\r\n", "/a?k=\x7f"] {
+            match pool.get(server.addr(), bad) {
+                Err(ClientError::Http(HttpError::Io(e))) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{bad:?}")
+                }
+                other => panic!("{bad:?} must be refused, got {other:?}"),
+            }
+        }
+        assert!(pool.get(server.addr(), "/after").is_ok());
+        assert_eq!(pool.connects(), 1, "a refused target must not open a connection");
+        assert_eq!(pool.reuses(), 1, "nor drop the pooled one");
     }
 
     #[test]

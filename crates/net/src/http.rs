@@ -388,6 +388,20 @@ impl Request {
         }
     }
 
+    /// `InvalidInput` unless the target is one request-line token (see
+    /// [`Request::write_to`]); checks the parts without reassembling them.
+    pub(crate) fn check_target(&self) -> std::io::Result<()> {
+        let mut parts =
+            std::iter::once(&self.path).chain(self.query.iter().flat_map(|(k, v)| [k, v]));
+        if parts.all(|part| is_target_token(part)) {
+            return Ok(());
+        }
+        Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("request target {:?} is not one token", self.target()),
+        ))
+    }
+
     /// Serialize onto a writer: the head in one write, then the body.
     /// A target that is not one request-line token — it holds a space,
     /// a control byte or DEL — is refused with `InvalidInput` before a
@@ -395,13 +409,8 @@ impl Request {
     /// chose, a blob ID an untrusted node listed) would end the request
     /// line early and smuggle a second request in behind it.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        self.check_target()?;
         let (method, target, version) = (self.method.as_str(), self.target(), self.version);
-        if !is_target_token(&target) {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("request target {target:?} is not one token"),
-            ));
-        }
         let start = format_args!("{method} {target} {}", version.as_str());
         write_message(w, start, &self.headers, &self.body)
     }

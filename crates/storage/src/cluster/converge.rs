@@ -197,7 +197,8 @@ impl ClusterBackend {
     /// `m` that could not be walked (its contents are unknown), or a
     /// copy to a replica `m` adds over `prev` that found no verified
     /// source or whose PUT was refused. Any other gap predates the
-    /// change and is not charged to it.
+    /// change and is not charged to it. A change that adds a node it
+    /// cannot walk returns before it pushes or streams anything.
     fn converge(
         &self,
         m: &Membership,
@@ -217,6 +218,18 @@ impl ClusterBackend {
             sets[n].as_ref().map(|ids| ids.contains(id))
         };
         let mut failed = (0..m.nodes.len()).filter(|&n| unwalked(n)).count() as u64;
+        // A node the change adds that cannot be walked lands none of its
+        // copies until it answers, so the change returns before it
+        // streams: writes would otherwise reach both epochs, and fail
+        // wherever that node joins a replica set, for the whole pass. An
+        // unwalked kept member is usually a passing fault: the pass still
+        // streams what lands, so a retry has little left to copy.
+        let adds_unwalked = |p: &Membership| {
+            (0..m.nodes.len()).any(|n| unwalked(n) && !p.nodes.contains(&m.nodes[n]))
+        };
+        if prev.is_some_and(adds_unwalked) {
+            return (0, failed);
+        }
         // Tombstones outrank live copies: every delete is learned
         // *before* any index is diffed, or the streams below would
         // faithfully resurrect a deleted blob from whichever replica
@@ -525,33 +538,39 @@ mod tests {
 
     #[test]
     fn a_change_that_cannot_copy_leaves_the_membership_unchanged() {
-        // Add a node that is *down*: the pass cannot walk it, so the
-        // change must not switch — epoch, members and reads stay as
-        // they were — and the same change goes through once the node
+        // Add a live node and one that is *down*: the pass cannot walk
+        // the dead one, so the change must not switch — epoch, members
+        // and reads stay as they were, and nothing is streamed to the
+        // live one either, as an added node that cannot be walked ends
+        // the pass — and the same change goes through once the node
         // answers.
         let node_a = spawn_nodes(1);
+        let live = spawn_nodes(1);
         let cluster = cluster(&node_a, 1);
-        let ids: Vec<String> = (0..10).map(|i| format!("partial-{i}")).collect();
+        let ids: Vec<String> = (0..40).map(|i| format!("partial-{i}")).collect();
         for id in &ids {
             cluster.put(id, id.as_bytes()).unwrap();
         }
         // Reserve an address, then free it: the "new node" is dead.
         let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
-        match cluster.update_membership(&[dead], &[]) {
+        let add = [live[0].addr(), dead];
+        match cluster.update_membership(&add, &[]) {
             Err(StorageError::Unavailable(msg)) => assert!(msg.contains("membership unchanged")),
             other => panic!("a change that cannot copy must be refused, got {other:?}"),
         }
         assert_eq!(cluster.epoch(), 1);
         assert_eq!(cluster.membership().unwrap().nodes, vec![node_a[0].addr()]);
+        assert_eq!(live[0].core().len(), 0, "a change adding a dead node streams nothing");
         for id in &ids {
             assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
         }
         // The node comes up (empty): the retry copies and switches.
         let reborn = Arc::new(StorageCore::new());
         let _svc = respawn_on(dead, Arc::clone(&reborn));
-        let change = cluster.update_membership(&[dead], &[]).unwrap();
+        let change = cluster.update_membership(&add, &[]).unwrap();
         assert_eq!(change.view.epoch, 2);
-        assert_eq!(change.rebalanced_blobs as usize, reborn.len());
+        assert!(!live[0].core().is_empty(), "the live node owns a share once it joins");
+        assert_eq!(change.rebalanced_blobs as usize, reborn.len() + live[0].core().len());
         for id in &ids {
             assert_eq!(cluster.get(id).unwrap().unwrap().as_ref(), id.as_bytes());
         }

@@ -15,9 +15,14 @@
 //! Scale: `P3_SCALE=full` runs paper-sized corpora; the default `quick`
 //! scale uses reduced counts (documented per experiment) so the whole
 //! suite finishes in minutes on a laptop.
+//!
+//! Beside the experiments: [`stack`] wires every in-process serving
+//! topology (PSP, storage, proxy) in one place, and [`simulate`] is the
+//! `p3 simulate` chaos script run over it.
 
 pub mod experiments;
 pub mod simulate;
+pub mod stack;
 pub mod util;
 
 pub use util::{Scale, THRESHOLDS};

@@ -11,7 +11,7 @@
 //! corrupt copy read as an authoritative miss); the router must answer
 //! it as a *detected* 503 and read-repair once node0 returns.
 
-use super::topology::SimCluster;
+use crate::stack::{Stack, ROUTER};
 use p3_net::FaultRule;
 use p3_storage::{ClusterBackend, StorageBackend, StorageService};
 use std::net::SocketAddr;
@@ -146,14 +146,15 @@ pub struct Probes {
 
 impl Probes {
     /// Find an id for each placement and write it.
-    pub fn place(cluster: &SimCluster, churning: bool) -> Result<Probes, String> {
+    pub fn place(stack: &Stack, churning: bool) -> Result<Probes, String> {
+        let router = &stack.cluster().backend;
         let place = |first: usize, second: usize| -> Result<String, String> {
-            let want = [cluster.nodes[first].addr, cluster.nodes[second].addr];
+            let want = [stack.nodes[first].addr, stack.nodes[second].addr];
             let id = (0..10_000)
                 .map(|n| format!("probe-{n}"))
-                .find(|id| cluster.router_backend.replicas_for(id) == want)
+                .find(|id| router.replicas_for(id) == want)
                 .ok_or("no probe id maps to the wanted replica placement")?;
-            let put = cluster.router_backend.put(&id, PROBE_PAYLOAD);
+            let put = router.put(&id, PROBE_PAYLOAD);
             put.map(|()| id).map_err(|e| format!("write probe: {e}"))
         };
         Ok(Probes { ids: [place(0, 2)?, place(1, 0)?, place(2, 0)?], churning })
@@ -163,9 +164,9 @@ impl Probes {
     /// definitive miss (the false 404) are never right; of the two
     /// right answers, the one the fault does not call for means the aim
     /// was off, which only moving membership excuses.
-    fn fire(&self, cluster: &SimCluster, phase: &Phase) -> Result<(), String> {
+    fn fire(&self, stack: &Stack, phase: &Phase) -> Result<(), String> {
         let Some((node, want_served)) = phase.probe else { return Ok(()) };
-        let (name, id, router) = (phase.name, &self.ids[node], &cluster.router_backend);
+        let (name, id, router) = (phase.name, &self.ids[node], &stack.cluster().backend);
         let served = match phase.fault {
             Fault::DiskFull => router.put(id, PROBE_PAYLOAD).is_ok(),
             _ => match router.get(id) {
@@ -191,16 +192,16 @@ pub fn converge(router: &ClusterBackend) {
 }
 
 /// The live value behind each [`COUNTERS`] entry a phase can book.
-fn live(cluster: &SimCluster) -> [(&'static str, u64); 8] {
-    let router = cluster.router_backend.stats();
+fn live(stack: &Stack) -> [(&'static str, u64); 8] {
+    let router = stack.cluster().backend.stats();
     [
         ("node_failures_observed", router.node_failures),
-        ("corrupt_reads_detected", cluster.nodes[1].disk.stats().corrupt_reads),
+        ("corrupt_reads_detected", stack.nodes[1].fault.stats().corrupt_reads),
         ("corrupt_degraded_detected", router.integrity_rejects),
         ("read_repairs", router.read_repairs),
-        ("delayed_ops", cluster.fault_plan.delayed()),
-        ("partition_blackholes", cluster.fault_plan.black_holed()),
-        ("full_rejections", cluster.nodes[2].fault.full_rejections()),
+        ("delayed_ops", stack.faults.delayed()),
+        ("partition_blackholes", stack.faults.black_holed()),
+        ("full_rejections", stack.nodes[2].fault.full_rejections()),
         ("integrity_rejects", router.integrity_rejects),
     ]
 }
@@ -210,41 +211,46 @@ fn live(cluster: &SimCluster) -> [(&'static str, u64); 8] {
 /// the router's good books — after a few failed requests it is ejected
 /// and reads stop trying it first.
 pub fn run_phase<T>(
-    cluster: &mut SimCluster,
+    stack: &mut Stack,
     probes: &Probes,
     phase: &Phase,
     report: &mut ChaosReport,
     drive: impl FnOnce() -> T,
 ) -> Result<T, String> {
-    let before = live(cluster);
+    let before = live(stack);
+    // A link fault sits on the router→node link only: the node stays up
+    // and answers everyone else untouched.
+    let link = |i: usize, rule| stack.faults.set(ROUTER, stack.nodes[i].addr, rule);
     match phase.fault {
-        Fault::None => converge(&cluster.router_backend),
+        Fault::None => converge(&stack.cluster().backend),
         Fault::Kill => {
-            cluster.nodes[0].stop();
+            stack.nodes[0].stop();
             report.add("node_kills", 1);
         }
         // One payload byte per live needle, frame headers intact, so
         // only the CRC can catch it.
         Fault::CorruptDegraded => {
-            let rotted = cluster.nodes[1].disk.corrupt_live_needles();
-            report.add("blobs_corrupted", rotted.map_err(|e| format!("rot node1: {e}"))? as u64);
+            let disk = stack.nodes[1].packed.as_ref().ok_or("node1 is not packed")?;
+            let rotted = disk.corrupt_live_needles().map_err(|e| format!("rot node1: {e}"))?;
+            report.add("blobs_corrupted", rotted as u64);
         }
-        Fault::Restart => cluster.restart_node(0)?,
-        Fault::Slow => cluster.fault_link(1, FaultRule { latency: SLOW, ..FaultRule::default() }),
-        Fault::Partition => cluster.fault_link(2, FaultRule::black_holed()),
-        Fault::DiskFull => cluster.nodes[2].fault.fill(true),
-        Fault::Flip => cluster.fault_link(0, FaultRule::flipping()),
+        Fault::Restart => stack.nodes[0].restart()?,
+        Fault::Slow => link(1, FaultRule { latency: SLOW, ..FaultRule::default() }),
+        Fault::Partition => link(2, FaultRule::black_holed()),
+        Fault::DiskFull => stack.nodes[2].fault.fill(true),
+        Fault::Flip => link(0, FaultRule::flipping()),
     }
-    probes.fire(cluster, phase)?;
+    probes.fire(stack, phase)?;
     let driven = drive();
+    let heal = |i: usize| stack.faults.clear(ROUTER, stack.nodes[i].addr);
     match phase.fault {
-        Fault::Slow => cluster.heal_link(1),
-        Fault::Partition => cluster.heal_link(2),
-        Fault::DiskFull => cluster.nodes[2].fault.fill(false),
-        Fault::Flip => cluster.heal_link(0),
+        Fault::Slow => heal(1),
+        Fault::Partition => heal(2),
+        Fault::DiskFull => stack.nodes[2].fault.fill(false),
+        Fault::Flip => heal(0),
         Fault::None | Fault::Kill | Fault::CorruptDegraded | Fault::Restart => {}
     }
-    for ((counter, then), (_, now)) in before.iter().zip(live(cluster)) {
+    for ((counter, then), (_, now)) in before.iter().zip(live(stack)) {
         if phase.books.contains(counter) {
             report.add(counter, now - then);
         }

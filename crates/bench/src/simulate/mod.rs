@@ -1,16 +1,19 @@
 //! `p3 simulate` — the whole-system chaos script.
 //!
-//! Spins up the full serving topology (PSP simulator, three
-//! disk-backed storage nodes behind a cluster router, trusted proxy),
-//! pins a golden photo corpus, then walks `chaos::PHASES` in order:
+//! Spins up the full serving topology through [`crate::stack::Stack`]
+//! (PSP simulator, three packed storage nodes behind a cluster router,
+//! trusted proxy, secret cache off so every read reaches the storage
+//! tier the script attacks), pins a golden photo corpus, then walks
+//! `chaos::PHASES` in order:
 //! healthy → kill node0 → corrupt node1 while node0 is down → restart →
 //! slow node1 → partition router→node2 → disk-full node2 → flip node0's
 //! responses → healed. Each phase arms one fault, aims a probe at it,
 //! drives a fixed **closed-loop** batch of hash-verified requests from a
 //! plan that is a pure function of `--seed`, disarms, and books its own
 //! outcomes and fault counters. Network faults are rules on the
-//! router's [`p3_net::FaultTransport`], store faults switches on each
-//! node's [`p3_storage::FaultBackend`]. With `--soak SECS` the table
+//! stack's [`p3_net::FaultPlan`] for the router→node links, store
+//! faults switches on each node's [`p3_storage::FaultBackend`]. With
+//! `--soak SECS` the table
 //! loops until the deadline with `chaos::run_churn` alongside.
 //!
 //! The harness *asserts* the 503-never-wrong-data invariant: every
@@ -21,16 +24,16 @@
 //! `BENCH_simulate.json`.
 
 mod chaos;
-pub mod topology;
 pub mod workload;
 
+use crate::stack::{Node, Stack, StackSpec, Storage};
 use crate::util::check_metric_schema;
 use chaos::{ChaosReport, Fault, Probes, COUNTERS, PHASES};
 use p3_net::stats::{parse_metric_json, render_metrics};
+use p3_storage::{ClusterConfig, PackedConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use topology::SimCluster;
 use workload::{Outcomes, Request};
 
 /// What `p3 simulate` can be told; everything else about a run is a
@@ -51,6 +54,42 @@ pub struct SimulateOpts {
 /// Pinned photos and requests per phase, at full and at `--quick` scale.
 const FULL_SCALE: (usize, usize) = (32, 240);
 const QUICK_SCALE: (usize, usize) = (10, 30);
+
+/// The simulated topology: three packed nodes at R = 2, the proxy's
+/// secret cache off.
+fn spec(tag: &str) -> StackSpec {
+    let dir =
+        |i| std::env::temp_dir().join(format!("p3-simulate-{tag}-{}-node{i}", std::process::id()));
+    // Segments small enough that the soak's churn (re-puts + deletes)
+    // seals and kills whole segments within a run, and an aggressive
+    // compactor so the reclaim path runs under live traffic.
+    let packed = PackedConfig {
+        segment_bytes: 256 << 10,
+        compact_min_bytes: 4096,
+        ..PackedConfig::default()
+    };
+    let router = ClusterConfig {
+        replicas: 2,
+        backoff_base: Duration::from_millis(100),
+        // Cap escalation low: a phase lasts a second or so, and a
+        // healed node should be re-probed promptly, not parked for 30 s.
+        backoff_max: Duration::from_millis(400),
+        // Short deadlines so a black-holed link costs one bounded
+        // timeout, not a stalled worker.
+        connect_timeout: Duration::from_millis(150),
+        read_timeout: Duration::from_millis(400),
+        ..ClusterConfig::default()
+    };
+    let nodes = (0..3).map(|i| {
+        let _ = std::fs::remove_dir_all(dir(i));
+        Node::Packed(dir(i), packed.clone())
+    });
+    StackSpec {
+        secret_cache_capacity: 0,
+        storage: Storage::Cluster(nodes.collect(), router),
+        ..StackSpec::default()
+    }
+}
 
 /// Schema guard over a committed `BENCH_simulate.json`: its sections
 /// and fields must be the ones `render` writes today.
@@ -146,10 +185,10 @@ pub fn run(opts: &SimulateOpts) -> Result<(), String> {
     let soak = opts.soak_secs > 0;
     let (seed, phases) = (opts.seed, PHASES.len());
     println!("simulate: seed {seed}, {photos} pinned photos, {phases} phases x {batch} requests");
-    let mut cluster = SimCluster::spawn(&format!("s{}", opts.seed))?;
-    let proxy = cluster.proxy.addr();
+    let mut stack = Stack::spawn(spec(&format!("s{}", opts.seed)))?;
+    let proxy = stack.proxy.addr();
     let pinned = workload::pin_corpus(proxy, photos, opts.seed)?;
-    let probes = Probes::place(&cluster, soak)?;
+    let probes = Probes::place(&stack, soak)?;
 
     let mut per_phase = [Outcomes::default(); PHASES.len()];
     let mut chaos = ChaosReport::default();
@@ -161,7 +200,8 @@ pub fn run(opts: &SimulateOpts) -> Result<(), String> {
     // didn't schedule.
     let _still_serving = std::thread::scope(|s| {
         let churn = soak.then(|| {
-            let (router, backend) = (cluster.router.addr(), Arc::clone(&cluster.router_backend));
+            let (router, backend) =
+                (stack.cluster().router.addr(), Arc::clone(&stack.cluster().backend));
             let stop = &stop_churn;
             s.spawn(move || chaos::run_churn(router, backend, stop))
         });
@@ -169,7 +209,7 @@ pub fn run(opts: &SimulateOpts) -> Result<(), String> {
             for (i, phase) in PHASES.iter().enumerate() {
                 let phase_no = rounds * PHASES.len() as u64 + i as u64;
                 let plan = workload::request_plan(opts.seed, photos, batch, phase_no);
-                per_phase[i] += chaos::run_phase(&mut cluster, &probes, phase, &mut chaos, || {
+                per_phase[i] += chaos::run_phase(&mut stack, &probes, phase, &mut chaos, || {
                     workload::run_batch(proxy, &pinned, &plan)
                 })?;
             }
@@ -192,7 +232,7 @@ pub fn run(opts: &SimulateOpts) -> Result<(), String> {
     // changed membership after the last phase, so converge once more),
     // every pinned photo must read back byte-identical — not even an
     // explicit error is acceptable now.
-    chaos::converge(&cluster.router_backend);
+    chaos::converge(&stack.cluster().backend);
     let every_photo: Vec<Request> = (0..pinned.len()).map(Request::Read).collect();
     let swept = workload::run_batch(proxy, &pinned, &every_photo);
     if swept.ok_reads != pinned.len() as u64 {

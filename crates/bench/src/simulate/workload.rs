@@ -179,8 +179,8 @@ pub fn run_batch(proxy: SocketAddr, pinned: &[PinnedPhoto], plan: &[Request]) ->
 
 #[cfg(test)]
 mod tests {
-    use super::super::topology::SimCluster;
     use super::*;
+    use crate::stack::{Stack, StackSpec};
 
     #[test]
     fn request_plan_is_a_pure_function_of_the_seed() {
@@ -201,18 +201,18 @@ mod tests {
     /// PSP's own answer *is* that public part.
     #[test]
     fn pin_oracle_rejects_the_public_part_and_passes_every_reconstruction() {
-        let cluster = SimCluster::spawn("pin-oracle").expect("topology");
+        let stack = Stack::spawn(StackSpec::default()).expect("stack");
         for seed in 42..74u64 {
             let jpeg = photo_jpeg(seed);
             let uploaded = p3_jpeg::decode_to_rgb(&jpeg).unwrap();
-            let resp = http_post(cluster.proxy.addr(), "/photos", "image/jpeg", jpeg).unwrap();
+            let resp = http_post(stack.proxy.addr(), "/photos", "image/jpeg", jpeg).unwrap();
             let id = String::from_utf8_lossy(&resp.body).trim().to_string();
             let path = format!("/photos/{id}");
-            let reconstructed = http_get(cluster.proxy.addr(), &path).unwrap();
+            let reconstructed = http_get(stack.proxy.addr(), &path).unwrap();
             let db = check_pin(&uploaded, &reconstructed.body)
                 .unwrap_or_else(|e| panic!("seed {seed}: true reconstruction refused: {e}"));
             assert!(db >= PIN_PSNR_FLOOR_DB + 5.0, "seed {seed}: {db:.1} dB leaves no margin");
-            let public = http_get(cluster.psp.addr(), &path).unwrap();
+            let public = http_get(stack.psp.addr(), &path).unwrap();
             assert!(public.status.is_success());
             let err = check_pin(&uploaded, &public.body).expect_err("public part pinned");
             assert!(err.contains("under the 28 dB floor"), "seed {seed}: {err}");

@@ -417,6 +417,7 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
             cache_shards,
             server,
         },
+        std::sync::Arc::new(p3_net::TcpTransport),
     )
     .map_err(|e| e.to_string())?;
     println!(

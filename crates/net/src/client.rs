@@ -136,7 +136,8 @@ impl ClientPool {
     /// Pool over a caller-supplied [`Transport`] with explicit
     /// per-request connect/read deadlines — the storage cluster uses
     /// this to bound how much a black-holed peer can cost, and the
-    /// simulate harness to inject network faults.
+    /// router and the proxy both take their transport here, so a
+    /// harness can inject network faults on either.
     pub fn with_transport(
         max_idle_per_host: usize,
         transport: Arc<dyn Transport>,

@@ -34,9 +34,10 @@
 //! [`ServerConfig::workers`]. The secret-part LRU is sharded by
 //! photo-ID hash so concurrent downloads contend on independent locks.
 
-use crate::client::ClientPool;
+use crate::client::{ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
 use crate::http::{is_target_token, Method, Request, Response, StatusCode};
 use crate::server::{Server, ServerConfig, ServerStats};
+use crate::transport::{Deadlines, TcpTransport, Transport};
 use p3_core::container::SecretContainer;
 use p3_core::pipeline::P3Codec;
 use p3_core::reconstruct::reconstruct_view;
@@ -83,8 +84,10 @@ pub struct ProxyConfig {
     pub secret_cache_capacity: usize,
     /// Number of independently locked shards the secret cache is split
     /// into (keyed by photo-ID hash). More shards mean less lock
-    /// contention between concurrent downloads; capacity is divided
-    /// evenly across shards.
+    /// contention between concurrent downloads. The capacity is divided
+    /// among them exactly, so the cache never holds more than
+    /// `secret_cache_capacity` entries; there are never more shards
+    /// than that capacity.
     pub cache_shards: usize,
     /// Worker-pool sizing and backpressure knobs for the listening
     /// server.
@@ -185,13 +188,14 @@ struct ShardedCache {
 }
 
 impl ShardedCache {
-    /// `capacity` total entries split across `shards` locks (each shard
-    /// gets `ceil(capacity / shards)`, so the bound stays within one
-    /// entry per shard of the configured total; 0 disables caching).
+    /// `capacity` total entries split across at most `shards` locks and
+    /// at most `capacity` of them, the remainder going one entry each to
+    /// the first shards: the shards together hold exactly `capacity`
+    /// (0 disables caching).
     fn new(capacity: usize, shards: usize) -> ShardedCache {
-        let n = shards.max(1);
-        let per_shard = if capacity == 0 { 0 } else { capacity.div_ceil(n) };
-        ShardedCache { shards: (0..n).map(|_| Mutex::new(LruCache::new(per_shard))).collect() }
+        let n = shards.clamp(1, capacity.max(1));
+        let cap = |i: usize| capacity / n + usize::from(i < capacity % n);
+        ShardedCache { shards: (0..n).map(|i| Mutex::new(LruCache::new(cap(i)))).collect() }
     }
 
     fn shard(&self, key: &str) -> &Mutex<LruCache> {
@@ -372,18 +376,26 @@ pub struct P3Proxy {
 }
 
 impl P3Proxy {
-    /// Start the proxy on an ephemeral local port.
+    /// Start the proxy on an ephemeral local port, over plain TCP.
     pub fn spawn(cfg: ProxyConfig) -> std::io::Result<P3Proxy> {
-        Self::spawn_on("127.0.0.1:0", cfg)
+        Self::spawn_on("127.0.0.1:0", cfg, Arc::new(TcpTransport))
     }
 
-    /// Start the proxy on an explicit listen address.
-    pub fn spawn_on(addr: &str, cfg: ProxyConfig) -> std::io::Result<P3Proxy> {
+    /// Start the proxy on an explicit listen address, its calls to the
+    /// PSP and storage made over `transport` ([`TcpTransport`] in
+    /// production, a [`crate::FaultTransport`] in a harness).
+    pub fn spawn_on(
+        addr: &str,
+        cfg: ProxyConfig,
+        transport: Arc<dyn Transport>,
+    ) -> std::io::Result<P3Proxy> {
+        let pool =
+            ClientPool::with_transport(DEFAULT_MAX_IDLE_PER_HOST, transport, Deadlines::default());
         let ctx = Arc::new(ProxyCtx {
             stats: Arc::new(ProxyStats::default()),
             cache: ShardedCache::new(cfg.secret_cache_capacity, cfg.cache_shards),
             flights: SingleFlight::default(),
-            pool: ClientPool::default(),
+            pool,
             server_stats: Arc::default(),
             cfg,
         });
@@ -418,8 +430,8 @@ impl P3Proxy {
         self.server.in_flight()
     }
 
-    /// Current number of cached secret blobs (bounded by
-    /// `secret_cache_capacity`, modulo per-shard rounding).
+    /// Current number of cached secret blobs (at most
+    /// `secret_cache_capacity`).
     pub fn secret_cache_len(&self) -> usize {
         self.ctx.cache.len()
     }
@@ -699,9 +711,11 @@ fn handle_download(req: &Request, id: &str, ctx: &ProxyCtx) -> Response {
             stats.downloads_reconstructed.fetch_add(1, Ordering::Relaxed);
             Response::ok("image/jpeg", jpeg)
         }
-        // The PSP answered `image/jpeg` with bytes that are not one:
-        // its fault, and perhaps a passing one — not the proxy's.
+        // The PSP answered `image/jpeg` with bytes that are not one, or
+        // with a rung whose geometry the secret has no place in: its
+        // fault, and perhaps a passing one — not the proxy's.
         Err(P3Error::Served(_)) => bad_gateway("served view does not decode", None),
+        Err(P3Error::Mismatch(_)) => bad_gateway("served view does not fit its secret", None),
         Err(e) => Response::text(StatusCode::INTERNAL, &format!("reconstruction failed: {e}")),
     }
 }
@@ -787,6 +801,18 @@ mod tests {
         // Fresh inserts are retrievable.
         cache.insert("hot".into(), Arc::new(vec![42]));
         assert_eq!(cache.get("hot").as_deref(), Some(&vec![42]));
+    }
+
+    #[test]
+    fn sharded_cache_capacity_is_a_hard_limit() {
+        // ceil(capacity / shards) per shard held up to 8, 16 and 8.
+        for (capacity, shards) in [(4, 8), (10, 8), (1, 8)] {
+            let cache = ShardedCache::new(capacity, shards);
+            for i in 0..12 {
+                cache.insert(format!("photo-{i}"), Arc::new(vec![i as u8]));
+            }
+            assert!(cache.len() <= capacity, "{capacity} x {shards}: {} entries", cache.len());
+        }
     }
 
     #[test]

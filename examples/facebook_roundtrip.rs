@@ -6,33 +6,17 @@
 //! cargo run --release --example facebook_roundtrip
 //! ```
 
-use p3_core::pipeline::{P3Codec, P3Config};
+use p3_bench::stack::{Stack, StackSpec};
 use p3_core::pixel::rgb_to_luma;
 use p3_datasets::synth::{scene, SceneParams};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
-use p3_psp::{PspProfile, PspService};
-use p3_storage::StorageService;
 use p3_vision::metrics::psnr;
 
 fn main() {
     // ---- infrastructure ---------------------------------------------------
-    let mut psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let mut storage = StorageService::spawn().expect("storage");
+    let stack = Stack::spawn(StackSpec::default()).expect("stack");
+    let (psp, proxy) = (&stack.psp, &stack.proxy);
     println!("PSP (facebook profile) on {}", psp.addr());
-    println!("storage provider on      {}", storage.addr());
-
-    let mut proxy = P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: storage.addr(),
-        master_key: b"shared out-of-band group key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15 }),
-        estimator: default_estimator(),
-        reencode_quality: 95,
-        secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,
-        cache_shards: p3_net::proxy::DEFAULT_CACHE_SHARDS,
-        server: p3_net::ServerConfig::default(),
-    })
-    .expect("proxy");
+    println!("storage provider on      {}", stack.nodes[0].addr);
     println!("trusted proxy on         {}\n", proxy.addr());
 
     // ---- client app: upload through the proxy ------------------------------
@@ -94,8 +78,4 @@ fn main() {
         stats.downloads_reconstructed.load(std::sync::atomic::Ordering::Relaxed),
         stats.cache_hits.load(std::sync::atomic::Ordering::Relaxed),
     );
-
-    proxy.shutdown();
-    psp.shutdown();
-    storage.shutdown();
 }

@@ -11,50 +11,20 @@
 //!   it;
 //! * a failed storage PUT rolls the PSP upload back (no orphaned public
 //!   photo);
-//! * a PSP that serves a view that does not decode gets the blame (502),
-//!   not the proxy (500);
+//! * a PSP that serves a view that does not decode, or one the secret
+//!   has no place in, gets the blame (502), not the proxy (500);
 //! * a photo ID the PSP chose never reaches a request line unless it is
 //!   one token, so it cannot smuggle a request into storage.
 
-use p3_core::pipeline::{P3Codec, P3Config};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
-use p3_net::{http_get, http_post, Request, Response, Server, ServerConfig, StatusCode};
-use p3_psp::{PspProfile, PspService};
-use p3_storage::StorageService;
+use p3_bench::stack::{Stack, StackSpec, PROXY};
+use p3_jpeg::encoder::{encode_coeffs, Mode};
+use p3_net::{http_get, http_post, FaultRule, Request, Response, Server, StatusCode};
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 
-struct System {
-    _psp: PspService,
-    storage: StorageService,
-    proxy: P3Proxy,
-}
-
-fn spawn_system(cache_capacity: usize, cache_shards: usize) -> System {
-    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let storage = StorageService::spawn().expect("storage");
-    let proxy = spawn_proxy(psp.addr(), storage.addr(), cache_capacity, cache_shards);
-    System { _psp: psp, storage, proxy }
-}
-
-fn spawn_proxy(
-    psp_addr: SocketAddr,
-    storage_addr: SocketAddr,
-    cache_capacity: usize,
-    cache_shards: usize,
-) -> P3Proxy {
-    P3Proxy::spawn(ProxyConfig {
-        psp_addr,
-        storage_addr,
-        master_key: b"load test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15 }),
-        estimator: default_estimator(),
-        reencode_quality: 90,
-        secret_cache_capacity: cache_capacity,
-        cache_shards,
-        server: ServerConfig::default(),
-    })
-    .expect("proxy")
+/// A stack whose proxy caches this many secrets.
+fn stack(secret_cache_capacity: usize) -> Stack {
+    Stack::spawn(StackSpec { secret_cache_capacity, ..StackSpec::default() }).expect("stack")
 }
 
 /// Small photos keep the codec work per request cheap; the point here is
@@ -74,7 +44,7 @@ fn upload(addr: SocketAddr, jpeg: Vec<u8>) -> String {
 
 #[test]
 fn concurrent_load_loses_nothing_and_singleflights_storage() {
-    let sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
     let addr = sys.proxy.addr();
 
     // Seed corpus: 6 distinct photos uploaded concurrently.
@@ -84,8 +54,8 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
             (0..DISTINCT).map(|i| s.spawn(move || upload(addr, photo(100 + i as u64)))).collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    assert_eq!(sys.storage.core().len(), DISTINCT);
-    let baseline_gets = sys.storage.core().get_count();
+    assert_eq!(sys.nodes[0].core.len(), DISTINCT);
+    let baseline_gets = sys.nodes[0].core.get_count();
 
     // 8 clients × 12 requests: downloads hammer the overlapping ID
     // space (sizes alternate so the same secret blob serves different
@@ -126,7 +96,7 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
 
     // Singleflight + cache: the herd on 6 distinct IDs may do at most
     // one storage GET per ID, no matter how the 88 downloads interleave.
-    let gets = sys.storage.core().get_count() - baseline_gets;
+    let gets = sys.nodes[0].core.get_count() - baseline_gets;
     assert!(gets >= 1, "at least one real fetch must have happened");
     assert!(
         gets <= DISTINCT as u64,
@@ -145,7 +115,7 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
     let up = http_post(addr, "/videos", "video/p3v", clip).expect("video upload");
     assert_eq!(up.status, StatusCode::CREATED);
     let id = String::from_utf8_lossy(&up.body).trim().to_string();
-    let baseline_gets = sys.storage.core().get_count();
+    let baseline_gets = sys.nodes[0].core.get_count();
     std::thread::scope(|s| {
         for c in 0..CLIENTS {
             let id = &id;
@@ -156,7 +126,7 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
         }
     });
     assert_eq!(stats.video_gops_served.load(Ordering::Relaxed), CLIENTS as u64);
-    let gets = sys.storage.core().get_count() - baseline_gets;
+    let gets = sys.nodes[0].core.get_count() - baseline_gets;
     assert!(
         gets <= CLIENTS as u64 + 1,
         "{gets} storage GETs for {CLIENTS} GOP requests on one clip — the secret stream \
@@ -166,9 +136,10 @@ fn concurrent_load_loses_nothing_and_singleflights_storage() {
 
 #[test]
 fn cache_stays_bounded_under_many_distinct_ids() {
-    // Capacity 4 split over 2 shards (2 per shard) with 12 distinct
-    // photos: the cache must evict, not grow.
-    let sys = spawn_system(4, 2);
+    // Capacity 4 at the default shard count with 12 distinct photos:
+    // the cache must evict, not grow. The capacity is a hard limit, so
+    // the shards together hold at most 4.
+    let sys = stack(4);
     let addr = sys.proxy.addr();
     let ids: Vec<String> = (0..12).map(|i| upload(addr, photo(200 + i))).collect();
     std::thread::scope(|s| {
@@ -199,7 +170,7 @@ fn cache_stays_bounded_under_many_distinct_ids() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_download() {
-    let mut sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let mut sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
     let addr = sys.proxy.addr();
     let id = upload(addr, photo(300));
     // Let the upload's own in-flight marker drain so the wait below
@@ -225,24 +196,11 @@ fn graceful_shutdown_drains_in_flight_download() {
 
 #[test]
 fn failed_storage_put_rolls_back_psp_upload() {
-    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    // A dead storage address: bind an ephemeral port, then free it.
-    let dead_storage = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("probe bind");
-        l.local_addr().expect("probe addr")
-    };
-    let proxy = P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: dead_storage,
-        master_key: b"rollback test key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15 }),
-        estimator: default_estimator(),
-        reencode_quality: 90,
-        secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,
-        cache_shards: p3_net::proxy::DEFAULT_CACHE_SHARDS,
-        server: ServerConfig::default(),
-    })
-    .expect("proxy");
+    let sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
+    // The proxy's link to storage refuses every connect.
+    let refused = FaultRule { drop_connects: true, ..FaultRule::default() };
+    sys.faults.set(PROXY, sys.nodes[0].addr, refused);
+    let (psp, proxy) = (&sys.psp, &sys.proxy);
 
     let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo(400)).expect("request");
     assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "client must learn the upload failed");
@@ -255,13 +213,13 @@ fn failed_storage_put_rolls_back_psp_upload() {
 
 #[test]
 fn storage_outage_fails_downloads_loudly_not_degraded() {
-    let mut sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let mut sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
     let addr = sys.proxy.addr();
     let id = upload(addr, photo(600));
     // Storage goes down with the download cache still cold. The proxy
     // must not mistake "storage unreachable" for "not a P3 photo" and
     // silently serve the privacy-degraded public part.
-    sys.storage.shutdown();
+    sys.nodes[0].stop();
     let resp = http_get(addr, &format!("/photos/{id}?size=small")).expect("request");
     assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "outage must surface, not pass through");
     assert_eq!(resp.headers.get("retry-after"), Some("1"));
@@ -270,7 +228,7 @@ fn storage_outage_fails_downloads_loudly_not_degraded() {
 
 #[test]
 fn malformed_crop_spec_is_not_misparsed() {
-    let sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
     let addr = sys.proxy.addr();
     let id = upload(addr, photo(500));
     // The seed's lenient parse read this five-field spec as the crop
@@ -284,7 +242,7 @@ fn malformed_crop_spec_is_not_misparsed() {
 
 #[test]
 fn a_served_view_that_does_not_decode_is_a_bad_gateway() {
-    let sys = spawn_system(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY, 4);
+    let sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
     let id = upload(sys.proxy.addr(), photo(700));
     // A second proxy over the same storage, in front of a PSP that
     // answers every fetch with junk labelled `image/jpeg`. The secret
@@ -293,7 +251,7 @@ fn a_served_view_that_does_not_decode_is_a_bad_gateway() {
         Response::ok("image/jpeg", b"\xFF\xD8 not a photo".to_vec())
     }))
     .expect("stub psp");
-    let proxy = spawn_proxy(junk.addr(), sys.storage.addr(), 4, 1);
+    let proxy = sys.proxy_to(junk.addr()).expect("proxy");
     let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("request");
     assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(resp.headers.get("retry-after"), Some("1"));
@@ -303,8 +261,34 @@ fn a_served_view_that_does_not_decode_is_a_bad_gateway() {
 }
 
 #[test]
+fn a_served_view_that_does_not_fit_its_secret_is_a_bad_gateway() {
+    let sys = stack(p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY);
+    let id = upload(sys.proxy.addr(), photo(750));
+    // A second proxy over the same storage, in front of a PSP that
+    // answers with a well-formed gray JPEG of the rung's size: the
+    // colour secret's chroma has no plane to go to.
+    let rung = http_get(sys.psp.addr(), &format!("/photos/{id}?size=small")).expect("rung");
+    let (rung, _) = p3_jpeg::decode_to_coeffs(&rung.body).expect("decode rung");
+    let luma = vec![p3_jpeg::QuantTable::luma(90)];
+    let gray = p3_jpeg::CoeffImage::zeroed(rung.width, rung.height, luma, &[(1, 1)], &[0])
+        .and_then(|gray| encode_coeffs(&gray, Mode::BaselineOptimized, 0))
+        .expect("gray rung");
+    let stub = Server::spawn(std::sync::Arc::new(move |_: &Request| {
+        Response::ok("image/jpeg", gray.clone())
+    }))
+    .expect("stub psp");
+    let proxy = sys.proxy_to(stub.addr()).expect("proxy");
+    let resp = http_get(proxy.addr(), &format!("/photos/{id}?size=small")).expect("request");
+    assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(resp.headers.get("retry-after"), Some("1"));
+    assert_eq!(resp.body, b"served view does not fit its secret");
+    assert_eq!(proxy.stats().downloads_reconstructed.load(Ordering::Relaxed), 0);
+    assert_eq!(proxy.stats().downloads_passthrough.load(Ordering::Relaxed), 0);
+}
+
+#[test]
 fn a_psp_photo_id_cannot_smuggle_a_request_into_storage() {
-    let sys = spawn_system(0, 1);
+    let sys = stack(0);
     let victim = upload(sys.proxy.addr(), photo(800));
     // A second proxy over the same storage, in front of a PSP that
     // answers an upload with an "ID" carrying a second request line.
@@ -313,9 +297,9 @@ fn a_psp_photo_id_cannot_smuggle_a_request_into_storage() {
         Response::ok("text/plain", smuggled.clone().into_bytes())
     }))
     .expect("stub psp");
-    let proxy = spawn_proxy(hostile.addr(), sys.storage.addr(), 4, 1);
+    let proxy = sys.proxy_to(hostile.addr()).expect("proxy");
     let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo(801)).expect("request");
-    assert!(sys.storage.core().get(&victim).expect("get").is_some(), "the victim's secret is gone");
+    assert!(sys.nodes[0].core.get(&victim).expect("get").is_some(), "the victim's secret is gone");
     assert_eq!(resp.status, StatusCode::BAD_GATEWAY, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(resp.body, b"psp returned a malformed photo id");
     // The victim's view still reconstructs: never the degraded public part.

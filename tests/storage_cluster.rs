@@ -14,62 +14,38 @@
 //!                       └── node 2 (mem)
 //! ```
 
-use p3_core::pipeline::{P3Codec, P3Config};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
+use p3_bench::stack::{Node, Stack, StackSpec, Storage};
 use p3_net::stats::parse_metric_json;
 use p3_net::{http_get, http_post};
-use p3_psp::{PspProfile, PspService};
-use p3_storage::{
-    ClusterBackend, ClusterConfig, PackedBackend, StorageBackend, StorageCore, StorageService,
-};
+use p3_storage::{ClusterConfig, PackedConfig, StorageBackend, StorageCore, StorageService};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-struct ClusterSystem {
-    psp: PspService,
-    nodes: Vec<StorageService>,
-    router_backend: Arc<ClusterBackend>,
-    router: StorageService,
-    proxy: P3Proxy,
+/// Deterministic failure handling at R = 2: a short fixed re-probe
+/// window, no in-place retries.
+fn router_config() -> ClusterConfig {
+    ClusterConfig {
+        backoff_base: Duration::from_millis(50),
+        backoff_jitter: 0.0,
+        op_retries: 0,
+        ..ClusterConfig::default()
+    }
 }
 
-fn spawn_cluster_system(replicas: usize) -> ClusterSystem {
-    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let nodes: Vec<StorageService> =
-        (0..3).map(|_| StorageService::spawn().expect("node")).collect();
-    let router_backend = Arc::new(
-        ClusterBackend::new(ClusterConfig {
-            nodes: nodes.iter().map(|n| n.addr()).collect(),
-            replicas,
-            // Deterministic failure handling: short fixed re-probe
-            // window, no in-place retries.
-            backoff_base: Duration::from_millis(50),
-            backoff_jitter: 0.0,
-            op_retries: 0,
-            ..ClusterConfig::default()
-        })
-        .expect("cluster"),
-    );
-    let router_core = Arc::new(StorageCore::with_backend(
-        Arc::clone(&router_backend) as Arc<dyn p3_storage::StorageBackend>
-    ));
-    let router = StorageService::spawn_with(router_core).expect("router");
-    let proxy = P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: router.addr(),
-        master_key: b"cluster test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15 }),
-        estimator: default_estimator(),
-        reencode_quality: 90,
-        // Cache disabled: every download must exercise the storage
-        // path, or the failover/repair assertions would test the cache.
-        secret_cache_capacity: 0,
-        cache_shards: 1,
-        server: p3_net::ServerConfig::default(),
-    })
-    .expect("proxy");
-    ClusterSystem { psp, nodes, router_backend, router, proxy }
+/// `nodes` behind a router built from `router`. The secret cache is
+/// off: every download must exercise the storage path, or the
+/// failover/repair assertions would test the cache.
+fn cluster_stack(nodes: Vec<Node>, router: ClusterConfig) -> Stack {
+    let storage = Storage::Cluster(nodes, router);
+    Stack::spawn(StackSpec { secret_cache_capacity: 0, storage, ..StackSpec::default() })
+        .expect("stack")
+}
+
+/// Three packed nodes under `base`.
+fn packed_nodes(base: &std::path::Path) -> Vec<Node> {
+    let node = |i| Node::Packed(base.join(format!("node{i}")), PackedConfig::default());
+    (0..3).map(node).collect()
 }
 
 fn photo_jpeg(seed: u64) -> Vec<u8> {
@@ -77,14 +53,14 @@ fn photo_jpeg(seed: u64) -> Vec<u8> {
     p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).expect("encode")
 }
 
-fn upload(sys: &ClusterSystem, seed: u64) -> String {
+fn upload(sys: &Stack, seed: u64) -> String {
     let resp =
         http_post(sys.proxy.addr(), "/photos", "image/jpeg", photo_jpeg(seed)).expect("upload");
     assert!(resp.status.is_success(), "upload failed: {:?}", resp.status);
     String::from_utf8_lossy(&resp.body).trim().to_string()
 }
 
-fn download_ok(sys: &ClusterSystem, id: &str) {
+fn download_ok(sys: &Stack, id: &str) {
     let resp = http_get(sys.proxy.addr(), &format!("/photos/{id}?size=small")).expect("download");
     assert!(resp.status.is_success(), "download of {id} failed: {:?}", resp.status);
     assert!(p3_jpeg::decode_to_rgb(&resp.body).is_ok(), "download of {id} is not a decodable JPEG");
@@ -98,19 +74,19 @@ fn respawn_on(addr: SocketAddr, core: Arc<StorageCore>) -> StorageService {
 
 #[test]
 fn download_survives_node_kill_and_repair_restores_replica() {
-    let mut sys = spawn_cluster_system(2);
+    let mut sys = cluster_stack(vec![Node::Mem; 3], router_config());
     let id = upload(&sys, 41);
 
     // R=2: the secret part landed on exactly two of the three nodes.
-    let copies: usize = sys.nodes.iter().map(|n| n.core().len()).sum();
+    let copies: usize = sys.nodes.iter().map(|n| n.core.len()).sum();
     assert_eq!(copies, 2, "replication factor 2 must place two copies");
     download_ok(&sys, &id);
 
     // Kill the *primary* replica — the node a healthy read hits first —
     // so the surviving download provably exercised failover.
-    let primary = sys.router_backend.replicas_for(&id)[0];
-    let idx = sys.nodes.iter().position(|n| n.addr() == primary).expect("primary node");
-    sys.nodes[idx].shutdown();
+    let primary = sys.cluster().backend.replicas_for(&id)[0];
+    let idx = sys.nodes.iter().position(|n| n.addr == primary).expect("primary node");
+    sys.nodes[idx].stop();
 
     // The acceptance bar: a reconstructed download with a storage node
     // dead mid-benchmark. (Secret cache is off — this hits storage.)
@@ -125,7 +101,7 @@ fn download_survives_node_kill_and_repair_restores_replica() {
     std::thread::sleep(Duration::from_millis(80));
     download_ok(&sys, &id);
     assert_eq!(reborn_core.len(), 1, "read-repair must restore the returned node's replica");
-    let stats = sys.router_backend.stats();
+    let stats = sys.cluster().backend.stats();
     assert!(stats.read_repairs >= 1, "no read-repair recorded: {stats:?}");
     assert!(stats.node_failures >= 1, "failover must have recorded node failures");
 
@@ -133,10 +109,10 @@ fn download_survives_node_kill_and_repair_restores_replica() {
     let survivor = sys
         .nodes
         .iter()
-        .find(|n| n.addr() != primary && !n.core().is_empty())
+        .find(|n| n.addr != primary && !n.core.is_empty())
         .expect("surviving replica");
     assert_eq!(
-        survivor.core().get(&id).unwrap().as_deref(),
+        survivor.core.get(&id).unwrap().as_deref(),
         reborn_core.get(&id).unwrap().as_deref(),
         "repaired replica must match the survivor"
     );
@@ -153,28 +129,28 @@ fn degraded_uploads_succeed_or_roll_back_never_half_publish() {
     // uploading until both outcomes have been observed (each ID hits
     // the dead set with probability ~2/3, so the cap is far past any
     // realistic tail).
-    let mut sys = spawn_cluster_system(2);
-    let reps_of_first = sys.router_backend.replicas_for("1");
+    let mut sys = cluster_stack(vec![Node::Mem; 3], router_config());
+    let reps_of_first = sys.cluster().backend.replicas_for("1");
     let dead_idx = sys
         .nodes
         .iter()
-        .position(|n| !reps_of_first.contains(&n.addr()))
+        .position(|n| !reps_of_first.contains(&n.addr))
         .expect("some node is outside id 1's replica set");
-    let dead_addr = sys.nodes[dead_idx].addr();
-    sys.nodes[dead_idx].shutdown();
+    let dead_addr = sys.nodes[dead_idx].addr;
+    sys.nodes[dead_idx].stop();
 
     let mut succeeded: Vec<String> = Vec::new();
     let mut rejected = 0usize;
     for seed in 0..24u64 {
         let next_id = (seed + 1).to_string();
-        let expect_ok = !sys.router_backend.replicas_for(&next_id).contains(&dead_addr);
+        let expect_ok = !sys.cluster().backend.replicas_for(&next_id).contains(&dead_addr);
         let resp =
             http_post(sys.proxy.addr(), "/photos", "image/jpeg", photo_jpeg(seed)).expect("upload");
         assert_eq!(
             resp.status.is_success(),
             expect_ok,
             "id {next_id}: replica set {:?}, dead {dead_addr}",
-            sys.router_backend.replicas_for(&next_id)
+            sys.cluster().backend.replicas_for(&next_id)
         );
         if expect_ok {
             succeeded.push(String::from_utf8_lossy(&resp.body).trim().to_string());
@@ -208,11 +184,11 @@ fn degraded_uploads_succeed_or_roll_back_never_half_publish() {
 /// byte-identical replicas without a single client read.
 #[test]
 fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
-    let mut sys = spawn_cluster_system(2);
+    let mut sys = cluster_stack(vec![Node::Mem; 3], router_config());
     let ids: Vec<String> = (0..8).map(|seed| upload(&sys, 100 + seed)).collect();
     let old_sets: std::collections::HashMap<String, Vec<SocketAddr>> =
-        ids.iter().map(|id| (id.clone(), sys.router_backend.replicas_for(id))).collect();
-    let repairs_before = sys.router_backend.stats().read_repairs;
+        ids.iter().map(|id| (id.clone(), sys.cluster().backend.replicas_for(id))).collect();
+    let repairs_before = sys.cluster().backend.stats().read_repairs;
 
     // Live traffic: a client keeps downloading throughout the
     // membership change (the proxy cache is off, so every download
@@ -243,7 +219,7 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
         // Grow the cluster through the admin route, exactly as the CLI
         // would. The response returns only after the rebalance pass.
         let resp = p3_net::client::http_post(
-            sys.router.addr(),
+            sys.cluster().router.addr(),
             "/admin/membership",
             "text/plain",
             format!("add {fourth_addr}\n").into_bytes(),
@@ -266,12 +242,16 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
     let expected_moves: u64 = ids
         .iter()
         .map(|id| {
-            sys.router_backend.replicas_for(id).iter().filter(|a| !old_sets[id].contains(a)).count()
-                as u64
+            sys.cluster()
+                .backend
+                .replicas_for(id)
+                .iter()
+                .filter(|a| !old_sets[id].contains(a))
+                .count() as u64
         })
         .sum();
     assert!(expected_moves > 0, "a 4th node must take over some replica arcs");
-    let stats = sys.router_backend.stats();
+    let stats = sys.cluster().backend.stats();
     let repaired_during = stats.read_repairs - repairs_before;
     assert_eq!(stats.membership_epoch, 2);
     assert!(
@@ -287,7 +267,7 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
     // The new node converged to exactly the blobs it now owns…
     let owned_by_fourth: Vec<&String> = ids
         .iter()
-        .filter(|id| sys.router_backend.replicas_for(id).contains(&fourth_addr))
+        .filter(|id| sys.cluster().backend.replicas_for(id).contains(&fourth_addr))
         .collect();
     assert_eq!(fourth.core().len(), owned_by_fourth.len());
     // …and every download still reconstructs.
@@ -304,30 +284,30 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
     let victim_idx = sys
         .nodes
         .iter()
-        .position(|n| ids.iter().any(|id| sys.router_backend.replicas_for(id).contains(&n.addr())))
+        .position(|n| ids.iter().any(|id| sys.cluster().backend.replicas_for(id).contains(&n.addr)))
         .expect("some original node owns current replicas");
-    let victim_addr = sys.nodes[victim_idx].addr();
+    let victim_addr = sys.nodes[victim_idx].addr;
     let lost: Vec<&String> = ids
         .iter()
-        .filter(|id| sys.router_backend.replicas_for(id).contains(&victim_addr))
+        .filter(|id| sys.cluster().backend.replicas_for(id).contains(&victim_addr))
         .collect();
     assert!(!lost.is_empty(), "victim must own replicas");
-    sys.nodes[victim_idx].shutdown();
+    sys.nodes[victim_idx].stop();
     let reborn_core = Arc::new(StorageCore::new());
     let _reborn = respawn_on(victim_addr, Arc::clone(&reborn_core));
 
-    let router_gets_before = sys.router.core().get_count();
-    let cluster_gets_before = sys.router_backend.stats().gets;
-    let swept = sys.router_backend.sweep_once();
+    let router_gets_before = sys.cluster().router.core().get_count();
+    let cluster_gets_before = sys.cluster().backend.stats().gets;
+    let swept = sys.cluster().backend.sweep_once();
     assert_eq!(swept as usize, lost.len(), "sweep must restore every lost replica");
-    assert_eq!(sys.router_backend.stats().sweep_repairs, swept);
+    assert_eq!(sys.cluster().backend.stats().sweep_repairs, swept);
     assert_eq!(
-        sys.router.core().get_count(),
+        sys.cluster().router.core().get_count(),
         router_gets_before,
         "sweep must issue zero reads through the router"
     );
     assert_eq!(
-        sys.router_backend.stats().gets,
+        sys.cluster().backend.stats().gets,
         cluster_gets_before,
         "sweep must issue zero client reads on the cluster backend"
     );
@@ -336,7 +316,7 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
         for (addr, core) in sys
             .nodes
             .iter()
-            .map(|n| (n.addr(), n.core()))
+            .map(|n| (n.addr, &n.core))
             .chain(std::iter::once((fourth.addr(), fourth.core())))
         {
             if addr == victim_addr {
@@ -363,7 +343,7 @@ fn membership_add_rebalances_live_and_sweep_heals_without_reads() {
 
 #[test]
 fn proxy_and_storage_stats_endpoints_parse() {
-    let sys = spawn_cluster_system(2);
+    let sys = cluster_stack(vec![Node::Mem; 3], router_config());
     let id = upload(&sys, 7);
     download_ok(&sys, &id);
     download_ok(&sys, &id);
@@ -392,7 +372,7 @@ fn proxy_and_storage_stats_endpoints_parse() {
     assert!(metric("pool", "connects") >= 1.0);
 
     // Router /stats: front-end counters plus the cluster backend's.
-    let resp = http_get(sys.router.addr(), "/stats").expect("storage stats");
+    let resp = http_get(sys.cluster().router.addr(), "/stats").expect("storage stats");
     assert!(resp.status.is_success());
     assert_eq!(resp.headers.get("x-p3-backend"), Some("cluster"));
     let body = String::from_utf8(resp.body).expect("utf8");
@@ -424,7 +404,7 @@ fn proxy_and_storage_stats_endpoints_parse() {
     assert_eq!(metric("backend", "node_failures"), 0.0);
 
     // A node's own /stats reports its mem backend.
-    let resp = http_get(sys.nodes[0].addr(), "/stats").expect("node stats");
+    let resp = http_get(sys.nodes[0].addr, "/stats").expect("node stats");
     assert_eq!(resp.headers.get("x-p3-backend"), Some("mem"));
     parse_metric_json(&String::from_utf8(resp.body).unwrap()).expect("node stats must parse");
 }
@@ -444,30 +424,16 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
     let _ = std::fs::remove_dir_all(&base);
 
     // Three disk-backed nodes behind a cluster router, R=2.
-    let mut disks = Vec::new();
-    let mut services = Vec::new();
-    for i in 0..3 {
-        let disk = Arc::new(PackedBackend::open(&base.join(format!("node{i}"))).expect("open"));
-        let core =
-            Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
-        services.push(StorageService::spawn_with(Arc::clone(&core)).expect("node"));
-        disks.push((disk, core));
-    }
-    let cluster = ClusterBackend::new(ClusterConfig {
-        nodes: services.iter().map(|s| s.addr()).collect(),
-        replicas: 2,
-        backoff_base: Duration::from_millis(50),
-        backoff_jitter: 0.0,
-        op_retries: 0,
-        ..ClusterConfig::default()
-    })
-    .expect("cluster");
+    let sys = cluster_stack(packed_nodes(&base), router_config());
+    let disks: Vec<_> =
+        sys.nodes.iter().map(|n| (n.packed.clone().expect("packed"), &n.core)).collect();
+    let cluster = &sys.cluster().backend;
 
     let golden = b"the only acceptable answer".to_vec();
     cluster.put("photo-x", &golden).expect("put");
     let replicas = cluster.replicas_for("photo-x");
     let node_idx = |addr: &SocketAddr| -> usize {
-        services.iter().position(|s| s.addr() == *addr).expect("replica addr maps to a node")
+        sys.nodes.iter().position(|s| s.addr == *addr).expect("replica addr maps to a node")
     };
     // Corrupt the *first* replica in walk order, so the read path must
     // step over the damaged copy before it finds the healthy one.
@@ -508,9 +474,6 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
         "all-corrupt replica set must be a detected corrupt error, not a definitive miss"
     );
 
-    for mut s in services {
-        s.shutdown();
-    }
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -522,29 +485,15 @@ fn corrupt_on_disk_blob_is_detected_never_served() {
 fn killed_replica_set_yields_503_never_wrong_bytes() {
     // Five mem nodes, R=2: killing one blob's two replica holders
     // leaves three survivors that can still own other blobs outright.
-    let mut nodes: Vec<StorageService> =
-        (0..5).map(|_| StorageService::spawn().expect("node")).collect();
-    let cluster = Arc::new(
-        ClusterBackend::new(ClusterConfig {
-            nodes: nodes.iter().map(|n| n.addr()).collect(),
-            replicas: 2,
-            backoff_base: Duration::from_millis(50),
-            backoff_jitter: 0.0,
-            op_retries: 0,
-            ..ClusterConfig::default()
-        })
-        .expect("cluster"),
-    );
-    let router_core =
-        Arc::new(StorageCore::with_backend(Arc::clone(&cluster) as Arc<dyn StorageBackend>));
-    let router = StorageService::spawn_with(router_core).expect("router");
+    let mut sys = cluster_stack(vec![Node::Mem; 5], router_config());
+    let (cluster, router) = (Arc::clone(&sys.cluster().backend), sys.cluster().router.addr());
 
     let golden = b"bytes that must never be faked".to_vec();
     cluster.put("photo-k", &golden).expect("put");
     let replicas = cluster.replicas_for("photo-k");
     for addr in &replicas {
-        let i = nodes.iter().position(|n| n.addr() == *addr).expect("replica node");
-        nodes[i].shutdown();
+        let i = sys.nodes.iter().position(|n| n.addr == *addr).expect("replica node");
+        sys.nodes[i].stop();
     }
 
     // ClusterBackend: an error (unavailable), not Ok(None) — a dead
@@ -553,7 +502,7 @@ fn killed_replica_set_yields_503_never_wrong_bytes() {
     assert!(cluster.get("photo-k").is_err(), "dead replica set must be an error");
 
     // Through the router's HTTP surface: 503 with a retry hint.
-    let resp = http_get(router.addr(), "/blobs/photo-k").expect("router get");
+    let resp = http_get(router, "/blobs/photo-k").expect("router get");
     assert_eq!(resp.status.0, 503, "expected 503, got {:?}", resp.status);
     assert!(resp.headers.get("retry-after").is_some());
 
@@ -575,32 +524,17 @@ fn killed_replica_set_yields_503_never_wrong_bytes() {
 /// returns.
 #[test]
 fn asymmetric_partition_degrades_to_503_and_heals_zero_wrong_data() {
-    use p3_net::{FaultPlan, FaultRule, FaultTransport};
-    let nodes: Vec<StorageService> =
-        (0..3).map(|_| StorageService::spawn().expect("node")).collect();
-    let plan = FaultPlan::new();
-    let cluster = Arc::new(
-        ClusterBackend::with_transport(
-            ClusterConfig {
-                nodes: nodes.iter().map(|n| n.addr()).collect(),
-                replicas: 2,
-                backoff_base: Duration::from_millis(50),
-                backoff_max: Duration::from_millis(100),
-                backoff_jitter: 0.0,
-                op_retries: 0,
-                // Short deadlines: each black-holed op costs exactly
-                // one of these, keeping the test fast and bounded.
-                connect_timeout: Duration::from_millis(100),
-                read_timeout: Duration::from_millis(300),
-                ..ClusterConfig::default()
-            },
-            Arc::new(FaultTransport::new("router", Arc::clone(&plan))),
-        )
-        .expect("cluster"),
-    );
-    let router_core =
-        Arc::new(StorageCore::with_backend(Arc::clone(&cluster) as Arc<dyn StorageBackend>));
-    let router = StorageService::spawn_with(router_core).expect("router");
+    use p3_net::FaultRule;
+    let router = ClusterConfig {
+        backoff_max: Duration::from_millis(100),
+        // Short deadlines: each black-holed op costs exactly one of
+        // these, keeping the test fast and bounded.
+        connect_timeout: Duration::from_millis(100),
+        read_timeout: Duration::from_millis(300),
+        ..router_config()
+    };
+    let sys = cluster_stack(vec![Node::Mem; 3], router);
+    let (cluster, router, plan) = (&sys.cluster().backend, &sys.cluster().router, &sys.faults);
 
     let golden = b"partition must never corrupt me".to_vec();
     cluster.put("photo-p", &golden).expect("put");
@@ -616,8 +550,8 @@ fn asymmetric_partition_degrades_to_503_and_heals_zero_wrong_data() {
     // The *node* is fine — only the router→node link is down. A direct
     // client still reads it; that asymmetry is what distinguishes a
     // partition from a crash.
-    let idx = nodes.iter().position(|n| n.addr() == replicas[0]).expect("replica node");
-    let direct = http_get(nodes[idx].addr(), "/blobs/photo-p").expect("direct get");
+    let idx = sys.nodes.iter().position(|n| n.addr == replicas[0]).expect("replica node");
+    let direct = http_get(sys.nodes[idx].addr, "/blobs/photo-p").expect("direct get");
     assert!(direct.status.is_success(), "partitioned node must stay reachable for others");
     assert_eq!(&direct.body[..], &golden[..]);
 
@@ -666,33 +600,12 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
         std::env::temp_dir().join(format!("p3-corrupt-degraded-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
 
-    let mut disks = Vec::new();
-    let mut cores = Vec::new();
-    let mut services: Vec<Option<StorageService>> = Vec::new();
-    for i in 0..3 {
-        let disk = Arc::new(PackedBackend::open(&base.join(format!("node{i}"))).expect("open"));
-        let core =
-            Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
-        services.push(Some(StorageService::spawn_with(Arc::clone(&core)).expect("node")));
-        disks.push(disk);
-        cores.push(core);
-    }
-    let addrs: Vec<SocketAddr> = services.iter().map(|s| s.as_ref().unwrap().addr()).collect();
-    let cluster = Arc::new(
-        ClusterBackend::new(ClusterConfig {
-            nodes: addrs.clone(),
-            replicas: 2,
-            backoff_base: Duration::from_millis(50),
-            backoff_max: Duration::from_millis(100),
-            backoff_jitter: 0.0,
-            op_retries: 0,
-            ..ClusterConfig::default()
-        })
-        .expect("cluster"),
-    );
-    let router_core =
-        Arc::new(StorageCore::with_backend(Arc::clone(&cluster) as Arc<dyn StorageBackend>));
-    let router = StorageService::spawn_with(router_core).expect("router");
+    let router = ClusterConfig { backoff_max: Duration::from_millis(100), ..router_config() };
+    let mut sys = cluster_stack(packed_nodes(&base), router);
+    let disks: Vec<_> = sys.nodes.iter().map(|n| n.packed.clone().expect("packed")).collect();
+    let cores: Vec<_> = sys.nodes.iter().map(|n| Arc::clone(&n.core)).collect();
+    let addrs: Vec<SocketAddr> = sys.nodes.iter().map(|n| n.addr).collect();
+    let (cluster, router) = (Arc::clone(&sys.cluster().backend), sys.cluster().router.addr());
 
     let golden = b"no intact copy must not become a 404".to_vec();
     cluster.put("photo-d", &golden).expect("put");
@@ -701,7 +614,7 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
 
     // Kill one holder; corrupt the other's disk. No intact copy left.
     let dead = node_idx(&replicas[1]);
-    drop(services[dead].take());
+    sys.nodes[dead].stop();
     let corrupted = node_idx(&replicas[0]);
     assert!(disks[corrupted].corrupt_live_needles().expect("corrupt") >= 1);
 
@@ -718,17 +631,14 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
 
     // Through the router's HTTP surface: a corrupt-marked 503 — the
     // client sees "try again", never "gone".
-    let resp = http_get(router.addr(), "/blobs/photo-d").expect("router get");
+    let resp = http_get(router, "/blobs/photo-d").expect("router get");
     assert_eq!(resp.status.0, 503, "expected 503, got {:?}", resp.status);
     assert_eq!(resp.headers.get("x-p3-error"), Some("corrupt"));
 
     // The dead holder returns with its durable dir intact; once its
     // backoff window expires the read serves the original bytes and
     // read-repair heals the corrupted replica.
-    let disk = Arc::new(PackedBackend::open(&base.join(format!("node{dead}"))).expect("reopen"));
-    let core = Arc::new(StorageCore::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>));
-    services[dead] =
-        Some(StorageService::respawn_on(addrs[dead], Arc::clone(&core)).expect("respawn"));
+    sys.nodes[dead].restart().expect("respawn");
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         match cluster.get("photo-d") {
@@ -748,6 +658,5 @@ fn corrupt_while_degraded_is_detected_503_never_false_404() {
     let healed = cores[corrupted].get("photo-d").expect("healed local get");
     assert_eq!(healed.as_deref(), Some(golden.as_slice()), "corrupt replica must be repaired");
 
-    drop(services);
     let _ = std::fs::remove_dir_all(&base);
 }

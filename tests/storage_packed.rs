@@ -9,14 +9,12 @@
 //! region of the frame (magic, header, id, payload, CRC, trailer), not
 //! just the offsets one hard-coded test happens to pick.
 
-use p3_core::pipeline::{P3Codec, P3Config};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
+use p3_bench::stack::{Node, Stack, StackSpec, Storage};
 use p3_net::{http_get, http_post, Method, Request};
-use p3_psp::{PspProfile, PspService};
 use p3_storage::needle;
 use p3_storage::{
-    compact_once, ClusterBackend, ClusterConfig, FaultBackend, MemBackend, PackedBackend,
-    PackedConfig, StorageBackend, StorageCore, StorageService,
+    compact_once, ClusterBackend, ClusterConfig, MemBackend, PackedBackend, PackedConfig,
+    StorageBackend, StorageCore, StorageService,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -357,30 +355,17 @@ fn cluster_read_repair_never_undoes_a_delete() {
     }
 }
 
-fn packed_core(dir: &Path) -> Arc<StorageCore> {
-    let backend = Arc::new(PackedBackend::open(dir).expect("open data dir"));
-    Arc::new(StorageCore::with_backend(backend))
-}
-
 fn photo_jpeg(seed: u64) -> Vec<u8> {
     let img = p3_datasets::synth::scene(seed, 96, 72, &p3_datasets::synth::SceneParams::default());
     p3_jpeg::Encoder::new().quality(90).encode_rgb(&img).expect("encode")
 }
 
-/// A proxy with no secret cache, so every download hits storage.
-fn uncached_proxy(psp: &PspService, storage: &StorageService) -> P3Proxy {
-    P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: storage.addr(),
-        master_key: b"packed test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold: 15 }),
-        estimator: default_estimator(),
-        reencode_quality: 90,
-        secret_cache_capacity: 0,
-        cache_shards: 1,
-        server: p3_net::ServerConfig::default(),
-    })
-    .expect("proxy")
+/// A stack over one packed node in `dir`, with no secret cache, so
+/// every download hits storage.
+fn packed_stack(dir: &Path) -> Stack {
+    let storage = Storage::One(Node::Packed(dir.to_path_buf(), PackedConfig::default()));
+    Stack::spawn(StackSpec { secret_cache_capacity: 0, storage, ..StackSpec::default() })
+        .expect("stack")
 }
 
 /// Blobs written through the full proxy path survive a storage-process
@@ -390,10 +375,8 @@ fn uncached_proxy(psp: &PspService, storage: &StorageService) -> P3Proxy {
 #[test]
 fn blobs_and_envelope_macs_survive_storage_restart() {
     let dir = tmpdir("restart");
-    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let mut storage = StorageService::spawn_with(packed_core(&dir)).expect("storage");
-    let storage_addr = storage.addr();
-    let proxy = uncached_proxy(&psp, &storage);
+    let mut sys = packed_stack(&dir);
+    let (storage_addr, proxy) = (sys.nodes[0].addr, &sys.proxy);
 
     // Upload three photos through the proxy; their sealed secret parts
     // land as needles under the data dir.
@@ -405,18 +388,15 @@ fn blobs_and_envelope_macs_survive_storage_restart() {
             String::from_utf8_lossy(&resp.body).trim().to_string()
         })
         .collect();
-    assert_eq!(storage.core().len(), 3);
+    assert_eq!(sys.nodes[0].core.len(), 3);
 
-    // "Crash": the storage process goes away entirely — service down,
-    // backend (and its index) dropped.
-    storage.shutdown();
-    drop(storage);
-
-    // Restart over the same directory on the same address. The index
-    // comes back purely from the segment scan.
-    let restarted = StorageService::respawn_on(storage_addr, packed_core(&dir)).expect("rebind");
-    assert_eq!(restarted.core().len(), 3, "segment scan must recover every blob");
-    assert_eq!(restarted.core().backend().stats().puts, 0);
+    // "Crash": the storage process goes away entirely — service down —
+    // and restarts over the same directory on the same address with a
+    // fresh backend. The index comes back purely from the segment scan.
+    sys.nodes[0].restart().expect("restart");
+    let restarted = &sys.nodes[0];
+    assert_eq!(restarted.core.len(), 3, "segment scan must recover every blob");
+    assert_eq!(restarted.core.backend().stats().puts, 0);
 
     // Every photo still downloads through the proxy — i.e. every
     // recovered blob still opens under its envelope MAC and
@@ -464,7 +444,7 @@ fn blobs_and_envelope_macs_survive_storage_restart() {
         }
     }
     assert_eq!(corrupt, 1, "exactly the truncated needle must surface as detected corruption");
-    assert_eq!(restarted.core().backend().stats().corrupt_reads, 2);
+    assert_eq!(restarted.core.backend().stats().corrupt_reads, 2);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -474,12 +454,8 @@ fn blobs_and_envelope_macs_survive_storage_restart() {
 #[test]
 fn packed_service_tamper_mode_still_fails_closed() {
     let dir = tmpdir("tamper");
-    let psp = PspService::spawn(PspProfile::facebook()).expect("psp");
-    let provider =
-        Arc::new(FaultBackend::new(Arc::new(PackedBackend::open(&dir).expect("open data dir"))));
-    let core = Arc::new(StorageCore::with_backend(Arc::clone(&provider) as Arc<_>));
-    let storage = StorageService::spawn_with(core).expect("storage");
-    let proxy = uncached_proxy(&psp, &storage);
+    let sys = packed_stack(&dir);
+    let (proxy, provider) = (&sys.proxy, &sys.nodes[0].fault);
     let resp = http_post(proxy.addr(), "/photos", "image/jpeg", photo_jpeg(9)).expect("upload");
     assert!(resp.status.is_success());
     let id = String::from_utf8_lossy(&resp.body).trim().to_string();

@@ -6,48 +6,17 @@
 //! small fraction of `cargo test -q`; `P3_SCALE=full` restores the
 //! original paper-sized photos.
 
-use p3_core::pipeline::{P3Codec, P3Config};
+use p3_bench::stack::{Node, Stack, StackSpec, Storage};
 use p3_core::pixel::rgb_to_luma;
 use p3_jpeg::encoder::{encode_coeffs, Mode};
 use p3_jpeg::marker::{SOF0, SOS};
 use p3_jpeg::{CoeffImage, QuantTable};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
 use p3_net::{http_get, http_post};
-use p3_psp::{PspProfile, PspService};
-use p3_storage::{
-    BackendStats, FaultBackend, MemBackend, StorageBackend, StorageCore, StorageError,
-    StorageResult, StorageService,
-};
+use p3_psp::PspProfile;
+use p3_storage::{BackendStats, MemBackend, StorageBackend, StorageError, StorageResult};
 use p3_vision::metrics::psnr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-struct System {
-    psp: PspService,
-    storage: StorageService,
-    proxy: P3Proxy,
-}
-
-fn spawn_system(profile: PspProfile, threshold: u16) -> System {
-    spawn_system_over(StorageService::spawn().expect("storage"), profile, threshold)
-}
-
-fn spawn_system_over(storage: StorageService, profile: PspProfile, threshold: u16) -> System {
-    let psp = PspService::spawn(profile).expect("psp");
-    let proxy = P3Proxy::spawn(ProxyConfig {
-        psp_addr: psp.addr(),
-        storage_addr: storage.addr(),
-        master_key: b"test master key".to_vec(),
-        codec: P3Codec::new(P3Config { threshold }),
-        estimator: default_estimator(),
-        reencode_quality: 95,
-        secret_cache_capacity: p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY,
-        cache_shards: p3_net::proxy::DEFAULT_CACHE_SHARDS,
-        server: p3_net::ServerConfig::default(),
-    })
-    .expect("proxy");
-    System { psp, storage, proxy }
-}
 
 /// Scale a test geometry value by the `P3_SCALE` setting: halved at the
 /// default quick scale, verbatim under `P3_SCALE=full` (parsing shared
@@ -67,7 +36,7 @@ fn photo(seed: u64, w: usize, h: usize) -> (p3_jpeg::RgbImage, Vec<u8>) {
 
 #[test]
 fn upload_download_roundtrip_through_proxy() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let (original, jpeg) = photo(5, sc(480), sc(360));
 
     // Upload through the proxy.
@@ -77,8 +46,8 @@ fn upload_download_roundtrip_through_proxy() {
     assert!(!id.is_empty());
 
     // A secret blob landed in storage under that id.
-    assert_eq!(sys.storage.core().len(), 1);
-    assert!(sys.storage.core().get(&id).expect("storage get").is_some());
+    assert_eq!(sys.nodes[0].core.len(), 1);
+    assert!(sys.nodes[0].core.get(&id).expect("storage get").is_some());
 
     // The PSP itself only has the degraded public part.
     let direct = http_get(sys.psp.addr(), &format!("/photos/{id}?size=big")).expect("direct");
@@ -110,7 +79,7 @@ fn upload_download_roundtrip_through_proxy() {
 
 #[test]
 fn secret_cache_hits_on_second_download() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let (_, jpeg) = photo(6, sc(320), sc(240));
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", jpeg).expect("upload");
     let id = String::from_utf8_lossy(&resp.body).trim().to_string();
@@ -125,7 +94,7 @@ fn secret_cache_hits_on_second_download() {
 
 #[test]
 fn non_p3_photos_pass_through() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     // Upload directly to the PSP (bypassing the proxy) — no secret part.
     let (_, jpeg) = photo(7, sc(200), sc(150));
     let resp = http_post(sys.psp.addr(), "/photos", "image/jpeg", jpeg).expect("upload");
@@ -157,7 +126,7 @@ fn with_header(jpeg: &[u8], marker: u8, at: usize, bytes: &[u8]) -> Vec<u8> {
 
 #[test]
 fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let (_, jpeg) = photo(21, 64, 64);
     // A 12-bit frame is legal JPEG this codec cannot split; a proxy that
     // forwards what it cannot split publishes the photo whole.
@@ -194,13 +163,13 @@ fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
         assert!(body.contains(reason), "the reason is named: {body}");
     }
     // Neither can a proxy configured with no threshold.
-    let unset = spawn_system(PspProfile::facebook(), 0);
+    let unset = Stack::spawn(StackSpec { threshold: 0, ..StackSpec::default() }).expect("stack");
     let resp =
         http_post(unset.proxy.addr(), "/photos", "image/jpeg", jpeg.clone()).expect("answer");
     assert_eq!(resp.status.0, 422);
     for sys in [&sys, &unset] {
         assert_eq!(sys.psp.core().photo_count(), 0, "the PSP saw the un-split upload");
-        assert_eq!(sys.storage.core().len(), 0);
+        assert_eq!(sys.nodes[0].core.len(), 0);
     }
     // What is not offered as a JPEG photo is none of the proxy's
     // business and still passes through.
@@ -213,7 +182,7 @@ fn jpeg_upload_that_does_not_split_is_refused_not_forwarded_in_the_clear() {
 
 #[test]
 fn oversized_frame_header_is_refused_by_the_proxy_before_it_allocates_for_it() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let (_, jpeg) = photo(22, 64, 64);
     // 60 000 x 60 000 is a 21 GB coefficient image to a decoder that
     // believes the header — here the trusted side's.
@@ -222,15 +191,13 @@ fn oversized_frame_header_is_refused_by_the_proxy_before_it_allocates_for_it() {
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", bomb).expect("answer");
     assert_eq!(resp.status.0, 413, "{}", String::from_utf8_lossy(&resp.body));
     assert_eq!(sys.psp.core().photo_count(), 0);
-    assert_eq!(sys.storage.core().len(), 0);
+    assert_eq!(sys.nodes[0].core.len(), 0);
 }
 
 #[test]
 fn tampered_storage_fails_closed() {
-    let provider = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
-    let core = Arc::new(StorageCore::with_backend(Arc::clone(&provider) as Arc<_>));
-    let storage = StorageService::spawn_with(core).expect("storage");
-    let sys = spawn_system_over(storage, PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
+    let provider = &sys.nodes[0].fault;
     let (_, jpeg) = photo(8, sc(320), sc(240));
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", jpeg).expect("upload");
     let id = String::from_utf8_lossy(&resp.body).trim().to_string();
@@ -243,7 +210,7 @@ fn tampered_storage_fails_closed() {
 
 #[test]
 fn dynamic_crop_reconstructs_through_proxy() {
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     // Smaller than the 720 cap so the stored ceiling keeps original
     // coordinates and the URL crop geometry is exact.
     let (original, jpeg) = photo(12, sc(400), sc(300));
@@ -269,7 +236,12 @@ fn dynamic_crop_reconstructs_through_proxy() {
 
 #[test]
 fn flickr_profile_works_too() {
-    let sys = spawn_system(PspProfile::flickr(), 10);
+    let sys = Stack::spawn(StackSpec {
+        profile: PspProfile::flickr(),
+        threshold: 10,
+        ..StackSpec::default()
+    })
+    .expect("stack");
     let (_, jpeg) = photo(9, sc(600), sc(450));
     let resp = http_post(sys.proxy.addr(), "/photos", "image/jpeg", jpeg).expect("upload");
     assert!(resp.status.is_success());
@@ -288,7 +260,7 @@ fn video_gops_stream_through_proxy_with_ranged_reads() {
     use p3_video::codec::test_clip;
     use p3_video::{GopCodec, VideoCodecParams, VideoStream};
 
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let params = VideoCodecParams { gop: 6, ..Default::default() };
     let frames = 18; // three GOPs
     let clip = test_clip(11, 64, 48, frames);
@@ -297,32 +269,32 @@ fn video_gops_stream_through_proxy_with_ranged_reads() {
 
     // Upload: split, and two blobs (public and sealed secret stream)
     // stored behind one id that is not the clip's bare hash.
-    let blobs_before = sys.storage.core().len();
+    let blobs_before = sys.nodes[0].core.len();
     let up =
         http_post(sys.proxy.addr(), "/videos", "video/p3v", clip_bytes.clone()).expect("upload");
     assert_eq!(up.status.0, 201, "upload failed: {:?}", up.status);
     let id = String::from_utf8_lossy(&up.body).trim().to_string();
     let gops: usize = up.headers.get("x-p3-video-gops").unwrap().parse().unwrap();
     assert_eq!(gops, 3);
-    assert_eq!(sys.storage.core().len(), blobs_before + 2, "one upload stores two blobs");
+    assert_eq!(sys.nodes[0].core.len(), blobs_before + 2, "one upload stores two blobs");
     let bare: String =
         p3_crypto::sha256(&clip_bytes)[..12].iter().map(|b| format!("{b:02x}")).collect();
     assert_ne!(id, bare, "the id must not let the store test a guessed clip");
     let again = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip_bytes.clone())
         .expect("upload again");
     assert_eq!(String::from_utf8_lossy(&again.body).trim(), id, "a retried upload keeps its id");
-    assert_eq!(sys.storage.core().len(), blobs_before + 2, "a retry overwrites its own blobs");
+    assert_eq!(sys.nodes[0].core.len(), blobs_before + 2, "a retry overwrites its own blobs");
 
     // Every GOP arrives as a playable fragment via a partial fetch, and
     // together they tile the whole clip. Once GOP 0 has warmed the secret
     // cache, a GOP view is one storage GET: its ranged read.
     let mut tiled = 0usize;
     for k in 0..gops {
-        let gets = sys.storage.core().get_count();
+        let gets = sys.nodes[0].core.get_count();
         let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}?gop={k}")).expect("gop fetch");
         assert!(resp.status.is_success(), "gop {k} failed: {:?}", resp.status);
         if k > 0 {
-            assert_eq!(sys.storage.core().get_count() - gets, 1, "gop {k}: a warm view, one GET");
+            assert_eq!(sys.nodes[0].core.get_count() - gets, 1, "gop {k}: a warm view, one GET");
         }
         let ranged: usize = resp
             .headers
@@ -363,7 +335,7 @@ fn tampered_public_video_bytes_fail_closed() {
     use p3_video::codec::test_clip;
     use p3_video::{GopCodec, VideoCodecParams, VideoStream};
 
-    let sys = spawn_system(PspProfile::facebook(), 15);
+    let sys = Stack::spawn(StackSpec::default()).expect("stack");
     let params = VideoCodecParams { gop: 6, ..Default::default() };
     let clip = GopCodec::new(params).encode(&test_clip(12, 64, 48, 18)).expect("encode clip");
     let up = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip.to_bytes()).expect("upload");
@@ -372,12 +344,12 @@ fn tampered_public_video_bytes_fail_closed() {
 
     // Flip a byte in the middle of frame 8's payload: a P-frame of GOP 1.
     let blob_id = format!("vid:{id}:pub");
-    let mut public = sys.storage.core().get(&blob_id).expect("get").expect("public blob").to_vec();
+    let mut public = sys.nodes[0].core.get(&blob_id).expect("get").expect("public blob").to_vec();
     let frames = VideoStream::from_bytes(&public).expect("public parses").frames;
     assert_eq!(frames[8].0, p3_video::FrameKind::P);
     let record: usize = frames[..8].iter().map(|(_, jpeg)| 5 + jpeg.len()).sum();
     public[14 + record + 5 + frames[8].1.len() / 2] ^= 0x20;
-    sys.storage.core().put(&blob_id, &public).expect("put tampered");
+    sys.nodes[0].core.put(&blob_id, &public).expect("put tampered");
 
     for (path, want) in [("?gop=1", 502), ("", 502), ("?gop=0", 200), ("?gop=2", 200)] {
         let resp = http_get(sys.proxy.addr(), &format!("/videos/{id}{path}")).expect("fetch");
@@ -426,12 +398,8 @@ fn a_failed_retry_of_a_stored_clip_keeps_it_playable() {
     use p3_video::{GopCodec, VideoCodecParams};
 
     let store = Arc::new(RefusesSecretStreams::default());
-    let core = Arc::new(StorageCore::with_backend(Arc::clone(&store) as Arc<_>));
-    let sys = spawn_system_over(
-        StorageService::spawn_with(core).expect("storage"),
-        PspProfile::facebook(),
-        15,
-    );
+    let given = Storage::One(Node::Given(Arc::clone(&store) as Arc<_>));
+    let sys = Stack::spawn(StackSpec { storage: given, ..StackSpec::default() }).expect("stack");
     let params = VideoCodecParams { gop: 6, ..Default::default() };
     let clip = GopCodec::new(params).encode(&test_clip(13, 64, 48, 12)).expect("encode clip");
     let up = http_post(sys.proxy.addr(), "/videos", "video/p3v", clip.to_bytes()).expect("upload");

@@ -365,6 +365,10 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "test seam: arms the rot fail-closed tests run on"),
     ("crates/net/src/http.rs", "MAX_HEADER_BYTES",
         "test observer: the guard a property probes past"),
+    ("crates/bench/src/stack.rs", "proxy_to",
+        "test seam: a second proxy over the stack's storage, in front of a stub PSP"),
+    ("crates/bench/src/stack.rs", "PROXY",
+        "test seam: the label a rule on the proxy's two links is keyed by"),
     ("crates/net/src/proxy.rs", "secret_cache_len",
         "test observer: the secret cache's size"),
     ("crates/net/src/proxy.rs", "server_stats",
@@ -388,24 +392,56 @@ const REASON_KINDS: [&str; 3] = ["test oracle", "test seam", "test observer"];
 /// fails too.
 #[test]
 fn every_pub_item_has_a_shipping_caller() {
-    let root = repo_root();
-    let mut paths = Vec::new();
-    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
-        rust_sources(&root.join(dir), &mut paths);
-    }
-    let files: Vec<(String, String)> = paths
-        .iter()
-        .map(|path| {
-            let rel = path.strip_prefix(&root).unwrap().to_str().unwrap().replace('\\', "/");
-            (rel, fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}")))
-        })
-        .collect();
+    let files = workspace_sources();
     let scan = scan_pub_items(&files);
     assert!(scan.declared > 300, "pub item scan is broken: only {} items seen", scan.declared);
 
     assert!(ALLOWED.len() <= 25, "the allow-list has grown to {} entries", ALLOWED.len());
     let failures = allow_list_failures(&scan, ALLOWED);
     assert!(failures.is_empty(), "{} failures:\n  {}", failures.len(), failures.join("\n  "));
+}
+
+/// Every Rust source of the workspace and the benchmark, as
+/// (repo-relative path, text).
+fn workspace_sources() -> Vec<(String, String)> {
+    let root = repo_root();
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "perfbench/src"] {
+        rust_sources(&root.join(dir), &mut paths);
+    }
+    paths
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(&root).unwrap().to_str().unwrap().replace('\\', "/");
+            (rel, fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path:?}: {e}")))
+        })
+        .collect()
+}
+
+/// A `ProxyConfig { … }` literal is written only by the one stack
+/// builder, the CLI's `p3 proxy` and the frozen benchmark: every other
+/// topology spawns through `p3_bench::stack::Stack`, so hand-wiring
+/// cannot creep back.
+#[test]
+fn proxy_config_literals_live_only_in_the_stack_the_cli_and_the_benchmark() {
+    const SITES: [&str; 3] =
+        ["crates/bench/src/stack.rs", "crates/cli/src/commands.rs", "perfbench/src/topology.rs"];
+    const NAME: &str = "ProxyConfig";
+    let mut literals = Vec::new();
+    for (path, source) in workspace_sources() {
+        let code = blank_comments_and_strings(&source);
+        for (at, _) in code.match_indices(NAME) {
+            let before = code[..at].trim_end();
+            let opens = code[at + NAME.len()..].trim_start().starts_with('{');
+            let declares = ["struct", "for"].iter().any(|word| before.ends_with(word));
+            if opens && !declares && !before.ends_with(|c: char| is_ident(c as u8)) {
+                literals.push(path.clone());
+            }
+        }
+    }
+    let stray: Vec<&String> = literals.iter().filter(|p| !SITES.contains(&p.as_str())).collect();
+    assert!(stray.is_empty(), "ProxyConfig written outside the stack: {stray:?}");
+    assert_eq!(literals.len(), SITES.len(), "one literal per allowed site: {literals:?}");
 }
 
 /// Every uncalled item `allowed` does not list, and every entry of it

@@ -11,12 +11,12 @@
 //! * every node serves its store through a [`FaultBackend`] (tamper,
 //!   disk-full) and can be stopped and restarted on its own address.
 //!
-//! The master key, the view's re-encode quality (90, where simulate's
-//! pin oracle was calibrated) and the cache shard count are constants:
-//! no caller has needed another value.
+//! The master key, the view's re-encode quality (the one `p3 proxy`
+//! ships) and the cache shard count are constants: no caller has needed
+//! another value.
 
 use p3_core::pipeline::{P3Codec, P3Config};
-use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig};
+use p3_net::proxy::{default_estimator, P3Proxy, ProxyConfig, REENCODE_QUALITY};
 use p3_net::{FaultPlan, FaultTransport, ServerConfig};
 use p3_psp::{PspProfile, PspService};
 use p3_storage::{
@@ -35,7 +35,6 @@ pub const ROUTER: &str = "router";
 pub const PROXY: &str = "proxy";
 
 const MASTER_KEY: &[u8] = b"p3 stack master key";
-const REENCODE_QUALITY: u8 = 90;
 
 /// How often a live packed node's compactor scans for victim segments.
 const COMPACT_INTERVAL: Duration = Duration::from_millis(500);

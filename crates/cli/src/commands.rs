@@ -398,11 +398,10 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     let addr = args.opt("addr", "127.0.0.1:0");
     // Serving-tier knobs (see ARCHITECTURE.md § Serving architecture).
     let workers = args.opt_usize("workers", p3_net::server::default_workers())?;
-    let queue_depth = workers.max(1) * 8;
     let cache_capacity =
         args.opt_usize("cache-capacity", p3_net::proxy::DEFAULT_SECRET_CACHE_CAPACITY)?;
     let cache_shards = p3_net::proxy::DEFAULT_CACHE_SHARDS;
-    let server = p3_net::ServerConfig { workers, queue_depth, ..server_config_flags(&args)? };
+    let server = p3_net::ServerConfig { workers, ..server_config_flags(&args)? };
     let idle_ms = server.idle_timeout.as_millis();
     let proxy = p3_net::proxy::P3Proxy::spawn_on(
         addr,
@@ -412,7 +411,7 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
             master_key: passphrase.as_bytes().to_vec(),
             codec: codec_from(threshold),
             estimator: p3_net::proxy::default_estimator(),
-            reencode_quality: 95,
+            reencode_quality: p3_net::proxy::REENCODE_QUALITY,
             secret_cache_capacity: cache_capacity,
             cache_shards,
             server,
@@ -422,7 +421,7 @@ pub fn proxy(argv: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     println!(
         "trusted proxy listening on {} (psp {psp}, storage {storage}, {workers} workers, \
-         queue {queue_depth}, idle {idle_ms}ms, cache {cache_capacity}x{cache_shards} shards)",
+         idle {idle_ms}ms, cache {cache_capacity}x{cache_shards} shards)",
         proxy.addr(),
     );
     park_forever()

@@ -96,7 +96,6 @@ const MAX_IDLE_AGE: Duration = Duration::from_secs(30);
 /// connection, so callers never see an error a reconnect would fix.
 pub struct ClientPool {
     idle: Mutex<HashMap<SocketAddr, Vec<PooledConn>>>,
-    max_idle_per_host: usize,
     transport: Arc<dyn Transport>,
     deadlines: Deadlines,
     connects: AtomicU64,
@@ -106,7 +105,6 @@ pub struct ClientPool {
 impl std::fmt::Debug for ClientPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientPool")
-            .field("max_idle_per_host", &self.max_idle_per_host)
             .field("transport", &self.transport)
             .field("deadlines", &self.deadlines)
             .field("connects", &self.connects.load(Ordering::Relaxed))
@@ -115,37 +113,26 @@ impl std::fmt::Debug for ClientPool {
     }
 }
 
-/// Idle sockets kept per upstream by default (each costs the upstream
-/// one fd and a timer-wheel entry for its idle window).
-pub const DEFAULT_MAX_IDLE_PER_HOST: usize = 4;
+/// Idle sockets kept per upstream (each costs the upstream one fd and
+/// a timer-wheel entry for its idle window).
+const MAX_IDLE_PER_HOST: usize = 4;
 
 impl Default for ClientPool {
+    /// A pool over plain TCP with the default 20 s deadlines.
     fn default() -> Self {
-        Self::new(DEFAULT_MAX_IDLE_PER_HOST)
+        Self::with_transport(Arc::new(TcpTransport), Deadlines::default())
     }
 }
 
 impl ClientPool {
-    /// Pool keeping at most `max_idle_per_host` idle sockets per
-    /// upstream address (0 disables reuse entirely), over plain TCP
-    /// with the default 20 s deadlines.
-    pub fn new(max_idle_per_host: usize) -> ClientPool {
-        Self::with_transport(max_idle_per_host, Arc::new(TcpTransport), Deadlines::default())
-    }
-
     /// Pool over a caller-supplied [`Transport`] with explicit
     /// per-request connect/read deadlines — the storage cluster uses
     /// this to bound how much a black-holed peer can cost, and the
     /// router and the proxy both take their transport here, so a
     /// harness can inject network faults on either.
-    pub fn with_transport(
-        max_idle_per_host: usize,
-        transport: Arc<dyn Transport>,
-        deadlines: Deadlines,
-    ) -> ClientPool {
+    pub fn with_transport(transport: Arc<dyn Transport>, deadlines: Deadlines) -> ClientPool {
         ClientPool {
             idle: Mutex::new(HashMap::new()),
-            max_idle_per_host,
             transport,
             deadlines,
             connects: AtomicU64::new(0),
@@ -177,13 +164,10 @@ impl ClientPool {
     }
 
     fn put_back(&self, addr: SocketAddr, mut conn: PooledConn) {
-        if self.max_idle_per_host == 0 {
-            return;
-        }
         conn.idle_since = Instant::now();
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         let slot = idle.entry(addr).or_default();
-        if slot.len() < self.max_idle_per_host {
+        if slot.len() < MAX_IDLE_PER_HOST {
             slot.push(conn);
         }
     }
@@ -376,16 +360,5 @@ mod tests {
         assert!(pool.get(server.addr(), "/g").is_ok());
         assert_eq!(pool.connects(), 3, "GET must reuse a socket a POST left behind");
         assert_eq!(pool.reuses(), 1);
-    }
-
-    #[test]
-    fn zero_capacity_pool_never_reuses() {
-        let server = ok_server();
-        let pool = ClientPool::new(0);
-        for _ in 0..3 {
-            assert!(pool.get(server.addr(), "/x").is_ok());
-        }
-        assert_eq!(pool.connects(), 3);
-        assert_eq!(pool.reuses(), 0);
     }
 }

@@ -34,7 +34,7 @@
 //! [`ServerConfig::workers`]. The secret-part LRU is sharded by
 //! photo-ID hash so concurrent downloads contend on independent locks.
 
-use crate::client::{ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
+use crate::client::ClientPool;
 use crate::http::{is_target_token, Method, Request, Response, StatusCode};
 use crate::server::{Server, ServerConfig, ServerStats};
 use crate::transport::{Deadlines, TcpTransport, Transport};
@@ -100,6 +100,9 @@ pub const DEFAULT_SECRET_CACHE_CAPACITY: usize = 256;
 
 /// Default secret-cache shard count.
 pub const DEFAULT_CACHE_SHARDS: usize = 8;
+
+/// The reconstructed view's JPEG quality `p3 proxy` ships with.
+pub const REENCODE_QUALITY: u8 = 95;
 
 impl std::fmt::Debug for ProxyConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -389,8 +392,7 @@ impl P3Proxy {
         cfg: ProxyConfig,
         transport: Arc<dyn Transport>,
     ) -> std::io::Result<P3Proxy> {
-        let pool =
-            ClientPool::with_transport(DEFAULT_MAX_IDLE_PER_HOST, transport, Deadlines::default());
+        let pool = ClientPool::with_transport(transport, Deadlines::default());
         let ctx = Arc::new(ProxyCtx {
             stats: Arc::new(ProxyStats::default()),
             cache: ShardedCache::new(cfg.secret_cache_capacity, cfg.cache_shards),
@@ -488,7 +490,6 @@ fn handle(req: &Request, ctx: &ProxyCtx) -> Response {
 /// [`crate::stats::parse_metric_json`]).
 fn stats_json(ctx: &ProxyCtx) -> String {
     let s = &ctx.stats;
-    let sv = &ctx.server_stats;
     let ld = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
     crate::stats::render_metrics(&[
         (
@@ -516,17 +517,7 @@ fn stats_json(ctx: &ProxyCtx) -> String {
             "pool",
             vec![("connects", ctx.pool.connects() as f64), ("reuses", ctx.pool.reuses() as f64)],
         ),
-        (
-            "server",
-            vec![
-                ("open_connections", ld(&sv.open_connections)),
-                ("reactor_threads", ld(&sv.reactor_threads)),
-                ("accepted_total", ld(&sv.accepted)),
-                ("idle_closed", ld(&sv.idle_closed)),
-                ("rejected_503", ld(&sv.rejected_503)),
-                ("requests_served", ld(&sv.requests_served)),
-            ],
-        ),
+        ("server", ctx.server_stats.fields().into_iter().map(|(k, v)| (k, v as f64)).collect()),
     ])
 }
 
@@ -794,8 +785,8 @@ mod tests {
         for i in 0..100 {
             cache.insert(format!("photo-{i}"), Arc::new(vec![i as u8]));
         }
-        // Per-shard bound is ceil(16/4) = 4, so the total can never
-        // exceed 16 no matter how keys hash.
+        // The capacity splits exactly, 16/4 = 4 per shard, so the total
+        // can never exceed 16 no matter how keys hash.
         assert!(cache.len() <= 16, "cache grew to {} entries", cache.len());
         assert!(cache.len() >= 4, "at least one shard must be full");
         // Fresh inserts are retrievable.

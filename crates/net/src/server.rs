@@ -38,15 +38,16 @@ pub struct ServerConfig {
     /// Offload-pool workers running handlers (blocking codec/disk work,
     /// so the default oversubscribes the CPUs).
     pub workers: usize,
-    /// Parsed requests allowed to wait for a free offload worker.
-    /// Beyond this the server sheds load with an immediate `503` +
-    /// `retry-after`.
-    pub queue_depth: usize,
     /// How long a connection may sit with no request in progress before
     /// the server closes it. Generous by default: an idle connection
     /// costs one fd and an entry on the timer wheel, not a thread.
     pub idle_timeout: Duration,
 }
+
+/// Parsed requests allowed to wait for a free offload worker, per
+/// worker. Beyond `workers * QUEUE_PER_WORKER` the server sheds load
+/// with an immediate `503` + `retry-after`.
+const QUEUE_PER_WORKER: usize = 8;
 
 /// How long shutdown waits for in-flight requests to finish before
 /// tearing down sockets.
@@ -68,7 +69,7 @@ fn reactor_count() -> usize {
 impl Default for ServerConfig {
     fn default() -> Self {
         let workers = default_workers();
-        ServerConfig { workers, queue_depth: workers * 8, idle_timeout: Duration::from_secs(60) }
+        ServerConfig { workers, idle_timeout: Duration::from_secs(60) }
     }
 }
 
@@ -89,6 +90,23 @@ pub struct ServerStats {
     pub open_connections: AtomicU64,
     /// Gauge: reactor event-loop threads.
     pub reactor_threads: AtomicU64,
+}
+
+impl ServerStats {
+    /// Flat `(name, value)` view for stats endpoints: every counter and
+    /// gauge, under its wire name.
+    pub fn fields(&self) -> Vec<(&'static str, u64)> {
+        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        vec![
+            ("accepted_total", ld(&self.accepted)),
+            ("rejected_503", ld(&self.rejected_503)),
+            ("accept_errors", ld(&self.accept_errors)),
+            ("requests_served", ld(&self.requests_served)),
+            ("idle_closed", ld(&self.idle_closed)),
+            ("open_connections", ld(&self.open_connections)),
+            ("reactor_threads", ld(&self.reactor_threads)),
+        ]
+    }
 }
 
 /// A running HTTP server. Dropping it shuts the server down.
@@ -140,7 +158,6 @@ impl Server {
 
         let reactors = reactor_count();
         let workers = cfg.workers.max(1);
-        let queue_depth = cfg.queue_depth.max(1);
 
         stats.reactor_threads.store(reactors as u64, Ordering::Relaxed);
         let shared = Arc::new(Shared {
@@ -153,7 +170,7 @@ impl Server {
             handler,
         });
 
-        let offload = Arc::new(OffloadQueue::new(workers, queue_depth));
+        let offload = Arc::new(OffloadQueue::new(workers, workers * QUEUE_PER_WORKER));
         let mut worker_joins = Vec::with_capacity(workers);
         for i in 0..workers {
             let queue = Arc::clone(&offload);
@@ -472,7 +489,7 @@ mod tests {
         let entered_tx = Mutex::new(entered_tx);
         let server = Server::spawn_with(
             "127.0.0.1:0",
-            ServerConfig { workers: 1, queue_depth: 1, ..Default::default() },
+            ServerConfig { workers: 1, ..Default::default() },
             Arc::new(move |_req: &Request| {
                 let _ = entered_tx.lock().unwrap().send(());
                 let _ = release_rx.lock().unwrap().recv();
@@ -485,13 +502,15 @@ mod tests {
         // Occupy the only worker.
         let first = std::thread::spawn(move || http_get(addr, "/a").unwrap());
         entered_rx.recv().unwrap();
-        // Fill the one queue slot with a second slow request
-        // (backpressure acts at dispatch time, so the request must
+        // Fill the worker's queue slots with slow requests
+        // (backpressure acts at dispatch time, so the requests must
         // actually be sent).
-        let second = std::thread::spawn(move || http_get(addr, "/b").unwrap());
-        std::thread::sleep(Duration::from_millis(100));
+        let queued: Vec<_> = (0..QUEUE_PER_WORKER)
+            .map(|i| std::thread::spawn(move || http_get(addr, &format!("/q/{i}")).unwrap()))
+            .collect();
+        std::thread::sleep(Duration::from_millis(200));
 
-        // The third connection must be shed with 503 + retry-after —
+        // The next connection must be shed with 503 + retry-after —
         // even though it has already written its request bytes (closing
         // with them unread must not RST away the response).
         let mut over = TcpStream::connect(addr).unwrap();
@@ -502,12 +521,14 @@ mod tests {
         assert_eq!(resp.headers.get("retry-after"), Some("1"));
         assert!(server.stats().rejected_503.load(Ordering::Relaxed) >= 1);
 
-        release_tx.send(()).unwrap();
-        release_tx.send(()).unwrap();
+        for _ in 0..=QUEUE_PER_WORKER {
+            release_tx.send(()).unwrap();
+        }
         let resp = first.join().unwrap();
         assert!(resp.status.is_success());
-        let resp = second.join().unwrap();
-        assert!(resp.status.is_success());
+        for handle in queued {
+            assert!(handle.join().unwrap().status.is_success());
+        }
     }
 
     #[test]
@@ -596,7 +617,7 @@ mod tests {
         // connection open.
         let server = Server::spawn_with(
             "127.0.0.1:0",
-            ServerConfig { workers: 2, queue_depth: 16, ..Default::default() },
+            ServerConfig { workers: 2, ..Default::default() },
             echo_handler(),
         )
         .unwrap();

@@ -294,7 +294,7 @@ mod tests {
 
     fn fault_pool(plan: &Arc<FaultPlan>, deadlines: Deadlines) -> ClientPool {
         let transport = Arc::new(FaultTransport::new("test", Arc::clone(plan)));
-        ClientPool::with_transport(crate::client::DEFAULT_MAX_IDLE_PER_HOST, transport, deadlines)
+        ClientPool::with_transport(transport, deadlines)
     }
 
     fn short_deadlines() -> Deadlines {

@@ -20,6 +20,13 @@ use std::time::Instant;
 /// `GET /tombstones`.
 const INDEX_FETCH_PAGE: usize = 512;
 
+/// Copies the convergence pass streams before pausing once.
+const REPAIR_BATCH: usize = 64;
+
+/// Pause between repair batches (the throttle: keeps a big pass from
+/// saturating the network the live traffic needs).
+const REPAIR_PAUSE: Duration = Duration::from_millis(2);
+
 /// One immutable membership epoch: the node list, the ring built from
 /// the node address strings, and each node's health tracker.
 #[derive(Debug)]
@@ -274,8 +281,8 @@ impl ClusterBackend {
                     failed += 1;
                 }
                 since_pause += 1;
-                if since_pause >= self.cfg.repair_batch {
-                    std::thread::sleep(self.cfg.repair_pause);
+                if since_pause >= REPAIR_BATCH {
+                    std::thread::sleep(REPAIR_PAUSE);
                     since_pause = 0;
                 }
             }
@@ -351,7 +358,7 @@ mod tests {
     use super::super::ClusterConfig;
     use super::*;
     use crate::{StorageBackend, StorageCore, StorageService};
-    use p3_net::Response;
+    use p3_net::{FaultPlan, FaultRule, FaultTransport, Response};
     use std::collections::HashMap;
 
     // ---- dynamic membership -----------------------------------------
@@ -480,22 +487,24 @@ mod tests {
     fn reads_never_false_miss_during_rebalance_window() {
         // R=1 is the worst case: a re-owned blob's *only* replica after
         // the switch is the new node, whose authoritative 404 would meet
-        // the miss quorum alone. Throttle the copy hard so it is slow,
-        // hammer reads from one thread and writes from another: every
-        // read must find every blob for the whole change (reads stay on
-        // the old placement until the copy is done), and every write
-        // made mid-copy must read back after the switch. A false
-        // Ok(None) here is the proxy serving the privacy-degraded
-        // public part.
+        // the miss quorum alone. Slow the router's link to the new node
+        // so the copy is slow, hammer reads from one thread and writes
+        // from another: every read must find every blob for the whole
+        // change (reads stay on the old placement until the copy is
+        // done), and every write made mid-copy must read back after the
+        // switch. A false Ok(None) here is the proxy serving the
+        // privacy-degraded public part.
         let node_a = spawn_nodes(1);
+        let plan = FaultPlan::new();
         let cluster = Arc::new(
-            ClusterBackend::new(ClusterConfig {
-                nodes: vec![node_a[0].addr()],
-                replicas: 1,
-                repair_batch: 1,
-                repair_pause: Duration::from_millis(40),
-                ..ClusterConfig::default()
-            })
+            ClusterBackend::with_transport(
+                ClusterConfig {
+                    nodes: vec![node_a[0].addr()],
+                    replicas: 1,
+                    ..ClusterConfig::default()
+                },
+                Arc::new(FaultTransport::new("router", Arc::clone(&plan))),
+            )
             .unwrap(),
         );
         let ids: Vec<String> = (0..12).map(|i| format!("window-{i}")).collect();
@@ -503,6 +512,8 @@ mod tests {
             cluster.put(id, id.as_bytes()).unwrap();
         }
         let node_b = StorageService::spawn().unwrap();
+        let slow = FaultRule { latency: Duration::from_millis(40), ..FaultRule::default() };
+        plan.set("router", node_b.addr(), slow);
         let done = AtomicBool::new(false);
         let written = std::thread::scope(|s| {
             s.spawn(|| {
@@ -523,12 +534,13 @@ mod tests {
                 }
                 written
             });
-            // ~half the blobs re-own to node B; at 40 ms per streamed
-            // copy both threads lap many times mid-copy.
+            // ~half the blobs re-own to node B; at 40 ms per read off
+            // its link both threads lap many times mid-copy.
             cluster.update_membership(&[node_b.addr()], &[]).unwrap();
             done.store(true, Ordering::Relaxed);
             writer.join().unwrap()
         });
+        assert!(plan.delayed() > 0, "the copy must have crossed the slowed link");
         assert!(!written.is_empty());
         for id in ids.iter().chain(&written) {
             let got = cluster.get(id).unwrap();
@@ -588,8 +600,6 @@ mod tests {
             nodes: vec![keeper[0].addr(), other[0].addr()],
             replicas: 1,
             backoff_base: Duration::from_millis(50),
-            backoff_jitter: 0.0,
-            op_retries: 0,
             ..ClusterConfig::default()
         })
         .unwrap();

@@ -28,17 +28,18 @@
 //!   fewer 404s than that with the rest unreachable is *unavailable*,
 //!   which the service maps to 503 so the proxy fails loudly instead
 //!   of serving the degraded public part;
-//! * **health**: node requests get a bounded number of in-place
-//!   retries (`op_retries`, paced by `RETRY_PAUSE`) so one dropped
-//!   packet doesn't count as an outage; consecutive *exhausted* ops
+//! * **health**: a failed node request fails over to the next replica
+//!   on a read, or counts against the quorum on a write, straight away
+//!   — no in-place retry; the pool already reconnects a stale pooled
+//!   socket for every non-POST. `EJECT_AFTER` consecutive failures
 //!   eject the node for a backoff window that grows exponentially with
-//!   jitter (`backoff_base`..`backoff_max`, ±`backoff_jitter`) while
-//!   post-expiry probes keep failing — a dead node costs one failed
-//!   probe per window, not one per request, and a long outage is probed
-//!   ever more rarely. An ejected node is skipped on the first read
-//!   pass and retried as a last resort (and for writes it is always
-//!   attempted — a refused connect is cheap, and the write set must
-//!   stay as full as possible);
+//!   ±20 % jitter (`backoff_base`..`backoff_max`) while post-expiry
+//!   probes keep failing — so one lost packet is not an outage, a dead
+//!   node costs one failed probe per window, not one per request, and
+//!   a long outage is probed ever more rarely. An ejected node is
+//!   skipped on the first read pass and retried as a last resort (and
+//!   for writes it is always attempted — a refused connect is cheap,
+//!   and the write set must stay as full as possible);
 //! * **integrity** is end-to-end: nodes carry the at-rest CRC over the
 //!   wire (`x-p3-crc32` on GETs, echoed on PUT acks), and the router
 //!   verifies it before trusting any answer. A replica serving rotten
@@ -128,7 +129,7 @@ use crate::{
     StorageResult,
 };
 use converge::{Membership, Placement};
-use p3_net::client::{ClientError, ClientPool, DEFAULT_MAX_IDLE_PER_HOST};
+use p3_net::client::{ClientError, ClientPool};
 use p3_net::{Deadlines, Response, StatusCode, TcpTransport, Transport};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -146,8 +147,6 @@ pub struct ClusterConfig {
     /// every operation, so a cluster grown past R starts replicating R
     /// ways without reconfiguration.
     pub replicas: usize,
-    /// Consecutive failures before a node is ejected.
-    pub eject_after: u32,
     /// First backoff window after an ejection: how long the node sits
     /// out before it is probed again. Doubles on every failed
     /// post-expiry probe (capped at `backoff_max`), so a long outage is
@@ -155,46 +154,25 @@ pub struct ClusterConfig {
     pub backoff_base: Duration,
     /// Ceiling on the exponential backoff window.
     pub backoff_max: Duration,
-    /// Jitter applied to every backoff window as a ± fraction (0.2 =
-    /// ±20%), so replicas ejected together don't re-probe in lockstep.
-    /// Set to 0.0 for deterministic windows (tests).
-    pub backoff_jitter: f64,
-    /// In-place retries per node request after the first attempt, so
-    /// one dropped packet doesn't count as an outage. Health
-    /// bookkeeping sees only the final outcome.
-    pub op_retries: u32,
     /// Per-request connect deadline for node traffic.
     pub connect_timeout: Duration,
     /// Per-request read/write deadline for node traffic — bounds what a
     /// black-holed (accepting but never answering) peer can cost.
     pub read_timeout: Duration,
-    /// Copies the convergence pass streams before pausing once.
-    pub repair_batch: usize,
-    /// Pause between repair batches (the throttle: keeps a big pass
-    /// from saturating the network the live traffic needs).
-    pub repair_pause: Duration,
 }
 
 /// Virtual nodes per physical node on the hash ring.
 const VNODES: usize = 64;
-
-/// Pause between in-place retries of one node request.
-const RETRY_PAUSE: Duration = Duration::from_millis(20);
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             nodes: Vec::new(),
             replicas: 2,
-            eject_after: 3,
             backoff_base: Duration::from_secs(1),
             backoff_max: Duration::from_secs(30),
-            backoff_jitter: 0.2,
-            op_retries: 1,
             connect_timeout: Duration::from_secs(1),
             read_timeout: Duration::from_secs(10),
-            repair_batch: 64,
-            repair_pause: Duration::from_millis(2),
         }
     }
 }
@@ -274,12 +252,9 @@ impl ClusterBackend {
                 return Err(StorageError::Unavailable(format!("duplicate node address {n}")));
             }
         }
-        let mut cfg = cfg;
-        cfg.repair_batch = cfg.repair_batch.max(1);
         let current = Arc::new(Membership::build(1, cfg.nodes.clone(), None));
         let placement = Mutex::new(Arc::new(Placement { current, next: None }));
         let pool = ClientPool::with_transport(
-            DEFAULT_MAX_IDLE_PER_HOST,
             transport,
             Deadlines { connect: cfg.connect_timeout, read: cfg.read_timeout },
         );
@@ -359,50 +334,30 @@ impl ClusterBackend {
 
     /// One GET straight to a node address, classified. Outside the
     /// health bookkeeping: the repair paths use it bare, [`Self::node_get`]
-    /// adds retries and the circuit breaker.
+    /// adds the circuit breaker.
     fn ask(&self, addr: SocketAddr, id: &str) -> NodeAnswer {
         self.classify(self.pool.get(addr, &format!("/blobs/{id}")))
     }
 
     fn node_get(&self, m: &Membership, node: usize, id: &str) -> NodeAnswer {
-        let mut attempt = 0u32;
-        loop {
-            match self.ask(m.nodes[node], id) {
-                NodeAnswer::Failed if attempt < self.cfg.op_retries => {
-                    attempt += 1;
-                    self.stats.retry();
-                    std::thread::sleep(RETRY_PAUSE);
-                }
-                NodeAnswer::Failed => {
-                    self.mark_failure(m, node);
-                    return NodeAnswer::Failed;
-                }
-                // Any interpretable answer — a corrupt copy included —
-                // came from a live node: don't eject it.
-                answer => {
-                    self.mark_ok(m, node);
-                    return answer;
-                }
-            }
+        let answer = self.ask(m.nodes[node], id);
+        match answer {
+            NodeAnswer::Failed => self.mark_failure(m, node),
+            // Any interpretable answer — a corrupt copy included — came
+            // from a live node: don't eject it.
+            _ => self.mark_ok(m, node),
         }
+        answer
     }
 
     fn node_put(&self, m: &Membership, node: usize, id: &str, data: &[u8]) -> bool {
-        let mut attempt = 0u32;
-        loop {
-            if self.direct_put(m.nodes[node], id, data) {
-                self.mark_ok(m, node);
-                return true;
-            }
-            if attempt < self.cfg.op_retries {
-                attempt += 1;
-                self.stats.retry();
-                std::thread::sleep(RETRY_PAUSE);
-                continue;
-            }
+        let ok = self.direct_put(m.nodes[node], id, data);
+        if ok {
+            self.mark_ok(m, node);
+        } else {
             self.mark_failure(m, node);
-            return false;
         }
+        ok
     }
 
     /// PUT straight to a node address, outside the health bookkeeping —
@@ -670,8 +625,6 @@ mod tests {
             nodes: nodes.iter().map(|s| s.addr()).collect(),
             replicas,
             backoff_base: Duration::from_millis(50),
-            backoff_jitter: 0.0,
-            op_retries: 0,
             ..ClusterConfig::default()
         })
         .unwrap()
@@ -791,6 +744,28 @@ mod tests {
         assert_eq!(fresh.len(), 1, "read-repair must restore the lost replica");
         assert!(cluster.stats().read_repairs >= 1);
         drop(restarted);
+    }
+
+    #[test]
+    fn a_black_holed_replica_costs_one_op_before_the_read_fails_over() {
+        // Default timings: every op the black hole swallows burns the
+        // full 1 s connect deadline before the read may move on.
+        let nodes = spawn_nodes(2);
+        let plan = p3_net::FaultPlan::new();
+        let transport = p3_net::FaultTransport::new("router", Arc::clone(&plan));
+        let cfg =
+            ClusterConfig { nodes: nodes.iter().map(|s| s.addr()).collect(), ..Default::default() };
+        let cluster = ClusterBackend::with_transport(cfg, Arc::new(transport)).unwrap();
+        let replicas = cluster.replicas_for("hole");
+        // Written straight to the second replica's node, so the router
+        // holds no pooled socket to the first one.
+        let second = nodes.iter().find(|n| n.addr() == replicas[1]).unwrap();
+        second.core().put("hole", b"sealed secret part").unwrap();
+        plan.set("router", replicas[0], p3_net::FaultRule::black_holed());
+        let got = cluster.get("hole").unwrap().expect("served by the second replica");
+        assert_eq!(&got[..], b"sealed secret part");
+        assert_eq!(plan.black_holed(), 1, "a failed node request fails over, it is not retried");
+        assert_eq!(cluster.stats().node_failures, 1);
     }
 
     /// Respawn a storage service on a specific (just-freed) address.

@@ -182,8 +182,6 @@ backend_counters! {
     /// copy corrupt. Each reject excludes that answer from quorum and
     /// marks the replica for read-repair.
     integrity_rejects => integrity_reject,
-    /// Cluster: per-node requests retried after a transient failure.
-    retries => retry,
     /// Cluster: backoff windows scheduled against failing nodes (first
     /// ejections plus each jittered-exponential escalation).
     backoffs => backoff,

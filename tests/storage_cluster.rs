@@ -22,15 +22,10 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Deterministic failure handling at R = 2: a short fixed re-probe
-/// window, no in-place retries.
+/// Failure handling at R = 2 with a short re-probe window (50 ms
+/// ± 20 %).
 fn router_config() -> ClusterConfig {
-    ClusterConfig {
-        backoff_base: Duration::from_millis(50),
-        backoff_jitter: 0.0,
-        op_retries: 0,
-        ..ClusterConfig::default()
-    }
+    ClusterConfig { backoff_base: Duration::from_millis(50), ..ClusterConfig::default() }
 }
 
 /// `nodes` behind a router built from `router`. The secret cache is
@@ -370,6 +365,9 @@ fn proxy_and_storage_stats_endpoints_parse() {
     assert_eq!(metric("cache", "misses"), 2.0);
     assert_eq!(metric("cache", "evictions"), 0.0);
     assert!(metric("pool", "connects") >= 1.0);
+    // Every serving counter reaches the endpoint, the accept-error one
+    // included.
+    assert_eq!(metric("server", "accept_errors"), 0.0);
 
     // Router /stats: front-end counters plus the cluster backend's.
     let resp = http_get(sys.cluster().router.addr(), "/stats").expect("storage stats");
@@ -394,12 +392,11 @@ fn proxy_and_storage_stats_endpoints_parse() {
     assert_eq!(metric("backend", "rebalanced_blobs"), 0.0);
     assert_eq!(metric("backend", "sweep_repairs"), 0.0);
     assert_eq!(metric("backend", "sweep_runs"), 0.0);
-    // The integrity/retry counters surface through the same endpoint —
+    // The integrity/health counters surface through the same endpoint —
     // and a healthy, unfaulted run must leave every one at exactly zero
-    // (a nonzero here would mean the happy path burned a retry or
-    // rejected a verified copy).
+    // (a nonzero here would mean the happy path charged a node a
+    // failure or rejected a verified copy).
     assert_eq!(metric("backend", "integrity_rejects"), 0.0);
-    assert_eq!(metric("backend", "retries"), 0.0);
     assert_eq!(metric("backend", "backoffs"), 0.0);
     assert_eq!(metric("backend", "node_failures"), 0.0);
 
@@ -566,8 +563,8 @@ fn asymmetric_partition_degrades_to_503_and_heals_zero_wrong_data() {
     assert_eq!(resp.status.0, 503, "expected 503, got {:?}", resp.status);
     assert!(resp.headers.get("retry-after").is_some());
 
-    // Heal. After the (deterministic, jitter-free) backoff window the
-    // router re-probes and serves byte-identical data again.
+    // Heal. After the backoff window the router re-probes and serves
+    // byte-identical data again.
     for addr in &replicas {
         plan.clear("router", *addr);
     }

@@ -13,7 +13,7 @@ use p3_jpeg::image::RgbImage;
 use p3_psp::{PspCore, PspProfile, SizeRequest};
 
 /// The re-encode quality the system tests and the CLI's proxy run at.
-const QUALITY: u8 = 95;
+const QUALITY: u8 = p3_net::proxy::REENCODE_QUALITY;
 const THRESHOLD: u16 = 15;
 
 fn psnr(a: &RgbImage, b: &RgbImage) -> f64 {

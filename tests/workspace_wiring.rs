@@ -444,6 +444,154 @@ fn proxy_config_literals_live_only_in_the_stack_the_cli_and_the_benchmark() {
     assert_eq!(literals.len(), SITES.len(), "one literal per allowed site: {literals:?}");
 }
 
+/// Every `pub` field of a `pub struct …Config` under `crates/*/src` is
+/// set by shipping code outside the file that declares it: a field only
+/// tests set is a constant in disguise. "Set" is `field: value` or the
+/// shorthand `field` in a struct literal of that type; a `Default` impl
+/// does not count, nor do comments, strings or `#[cfg(test)]` items.
+#[test]
+fn every_config_field_is_set_by_shipping_code() {
+    let unset = unset_config_fields(&workspace_sources());
+    assert!(unset.is_empty(), "config fields no shipping code sets: {unset:?}");
+}
+
+/// The scanner's own edges: a literal in the declaring file, a test, a
+/// comment or a `Default` impl sets nothing; a path-qualified one and
+/// the shorthand do; a function returning the type is no literal.
+#[test]
+fn config_field_scan_counts_only_shipping_literals() {
+    let lib = "
+        pub struct AConfig { pub set: u8, pub short: u8, pub in_default: u8,
+            pub in_tests: u8, pub in_own_file: u8, private: u8 }
+        fn own() -> AConfig { AConfig { in_own_file: 1, ..AConfig::default() } }
+    ";
+    let user = "
+        fn f(short: u8) -> a::AConfig {
+            a::AConfig { set: g(1, [2, 3]), short, ..a::AConfig::default() }
+        }
+        impl Default for a::AConfig { fn default() -> Self { AConfig { in_default: 0 } } }
+        // AConfig { in_tests: 1 }
+        #[cfg(test)]
+        fn t() -> AConfig { AConfig { in_tests: 1, ..Default::default() } }
+    ";
+    let files = [
+        ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/b/src/lib.rs".to_string(), user.to_string()),
+        ("tests/it.rs".to_string(), "fn t() { AConfig { in_tests: 2 }; }".to_string()),
+    ];
+    assert_eq!(
+        unset_config_fields(&files),
+        ["AConfig.in_default", "AConfig.in_tests", "AConfig.in_own_file"]
+    );
+}
+
+/// `Type.field` for each `pub` field of a `pub struct …Config` that no
+/// shipping file but the one declaring it sets.
+fn unset_config_fields(files: &[(String, String)]) -> Vec<String> {
+    let code: Vec<String> =
+        files.iter().map(|(_, s)| strip_cfg_test(&blank_comments_and_strings(s))).collect();
+    let mut unset = Vec::new();
+    for (i, (path, _)) in files.iter().enumerate() {
+        if !role(path).0 {
+            continue;
+        }
+        for (name, fields) in config_structs(&code[i]) {
+            let mut set = BTreeSet::new();
+            for (j, (other, _)) in files.iter().enumerate() {
+                if j != i && role(other).1 {
+                    set.extend(literal_fields(&strip_default_impls(&code[j]), &name));
+                }
+            }
+            let missing = fields.into_iter().filter(|f| !set.contains(f));
+            unset.extend(missing.map(|f| format!("{name}.{f}")));
+        }
+    }
+    unset
+}
+
+/// Every `pub struct …Config { … }` in `code`: its name and `pub` fields.
+fn config_structs(code: &str) -> Vec<(String, Vec<String>)> {
+    let mut out = Vec::new();
+    for (at, _) in code.match_indices("pub struct ") {
+        let rest = &code[at + "pub struct ".len()..];
+        let name: String = rest.chars().take_while(|&c| is_ident(c as u8)).collect();
+        let open = at + "pub struct ".len() + name.len();
+        if !name.ends_with("Config") || !code[open..].trim_start().starts_with('{') {
+            continue;
+        }
+        let fields = top_level(braced(code, open + code[open..].find('{').unwrap()))
+            .into_iter()
+            .filter_map(|field| field.trim().strip_prefix("pub "))
+            .map(|field| field.trim().chars().take_while(|&c| is_ident(c as u8)).collect())
+            .collect();
+        out.push((name, fields));
+    }
+    out
+}
+
+/// The fields a struct literal of `name` sets anywhere in `code`.
+fn literal_fields(code: &str, name: &str) -> BTreeSet<String> {
+    let mut fields = BTreeSet::new();
+    for (at, _) in code.match_indices(name) {
+        let before = code[..at].trim_end();
+        let after = code[at + name.len()..].trim_start();
+        let declares = ["struct", "for", "impl", "->"].iter().any(|w| before.ends_with(w));
+        if !after.starts_with('{') || declares || before.ends_with(|c: char| is_ident(c as u8)) {
+            continue;
+        }
+        let open = code.len() - after.len();
+        for field in top_level(braced(code, open)) {
+            let field = field.split(':').next().unwrap_or("").trim();
+            if !field.is_empty() && field.bytes().all(is_ident) {
+                fields.insert(field.to_string());
+            }
+        }
+    }
+    fields
+}
+
+/// `code` with every `impl Default for …` block blanked.
+fn strip_default_impls(code: &str) -> String {
+    let mut out = code.as_bytes().to_vec();
+    for (at, _) in code.match_indices("impl Default for") {
+        let end = item_end(code.as_bytes(), at);
+        blank(&mut out[at..end]);
+    }
+    String::from_utf8(out).expect("blanking keeps whole characters")
+}
+
+/// The text between the bracket at `open` and the one that closes it.
+fn braced(code: &str, open: usize) -> &str {
+    let mut depth = 0;
+    for (i, b) in code.bytes().enumerate().skip(open) {
+        match b {
+            b'{' | b'(' | b'[' => depth += 1,
+            b'}' | b')' | b']' if depth == 1 => return &code[open + 1..i],
+            b'}' | b')' | b']' => depth -= 1,
+            _ => {}
+        }
+    }
+    &code[open + 1..]
+}
+
+/// `body` split at the commas outside any bracket.
+fn top_level(body: &str) -> Vec<&str> {
+    let (mut parts, mut depth, mut start) = (Vec::new(), 0i32, 0);
+    for (i, b) in body.bytes().enumerate() {
+        match b {
+            b'{' | b'(' | b'[' => depth += 1,
+            b'}' | b')' | b']' => depth -= 1,
+            b',' if depth == 0 => {
+                parts.push(&body[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&body[start..]);
+    parts
+}
+
 /// Every uncalled item `allowed` does not list, and every entry of it
 /// that is stale (its item gone or called) or gives a reason of no kind.
 fn allow_list_failures(scan: &PubScan, allowed: &[(&str, &str, &str)]) -> Vec<String> {

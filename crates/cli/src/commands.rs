@@ -302,14 +302,9 @@ pub fn storage(argv: &[String]) -> Result<(), String> {
     };
     let config = server_config_flags(&args)?;
     let core = std::sync::Arc::new(p3_storage::StorageCore::with_backend(backend));
-    let c = std::sync::Arc::clone(&core);
-    let server = p3_net::Server::spawn_with(
-        &addr,
-        config,
-        std::sync::Arc::new(move |req| p3_storage::handle_http(&c, req)),
-    )
-    .map_err(|e| e.to_string())?;
-    println!("storage provider ({describe}) listening on {}", server.addr());
+    let service =
+        p3_storage::StorageService::spawn_on(&addr, config, core).map_err(|e| e.to_string())?;
+    println!("storage provider ({describe}) listening on {}", service.addr());
     // Advertise only the routes this backend actually serves: /index
     // lists local blobs (mem/disk), /admin/membership drives the
     // cluster router's topology.

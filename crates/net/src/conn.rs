@@ -330,9 +330,10 @@ impl Conn {
                 let window = if idle { self.shared.idle_timeout } else { IO_TIMEOUT };
                 r.set_timer(self.token, Instant::now() + window);
             }
-            // No deadline while the handler runs: the offload pool is
-            // bounded, not timed.
-            ConnState::Dispatched => r.clear_timer(self.token),
+            // The handler is not timed (the offload pool is bounded):
+            // the Reading deadline stays armed, `on_timer` ignores it
+            // while dispatched, and the reply re-arms it.
+            ConnState::Dispatched => {}
             ConnState::Writing => r.set_timer(self.token, Instant::now() + IO_TIMEOUT),
         }
     }

@@ -144,9 +144,9 @@ impl Server {
     }
 
     /// [`Server::spawn_with`] counting into caller-made `stats`, so a
-    /// handler that reports them (the proxy's `/stats`) can be built
-    /// before the server it runs on.
-    pub(crate) fn spawn_with_stats(
+    /// handler that reports them (the proxy's and every storage
+    /// service's `/stats`) can be built before the server it runs on.
+    pub fn spawn_with_stats(
         addr: &str,
         cfg: ServerConfig,
         stats: Arc<ServerStats>,
@@ -608,6 +608,81 @@ mod tests {
         }
         assert!(server.stats().idle_closed.load(Ordering::Relaxed) >= 1);
         assert_eq!(server.stats().open_connections.load(Ordering::SeqCst), 0);
+    }
+
+    /// Slot entries on every reactor's timer wheel, read on the reactor
+    /// threads themselves.
+    fn timer_hints(server: &Server) -> usize {
+        let counts: Vec<_> = server
+            .handles
+            .iter()
+            .map(|h| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                assert!(h.spawn(move |r| tx.send(r.timer_hints()).unwrap()));
+                rx
+            })
+            .collect();
+        counts.into_iter().map(|rx| rx.recv().unwrap()).sum()
+    }
+
+    #[test]
+    fn keep_alive_requests_leave_one_timer_hint_per_connection() {
+        let server = echo_server();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut ws = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        for i in 0..1_000 {
+            Request::new(Method::Get, &format!("/ka/{i}"), Vec::new()).write_to(&mut ws).unwrap();
+            let resp = Response::read_from(&mut reader).unwrap();
+            assert_eq!(resp.body, format!("GET /ka/{i} | ").as_bytes());
+        }
+        // Each reply pushes the idle deadline later, which moves no slot
+        // entry: the hint filed at accept still carries the connection.
+        let hints = timer_hints(&server);
+        assert!(hints <= 2, "{hints} timer hints for one keep-alive connection");
+    }
+
+    #[test]
+    fn a_handler_slower_than_the_idle_window_still_answers() {
+        let idle = Duration::from_millis(100);
+        let server = Server::spawn_with(
+            "127.0.0.1:0",
+            ServerConfig { idle_timeout: idle, ..Default::default() },
+            Arc::new(|_req: &Request| {
+                std::thread::sleep(Duration::from_millis(300));
+                Response::ok("text/plain", b"late".to_vec())
+            }),
+        )
+        .unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut ws = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        Request::new(Method::Get, "/slow", Vec::new()).write_to(&mut ws).unwrap();
+        // The idle deadline armed before dispatch fires while the handler
+        // sleeps; a dispatched connection must outlive it.
+        let resp = Response::read_from(&mut reader).unwrap();
+        assert_eq!(resp.body, b"late");
+        let answered = Instant::now();
+        use std::io::Read;
+        let mut probe = [0u8; 1];
+        let n = reader
+            .get_mut()
+            .read(&mut probe)
+            .unwrap_or_else(|e| panic!("expected idle close (EOF), got error {e}"));
+        assert_eq!(n, 0, "idle connection must be closed");
+        // Closed one idle window after the answer: not at once (a timer
+        // left over from the dispatch), not at the 10 s I/O deadline.
+        let waited = answered.elapsed();
+        assert!(waited >= idle / 2 && waited < 10 * idle, "closed {waited:?} after the answer");
+        for _ in 0..100 {
+            if server.stats().idle_closed.load(Ordering::Relaxed) == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.stats().idle_closed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

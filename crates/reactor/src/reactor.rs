@@ -163,9 +163,9 @@ impl Reactor {
         self.wheel.set(token, deadline);
     }
 
-    /// Disarm the timer for `token`.
-    pub fn clear_timer(&mut self, token: Token) {
-        self.wheel.cancel(token);
+    /// Timer-wheel slot entries held, live and stale.
+    pub fn timer_hints(&self) -> usize {
+        self.wheel.hints()
     }
 
     /// Deregister and drop the source (closing its fd once the last

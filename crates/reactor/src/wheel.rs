@@ -4,6 +4,12 @@
 //! small. The `active` map is authoritative: slot entries are only hints,
 //! garbage-collected as the cursor passes them, so `cancel` never has to
 //! find the slot entry.
+//!
+//! One hint per armed timer, not one per re-arm (Varghese & Lauck's
+//! lazy scheme): pushing a deadline later leaves the hint where it is,
+//! and the sweep re-files a hint it reaches early at the token's current
+//! tick. A keep-alive connection re-armed after every request so holds
+//! one slot entry, however fast it is re-armed.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -45,9 +51,17 @@ impl TimerWheel {
     pub fn set(&mut self, token: u64, deadline: Instant) {
         let ms = deadline.saturating_duration_since(self.start).as_millis() as u64;
         let tick = ms.div_ceil(TICK_MS).max(self.cursor);
-        self.active.insert(token, tick);
-        self.slots[(tick % SLOTS as u64) as usize].push((token, tick));
+        match self.active.insert(token, tick) {
+            // The hint filed for the earlier tick carries the token on.
+            Some(armed) if armed <= tick => {}
+            _ => self.slots[(tick % SLOTS as u64) as usize].push((token, tick)),
+        }
         self.min_tick = Some(self.min_tick.map_or(tick, |m| m.min(tick)));
+    }
+
+    /// Slot entries held, live and stale: what the wheel costs in memory.
+    pub fn hints(&self) -> usize {
+        self.slots.iter().map(Vec::len).sum()
     }
 
     /// Disarm the timer for `token`, if any. The stale slot entry is
@@ -83,20 +97,30 @@ impl TimerWheel {
     pub fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
         let target = self.tick_of(now);
         while self.cursor <= target {
-            let slot = &mut self.slots[(self.cursor % SLOTS as u64) as usize];
+            let index = (self.cursor % SLOTS as u64) as usize;
             let mut keep = Vec::new();
-            for (token, tick) in slot.drain(..) {
-                if self.active.get(&token) != Some(&tick) {
-                    continue; // cancelled or rescheduled: GC the hint
-                }
-                if tick == self.cursor {
+            for (token, tick) in std::mem::take(&mut self.slots[index]) {
+                let armed = match self.active.get(&token) {
+                    // Cancelled, or re-armed earlier under a hint of its own.
+                    Some(&armed) if armed >= tick => armed,
+                    _ => continue,
+                };
+                if tick > self.cursor {
+                    keep.push((token, tick)); // a later lap of the wheel
+                } else if armed == tick {
                     self.active.remove(&token);
                     out.push(token);
                 } else {
-                    keep.push((token, tick)); // a later lap of the wheel
+                    // Re-armed later: file the hint at the current tick.
+                    let at = (armed % SLOTS as u64) as usize;
+                    if at == index {
+                        keep.push((token, armed));
+                    } else {
+                        self.slots[at].push((token, armed));
+                    }
                 }
             }
-            *slot = keep;
+            self.slots[index] = keep;
             self.cursor += 1;
         }
     }
@@ -165,6 +189,53 @@ mod tests {
         assert!(fired.is_empty());
         let wait = w.next_timeout(at(base, 0)).unwrap();
         assert!(wait >= Duration::from_millis(100 - TICK_MS), "wait {wait:?}");
+    }
+
+    #[test]
+    fn rearming_inside_one_tick_leaves_one_hint() {
+        let base = Instant::now();
+        let mut w = TimerWheel::new(base);
+        for _ in 0..1_000 {
+            w.set(1, at(base, 60_000));
+        }
+        assert_eq!(w.hints(), 1);
+    }
+
+    #[test]
+    fn rearming_later_keeps_one_hint_and_fires_at_the_last_deadline() {
+        let base = Instant::now();
+        let mut w = TimerWheel::new(base);
+        let mut fired = Vec::new();
+        // A keep-alive connection: re-armed one idle window ahead every
+        // 5 ms while the sweep runs, across several laps of the wheel.
+        for ms in (0..20_000).step_by(5) {
+            w.set(1, at(base, ms + 1_000));
+            w.expire(at(base, ms), &mut fired);
+            assert!(w.hints() <= 1, "{} hints at {ms} ms", w.hints());
+        }
+        assert!(fired.is_empty(), "a re-armed deadline fired early");
+        w.expire(at(base, 20_990), &mut fired);
+        assert!(fired.is_empty(), "fired before the last deadline");
+        w.expire(at(base, 21_000 + TICK_MS), &mut fired);
+        assert_eq!(fired, vec![1]);
+        assert_eq!(w.hints(), 0);
+    }
+
+    #[test]
+    fn rearming_earlier_fires_at_the_earlier_deadline_once() {
+        let base = Instant::now();
+        let mut w = TimerWheel::new(base);
+        w.set(1, at(base, 1_000));
+        w.set(1, at(base, 100));
+        w.set(1, at(base, 500));
+        let mut fired = Vec::new();
+        w.expire(at(base, 400), &mut fired);
+        assert!(fired.is_empty());
+        w.expire(at(base, 500 + TICK_MS), &mut fired);
+        assert_eq!(fired, vec![1]);
+        w.expire(at(base, 2_000), &mut fired);
+        assert_eq!(fired, vec![1], "a stale hint fired the token twice");
+        assert_eq!(w.hints(), 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use needle::crc32;
 pub use ring::HashRing;
 
 use p3_net::stats::render_metrics;
-use p3_net::{Method, Request, Response, Server, StatusCode};
+use p3_net::{Method, Request, Response, Server, ServerConfig, ServerStats, StatusCode};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -422,12 +422,18 @@ impl StorageCore {
         self.gets.load(Ordering::Relaxed)
     }
 
-    /// `/stats` JSON: front-end counters plus the backend's.
-    pub fn stats_json(&self) -> String {
+    /// `/stats` JSON: front-end counters, the backend's, and those of
+    /// the server the core answers on.
+    fn stats_json(&self, server: &ServerStats) -> String {
         let front = vec![("gets", self.get_count() as f64), ("blobs", self.len() as f64)];
-        let backend: Vec<(&str, f64)> =
-            self.backend.stats().fields().into_iter().map(|(k, v)| (k, v as f64)).collect();
-        render_metrics(&[("storage", front), ("backend", backend)])
+        let floats = |fields: Vec<(&'static str, u64)>| -> Vec<(&'static str, f64)> {
+            fields.into_iter().map(|(k, v)| (k, v as f64)).collect()
+        };
+        render_metrics(&[
+            ("storage", front),
+            ("backend", floats(self.backend.stats().fields())),
+            ("server", floats(server.fields())),
+        ])
     }
 }
 
@@ -447,14 +453,20 @@ impl StorageService {
 
     /// Start a service over an existing core on an ephemeral port.
     pub fn spawn_with(core: Arc<StorageCore>) -> std::io::Result<StorageService> {
-        Self::spawn_on("127.0.0.1:0", core)
+        Self::spawn_on("127.0.0.1:0", ServerConfig::default(), core)
     }
 
-    /// Start a service over an existing core on an explicit address
-    /// (lets crash-recovery tests restart a node where it used to live).
-    pub fn spawn_on(addr: &str, core: Arc<StorageCore>) -> std::io::Result<StorageService> {
-        let c = Arc::clone(&core);
-        let server = Server::spawn_on(addr, Arc::new(move |req: &Request| handle_http(&c, req)))?;
+    /// Start a service over an existing core on an explicit address: the
+    /// one way a storage node or router is served, `p3 storage` included.
+    pub fn spawn_on(
+        addr: &str,
+        cfg: ServerConfig,
+        core: Arc<StorageCore>,
+    ) -> std::io::Result<StorageService> {
+        let stats = Arc::new(ServerStats::default());
+        let (c, s) = (Arc::clone(&core), Arc::clone(&stats));
+        let handler = Arc::new(move |req: &Request| handle_http(&c, &s, req));
+        let server = Server::spawn_with_stats(addr, cfg, stats, handler)?;
         Ok(StorageService { server, core })
     }
 
@@ -468,7 +480,7 @@ impl StorageService {
     ) -> std::io::Result<StorageService> {
         let mut last_err = None;
         for _ in 0..100 {
-            match Self::spawn_on(&addr.to_string(), Arc::clone(&core)) {
+            match Self::spawn_on(&addr.to_string(), ServerConfig::default(), Arc::clone(&core)) {
                 Ok(svc) => return Ok(svc),
                 Err(e) => {
                     last_err = Some(e);
@@ -495,12 +507,12 @@ impl StorageService {
     }
 }
 
-/// Route one HTTP request against a [`StorageCore`] — exposed for the
-/// CLI, which hosts the simulator on its own server instance.
-pub fn handle_http(core: &StorageCore, req: &Request) -> Response {
+/// Route one HTTP request against a [`StorageCore`] served on a server
+/// counting into `server`.
+fn handle_http(core: &StorageCore, server: &ServerStats, req: &Request) -> Response {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/stats") => {
-            let mut resp = Response::ok("application/json", core.stats_json().into_bytes());
+            let mut resp = Response::ok("application/json", core.stats_json(server).into_bytes());
             resp.headers.set("x-p3-backend", core.backend().kind());
             resp
         }

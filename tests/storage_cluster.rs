@@ -348,62 +348,60 @@ fn proxy_and_storage_stats_endpoints_parse() {
     assert!(resp.status.is_success());
     assert_eq!(resp.headers.get("content-type"), Some("application/json"));
     let body = String::from_utf8(resp.body).expect("utf8");
-    let sections = parse_metric_json(&body).expect("proxy stats must parse");
-    let metric = |section: &str, field: &str| -> f64 {
-        sections
-            .iter()
-            .find(|(name, _)| name == section)
-            .and_then(|(_, m)| m.iter().find(|(f, _)| f == field))
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("missing {section}.{field} in {body}"))
-    };
-    assert_eq!(metric("proxy", "uploads_split"), 1.0);
-    assert_eq!(metric("proxy", "downloads_reconstructed"), 2.0);
-    assert_eq!(metric("proxy", "upload_rollbacks"), 0.0);
+    assert_eq!(metric(&body, "proxy", "uploads_split"), 1.0);
+    assert_eq!(metric(&body, "proxy", "downloads_reconstructed"), 2.0);
+    assert_eq!(metric(&body, "proxy", "upload_rollbacks"), 0.0);
     // Cache is disabled in this system, so every download is a miss.
-    assert_eq!(metric("cache", "hits"), 0.0);
-    assert_eq!(metric("cache", "misses"), 2.0);
-    assert_eq!(metric("cache", "evictions"), 0.0);
-    assert!(metric("pool", "connects") >= 1.0);
+    assert_eq!(metric(&body, "cache", "hits"), 0.0);
+    assert_eq!(metric(&body, "cache", "misses"), 2.0);
+    assert_eq!(metric(&body, "cache", "evictions"), 0.0);
+    assert!(metric(&body, "pool", "connects") >= 1.0);
     // Every serving counter reaches the endpoint, the accept-error one
     // included.
-    assert_eq!(metric("server", "accept_errors"), 0.0);
+    assert_eq!(metric(&body, "server", "accept_errors"), 0.0);
 
-    // Router /stats: front-end counters plus the cluster backend's.
+    // Router /stats: front-end counters, the cluster backend's and its server's.
     let resp = http_get(sys.cluster().router.addr(), "/stats").expect("storage stats");
     assert!(resp.status.is_success());
     assert_eq!(resp.headers.get("x-p3-backend"), Some("cluster"));
     let body = String::from_utf8(resp.body).expect("utf8");
-    let sections = parse_metric_json(&body).expect("storage stats must parse");
-    let metric = |section: &str, field: &str| -> f64 {
-        sections
-            .iter()
-            .find(|(name, _)| name == section)
-            .and_then(|(_, m)| m.iter().find(|(f, _)| f == field))
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("missing {section}.{field} in {body}"))
-    };
-    assert_eq!(metric("backend", "puts"), 1.0);
-    assert!(metric("backend", "gets") >= 2.0);
-    assert_eq!(metric("storage", "blobs"), 1.0);
+    assert_eq!(metric(&body, "backend", "puts"), 1.0);
+    assert!(metric(&body, "backend", "gets") >= 2.0);
+    assert_eq!(metric(&body, "storage", "blobs"), 1.0);
     // The elasticity counters surface through the same endpoint: the
     // boot topology is epoch 1 and nothing has moved or been swept.
-    assert_eq!(metric("backend", "membership_epoch"), 1.0);
-    assert_eq!(metric("backend", "rebalanced_blobs"), 0.0);
-    assert_eq!(metric("backend", "sweep_repairs"), 0.0);
-    assert_eq!(metric("backend", "sweep_runs"), 0.0);
+    assert_eq!(metric(&body, "backend", "membership_epoch"), 1.0);
+    assert_eq!(metric(&body, "backend", "rebalanced_blobs"), 0.0);
+    assert_eq!(metric(&body, "backend", "sweep_repairs"), 0.0);
+    assert_eq!(metric(&body, "backend", "sweep_runs"), 0.0);
     // The integrity/health counters surface through the same endpoint —
     // and a healthy, unfaulted run must leave every one at exactly zero
     // (a nonzero here would mean the happy path charged a node a
     // failure or rejected a verified copy).
-    assert_eq!(metric("backend", "integrity_rejects"), 0.0);
-    assert_eq!(metric("backend", "backoffs"), 0.0);
-    assert_eq!(metric("backend", "node_failures"), 0.0);
+    assert_eq!(metric(&body, "backend", "integrity_rejects"), 0.0);
+    assert_eq!(metric(&body, "backend", "backoffs"), 0.0);
+    assert_eq!(metric(&body, "backend", "node_failures"), 0.0);
+    // The router's own serving counters: it answered the proxy.
+    assert!(metric(&body, "server", "requests_served") >= 1.0);
+    assert_eq!(metric(&body, "server", "rejected_503"), 0.0);
 
-    // A node's own /stats reports its mem backend.
+    // A node's own /stats reports its mem backend and its server.
     let resp = http_get(sys.nodes[0].addr, "/stats").expect("node stats");
     assert_eq!(resp.headers.get("x-p3-backend"), Some("mem"));
-    parse_metric_json(&String::from_utf8(resp.body).unwrap()).expect("node stats must parse");
+    let body = String::from_utf8(resp.body).unwrap();
+    assert!(metric(&body, "server", "requests_served") >= 1.0);
+}
+
+/// `section.field` of a `/stats` body; panics if it does not parse or
+/// lacks the field.
+fn metric(body: &str, section: &str, field: &str) -> f64 {
+    let sections = parse_metric_json(body).expect("stats must parse");
+    sections
+        .iter()
+        .find(|(name, _)| name == section)
+        .and_then(|(_, m)| m.iter().find(|(f, _)| f == field))
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("missing {section}.{field} in {body}"))
 }
 
 /// ISSUE 6 chaos class (d) at the backend level: a blob whose on-disk

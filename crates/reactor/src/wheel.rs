@@ -5,11 +5,10 @@
 //! garbage-collected as the cursor passes them, so `cancel` never has to
 //! find the slot entry.
 //!
-//! One hint per armed timer, not one per re-arm (Varghese & Lauck's
-//! lazy scheme): pushing a deadline later leaves the hint where it is,
-//! and the sweep re-files a hint it reaches early at the token's current
-//! tick. A keep-alive connection re-armed after every request so holds
-//! one slot entry, however fast it is re-armed.
+//! Re-arming a token at the tick it is already armed at files nothing,
+//! so a keep-alive connection re-armed after every reply costs one hint
+//! per tick, not one per request; a hint left stale by a move is dropped
+//! the first time the sweep reaches its slot, within one lap.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -51,11 +50,10 @@ impl TimerWheel {
     pub fn set(&mut self, token: u64, deadline: Instant) {
         let ms = deadline.saturating_duration_since(self.start).as_millis() as u64;
         let tick = ms.div_ceil(TICK_MS).max(self.cursor);
-        match self.active.insert(token, tick) {
-            // The hint filed for the earlier tick carries the token on.
-            Some(armed) if armed <= tick => {}
-            _ => self.slots[(tick % SLOTS as u64) as usize].push((token, tick)),
+        if self.active.insert(token, tick) == Some(tick) {
+            return; // the hint filed for this tick is still live
         }
+        self.slots[(tick % SLOTS as u64) as usize].push((token, tick));
         self.min_tick = Some(self.min_tick.map_or(tick, |m| m.min(tick)));
     }
 
@@ -97,30 +95,20 @@ impl TimerWheel {
     pub fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
         let target = self.tick_of(now);
         while self.cursor <= target {
-            let index = (self.cursor % SLOTS as u64) as usize;
+            let slot = &mut self.slots[(self.cursor % SLOTS as u64) as usize];
             let mut keep = Vec::new();
-            for (token, tick) in std::mem::take(&mut self.slots[index]) {
-                let armed = match self.active.get(&token) {
-                    // Cancelled, or re-armed earlier under a hint of its own.
-                    Some(&armed) if armed >= tick => armed,
-                    _ => continue,
-                };
-                if tick > self.cursor {
-                    keep.push((token, tick)); // a later lap of the wheel
-                } else if armed == tick {
+            for (token, tick) in slot.drain(..) {
+                if self.active.get(&token) != Some(&tick) {
+                    continue; // cancelled or rescheduled: GC the hint
+                }
+                if tick == self.cursor {
                     self.active.remove(&token);
                     out.push(token);
                 } else {
-                    // Re-armed later: file the hint at the current tick.
-                    let at = (armed % SLOTS as u64) as usize;
-                    if at == index {
-                        keep.push((token, armed));
-                    } else {
-                        self.slots[at].push((token, armed));
-                    }
+                    keep.push((token, tick)); // a later lap of the wheel
                 }
             }
-            self.slots[index] = keep;
+            *slot = keep;
             self.cursor += 1;
         }
     }
@@ -202,21 +190,50 @@ mod tests {
     }
 
     #[test]
-    fn rearming_later_keeps_one_hint_and_fires_at_the_last_deadline() {
+    fn rearming_later_files_one_hint_per_tick_and_fires_at_the_last_deadline() {
         let base = Instant::now();
         let mut w = TimerWheel::new(base);
         let mut fired = Vec::new();
         // A keep-alive connection: re-armed one idle window ahead every
         // 5 ms while the sweep runs, across several laps of the wheel.
+        // Each hint goes stale a tick after it is filed and is dropped
+        // when the sweep reaches it, one window later.
+        let window = 1_000;
         for ms in (0..20_000).step_by(5) {
-            w.set(1, at(base, ms + 1_000));
+            w.set(1, at(base, ms + window));
             w.expire(at(base, ms), &mut fired);
-            assert!(w.hints() <= 1, "{} hints at {ms} ms", w.hints());
+            let bound = (window / TICK_MS + 2) as usize;
+            assert!(w.hints() <= bound, "{} hints at {ms} ms", w.hints());
         }
         assert!(fired.is_empty(), "a re-armed deadline fired early");
         w.expire(at(base, 20_990), &mut fired);
         assert!(fired.is_empty(), "fired before the last deadline");
         w.expire(at(base, 21_000 + TICK_MS), &mut fired);
+        assert_eq!(fired, vec![1]);
+        assert_eq!(w.hints(), 0);
+    }
+
+    #[test]
+    fn alternating_deadlines_leave_no_hint_older_than_one_lap() {
+        let base = Instant::now();
+        let mut w = TimerWheel::new(base);
+        let mut fired = Vec::new();
+        // A request whose head arrives before its body: the I/O deadline
+        // (earlier) then the idle one (later), every 5 ms for five laps.
+        // Each move files a hint; none outlives one lap of the sweep.
+        let step = 5;
+        let lap = SLOTS as u64 * TICK_MS;
+        let bound = (2 * (lap / step + 1) + 1) as usize;
+        w.set(1, at(base, 60_000));
+        for ms in (0..5 * lap).step_by(step as usize) {
+            w.set(1, at(base, ms + 10_000));
+            w.set(1, at(base, ms + 60_000));
+            w.expire(at(base, ms), &mut fired);
+            assert!(w.hints() <= bound, "{} hints at {ms} ms", w.hints());
+        }
+        assert!(fired.is_empty(), "a superseded deadline fired");
+        let last = 5 * lap - step + 60_000;
+        w.expire(at(base, last + 2 * TICK_MS), &mut fired);
         assert_eq!(fired, vec![1]);
         assert_eq!(w.hints(), 0);
     }
